@@ -305,7 +305,8 @@ def as_exponent(p: "PExponent | float | str") -> PExponent:
 # -- helpers on raw blocks ----------------------------------------------------
 
 def hermitian_part_of(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.conj().T)
+    """(M + M*) / 2 for a matrix or a stack of matrices (last two axes)."""
+    return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
 def singular_values(x: AlgebraElement) -> list[np.ndarray]:
@@ -355,12 +356,6 @@ def polar_decomposition(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraEleme
         zs.append(z)
         abss.append(hermitian_part_of(absb))
     return AlgebraElement(x.algebra, zs), AlgebraElement(x.algebra, abss)
-
-
-def support_projection(x: AlgebraElement) -> AlgebraElement:
-    """Projection onto range(X*) (equivalently the support of |X|)."""
-    z, _ = polar_decomposition(x)
-    return z.adjoint() @ z
 
 
 def spectral_tail_projection(w: AlgebraElement, t: float) -> AlgebraElement:

@@ -9,11 +9,16 @@ Three layers:
   fractional knapsack over the spectrum (substituting V = W^2 makes the
   objective linear); everything else is certified from below by feasible
   maximizers (rank-one directions, spectral projections, projected ascent)
-  and from above by ||F||_2,
+  and from above by ||F||_2.  The candidate maximizers of a whole stack of
+  elements are built and scored by one kernel, ``_triple2_pool``, in a few
+  stacked linalg calls; single elements go through it as a stack of one, and
+  each result is bit-identical whatever the size or order of the stack,
 * ``superop_norm`` / ``check_cs_operator_valued``: operator norms of linear
   maps from a traced algebra into a matrix space, with the supremum over the
   unit ball searched on blockwise unitaries (the extreme points) and refined
-  by alternating exact linearized maximization.
+  by alternating exact linearized maximization.  The target norm of the whole
+  candidate pool is evaluated as one stack, so the result does not depend on
+  how many candidates share that stack or in which order.
 """
 
 from __future__ import annotations
@@ -24,8 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, TracedAlgebra, abs_element, hermitian_part_of,
-                      operator_norm, positive_negative_parts, schatten_norm)
+from .algebra import (AlgebraElement, TracedAlgebra, hermitian_part_of, psd_tol,
+                      schatten_norm, structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
 from .inequalities import InequalityReport, _report
 from .sampling import (random_block_unitary, random_element, random_hermitian,
@@ -53,6 +58,27 @@ def _nr_grid_values(mats: np.ndarray, grid: int) -> np.ndarray:
     h = 0.5 * (phases[None, :, None, None] * mats[:, None, :, :]
                + np.conj(phases)[None, :, None, None] * np.conj(np.swapaxes(mats, -1, -2))[:, None, :, :])
     return np.linalg.eigvalsh(h)[..., -1]
+
+
+def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
+    """Up to ``count`` maxima per row of periodic grid values (rows, grid).
+
+    Peaks are picked greedily in ``argsort(row)[::-1]`` order, each more than
+    two grid steps from the ones already picked.
+    """
+    grid = vals.shape[-1]
+    # each pick rules out at most 5 indices, so the picks lie in this prefix
+    orders = np.argsort(vals, axis=-1)[:, ::-1][:, :5 * count].tolist()
+    peaks = []
+    for order in orders:
+        picked: list[int] = []
+        for idx in order:
+            if len(picked) >= count:
+                break
+            if all(min((idx - p) % grid, (p - idx) % grid) > 2 for p in picked):
+                picked.append(idx)
+        peaks.append(picked)
+    return peaks
 
 
 def _golden_max(f: Callable[[float], float], lo: float, hi: float,
@@ -87,15 +113,10 @@ def _nr_dense(mat: np.ndarray, grid: int, refine: bool) -> tuple[float, np.ndarr
         h = hermitian_part_of(np.exp(1j * theta) * mat)
         return float(np.linalg.eigvalsh(h)[-1])
 
-    vals = _nr_grid_values(mat[None], grid)[0]
+    vals = _nr_grid_values(mat[None], grid)
+    peaks = _grid_peaks(vals, 3)[0]
+    vals = vals[0]
     step = TWO_PI / grid
-    order = np.argsort(vals)[::-1]
-    peaks: list[int] = []
-    for idx in order:
-        if len(peaks) >= 3:
-            break
-        if all(min((idx - p) % grid, (p - idx) % grid) > 2 for p in peaks):
-            peaks.append(int(idx))
     best_theta, best_val = peaks[0] * step, float(vals[peaks[0]])
     if refine:
         for p in peaks:
@@ -170,23 +191,73 @@ def _rho_two_norm(x: AlgebraElement) -> float:
     return schatten_norm(x, 2.0)
 
 
+def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
+                      p: float) -> np.ndarray:
+    """``schatten_norm(., p)`` of each item of a stack given as per-block
+    (B, n_k, n_k) arrays, with the operations of ``schatten_norm`` in the same
+    order (one SVD call per block, the final root taken per item)."""
+    terms = [wt * (np.linalg.svd(b, compute_uv=False) ** p).sum(axis=-1)
+             for wt, b in zip(alg.weights, blocks)]
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return np.array([a ** (1.0 / p) for a in acc.tolist()])
+
+
+def _spectral(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Q diag(vals) Q* for stacked eigenvector matrices and values."""
+    return (q * vals[..., None, :]) @ q.conj().swapaxes(-1, -2)
+
+
+def _itemwise_max(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Largest entry of each item over all of its per-block (B, ...) arrays."""
+    out = None
+    for b in blocks:
+        top = b.max(axis=tuple(range(1, b.ndim)))
+        out = top if out is None else np.maximum(out, top)
+    return out
+
+
+def _project_stack(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
+                   rounds: int = 50) -> list[np.ndarray]:
+    """Map each item into {0 <= W <= I, ||W||_2 <= 1} by alternating clip and
+    rescale; an item leaves the active set once a round moves it by < 1e-12."""
+    out = cur = list(blocks)
+    active = None                                    # None: every item is active
+    for _ in range(rounds):
+        nxt = []
+        for b in cur:
+            lam, q = np.linalg.eigh(hermitian_part_of(b))
+            nxt.append(_spectral(q, lam.clip(0.0, 1.0)))
+        n2 = _stacked_schatten(alg, nxt, 2.0).tolist()
+        big = [i for i, x in enumerate(n2) if not x <= 1.0]
+        if big:
+            shrink = np.array([1.0 / n2[i] for i in big], dtype=complex)[:, None, None]
+            if len(big) == len(n2):
+                nxt = [shrink * b for b in nxt]
+            else:
+                for b in nxt:
+                    b[big] = shrink * b[big]
+        disp = _itemwise_max([np.abs(a - b) for a, b in zip(nxt, cur)]).tolist()
+        if active is None:
+            out = nxt
+        else:
+            for o, b in zip(out, nxt):
+                o[active] = b
+        moving = [i for i, d in enumerate(disp) if not d < 1e-12]
+        if not moving:
+            break
+        if len(moving) < len(disp):
+            active = np.array(moving) if active is None else active[moving]
+            nxt = [b[moving] for b in nxt]
+        cur = nxt
+    return out
+
+
 def _project_feasible(w: AlgebraElement, rounds: int = 50) -> AlgebraElement:
     """Map into {0 <= W <= I, ||W||_2 <= 1} by alternating clip and rescale."""
-    cur = w
-    for _ in range(rounds):
-        blocks = []
-        for b in cur.blocks:
-            lam, q = np.linalg.eigh(hermitian_part_of(b))
-            blocks.append((q * np.clip(lam, 0.0, 1.0)) @ q.conj().T)
-        clipped = AlgebraElement(w.algebra, blocks)
-        n2 = _rho_two_norm(clipped)
-        scaled = clipped if n2 <= 1.0 else (1.0 / n2) * clipped
-        disp = max(np.max(np.abs(a - b), initial=0.0)
-                   for a, b in zip(scaled.blocks, cur.blocks))
-        cur = scaled
-        if disp < 1e-12:
-            break
-    return cur
+    out = _project_stack(w.algebra, [b[None] for b in w.blocks], rounds)
+    return AlgebraElement(w.algebra, [b[0] for b in out])
 
 
 def _is_feasible(w: AlgebraElement, tol: float = 1e-9) -> bool:
@@ -215,106 +286,197 @@ def _triple_gradient(f: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.algebra, blocks)
 
 
-def _knapsack_value(levels: list[tuple[float, float]]) -> float:
-    """max sum w*l*v over v in [0,1] with sum w*v <= 1; levels = [(l, w)]."""
-    budget = 1.0
-    total = 0.0
-    for lam, wt in sorted(levels, key=lambda t: -t[0]):
-        if budget <= 0.0 or lam <= 0.0:
-            break
-        v = min(1.0, budget / wt)
-        total += wt * lam * v
-        budget -= wt * v
-    return total
-
-
-def _knapsack_maximizer(f_psd: AlgebraElement) -> tuple[float, AlgebraElement]:
-    """Exact optimum of rho(F W^2) over the feasible set, for PSD F.
+def _knapsack_stack(alg: TracedAlgebra,
+                    decomps: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Exact maximizers of rho(F W^2) over the feasible set for a stack of PSD F.
 
     With V = W^2 the constraints become 0 <= V <= I, rho(V) <= 1 and the
     objective rho(F V) is linear, so the optimum is a fractional knapsack in
-    the eigenbasis of F.
+    the eigenbasis of F.  ``decomps`` holds the per-block stacked ``eigh`` of
+    F; eigenvalues are taken greedily in stable decreasing order.
     """
-    alg = f_psd.algebra
-    items: list[tuple[float, int, int]] = []       # (eigenvalue, block, column)
-    decomps = []
-    for kb, b in enumerate(f_psd.blocks):
-        lam, q = np.linalg.eigh(hermitian_part_of(b))
-        decomps.append((np.maximum(lam, 0.0), q))
-        for i, l in enumerate(lam):
-            items.append((max(float(l), 0.0), kb, i))
-    items.sort(key=lambda t: -t[0])
-    budget = 1.0
-    vs = [np.zeros(n) for n in alg.block_sizes]
-    value = 0.0
-    for lam, kb, i in items:
-        wt = alg.weights[kb]
-        if budget <= 0.0 or lam <= 0.0:
+    lam = np.concatenate([np.maximum(l, 0.0) for l, _ in decomps], axis=1)
+    order = np.argsort(-lam, axis=1, kind="stable")
+    rows = np.arange(len(lam))[:, None]
+    lam_s = lam[rows, order]
+    wt_s = np.repeat(alg.weights, alg.block_sizes)[order]
+    take = np.zeros_like(lam)
+    budget = np.ones(len(lam))
+    alive = np.ones(len(lam), dtype=bool)
+    for j in range(lam.shape[1]):
+        alive &= (budget > 0.0) & (lam_s[:, j] > 0.0)
+        if not alive.any():
             break
-        v = min(1.0, budget / wt)
-        vs[kb][i] = v
-        value += wt * lam * v
-        budget -= wt * v
-    blocks = []
-    for (lam, q), v in zip(decomps, vs):
-        blocks.append((q * np.sqrt(v)) @ q.conj().T)
-    return value, AlgebraElement(alg, blocks)
+        take[:, j] = np.where(alive, np.minimum(1.0, budget / wt_s[:, j]), 0.0)
+        budget = budget - wt_s[:, j] * take[:, j]
+    v = np.empty_like(take)
+    v[rows, order] = take
+    out, at = [], 0
+    for (_, q), n in zip(decomps, alg.block_sizes):
+        out.append(_spectral(q, np.sqrt(v[:, at:at + n])))
+        at += n
+    return out
 
 
-def _embed_rank_one(alg: TracedAlgebra, block: int, h: np.ndarray) -> AlgebraElement:
-    w = alg.zero()
-    blocks = [np.array(b) for b in w.blocks]
-    blocks[block] = np.outer(h, np.conj(h))
-    scale = min(1.0, 1.0 / math.sqrt(alg.weights[block]))
-    return scale * AlgebraElement(alg, blocks)
+@dataclass
+class _TriplePool:
+    """Quick-path |||.|||_2 of a stack of elements, with its candidate pool.
+
+    Per item: ``upper`` = ||F||_2, ``exact`` for PSD input, ``scaled`` blocks
+    F / ||F||_2 (zero for F = 0), the candidate maximizers in a fixed slot
+    order (empty slots have objective -inf), the best rank-one objective
+    ``rank1``, and the projected best candidate ``maximizer`` with its
+    objective ``best``; all objectives are at unit ||F||_2.
+    """
+    upper: np.ndarray
+    exact: np.ndarray
+    scaled: list[np.ndarray]
+    candidates: list[np.ndarray]
+    objective: np.ndarray
+    rank1: np.ndarray
+    maximizer: list[np.ndarray]
+    best: np.ndarray
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.upper * self.best
 
 
-def _rank_one_candidates(f: AlgebraElement, grid: int = 256,
-                         refine: bool = True) -> list[AlgebraElement]:
-    """Feasible rank-one W = h h* from numerical-radius directions per block."""
-    cands = []
-    for kb, b in enumerate(f.blocks):
-        if not np.any(b):
-            continue
-        vals = _nr_grid_values(np.asarray(b)[None], grid)[0]
-        step = TWO_PI / grid
-        order = np.argsort(vals)[::-1]
-        picked = []
-        for idx in order:
-            if len(picked) >= 2:
-                break
-            if all(min((idx - p) % grid, (p - idx) % grid) > 2 for p in picked):
-                picked.append(int(idx))
-        for p in picked:
-            t = p * step
-            if refine:
-                t, _ = _golden_max(
+def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 64,
+                  refine: bool = False) -> _TriplePool:
+    """Candidate pool and quick-path |||.|||_2 for a stack of elements.
+
+    ``blocks`` are per-block (B, n_k, n_k) arrays.  Every candidate family of
+    ``triple_norm`` is built for the whole stack in a few stacked linalg
+    calls, in the slot order [knapsack of F (PSD F), knapsack of F+ and F-
+    (other hermitian F), knapsack of |F|, two rank-one directions per block,
+    spectral projections of |F| by decreasing level].  Each item's result
+    equals the one-element computation bit for bit, whatever the stack's
+    size or order.  ``refine`` golden-section refines the rank-one angles
+    (one item at a time).
+    """
+    sizes, weights = alg.block_sizes, alg.weights
+    nblk = len(sizes)
+    fs = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
+    items = len(fs[0])
+    upper = _stacked_schatten(alg, fs, 2.0)
+    inv = np.divide(1.0, upper, out=np.zeros(items), where=upper != 0.0)
+    scale = inv.astype(complex)[:, None, None]
+    fh = [scale * b for b in fs]                  # unit ||F||_2; homogeneous objective
+
+    nslot = 4 + 2 * nblk + alg.total_dim
+    cands = [np.zeros((items, nslot, n, n), dtype=complex) for n in sizes]
+    valid = np.zeros((items, nslot), dtype=bool)
+
+    def put(at: np.ndarray, slot: np.ndarray | int, ws: Sequence[np.ndarray | None]) -> None:
+        for c, w in zip(cands, ws):
+            if w is not None:
+                c[at, slot] = w
+        valid[at, slot] = True
+
+    # hermitian / PSD predicates, as AlgebraElement.is_hermitian / is_psd
+    maxabs = _itemwise_max([np.abs(b) for b in fh])
+    skew = _itemwise_max([np.abs(b - b.conj().swapaxes(-1, -2)) for b in fh])
+    herm = (skew <= structure_tol(maxabs)).nonzero()[0]
+    exact = np.zeros(items, dtype=bool)
+
+    # knapsack maximizers, in one stack: of |F| for every F, of F for PSD F,
+    # and of F+ and F- (where nonzero) for the other hermitian F
+    absf = []
+    for b in fh:
+        _, s, vh = np.linalg.svd(b)
+        absf.append(hermitian_part_of((vh.conj().swapaxes(-1, -2) * s[..., None, :]) @ vh))
+    dec_abs = [np.linalg.eigh(hermitian_part_of(a)) for a in absf]
+    owners, slots, decs = [np.arange(items)], [np.full(items, 3)], [dec_abs]
+    if herm.size:
+        fhh = [b[herm] for b in fh]
+        opn = _itemwise_max([np.linalg.svd(b, compute_uv=False) for b in fhh])
+        psd = np.all([np.linalg.eigvalsh(hermitian_part_of(b)).min(axis=-1) >= -psd_tol(opn)
+                      for b in fhh], axis=0)
+        exact[herm[psd]] = True
+        dec_h = [np.linalg.eigh(hermitian_part_of(b)) for b in fhh]
+        owners.append(herm[psd])
+        slots.append(np.zeros(psd.sum(), dtype=int))
+        decs.append([(lam[psd], q[psd]) for lam, q in dec_h])
+        mixed = ~psd
+        if mixed.any():
+            parts = [_spectral(np.concatenate([q[mixed], q[mixed]]),
+                               np.concatenate([np.maximum(lam[mixed], 0.0),
+                                               np.maximum(-lam[mixed], 0.0)]))
+                     for lam, q in dec_h]
+            nz = _stacked_schatten(alg, parts, 2.0) > 0
+            owners.append(np.tile(herm[mixed], 2)[nz])
+            slots.append(np.repeat([1, 2], mixed.sum())[nz])
+            decs.append([np.linalg.eigh(hermitian_part_of(b[nz])) for b in parts])
+    knap = _knapsack_stack(alg, [(np.concatenate([d[k][0] for d in decs]),
+                                  np.concatenate([d[k][1] for d in decs]))
+                                 for k in range(nblk)])
+    put(np.concatenate(owners), np.concatenate(slots), knap)
+
+    # rank-one W = h h* from numerical-radius directions, two per nonzero block
+    step = TWO_PI / grid
+    for kb, b in enumerate(fh):
+        found = _grid_peaks(_nr_grid_values(b, grid), 2)
+        peaks = np.array([p + [-1] * (2 - len(p)) for p in found], dtype=int).reshape(-1, 2)
+        thetas = peaks * step
+        if refine:
+            for i, j in zip(*(peaks >= 0).nonzero()):
+                t, bi = float(thetas[i, j]), b[i]
+                thetas[i, j], _ = _golden_max(
                     lambda th: float(np.linalg.eigvalsh(
-                        hermitian_part_of(np.exp(1j * th) * b))[-1]),
+                        hermitian_part_of(np.exp(1j * th) * bi))[-1]),
                     t - step, t + step, iters=60)
-            h = np.linalg.eigh(hermitian_part_of(np.exp(1j * t) * b))[1][:, -1]
-            cands.append(_embed_rank_one(f.algebra, kb, h))
-    return cands
+        rot = np.exp(1j * thetas)[..., None, None] * b[:, None]
+        h = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
+        outer = complex(min(1.0, 1.0 / math.sqrt(weights[kb]))) * (
+            h[..., :, None] * h.conj()[..., None, :])
+        at, j = ((b != 0).any(axis=(1, 2))[:, None] & (peaks >= 0)).nonzero()
+        ws: list[np.ndarray | None] = [None] * nblk
+        ws[kb] = outer[at, j]
+        put(at, 4 + 2 * kb + j, ws)
 
+    # spectral projections of |F| above each distinct positive level
+    lam_abs = np.concatenate([lam for lam, _ in dec_abs], axis=1)
+    desc = np.sort(lam_abs, axis=1)[:, ::-1]
+    fresh = np.ones(desc.shape, dtype=bool)
+    fresh[:, 1:] = desc[:, 1:] != desc[:, :-1]
+    level_ok = fresh & (desc > 0)
+    at, col = level_ok.nonzero()                  # row-major: levels in decreasing order
+    count = level_ok.sum(axis=1)
+    lv = np.arange(len(at)) - (np.cumsum(count) - count)[at]
+    thresh = desc[at, col] - 1e-14
+    proj = []
+    for (lam, q), n in zip(dec_abs, sizes):
+        rank = (lam[at] >= thresh[:, None]).sum(axis=1)           # eigh is ascending
+        pk = np.zeros((len(at), n, n), dtype=complex)
+        for r in sorted(set(rank.tolist()) - {0}):
+            sel = (rank == r).nonzero()[0]
+            top = q[at[sel]][:, :, np.arange(n) >= n - r]
+            pk[sel] = top @ top.conj().swapaxes(-1, -2)
+        proj.append(pk)
+    n2 = _stacked_schatten(alg, proj, 2.0)
+    big = (~(n2 <= 1.0)).nonzero()[0]
+    shrink = (1.0 / n2[big]).astype(complex)[:, None, None]
+    for pk in proj:
+        pk[big] = shrink * pk[big]
+    keep = n2 > 0
+    put(at[keep], 4 + 2 * nblk + lv[keep], [pk[keep] for pk in proj])
 
-def _projection_candidates(f: AlgebraElement) -> list[AlgebraElement]:
-    """Spectral projections of |F| above each singular level, rescaled feasibly."""
-    absf = abs_element(f)
-    decomp = [np.linalg.eigh(hermitian_part_of(b)) for b in absf.blocks]
-    lams = np.sort(np.unique(np.concatenate([lam for lam, _ in decomp])))[::-1]
-    cands = []
-    for t in lams:
-        if t <= 0:
-            break
-        blocks = []
-        for lam, q in decomp:
-            keep = lam >= t - 1e-14
-            blocks.append((q[:, keep]) @ (q[:, keep].conj().T))
-        p = AlgebraElement(f.algebra, blocks)
-        n2 = _rho_two_norm(p)
-        if n2 > 0:
-            cands.append(p if n2 <= 1.0 else (1.0 / n2) * p)
-    return cands
+    # objectives ||W F W||_1 of every candidate in one SVD per block
+    flat = valid.ravel().nonzero()[0]
+    of = flat // nslot
+    pooled = [c.reshape(-1, n, n)[flat] for c, n in zip(cands, sizes)]
+    objective = np.full(items * nslot, -np.inf)
+    objective[flat] = _stacked_schatten(alg, [w @ b[of] @ w for w, b in zip(pooled, fh)], 1.0)
+    objective = objective.reshape(items, nslot)
+
+    ones = objective[:, 4:4 + 2 * nblk]
+    rank1 = np.where(np.isfinite(ones).any(axis=1), ones.max(axis=1), 0.0)
+    pick = np.argmax(objective, axis=1)
+    maximizer = _project_stack(alg, [c[np.arange(items), pick] for c in cands])
+    best = _stacked_schatten(alg, [w @ b @ w for w, b in zip(maximizer, fh)], 1.0)
+    return _TriplePool(upper=upper, exact=exact, scaled=fh, candidates=cands,
+                       objective=objective, rank1=rank1, maximizer=maximizer, best=best)
 
 
 def _ascend(f: AlgebraElement, w0: AlgebraElement, iters: int) -> tuple[float, AlgebraElement]:
@@ -347,65 +509,45 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
     bound ||F||_2.  PSD inputs are solved exactly (status "exact"); otherwise
     the value combines rank-one directions (for single weight-1 blocks these
     reproduce the numerical radius), spectral projections of |F|, knapsack
-    solutions on the hermitian parts, and multi-start projected ascent.
-    With ``quick`` the ascent phase is skipped.
+    solutions on the hermitian parts, and multi-start projected ascent.  The
+    candidates are built and evaluated as one stacked pool (``_triple2_pool``
+    at a stack of one), so the value does not depend on whether F is
+    evaluated alone or inside a larger pool.  With ``quick`` the ascent phase
+    is skipped.
     """
     alg = f.algebra
     budget = budget or SearchBudget()
-    upper = schatten_norm(f, 2.0)
+    pool = _triple2_pool(alg, [b[None] for b in f.blocks],
+                         grid=64 if quick else 256, refine=not quick)
+    upper = float(pool.upper[0])
     if upper == 0.0:
         return TripleNormResult(0.0, alg.zero(), 0.0, 0.0, "exact")
-    fh = (1.0 / upper) * f            # work at unit ||F||_2; homogeneous objective
-
-    exact = False
-    candidates: list[AlgebraElement] = []
-    if fh.is_psd():
-        _, w_knap = _knapsack_maximizer(fh)
-        candidates.append(w_knap)
-        exact = True
-    elif fh.is_hermitian():
-        pos, neg = positive_negative_parts(fh)
-        for part in (pos, neg):
-            if _rho_two_norm(part) > 0:
-                candidates.append(_knapsack_maximizer(part)[1])
-    candidates.append(_knapsack_maximizer(abs_element(fh))[1])
-
-    rank_ones = _rank_one_candidates(fh, grid=64 if quick else 256, refine=not quick)
-    candidates.extend(rank_ones)
-    candidates.extend(_projection_candidates(fh))
-
-    def evaluate_all(cands: Sequence[AlgebraElement]) -> tuple[float, AlgebraElement]:
-        b, wb = -1.0, alg.zero()
-        for c in cands:
-            v = _triple_objective(fh, c)
-            if v > b:
-                b, wb = v, c
-        return b, wb
-
-    rank1_bound = 0.0
-    if rank_ones:
-        rank1_bound = max(_triple_objective(fh, c) for c in rank_ones)
-
-    best, w_best = evaluate_all(candidates)
+    exact = bool(pool.exact[0])
+    best = float(pool.best[0])
+    w_final = AlgebraElement(alg, [m[0] for m in pool.maximizer])
 
     if not exact and not quick:
+        fh = AlgebraElement(alg, [b[0] for b in pool.scaled])
         starts: list[AlgebraElement] = []
         seeds = substreams(budget.seed, max(budget.starts, 0))
         for rng in seeds:
             starts.append(_project_feasible(random_hermitian(alg, rng, 0.7)
                                             + 0.5 * alg.identity()))
-        order = sorted(range(len(candidates)),
-                       key=lambda i: -_triple_objective(fh, candidates[i]))
-        warm = [candidates[i] for i in order[:3]]
+        obj = pool.objective[0]
+        order = np.argsort(-obj, kind="stable")[:3]
+        warm = [AlgebraElement(alg, [c[0, i] for c in pool.candidates])
+                for i in order if np.isfinite(obj[i])]
+        found, w_best = float(obj.max()), None
         for w0 in warm + starts:
             val, w = _ascend(fh, w0, budget.iters)
-            if val > best:
-                best, w_best = val, w
+            if val > found:
+                found, w_best = val, w
+        if w_best is not None:
+            w_final = _project_feasible(w_best)
+            best = _triple_objective(fh, w_final)
 
-    w_final = _project_feasible(w_best)
-    best = _triple_objective(fh, w_final)
     value = upper * best
-    rank1 = upper * rank1_bound
+    rank1 = upper * float(pool.rank1[0])
     status = "exact" if (exact or value >= upper * (1.0 - 1e-11)) else "heuristic"
     return TripleNormResult(value=value, maximizer=w_final, upper_bound=upper,
                             rank1_bound=rank1, status=status)
@@ -570,17 +712,36 @@ def _default_target_algebra(op: SuperOperator) -> TracedAlgebra:
     return op.target_algebra or TracedAlgebra([op.target_dim])
 
 
-def _to_target_element(m: np.ndarray, alg: TracedAlgebra) -> AlgebraElement:
-    el = alg.from_dense(m)
-    off = float(np.max(np.abs(m - el.dense()), initial=0.0))
-    if off > 1e-9 * (1.0 + float(np.max(np.abs(m), initial=0.0))):
+def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
+    """Per-block (B, n_k, n_k) stacks of a stack of dense target values."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.shape[1:] != (alg.total_dim, alg.total_dim):
+        raise StructureError("dense matrix has wrong shape for this algebra")
+    blocks, at = [], 0
+    off = mats.copy()
+    for n in alg.block_sizes:
+        blocks.append(np.ascontiguousarray(mats[:, at:at + n, at:at + n]))
+        off[:, at:at + n, at:at + n] = 0.0
+        at += n
+    worst = np.max(np.abs(off), axis=(1, 2), initial=0.0)
+    if np.any(worst > 1e-9 * (1.0 + np.max(np.abs(mats), axis=(1, 2), initial=0.0))):
         raise PreconditionError(
             "superoperator value is not block-diagonal over the target algebra")
-    return el
+    return blocks
+
+
+def _to_target_element(m: np.ndarray, alg: TracedAlgebra) -> AlgebraElement:
+    return AlgebraElement(alg, [b[0] for b in _target_blocks(np.asarray(m)[None], alg)])
 
 
 class _TargetNorm:
-    """Norm evaluation plus a linear certificate Re tr(C .) touching the value."""
+    """Norm evaluation plus a linear certificate Re tr(C .) touching the value.
+
+    ``batch_values`` evaluates a whole candidate pool at once: ``nr`` on one
+    stacked theta grid, ``triple2`` through the stacked quick-path kernel
+    ``_triple2_pool``.  Each value is the one ``value`` gives for that matrix
+    alone, bit for bit, so results do not depend on the pool's size or order.
+    """
 
     def __init__(self, kind: str, target_algebra: TracedAlgebra | None = None,
                  p: float = 2.0, nr_grid: int = 256, quick: bool = True):
@@ -598,6 +759,9 @@ class _TargetNorm:
     def batch_values(self, mats: np.ndarray) -> np.ndarray:
         if self.kind == "nr":
             return np.max(_nr_grid_values(mats, self.nr_grid), axis=1)
+        if self.kind == "triple2":
+            alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
+            return _triple2_pool(alg, _target_blocks(mats, alg)).values
         return np.array([self.value(m) for m in mats])
 
     def value_and_certificate(self, m: np.ndarray,
@@ -623,8 +787,8 @@ class _TargetNorm:
             b, _ = dual_norm_achiever(el, self.p)
             blocks = [wt * bk for wt, bk in zip(alg.weights, b.blocks)]
             return val, AlgebraElement(alg, blocks).dense()
-        res = triple_norm(el, SearchBudget(starts=0, iters=0), quick=True)
-        w = res.maximizer
+        pool = _triple2_pool(alg, [b[None] for b in el.blocks])
+        w = AlgebraElement(alg, [b[0] for b in pool.maximizer])
         mid = w @ el @ w
         ublocks = []
         for mk in mid.blocks:
@@ -634,7 +798,7 @@ class _TargetNorm:
         cblocks = [wt * (wk @ dk.conj().T @ wk)
                    for wt, wk, dk in zip(alg.weights, w.blocks, ublocks)]
         c = AlgebraElement(alg, cblocks).dense()
-        return res.value, c
+        return float(pool.values[0]), c
 
 
 # -- unit-ball search -------------------------------------------------------------
@@ -649,13 +813,19 @@ class SuperOperatorNormResult:
 def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> list[AlgebraElement]:
     """Identity, seeded random blockwise unitaries and hermitian contractions."""
     cands = [source.identity()]
-    rngs = substreams(budget.seed, budget.starts)
-    for i, rng in enumerate(rngs):
+    herm_at = []
+    for i, rng in enumerate(substreams(budget.seed, budget.starts)):
         cands.append(random_block_unitary(source, rng))
         if i % 2 == 0:
-            h = random_hermitian(source, rng)
-            hn = operator_norm(h)
-            cands.append(h if hn <= 1.0 else (1.0 / hn) * h)
+            herm_at.append(len(cands))
+            cands.append(random_hermitian(source, rng))
+    if herm_at:
+        norms = _itemwise_max([np.linalg.svd(np.stack([cands[i].blocks[k] for i in herm_at]),
+                                             compute_uv=False)
+                               for k in range(source.n_blocks)])
+        for i, hn in zip(herm_at, norms.tolist()):
+            if not hn <= 1.0:
+                cands[i] = (1.0 / hn) * cands[i]
     return cands
 
 

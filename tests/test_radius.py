@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from nclp import suites
 from nclp.algebra import TracedAlgebra
-from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
-                         check_cs_operator_valued, numerical_radius, superop_apply,
-                         superop_norm, triple_norm, triple_norm_axioms)
-from nclp.sampling import random_block_unitary, rng_from
+from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator, _TargetNorm,
+                         _triple2_pool, check_cs_operator_valued, numerical_radius,
+                         superop_apply, superop_norm, triple_norm, triple_norm_axioms)
+from nclp.sampling import random_block_unitary, random_element, rng_from
 
 from conftest import random_element_of
 
@@ -312,3 +313,150 @@ class TestOperatorValuedCs:
         with pytest.raises(PreconditionError):
             check_cs_operator_valued(phi, np.array([1.0]), np.array([1.0]), "nr",
                                      SearchBudget(starts=2, iters=2, seed=0))
+
+
+def _mixed_pool(alg, seed, size=24):
+    """Seeded elements cycling through PSD, hermitian-indefinite, zero, generic."""
+    rng = rng_from(seed)
+    out = []
+    for t in range(size):
+        f = random_element(alg, rng)
+        out.append([f @ f.adjoint(), f + f.adjoint(), alg.zero(), f][t % 4])
+    return out
+
+
+POOL_ALGEBRAS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [1.0, 0.5])]
+
+
+class TestStackedPool:
+    """The stacked triple2 kernel gives each item its one-element result exactly."""
+
+    @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
+    def test_batch_values_equal_single_values(self, alg):
+        tn = _TargetNorm("triple2", alg)
+        stack = np.stack([f.dense() for f in _mixed_pool(alg, seed=41)])
+        batch = tn.batch_values(stack)
+        assert batch.tolist() == [tn.value(m) for m in stack]
+        assert tn.batch_values(stack[::-1]).tolist() == batch[::-1].tolist()
+
+    @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
+    def test_triple_norm_quick_is_kernel_at_one_item(self, alg):
+        for f in _mixed_pool(alg, seed=42, size=8):
+            res = triple_norm(f, SearchBudget(starts=0, iters=0), quick=True)
+            pool = _triple2_pool(alg, [b[None] for b in f.blocks])
+            assert res.value == float(pool.values[0])
+            assert res.rank1_bound == float(pool.upper[0] * pool.rank1[0])
+            for got, want in zip(res.maximizer.blocks, pool.maximizer):
+                assert np.array_equal(got, want[0])
+
+    def test_linalg_calls_do_not_grow_with_pool(self, monkeypatch):
+        # a per-candidate loop would make the count grow with the number of starts
+        calls = {"n": 0}
+        for name in ("svd", "eigh", "eigvalsh"):
+            def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+                calls["n"] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 2, 2, seed=5)
+        op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
+        counts = []
+        for starts in (16, 64):
+            calls["n"] = 0
+            superop_norm(op, "triple2", SearchBudget(starts=starts, iters=0))
+            counts.append(calls["n"])
+        assert counts[0] == counts[1], counts
+
+
+_BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+
+
+@pytest.mark.skipif((np.__version__, _BLAS.get("name"), _BLAS.get("version"))
+                    != ("2.4.6", "scipy-openblas", "0.3.31.188.0"),
+                    reason="golden bits were captured on numpy 2.4.6 / scipy-openblas 0.3.31")
+class TestGoldenResults:
+    """Fixed-seed results pinned bit for bit (float literals written with repr).
+
+    Captured on numpy 2.4.6 with scipy-openblas 0.3.31.188.0 (64-bit ints,
+    DYNAMIC_ARCH, Haswell build target) on x86_64, before triple2 candidate
+    pools were evaluated as one stack.  Other numpy or BLAS builds may move
+    the last bits, so the class runs only on that build.
+    """
+
+    TRIPLE = [
+        (1.6799808694176859, 1.6799808694176872, "heuristic",
+         1.6799839850620828, 1.6799839850620828, "heuristic"),
+        (3.3361160022731116, 3.3361160022731124, "heuristic",
+         3.336116002273111, 3.3361160022731124, "heuristic"),
+        (2.9483268058529775, 2.9483268058529775, "exact",
+         2.948326805852975, 2.9483268058529766, "exact"),
+        (2.355936640592555, 2.355936640592555, "heuristic",
+         2.355966418875429, 2.3559664188754295, "heuristic"),
+        (1.5717796371636976, 1.5717796371636976, "heuristic",
+         1.5717796371636976, 1.5717796371636976, "heuristic"),
+        (6.21310079927255, 6.213100799272551, "exact",
+         6.21310079927255, 6.213100799272551, "exact"),
+        (2.7261216912968216, 2.7261216912968225, "heuristic",
+         2.7264331268900075, 2.7264331268900066, "heuristic"),
+        (3.463938207862175, 3.463938207862179, "heuristic",
+         3.4639382078621757, 3.463938207862176, "heuristic"),
+        (10.8058137824752, 10.805813782475203, "exact",
+         10.8058137824752, 10.805813782475203, "exact"),
+        (2.638554103949752, 2.6385541039497524, "heuristic",
+         2.6388420660912133, 2.6388420660912115, "heuristic"),
+        (4.440900686965172, 4.440900686965179, "heuristic",
+         4.440900686965174, 4.440900686965176, "heuristic"),
+        (9.876164790306191, 9.876164790306188, "exact",
+         9.876164790306191, 9.87616479030618, "exact"),
+        (1.7411133611582876, 1.6799808694176859, "heuristic",
+         1.7840586361372015, 1.679983985062082, "heuristic"),
+        (3.3361160022731124, 3.3361160022731142, "heuristic",
+         3.336116002273111, 3.3361160022731124, "heuristic"),
+        (3.4593869212643136, 2.948326805852978, "exact",
+         3.4593869212643136, 2.948326805852978, "exact"),
+        (1.6621862548223076, 1.6621862548223076, "heuristic",
+         1.66258352123002, 1.66258352123002, "heuristic"),
+        (3.2663393618369674, 3.2663393618369683, "heuristic",
+         3.2663393618369674, 3.2663393618369683, "heuristic"),
+        (3.9542578651048697, 3.9542578651048714, "exact",
+         3.9542578651048697, 3.9542578651048714, "exact"),
+    ]
+
+    def test_triple_norm_quick_and_full(self):
+        got = []
+        for sizes, weights in (([2], None), ([3], None), ([2, 1], [1.0, 0.5])):
+            alg = TracedAlgebra(sizes, weights)
+            rng = rng_from(11)
+            for i in range(2):
+                f = random_element(alg, rng)
+                for g in (f, f + f.adjoint(), f @ f.adjoint()):
+                    q = triple_norm(g, SearchBudget(starts=0, iters=0), quick=True)
+                    h = triple_norm(g, SearchBudget(starts=2, iters=10, seed=i))
+                    got.append((q.value, q.rank1_bound, q.status,
+                                h.value, h.rank1_bound, h.status))
+        assert got == self.TRIPLE
+
+    def test_superop_norm_triple2(self):
+        got = []
+        for t in range(4):
+            src = TracedAlgebra([2]) if t % 2 == 0 else TracedAlgebra([3])
+            phi = suites.random_operator_valued(src, src.total_dim, 2, 1 + t % 2, 100 + t)
+            op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
+            res = superop_norm(op, "triple2", SearchBudget(starts=8, iters=4, seed=t))
+            got.append(res.value)
+        assert got == [6.880011270236953, 26.344871748921875, 18.35046280834671,
+                       21.137999786163565]
+
+    def test_operator_valued_suite(self):
+        assert suites.operator_valued_suite(4, seed=7, starts=16, iters=6) == {
+            "name": "operator_valued", "instances": 4, "starts": 16,
+            "d1_ratio_defect": 5.551115123125783e-16,
+            "nr": {"violations": 0, "escalations": 0, "max_ratio": 0.9976673951732925},
+            "triple2": {"violations": 0, "escalations": 0,
+                        "max_ratio": 0.9976673807436386}}
+
+    def test_triple_norm_suite(self):
+        assert suites.triple_norm_suite(5, seed=6) == {
+            "name": "triple_norm", "anchor_diag10": 1.0, "anchor_identity": 1.0,
+            "anchor_statuses": ["exact", "exact"], "samples": 5, "sandwich_failures": 0,
+            "worst_low": -1.1102230246251565e-14, "worst_high": -0.3862300031540018,
+            "cs_failures": 0, "worst_cs_excess": 7.105427357601002e-15}
