@@ -17,7 +17,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=500)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--output", default="ratio_sweep.csv")
     args = ap.parse_args()
 
@@ -25,8 +24,7 @@ def main() -> int:
     rows = []
     for label, pool in (("generic", suites.target_pool()),
                         ("commutative", suites.commutative_pool())):
-        sweep = suites.cs_lp_sweep(args.trials, p_values, seed=args.seed,
-                                   pool=pool, threads=args.threads)
+        sweep = suites.cs_lp_sweep(args.trials, p_values, seed=args.seed, pool=pool)
         for p, stats in sweep["per_p"].items():
             rows.append({"targets": label, "p": p, "trials": stats["trials"],
                          "max_ratio": stats["max_ratio"],

@@ -19,10 +19,10 @@ from .gns import GnsRepresentation, gns_construct, null_space, verify_representa
 from .inequalities import (InequalityReport, UncertaintyReport, check_cs_lp,
                            check_cs_normal, check_re_im, check_cs_linear_normal,
                            ratio_sampler, uncertainty_check)
-from .kernels import KernelMap, bound_checks, eta, phi_function, phi_operator
+from .kernels import KernelMap, bound_checks
 from .radius import (OperatorValuedMap, SearchBudget, SuperOperator, TripleNormResult,
-                     check_cs_operator_valued, numerical_radius, superop_apply,
-                     superop_norm, triple_norm, triple_norm_axioms)
+                     check_cs_operator_valued, numerical_radius, superop_norm,
+                     triple_norm, triple_norm_axioms)
 from .sesquilinear import (KrausFactor, PositivityCertificate, SesquilinearMap,
                            check_left_invariance, check_positivity, evaluate,
                            from_linear_map, random_map)

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, PExponent, TracedAlgebra, as_exponent,
-                      operator_norm, real_imag_parts, schatten_norm)
+from .algebra import (AlgebraElement, PExponent, TracedAlgebra, _golden_max,
+                      as_exponent, operator_norm, real_imag_parts, schatten_norm)
 from .errors import DomainError, PreconditionError
 from .sampling import random_unit_vector, substreams
 from .sesquilinear import (PositivityCertificate, SesquilinearMap, check_left_invariance,
@@ -191,27 +191,6 @@ def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray,
     return delta
 
 
-def _golden_min(f, lo: float, hi: float, iters: int = 80) -> float:
-    """Abscissa of the golden-section minimum of f on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < 1e-12:
-            break
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
                       lam_grid: Sequence[float] | None = None,
                       mu_grid: Sequence[float] | None = None,
@@ -282,7 +261,7 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
         if hi > lo:
-            grid.append(_golden_min(delta, lo, hi))
+            grid.append(_golden_max(lambda t: -delta(t), lo, hi, iters=80))
 
     reports = []
     for lam in lam_grid:

@@ -32,8 +32,7 @@ from .sesquilinear import SesquilinearMap, check_left_invariance, check_positivi
 from .star import matrix_units_algebra
 
 __all__ = ["Kernel", "ConstantKernel", "OnePlusXTKernel", "ExpAbsDiffKernel",
-           "GridKernel", "KernelMap", "FunctionSample", "eta", "phi_function",
-           "phi_operator", "bound_checks", "KernelBoundReport"]
+           "GridKernel", "KernelMap", "FunctionSample", "bound_checks", "KernelBoundReport"]
 
 KERNEL_GRID = 64
 
@@ -281,20 +280,6 @@ class KernelMap:
             sampled = float(np.max(self.kernel.eval(xs[:, None], eigs[None, :])))
             bound = max(bound, sampled)
         return bound
-
-
-def eta(km: KernelMap, x: float) -> AlgebraElement:
-    return km.eta(x)
-
-
-def phi_function(km: KernelMap, x_el: AlgebraElement, y_el: AlgebraElement,
-                 grid: Sequence[float] | None = None) -> FunctionSample:
-    return km.phi_function(x_el, y_el, grid)
-
-
-def phi_operator(km: KernelMap, x_el: AlgebraElement, y_el: AlgebraElement,
-                 s: AlgebraElement) -> AlgebraElement:
-    return km.phi_operator(x_el, y_el, s)
 
 
 # -- bound verification --------------------------------------------------------------

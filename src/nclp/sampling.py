@@ -1,21 +1,16 @@
 """Seeded random generators and deterministic sweep plumbing.
 
 Every sweep in the package draws from per-trial substreams spawned from a
-single 64-bit seed, so results do not depend on evaluation order or on the
-number of worker threads.
+single 64-bit seed, so results do not depend on evaluation order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra, hermitian_part_of
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 
 def rng_from(seed: int) -> np.random.Generator:
@@ -26,14 +21,6 @@ def substreams(seed: int, n: int) -> list[np.random.Generator]:
     """n independent generators; stream i is the same for every n >= i."""
     root = np.random.SeedSequence(int(seed))
     return [np.random.default_rng(s) for s in root.spawn(n)]
-
-
-def parallel_map(fn: Callable[[T], R], items: Sequence[T], threads: int = 1) -> list[R]:
-    """Order-preserving map; results are independent of the thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- random matrix material ----------------------------------------------------

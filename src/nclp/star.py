@@ -159,14 +159,6 @@ class AlgebraVector:
         return f"AlgebraVector(dim={self.algebra.dim})"
 
 
-def multiply(a: AlgebraVector, b: AlgebraVector) -> AlgebraVector:
-    return a @ b
-
-
-def involute(a: AlgebraVector) -> AlgebraVector:
-    return a.star()
-
-
 # -- builtins ------------------------------------------------------------------
 
 def matrix_algebra(k: int) -> StarAlgebra:

@@ -1,9 +1,10 @@
 """Reusable property sweeps over the whole inequality and construction stack.
 
-Each suite runs a deterministic seeded sweep and returns a JSON-ready dict
-with a ``violations`` count plus the measured extremes.  The CLI ``check-all``
-command and the acceptance tests drive these same functions, only with
-different trial counts.
+Each suite runs a deterministic seeded sweep and returns a JSON-ready dict:
+its ``name``, the measured counts and extremes, and last its own ``status``
+("holds" or "violated"), decided from thresholds stated here and nowhere
+else.  The CLI ``check-all`` command and the acceptance tests drive these
+same functions, only with different trial counts.
 """
 
 from __future__ import annotations
@@ -16,21 +17,22 @@ import numpy as np
 
 from .algebra import (TracedAlgebra, holder_check, operator_norm, schatten_norm,
                       spectral_tail_projection, trace)
-from .gns import gns_construct, verify_representation
-from .inequalities import check_cs_lp, check_re_im, uncertainty_check
-from .kernels import KernelMap, OnePlusXTKernel
+from .gns import GnsRepresentation, VerificationReport, gns_construct, verify_representation
+from .inequalities import check_cs_lp, check_re_im, default_cs_constant, uncertainty_check
+from .kernels import KernelMap, OnePlusXTKernel, bound_checks
 from .radius import (OperatorValuedMap, SearchBudget, check_cs_operator_valued,
                      numerical_radius, triple_norm)
-from .sampling import (parallel_map, random_complex_matrix, random_element,
-                       random_psd, random_psd_with_spectrum, random_unit_vector,
-                       rng_from, substreams)
+from .sampling import (random_complex_matrix, random_element, random_psd,
+                       random_psd_with_spectrum, random_unit_vector, rng_from,
+                       substreams)
 from .sesquilinear import evaluate, random_map
 from .star import StarAlgebra, cyclic_group_algebra, matrix_algebra
 
 __all__ = ["target_pool", "commutative_pool", "cs_lp_sweep", "cs_normal_sweep",
            "re_im_sweep", "uncertainty_suite", "pairing_and_holder_suite",
            "tail_projection_suite", "numerical_radius_suite", "triple_norm_suite",
-           "operator_valued_suite", "gns_suite", "random_positive_linear_map"]
+           "operator_valued_suite", "gns_suite", "gns_status", "kernel_bound_suite",
+           "random_positive_linear_map"]
 
 
 def target_pool() -> list[TracedAlgebra]:
@@ -56,6 +58,10 @@ def commutative_pool() -> list[TracedAlgebra]:
     ]
 
 
+def _status(ok: bool) -> str:
+    return "holds" if ok else "violated"
+
+
 def _ratio_against_one(phi, x, y, p) -> tuple[float, dict]:
     rep = check_cs_lp(phi, x, y, p, constant=1.0)
     ratio = rep.ratio if math.isfinite(rep.ratio) else 0.0
@@ -65,45 +71,43 @@ def _ratio_against_one(phi, x, y, p) -> tuple[float, dict]:
 
 def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
                 pool: Sequence[TracedAlgebra] | None = None,
-                max_domain_dim: int = 4, threads: int = 1) -> dict:
+                max_domain_dim: int = 4) -> dict:
     """Cauchy-Schwarz ratios of random certified-positive maps, per exponent.
 
-    Ratios are measured against the constant-1 right-hand side; callers
-    compare the recorded maxima with the applicable constant (2 in general,
-    sqrt(2) at p = 2, 1 on commutative targets).  Trials run on per-trial
-    seed substreams, so the result is independent of the thread count.
+    Ratios are measured against the constant-1 right-hand side; the status
+    compares each recorded maximum with ``default_cs_constant(p)`` (2 in
+    general, sqrt(2) at p = 2, 1 at p = 1).  Trials run on per-trial seed
+    substreams.
     """
     pool = list(pool) if pool is not None else target_pool()
     t0 = time.perf_counter()
     per_p = {}
+    worst_excess = 0.0
     for p in p_values:
-        streams = substreams(seed + int(round(p * 1000)), trials)
-
-        def one_trial(item: tuple[int, np.random.Generator], p=p) -> tuple[float, dict]:
-            t, rng = item
+        outcomes = []
+        for t, rng in enumerate(substreams(seed + int(round(p * 1000)), trials)):
             target = pool[t % len(pool)]
             d = 1 + (t % max_domain_dim)
             rank = 1 + (t % 3)
             phi = random_map(d, target, rank=rank, seed=int(rng.integers(0, 2 ** 62)))
             x = random_unit_vector(rng, d)
             y = random_unit_vector(rng, d)
-            return _ratio_against_one(phi, x, y, p)
-
-        outcomes = parallel_map(one_trial, list(enumerate(streams)), threads=threads)
+            outcomes.append(_ratio_against_one(phi, x, y, p))
         worst = max(range(trials), key=lambda i: outcomes[i][0])
         per_p[str(p)] = {"max_ratio": outcomes[worst][0], "trials": trials,
                          "worst_report": outcomes[worst][1]}
-    return {"name": "cs_lp_sweep", "per_p": per_p,
-            "elapsed_s": time.perf_counter() - t0}
+        worst_excess = max(worst_excess,
+                           outcomes[worst][0] / (default_cs_constant(p) + 1e-8))
+    return {"name": "cs_lp_sweep", "trials_per_p": trials, "per_p": per_p,
+            "elapsed_s": time.perf_counter() - t0, "status": _status(worst_excess <= 1.0)}
 
 
-def cs_normal_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
-                    threads: int = 1) -> dict:
+def cs_normal_sweep(trials: int, p_values: Sequence[float], seed: int = 0) -> dict:
     """Constant-1 ratios on commutative targets (all values normal)."""
-    out = cs_lp_sweep(trials, p_values, seed=seed, pool=commutative_pool(),
-                      threads=threads)
-    out["name"] = "cs_normal_sweep"
-    return out
+    out = cs_lp_sweep(trials, p_values, seed=seed, pool=commutative_pool())
+    worst = max(s["max_ratio"] for s in out["per_p"].values())
+    return {"name": "cs_normal_sweep", "per_p": out["per_p"],
+            "elapsed_s": out["elapsed_s"], "status": _status(worst <= 1.0 + 1e-8)}
 
 
 def re_im_sweep(trials: int, seed: int = 0) -> dict:
@@ -122,8 +126,8 @@ def re_im_sweep(trials: int, seed: int = 0) -> dict:
             worst_margin = min(worst_margin, rep.margin)
             if not rep.ok:
                 violations += 1
-    return {"name": "re_im_sweep", "trials": trials, "violations": violations,
-            "worst_margin": worst_margin}
+    return {"name": "re_im_sweep", "violations": violations,
+            "worst_margin": worst_margin, "status": _status(violations == 0)}
 
 
 # -- uncertainty -------------------------------------------------------------------
@@ -150,16 +154,22 @@ def uncertainty_suite(seed: int = 0, grid_points: int = 41) -> dict:
     sigma_z = np.array([1, 0, 0, -1], dtype=complex)
     diag12 = np.array([1, 0, 0, 2], dtype=complex)
     commuting = uncertainty_check(phi, sigma_z, diag12, [0.0], [0.0])[0]
+    delta_product = at_zero.delta_a * at_zero.delta_b
+    ok = (bound_failures == 0
+          and abs(gamma - math.sqrt(20.0)) <= 1e-9
+          and abs(delta_product - math.sqrt(89.0)) <= 1e-9
+          and commuting.gamma <= 1e-12)
     return {"name": "uncertainty_suite",
             "gamma": gamma, "gamma_expected": math.sqrt(20.0),
-            "delta_product_at_zero": at_zero.delta_a * at_zero.delta_b,
+            "delta_product_at_zero": delta_product,
             "delta_product_expected": math.sqrt(89.0),
             "grid_points": len(reports), "bound_failures": bound_failures,
             "min_delta_product": min_product,
             "half_gamma": 0.5 * gamma,
             "commutator_residual": reports[0].commutator_residual,
             "k_hermitian_defect": reports[0].k_hermitian_defect,
-            "commuting_gamma": commuting.gamma}
+            "commuting_gamma": commuting.gamma,
+            "status": _status(ok)}
 
 
 # -- trace pairing, Hoelder, tail projections ------------------------------------------
@@ -195,10 +205,11 @@ def pairing_and_holder_suite(trials: int, seed: int = 0,
             worst_holder_margin = min(worst_holder_margin, rep.rhs - rep.lhs)
             if rep.lhs > rep.rhs + 1e-9:
                 holder_violations += 1
+    ok = worst_re >= -1e-10 and worst_im <= 1e-10 and holder_violations == 0
     return {"name": "pairing_and_holder", "trials": trials,
             "worst_re": worst_re, "worst_im": worst_im,
             "holder_violations": holder_violations,
-            "worst_holder_margin": worst_holder_margin}
+            "worst_holder_margin": worst_holder_margin, "status": _status(ok)}
 
 
 def tail_projection_suite(trials: int, seed: int = 0,
@@ -234,7 +245,8 @@ def tail_projection_suite(trials: int, seed: int = 0,
                 final_nonzero += 1
     return {"name": "tail_projection", "trials": trials,
             "monotone_failures": monotone_failures,
-            "final_nonzero": final_nonzero, "worst_final": worst_final}
+            "final_nonzero": final_nonzero, "worst_final": worst_final,
+            "status": _status(monotone_failures == 0 and final_nonzero == 0)}
 
 
 # -- numerical radius and the L^2 radius norm -------------------------------------------
@@ -262,9 +274,11 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
         q = np.linalg.qr(random_complex_matrix(rng, n, n))[0]
         wconj = numerical_radius(q @ m @ q.conj().T)
         unitary_defect = max(unitary_defect, abs(wadj - wm), abs(wconj - wm))
+    ok = abs(w_shift - 0.5) <= 1e-8 and sandwich_failures == 0 and hermitian_defect <= 1e-10
     return {"name": "numerical_radius", "trials": trials,
             "w_shift": w_shift, "sandwich_failures": sandwich_failures,
-            "hermitian_defect": hermitian_defect, "unitary_defect": unitary_defect}
+            "hermitian_defect": hermitian_defect, "unitary_defect": unitary_defect,
+            "status": _status(ok)}
 
 
 def triple_norm_suite(samples: int, seed: int = 0,
@@ -304,12 +318,15 @@ def triple_norm_suite(samples: int, seed: int = 0,
         worst_cs = max(worst_cs, lhs - rhs)
         if lhs > rhs + 1e-6:
             cs_failures += 1
+    ok = (abs(anchor_a.value - 1.0) <= 1e-6 and abs(anchor_b.value - 1.0) <= 1e-6
+          and sandwich_failures == 0 and cs_failures == 0)
     return {"name": "triple_norm", "anchor_diag10": anchor_a.value,
             "anchor_identity": anchor_b.value,
             "anchor_statuses": [anchor_a.status, anchor_b.status],
             "samples": samples, "sandwich_failures": sandwich_failures,
             "worst_low": worst_low, "worst_high": worst_high,
-            "cs_failures": cs_failures, "worst_cs_excess": worst_cs}
+            "cs_failures": cs_failures, "worst_cs_excess": worst_cs,
+            "status": _status(ok)}
 
 
 # -- operator-valued Cauchy-Schwarz -------------------------------------------------
@@ -365,6 +382,8 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
                 violations += 1
         out[norm] = {"violations": violations, "escalations": escalations,
                      "max_ratio": max_ratio}
+    ok = exact_defect <= 1e-10 and all(out[norm]["violations"] == 0 for norm in target_norms)
+    out["status"] = _status(ok)
     return out
 
 
@@ -424,7 +443,37 @@ def gns_suite(per_domain: int, seed: int = 0) -> dict:
     omega_tr = [scal.element([np.array([[1.0 if i in (0, 3) else 0.0]], dtype=complex)])
                 for i in range(4)]
     rep_tr = gns_construct(omega_tr, m2, scal)
+    ok = (worst["reconstruction"] <= 1e-10 and worst["multiplicativity"] <= 1e-9
+          and worst["adjointness"] <= 1e-9 and cyclic_failures == 0
+          and rep_a11.quotient_dim == 2 and rep_tr.quotient_dim == 4)
     return {"name": "gns", "instances": count, "worst": worst,
             "cyclic_failures": cyclic_failures,
             "a11_quotient_dim": rep_a11.quotient_dim,
-            "trace_quotient_dim": rep_tr.quotient_dim}
+            "trace_quotient_dim": rep_tr.quotient_dim,
+            "status": _status(ok)}
+
+
+def gns_status(rep: GnsRepresentation, ver: VerificationReport) -> str:
+    """Status of one GNS construction from its residuals and Lambda(e)'s cyclicity."""
+    return _status(rep.residuals["reconstruction"] <= 1e-9 and ver.cyclic
+                   and rep.residuals["multiplicativity"] <= 1e-9
+                   and rep.residuals["adjointness"] <= 1e-9)
+
+
+# -- kernel families ------------------------------------------------------------------
+
+def kernel_bound_suite(km: KernelMap, trials: int, seed: int = 0) -> dict:
+    """The closed-form norm bounds, left invariance and positivity of a
+    kernel family (``bound_checks``), with their status."""
+    rep = bound_checks(km, trials=trials, seed=seed)
+    ok = (rep.nr_bound_failures == 0 and rep.triple_bound_failures == 0
+          and rep.invariance_residual <= 1e-9 and rep.positivity_status != "violated")
+    return {"name": "kernel_bounds", "trials": rep.trials,
+            "nr_bound_failures": rep.nr_bound_failures,
+            "triple_bound_failures": rep.triple_bound_failures,
+            "max_nr_ratio": rep.max_nr_ratio,
+            "max_triple_ratio": rep.max_triple_ratio,
+            "invariance_residual": rep.invariance_residual,
+            "positivity": rep.positivity_status,
+            "min_diag_eig": rep.min_diag_eig,
+            "status": _status(ok)}

@@ -120,18 +120,6 @@ class TestDeterminism:
         b = strip_wall_time(emit_report(execute(cfg)))
         assert a == b
 
-    def test_threads_do_not_change_bytes(self):
-        one = parse_config(["check-cs-lp", "--p", "2", "--trials", "30",
-                            "--seed", "3", "--threads", "1"])
-        four = parse_config(["check-cs-lp", "--p", "2", "--trials", "30",
-                             "--seed", "3", "--threads", "4"])
-        a = strip_wall_time(emit_report(execute(one)))
-        b = strip_wall_time(emit_report(execute(four)))
-        # thread count is echoed in the config; results themselves must agree
-        a = a.replace('"threads": 1', '"threads": N')
-        b = b.replace('"threads": 4', '"threads": N')
-        assert a == b
-
     def test_different_seed_changes_results(self):
         r1 = execute(parse_config(["sample-ratios", "--trials", "5", "--seed", "1"]))
         r2 = execute(parse_config(["sample-ratios", "--trials", "5", "--seed", "2"]))

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nclp import suites
+from nclp import radius, suites
 from nclp.algebra import TracedAlgebra
-from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator, _TargetNorm,
-                         _triple2_pool, check_cs_operator_valued, numerical_radius,
-                         superop_apply, superop_norm, triple_norm, triple_norm_axioms)
+from nclp.errors import PreconditionError
+from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
+                         SuperOperatorNormResult, _TargetNorm, _triple2_pool,
+                         check_cs_operator_valued, numerical_radius, superop_norm,
+                         triple_norm, triple_norm_axioms)
 from nclp.sampling import random_block_unitary, random_element, rng_from
 
 from conftest import random_element_of
@@ -184,7 +186,7 @@ class TestSuperOperator:
     def test_identity_apply(self, tr2, rng):
         op = SuperOperator.from_apply(tr2, 2, lambda s: s.dense())
         x = random_element_of(tr2, rng)
-        assert np.allclose(superop_apply(op, x), x.dense())
+        assert np.allclose(op.apply(x), x.dense())
 
     def test_zero(self, tr2):
         op = SuperOperator(tr2, 2, np.zeros((4, 4)))
@@ -263,6 +265,39 @@ class TestOperatorValuedCs:
                     for _ in range(2)]]
         phi = OperatorValuedMap.from_generator(tr2, factors)
         assert phi.check_positivity().status == "certified"
+
+    def test_non_positive_map_violated_and_rejected(self, tr2):
+        phi = OperatorValuedMap([[SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())]])
+        cert = phi.check_positivity(trials=8)
+        assert cert.status == "violated"
+        assert cert.witness.shape == (1,)
+        assert cert.witness_min_eig < 0
+        with pytest.raises(PreconditionError):
+            check_cs_operator_valued(phi, np.array([1.0]), np.array([1.0]), "nr",
+                                     SearchBudget(starts=2, iters=2))
+
+    @pytest.mark.parametrize("lhs, rhs, status, calls", [
+        (0.12, 0.1, "violated", 6),          # within 0.05 (1 + rhs), beyond 1.05 rhs
+        (1.04, 1.0, "holds_within_tol", 3),  # within both slacks
+    ])
+    def test_heuristic_slack_is_relative(self, tr2, monkeypatch, lhs, rhs, status, calls):
+        values = []
+
+        def fake_norm(op, target_norm="nr", budget=None, candidates=None, **kwargs):
+            # call order per run: Phi(x, y), Phi(x, x), Phi(y, y)
+            values.append(lhs if len(values) % 3 == 0 else rhs)
+            return SuperOperatorNormResult(values[-1], tr2.identity(), "heuristic")
+
+        monkeypatch.setattr(radius, "superop_norm", fake_norm)
+        rng = rng_from(5)
+        factors = [[rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                    for _ in range(2)]]
+        phi = OperatorValuedMap.from_generator(tr2, factors)
+        rep = check_cs_operator_valued(phi, np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                                       "nr", SearchBudget(starts=2, iters=2))
+        assert rep.status == status
+        assert len(values) == calls
+        assert rep.witness.get("escalated", False) == (calls == 6)
 
     @pytest.mark.parametrize("target", ["nr", "triple2"])
     def test_generator_sweep_holds(self, tr2, target):
@@ -452,11 +487,13 @@ class TestGoldenResults:
             "d1_ratio_defect": 5.551115123125783e-16,
             "nr": {"violations": 0, "escalations": 0, "max_ratio": 0.9976673951732925},
             "triple2": {"violations": 0, "escalations": 0,
-                        "max_ratio": 0.9976673807436386}}
+                        "max_ratio": 0.9976673807436386},
+            "status": "holds"}
 
     def test_triple_norm_suite(self):
         assert suites.triple_norm_suite(5, seed=6) == {
             "name": "triple_norm", "anchor_diag10": 1.0, "anchor_identity": 1.0,
             "anchor_statuses": ["exact", "exact"], "samples": 5, "sandwich_failures": 0,
             "worst_low": -1.1102230246251565e-14, "worst_high": -0.3862300031540018,
-            "cs_failures": 0, "worst_cs_excess": 7.105427357601002e-15}
+            "cs_failures": 0, "worst_cs_excess": 7.105427357601002e-15,
+            "status": "holds"}
