@@ -71,6 +71,8 @@ class TracedAlgebra:
             w = tuple(float(x) for x in weights)
         if len(w) != len(sizes):
             raise StructureError("weights and block_sizes must have equal length")
+        if not all(math.isfinite(x) for x in w):
+            raise DomainError(f"trace weights must be finite, got {w}")
         if any(not (x > 0.0) for x in w):
             raise StructureError(f"trace weights must be strictly positive, got {w}")
         object.__setattr__(self, "block_sizes", sizes)

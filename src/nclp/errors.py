@@ -14,7 +14,7 @@ class PreconditionError(ValueError):
 
 
 class InconsistencyError(ValueError):
-    """Stored redundant data (gram vs. generator, hermitian flags) disagree."""
+    """Stored redundant data (hermitian flags, a certificate and its witness) disagree."""
 
 
 class ConditioningError(RuntimeError):

@@ -13,7 +13,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra
-from .errors import StructureError
+from .errors import DomainError, StructureError
 from .sesquilinear import SesquilinearMap
 from .star import StarAlgebra
 
@@ -43,15 +43,25 @@ def algebra_to_json(alg: TracedAlgebra) -> dict:
 
 
 def algebra_from_json(doc: dict) -> TracedAlgebra:
-    return TracedAlgebra(doc["blocks"], doc.get("weights"))
+    return TracedAlgebra(_field(doc, "blocks"), doc.get("weights"))
 
 
 def element_to_json(el: AlgebraElement) -> list[dict]:
     return [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in el.blocks]
 
 
+def _field(doc: Any, key: str) -> Any:
+    """``doc[key]``, or StructureError when doc is not an object holding key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise StructureError(f"document has no {key!r} field")
+    return doc[key]
+
+
 def element_from_json(alg: TracedAlgebra, blocks: Sequence[dict]) -> AlgebraElement:
-    mats = [_real_matrix(b["re"]) + 1j * _real_matrix(b["im"]) for b in blocks]
+    mats = [_real_matrix(_field(b, "re")) + 1j * _real_matrix(_field(b, "im"))
+            for b in blocks]
+    if not all(np.isfinite(m).all() for m in mats):
+        raise DomainError("element entries must be finite")
     return AlgebraElement(alg, mats)
 
 
@@ -66,12 +76,12 @@ def save_elements(path: str, alg: TracedAlgebra,
 
 def load_elements(path: str) -> tuple[TracedAlgebra, dict[str, AlgebraElement]]:
     doc = load_json(path)
-    if doc.get("format") != FORMAT_ELEMENTS:
-        raise StructureError(f"not an element file: format={doc.get('format')!r}")
-    alg = algebra_from_json(doc["algebra"])
+    if _field(doc, "format") != FORMAT_ELEMENTS:
+        raise StructureError(f"not an element file: format={doc['format']!r}")
+    alg = algebra_from_json(_field(doc, "algebra"))
     out = {}
-    for entry in doc["elements"]:
-        out[entry["name"]] = element_from_json(alg, entry["blocks"])
+    for entry in _field(doc, "elements"):
+        out[_field(entry, "name")] = element_from_json(alg, _field(entry, "blocks"))
     return alg, out
 
 
@@ -162,4 +172,7 @@ def save_json(path: str, doc: Any) -> None:
 
 def load_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise StructureError(f"{path} is not JSON: {exc}") from None

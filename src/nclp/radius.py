@@ -587,15 +587,14 @@ class SuperOperator:
     """Linear map from a traced algebra into n x n matrices.
 
     Stored as a dense (n^2, coord_dim) matrix over the source coordinates
-    (block-major, row-major inside blocks).  An optional Kraus generator
-    ``L(S) = sum_r A_r S A_r*`` with A_r of shape (n, total_dim) certifies
-    complete positivity.
+    (block-major, row-major inside blocks) and nothing else: ``from_kraus``
+    builds it from Kraus factors ``L(S) = sum_r A_r S A_r*`` and keeps no
+    generator, which only ``OperatorValuedMap.from_generator`` attaches.
     """
 
-    __slots__ = ("source", "target_dim", "matrix", "generator", "target_algebra")
+    __slots__ = ("source", "target_dim", "matrix", "target_algebra")
 
     def __init__(self, source: TracedAlgebra, target_dim: int, matrix: np.ndarray,
-                 generator: Sequence[np.ndarray] | None = None,
                  target_algebra: TracedAlgebra | None = None):
         n = int(target_dim)
         mat = np.array(matrix, dtype=complex, copy=True)
@@ -606,8 +605,6 @@ class SuperOperator:
         self.source = source
         self.target_dim = n
         self.matrix = mat
-        self.generator = tuple(np.asarray(a, dtype=complex) for a in generator) \
-            if generator is not None else None
         if target_algebra is not None and target_algebra.total_dim != n:
             raise StructureError("target algebra dimension must equal target_dim")
         self.target_algebra = target_algebra
@@ -615,7 +612,6 @@ class SuperOperator:
     @classmethod
     def from_apply(cls, source: TracedAlgebra, target_dim: int,
                    apply_fn: Callable[[AlgebraElement], np.ndarray],
-                   generator: Sequence[np.ndarray] | None = None,
                    target_algebra: TracedAlgebra | None = None) -> "SuperOperator":
         cols = []
         m = source.coord_dim
@@ -625,8 +621,7 @@ class SuperOperator:
             cols.append(np.asarray(apply_fn(source.from_coords(e)),
                                    dtype=complex).reshape(-1))
         mat = np.stack(cols, axis=1)
-        return cls(source, target_dim, mat, generator=generator,
-                   target_algebra=target_algebra)
+        return cls(source, target_dim, mat, target_algebra=target_algebra)
 
     @classmethod
     def from_kraus(cls, source: TracedAlgebra, factors: Sequence[np.ndarray],
@@ -641,8 +636,7 @@ class SuperOperator:
             dense = s.dense()
             return sum(a @ dense @ a.conj().T for a in factors)
 
-        return cls.from_apply(source, n, apply_fn, generator=factors,
-                              target_algebra=target_algebra)
+        return cls.from_apply(source, n, apply_fn, target_algebra=target_algebra)
 
     def apply(self, s: AlgebraElement) -> np.ndarray:
         if s.algebra != self.source:
@@ -683,10 +677,6 @@ class SuperOperator:
 
 # -- target norms on matrices ---------------------------------------------------
 
-def _default_target_algebra(op: SuperOperator) -> TracedAlgebra:
-    return op.target_algebra or TracedAlgebra([op.target_dim])
-
-
 def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
     """Per-block (B, n_k, n_k) stacks of a stack of dense target values."""
     mats = np.asarray(mats, dtype=complex)
@@ -719,14 +709,13 @@ class _TargetNorm:
     """
 
     def __init__(self, kind: str, target_algebra: TracedAlgebra | None = None,
-                 p: float = 2.0, nr_grid: int = 256, quick: bool = True):
+                 p: float = 2.0, nr_grid: int = 256):
         if kind not in ("nr", "triple2", "schatten"):
             raise DomainError(f"unknown target norm {kind!r}")
         self.kind = kind
         self.target_algebra = target_algebra
         self.p = p
         self.nr_grid = nr_grid
-        self.quick = quick
 
     def value(self, m: np.ndarray) -> float:
         return self.value_and_certificate(m)[0]
@@ -870,13 +859,13 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
 class OperatorValuedMap:
     """Sesquilinear map with values in B(source algebra, n x n matrices).
 
-    ``gram[i][j]`` holds the superoperator Phi(e_i, e_j); an optional generator
+    ``gram[i][j]`` holds the superoperator Phi(e_i, e_j).  Only
+    ``from_generator`` builds a map with a generator, the factors
     ``Phi(x,y)(S) = sum_r A_r(x) S A_r(y)*`` with ``A_r(x) = sum_i x_i A[r][i]``
-    certifies positivity (PSD S gives PSD values on the diagonal).
+    its gram is built from; they certify positivity (PSD S gives PSD values).
     """
 
-    def __init__(self, gram: Sequence[Sequence[SuperOperator]],
-                 generator: Sequence[Sequence[np.ndarray]] | None = None):
+    def __init__(self, gram: Sequence[Sequence[SuperOperator]]):
         d = len(gram)
         if d == 0 or any(len(row) != d for row in gram):
             raise StructureError("gram must be a non-empty square array of superoperators")
@@ -889,9 +878,6 @@ class OperatorValuedMap:
                 if g.source != self.source or g.target_dim != self.target_dim:
                     raise StructureError("gram entries have inconsistent spaces")
         self.generator = None
-        if generator is not None:
-            self.generator = tuple(tuple(np.asarray(a, dtype=complex) for a in row)
-                                   for row in generator)
 
     @classmethod
     def from_generator(cls, source: TracedAlgebra, factors: Sequence[Sequence[np.ndarray]],
@@ -908,7 +894,9 @@ class OperatorValuedMap:
                 row.append(SuperOperator.from_apply(source, n, apply_fn,
                                                     target_algebra=target_algebra))
             gram.append(row)
-        return cls(gram, generator=factors)
+        phi = cls(gram)
+        phi.generator = tuple(tuple(np.asarray(a, dtype=complex) for a in row) for row in factors)
+        return phi
 
     def superop(self, x: np.ndarray, y: np.ndarray) -> SuperOperator:
         x = np.asarray(x, dtype=complex).ravel()
@@ -930,6 +918,8 @@ class OperatorValuedMap:
         A sampled certificate carries the worst unit vector x as ``witness``
         and its least eigenvalue as ``witness_min_eig``.
         """
+        if trials < 1:
+            raise DomainError("positivity sampling needs trials >= 1")
         if self.generator is not None:
             return PositivityCertificate(status="certified", reason="factored generator")
         rng = rng_from(seed)

@@ -1,13 +1,14 @@
 """Positive sesquilinear maps Phi: X x X -> L^p(rho), linear in the first slot.
 
 A map is stored through its gram tensor ``G[i][j] = Phi(e_i, e_j)`` over a
-coordinate domain C^d (optionally identified with a StarAlgebra), and may in
-addition carry a generator in factored form
+coordinate domain C^d (optionally identified with a StarAlgebra).  Only
+``SesquilinearMap.from_generator`` gives a map a factored generator
 
     Phi(x, y) = sum_r T_r(x) C_r T_r(y)*,   T_r(x) = sum_i x_i A_{r,i},
 
-with each C_r PSD.  Generator-backed maps are positive by construction;
-plain gram tensors get a sufficient block-PSD test or honest sampling.
+with each C_r PSD, and it builds the gram from those factors, so the two
+cannot disagree.  Generator-backed maps are positive by construction; plain
+gram tensors get a sufficient block-PSD test or honest sampling.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = ["KrausFactor", "SesquilinearMap", "PositivityCertificate",
            "evaluate", "check_positivity", "check_left_invariance",
            "random_map", "from_linear_map", "scalar_gram"]
 
-GRAM_GENERATOR_TOL = 1e-10
 DEFAULT_POSITIVITY_SAMPLES = 512
 
 
@@ -46,11 +46,14 @@ class KrausFactor:
 
 
 class SesquilinearMap:
-    """Gram-tensor representation of a sesquilinear map into a traced algebra."""
+    """Gram-tensor representation of a sesquilinear map into a traced algebra.
+
+    ``generator`` is None unless the map was built by ``from_generator``,
+    which builds the gram from the factors and attaches them.
+    """
 
     def __init__(self, target: TracedAlgebra,
                  gram: Sequence[Sequence[AlgebraElement]],
-                 generator: Sequence[KrausFactor] | None = None,
                  domain_algebra: StarAlgebra | None = None):
         d = len(gram)
         if d == 0 or any(len(row) != d for row in gram):
@@ -64,10 +67,8 @@ class SesquilinearMap:
         self.target = target
         self.domain_dim = d
         self.gram = tuple(tuple(row) for row in gram)
-        self.generator = tuple(generator) if generator is not None else None
+        self.generator = None
         self.domain_algebra = domain_algebra
-        if self.generator is not None:
-            self._check_generator_consistency()
 
     # -- constructors ---------------------------------------------------------
 
@@ -78,18 +79,9 @@ class SesquilinearMap:
             raise StructureError("generator needs at least one factor")
         d = len(factors[0].coeffs)
         gram = [[_kraus_entry(factors, i, j) for j in range(d)] for i in range(d)]
-        return cls(target, gram, generator=factors, domain_algebra=domain_algebra)
-
-    def _check_generator_consistency(self) -> None:
-        scale = 1.0 + max(g.max_abs_entry for row in self.gram for g in row)
-        for i in range(self.domain_dim):
-            for j in range(self.domain_dim):
-                built = _kraus_entry(self.generator, i, j)
-                diff = max(np.max(np.abs(a - b), initial=0.0)
-                           for a, b in zip(built.blocks, self.gram[i][j].blocks))
-                if diff > GRAM_GENERATOR_TOL * scale:
-                    raise InconsistencyError(
-                        f"gram[{i}][{j}] disagrees with the generator by {diff:.3e}")
+        phi = cls(target, gram, domain_algebra=domain_algebra)
+        phi.generator = tuple(factors)
+        return phi
 
     # -- basic structure --------------------------------------------------------
 
@@ -107,13 +99,13 @@ class SesquilinearMap:
         """c * Phi for c > 0 (keeps the generator middles PSD)."""
         if not c > 0:
             raise DomainError("scaling keeps positivity only for c > 0")
-        gram = [[c * self.gram[i][j] for j in range(self.domain_dim)]
-                for i in range(self.domain_dim)]
-        gen = None
         if self.generator is not None:
-            gen = [KrausFactor(coeffs=f.coeffs, middle=c * f.middle) for f in self.generator]
-        return SesquilinearMap(self.target, gram, generator=gen,
-                               domain_algebra=self.domain_algebra)
+            return SesquilinearMap.from_generator(
+                self.target, [KrausFactor(coeffs=f.coeffs, middle=c * f.middle)
+                              for f in self.generator],
+                domain_algebra=self.domain_algebra)
+        gram = [[c * g for g in row] for row in self.gram]
+        return SesquilinearMap(self.target, gram, domain_algebra=self.domain_algebra)
 
 
 def _kraus_entry(factors: Sequence[KrausFactor], i: int, j: int) -> AlgebraElement:

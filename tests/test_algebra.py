@@ -37,6 +37,9 @@ class TestConstruction:
             TracedAlgebra([2, 0])
         with pytest.raises(StructureError):
             TracedAlgebra([2], [0.0])
+        for bad in (math.inf, math.nan):
+            with pytest.raises(DomainError):
+                TracedAlgebra([2, 1], [1.0, bad])
         alg = TracedAlgebra([2, 3], [1.0, 0.5])
         assert alg.trace_of_identity == pytest.approx(2 + 1.5)
 

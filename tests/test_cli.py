@@ -18,6 +18,13 @@ def shift_file(tmp_path):
     return path
 
 
+ELEMENT_FILE = """{"format": "nclp-matrix/1",
+ "algebra": {"blocks": [2], "weights": [1.0]},
+ "elements": [{"name": "shift",
+               "blocks": [{"re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]}]}]}
+"""
+
+
 def strip_wall_time(text: str) -> str:
     return re.sub(r'"wall_time_s": [0-9eE+.\-]+', '"wall_time_s": 0', text)
 
@@ -110,6 +117,21 @@ class TestCommands:
         assert main(["check-cs-lp", "--p", "2", "--trials", "5"]) == 0
         assert main(["gns"]) == 2                       # missing --input
         assert main(["norms", "--input", str(tmp_path / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (ELEMENT_FILE.replace("[[0, 1],", "[[NaN, 1],"), "finite"),
+        (ELEMENT_FILE.replace('"weights": [1.0]', '"weights": [Infinity]'), "finite"),
+        (ELEMENT_FILE.replace('"elements"', '"items"'), "'elements'"),
+        ("not json {", "not JSON"),
+    ], ids=["nan-entry", "infinite-weight", "missing-elements", "not-json"])
+    def test_bad_element_file_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["numerical-radius", "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 
 from nclp import radius, suites
 from nclp.algebra import TracedAlgebra
-from nclp.errors import PreconditionError
+from nclp.errors import DomainError, PreconditionError
 from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
                          SuperOperatorNormResult, _TargetNorm, _triple2_pool,
                          check_cs_operator_valued, numerical_radius, superop_norm,
@@ -275,6 +275,19 @@ class TestOperatorValuedCs:
         with pytest.raises(PreconditionError):
             check_cs_operator_valued(phi, np.array([1.0]), np.array([1.0]), "nr",
                                      SearchBudget(starts=2, iters=2))
+
+    def test_non_positive_map_cannot_borrow_a_generator(self, tr2):
+        neg = SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())
+        with pytest.raises(TypeError):
+            OperatorValuedMap([[neg]], generator=[[np.eye(2)]])
+        assert OperatorValuedMap([[neg]]).generator is None
+
+    def test_positivity_needs_a_sample(self, tr2):
+        # a zero-sample certificate would read "sampled" and pass this map
+        phi = OperatorValuedMap([[SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())]])
+        for trials in (0, -1):
+            with pytest.raises(DomainError):
+                phi.check_positivity(trials=trials)
 
     @pytest.mark.parametrize("lhs, rhs, status, calls", [
         (0.12, 0.1, "violated", 6),          # within 0.05 (1 + rhs), beyond 1.05 rhs

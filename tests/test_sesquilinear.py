@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nclp import sesquilinear
 from nclp.algebra import TracedAlgebra, schatten_norm, trace
 from nclp.errors import PreconditionError, StructureError
 from nclp.sesquilinear import (SesquilinearMap, check_left_invariance,
@@ -86,13 +87,15 @@ class TestPositivity:
         assert cert.status == "certified"
         assert "block gram" in cert.reason
 
-    def test_gram_generator_consistency_enforced(self, tr2):
+    def test_generator_only_from_factors(self, tr2):
+        # a (gram, generator) pair could certify a gram the factors never built
         phi = random_map(2, tr2, rank=1, seed=4)
         bad = [list(row) for row in phi.gram]
-        bad[0][0] = bad[0][0] + tr2.identity()
-        from nclp.errors import InconsistencyError
-        with pytest.raises(InconsistencyError):
+        bad[0][0] = bad[0][0] - 10.0 * tr2.identity()
+        with pytest.raises(TypeError):
             SesquilinearMap(tr2, bad, generator=phi.generator)
+        assert SesquilinearMap(tr2, bad).generator is None
+        assert check_positivity(SesquilinearMap(tr2, bad)).status == "violated"
 
     def test_kraus_entry_formula(self, tr2, rng):
         # Phi(x, y) must equal sum_r T_r(x) C_r T_r(y)*
@@ -156,11 +159,33 @@ class TestRandomMap:
         expected = f.coeffs[0] @ f.middle @ f.coeffs[0].adjoint()
         assert np.allclose(phi.gram[0][0].blocks[0], expected.blocks[0])
 
+    def test_builds_gram_once(self, tr2, monkeypatch):
+        calls = []
+        kraus_entry = sesquilinear._kraus_entry
+
+        def counting(factors, i, j):
+            calls.append((i, j))
+            return kraus_entry(factors, i, j)
+
+        monkeypatch.setattr(sesquilinear, "_kraus_entry", counting)
+        for d in (1, 3):
+            calls.clear()
+            random_map(d, tr2, rank=2, seed=d)
+            assert len(calls) == d * d
+
     def test_scaling_keeps_structure(self, kraus_map):
         doubled = kraus_map.scaled(2.0)
         assert check_positivity(doubled).status == "certified"
+        assert len(doubled.generator) == len(kraus_map.generator)
         assert np.allclose(doubled.gram[1][2].blocks[0],
                            2.0 * kraus_map.gram[1][2].blocks[0])
+
+    def test_scaling_gram_only_map(self, kraus_map):
+        bare = SesquilinearMap(kraus_map.target, [list(r) for r in kraus_map.gram])
+        tripled = bare.scaled(3.0)
+        assert tripled.generator is None
+        assert np.array_equal(tripled.gram[1][2].blocks[0],
+                              3.0 * kraus_map.gram[1][2].blocks[0])
 
 
 class TestScalarGram:
