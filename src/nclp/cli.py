@@ -26,7 +26,7 @@ from .errors import DomainError, StructureError
 from .gns import gns_construct, verify_representation
 from .inequalities import RatioProfile, default_cs_constant, ratio_sampler
 from .kernels import KernelMap, kernel_by_name
-from .matrixio import (algebra_from_json, dump_deterministic, element_from_json,
+from .matrixio import (_field, algebra_from_json, dump_deterministic, element_from_json,
                        fmt_float, gns_to_json, load_elements, load_json,
                        star_from_json)
 from .radius import SearchBudget, numerical_radius, triple_norm
@@ -34,9 +34,36 @@ from .star import builtin as star_builtin
 
 VERSION = "1"
 
-COMMANDS = ("norms", "check-cs-lp", "check-cs-normal", "check-re-im",
-            "check-uncertainty", "check-cs-opvalued", "triple-norm",
-            "numerical-radius", "gns", "kernel-demo", "sample-ratios", "check-all")
+# the RunConfig fields each command reads, besides output_path, which all read
+COMMANDS = {
+    "norms": ("p", "input_path"),
+    "check-cs-lp": ("seed", "p", "trials", "constant", "tol"),
+    "check-cs-normal": ("seed", "p", "trials", "tol"),
+    "check-re-im": ("seed", "trials"),
+    "check-uncertainty": ("seed",),
+    "check-cs-opvalued": ("seed", "trials", "budget_starts", "budget_iters"),
+    "triple-norm": ("seed", "budget_starts", "budget_iters", "input_path"),
+    "numerical-radius": ("input_path",),
+    "gns": ("seed", "p", "trials", "input_path"),
+    "kernel-demo": ("seed", "trials", "input_path"),
+    "sample-ratios": ("seed", "p", "trials", "dims", "fmt"),
+    "check-all": ("seed", "trials", "budget_starts", "budget_iters"),
+}
+
+# flag and argparse options per RunConfig field; defaults are RunConfig's
+FLAGS = {
+    "seed": ("--seed", {"type": int}),
+    "p": ("--p", {"type": str, "help": "exponent in [1, inf]; accepts 'inf'"}),
+    "trials": ("--trials", {"type": int}),
+    "dims": ("--dims", {"type": int, "help": "domain dimension"}),
+    "budget_starts": ("--budget-starts", {"type": int}),
+    "budget_iters": ("--budget-iters", {"type": int}),
+    "constant": ("--constant", {"type": float}),
+    "input_path": ("--input", {}),
+    "output_path": ("--output", {}),
+    "fmt": ("--format", {"choices": ("json", "csv")}),
+    "tol": ("--tol", {"type": float}),
+}
 
 OK_STATUSES = ("holds", "holds_within_tol")
 
@@ -83,34 +110,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Checkers for trace-normed matrix algebras: Cauchy-Schwarz "
                     "sweeps, radius norms, GNS constructions, kernel families.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--p", type=str, default=None,
-                       help="exponent in [1, inf]; accepts 'inf'")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--dims", type=int, default=None, help="domain dimension")
-        p.add_argument("--budget-starts", type=int, default=16)
-        p.add_argument("--budget-iters", type=int, default=24)
-        p.add_argument("--constant", type=float, default=None)
-        p.add_argument("--input", dest="input_path", default=None)
-        p.add_argument("--output", dest="output_path", default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=None)
+    for name, fields in COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
+        for dest in fields + ("output_path",):
+            flag, opts = FLAGS[dest]
+            p.add_argument(flag, dest=dest, **opts)
     return ap
 
 
 def parse_config(argv: Sequence[str]) -> RunConfig:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
-    p_val = None
-    if ns.p is not None:
-        p_val = as_exponent(ns.p).value       # rejects p < 1
-    cfg = RunConfig(command=ns.command, seed=ns.seed, p=p_val, trials=ns.trials,
-                    dims=ns.dims, budget_starts=ns.budget_starts,
-                    budget_iters=ns.budget_iters, constant=ns.constant,
-                    input_path=ns.input_path, output_path=ns.output_path,
-                    fmt=ns.fmt, tol=ns.tol)
+    """The run configuration; a flag the command does not read is an error,
+    and fields left unset keep their RunConfig defaults."""
+    given = vars(build_parser().parse_args(argv))
+    if "p" in given:
+        given["p"] = as_exponent(given["p"]).value       # rejects p < 1
+    cfg = RunConfig(**given)
     _validate(cfg)
     return cfg
 
@@ -218,15 +232,13 @@ def _cmd_opvalued(cfg: RunConfig) -> list:
 
 def _cmd_gns(cfg: RunConfig) -> list:
     doc = load_json(cfg.input_path)
-    dom_doc = doc.get("domain")
-    if dom_doc is None:
-        raise StructureError("gns input needs a 'domain' section")
-    if "kind" in dom_doc:
-        domain = star_builtin(dom_doc["kind"], int(dom_doc["size"]))
+    dom_doc = _field(doc, "domain")
+    if isinstance(dom_doc, dict) and "kind" in dom_doc:
+        domain = star_builtin(dom_doc["kind"], int(_field(dom_doc, "size")))
     else:
         domain = star_from_json(dom_doc)
-    target = algebra_from_json(doc["target"])
-    omega = [element_from_json(target, blocks) for blocks in doc["omega"]]
+    target = algebra_from_json(_field(doc, "target"))
+    omega = [element_from_json(target, blocks) for blocks in _field(doc, "omega")]
     if len(omega) != domain.dim:
         raise StructureError("omega must list one value per domain basis vector")
     rep = gns_construct(omega, domain, target, p=cfg.p or 2.0, seed=cfg.seed)
@@ -243,11 +255,12 @@ def _cmd_gns(cfg: RunConfig) -> list:
 def _cmd_kernel_demo(cfg: RunConfig) -> list:
     if cfg.input_path:
         doc = load_json(cfg.input_path)
-        alg = algebra_from_json(doc["algebra"])
-        w = element_from_json(alg, doc["W"])
+        alg = algebra_from_json(_field(doc, "algebra"))
+        w = element_from_json(alg, _field(doc, "W"))
         t = element_from_json(alg, doc["T"]) if "T" in doc else None
-        kern = kernel_by_name(doc["kernel"]["name"],
-                              **{k: v for k, v in doc["kernel"].items() if k != "name"})
+        kdoc = _field(doc, "kernel")
+        kern = kernel_by_name(_field(kdoc, "name"),
+                              **{k: v for k, v in kdoc.items() if k != "name"})
         km = KernelMap(w, kern, t)
     else:
         alg = TracedAlgebra([2])

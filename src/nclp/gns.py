@@ -68,7 +68,7 @@ def null_space(phi: SesquilinearMap) -> np.ndarray:
             "scalar gram has eigenvalues in the ambiguous band "
             f"({thr:.3e}, {GAP_CEILING * lam_max:.3e}); refusing to pick a kernel")
     kernel = q[:, lam <= thr]
-    scale = 1.0 + max(schatten_norm(g, 2.0) for row in phi.gram for g in row)
+    scale = phi.gram_scale()
     for v in kernel.T:
         resid = schatten_norm(evaluate(phi, v, v), 2.0)
         if resid > 1e-8 * scale:
@@ -208,8 +208,7 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
 def _residuals(rep: GnsRepresentation) -> dict:
     domain, phi = rep.domain, rep.phi
     d = domain.dim
-    r = rep.quotient_dim
-    scale = 1.0 + max(schatten_norm(g, 2.0) for row in phi.gram for g in row)
+    scale = phi.gram_scale()
 
     recon = 0.0
     vecs = [rep.class_coords(rep.pi[i] @ rep.cyclic) for i in range(d)]
@@ -232,14 +231,18 @@ def _residuals(rep: GnsRepresentation) -> dict:
             mult = max(mult, float(np.max(np.abs(prod - rep.pi[i] @ rep.pi[j]),
                                           initial=0.0)) / (pscale * pscale))
 
-    span = np.stack([rep.pi[i] @ rep.cyclic for i in range(d)], axis=1) if r else \
-        np.zeros((0, d))
-    cyc_rank = int(np.linalg.matrix_rank(span, tol=1e-10 * (1.0 + float(
-        np.max(np.abs(span), initial=0.0))))) if r else 0
-
     inv = check_left_invariance(phi)
     return {"reconstruction": recon, "multiplicativity": mult, "adjointness": adjoint,
-            "cyclicity_rank": cyc_rank, "invariance": inv}
+            "cyclicity_rank": _cyclic_span_rank(rep), "invariance": inv}
+
+
+def _cyclic_span_rank(rep: GnsRepresentation) -> int:
+    """Rank of the vectors pi(e_i) xi, i.e. the dimension of the cyclic span."""
+    if not rep.quotient_dim:
+        return 0
+    span = np.stack([rep.pi[i] @ rep.cyclic for i in range(rep.domain.dim)], axis=1)
+    return int(np.linalg.matrix_rank(span, tol=1e-10 * (1.0 + float(
+        np.max(np.abs(span), initial=0.0)))))
 
 
 @dataclass
@@ -262,7 +265,7 @@ def verify_representation(rep: GnsRepresentation, trials: int = 50,
     rng = rng_from(seed)
     d = rep.domain.dim
     phi = rep.phi
-    scale = 1.0 + max(schatten_norm(g, 2.0) for row in phi.gram for g in row)
+    scale = phi.gram_scale()
     recon = mult = adj = 0.0
     for _ in range(max(trials, 1)):
         a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
@@ -280,10 +283,6 @@ def verify_representation(rep: GnsRepresentation, trials: int = 50,
         diff = evaluate(phi, a, b) - evaluate(phi, va, vb)
         norm_ab = 1.0 + float(np.linalg.norm(a)) * float(np.linalg.norm(b))
         recon = max(recon, schatten_norm(diff, 2.0) / (scale * norm_ab))
-    span = np.stack([rep.pi[i] @ rep.cyclic for i in range(d)], axis=1) \
-        if rep.quotient_dim else np.zeros((0, d))
-    span_dim = int(np.linalg.matrix_rank(span, tol=1e-10 * (1.0 + float(
-        np.max(np.abs(span), initial=0.0))))) if rep.quotient_dim else 0
     return VerificationReport(trials=trials, reconstruction=recon, multiplicativity=mult,
-                              adjointness=adj, cyclic_span_dim=span_dim,
+                              adjointness=adj, cyclic_span_dim=_cyclic_span_rank(rep),
                               quotient_dim=rep.quotient_dim)

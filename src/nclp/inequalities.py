@@ -221,7 +221,7 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     k_defect = float(np.max(np.abs(alg.involute(k) - k), initial=0.0))
 
     # residual of the Phi-commutator identity over basis pairs
-    scale = 1.0 + max(schatten_norm(g, 2.0) for row in phi.gram for g in row)
+    scale = phi.gram_scale()
     scale *= (1.0 + float(np.max(np.abs(a))) ) * (1.0 + float(np.max(np.abs(b))))
     bstar = alg.involute(b)
     astar = alg.involute(a)

@@ -25,6 +25,7 @@ import numpy as np
 from .algebra import (AlgebraElement, eigh_blocks, hermitian_part_of,
                       operator_norm, schatten_norm, trace)
 from .errors import DomainError, StructureError
+from .matrixio import _field
 from .radius import (OperatorValuedMap, SearchBudget, SuperOperator, numerical_radius,
                      triple_norm)
 from .sampling import random_element, random_psd, substreams
@@ -152,8 +153,9 @@ def kernel_by_name(name: str, **params) -> Kernel:
     if name == "exp_abs_diff":
         return ExpAbsDiffKernel()
     if name == "grid":
-        return GridKernel(x_grid=tuple(params["x_grid"]), t_grid=tuple(params["t_grid"]),
-                          values=tuple(tuple(r) for r in params["values"]))
+        return GridKernel(x_grid=tuple(_field(params, "x_grid")),
+                          t_grid=tuple(_field(params, "t_grid")),
+                          values=tuple(tuple(r) for r in _field(params, "values")))
     raise DomainError(f"unknown kernel {name!r}")
 
 

@@ -57,9 +57,13 @@ def _field(doc: Any, key: str) -> Any:
     return doc[key]
 
 
+def _complex_array(doc: Any) -> np.ndarray:
+    """The complex array stored as ``{"re": ..., "im": ...}``."""
+    return _real_matrix(_field(doc, "re")) + 1j * _real_matrix(_field(doc, "im"))
+
+
 def element_from_json(alg: TracedAlgebra, blocks: Sequence[dict]) -> AlgebraElement:
-    mats = [_real_matrix(_field(b, "re")) + 1j * _real_matrix(_field(b, "im"))
-            for b in blocks]
+    mats = [_complex_array(b) for b in blocks]
     if not all(np.isfinite(m).all() for m in mats):
         raise DomainError("element entries must be finite")
     return AlgebraElement(alg, mats)
@@ -120,11 +124,11 @@ def superop_to_json(source: TracedAlgebra, target_dim: int, matrix: np.ndarray) 
 
 def superop_from_json(doc: dict):
     from .radius import SuperOperator
-    if doc.get("format") != FORMAT_SUPEROP:
-        raise StructureError(f"not a superoperator document: {doc.get('format')!r}")
-    source = algebra_from_json(doc["source"])
-    mat = _real_matrix(doc["matrix"]["re"]) + 1j * _real_matrix(doc["matrix"]["im"])
-    return SuperOperator(source, int(doc["target_dim"]), mat)
+    if _field(doc, "format") != FORMAT_SUPEROP:
+        raise StructureError(f"not a superoperator document: {doc['format']!r}")
+    source = algebra_from_json(_field(doc, "source"))
+    return SuperOperator(source, int(_field(doc, "target_dim")),
+                         _complex_array(_field(doc, "matrix")))
 
 
 def star_to_json(alg: StarAlgebra) -> dict:
@@ -135,12 +139,9 @@ def star_to_json(alg: StarAlgebra) -> dict:
 
 
 def star_from_json(doc: dict) -> StarAlgebra:
-    if doc.get("format") != FORMAT_STAR:
-        raise StructureError(f"not a star-algebra document: {doc.get('format')!r}")
-    mult = np.asarray(doc["mult"]["re"], dtype=float) + 1j * np.asarray(doc["mult"]["im"])
-    invol = _real_matrix(doc["invol"]["re"]) + 1j * _real_matrix(doc["invol"]["im"])
-    unit = np.asarray(doc["unit"]["re"], dtype=float) + 1j * np.asarray(doc["unit"]["im"])
-    return StarAlgebra(mult=mult, invol=invol, unit=unit)
+    if _field(doc, "format") != FORMAT_STAR:
+        raise StructureError(f"not a star-algebra document: {doc['format']!r}")
+    return StarAlgebra(**{k: _complex_array(_field(doc, k)) for k in ("mult", "invol", "unit")})
 
 
 def gns_to_json(rep) -> dict:

@@ -12,7 +12,9 @@ Three layers:
   and from above by ||F||_2.  The candidate maximizers of a whole stack of
   elements are built and scored by one kernel, ``_triple2_pool``, in a few
   stacked linalg calls; single elements go through it as a stack of one, and
-  each result is bit-identical whatever the size or order of the stack,
+  each result is bit-identical whatever the size or order of the stack.  The
+  projected ascent runs on the same per-block stacks: all of its starts
+  ascend together, each giving the result it would give alone,
 * ``superop_norm`` / ``check_cs_operator_valued``: operator norms of linear
   maps from a traced algebra into a matrix space, with the supremum over the
   unit ball searched on blockwise unitaries (the extreme points) and refined
@@ -114,24 +116,15 @@ def _nr_dense(mat: np.ndarray, grid: int, refine: bool) -> tuple[float, np.ndarr
     return best_val, vec, best_theta
 
 
-def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024,
-                     refine: bool = True) -> float:
+def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
     """w(T) = sup over unit vectors of |<Th, h>|.
 
     Block-diagonal elements reduce to the maximum over blocks.  Satisfies
     ||T||/2 <= w(T) <= ||T|| with equality w(T) = ||T|| for normal T.
     """
     if isinstance(t, AlgebraElement):
-        return max(_nr_dense(np.asarray(b), grid, refine)[0] for b in t.blocks)
-    return _nr_dense(np.asarray(t, dtype=complex), grid, refine)[0]
-
-
-def _nr_with_certificate(mat: np.ndarray, grid: int,
-                         refine: bool = True) -> tuple[float, np.ndarray]:
-    """(value, C) with value = Re tr(C M) and Re tr(C M') <= w(M') for all M'."""
-    val, vec, theta = _nr_dense(mat, grid, refine=refine)
-    c = np.exp(1j * theta) * np.outer(vec, np.conj(vec))
-    return val, c
+        return max(_nr_dense(np.asarray(b), grid, refine=True)[0] for b in t.blocks)
+    return _nr_dense(np.asarray(t, dtype=complex), grid, refine=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +153,6 @@ class TripleNormResult:
     @property
     def is_exact(self) -> bool:
         return self.status == "exact"
-
-
-def _rho_trace_norm(x: AlgebraElement) -> float:
-    return schatten_norm(x, 1.0)
-
-
-def _rho_two_norm(x: AlgebraElement) -> float:
-    return schatten_norm(x, 2.0)
 
 
 def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
@@ -233,12 +218,6 @@ def _project_stack(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
     return out
 
 
-def _project_feasible(w: AlgebraElement, rounds: int = 50) -> AlgebraElement:
-    """Map into {0 <= W <= I, ||W||_2 <= 1} by alternating clip and rescale."""
-    out = _project_stack(w.algebra, [b[None] for b in w.blocks], rounds)
-    return AlgebraElement(w.algebra, [b[0] for b in out])
-
-
 def _is_feasible(w: AlgebraElement, tol: float = 1e-9) -> bool:
     if not w.is_hermitian(tol * (1.0 + w.max_abs_entry)):
         return False
@@ -246,23 +225,7 @@ def _is_feasible(w: AlgebraElement, tol: float = 1e-9) -> bool:
         lam = np.linalg.eigvalsh(hermitian_part_of(b))
         if lam.size and (lam.min() < -tol or lam.max() > 1.0 + tol):
             return False
-    return _rho_two_norm(w) <= 1.0 + tol
-
-
-def _triple_objective(f: AlgebraElement, w: AlgebraElement) -> float:
-    return _rho_trace_norm(w @ f @ w)
-
-
-def _triple_gradient(f: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
-    """Riemannian gradient of ||W F W||_1 in the hermitian directions."""
-    m = w @ f @ w
-    blocks = []
-    for wk, fk, mk, wt in zip(w.blocks, f.blocks, m.blocks, f.algebra.weights):
-        u, _, vh = np.linalg.svd(mk)
-        d = u @ vh                       # subgradient of the trace norm at M_k
-        g = fk @ wk @ d.conj().T + d.conj().T @ wk @ fk
-        blocks.append(wt * hermitian_part_of(g))
-    return AlgebraElement(f.algebra, blocks)
+    return schatten_norm(w, 2.0) <= 1.0 + tol
 
 
 def _knapsack_stack(alg: TracedAlgebra,
@@ -458,25 +421,52 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
                        objective=objective, rank1=rank1, maximizer=maximizer, best=best)
 
 
-def _ascend(f: AlgebraElement, w0: AlgebraElement, iters: int) -> tuple[float, AlgebraElement]:
-    w = _project_feasible(w0)
-    best = _triple_objective(f, w)
+def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.ndarray],
+            iters: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Projected gradient ascent of ||W F W||_1 from a stack of starts.
+
+    ``fh`` holds F's (1, n_k, n_k) blocks and ``starts`` per-block (S, n_k, n_k)
+    stacks, all advanced together.  Each item takes the steps it would take
+    alone: along its gradient G, W + (step / ||G||_2) G is projected for step
+    = 0.5, 0.25, ... (ten tries) until the objective rises by more than
+    1e-14; an item stops once its gradient vanishes or no try rises.  Returns
+    the final objectives and the per-block stacks of final W.
+    """
+    w = _project_stack(alg, starts)
+    m = [x @ b @ x for x, b in zip(w, fh)]
+    best = _stacked_schatten(alg, m, 1.0)
+    live = np.arange(len(best))
     for _ in range(iters):
-        g = _triple_gradient(f, w)
-        gnorm = _rho_two_norm(g)
-        if gnorm < 1e-14:
+        if not live.size:
             break
-        improved = False
+        grad = []
+        for wt, b, x, mk in zip(alg.weights, fh, w, m):
+            x = x[live]
+            u, _, vh = np.linalg.svd(mk[live])
+            dh = (u @ vh).conj().swapaxes(-1, -2)    # subgradient of the trace norm at M_k
+            grad.append(wt * hermitian_part_of(b @ x @ dh + dh @ x @ b))
+        gnorm = _stacked_schatten(alg, grad, 2.0)
+        moving = ~(gnorm < 1e-14)
+        live, gnorm = live[moving], gnorm[moving]
+        grad = [g[moving] for g in grad]
+        left = np.arange(len(live))                  # positions still line-searching
         step = 0.5
         for _ in range(10):
-            trial = _project_feasible(w + (step / gnorm) * g)
-            val = _triple_objective(f, trial)
-            if val > best + 1e-14:
-                w, best, improved = trial, val, True
+            if not left.size:
                 break
+            at = live[left]
+            c = np.array([step / g for g in gnorm[left].tolist()], dtype=complex)[:, None, None]
+            trial = _project_stack(alg, [x[at] + c * g[left] for x, g in zip(w, grad)])
+            tm = [t @ b @ t for t, b in zip(trial, fh)]
+            val = _stacked_schatten(alg, tm, 1.0)
+            up = val > best[at] + 1e-14
+            for x, mk, t, tmk in zip(w, m, trial, tm):
+                x[at[up]] = t[up]
+                mk[at[up]] = tmk[up]
+            best[at[up]] = val[up]
+            left = left[~up]
             step *= 0.5
-        if not improved:
-            break
+        live = np.delete(live, left)
     return best, w
 
 
@@ -491,8 +481,11 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
     solutions on the hermitian parts, and multi-start projected ascent.  The
     candidates are built and evaluated as one stacked pool (``_triple2_pool``
     at a stack of one), so the value does not depend on whether F is
-    evaluated alone or inside a larger pool.  With ``quick`` the ascent phase
-    is skipped.
+    evaluated alone or inside a larger pool.  The ascent then starts from the
+    three best candidates and ``budget.starts`` random points, all advanced
+    as one stack (``_ascend``); each start ends where it would end alone, and
+    the first start with the highest objective wins if it beats the pool.
+    With ``quick`` the ascent phase is skipped.
     """
     alg = f.algebra
     budget = budget or SearchBudget()
@@ -506,24 +499,21 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
     w_final = AlgebraElement(alg, [m[0] for m in pool.maximizer])
 
     if not exact and not quick:
-        fh = AlgebraElement(alg, [b[0] for b in pool.scaled])
-        starts: list[AlgebraElement] = []
-        seeds = substreams(budget.seed, max(budget.starts, 0))
-        for rng in seeds:
-            starts.append(_project_feasible(random_hermitian(alg, rng, 0.7)
-                                            + 0.5 * alg.identity()))
         obj = pool.objective[0]
-        order = np.argsort(-obj, kind="stable")[:3]
-        warm = [AlgebraElement(alg, [c[0, i] for c in pool.candidates])
-                for i in order if np.isfinite(obj[i])]
-        found, w_best = float(obj.max()), None
-        for w0 in warm + starts:
-            val, w = _ascend(fh, w0, budget.iters)
-            if val > found:
-                found, w_best = val, w
-        if w_best is not None:
-            w_final = _project_feasible(w_best)
-            best = _triple_objective(fh, w_final)
+        order = [i for i in np.argsort(-obj, kind="stable")[:3] if np.isfinite(obj[i])]
+        starts = [c[0, order] for c in pool.candidates]
+        drawn = [random_hermitian(alg, rng, 0.7).blocks
+                 for rng in substreams(budget.seed, max(budget.starts, 0))]
+        if drawn:
+            rand = _project_stack(alg, [np.stack([d[k] for d in drawn]) + 0.5 * np.eye(n)
+                                        for k, n in enumerate(alg.block_sizes)])
+            starts = [np.concatenate(pair) for pair in zip(starts, rand)]
+        vals, ws = _ascend(alg, pool.scaled, starts, budget.iters)
+        win = int(np.argmax(vals))                   # the first of equal maxima
+        if vals[win] > obj.max():
+            # no steps: project the winner once more and score it
+            one, w_win = _ascend(alg, pool.scaled, [x[win:win + 1] for x in ws], 0)
+            best, w_final = float(one[0]), AlgebraElement(alg, [x[0] for x in w_win])
 
     value = upper * best
     rank1 = upper * float(pool.rank1[0])
@@ -708,30 +698,32 @@ class _TargetNorm:
     alone, bit for bit, so results do not depend on the pool's size or order.
     """
 
+    NR_GRID = 256
+
     def __init__(self, kind: str, target_algebra: TracedAlgebra | None = None,
-                 p: float = 2.0, nr_grid: int = 256):
+                 p: float = 2.0):
         if kind not in ("nr", "triple2", "schatten"):
             raise DomainError(f"unknown target norm {kind!r}")
         self.kind = kind
         self.target_algebra = target_algebra
         self.p = p
-        self.nr_grid = nr_grid
 
     def value(self, m: np.ndarray) -> float:
         return self.value_and_certificate(m)[0]
 
     def batch_values(self, mats: np.ndarray) -> np.ndarray:
         if self.kind == "nr":
-            return np.max(_nr_grid_values(mats, self.nr_grid), axis=1)
+            return np.max(_nr_grid_values(mats, self.NR_GRID), axis=1)
         if self.kind == "triple2":
             alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
             return _triple2_pool(alg, _target_blocks(mats, alg)).values
         return np.array([self.value(m) for m in mats])
 
-    def value_and_certificate(self, m: np.ndarray,
-                              refine: bool = True) -> tuple[float, np.ndarray]:
+    def value_and_certificate(self, m: np.ndarray) -> tuple[float, np.ndarray]:
         if self.kind == "nr":
-            return _nr_with_certificate(m, self.nr_grid, refine=refine)
+            # C = e^{i theta} h h*: Re tr(C M) = value, Re tr(C M') <= w(M') for all M'
+            val, vec, theta = _nr_dense(m, self.NR_GRID, refine=False)
+            return val, np.exp(1j * theta) * np.outer(vec, np.conj(vec))
         alg = self.target_algebra or TracedAlgebra([m.shape[0]])
         el = _to_target_element(m, alg)
         if self.kind == "schatten":
@@ -804,11 +796,8 @@ def _maximize_unitary_step(op: SuperOperator, c: np.ndarray) -> AlgebraElement:
 
 def superop_norm(op: SuperOperator, target_norm: str = "nr",
                  budget: SearchBudget | None = None,
-                 target_algebra: TracedAlgebra | None = None,
                  p: float = 2.0,
-                 candidates: Sequence[AlgebraElement] | None = None,
-                 nr_grid: int = 256,
-                 final_nr_grid: int = 1024) -> SuperOperatorNormResult:
+                 candidates: Sequence[AlgebraElement] | None = None) -> SuperOperatorNormResult:
     """sup of target_norm(L(T)) over contractions T in the source algebra.
 
     The unit ball is the closed convex hull of the blockwise unitaries and the
@@ -819,8 +808,7 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     maximizer; it never decreases when the budget grows.
     """
     budget = budget or SearchBudget()
-    tn = _TargetNorm(target_norm, target_algebra or op.target_algebra, p=p,
-                     nr_grid=nr_grid)
+    tn = _TargetNorm(target_norm, op.target_algebra, p=p)
     if op.is_zero:
         return SuperOperatorNormResult(0.0, op.source.identity(), "exact")
     if candidates is None:
@@ -836,10 +824,10 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     refine_from = [candidates[int(i)] for i in order[:3]]
     for t in refine_from:
         cur_t = t
-        cur_val, cert = tn.value_and_certificate(op.apply(cur_t), refine=False)
+        cur_val, cert = tn.value_and_certificate(op.apply(cur_t))
         for _ in range(budget.iters):
             nxt = _maximize_unitary_step(op, cert)
-            nxt_val, nxt_cert = tn.value_and_certificate(op.apply(nxt), refine=False)
+            nxt_val, nxt_cert = tn.value_and_certificate(op.apply(nxt))
             if nxt_val <= cur_val + 1e-13 * (1.0 + cur_val):
                 break
             cur_t, cur_val, cert = nxt, nxt_val, nxt_cert
@@ -847,7 +835,7 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
             best_val, best_t = cur_val, cur_t
 
     if target_norm == "nr":
-        final = numerical_radius(op.apply(best_t), grid=max(final_nr_grid, nr_grid))
+        final = numerical_radius(op.apply(best_t), grid=1024)
         best_val = max(best_val, final)
     d_trivial = op.source.coord_dim == 1
     status = "exact" if d_trivial else "heuristic"
@@ -949,15 +937,14 @@ class OperatorValuedMap:
 def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarray,
                              target_norm: str = "nr",
                              budget: SearchBudget | None = None,
-                             certificate: PositivityCertificate | None = None,
-                             escalation: int = 8) -> InequalityReport:
+                             certificate: PositivityCertificate | None = None) -> InequalityReport:
     """Cauchy-Schwarz in the operator norm of B(source, target norm).
 
     All three norms are evaluated on one shared candidate pool (identical
     budgets and seeds) so that one side is never under-estimated relative to
     the other; the identity is always a candidate, which pins the right-hand
     side from below by the provable bound at T = I.  A violation at heuristic
-    status triggers one automatic budget escalation before being reported.
+    status triggers one automatic 8x budget escalation before being reported.
     """
     budget = budget or SearchBudget()
     cert = certificate if certificate is not None else phi.check_positivity(seed=budget.seed)
@@ -982,7 +969,7 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
         return rep, heuristic
 
     rep, heuristic = run(budget)
-    if rep.status == "violated" and heuristic and escalation > 1:
-        rep, _ = run(budget.escalate(escalation))
+    if rep.status == "violated" and heuristic:
+        rep, _ = run(budget.escalate())
         rep.witness["escalated"] = True
     return rep

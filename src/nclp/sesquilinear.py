@@ -85,6 +85,11 @@ class SesquilinearMap:
 
     # -- basic structure --------------------------------------------------------
 
+    def gram_scale(self) -> float:
+        """1 + the largest 2-norm of a gram entry, the scale residuals are
+        measured against."""
+        return 1.0 + max(schatten_norm(g, 2.0) for row in self.gram for g in row)
+
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         scale = 1.0 + max(g.max_abs_entry for row in self.gram for g in row)
         for i in range(self.domain_dim):
@@ -212,7 +217,7 @@ def check_left_invariance(phi: SesquilinearMap) -> float:
     if alg is None:
         raise PreconditionError("left-invariance needs a StarAlgebra domain")
     d = phi.domain_dim
-    scale = 1.0 + max(schatten_norm(g, 2.0) for row in phi.gram for g in row)
+    scale = phi.gram_scale()
     resid = 0.0
     for a in range(d):
         ea = alg.basis_vector(a)

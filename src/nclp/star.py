@@ -165,23 +165,7 @@ def matrix_algebra(k: int) -> StarAlgebra:
     """Full matrix algebra M_k in the matrix-unit basis e_{ab}, row-major order."""
     if k < 1:
         raise StructureError("matrix algebra needs k >= 1")
-    d = k * k
-
-    def idx(a: int, b: int) -> int:
-        return a * k + b
-
-    mult = np.zeros((d, d, d), dtype=complex)
-    invol = np.zeros((d, d), dtype=complex)
-    unit = np.zeros(d, dtype=complex)
-    for a in range(k):
-        unit[idx(a, a)] = 1.0
-        for b in range(k):
-            invol[idx(b, a), idx(a, b)] = 1.0
-            for c in range(k):
-                for e in range(k):
-                    if b == c:
-                        mult[idx(a, b), idx(c, e), idx(a, e)] = 1.0
-    return StarAlgebra(mult=mult, invol=invol, unit=unit)
+    return matrix_units_algebra((k,))[0]
 
 
 def cyclic_group_algebra(n: int) -> StarAlgebra:
@@ -240,8 +224,6 @@ def matrix_units_algebra(block_sizes: tuple[int, ...]) -> tuple[StarAlgebra, lis
             unit[o + a * n + a] = 1.0
             for b in range(n):
                 invol[o + b * n + a, o + a * n + b] = 1.0
-                for c in range(n):
-                    for e in range(n):
-                        if b == c:
-                            mult[o + a * n + b, o + c * n + e, o + a * n + e] = 1.0
+                for e in range(n):                   # e_ab e_be = e_ae
+                    mult[o + a * n + b, o + b * n + e, o + a * n + e] = 1.0
     return StarAlgebra(mult=mult, invol=invol, unit=unit), basis

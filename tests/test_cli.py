@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nclp.algebra import TracedAlgebra
-from nclp.cli import emit_report, execute, main, parse_config
+from nclp.cli import RunConfig, emit_report, execute, main, parse_config
 from nclp.errors import DomainError
 from nclp.matrixio import save_elements, save_json
 
@@ -132,6 +132,37 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("command, doc, key", [
+        ("gns", {"domain": {"kind": "matrix_algebra", "size": 2}}, "'target'"),
+        ("gns", {"target": {"blocks": [1]}}, "'domain'"),
+        ("gns", {"domain": {"format": "nclp-star/1", "dim": 1}, "target": {"blocks": [1]},
+                 "omega": []}, "'mult'"),
+        ("kernel-demo", {"algebra": {"blocks": [2]}}, "'W'"),
+        ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
+                         "kernel": {"name": "grid"}}, "'x_grid'"),
+    ], ids=["gns-target", "gns-domain", "gns-star-mult", "kernel-W", "kernel-grid"])
+    def test_missing_input_key_exits_2(self, tmp_path, capsys, command, doc, key):
+        path = str(tmp_path / "in.json")
+        save_json(path, doc)
+        assert main([command, "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and key in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["check-uncertainty", "--format", "csv"],
+                                      ["check-all", "--dims", "3"]])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+    def test_unset_flags_keep_config_defaults(self):
+        cfg = parse_config(["check-uncertainty", "--seed", "4"])
+        assert cfg == RunConfig(command="check-uncertainty", seed=4)
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nclp import radius, suites
-from nclp.algebra import TracedAlgebra
+from nclp.algebra import TracedAlgebra, schatten_norm
 from nclp.errors import DomainError, PreconditionError
 from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
                          SuperOperatorNormResult, _TargetNorm, _triple2_pool,
@@ -111,12 +111,13 @@ class TestTripleNorm:
         assert res.status == "heuristic"
 
     def test_maximizer_feasible_and_consistent(self, weighted, rng):
-        from nclp.radius import _is_feasible, _triple_objective
+        from nclp.radius import _is_feasible
         for _ in range(10):
             f = random_element_of(weighted, rng)
             res = triple_norm(f, SearchBudget(starts=4, iters=15, seed=1))
-            assert _is_feasible(res.maximizer)
-            assert res.value == pytest.approx(_triple_objective(f, res.maximizer),
+            w = res.maximizer
+            assert _is_feasible(w)
+            assert res.value == pytest.approx(schatten_norm(w @ f @ w, 1.0),
                                               rel=1e-10, abs=1e-12)
             assert res.rank1_bound <= res.value + 1e-12
             assert res.value <= res.upper_bound + 1e-9
@@ -147,16 +148,15 @@ class TestTripleNorm:
         f = f @ f.adjoint()
         res = triple_norm(f)
         assert res.status == "exact"
-        from nclp.radius import _triple_objective
-        assert res.value == pytest.approx(_triple_objective(f, res.maximizer),
-                                          rel=1e-10)
+        w = res.maximizer
+        assert res.value == pytest.approx(schatten_norm(w @ f @ w, 1.0), rel=1e-10)
         sampler = rng_from(17)
-        from nclp.radius import _project_feasible
+        from nclp.radius import _project_stack
         from nclp.sampling import random_hermitian
         for _ in range(500):
-            w = _project_feasible(random_hermitian(alg, sampler)
-                                  + 0.4 * alg.identity())
-            assert _triple_objective(f, w) <= res.value + 1e-9
+            h = random_hermitian(alg, sampler) + 0.4 * alg.identity()
+            w = alg.element([b[0] for b in _project_stack(alg, [b[None] for b in h.blocks])])
+            assert schatten_norm(w @ f @ w, 1.0) <= res.value + 1e-9
 
     def test_budget_monotone(self, tr2, rng):
         f = random_element_of(tr2, rng)
@@ -376,6 +376,18 @@ def _mixed_pool(alg, seed, size=24):
 POOL_ALGEBRAS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [1.0, 0.5])]
 
 
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts calls of np.linalg.svd, eigh and eigvalsh in ``["n"]``."""
+    calls = {"n": 0}
+    for name in ("svd", "eigh", "eigvalsh"):
+        def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+            calls["n"] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
 class TestStackedPool:
     """The stacked triple2 kernel gives each item its one-element result exactly."""
 
@@ -397,22 +409,28 @@ class TestStackedPool:
             for got, want in zip(res.maximizer.blocks, pool.maximizer):
                 assert np.array_equal(got, want[0])
 
-    def test_linalg_calls_do_not_grow_with_pool(self, monkeypatch):
+    def test_linalg_calls_do_not_grow_with_pool(self, linalg_calls):
         # a per-candidate loop would make the count grow with the number of starts
-        calls = {"n": 0}
-        for name in ("svd", "eigh", "eigvalsh"):
-            def counted(*args, _f=getattr(np.linalg, name), **kwargs):
-                calls["n"] += 1
-                return _f(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
         phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 2, 2, seed=5)
         op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
         counts = []
         for starts in (16, 64):
-            calls["n"] = 0
+            linalg_calls["n"] = 0
             superop_norm(op, "triple2", SearchBudget(starts=starts, iters=0))
-            counts.append(calls["n"])
+            counts.append(linalg_calls["n"])
         assert counts[0] == counts[1], counts
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_linalg_calls_of_ascent_do_not_grow_with_starts(self, linalg_calls, n):
+        # all starts ascend as one stack; a per-start loop makes about 10x the calls
+        f = random_element(TracedAlgebra([n]), rng_from(7))
+        counts = []
+        for starts in (4, 64):
+            linalg_calls["n"] = 0
+            res = triple_norm(f, SearchBudget(starts=starts, iters=25))
+            assert res.status == "heuristic"
+            counts.append(linalg_calls["n"])
+        assert counts[1] < 3 * counts[0], counts
 
 
 _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

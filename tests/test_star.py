@@ -14,6 +14,18 @@ class TestBuiltins:
         assert max(alg.axiom_residuals().values()) <= 1e-12
         assert alg.is_commutative() == (k == 1)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matrix_algebra_is_one_block_of_matrix_units(self, k):
+        alg, basis = matrix_units_algebra((k,))
+        assert matrix_algebra(k) == alg
+        # structure constants read off the basis matrices e_ab (orthonormal)
+        flat = np.array(basis).reshape(k * k, -1)
+        prods = np.einsum("iab,jbc->ijac", np.array(basis), np.array(basis))
+        assert np.array_equal(alg.mult, prods.reshape(k * k, k * k, -1) @ flat.T)
+        adjoints = np.array([e.conj().T for e in basis]).reshape(k * k, -1)
+        assert np.array_equal(alg.invol, flat @ adjoints.T)
+        assert np.array_equal(alg.unit, flat @ np.eye(k).ravel())
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_cyclic_axioms(self, n):
         alg = cyclic_group_algebra(n)
