@@ -363,6 +363,19 @@ def schatten_norm(x: AlgebraElement, p: PExponent | float | str) -> float:
     return float(acc ** (1.0 / pe.value))
 
 
+def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
+                      p: float) -> np.ndarray:
+    """``schatten_norm(., p)`` of each item of a stack given as per-block
+    (B, n_k, n_k) arrays, with the operations of ``schatten_norm`` in the same
+    order (one SVD call per block, the final root taken per item)."""
+    terms = [wt * (np.linalg.svd(b, compute_uv=False) ** p).sum(axis=-1)
+             for wt, b in zip(alg.weights, blocks)]
+    acc = terms[0]
+    for t in terms[1:]:
+        acc = acc + t
+    return np.array([a ** (1.0 / p) for a in acc.tolist()])
+
+
 # -- spectral toolkit ----------------------------------------------------------
 
 def polar_decomposition(x: AlgebraElement) -> tuple[AlgebraElement, AlgebraElement]:

@@ -232,13 +232,13 @@ def _cmd_opvalued(cfg: RunConfig) -> list:
 
 def _cmd_gns(cfg: RunConfig) -> list:
     doc = load_json(cfg.input_path)
-    dom_doc = _field(doc, "domain")
-    if isinstance(dom_doc, dict) and "kind" in dom_doc:
-        domain = star_builtin(dom_doc["kind"], int(_field(dom_doc, "size")))
+    dom_doc = _field(doc, "domain", dict)
+    if "kind" in dom_doc:
+        domain = star_builtin(_field(dom_doc, "kind", str), _field(dom_doc, "size", int))
     else:
         domain = star_from_json(dom_doc)
-    target = algebra_from_json(_field(doc, "target"))
-    omega = [element_from_json(target, blocks) for blocks in _field(doc, "omega")]
+    target = algebra_from_json(_field(doc, "target", dict))
+    omega = [element_from_json(target, blocks) for blocks in _field(doc, "omega", list)]
     if len(omega) != domain.dim:
         raise StructureError("omega must list one value per domain basis vector")
     rep = gns_construct(omega, domain, target, p=cfg.p or 2.0, seed=cfg.seed)
@@ -255,11 +255,11 @@ def _cmd_gns(cfg: RunConfig) -> list:
 def _cmd_kernel_demo(cfg: RunConfig) -> list:
     if cfg.input_path:
         doc = load_json(cfg.input_path)
-        alg = algebra_from_json(_field(doc, "algebra"))
+        alg = algebra_from_json(_field(doc, "algebra", dict))
         w = element_from_json(alg, _field(doc, "W"))
         t = element_from_json(alg, doc["T"]) if "T" in doc else None
-        kdoc = _field(doc, "kernel")
-        kern = kernel_by_name(_field(kdoc, "name"),
+        kdoc = _field(doc, "kernel", dict)
+        kern = kernel_by_name(_field(kdoc, "name", str),
                               **{k: v for k, v in kdoc.items() if k != "name"})
         km = KernelMap(w, kern, t)
     else:

@@ -23,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, TracedAlgebra, as_exponent, schatten_norm
+from .algebra import (AlgebraElement, TracedAlgebra, _stacked_schatten, as_exponent,
+                      schatten_norm)
 from .errors import ConditioningError, InconsistencyError, PreconditionError
 from .sampling import rng_from
 from .sesquilinear import (SesquilinearMap, check_left_invariance, check_positivity,
@@ -210,13 +211,11 @@ def _residuals(rep: GnsRepresentation) -> dict:
     d = domain.dim
     scale = phi.gram_scale()
 
-    recon = 0.0
     vecs = [rep.class_coords(rep.pi[i] @ rep.cyclic) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = phi.gram[i][j]
-            rhs = evaluate(phi, vecs[i], vecs[j])
-            recon = max(recon, schatten_norm(lhs - rhs, 2.0) / scale)
+    rebuilt = [evaluate(phi, vecs[i], vecs[j]) for i in range(d) for j in range(d)]
+    diffs = [g - np.array([r.blocks[k] for r in rebuilt])
+             for k, g in enumerate(phi.flat_gram())]
+    recon = float(np.max(_stacked_schatten(phi.target, diffs, 2.0))) / scale
 
     mult = 0.0
     adjoint = 0.0

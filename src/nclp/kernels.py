@@ -26,8 +26,7 @@ from .algebra import (AlgebraElement, eigh_blocks, hermitian_part_of,
                       operator_norm, schatten_norm, trace)
 from .errors import DomainError, StructureError
 from .matrixio import _field
-from .radius import (OperatorValuedMap, SearchBudget, SuperOperator, numerical_radius,
-                     triple_norm)
+from .radius import OperatorValuedMap, SearchBudget, numerical_radius, triple_norm
 from .sampling import random_element, random_psd, substreams
 from .sesquilinear import SesquilinearMap, check_left_invariance, check_positivity
 from .star import matrix_units_algebra
@@ -153,9 +152,9 @@ def kernel_by_name(name: str, **params) -> Kernel:
     if name == "exp_abs_diff":
         return ExpAbsDiffKernel()
     if name == "grid":
-        return GridKernel(x_grid=tuple(_field(params, "x_grid")),
-                          t_grid=tuple(_field(params, "t_grid")),
-                          values=tuple(tuple(r) for r in _field(params, "values")))
+        return GridKernel(x_grid=tuple(_field(params, "x_grid", list)),
+                          t_grid=tuple(_field(params, "t_grid", list)),
+                          values=tuple(tuple(r) for r in _field(params, "values", list)))
     raise DomainError(f"unknown kernel {name!r}")
 
 
@@ -249,25 +248,20 @@ class KernelMap:
         """The algebra-valued map over the matrix-unit *-algebra of the blocks."""
         dom, basis = matrix_units_algebra(self.algebra.block_sizes)
         els = [self.algebra.from_dense(b) for b in basis]
-        gram = [[self.phi_element(els[i], els[j]) for j in range(dom.dim)]
-                for i in range(dom.dim)]
+        vals = [[self.phi_element(x, y) for y in els] for x in els]
+        gram = [np.array([[v.blocks[k] for v in row] for row in vals])
+                for k in range(self.algebra.n_blocks)]
         return SesquilinearMap(self.algebra, gram, domain_algebra=dom)
 
     def as_operator_valued(self) -> OperatorValuedMap:
         """The operator-valued family S -> Phi(X, Y)(S), gram over matrix units."""
-        dom, basis = matrix_units_algebra(self.algebra.block_sizes)
-        els = [self.algebra.from_dense(b) for b in basis]
-        n = self.algebra.total_dim
-        gram = []
-        for i in range(dom.dim):
-            row = []
-            for j in range(dom.dim):
-                def apply_fn(s: AlgebraElement, i=i, j=j) -> np.ndarray:
-                    return self.phi_operator(els[i], els[j], s).dense()
-                row.append(SuperOperator.from_apply(self.algebra, n, apply_fn,
-                                                    target_algebra=self.algebra))
-            gram.append(row)
-        return OperatorValuedMap(gram)
+        alg = self.algebra
+        _, basis = matrix_units_algebra(alg.block_sizes)
+        els = [alg.from_dense(b) for b in basis]
+        units = [alg.from_coords(e) for e in np.eye(alg.coord_dim)]
+        gram = [[np.stack([self.phi_operator(x, y, s).dense().reshape(-1) for s in units],
+                          axis=1) for y in els] for x in els]
+        return OperatorValuedMap(alg, alg.total_dim, gram, target_algebra=alg)
 
     def sup_kernel_norm(self) -> float:
         """||k||_inf on [0, ||W||]^2, never under-estimated.

@@ -19,13 +19,11 @@ from .star import StarAlgebra
 
 __all__ = ["fmt_float", "save_elements", "load_elements", "element_to_json",
            "element_from_json", "algebra_to_json", "algebra_from_json",
-           "save_gram", "load_gram", "superop_to_json", "superop_from_json",
-           "star_to_json", "star_from_json", "save_json", "load_json",
+           "save_gram", "load_gram", "star_to_json", "star_from_json", "save_json", "load_json",
            "gns_to_json", "dump_deterministic"]
 
 FORMAT_ELEMENTS = "nclp-matrix/1"
 FORMAT_GRAM = "nclp-gram/1"
-FORMAT_SUPEROP = "nclp-superop/1"
 FORMAT_STAR = "nclp-star/1"
 
 
@@ -35,7 +33,10 @@ def fmt_float(x: float) -> str:
 
 
 def _real_matrix(rows: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        raise StructureError("matrix entries must be nested lists of numbers") from None
 
 
 def algebra_to_json(alg: TracedAlgebra) -> dict:
@@ -43,26 +44,38 @@ def algebra_to_json(alg: TracedAlgebra) -> dict:
 
 
 def algebra_from_json(doc: dict) -> TracedAlgebra:
-    return TracedAlgebra(_field(doc, "blocks"), doc.get("weights"))
+    blocks = _field(doc, "blocks", list)
+    weights = None if doc.get("weights") is None else _field(doc, "weights", list)
+    return TracedAlgebra(blocks, weights)
+
+
+def _complex_to_json(m: np.ndarray) -> dict:
+    return {"re": m.real.tolist(), "im": m.imag.tolist()}
 
 
 def element_to_json(el: AlgebraElement) -> list[dict]:
-    return [{"re": b.real.tolist(), "im": b.imag.tolist()} for b in el.blocks]
+    return [_complex_to_json(b) for b in el.blocks]
 
 
-def _field(doc: Any, key: str) -> Any:
-    """``doc[key]``, or StructureError when doc is not an object holding key."""
+def _field(doc: Any, key: str, kind: type = object) -> Any:
+    """``doc[key]``, or StructureError when doc is not an object holding key or
+    the value is not a ``kind`` (JSON true/false is not an int)."""
     if not isinstance(doc, dict) or key not in doc:
         raise StructureError(f"document has no {key!r} field")
-    return doc[key]
+    val = doc[key]
+    if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
+        raise StructureError(f"field {key!r} must be {kind.__name__}, got {type(val).__name__}")
+    return val
 
 
 def _complex_array(doc: Any) -> np.ndarray:
     """The complex array stored as ``{"re": ..., "im": ...}``."""
-    return _real_matrix(_field(doc, "re")) + 1j * _real_matrix(_field(doc, "im"))
+    return _real_matrix(_field(doc, "re", list)) + 1j * _real_matrix(_field(doc, "im", list))
 
 
 def element_from_json(alg: TracedAlgebra, blocks: Sequence[dict]) -> AlgebraElement:
+    if not isinstance(blocks, list):
+        raise StructureError(f"element blocks must be a list, got {type(blocks).__name__}")
     mats = [_complex_array(b) for b in blocks]
     if not all(np.isfinite(m).all() for m in mats):
         raise DomainError("element entries must be finite")
@@ -82,60 +95,49 @@ def load_elements(path: str) -> tuple[TracedAlgebra, dict[str, AlgebraElement]]:
     doc = load_json(path)
     if _field(doc, "format") != FORMAT_ELEMENTS:
         raise StructureError(f"not an element file: format={doc['format']!r}")
-    alg = algebra_from_json(_field(doc, "algebra"))
+    alg = algebra_from_json(_field(doc, "algebra", dict))
     out = {}
-    for entry in _field(doc, "elements"):
-        out[_field(entry, "name")] = element_from_json(alg, _field(entry, "blocks"))
+    for entry in _field(doc, "elements", list):
+        out[_field(entry, "name", str)] = element_from_json(alg, _field(entry, "blocks"))
     return alg, out
 
 
 def save_gram(path: str, phi: SesquilinearMap) -> None:
-    entries = []
-    for i in range(phi.domain_dim):
-        for j in range(phi.domain_dim):
-            entries.append({"i": i, "j": j, "blocks": element_to_json(phi.gram[i][j])})
+    d = phi.domain_dim
+    entries = [{"i": i, "j": j, "blocks": [_complex_to_json(g[i, j]) for g in phi.gram]}
+               for i in range(d) for j in range(d)]
     doc = {"format": FORMAT_GRAM,
            "algebra": algebra_to_json(phi.target),
-           "gram": {"domain_dim": phi.domain_dim, "entries": entries}}
+           "gram": {"domain_dim": d, "entries": entries}}
     save_json(path, doc)
 
 
 def load_gram(path: str) -> SesquilinearMap:
     doc = load_json(path)
-    if doc.get("format") != FORMAT_GRAM:
-        raise StructureError(f"not a gram file: format={doc.get('format')!r}")
-    alg = algebra_from_json(doc["algebra"])
-    d = int(doc["gram"]["domain_dim"])
-    gram: list[list[AlgebraElement | None]] = [[None] * d for _ in range(d)]
-    for entry in doc["gram"]["entries"]:
-        gram[int(entry["i"])][int(entry["j"])] = element_from_json(alg, entry["blocks"])
-    if any(g is None for row in gram for g in row):
+    if _field(doc, "format") != FORMAT_GRAM:
+        raise StructureError(f"not a gram file: format={doc['format']!r}")
+    alg = algebra_from_json(_field(doc, "algebra", dict))
+    gram_doc = _field(doc, "gram", dict)
+    d = _field(gram_doc, "domain_dim", int)
+    if d < 1:
+        raise StructureError(f"gram domain_dim must be >= 1, got {d}")
+    stacks = [np.zeros((d, d, n, n), dtype=complex) for n in alg.block_sizes]
+    seen = np.zeros((d, d), dtype=bool)
+    for entry in _field(gram_doc, "entries", list):
+        i, j = _field(entry, "i", int), _field(entry, "j", int)
+        if not (0 <= i < d and 0 <= j < d):
+            raise StructureError(f"gram entry ({i}, {j}) is outside domain_dim {d}")
+        for g, b in zip(stacks, element_from_json(alg, _field(entry, "blocks")).blocks):
+            g[i, j] = b
+        seen[i, j] = True
+    if not seen.all():
         raise StructureError("gram file is missing entries")
-    return SesquilinearMap(alg, gram)  # type: ignore[arg-type]
-
-
-def superop_to_json(source: TracedAlgebra, target_dim: int, matrix: np.ndarray) -> dict:
-    return {"format": FORMAT_SUPEROP,
-            "source": algebra_to_json(source),
-            "target_dim": int(target_dim),
-            "basis": "source coordinates block-major, row-major inside blocks",
-            "matrix": {"re": matrix.real.tolist(), "im": matrix.imag.tolist()}}
-
-
-def superop_from_json(doc: dict):
-    from .radius import SuperOperator
-    if _field(doc, "format") != FORMAT_SUPEROP:
-        raise StructureError(f"not a superoperator document: {doc['format']!r}")
-    source = algebra_from_json(_field(doc, "source"))
-    return SuperOperator(source, int(_field(doc, "target_dim")),
-                         _complex_array(_field(doc, "matrix")))
+    return SesquilinearMap(alg, stacks)
 
 
 def star_to_json(alg: StarAlgebra) -> dict:
-    return {"format": FORMAT_STAR, "dim": alg.dim,
-            "mult": {"re": alg.mult.real.tolist(), "im": alg.mult.imag.tolist()},
-            "invol": {"re": alg.invol.real.tolist(), "im": alg.invol.imag.tolist()},
-            "unit": {"re": alg.unit.real.tolist(), "im": alg.unit.imag.tolist()}}
+    return {"format": FORMAT_STAR, "dim": alg.dim, "mult": _complex_to_json(alg.mult),
+            "invol": _complex_to_json(alg.invol), "unit": _complex_to_json(alg.unit)}
 
 
 def star_from_json(doc: dict) -> StarAlgebra:
@@ -149,12 +151,10 @@ def gns_to_json(rep) -> dict:
     return {
         "quotient_dim": rep.quotient_dim,
         "null_dim": rep.null_basis.shape[1],
-        "null_basis": {"re": rep.null_basis.real.tolist(),
-                       "im": rep.null_basis.imag.tolist()},
-        "frame": {"re": rep.quotient_frame.real.tolist(),
-                  "im": rep.quotient_frame.imag.tolist()},
-        "pi": [{"re": m.real.tolist(), "im": m.imag.tolist()} for m in rep.pi],
-        "cyclic": {"re": rep.cyclic.real.tolist(), "im": rep.cyclic.imag.tolist()},
+        "null_basis": _complex_to_json(rep.null_basis),
+        "frame": _complex_to_json(rep.quotient_frame),
+        "pi": [_complex_to_json(m) for m in rep.pi],
+        "cyclic": _complex_to_json(rep.cyclic),
         "residuals": {k: (v if isinstance(v, int) else float(v))
                       for k, v in rep.residuals.items()},
     }

@@ -31,13 +31,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, TracedAlgebra, _golden_max, hermitian_part_of,
-                      psd_tol, schatten_norm, structure_tol)
+from .algebra import (AlgebraElement, TracedAlgebra, _golden_max, _stacked_schatten,
+                      hermitian_part_of, psd_tol, schatten_norm, structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
 from .inequalities import InequalityReport, _report
 from .sampling import (random_block_unitary, random_element, random_hermitian,
                        random_psd, rng_from, substreams)
-from .sesquilinear import PositivityCertificate
+from .sesquilinear import PositivityCertificate, _combine
 
 __all__ = ["numerical_radius", "SearchBudget", "TripleNormResult", "triple_norm",
            "triple_norm_axioms", "SuperOperator", "superop_norm",
@@ -153,19 +153,6 @@ class TripleNormResult:
     @property
     def is_exact(self) -> bool:
         return self.status == "exact"
-
-
-def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
-                      p: float) -> np.ndarray:
-    """``schatten_norm(., p)`` of each item of a stack given as per-block
-    (B, n_k, n_k) arrays, with the operations of ``schatten_norm`` in the same
-    order (one SVD call per block, the final root taken per item)."""
-    terms = [wt * (np.linalg.svd(b, compute_uv=False) ** p).sum(axis=-1)
-             for wt, b in zip(alg.weights, blocks)]
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return np.array([a ** (1.0 / p) for a in acc.tolist()])
 
 
 def _spectral(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -700,13 +687,11 @@ class _TargetNorm:
 
     NR_GRID = 256
 
-    def __init__(self, kind: str, target_algebra: TracedAlgebra | None = None,
-                 p: float = 2.0):
-        if kind not in ("nr", "triple2", "schatten"):
+    def __init__(self, kind: str, target_algebra: TracedAlgebra | None = None):
+        if kind not in ("nr", "triple2"):
             raise DomainError(f"unknown target norm {kind!r}")
         self.kind = kind
         self.target_algebra = target_algebra
-        self.p = p
 
     def value(self, m: np.ndarray) -> float:
         return self.value_and_certificate(m)[0]
@@ -714,10 +699,8 @@ class _TargetNorm:
     def batch_values(self, mats: np.ndarray) -> np.ndarray:
         if self.kind == "nr":
             return np.max(_nr_grid_values(mats, self.NR_GRID), axis=1)
-        if self.kind == "triple2":
-            alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
-            return _triple2_pool(alg, _target_blocks(mats, alg)).values
-        return np.array([self.value(m) for m in mats])
+        alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
+        return _triple2_pool(alg, _target_blocks(mats, alg)).values
 
     def value_and_certificate(self, m: np.ndarray) -> tuple[float, np.ndarray]:
         if self.kind == "nr":
@@ -726,23 +709,6 @@ class _TargetNorm:
             return val, np.exp(1j * theta) * np.outer(vec, np.conj(vec))
         alg = self.target_algebra or TracedAlgebra([m.shape[0]])
         el = _to_target_element(m, alg)
-        if self.kind == "schatten":
-            val = schatten_norm(el, self.p)
-            if val == 0.0:
-                return 0.0, np.zeros_like(m)
-            if math.isinf(self.p):
-                # top singular pair: Re tr(v1 u1* M) = sigma_max <= ||M'||_inf
-                u, _, vh = np.linalg.svd(m)
-                return val, np.outer(vh[0].conj(), u[:, 0].conj())
-            if self.p == 1.0:
-                from .algebra import polar_decomposition
-                z, _ = polar_decomposition(el)
-                blocks = [wt * bk.conj().T for wt, bk in zip(alg.weights, z.blocks)]
-                return val, AlgebraElement(alg, blocks).dense()
-            from .algebra import dual_norm_achiever
-            b, _ = dual_norm_achiever(el, self.p)
-            blocks = [wt * bk for wt, bk in zip(alg.weights, b.blocks)]
-            return val, AlgebraElement(alg, blocks).dense()
         pool = _triple2_pool(alg, [b[None] for b in el.blocks])
         w = AlgebraElement(alg, [b[0] for b in pool.maximizer])
         mid = w @ el @ w
@@ -796,7 +762,6 @@ def _maximize_unitary_step(op: SuperOperator, c: np.ndarray) -> AlgebraElement:
 
 def superop_norm(op: SuperOperator, target_norm: str = "nr",
                  budget: SearchBudget | None = None,
-                 p: float = 2.0,
                  candidates: Sequence[AlgebraElement] | None = None) -> SuperOperatorNormResult:
     """sup of target_norm(L(T)) over contractions T in the source algebra.
 
@@ -808,7 +773,7 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     maximizer; it never decreases when the budget grows.
     """
     budget = budget or SearchBudget()
-    tn = _TargetNorm(target_norm, op.target_algebra, p=p)
+    tn = _TargetNorm(target_norm, op.target_algebra)
     if op.is_zero:
         return SuperOperatorNormResult(0.0, op.source.identity(), "exact")
     if candidates is None:
@@ -847,43 +812,49 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
 class OperatorValuedMap:
     """Sesquilinear map with values in B(source algebra, n x n matrices).
 
-    ``gram[i][j]`` holds the superoperator Phi(e_i, e_j).  Only
-    ``from_generator`` builds a map with a generator, the factors
+    ``gram`` is one read-only (d, d, n^2, coord_dim) array: ``gram[i, j]`` is
+    the ``SuperOperator`` matrix of Phi(e_i, e_j).  Only ``from_generator``
+    builds a map with a generator, the factors
     ``Phi(x,y)(S) = sum_r A_r(x) S A_r(y)*`` with ``A_r(x) = sum_i x_i A[r][i]``
     its gram is built from; they certify positivity (PSD S gives PSD values).
     """
 
-    def __init__(self, gram: Sequence[Sequence[SuperOperator]]):
-        d = len(gram)
-        if d == 0 or any(len(row) != d for row in gram):
-            raise StructureError("gram must be a non-empty square array of superoperators")
-        self.gram = tuple(tuple(row) for row in gram)
+    def __init__(self, source: TracedAlgebra, target_dim: int, gram: np.ndarray,
+                 target_algebra: TracedAlgebra | None = None):
+        n = int(target_dim)
+        arr = np.array(gram, dtype=complex)
+        d = arr.shape[0] if arr.ndim == 4 else 0
+        if d == 0 or arr.shape != (d, d, n * n, source.coord_dim):
+            raise StructureError(f"gram must be a non-empty (d, d, {n * n}, "
+                                 f"{source.coord_dim}) array, got {arr.shape}")
+        if target_algebra is not None and target_algebra.total_dim != n:
+            raise StructureError("target algebra dimension must equal target_dim")
+        arr.setflags(write=False)
+        self.gram = arr
         self.domain_dim = d
-        self.source = gram[0][0].source
-        self.target_dim = gram[0][0].target_dim
-        for row in self.gram:
-            for g in row:
-                if g.source != self.source or g.target_dim != self.target_dim:
-                    raise StructureError("gram entries have inconsistent spaces")
+        self.source = source
+        self.target_dim = n
+        self.target_algebra = target_algebra
         self.generator = None
 
     @classmethod
     def from_generator(cls, source: TracedAlgebra, factors: Sequence[Sequence[np.ndarray]],
                        target_algebra: TracedAlgebra | None = None) -> "OperatorValuedMap":
-        d = len(factors[0])
-        n = factors[0][0].shape[0]
-        gram = []
-        for i in range(d):
-            row = []
-            for j in range(d):
-                def apply_fn(s: AlgebraElement, i=i, j=j) -> np.ndarray:
-                    dense = s.dense()
-                    return sum(fr[i] @ dense @ fr[j].conj().T for fr in factors)
-                row.append(SuperOperator.from_apply(source, n, apply_fn,
-                                                    target_algebra=target_algebra))
-            gram.append(row)
-        phi = cls(gram)
-        phi.generator = tuple(tuple(np.asarray(a, dtype=complex) for a in row) for row in factors)
+        a = np.array(factors, dtype=complex)                 # (rank, d, n, source dim)
+        if a.ndim != 4 or a.shape[3] != source.total_dim:
+            raise StructureError("generator factors must be (target_dim, source total_dim)")
+        _, d, n, _ = a.shape
+        units = np.stack([source.from_coords(e).dense() for e in np.eye(source.coord_dim)])
+        # (A_i E) A_j* for every factor and source basis element E at once,
+        # summed in factor order
+        terms = (a[:, None] @ units[None, :, None])[:, :, :, None] \
+            @ a.conj().swapaxes(-1, -2)[:, None, None]
+        acc = np.zeros(terms.shape[1:], dtype=complex)
+        for t in terms:
+            acc = acc + t
+        phi = cls(source, n, acc.transpose(1, 2, 3, 4, 0).reshape(d, d, n * n, -1),
+                  target_algebra=target_algebra)
+        phi.generator = tuple(tuple(row) for row in a)
         return phi
 
     def superop(self, x: np.ndarray, y: np.ndarray) -> SuperOperator:
@@ -891,14 +862,12 @@ class OperatorValuedMap:
         y = np.asarray(y, dtype=complex).ravel()
         if x.shape != (self.domain_dim,) or y.shape != (self.domain_dim,):
             raise StructureError(f"vectors must have length {self.domain_dim}")
-        mat = np.zeros_like(self.gram[0][0].matrix)
-        for i in range(self.domain_dim):
-            for j in range(self.domain_dim):
-                c = x[i] * np.conj(y[j])
-                if c != 0:
-                    mat = mat + c * self.gram[i][j].matrix
-        return SuperOperator(self.source, self.target_dim, mat,
-                             target_algebra=self.gram[0][0].target_algebra)
+        # one scalar product per coefficient: a vectorised outer product rounds
+        # differently
+        coeff = np.array([xi * np.conj(yj) for xi in x for yj in y])
+        flat = self.gram.reshape(-1, *self.gram.shape[2:])
+        return SuperOperator(self.source, self.target_dim, _combine(coeff, flat),
+                             target_algebra=self.target_algebra)
 
     def check_positivity(self, trials: int = 64, seed: int = 0) -> PositivityCertificate:
         """Certify positivity by the generator, or sample Phi(x, x)(S) on PSD S.
@@ -922,8 +891,7 @@ class OperatorValuedMap:
             lam = float(np.linalg.eigvalsh(hermitian_part_of(val)).min()) - defect
             if lam < worst:
                 worst, worst_x = lam, x
-        scale = 1.0 + max(float(np.max(np.abs(g.matrix), initial=0.0))
-                          for row in self.gram for g in row)
+        scale = 1.0 + float(np.max(np.abs(self.gram)))
         if worst < -1e-8 * scale:
             return PositivityCertificate(status="violated", samples=trials, witness=worst_x,
                                          witness_min_eig=worst,

@@ -1,14 +1,17 @@
 """Positive sesquilinear maps Phi: X x X -> L^p(rho), linear in the first slot.
 
-A map is stored through its gram tensor ``G[i][j] = Phi(e_i, e_j)`` over a
-coordinate domain C^d (optionally identified with a StarAlgebra).  Only
-``SesquilinearMap.from_generator`` gives a map a factored generator
+A map is stored through its gram tensor ``Phi(e_i, e_j)`` over a coordinate
+domain C^d (optionally identified with a StarAlgebra), kept as one read-only
+``(d, d, n_k, n_k)`` complex stack per target block: ``gram[k][i, j]`` is
+block k of ``Phi(e_i, e_j)``.  Only ``SesquilinearMap.from_generator`` gives a
+map a factored generator
 
     Phi(x, y) = sum_r T_r(x) C_r T_r(y)*,   T_r(x) = sum_i x_i A_{r,i},
 
-with each C_r PSD, and it builds the gram from those factors, so the two
-cannot disagree.  Generator-backed maps are positive by construction; plain
-gram tensors get a sufficient block-PSD test or honest sampling.
+with each C_r PSD, and it builds the stacks from those factors in a few
+batched matmuls, so the two cannot disagree.  Generator-backed maps are
+positive by construction; plain gram stacks get a sufficient block-PSD test or
+honest sampling.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, TracedAlgebra, schatten_norm, trace
+from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, schatten_norm
 from .errors import DomainError, InconsistencyError, PreconditionError, StructureError
 from .sampling import random_complex_matrix, random_unit_vector, rng_from
 from .star import StarAlgebra
@@ -46,27 +49,29 @@ class KrausFactor:
 
 
 class SesquilinearMap:
-    """Gram-tensor representation of a sesquilinear map into a traced algebra.
+    """Gram-stack representation of a sesquilinear map into a traced algebra.
 
-    ``generator`` is None unless the map was built by ``from_generator``,
-    which builds the gram from the factors and attaches them.
+    ``gram[k]`` is the read-only (d, d, n_k, n_k) stack of block k of the
+    entries Phi(e_i, e_j).  ``generator`` is None unless the map was built by
+    ``from_generator``, which builds the stacks from the factors and attaches
+    them.
     """
 
-    def __init__(self, target: TracedAlgebra,
-                 gram: Sequence[Sequence[AlgebraElement]],
+    def __init__(self, target: TracedAlgebra, gram: Sequence[np.ndarray],
                  domain_algebra: StarAlgebra | None = None):
-        d = len(gram)
-        if d == 0 or any(len(row) != d for row in gram):
-            raise StructureError("gram tensor must be square and non-empty")
-        for row in gram:
-            for g in row:
-                if g.algebra != target:
-                    raise StructureError("gram entries must live in the target algebra")
+        stacks = tuple(np.array(g, dtype=complex) for g in gram)
+        d = stacks[0].shape[0] if stacks and stacks[0].ndim == 4 else 0
+        if d == 0 or len(stacks) != target.n_blocks or any(
+                g.shape != (d, d, n, n) for g, n in zip(stacks, target.block_sizes)):
+            raise StructureError("gram must hold one non-empty (d, d, n_k, n_k) stack "
+                                 "per target block")
         if domain_algebra is not None and domain_algebra.dim != d:
             raise StructureError("domain algebra dimension does not match the gram tensor")
+        for g in stacks:
+            g.setflags(write=False)
         self.target = target
         self.domain_dim = d
-        self.gram = tuple(tuple(row) for row in gram)
+        self.gram = stacks
         self.generator = None
         self.domain_algebra = domain_algebra
 
@@ -77,28 +82,42 @@ class SesquilinearMap:
                        domain_algebra: StarAlgebra | None = None) -> "SesquilinearMap":
         if not factors:
             raise StructureError("generator needs at least one factor")
-        d = len(factors[0].coeffs)
-        gram = [[_kraus_entry(factors, i, j) for j in range(d)] for i in range(d)]
+        if any(el.algebra != target for f in factors for el in (*f.coeffs, f.middle)):
+            raise StructureError("generator factors must live in the target algebra")
+        gram = []
+        for k in range(target.n_blocks):
+            a = np.array([[c.blocks[k] for c in f.coeffs] for f in factors])
+            m = np.array([f.middle.blocks[k] for f in factors])
+            # (A_i C) A_j* of every factor at once, summed in factor order
+            terms = (a @ m[:, None])[:, :, None] @ a.conj().swapaxes(-1, -2)[:, None]
+            acc = np.zeros(terms.shape[1:], dtype=complex)
+            for t in terms:
+                acc = acc + t
+            gram.append(acc)
         phi = cls(target, gram, domain_algebra=domain_algebra)
         phi.generator = tuple(factors)
         return phi
 
     # -- basic structure --------------------------------------------------------
 
+    def flat_gram(self) -> list[np.ndarray]:
+        """Per-block (d*d, n_k, n_k) views, entry (i, j) at row-major index i*d + j."""
+        d = self.domain_dim
+        return [g.reshape(d * d, *g.shape[2:]) for g in self.gram]
+
+    @property
+    def max_abs_entry(self) -> float:
+        return max(float(np.max(np.abs(g))) for g in self.gram)
+
     def gram_scale(self) -> float:
         """1 + the largest 2-norm of a gram entry, the scale residuals are
         measured against."""
-        return 1.0 + max(schatten_norm(g, 2.0) for row in self.gram for g in row)
+        return 1.0 + float(np.max(_stacked_schatten(self.target, self.flat_gram(), 2.0)))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        scale = 1.0 + max(g.max_abs_entry for row in self.gram for g in row)
-        for i in range(self.domain_dim):
-            for j in range(self.domain_dim):
-                diff = max(np.max(np.abs(a - b.conj().T), initial=0.0)
-                           for a, b in zip(self.gram[j][i].blocks, self.gram[i][j].blocks))
-                if diff > tol * scale:
-                    return False
-        return True
+        bound = tol * (1.0 + self.max_abs_entry)
+        return all(np.max(np.abs(g - g.conj().transpose(1, 0, 3, 2))) <= bound
+                   for g in self.gram)
 
     def scaled(self, c: float) -> "SesquilinearMap":
         """c * Phi for c > 0 (keeps the generator middles PSD)."""
@@ -109,14 +128,16 @@ class SesquilinearMap:
                 self.target, [KrausFactor(coeffs=f.coeffs, middle=c * f.middle)
                               for f in self.generator],
                 domain_algebra=self.domain_algebra)
-        gram = [[c * g for g in row] for row in self.gram]
-        return SesquilinearMap(self.target, gram, domain_algebra=self.domain_algebra)
+        return SesquilinearMap(self.target, [complex(c) * g for g in self.gram],
+                               domain_algebra=self.domain_algebra)
 
 
-def _kraus_entry(factors: Sequence[KrausFactor], i: int, j: int) -> AlgebraElement:
-    acc = factors[0].middle.algebra.zero()
-    for f in factors:
-        acc = acc + f.coeffs[i] @ f.middle @ f.coeffs[j].adjoint()
+def _combine(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """sum_t coeffs[t] stack[t], accumulated in index order from zero and
+    skipping zero coefficients, so every entry adds in a fixed order."""
+    acc = np.zeros(stack.shape[1:], dtype=complex)
+    for t in np.flatnonzero(coeffs):
+        acc += coeffs[t] * stack[t]
     return acc
 
 
@@ -136,33 +157,20 @@ class PositivityCertificate:
 # -- operations -----------------------------------------------------------------
 
 def evaluate(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray) -> AlgebraElement:
-    """Phi(x, y) = sum_ij x_i conj(y_j) G[i][j]."""
+    """Phi(x, y) = sum_ij x_i conj(y_j) G[i, j]."""
     x = np.asarray(x, dtype=complex).ravel()
     y = np.asarray(y, dtype=complex).ravel()
     if x.shape != (phi.domain_dim,) or y.shape != (phi.domain_dim,):
         raise StructureError(f"vectors must have length {phi.domain_dim}")
-    coeff = np.outer(x, np.conj(y))
-    blocks = [np.zeros((n, n), dtype=complex) for n in phi.target.block_sizes]
-    for i in range(phi.domain_dim):
-        for j in range(phi.domain_dim):
-            c = coeff[i, j]
-            if c != 0:
-                for b, g in zip(blocks, phi.gram[i][j].blocks):
-                    b += c * g
-    return AlgebraElement(phi.target, blocks)
+    coeff = np.outer(x, np.conj(y)).ravel()
+    return AlgebraElement(phi.target, [_combine(coeff, g) for g in phi.flat_gram()])
 
 
 def _block_gram_matrices(phi: SesquilinearMap) -> list[np.ndarray]:
-    """One (d*n_k) x (d*n_k) block matrix [G[i][j]_k] per target block."""
+    """One (d*n_k) x (d*n_k) block matrix [G[i, j]_k] per target block."""
     d = phi.domain_dim
-    out = []
-    for kb, n in enumerate(phi.target.block_sizes):
-        big = np.zeros((d * n, d * n), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                big[i * n:(i + 1) * n, j * n:(j + 1) * n] = phi.gram[i][j].blocks[kb]
-        out.append(big)
-    return out
+    return [g.transpose(0, 2, 1, 3).reshape(d * n, d * n)
+            for g, n in zip(phi.gram, phi.target.block_sizes)]
 
 
 def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMPLES,
@@ -177,16 +185,11 @@ def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMP
         raise DomainError("positivity sampling needs trials >= 1")
     if phi.generator is not None:
         return PositivityCertificate(status="certified", reason="factored generator")
-    scale = 1.0 + max(g.max_abs_entry for row in phi.gram for g in row)
-    if phi.is_hermitian():
-        psd = True
-        for big in _block_gram_matrices(phi):
-            lam = np.linalg.eigvalsh(0.5 * (big + big.conj().T))
-            if lam.size and lam.min() < -1e-10 * scale:
-                psd = False
-                break
-        if psd:
-            return PositivityCertificate(status="certified", reason="block gram matrix is PSD")
+    scale = 1.0 + phi.max_abs_entry
+    if phi.is_hermitian() and all(
+            np.linalg.eigvalsh(0.5 * (big + big.conj().T)).min() >= -1e-10 * scale
+            for big in _block_gram_matrices(phi)):
+        return PositivityCertificate(status="certified", reason="block gram matrix is PSD")
     rng = rng_from(seed)
     worst = np.inf
     worst_x = None
@@ -263,26 +266,16 @@ def from_linear_map(omega: Sequence[AlgebraElement], domain: StarAlgebra,
     for g in omega:
         if g.algebra != target:
             raise StructureError("omega values must live in the target algebra")
-
-    def omega_of(coords: np.ndarray) -> AlgebraElement:
-        acc = target.zero()
-        for c, g in zip(np.asarray(coords, dtype=complex), omega):
-            if c != 0:
-                acc = acc + c * g
-        return acc
-
     d = domain.dim
-    gram = [[omega_of(domain.multiply(domain.involute(domain.basis_vector(j)),
-                                      domain.basis_vector(i)))
-             for j in range(d)] for i in range(d)]
+    basis = [domain.basis_vector(i) for i in range(d)]
+    coords = [[domain.multiply(domain.involute(basis[j]), basis[i]) for j in range(d)]
+              for i in range(d)]
+    values = [np.array([g.blocks[k] for g in omega]) for k in range(target.n_blocks)]
+    gram = [np.array([[_combine(c, v) for c in row] for row in coords]) for v in values]
     return SesquilinearMap(target, gram, domain_algebra=domain)
 
 
 def scalar_gram(phi: SesquilinearMap) -> np.ndarray:
     """Matrix S with x* S x = rho(Phi(x, x)); S[a, b] = rho(Phi(e_b, e_a))."""
-    d = phi.domain_dim
-    s = np.empty((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            s[a, b] = trace(phi.gram[b][a])
-    return s
+    s = sum(w * np.trace(g, axis1=2, axis2=3) for w, g in zip(phi.target.weights, phi.gram))
+    return np.array(s.T, dtype=complex, order="C")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,16 @@ def weighted():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def gram_of(target, entries):
+    """Per-block (d, d, n_k, n_k) gram stacks of a nested grid of elements."""
+    return [np.array([[e.blocks[k] for e in row] for row in entries])
+            for k in range(target.n_blocks)]
+
+
+def strip_wall_time(text: str) -> str:
+    return re.sub(r'"wall_time_s": [0-9eE+.\-]+', '"wall_time_s": 0', text)
 
 
 def random_element_of(alg, rng, scale=1.0):

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -7,6 +5,8 @@ from nclp.algebra import TracedAlgebra
 from nclp.cli import RunConfig, emit_report, execute, main, parse_config
 from nclp.errors import DomainError
 from nclp.matrixio import save_elements, save_json
+
+from conftest import strip_wall_time
 
 
 @pytest.fixture
@@ -23,10 +23,6 @@ ELEMENT_FILE = """{"format": "nclp-matrix/1",
  "elements": [{"name": "shift",
                "blocks": [{"re": [[0, 1], [0, 0]], "im": [[0, 0], [0, 0]]}]}]}
 """
-
-
-def strip_wall_time(text: str) -> str:
-    return re.sub(r'"wall_time_s": [0-9eE+.\-]+', '"wall_time_s": 0', text)
 
 
 class TestParse:
@@ -142,7 +138,13 @@ class TestCommands:
         ("kernel-demo", {"algebra": {"blocks": [2]}}, "'W'"),
         ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
                          "kernel": {"name": "grid"}}, "'x_grid'"),
-    ], ids=["gns-target", "gns-domain", "gns-star-mult", "kernel-W", "kernel-grid"])
+        ("gns", {"domain": {"kind": "matrix_algebra", "size": "two"},
+                 "target": {"blocks": [1]}, "omega": []}, "'size'"),
+        ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
+                         "kernel": {"name": "grid", "x_grid": 3, "t_grid": [0.0, 1.0],
+                                    "values": [[1.0, 1.0], [1.0, 1.0]]}}, "'x_grid'"),
+    ], ids=["gns-target", "gns-domain", "gns-star-mult", "kernel-W", "kernel-grid",
+            "gns-size-type", "kernel-grid-type"])
     def test_missing_input_key_exits_2(self, tmp_path, capsys, command, doc, key):
         path = str(tmp_path / "in.json")
         save_json(path, doc)

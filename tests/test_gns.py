@@ -8,6 +8,8 @@ from nclp.sesquilinear import SesquilinearMap, evaluate, from_linear_map
 from nclp.star import cyclic_group_algebra, matrix_algebra
 from nclp.suites import random_positive_linear_map
 
+from conftest import gram_of
+
 
 @pytest.fixture
 def scal():
@@ -148,6 +150,6 @@ class TestConstruction:
         # gram with a non-invariant twist: Phi(x, y) = x_0 conj(y_0) * I only
         gram = [[tr2.identity() if i == j == 0 else tr2.zero()
                  for j in range(4)] for i in range(4)]
-        phi = SesquilinearMap(tr2, gram, domain_algebra=dom)
+        phi = SesquilinearMap(tr2, gram_of(tr2, gram), domain_algebra=dom)
         with pytest.raises(PreconditionError):
             gns_construct(phi, dom, tr2)

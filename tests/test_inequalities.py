@@ -12,6 +12,8 @@ from nclp.kernels import KernelMap, OnePlusXTKernel
 from nclp.sesquilinear import SesquilinearMap, check_positivity, random_map
 from nclp.star import matrix_algebra
 
+from conftest import gram_of
+
 
 @pytest.fixture
 def phi3(tr2):
@@ -40,12 +42,12 @@ class TestCsLp:
 
     def test_zero_rhs_zero_lhs(self, tr2):
         gram = [[tr2.zero()]]
-        phi = SesquilinearMap(tr2, gram)
+        phi = SesquilinearMap(tr2, gram_of(tr2, gram))
         rep = check_cs_lp(phi, np.array([1.0]), np.array([1.0]), 2.0)
         assert rep.status == "holds" and rep.ratio == 0.0
 
     def test_violated_positivity_rejected(self, tr2):
-        phi = SesquilinearMap(tr2, [[tr2.diagonal([1.0, -1.0])]])
+        phi = SesquilinearMap(tr2, gram_of(tr2, [[tr2.diagonal([1.0, -1.0])]]))
         with pytest.raises(PreconditionError):
             check_cs_lp(phi, np.array([1.0]), np.array([1.0]), 2.0)
 
@@ -91,7 +93,7 @@ class TestCsNormal:
         shift = tr2.element([np.array([[0, 1], [0, 0]])])
         ident = tr2.identity()
         gram = [[ident, shift], [shift.adjoint(), ident]]
-        phi = SesquilinearMap(tr2, gram)
+        phi = SesquilinearMap(tr2, gram_of(tr2, gram))
         with pytest.raises(PreconditionError):
             check_cs_normal(phi, np.array([1.0, 0]), np.array([0, 1.0]), 2.0)
 
@@ -159,7 +161,7 @@ class TestUncertainty:
         f0 = target.diagonal([0.5, 1.5])
         hs = np.eye(4)
         gram = [[complex(hs[i, j]) * f0 for j in range(4)] for i in range(4)]
-        phi = SesquilinearMap(target, gram, domain_algebra=dom)
+        phi = SesquilinearMap(target, gram_of(target, gram), domain_algebra=dom)
         sx = np.array([0, 1, 1, 0], dtype=complex)
         sy = np.array([0, -1j, 1j, 0], dtype=complex)
         r = uncertainty_check(phi, sx, sy, [0.0, 1.0], [0.0])[0]
@@ -182,7 +184,7 @@ class TestUncertainty:
         dom = matrix_algebra(2)
         gram = [[tr2.identity() if i == j == 0 else tr2.zero()
                  for j in range(4)] for i in range(4)]
-        phi = SesquilinearMap(tr2, gram, domain_algebra=dom)
+        phi = SesquilinearMap(tr2, gram_of(tr2, gram), domain_algebra=dom)
         sx = np.array([0, 1, 1, 0], dtype=complex)
         with pytest.raises(PreconditionError):
             uncertainty_check(phi, sx, sx, [0.0], [0.0])
@@ -203,7 +205,7 @@ class TestConstantAboveOneIsNeeded:
                         [0.28385501218623704, 4.847048435906014]])
         gram = [[tr2.element([g00]), tr2.element([g01])],
                 [tr2.element([g01.conj().T]), tr2.element([g11])]]
-        phi = SesquilinearMap(tr2, gram)
+        phi = SesquilinearMap(tr2, gram_of(tr2, gram))
         cert = check_positivity(phi, trials=2048, seed=1)
         assert cert.status == "sampled"
         assert cert.witness_min_eig > 0.01          # robustly positive

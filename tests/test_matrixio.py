@@ -8,10 +8,8 @@ from nclp.algebra import TracedAlgebra
 from nclp.errors import StructureError
 from nclp.matrixio import (algebra_from_json, algebra_to_json, dump_deterministic,
                            element_from_json, element_to_json, fmt_float,
-                           load_elements, load_gram, save_elements, save_gram,
-                           star_from_json, star_to_json, superop_from_json,
-                           superop_to_json)
-from nclp.radius import SuperOperator
+                           load_elements, load_gram, save_elements, save_gram, save_json,
+                           star_from_json, star_to_json)
 from nclp.sesquilinear import random_map
 from nclp.star import cyclic_group_algebra, matrix_algebra
 
@@ -68,17 +66,27 @@ class TestGramFile:
         assert loaded.domain_dim == 3
         for i in range(3):
             for j in range(3):
-                assert np.array_equal(loaded.gram[i][j].blocks[0],
-                                      phi.gram[i][j].blocks[0])
+                assert np.array_equal(loaded.gram[0][i, j], phi.gram[0][i, j])
 
+    def _saved_doc(self, tmp_path, tr2):
+        path = str(tmp_path / "gram.json")
+        save_gram(path, random_map(2, tr2, rank=1, seed=3))
+        with open(path) as fh:
+            return path, json.load(fh)
 
-class TestSuperOp:
-    def test_round_trip(self, tr2, rng):
-        mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        doc = json.loads(dump_deterministic(superop_to_json(tr2, 2, mat)))
-        op = superop_from_json(doc)
-        assert isinstance(op, SuperOperator)
-        assert np.array_equal(op.matrix, mat)
+    def test_missing_entry_rejected(self, tmp_path, tr2):
+        path, doc = self._saved_doc(tmp_path, tr2)
+        del doc["gram"]["entries"][1]
+        save_json(path, doc)
+        with pytest.raises(StructureError, match="missing entries"):
+            load_gram(path)
+
+    def test_missing_gram_section_rejected(self, tmp_path, tr2):
+        path, doc = self._saved_doc(tmp_path, tr2)
+        del doc["gram"]
+        save_json(path, doc)
+        with pytest.raises(StructureError, match="'gram'"):
+            load_gram(path)
 
 
 class TestStarFile:

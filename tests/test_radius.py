@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 
 from nclp import radius, suites
 from nclp.algebra import TracedAlgebra, schatten_norm
-from nclp.errors import DomainError, PreconditionError
+from nclp.cli import main
+from nclp.errors import DomainError, PreconditionError, StructureError
 from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
                          SuperOperatorNormResult, _TargetNorm, _triple2_pool,
                          check_cs_operator_valued, numerical_radius, superop_norm,
                          triple_norm, triple_norm_axioms)
-from nclp.sampling import random_block_unitary, random_element, rng_from
+from nclp.sampling import random_element, rng_from
 
-from conftest import random_element_of
+from conftest import random_element_of, strip_wall_time
 
 
 class TestNumericalRadius:
@@ -216,13 +218,6 @@ class TestSuperOperator:
         res = superop_norm(op, "nr", SearchBudget(starts=8, iters=8, seed=0))
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
-    def test_norm_unitary_conjugation_schatten_inf(self, tr2, rng):
-        u = random_block_unitary(tr2, rng).blocks[0]
-        op = SuperOperator.from_apply(tr2, 2, lambda s: u @ s.dense() @ u.conj().T)
-        res = superop_norm(op, "schatten", SearchBudget(starts=8, iters=8, seed=0),
-                           p=math.inf)
-        assert res.value == pytest.approx(1.0, abs=1e-8)
-
     def test_norm_monotone_in_budget(self, tr2, rng):
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         op = SuperOperator(tr2, 2, mat)
@@ -259,6 +254,33 @@ class TestOperatorValuedCs:
         up = base.escalate(8)
         assert (up.starts, up.iters, up.seed) == (64, 32, 5)
 
+    @pytest.mark.parametrize("sizes, n", [([2], 2), ([3], 2), ([2, 1], 3), ([1], 1)])
+    def test_gram_is_the_factor_formula(self, sizes, n):
+        # gram[i, j] is, bit for bit, the superoperator of S -> sum_r A_ri S A_rj*
+        src = TracedAlgebra(sizes)
+        rng = rng_from(sum(sizes) + n)
+        for d in (1, 2, 3):
+            for rank in (1, 2):
+                factors = [[rng.standard_normal((n, src.total_dim))
+                            + 1j * rng.standard_normal((n, src.total_dim))
+                            for _ in range(d)] for _ in range(rank)]
+                phi = OperatorValuedMap.from_generator(src, factors)
+                assert phi.gram.shape == (d, d, n * n, src.coord_dim)
+                for i in range(d):
+                    for j in range(d):
+                        op = SuperOperator.from_apply(
+                            src, n, lambda s: sum(fr[i] @ s.dense() @ fr[j].conj().T
+                                                  for fr in factors))
+                        assert np.array_equal(phi.gram[i, j], op.matrix)
+
+    def test_rejects_misshapen_gram(self, tr2):
+        with pytest.raises(StructureError):
+            OperatorValuedMap(tr2, 2, np.zeros((1, 1, 4, 3)))
+        with pytest.raises(StructureError):
+            OperatorValuedMap(tr2, 2, np.zeros((1, 2, 4, 4)))
+        with pytest.raises(StructureError):
+            OperatorValuedMap.from_generator(tr2, [[np.eye(3)]])
+
     def test_generator_form_positivity(self, tr2):
         rng = rng_from(3)
         factors = [[rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -267,7 +289,8 @@ class TestOperatorValuedCs:
         assert phi.check_positivity().status == "certified"
 
     def test_non_positive_map_violated_and_rejected(self, tr2):
-        phi = OperatorValuedMap([[SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())]])
+        neg = SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())
+        phi = OperatorValuedMap(tr2, 2, [[neg.matrix]])
         cert = phi.check_positivity(trials=8)
         assert cert.status == "violated"
         assert cert.witness.shape == (1,)
@@ -279,12 +302,13 @@ class TestOperatorValuedCs:
     def test_non_positive_map_cannot_borrow_a_generator(self, tr2):
         neg = SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())
         with pytest.raises(TypeError):
-            OperatorValuedMap([[neg]], generator=[[np.eye(2)]])
-        assert OperatorValuedMap([[neg]]).generator is None
+            OperatorValuedMap(tr2, 2, [[neg.matrix]], generator=[[np.eye(2)]])
+        assert OperatorValuedMap(tr2, 2, [[neg.matrix]]).generator is None
 
     def test_positivity_needs_a_sample(self, tr2):
         # a zero-sample certificate would read "sampled" and pass this map
-        phi = OperatorValuedMap([[SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())]])
+        neg = SuperOperator.from_apply(tr2, 2, lambda s: -s.dense())
+        phi = OperatorValuedMap(tr2, 2, [[neg.matrix]])
         for trials in (0, -1):
             with pytest.raises(DomainError):
                 phi.check_positivity(trials=trials)
@@ -356,7 +380,7 @@ class TestOperatorValuedCs:
     def test_sampled_positivity_counterexample(self, tr2):
         # Phi(x, y)(S) = x conj(y) * (-S) maps PSD inputs to negative values
         mat = -np.eye(4, dtype=complex)
-        phi = OperatorValuedMap([[SuperOperator(tr2, 2, mat)]])
+        phi = OperatorValuedMap(tr2, 2, [[mat]])
         from nclp.errors import PreconditionError
         with pytest.raises(PreconditionError):
             check_cs_operator_valued(phi, np.array([1.0]), np.array([1.0]), "nr",
@@ -444,8 +468,9 @@ class TestGoldenResults:
 
     Captured on numpy 2.4.6 with scipy-openblas 0.3.31.188.0 (64-bit ints,
     DYNAMIC_ARCH, Haswell build target) on x86_64, before triple2 candidate
-    pools were evaluated as one stack.  Other numpy or BLAS builds may move
-    the last bits, so the class runs only on that build.
+    pools were evaluated as one stack; the report digests were captured
+    before gram tensors were stored as stacks.  Other numpy or BLAS builds
+    may move the last bits, so the class runs only on that build.
     """
 
     TRIPLE = [
@@ -520,6 +545,18 @@ class TestGoldenResults:
             "triple2": {"violations": 0, "escalations": 0,
                         "max_ratio": 0.9976673807436386},
             "status": "holds"}
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["check-all", "--seed", "0"],
+         "97af2e0c9d5d4037bdfa6fd18d6aa2da93c7e1ac600740f79fb176cc81f3bc70"),
+        (["kernel-demo", "--seed", "0"],
+         "fc8a628165e4feb8ac5a31eca01fac8d336bce69d1f40ed5c5aa8793798a3468"),
+    ], ids=["check-all", "kernel-demo"])
+    def test_report_bytes(self, capsys, argv, digest):
+        # sha256 of the rendered report with wall_time_s zeroed
+        assert main(argv) == 0
+        text = strip_wall_time(capsys.readouterr().out)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
     def test_triple_norm_suite(self):
         assert suites.triple_norm_suite(5, seed=6) == {

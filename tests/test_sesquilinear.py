@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from nclp import sesquilinear
-from nclp.algebra import TracedAlgebra, schatten_norm, trace
+from nclp.algebra import AlgebraElement, TracedAlgebra, schatten_norm, trace
 from nclp.errors import PreconditionError, StructureError
-from nclp.sesquilinear import (SesquilinearMap, check_left_invariance,
+from nclp.sesquilinear import (SesquilinearMap, _block_gram_matrices, check_left_invariance,
                                check_positivity, evaluate, from_linear_map,
                                random_map, scalar_gram)
 from nclp.star import matrix_algebra
+from nclp.suites import target_pool
+
+from conftest import gram_of
 
 
 @pytest.fixture
@@ -20,7 +22,7 @@ class TestEvaluate:
         x = np.array([0, 1, 0])
         y = np.array([0, 0, 1])
         val = evaluate(kraus_map, x, y)
-        assert np.allclose(val.blocks[0], kraus_map.gram[1][2].blocks[0])
+        assert np.allclose(val.blocks[0], kraus_map.gram[0][1, 2])
 
     def test_zero_vector(self, kraus_map):
         val = evaluate(kraus_map, np.zeros(3), np.ones(3))
@@ -73,7 +75,7 @@ class TestPositivity:
 
     def test_scalar_counterexample(self):
         alg = TracedAlgebra([2])
-        gram = [[alg.diagonal([1.0, -1.0])]]
+        gram = gram_of(alg, [[alg.diagonal([1.0, -1.0])]])
         cert = check_positivity(SesquilinearMap(alg, gram), trials=16, seed=0)
         assert cert.status == "violated"
         assert cert.witness is not None
@@ -82,7 +84,7 @@ class TestPositivity:
     def test_block_psd_sufficient(self, tr2, rng):
         # gram of a Kraus map, with the generator stripped
         phi = random_map(2, tr2, rank=2, seed=3)
-        bare = SesquilinearMap(tr2, [list(r) for r in phi.gram])
+        bare = SesquilinearMap(tr2, phi.gram)
         cert = check_positivity(bare)
         assert cert.status == "certified"
         assert "block gram" in cert.reason
@@ -90,8 +92,8 @@ class TestPositivity:
     def test_generator_only_from_factors(self, tr2):
         # a (gram, generator) pair could certify a gram the factors never built
         phi = random_map(2, tr2, rank=1, seed=4)
-        bad = [list(row) for row in phi.gram]
-        bad[0][0] = bad[0][0] - 10.0 * tr2.identity()
+        bad = [g.copy() for g in phi.gram]
+        bad[0][0, 0] -= 10.0 * np.eye(2)
         with pytest.raises(TypeError):
             SesquilinearMap(tr2, bad, generator=phi.generator)
         assert SesquilinearMap(tr2, bad).generator is None
@@ -116,7 +118,7 @@ class TestLeftInvariance:
         f0 = target.diagonal([1.0, 2.0])
         hs = np.eye(4)      # tr~(e_j* e_i) = HS inner product of matrix units
         gram = [[complex(hs[i, j]) * f0 for j in range(4)] for i in range(4)]
-        phi = SesquilinearMap(target, gram, domain_algebra=dom)
+        phi = SesquilinearMap(target, gram_of(target, gram), domain_algebra=dom)
         assert check_left_invariance(phi) <= 1e-12
 
     def test_functional_square_not_invariant(self):
@@ -127,7 +129,7 @@ class TestLeftInvariance:
         w = np.array([1.0, 0.5, 0.25, -1.0], dtype=complex)  # not a homomorphism
         gram = [[complex(w[i] * np.conj(w[j])) * f0 for j in range(4)]
                 for i in range(4)]
-        phi = SesquilinearMap(target, gram, domain_algebra=dom)
+        phi = SesquilinearMap(target, gram_of(target, gram), domain_algebra=dom)
         assert check_left_invariance(phi) > 1e-3
 
     def test_from_linear_map_invariant(self, rng):
@@ -151,41 +153,91 @@ class TestRandomMap:
         b = random_map(2, tr2, rank=2, seed=42)
         for i in range(2):
             for j in range(2):
-                assert np.array_equal(a.gram[i][j].blocks[0], b.gram[i][j].blocks[0])
+                assert np.array_equal(a.gram[0][i, j], b.gram[0][i, j])
 
     def test_rank_one_scalar_domain(self, tr2):
         phi = random_map(1, tr2, rank=1, seed=0)
         f = phi.generator[0]
         expected = f.coeffs[0] @ f.middle @ f.coeffs[0].adjoint()
-        assert np.allclose(phi.gram[0][0].blocks[0], expected.blocks[0])
+        assert np.allclose(phi.gram[0][0, 0], expected.blocks[0])
 
-    def test_builds_gram_once(self, tr2, monkeypatch):
-        calls = []
-        kraus_entry = sesquilinear._kraus_entry
+    def test_gram_stack_is_the_factor_formula(self):
+        # every stacked entry, bit for bit, is sum_r A_ri M_r A_rj* summed in
+        # factor order in AlgebraElement arithmetic
+        for target in target_pool():
+            for d in range(1, 5):
+                for rank in range(1, 4):
+                    phi = random_map(d, target, rank=rank, seed=10 * d + rank)
+                    for i in range(d):
+                        for j in range(d):
+                            acc = target.zero()
+                            for f in phi.generator:
+                                acc = acc + f.coeffs[i] @ f.middle @ f.coeffs[j].adjoint()
+                            for g, b in zip(phi.gram, acc.blocks):
+                                assert np.array_equal(g[i, j], b)
 
-        def counting(factors, i, j):
-            calls.append((i, j))
-            return kraus_entry(factors, i, j)
+    def test_generator_builds_no_element_per_entry(self, weighted, monkeypatch):
+        built = []
+        init = AlgebraElement.__init__
 
-        monkeypatch.setattr(sesquilinear, "_kraus_entry", counting)
-        for d in (1, 3):
-            calls.clear()
-            random_map(d, tr2, rank=2, seed=d)
-            assert len(calls) == d * d
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        counts = []
+        for d in (1, 4):
+            factors = random_map(d, weighted, rank=2, seed=d).generator
+            built.clear()
+            monkeypatch.setattr(AlgebraElement, "__init__", counting)
+            SesquilinearMap.from_generator(weighted, factors)
+            monkeypatch.undo()
+            counts.append(len(built))
+        assert counts[0] == counts[1]
+
+    def test_stacks_are_read_only(self, kraus_map):
+        with pytest.raises(ValueError):
+            kraus_map.gram[0][0, 0] = 0.0
+
+    def test_rejects_misshapen_stacks(self, weighted):
+        good = [np.zeros((2, 2, 2, 2)), np.zeros((2, 2, 1, 1))]
+        assert SesquilinearMap(weighted, good).domain_dim == 2
+        for bad in ([good[0]], [good[0], np.zeros((3, 3, 1, 1))],
+                    [np.zeros((2, 2)), good[1]], [np.zeros((0, 0, 2, 2)), good[1]]):
+            with pytest.raises(StructureError):
+                SesquilinearMap(weighted, bad)
 
     def test_scaling_keeps_structure(self, kraus_map):
         doubled = kraus_map.scaled(2.0)
         assert check_positivity(doubled).status == "certified"
         assert len(doubled.generator) == len(kraus_map.generator)
-        assert np.allclose(doubled.gram[1][2].blocks[0],
-                           2.0 * kraus_map.gram[1][2].blocks[0])
+        assert np.allclose(doubled.gram[0][1, 2], 2.0 * kraus_map.gram[0][1, 2])
 
     def test_scaling_gram_only_map(self, kraus_map):
-        bare = SesquilinearMap(kraus_map.target, [list(r) for r in kraus_map.gram])
+        bare = SesquilinearMap(kraus_map.target, kraus_map.gram)
         tripled = bare.scaled(3.0)
         assert tripled.generator is None
-        assert np.array_equal(tripled.gram[1][2].blocks[0],
-                              3.0 * kraus_map.gram[1][2].blocks[0])
+        assert np.array_equal(tripled.gram[0][1, 2], 3.0 * kraus_map.gram[0][1, 2])
+
+
+class TestStackedLayout:
+    def test_block_gram_matrices_are_the_block_assembly(self, weighted, rng):
+        phi = SesquilinearMap(weighted, [rng.standard_normal((3, 3, n, n))
+                                         + 1j * rng.standard_normal((3, 3, n, n))
+                                         for n in weighted.block_sizes])
+        for g, n, big in zip(phi.gram, weighted.block_sizes, _block_gram_matrices(phi)):
+            expected = np.zeros((3 * n, 3 * n), dtype=complex)
+            for i in range(3):
+                for j in range(3):
+                    expected[i * n:(i + 1) * n, j * n:(j + 1) * n] = g[i, j]
+            assert np.array_equal(big, expected)
+
+    def test_scalar_gram_is_the_trace_of_each_entry(self, weighted):
+        phi = random_map(3, weighted, rank=2, seed=5)
+        s = scalar_gram(phi)
+        for a in range(3):
+            for b in range(3):
+                entry = weighted.element([g[b, a] for g in phi.gram])
+                assert s[a, b] == trace(entry)
 
 
 class TestScalarGram:
