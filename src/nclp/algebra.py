@@ -238,11 +238,6 @@ class AlgebraElement:
         return self.is_hermitian(t) and all(
             np.max(np.abs(b @ b - b), initial=0.0) <= t for b in self.blocks)
 
-    def is_unitary(self, tol: float | None = None) -> bool:
-        t = self._tol(tol)
-        return all(np.max(np.abs(b.conj().T @ b - np.eye(b.shape[0])), initial=0.0) <= t
-                   for b in self.blocks)
-
     def is_partial_isometry(self, tol: float | None = None) -> bool:
         t = self._tol(tol)
         for b in self.blocks:
@@ -250,11 +245,6 @@ class AlgebraElement:
             if np.max(np.abs(p @ p - p), initial=0.0) > t or np.max(np.abs(p - p.conj().T), initial=0.0) > t:
                 return False
         return True
-
-    def is_normal(self, tol: float | None = None) -> bool:
-        t = self._tol(tol) * (1.0 + self.max_abs_entry)  # commutator scales quadratically
-        return all(np.max(np.abs(b @ b.conj().T - b.conj().T @ b), initial=0.0) <= t
-                   for b in self.blocks)
 
 
 class PExponent:

@@ -48,10 +48,10 @@ class InequalityReport:
         return self.status in ("holds", "holds_within_tol")
 
 
-def _report(lhs: float, rhs: float, witness: dict, tol_coeff: float = REPORT_TOL_COEFF,
+def _report(lhs: float, rhs: float, witness: dict,
             zero_tol: float = 1e-12) -> InequalityReport:
     """Division-free status logic; rhs = 0 forces lhs = 0 for a pass."""
-    tol = tol_coeff * (1.0 + rhs)
+    tol = REPORT_TOL_COEFF * (1.0 + rhs)
     margin = rhs - lhs
     if rhs <= zero_tol:
         if lhs <= max(zero_tol, tol):

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import (AlgebraElement, eigh_blocks, hermitian_part_of,
                       operator_norm, schatten_norm, trace)
 from .errors import DomainError, StructureError
-from .matrixio import _field
+from .matrixio import _field, _is_number, _numbers
 from .radius import OperatorValuedMap, SearchBudget, numerical_radius, triple_norm
 from .sampling import random_element, random_psd, substreams
 from .sesquilinear import SesquilinearMap, check_left_invariance, check_positivity
@@ -119,6 +119,8 @@ class GridKernel(Kernel):
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (xg.size, tg.size):
             raise StructureError("kernel values must be (len(x_grid), len(t_grid))")
+        if not all(np.isfinite(a).all() for a in (xg, tg, vals)):
+            raise DomainError("grid kernel grids and samples must be finite")
         if np.min(vals) < 0:
             raise DomainError("grid kernel samples must be nonnegative")
 
@@ -146,15 +148,19 @@ class GridKernel(Kernel):
 
 def kernel_by_name(name: str, **params) -> Kernel:
     if name == "constant":
-        return ConstantKernel(c=float(params.get("c", 1.0)))
+        c = params.get("c", 1.0)
+        if not _is_number(c):
+            raise StructureError(f"field 'c' must be a number, got {type(c).__name__}")
+        return ConstantKernel(c=float(c))
     if name == "one_plus_xt":
         return OnePlusXTKernel()
     if name == "exp_abs_diff":
         return ExpAbsDiffKernel()
     if name == "grid":
-        return GridKernel(x_grid=tuple(_field(params, "x_grid", list)),
-                          t_grid=tuple(_field(params, "t_grid", list)),
-                          values=tuple(tuple(r) for r in _field(params, "values", list)))
+        return GridKernel(x_grid=tuple(_numbers("x_grid", _field(params, "x_grid"))),
+                          t_grid=tuple(_numbers("t_grid", _field(params, "t_grid"))),
+                          values=tuple(tuple(_numbers(f"values[{i}]", r)) for i, r in
+                                       enumerate(_field(params, "values", list))))
     raise DomainError(f"unknown kernel {name!r}")
 
 

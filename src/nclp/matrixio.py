@@ -44,8 +44,8 @@ def algebra_to_json(alg: TracedAlgebra) -> dict:
 
 
 def algebra_from_json(doc: dict) -> TracedAlgebra:
-    blocks = _field(doc, "blocks", list)
-    weights = None if doc.get("weights") is None else _field(doc, "weights", list)
+    blocks = _numbers("blocks", _field(doc, "blocks"), int)
+    weights = None if doc.get("weights") is None else _numbers("weights", doc["weights"])
     return TracedAlgebra(blocks, weights)
 
 
@@ -66,6 +66,20 @@ def _field(doc: Any, key: str, kind: type = object) -> Any:
     if not isinstance(val, kind) or (kind is int and isinstance(val, bool)):
         raise StructureError(f"field {key!r} must be {kind.__name__}, got {type(val).__name__}")
     return val
+
+
+def _is_number(val: Any, kind: type = float) -> bool:
+    """Whether ``val`` is a JSON ``kind``; a float may be written as an integer,
+    and true/false is neither."""
+    return isinstance(val, (int, float) if kind is float else kind) and not isinstance(val, bool)
+
+
+def _numbers(key: str, vals: Any, kind: type = float) -> list:
+    """``vals``, or StructureError when it is not a list of ``kind`` items."""
+    if not isinstance(vals, list) or not all(_is_number(v, kind) for v in vals):
+        what = "int" if kind is int else "number"
+        raise StructureError(f"field {key!r} must be a list of {what}s")
+    return vals
 
 
 def _complex_array(doc: Any) -> np.ndarray:

@@ -15,12 +15,16 @@ Three layers:
   each result is bit-identical whatever the size or order of the stack.  The
   projected ascent runs on the same per-block stacks: all of its starts
   ascend together, each giving the result it would give alone,
-* ``superop_norm`` / ``check_cs_operator_valued``: operator norms of linear
-  maps from a traced algebra into a matrix space, with the supremum over the
-  unit ball searched on blockwise unitaries (the extreme points) and refined
-  by alternating exact linearized maximization.  The target norm of the whole
-  candidate pool is evaluated as one stack, so the result does not depend on
-  how many candidates share that stack or in which order.
+* ``superop_norm``: operator norms of linear maps from a traced algebra into
+  a matrix space, with the supremum over the unit ball searched on blockwise
+  unitaries (the extreme points) and refined by alternating exact linearized
+  maximization.  The target norm of the whole candidate pool is evaluated as
+  one stack, so the result does not depend on how many candidates share that
+  stack or in which order,
+* ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
+  maps.  A positive map peaks at T = I, so the right-hand side is exact at
+  T = I and only the left-hand side is searched; a reported violation is
+  proven, and no check is re-run at a larger budget.
 """
 
 from __future__ import annotations
@@ -137,10 +141,6 @@ class SearchBudget:
     iters: int = 40
     seed: int = 0
 
-    def escalate(self, factor: int = 8) -> "SearchBudget":
-        return SearchBudget(starts=self.starts * factor, iters=self.iters * factor,
-                            seed=self.seed)
-
 
 @dataclass
 class TripleNormResult:
@@ -149,10 +149,6 @@ class TripleNormResult:
     upper_bound: float
     rank1_bound: float
     status: str                     # "exact" | "heuristic"
-
-    @property
-    def is_exact(self) -> bool:
-        return self.status == "exact"
 
 
 def _spectral(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -761,8 +757,7 @@ def _maximize_unitary_step(op: SuperOperator, c: np.ndarray) -> AlgebraElement:
 
 
 def superop_norm(op: SuperOperator, target_norm: str = "nr",
-                 budget: SearchBudget | None = None,
-                 candidates: Sequence[AlgebraElement] | None = None) -> SuperOperatorNormResult:
+                 budget: SearchBudget | None = None) -> SuperOperatorNormResult:
     """sup of target_norm(L(T)) over contractions T in the source algebra.
 
     The unit ball is the closed convex hull of the blockwise unitaries and the
@@ -776,8 +771,7 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     tn = _TargetNorm(target_norm, op.target_algebra)
     if op.is_zero:
         return SuperOperatorNormResult(0.0, op.source.identity(), "exact")
-    if candidates is None:
-        candidates = _unitary_candidates(op.source, budget)
+    candidates = _unitary_candidates(op.source, budget)
     coords = np.stack([t.coords() for t in candidates])
     vals_raw = (op.matrix @ coords.T).T.reshape(len(candidates), op.target_dim,
                                                 op.target_dim)
@@ -908,36 +902,22 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
                              certificate: PositivityCertificate | None = None) -> InequalityReport:
     """Cauchy-Schwarz in the operator norm of B(source, target norm).
 
-    All three norms are evaluated on one shared candidate pool (identical
-    budgets and seeds) so that one side is never under-estimated relative to
-    the other; the identity is always a candidate, which pins the right-hand
-    side from below by the provable bound at T = I.  A violation at heuristic
-    status triggers one automatic 8x budget escalation before being reported.
+    A positive map L peaks at T = I over the unit ball: for ``nr``,
+    w(L(T)) <= ||L(T)|| <= ||L(I)|| = w(L(I)) (Russo-Dye), and for
+    ``triple2`` each W L(.) W is positive, so ||W L(T) W||_1 <= ||W L(I) W||_1.
+    The right-hand side is therefore the target norm of the PSD matrices
+    Phi(x,x)(I) and Phi(y,y)(I), which ``_TargetNorm.batch_values`` gives
+    exactly; only the left-hand side is searched.  Its value is attained at a
+    feasible T, so a reported violation is proven, and nothing is re-run.
     """
     budget = budget or SearchBudget()
     cert = certificate if certificate is not None else phi.check_positivity(seed=budget.seed)
     if cert.status == "violated":
         raise PreconditionError("operator-valued map failed positivity sampling")
-
-    def run(b: SearchBudget) -> tuple[InequalityReport, bool]:
-        cands = _unitary_candidates(phi.source, b)
-        ops = [phi.superop(x, y), phi.superop(x, x), phi.superop(y, y)]
-        results = [superop_norm(op, target_norm=target_norm, budget=b,
-                                candidates=cands) for op in ops]
-        lhs = results[0].value
-        rhs = math.sqrt(max(results[1].value, 0.0)) * math.sqrt(max(results[2].value, 0.0))
-        heuristic = any(r.status == "heuristic" for r in results)
-        tol_coeff = 0.05 if heuristic else 1e-8
-        rep = _report(lhs, rhs, {"target_norm": target_norm, "budget_starts": b.starts,
-                                 "heuristic": heuristic}, tol_coeff=tol_coeff)
-        # a heuristic pass within the additive slack 0.05 (1 + rhs) must also
-        # lie within the relative slack lhs <= 1.05 rhs
-        if heuristic and rep.status == "holds_within_tol" and not lhs <= rhs * (1.0 + 0.05):
-            rep.status = "violated"
-        return rep, heuristic
-
-    rep, heuristic = run(budget)
-    if rep.status == "violated" and heuristic:
-        rep, _ = run(budget.escalate())
-        rep.witness["escalated"] = True
-    return rep
+    res = superop_norm(phi.superop(x, y), target_norm, budget)
+    ident = phi.source.identity().coords()
+    at_identity = np.stack([phi.superop(v, v).apply_coords(ident) for v in (x, y)])
+    v_x, v_y = _TargetNorm(target_norm, phi.target_algebra).batch_values(at_identity).tolist()
+    rhs = math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0))
+    return _report(res.value, rhs, {"target_norm": target_norm, "budget_starts": budget.starts,
+                                    "heuristic": res.status == "heuristic"})

@@ -344,9 +344,10 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
                           iters: int = 12) -> dict:
     """Generator-form sweeps of the operator-norm Cauchy-Schwarz inequality.
 
-    d = 1 instances must come out with ratio exactly 1 (the norms factor);
-    higher-dimensional instances are checked at matched budgets with
-    automatic escalation on any flagged violation.
+    d = 1 instances must come out with ratio exactly 1 (the norms factor).
+    Every check searches only its left-hand side and takes the exact
+    right-hand side at T = I, so a counted violation is proven and no check
+    is re-run.
     """
     out: dict = {"name": "operator_valued", "instances": instances, "starts": starts}
     exact_defect = 0.0
@@ -362,7 +363,6 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
     out["d1_ratio_defect"] = exact_defect
     for norm in target_norms:
         violations = 0
-        escalations = 0
         max_ratio = 0.0
         for t, rng in enumerate(substreams(seed + 17, instances)):
             source = TracedAlgebra([2]) if t % 2 == 0 else TracedAlgebra([3])
@@ -374,14 +374,11 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
             y = random_unit_vector(rng, d)
             rep = check_cs_operator_valued(
                 phi, x, y, norm, SearchBudget(starts=starts, iters=iters, seed=seed + t))
-            if rep.witness.get("escalated"):
-                escalations += 1
             if math.isfinite(rep.ratio):
                 max_ratio = max(max_ratio, rep.ratio)
             if rep.status == "violated":
                 violations += 1
-        out[norm] = {"violations": violations, "escalations": escalations,
-                     "max_ratio": max_ratio}
+        out[norm] = {"violations": violations, "max_ratio": max_ratio}
     ok = exact_defect <= 1e-10 and all(out[norm]["violations"] == 0 for norm in target_norms)
     out["status"] = _status(ok)
     return out

@@ -103,8 +103,8 @@ def test_criterion_09_operator_valued_cs():
     report(f"criterion 9 PASS: d=1 defect {r['d1_ratio_defect']:.2e}; "
            f"100 instances per target norm at 64 starts, "
            f"max ratios nr={r['nr']['max_ratio']:.6f} "
-           f"triple2={r['triple2']['max_ratio']:.6f}, escalations "
-           f"nr={r['nr']['escalations']} triple2={r['triple2']['escalations']}")
+           f"triple2={r['triple2']['max_ratio']:.6f} against the exact rhs at T = I "
+           f"(violations are proven, nothing escalates)")
 
 
 def test_criterion_10_gns_construction():

@@ -119,7 +119,10 @@ class TestCommands:
         (ELEMENT_FILE.replace('"weights": [1.0]', '"weights": [Infinity]'), "finite"),
         (ELEMENT_FILE.replace('"elements"', '"items"'), "'elements'"),
         ("not json {", "not JSON"),
-    ], ids=["nan-entry", "infinite-weight", "missing-elements", "not-json"])
+        (ELEMENT_FILE.replace('"blocks": [2]', '"blocks": ["a"]'), "'blocks'"),
+        (ELEMENT_FILE.replace('"weights": [1.0]', '"weights": ["x"]'), "'weights'"),
+    ], ids=["nan-entry", "infinite-weight", "missing-elements", "not-json", "block-size-type",
+            "weight-type"])
     def test_bad_element_file_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
         path.write_text(text)
@@ -143,8 +146,13 @@ class TestCommands:
         ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
                          "kernel": {"name": "grid", "x_grid": 3, "t_grid": [0.0, 1.0],
                                     "values": [[1.0, 1.0], [1.0, 1.0]]}}, "'x_grid'"),
+        ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
+                         "kernel": {"name": "grid", "x_grid": [0.0, 1.0], "t_grid": [0.0, 1.0],
+                                    "values": [1, 2]}}, "'values[0]'"),
+        ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
+                         "kernel": {"name": "constant", "c": "x"}}, "'c'"),
     ], ids=["gns-target", "gns-domain", "gns-star-mult", "kernel-W", "kernel-grid",
-            "gns-size-type", "kernel-grid-type"])
+            "gns-size-type", "kernel-grid-type", "kernel-grid-rows", "kernel-constant-type"])
     def test_missing_input_key_exits_2(self, tmp_path, capsys, command, doc, key):
         path = str(tmp_path / "in.json")
         save_json(path, doc)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,11 @@ class TestKernelRegistry:
         with pytest.raises(DomainError):
             GridKernel(x_grid=(0.0, 1.0), t_grid=(0.0, 1.0),
                        values=((0.0, -1.0), (0.0, 0.0)))
+        # a NaN passes the order and sign tests and would reach the eigensolver
+        for x_grid, values in [((0.0, math.nan), ((1.0, 1.0), (1.0, 1.0))),
+                               ((0.0, 1.0), ((1.0, math.nan), (1.0, 1.0)))]:
+            with pytest.raises(DomainError, match="finite"):
+                GridKernel(x_grid=x_grid, t_grid=(0.0, 1.0), values=values)
 
     def test_negative_kernel_rejected(self):
         from nclp.kernels import Kernel
