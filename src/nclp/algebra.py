@@ -190,10 +190,6 @@ class AlgebraElement:
     def adjoint(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, [a.conj().T for a in self.blocks])
 
-    @property
-    def H(self) -> "AlgebraElement":
-        return self.adjoint()
-
     # -- views --------------------------------------------------------------
 
     def coords(self) -> np.ndarray:

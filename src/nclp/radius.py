@@ -19,8 +19,8 @@ Three layers:
   a matrix space, with the supremum over the unit ball searched on blockwise
   unitaries (the extreme points) and refined by alternating exact linearized
   maximization.  The target norm of the whole candidate pool is evaluated as
-  one stack, so the result does not depend on how many candidates share that
-  stack or in which order,
+  one stack, and the refinement chains climb together as one stack of
+  certified values, so the result does not depend on a stack's size or order,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
   maps.  A positive map peaks at T = I, so the right-hand side is exact at
   T = I and only the left-hand side is searched; a reported violation is
@@ -87,37 +87,46 @@ def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
     return peaks
 
 
-def _nr_dense(mat: np.ndarray, grid: int, refine: bool) -> tuple[float, np.ndarray, float]:
-    """(value, maximizing unit vector, theta) for a single dense matrix."""
-    n = mat.shape[0]
-    if n == 0 or not np.any(mat):
-        return 0.0, np.zeros(n, dtype=complex), 0.0
+def _nr_top(mats: np.ndarray, thetas: np.ndarray,
+            vals: Sequence[float]) -> tuple[list[float], np.ndarray, list[float]]:
+    """Top eigenvector h of Re(e^{i theta} M) at each item's angle, and (value,
+    h, angle) per item: |<Mh, h>| is itself a lower bound, tight at the
+    optimum, so it replaces the item's value in ``vals`` if it beats it."""
+    rot = np.exp(1j * thetas)[:, None, None] * mats
+    vecs = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
+    vals, thetas = list(vals), list(thetas)
+    for i, (mat, vec) in enumerate(zip(mats, vecs)):
+        quad = complex(np.conj(vec) @ (mat @ vec))
+        if abs(quad) > vals[i]:
+            vals[i], thetas[i] = abs(quad), -math.atan2(quad.imag, quad.real)
+    return vals, vecs, thetas
+
+
+def _nr_dense(mat: np.ndarray, grid: int) -> float:
+    """w(M) of one dense matrix: grid peaks refined by golden section."""
+    if mat.shape[0] == 0 or not np.any(mat):
+        return 0.0
 
     def g(theta: float) -> float:
         h = hermitian_part_of(np.exp(1j * theta) * mat)
         return float(np.linalg.eigvalsh(h)[-1])
 
-    vals = _nr_grid_values(mat[None], grid)
-    peaks = _grid_peaks(vals, 3)[0]
-    vals = vals[0]
+    vals = _nr_grid_values(mat[None], grid)[0]
+    peaks = _grid_peaks(vals[None], 3)[0]
     step = TWO_PI / grid
     best_theta, best_val = peaks[0] * step, float(vals[peaks[0]])
-    if refine:
-        for p in peaks:
-            t0 = p * step
-            t = _golden_max(g, t0 - step, t0 + step)
-            v = g(t)
-            if v > best_val:
-                best_theta, best_val = t, v
-    h = hermitian_part_of(np.exp(1j * best_theta) * mat)
-    lam, q = np.linalg.eigh(h)
-    vec = q[:, -1]
-    quad = complex(np.conj(vec) @ (mat @ vec))
-    # |<Mv, v>| is itself a valid lower bound and is tight at the optimum
-    if abs(quad) > best_val:
-        best_val = abs(quad)
-        best_theta = -math.atan2(quad.imag, quad.real)
-    return best_val, vec, best_theta
+    for p in peaks:
+        t0 = p * step
+        t = _golden_max(g, t0 - step, t0 + step)
+        v = g(t)
+        if v > best_val:
+            best_theta, best_val = t, v
+    return _nr_top(mat[None], np.array([best_theta]), [best_val])[0][0]
+
+
+def _require_finite(mats: Sequence[np.ndarray], what: str) -> None:
+    if not all(np.isfinite(m).all() for m in mats):
+        raise DomainError(f"{what} needs finite entries")
 
 
 def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
@@ -125,10 +134,14 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
 
     Block-diagonal elements reduce to the maximum over blocks.  Satisfies
     ||T||/2 <= w(T) <= ||T|| with equality w(T) = ||T|| for normal T.
+    Non-finite entries raise ``DomainError``, an array that is not a square
+    matrix ``StructureError``.
     """
-    if isinstance(t, AlgebraElement):
-        return max(_nr_dense(np.asarray(b), grid, refine=True)[0] for b in t.blocks)
-    return _nr_dense(np.asarray(t, dtype=complex), grid, refine=True)[0]
+    mats = list(t.blocks) if isinstance(t, AlgebraElement) else [np.asarray(t, dtype=complex)]
+    if mats[0].ndim != 2 or mats[0].shape[0] != mats[0].shape[1]:
+        raise StructureError(f"numerical radius needs a square matrix, got shape {mats[0].shape}")
+    _require_finite(mats, "numerical radius")
+    return max(_nr_dense(m, grid) for m in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -468,8 +481,10 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
     three best candidates and ``budget.starts`` random points, all advanced
     as one stack (``_ascend``); each start ends where it would end alone, and
     the first start with the highest objective wins if it beats the pool.
-    With ``quick`` the ascent phase is skipped.
+    With ``quick`` the ascent phase is skipped.  Non-finite entries raise
+    ``DomainError``.
     """
+    _require_finite(f.blocks, "|||.|||_2")
     alg = f.algebra
     budget = budget or SearchBudget()
     pool = _triple2_pool(alg, [b[None] for b in f.blocks],
@@ -560,9 +575,9 @@ class SuperOperator:
     """Linear map from a traced algebra into n x n matrices.
 
     Stored as a dense (n^2, coord_dim) matrix over the source coordinates
-    (block-major, row-major inside blocks) and nothing else: ``from_kraus``
-    builds it from Kraus factors ``L(S) = sum_r A_r S A_r*`` and keeps no
-    generator, which only ``OperatorValuedMap.from_generator`` attaches.
+    (block-major, row-major inside blocks) and nothing else; Kraus factors
+    enter only through ``OperatorValuedMap.from_generator``.  Non-finite
+    entries raise ``DomainError``.
     """
 
     __slots__ = ("source", "target_dim", "matrix", "target_algebra")
@@ -574,6 +589,7 @@ class SuperOperator:
         if mat.shape != (n * n, source.coord_dim):
             raise StructureError(
                 f"superoperator matrix must be ({n * n}, {source.coord_dim}), got {mat.shape}")
+        _require_finite([mat], "superoperator")
         mat.setflags(write=False)
         self.source = source
         self.target_dim = n
@@ -596,21 +612,6 @@ class SuperOperator:
         mat = np.stack(cols, axis=1)
         return cls(source, target_dim, mat, target_algebra=target_algebra)
 
-    @classmethod
-    def from_kraus(cls, source: TracedAlgebra, factors: Sequence[np.ndarray],
-                   target_algebra: TracedAlgebra | None = None) -> "SuperOperator":
-        factors = [np.asarray(a, dtype=complex) for a in factors]
-        n = factors[0].shape[0]
-        for a in factors:
-            if a.shape != (n, source.total_dim):
-                raise StructureError("Kraus factors must be (target_dim, source total_dim)")
-
-        def apply_fn(s: AlgebraElement) -> np.ndarray:
-            dense = s.dense()
-            return sum(a @ dense @ a.conj().T for a in factors)
-
-        return cls.from_apply(source, n, apply_fn, target_algebra=target_algebra)
-
     def apply(self, s: AlgebraElement) -> np.ndarray:
         if s.algebra != self.source:
             raise StructureError("element does not belong to the source algebra")
@@ -619,18 +620,6 @@ class SuperOperator:
     def apply_coords(self, coords: np.ndarray) -> np.ndarray:
         n = self.target_dim
         return (self.matrix @ np.asarray(coords, dtype=complex)).reshape(n, n)
-
-    def __add__(self, other: "SuperOperator") -> "SuperOperator":
-        if self.source != other.source or self.target_dim != other.target_dim:
-            raise StructureError("superoperators are not compatible")
-        return SuperOperator(self.source, self.target_dim, self.matrix + other.matrix,
-                             target_algebra=self.target_algebra or other.target_algebra)
-
-    def __mul__(self, c: complex) -> "SuperOperator":
-        return SuperOperator(self.source, self.target_dim, complex(c) * self.matrix,
-                             target_algebra=self.target_algebra)
-
-    __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
@@ -668,17 +657,15 @@ def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
     return blocks
 
 
-def _to_target_element(m: np.ndarray, alg: TracedAlgebra) -> AlgebraElement:
-    return AlgebraElement(alg, [b[0] for b in _target_blocks(np.asarray(m)[None], alg)])
-
-
 class _TargetNorm:
-    """Norm evaluation plus a linear certificate Re tr(C .) touching the value.
+    """Norm evaluation of stacks, plus linear certificates touching the value.
 
-    ``batch_values`` evaluates a whole candidate pool at once: ``nr`` on one
+    ``batch_values`` scores a whole candidate pool at once: ``nr`` on one
     stacked theta grid, ``triple2`` through the stacked quick-path kernel
-    ``_triple2_pool``.  Each value is the one ``value`` gives for that matrix
-    alone, bit for bit, so results do not depend on the pool's size or order.
+    ``_triple2_pool``.  ``certify`` adds each item's certificate, for the
+    refinement chains of ``superop_norm``, which climb together as one stack.
+    Each item's result is the one a stack of one gives, bit for bit, so
+    results do not depend on the stack's size or order.
     """
 
     NR_GRID = 256
@@ -689,34 +676,40 @@ class _TargetNorm:
         self.kind = kind
         self.target_algebra = target_algebra
 
-    def value(self, m: np.ndarray) -> float:
-        return self.value_and_certificate(m)[0]
-
     def batch_values(self, mats: np.ndarray) -> np.ndarray:
         if self.kind == "nr":
             return np.max(_nr_grid_values(mats, self.NR_GRID), axis=1)
         alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
         return _triple2_pool(alg, _target_blocks(mats, alg)).values
 
-    def value_and_certificate(self, m: np.ndarray) -> tuple[float, np.ndarray]:
+    def certify(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and certificates C of a (B, n, n) stack of matrices M.
+
+        Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.
+        """
         if self.kind == "nr":
-            # C = e^{i theta} h h*: Re tr(C M) = value, Re tr(C M') <= w(M') for all M'
-            val, vec, theta = _nr_dense(m, self.NR_GRID, refine=False)
-            return val, np.exp(1j * theta) * np.outer(vec, np.conj(vec))
-        alg = self.target_algebra or TracedAlgebra([m.shape[0]])
-        el = _to_target_element(m, alg)
-        pool = _triple2_pool(alg, [b[None] for b in el.blocks])
-        w = AlgebraElement(alg, [b[0] for b in pool.maximizer])
-        mid = w @ el @ w
-        ublocks = []
-        for mk in mid.blocks:
-            u, _, vh = np.linalg.svd(mk)
-            ublocks.append(u @ vh)
-        # Re tr_rho(D* W M W) = Re tr(C M) with C = blockdiag(w_k (W D* W)_k)
-        cblocks = [wt * (wk @ dk.conj().T @ wk)
-                   for wt, wk, dk in zip(alg.weights, w.blocks, ublocks)]
-        c = AlgebraElement(alg, cblocks).dense()
-        return float(pool.values[0]), c
+            # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
+            grid = _nr_grid_values(mats, self.NR_GRID)
+            top = np.array([p[0] for p in _grid_peaks(grid, 1)])
+            vals, vecs, thetas = _nr_top(mats, top * (TWO_PI / self.NR_GRID),
+                                         grid[np.arange(len(mats)), top].tolist())
+            certs = np.exp(1j * np.array(thetas))[:, None, None] * (
+                vecs[:, :, None] * vecs.conj()[:, None, :])
+            zero = ~mats.any(axis=(1, 2))
+            certs[zero] = 0.0
+            return np.where(zero, 0.0, vals), certs
+        alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
+        blocks = _target_blocks(mats, alg)
+        pool = _triple2_pool(alg, blocks)
+        # Re tr_rho(D* W M W) = Re tr(C M) with C = blockdiag(w_k W_k D_k* W_k),
+        # D the unitary polar factor of W M W
+        certs = np.zeros(mats.shape, dtype=complex)
+        at = 0
+        for wt, w, f, n in zip(alg.weights, pool.maximizer, blocks, alg.block_sizes):
+            u, _, vh = np.linalg.svd(w @ f @ w)
+            certs[:, at:at + n, at:at + n] = wt * (w @ (u @ vh).conj().swapaxes(-1, -2) @ w)
+            at += n
+        return pool.values, certs
 
 
 # -- unit-ball search -------------------------------------------------------------
@@ -764,8 +757,11 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     target norms are convex, so the search runs over seeded random unitaries
     (plus the identity and hermitian contractions) and refines the best finds
     by alternating exact maximization of the linearized objective over the
-    unitary group.  The result is a certified lower bound with a feasible
-    maximizer; it never decreases when the budget grows.
+    unitary group.  The chains from the three best candidates climb together,
+    one ``_TargetNorm.certify`` call per step; a chain stops once a step does
+    not raise its value, so each takes the steps it would take alone.  The
+    result is a certified lower bound with a feasible maximizer; it never
+    decreases when the budget grows.
     """
     budget = budget or SearchBudget()
     tn = _TargetNorm(target_norm, op.target_algebra)
@@ -780,18 +776,24 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     best_val = float(vals[order[0]])
     best_t = candidates[int(order[0])]
 
-    refine_from = [candidates[int(i)] for i in order[:3]]
-    for t in refine_from:
-        cur_t = t
-        cur_val, cert = tn.value_and_certificate(op.apply(cur_t))
-        for _ in range(budget.iters):
-            nxt = _maximize_unitary_step(op, cert)
-            nxt_val, nxt_cert = tn.value_and_certificate(op.apply(nxt))
-            if nxt_val <= cur_val + 1e-13 * (1.0 + cur_val):
-                break
-            cur_t, cur_val, cert = nxt, nxt_val, nxt_cert
-        if cur_val > best_val:
-            best_val, best_t = cur_val, cur_t
+    chain_t = [candidates[int(i)] for i in order[:3]]
+    chain_val, certs = tn.certify(np.stack([op.apply(t) for t in chain_t]))
+    chain_val = chain_val.tolist()
+    live = list(range(len(chain_t)))
+    for _ in range(budget.iters):
+        if not live:
+            break
+        nxt = [_maximize_unitary_step(op, certs[i]) for i in live]
+        nxt_val, nxt_cert = tn.certify(np.stack([op.apply(t) for t in nxt]))
+        rising = []
+        for i, t, v, c in zip(live, nxt, nxt_val.tolist(), nxt_cert):
+            if v > chain_val[i] + 1e-13 * (1.0 + chain_val[i]):
+                chain_t[i], chain_val[i], certs[i] = t, v, c
+                rising.append(i)
+        live = rising
+    for t, v in zip(chain_t, chain_val):
+        if v > best_val:
+            best_val, best_t = v, t
 
     if target_norm == "nr":
         final = numerical_radius(op.apply(best_t), grid=1024)

@@ -18,6 +18,30 @@ from nclp.sampling import random_element, rng_from
 from conftest import random_element_of, strip_wall_time
 
 
+_M2 = TracedAlgebra([2])
+_NONFINITE = [np.array([[np.nan, 0], [0, 1]]), np.array([[np.inf, 0], [0, 1]]),
+              np.array([[1, np.nan], [0, 1]])]
+_TAKES_2X2 = {
+    "nr-array": numerical_radius,
+    "nr-element": lambda m: numerical_radius(_M2.element([m])),
+    "triple-norm": lambda m: triple_norm(_M2.element([m])),
+    "superop": lambda m: SuperOperator(_M2, 2, np.kron(m, m)),
+    "opvalued-superop": lambda m: OperatorValuedMap(
+        _M2, 2, np.kron(m, m)[None, None]).superop([1], [1]),
+}
+BAD_INPUTS = [pytest.param(fn, m, DomainError, id=f"{name}-{k}")
+              for name, fn in _TAKES_2X2.items() for k, m in enumerate(_NONFINITE)] + [
+    pytest.param(numerical_radius, m, StructureError, id=f"nr-shape-{k}")
+    for k, m in enumerate([np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.ones(())])]
+
+
+@pytest.mark.parametrize("fn, arg, error", BAD_INPUTS)
+def test_radius_entry_points_reject_bad_input(fn, arg, error):
+    # non-finite entries and non-square arrays fail loudly, never as a value
+    with pytest.raises(error), np.errstate(invalid="ignore"):
+        fn(arg)
+
+
 class TestNumericalRadius:
     def test_shift_analytic(self, tr2):
         # |<e12 h, h>| = |h1 h2| is maximal at 1/2 on the unit sphere
@@ -199,7 +223,7 @@ class TestSuperOperator:
     def test_kraus_on_identity(self, tr2, rng):
         a1 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        op = SuperOperator.from_kraus(tr2, [a1, a2])
+        op = OperatorValuedMap.from_generator(tr2, [[a1], [a2]]).superop([1], [1])
         got = op.apply(tr2.identity())
         assert np.allclose(got, a1 @ a1.conj().T + a2 @ a2.conj().T)
 
@@ -434,15 +458,57 @@ def linalg_calls(monkeypatch):
 
 
 class TestStackedPool:
-    """The stacked triple2 kernel gives each item its one-element result exactly."""
+    """The stacked kernels give each item its one-element result exactly."""
 
     @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
-    def test_batch_values_equal_single_values(self, alg):
-        tn = _TargetNorm("triple2", alg)
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_certify_equals_stack_of_one(self, norm, alg):
+        tn = _TargetNorm(norm, alg)
         stack = np.stack([f.dense() for f in _mixed_pool(alg, seed=41)])
-        batch = tn.batch_values(stack)
-        assert batch.tolist() == [tn.value(m) for m in stack]
-        assert tn.batch_values(stack[::-1]).tolist() == batch[::-1].tolist()
+        assert not stack[2].any()                    # the pool holds zero matrices
+        vals, certs = tn.certify(stack)
+        for m, v, c in zip(stack, vals, certs):
+            one_v, one_c = tn.certify(m[None])
+            assert v == one_v[0] and np.array_equal(c, one_c[0])
+        rev_v, rev_c = tn.certify(stack[::-1])
+        assert rev_v.tolist() == vals[::-1].tolist()
+        assert np.array_equal(rev_c, certs[::-1])
+        if norm == "triple2":
+            assert vals.tolist() == tn.batch_values(stack).tolist()
+
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_certificates_touch_and_bound_the_norm(self, norm):
+        # Re tr(C M) = value of M, and Re tr(C M') <= norm of M' <= an upper
+        # bound (w itself for nr, ||M'||_2 for triple2) for every M'
+        alg = POOL_ALGEBRAS[2]
+        tn = _TargetNorm(norm, alg)
+        stack = np.stack([f.dense() for f in _mixed_pool(alg, seed=43, size=12)])
+        vals, certs = tn.certify(stack)
+        pairing = np.real(np.einsum("bij,cji->bc", certs, stack))
+        assert np.allclose(np.diag(pairing), vals, rtol=1e-10, atol=1e-12)
+        if norm == "nr":
+            bound = np.array([numerical_radius(m) for m in stack])
+        else:
+            bound = _triple2_pool(alg, radius._target_blocks(stack, alg)).upper   # ||M'||_2
+        assert np.all(pairing <= bound[None, :] * (1 + 1e-9) + 1e-12)
+
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_chains_certify_once_per_step(self, monkeypatch, norm):
+        # the refinement chains climb as one stack: one certify call per step,
+        # not one per chain
+        calls = {"n": 0}
+
+        def counted(self, mats, _f=_TargetNorm.certify):
+            calls["n"] += 1
+            return _f(self, mats)
+
+        monkeypatch.setattr(_TargetNorm, "certify", counted)
+        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 2, 2, seed=5)
+        op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
+        for k in (0, 3, 12):
+            calls["n"] = 0
+            superop_norm(op, norm, SearchBudget(starts=8, iters=k))
+            assert 1 <= calls["n"] <= k + 1, (k, calls["n"])
 
     @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
     def test_triple_norm_quick_is_kernel_at_one_item(self, alg):
