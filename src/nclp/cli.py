@@ -137,6 +137,10 @@ def _validate(cfg: RunConfig) -> None:
         raise DomainError(f"command {cfg.command!r} requires --input")
     if cfg.trials is not None and cfg.trials < 1:
         raise DomainError("--trials must be >= 1")
+    for flag, count in (("--budget-starts", cfg.budget_starts),
+                        ("--budget-iters", cfg.budget_iters)):
+        if count < 0:
+            raise DomainError(f"{flag} must be >= 0")
 
 
 # -- command implementations --------------------------------------------------------

@@ -3,7 +3,12 @@
 Three layers:
 
 * ``numerical_radius``: w(T) = sup_{|h|=1} |<Th, h>| via a theta-grid over
-  lambda_max(Re(e^{i theta} T)) with golden-section refinement,
+  lambda_max(Re(e^{i theta} T)) with golden-section refinement.  The grid is
+  pruned (``_nr_grid``): lambda_max(Re(e^{i theta} T)) is the support
+  function of the numerical range, so after a coarse grid of NR_COARSE
+  angles the outer polygon of the range bounds every other angle, and only
+  the angles whose bound can reach the values a caller ranks are
+  eigensolved; each value computed is the full grid's, bit for bit,
 * ``triple_norm``: the L^2 radius norm  |||F|||_2 = sup ||W F W||_1 over
   PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to a
   fractional knapsack over the spectrum (substituting V = W^2 makes the
@@ -54,16 +59,85 @@ TWO_PI = 2.0 * math.pi
 # numerical radius
 # ---------------------------------------------------------------------------
 
-def _nr_grid_values(mats: np.ndarray, grid: int) -> np.ndarray:
-    """lambda_max(Re(e^{i theta} M)) for a stack of matrices, all thetas at once.
+NR_COARSE = 32            # coarse angles of the pruned theta grid
 
-    Returns an array of shape (len(mats), grid).
+
+def _tied(vals: np.ndarray, count: int) -> np.ndarray:
+    """Rows of ``vals`` whose ``count + 1`` largest entries are not all distinct."""
+    top = np.sort(vals, axis=1)[:, ::-1][:, :count + 1]
+    return (top[:, 1:] == top[:, :-1]).any(axis=1)
+
+
+def _nr_grid(mats: np.ndarray, grid: int, keep: int, top: int | None = None) -> np.ndarray:
+    """f(theta) = lambda_max(Re(e^{i theta} M)) on ``grid`` equally spaced
+    angles for a stack of matrices, (len(mats), grid), -inf where pruned.
+
+    f is the support function of the numerical range W(M): f(theta) is the
+    largest Re(e^{i theta} z) over z in W(M).  Between two angles a < b less
+    than pi apart, e^{i theta} = alpha e^{ia} + beta e^{ib} with
+    alpha = sin(b - theta) / sin(b - a) >= 0 and beta = sin(theta - a) /
+    sin(b - a) >= 0, so f(theta) <= alpha f(a) + beta f(b): the outer polygon
+    of W(M) (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978).  The angles at
+    every ``grid // NR_COARSE``-th index are eigensolved first; one more
+    stacked call eigensolves the angles whose bound from their coarse arc's
+    ends, plus a rounding margin of 1e-12 ||M||_F, reaches the row's
+    ``keep``-th largest coarse value.  Each row's ``keep`` largest values
+    and their ``argsort`` prefix are then those of the full grid.  With
+    ``top``, a row whose bounds all fall below the ``top``-th best coarse row
+    maximum is all -inf, so the ``top`` best row maxima and their ``argsort``
+    prefix are those of the full grid too.  ``argsort`` orders exact ties by
+    the rest of the array, so a row, or with ``top`` the stack, whose ranked
+    values tie gets the full grid, as does a grid that is not a multiple of
+    NR_COARSE above it.  Every finite value is the full grid's, bit for bit,
+    whatever the stack's size or order.
     """
     thetas = TWO_PI * np.arange(grid) / grid
     phases = np.exp(1j * thetas)
-    h = 0.5 * (phases[None, :, None, None] * mats[:, None, :, :]
-               + np.conj(phases)[None, :, None, None] * np.conj(np.swapaxes(mats, -1, -2))[:, None, :, :])
-    return np.linalg.eigvalsh(h)[..., -1]
+    adj = np.conj(np.swapaxes(mats, -1, -2))
+    out = np.full((len(mats), grid), -np.inf)
+
+    def solve(rows: np.ndarray, cols: np.ndarray) -> None:
+        if rows.size:
+            p = phases[cols][:, None, None]
+            h = 0.5 * (p * mats[rows] + np.conj(p) * adj[rows])
+            out[rows, cols] = np.linalg.eigvalsh(h)[:, -1]
+
+    def fill(rows: np.ndarray) -> None:
+        at, cols = np.isneginf(out[rows]).nonzero()
+        solve(rows[at], cols)
+
+    rows = np.arange(len(mats))
+    if grid % NR_COARSE or grid <= NR_COARSE:
+        fill(rows)
+        return out
+    stride = grid // NR_COARSE
+    solve(np.repeat(rows, NR_COARSE), np.tile(np.arange(0, grid, stride), len(mats)))
+    ends = out[:, ::stride].copy()                      # (B, NR_COARSE)
+    arc = TWO_PI / NR_COARSE
+    step = np.arange(1, stride) * (arc / stride)
+    alpha, beta = np.sin(arc - step) / math.sin(arc), np.sin(step) / math.sin(arc)
+    margin = 1e-12 * np.linalg.norm(mats, axis=(1, 2))
+    bound = (alpha * ends[:, :, None] + beta * np.roll(ends, -1, axis=1)[:, :, None]
+             + margin[:, None, None])                   # (B, NR_COARSE, stride - 1)
+    live = np.ones(len(mats), dtype=bool)
+    if top is not None and len(mats) > top:
+        reach = np.maximum(ends.max(axis=1), bound.max(axis=(1, 2)))
+        live = reach >= np.sort(ends.max(axis=1))[-top]
+    floor = np.sort(ends, axis=1)[:, -keep]
+    at, a, j = ((bound >= floor[:, None, None]) & live[:, None, None]).nonzero()
+    solve(at, a * stride + j + 1)
+    out[~live] = -np.inf
+    if top is not None and _tied(out.max(axis=1)[None], top)[0]:
+        return _nr_grid(mats, grid, keep)
+    fill((_tied(out, keep) & live).nonzero()[0])
+    return out
+
+
+def _peak_prefix(count: int) -> int:
+    """Length of the ``argsort`` prefix ``count`` grid peaks are picked from:
+    each pick rules out at most 5 indices, so the j-th lies in the first
+    5 (j - 1) + 1."""
+    return 5 * count - 4
 
 
 def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
@@ -73,8 +147,7 @@ def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
     two grid steps from the ones already picked.
     """
     grid = vals.shape[-1]
-    # each pick rules out at most 5 indices, so the picks lie in this prefix
-    orders = np.argsort(vals, axis=-1)[:, ::-1][:, :5 * count].tolist()
+    orders = np.argsort(vals, axis=-1)[:, ::-1][:, :_peak_prefix(count)].tolist()
     peaks = []
     for order in orders:
         picked: list[int] = []
@@ -85,6 +158,13 @@ def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
                 picked.append(idx)
         peaks.append(picked)
     return peaks
+
+
+def _nr_peaks(mats: np.ndarray, grid: int, count: int) -> tuple[np.ndarray, list[list[int]]]:
+    """The pruned theta grid of a stack and up to ``count`` peaks per row,
+    the ones the full grid gives."""
+    vals = _nr_grid(mats, grid, _peak_prefix(count))
+    return vals, _grid_peaks(vals, count)
 
 
 def _nr_top(mats: np.ndarray, thetas: np.ndarray,
@@ -111,8 +191,8 @@ def _nr_dense(mat: np.ndarray, grid: int) -> float:
         h = hermitian_part_of(np.exp(1j * theta) * mat)
         return float(np.linalg.eigvalsh(h)[-1])
 
-    vals = _nr_grid_values(mat[None], grid)[0]
-    peaks = _grid_peaks(vals[None], 3)[0]
+    grid_vals, found = _nr_peaks(mat[None], grid, 3)
+    vals, peaks = grid_vals[0], found[0]
     step = TWO_PI / grid
     best_theta, best_val = peaks[0] * step, float(vals[peaks[0]])
     for p in peaks:
@@ -134,13 +214,21 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
 
     Block-diagonal elements reduce to the maximum over blocks.  Satisfies
     ||T||/2 <= w(T) <= ||T|| with equality w(T) = ||T|| for normal T.
-    Non-finite entries raise ``DomainError``, an array that is not a square
-    matrix ``StructureError``.
+    The three highest peaks of lambda_max(Re(e^{i theta} T)) on ``grid``
+    angles are refined by golden section.  Of the grid, only NR_COARSE
+    coarse angles and the angles whose bound from the two coarse angles
+    around them (the outer polygon of the numerical range) reaches the 11th
+    highest coarse value are eigensolved; the peaks, and so w(T), are those
+    of the full grid.
+    Non-finite entries and a ``grid`` that is not an integer >= 1 raise
+    ``DomainError``, an array that is not a square matrix ``StructureError``.
     """
     mats = list(t.blocks) if isinstance(t, AlgebraElement) else [np.asarray(t, dtype=complex)]
     if mats[0].ndim != 2 or mats[0].shape[0] != mats[0].shape[1]:
         raise StructureError(f"numerical radius needs a square matrix, got shape {mats[0].shape}")
     _require_finite(mats, "numerical radius")
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise DomainError(f"numerical radius needs an integer grid >= 1, got {grid!r}")
     return max(_nr_dense(m, grid) for m in mats)
 
 
@@ -150,9 +238,16 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
 
 @dataclass(frozen=True)
 class SearchBudget:
+    """Random starts and ascent steps of a search; a negative count raises
+    ``DomainError``."""
     starts: int = 16
     iters: int = 40
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.starts < 0 or self.iters < 0:
+            raise DomainError(f"search budget needs starts >= 0 and iters >= 0, "
+                              f"got {self.starts} and {self.iters}")
 
 
 @dataclass
@@ -354,7 +449,7 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     # rank-one W = h h* from numerical-radius directions, two per nonzero block
     step = TWO_PI / grid
     for kb, b in enumerate(fh):
-        found = _grid_peaks(_nr_grid_values(b, grid), 2)
+        found = _nr_peaks(b, grid, 2)[1]
         peaks = np.array([p + [-1] * (2 - len(p)) for p in found], dtype=int).reshape(-1, 2)
         thetas = peaks * step
         if refine:
@@ -501,7 +596,7 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
         order = [i for i in np.argsort(-obj, kind="stable")[:3] if np.isfinite(obj[i])]
         starts = [c[0, order] for c in pool.candidates]
         drawn = [random_hermitian(alg, rng, 0.7).blocks
-                 for rng in substreams(budget.seed, max(budget.starts, 0))]
+                 for rng in substreams(budget.seed, budget.starts)]
         if drawn:
             rand = _project_stack(alg, [np.stack([d[k] for d in drawn]) + 0.5 * np.eye(n)
                                         for k, n in enumerate(alg.block_sizes)])
@@ -660,8 +755,8 @@ def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
 class _TargetNorm:
     """Norm evaluation of stacks, plus linear certificates touching the value.
 
-    ``batch_values`` scores a whole candidate pool at once: ``nr`` on one
-    stacked theta grid, ``triple2`` through the stacked quick-path kernel
+    ``batch_values`` scores a whole candidate pool at once: ``nr`` on the
+    pruned stacked theta grid, ``triple2`` through the stacked quick-path kernel
     ``_triple2_pool``.  ``certify`` adds each item's certificate, for the
     refinement chains of ``superop_norm``, which climb together as one stack.
     Each item's result is the one a stack of one gives, bit for bit, so
@@ -676,9 +771,12 @@ class _TargetNorm:
         self.kind = kind
         self.target_algebra = target_algebra
 
-    def batch_values(self, mats: np.ndarray) -> np.ndarray:
+    def batch_values(self, mats: np.ndarray, top: int | None = None) -> np.ndarray:
+        """Norms of a (B, n, n) stack.  With ``top``, ``nr`` may return -inf
+        for an item its grid bound rules out of the ``top`` best, which keeps
+        the ``argsort`` prefix of length ``top`` and its values."""
         if self.kind == "nr":
-            return np.max(_nr_grid_values(mats, self.NR_GRID), axis=1)
+            return np.max(_nr_grid(mats, self.NR_GRID, 1, top), axis=1)
         alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
         return _triple2_pool(alg, _target_blocks(mats, alg)).values
 
@@ -689,8 +787,8 @@ class _TargetNorm:
         """
         if self.kind == "nr":
             # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
-            grid = _nr_grid_values(mats, self.NR_GRID)
-            top = np.array([p[0] for p in _grid_peaks(grid, 1)])
+            grid, found = _nr_peaks(mats, self.NR_GRID, 1)
+            top = np.array([p[0] for p in found])
             vals, vecs, thetas = _nr_top(mats, top * (TWO_PI / self.NR_GRID),
                                          grid[np.arange(len(mats)), top].tolist())
             certs = np.exp(1j * np.array(thetas))[:, None, None] * (
@@ -771,7 +869,7 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     coords = np.stack([t.coords() for t in candidates])
     vals_raw = (op.matrix @ coords.T).T.reshape(len(candidates), op.target_dim,
                                                 op.target_dim)
-    vals = tn.batch_values(vals_raw)
+    vals = tn.batch_values(vals_raw, top=3)          # only order[:3] is read
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])
     best_t = candidates[int(order[0])]

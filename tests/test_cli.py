@@ -162,6 +162,20 @@ class TestCommands:
         assert err.startswith("error: ") and key in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["check-cs-opvalued", "--trials", "1", "--budget-starts", "-1"], "--budget-starts"),
+        (["check-cs-opvalued", "--trials", "1", "--budget-iters", "-2"], "--budget-iters"),
+        (["triple-norm", "--budget-starts", "-3", "--input", "absent.json"], "--budget-starts"),
+        (["check-all", "--budget-iters", "-1"], "--budget-iters"),
+    ], ids=["opvalued-starts", "opvalued-iters", "triple-norm-starts", "check-all-iters"])
+    def test_negative_budget_exits_2(self, capsys, argv, flag):
+        # a negative budget exits 2 with one line: no traceback from the seed
+        # spawner, and no negative count silently taken as 0
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {flag} must be >= 0\n"
+
     @pytest.mark.parametrize("argv", [["check-uncertainty", "--format", "csv"],
                                       ["check-all", "--dims", "3"]])
     def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nclp import radius, suites
 from nclp.algebra import TracedAlgebra, schatten_norm
@@ -32,12 +34,18 @@ _TAKES_2X2 = {
 BAD_INPUTS = [pytest.param(fn, m, DomainError, id=f"{name}-{k}")
               for name, fn in _TAKES_2X2.items() for k, m in enumerate(_NONFINITE)] + [
     pytest.param(numerical_radius, m, StructureError, id=f"nr-shape-{k}")
-    for k, m in enumerate([np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.ones(())])]
+    for k, m in enumerate([np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2)), np.ones(())])] + [
+    pytest.param(lambda m, g=g: numerical_radius(m, grid=g), np.eye(2), DomainError,
+                 id=f"nr-grid-{g}")
+    for g in (0, -3, 2.5, True)] + [
+    pytest.param(lambda m, kw=kw: SearchBudget(**kw), None, DomainError, id=f"budget-{name}")
+    for name, kw in (("starts", {"starts": -1}), ("iters", {"iters": -1}))]
 
 
 @pytest.mark.parametrize("fn, arg, error", BAD_INPUTS)
 def test_radius_entry_points_reject_bad_input(fn, arg, error):
-    # non-finite entries and non-square arrays fail loudly, never as a value
+    # non-finite entries, non-square arrays, bad grids and negative budgets
+    # fail loudly, never as a value
     with pytest.raises(error), np.errstate(invalid="ignore"):
         fn(arg)
 
@@ -447,12 +455,14 @@ POOL_ALGEBRAS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counts calls of np.linalg.svd, eigh and eigvalsh in ``["n"]``."""
-    calls = {"n": 0}
+    """Counts calls of np.linalg.svd, eigh and eigvalsh in ``["n"]``, and the
+    matrices they solve (the product of the leading axes) in ``["matrices"]``."""
+    calls = {"n": 0, "matrices": 0}
     for name in ("svd", "eigh", "eigvalsh"):
-        def counted(*args, _f=getattr(np.linalg, name), **kwargs):
+        def counted(a, *args, _f=getattr(np.linalg, name), **kwargs):
             calls["n"] += 1
-            return _f(*args, **kwargs)
+            calls["matrices"] += math.prod(np.shape(a)[:-2])
+            return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
@@ -531,6 +541,23 @@ class TestStackedPool:
             counts.append(linalg_calls["n"])
         assert counts[0] == counts[1], counts
 
+    def test_nr_ranking_eigensolves_a_pruned_grid(self, linalg_calls):
+        # criterion 9's pool: the identity, 64 unitaries and 32 hermitian
+        # contractions, ranked on 256 angles; the coarse-grid bound leaves
+        # most angles, and the candidates out of the top three, unsolved
+        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
+        op = phi.superop(np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j]))
+        cands = radius._unitary_candidates(op.source, SearchBudget(starts=64))
+        mats = (op.matrix @ np.stack([t.coords() for t in cands]).T).T.reshape(-1, 3, 3)
+        assert len(mats) == 97
+        linalg_calls["matrices"] = 0
+        vals = _TargetNorm("nr").batch_values(mats, top=3)
+        assert linalg_calls["matrices"] <= 0.4 * 97 * _TargetNorm.NR_GRID, linalg_calls
+        full = _full_nr_grid(mats, _TargetNorm.NR_GRID).max(axis=1)
+        order = np.argsort(vals)[::-1]
+        assert order[:3].tolist() == np.argsort(full)[::-1][:3].tolist()
+        assert vals[order[:3]].tolist() == full[order[:3]].tolist()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_linalg_calls_of_ascent_do_not_grow_with_starts(self, linalg_calls, n):
         # all starts ascend as one stack; a per-start loop makes about 10x the calls
@@ -542,6 +569,81 @@ class TestStackedPool:
             assert res.status == "heuristic"
             counts.append(linalg_calls["n"])
         assert counts[1] < 3 * counts[0], counts
+
+
+def _full_nr_grid(mats, grid):
+    """lambda_max(Re(e^{i theta} M)) on every angle of the grid, unpruned."""
+    phases = np.exp(1j * (radius.TWO_PI * np.arange(grid) / grid))
+    h = 0.5 * (phases[None, :, None, None] * mats[:, None, :, :]
+               + np.conj(phases)[None, :, None, None]
+               * np.conj(np.swapaxes(mats, -1, -2))[:, None, :, :])
+    return np.linalg.eigvalsh(h)[..., -1]
+
+
+@st.composite
+def nr_stacks(draw):
+    """Stacks of zero, hermitian, normal, c I and generic matrices at scales
+    1e-12 .. 1e12, some rows repeated, so exact ties occur within and across
+    rows."""
+    n = draw(st.integers(1, 3))
+    rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "hermitian", "normal", "scalar",
+                                                "generic", "repeat"]), min_size=1, max_size=40)):
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        if kind == "repeat" and mats:
+            mats.append(mats[int(rng.integers(len(mats)))])
+            continue
+        if kind == "zero":
+            m = np.zeros((n, n), dtype=complex)
+        elif kind == "hermitian":
+            m = g + g.conj().T
+        elif kind == "normal":
+            q = np.linalg.qr(g)[0]
+            lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            m = (q * lam) @ q.conj().T
+        elif kind == "scalar":
+            m = complex(*rng.standard_normal(2)) * np.eye(n)
+        else:
+            m = g
+        mats.append(10.0 ** draw(st.floats(-12, 12)) * m)
+    return np.stack(mats)
+
+
+class TestPrunedNrGrid:
+    """The pruned theta grid keeps the full grid's values and rankings bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(mats=nr_stacks(), grid=st.sampled_from([64, 256, 512, 1024, 100]),
+           keep=st.sampled_from([1, 6, 11]))
+    def test_equals_full_grid(self, mats, grid, keep):
+        full = _full_nr_grid(mats, grid)
+        got = radius._nr_grid(mats, grid, keep)
+        done = np.isfinite(got)
+        assert np.array_equal(got[done], full[done])
+        assert np.array_equal(np.argsort(got, axis=1)[:, ::-1][:, :keep],
+                              np.argsort(full, axis=1)[:, ::-1][:, :keep])
+        if grid % radius.NR_COARSE:
+            assert done.all()
+        # the superop_norm ranking: order[:3] and best_val of the row maxima
+        ranked = _TargetNorm("nr").batch_values(mats, top=3)
+        want = _full_nr_grid(mats, _TargetNorm.NR_GRID).max(axis=1)
+        order = np.argsort(ranked)[::-1]
+        assert order[:3].tolist() == np.argsort(want)[::-1][:3].tolist()
+        assert ranked[order[0]] == want[order[0]]
+        finite = np.isfinite(ranked)
+        assert np.array_equal(ranked[finite], want[finite])
+
+    @pytest.mark.parametrize("c", [1.0, -0.7, 3.3])
+    def test_tied_row_maxima_keep_the_full_grid_order(self, c):
+        # 1x1 positive matrices peak at theta = 0 with their own value; these
+        # tie in pairs like a cosine grid, and argsort orders such ties by the
+        # rest of the vector, so the ranking must not drop rows there
+        v = c * np.cos(radius.TWO_PI * np.arange(1024) / 1024)
+        mats = (v - v.min() + 1.0).astype(complex)[:, None, None]
+        ranked = _TargetNorm("nr").batch_values(mats, top=3)
+        want = _full_nr_grid(mats, _TargetNorm.NR_GRID).max(axis=1)
+        assert np.argsort(ranked)[::-1][:3].tolist() == np.argsort(want)[::-1][:3].tolist()
 
 
 _BLAS = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
