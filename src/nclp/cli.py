@@ -141,6 +141,10 @@ def _validate(cfg: RunConfig) -> None:
                         ("--budget-iters", cfg.budget_iters)):
         if count < 0:
             raise DomainError(f"{flag} must be >= 0")
+    if cfg.constant is not None and not 0.0 < cfg.constant < math.inf:
+        raise DomainError("--constant must be a finite number > 0")
+    if cfg.tol is not None and not math.isfinite(cfg.tol):
+        raise DomainError("--tol must be finite")
 
 
 # -- command implementations --------------------------------------------------------

@@ -63,8 +63,8 @@ class ConstantKernel(Kernel):
     name = "constant"
 
     def __post_init__(self):
-        if self.c < 0:
-            raise DomainError("constant kernel must be nonnegative")
+        if not 0.0 <= self.c < math.inf:
+            raise DomainError(f"constant kernel needs a finite c >= 0, got c={self.c!r}")
 
     def eval(self, x, t):
         shape = np.broadcast_shapes(np.shape(x), np.shape(t))

@@ -23,8 +23,8 @@ Three layers:
 * ``superop_norm``: operator norms of linear maps from a traced algebra into
   a matrix space, with the supremum over the unit ball searched on blockwise
   unitaries (the extreme points) and refined by alternating exact linearized
-  maximization.  The target norm of the whole candidate pool is evaluated as
-  one stack, and the refinement chains climb together as one stack of
+  maximization.  The candidate pool is drawn and scored as one stack of
+  coordinate rows, and the refinement chains climb together as one stack of
   certified values, so the result does not depend on a stack's size or order,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
   maps.  A positive map peaks at T = I, so the right-hand side is exact at
@@ -44,8 +44,8 @@ from .algebra import (AlgebraElement, TracedAlgebra, _golden_max, _stacked_schat
                       hermitian_part_of, psd_tol, schatten_norm, structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
 from .inequalities import InequalityReport, _report
-from .sampling import (random_block_unitary, random_element, random_hermitian,
-                       random_psd, rng_from, substreams)
+from .sampling import (random_complex_matrix, random_element, random_hermitian,
+                       random_psd, rng_from, substreams, unitaries_from_gaussian)
 from .sesquilinear import PositivityCertificate, _combine
 
 __all__ = ["numerical_radius", "SearchBudget", "TripleNormResult", "triple_norm",
@@ -721,13 +721,13 @@ class SuperOperator:
         return not np.any(self.matrix)
 
     def adjoint_at(self, c: np.ndarray) -> list[np.ndarray]:
-        """Per-source-block D_k with Re tr(C L(T)) = Re sum_k tr(D_k T_k)."""
-        cvec = np.asarray(c, dtype=complex).T.reshape(-1)      # vec_row(C^T)
-        g = self.matrix.T @ cvec
+        """Per-source-block (L, n_k, n_k) stacks of D_k with Re tr(C L(T)) =
+        Re sum_k tr(D_k T_k), one per C of an (L, n, n) stack."""
+        # one matrix-vector product per vec_row(C^T): a matrix product rounds differently
+        g = np.stack([self.matrix.T @ ci.T.reshape(-1) for ci in np.asarray(c, dtype=complex)])
         out, at = [], 0
         for n in self.source.block_sizes:
-            gk = g[at:at + n * n].reshape(n, n)
-            out.append(gk.T)
+            out.append(g[:, at:at + n * n].reshape(len(g), n, n).swapaxes(-1, -2))
             at += n * n
         return out
 
@@ -819,32 +819,27 @@ class SuperOperatorNormResult:
     status: str                      # "exact" | "heuristic"
 
 
-def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> list[AlgebraElement]:
-    """Identity, seeded random blockwise unitaries and hermitian contractions."""
-    cands = [source.identity()]
-    herm_at = []
+def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarray:
+    """Coordinate rows of the identity, seeded random blockwise unitaries u_i
+    (one stacked QR per block) and hermitian contractions h_i, in the order
+    identity, u_0, h_0, u_1, u_2, h_2, ... of substream i's draws."""
+    sizes = source.block_sizes
+    items, unitary_at = [[np.eye(n, dtype=complex) for n in sizes]], []
     for i, rng in enumerate(substreams(budget.seed, budget.starts)):
-        cands.append(random_block_unitary(source, rng))
+        unitary_at.append(len(items))
+        items.append([random_complex_matrix(rng, n, n) for n in sizes])
         if i % 2 == 0:
-            herm_at.append(len(cands))
-            cands.append(random_hermitian(source, rng))
-    if herm_at:
-        norms = _itemwise_max([np.linalg.svd(np.stack([cands[i].blocks[k] for i in herm_at]),
-                                             compute_uv=False)
-                               for k in range(source.n_blocks)])
-        for i, hn in zip(herm_at, norms.tolist()):
-            if not hn <= 1.0:
-                cands[i] = (1.0 / hn) * cands[i]
-    return cands
-
-
-def _maximize_unitary_step(op: SuperOperator, c: np.ndarray) -> AlgebraElement:
-    """Blockwise unitary maximizing the linearization Re tr(C L(T))."""
-    blocks = []
-    for d in op.adjoint_at(c):
-        p, _, qh = np.linalg.svd(d)
-        blocks.append(qh.conj().T @ p.conj().T)
-    return AlgebraElement(op.source, blocks)
+            items.append([hermitian_part_of(random_complex_matrix(rng, n, n)) for n in sizes])
+    herm_at = [i + 1 for i in unitary_at[::2]]
+    blocks = [np.stack(b) for b in zip(*items)]
+    for b in blocks:
+        b[unitary_at] = unitaries_from_gaussian(b[unitary_at])
+    norms = _itemwise_max([np.linalg.svd(b[herm_at], compute_uv=False) for b in blocks])
+    for i, hn in zip(herm_at, norms.tolist()):
+        if not hn <= 1.0:
+            for b in blocks:
+                b[i] = complex(1.0 / hn) * b[i]
+    return np.concatenate([b.reshape(len(items), -1) for b in blocks], axis=1)
 
 
 def superop_norm(op: SuperOperator, target_norm: str = "nr",
@@ -855,50 +850,50 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     target norms are convex, so the search runs over seeded random unitaries
     (plus the identity and hermitian contractions) and refines the best finds
     by alternating exact maximization of the linearized objective over the
-    unitary group.  The chains from the three best candidates climb together,
-    one ``_TargetNorm.certify`` call per step; a chain stops once a step does
-    not raise its value, so each takes the steps it would take alone.  The
-    result is a certified lower bound with a feasible maximizer; it never
-    decreases when the budget grows.
+    unitary group.  The pool and the chains are coordinate rows of the source,
+    and the chains from the three best candidates climb together, one stacked
+    SVD per block and one ``_TargetNorm.certify`` call per step; a chain stops
+    once a step does not raise its value, so each takes the steps it would
+    take alone.  The result is a certified lower bound with a feasible
+    maximizer (the only element built); it never decreases with the budget.
     """
     budget = budget or SearchBudget()
     tn = _TargetNorm(target_norm, op.target_algebra)
     if op.is_zero:
         return SuperOperatorNormResult(0.0, op.source.identity(), "exact")
-    candidates = _unitary_candidates(op.source, budget)
-    coords = np.stack([t.coords() for t in candidates])
-    vals_raw = (op.matrix @ coords.T).T.reshape(len(candidates), op.target_dim,
-                                                op.target_dim)
+    coords = _unitary_candidates(op.source, budget)
+    vals_raw = (op.matrix @ coords.T).T.reshape(len(coords), op.target_dim, op.target_dim)
     vals = tn.batch_values(vals_raw, top=3)          # only order[:3] is read
     order = np.argsort(vals)[::-1]
     best_val = float(vals[order[0]])
-    best_t = candidates[int(order[0])]
+    best_t = coords[order[0]]
 
-    chain_t = [candidates[int(i)] for i in order[:3]]
-    chain_val, certs = tn.certify(np.stack([op.apply(t) for t in chain_t]))
-    chain_val = chain_val.tolist()
-    live = list(range(len(chain_t)))
+    # one matrix-vector product per chain: a matrix product rounds differently
+    chain_t = coords[order[:3]]
+    chain_val, certs = tn.certify(np.stack([op.apply_coords(t) for t in chain_t]))
+    live = np.arange(len(chain_t))
     for _ in range(budget.iters):
-        if not live:
+        if not live.size:
             break
-        nxt = [_maximize_unitary_step(op, certs[i]) for i in live]
-        nxt_val, nxt_cert = tn.certify(np.stack([op.apply(t) for t in nxt]))
-        rising = []
-        for i, t, v, c in zip(live, nxt, nxt_val.tolist(), nxt_cert):
-            if v > chain_val[i] + 1e-13 * (1.0 + chain_val[i]):
-                chain_t[i], chain_val[i], certs[i] = t, v, c
-                rising.append(i)
-        live = rising
-    for t, v in zip(chain_t, chain_val):
+        # blockwise unitaries Q P* maximizing Re tr(C L(T)), D_k = P S Q*
+        nxt = []
+        for d in op.adjoint_at(certs[live]):
+            p, _, qh = np.linalg.svd(d)
+            nxt.append((qh.conj().swapaxes(-1, -2) @ p.conj().swapaxes(-1, -2))
+                       .reshape(len(d), -1))
+        nxt = np.concatenate(nxt, axis=1)
+        nxt_val, nxt_cert = tn.certify(np.stack([op.apply_coords(t) for t in nxt]))
+        up = nxt_val > chain_val[live] + 1e-13 * (1.0 + chain_val[live])
+        live = live[up]
+        chain_t[live], chain_val[live], certs[live] = nxt[up], nxt_val[up], nxt_cert[up]
+    for t, v in zip(chain_t, chain_val.tolist()):
         if v > best_val:
             best_val, best_t = v, t
 
     if target_norm == "nr":
-        final = numerical_radius(op.apply(best_t), grid=1024)
-        best_val = max(best_val, final)
-    d_trivial = op.source.coord_dim == 1
-    status = "exact" if d_trivial else "heuristic"
-    return SuperOperatorNormResult(value=best_val, maximizer=best_t, status=status)
+        best_val = max(best_val, numerical_radius(op.apply_coords(best_t), grid=1024))
+    return SuperOperatorNormResult(value=best_val, maximizer=op.source.from_coords(best_t),
+                                   status="exact" if op.source.coord_dim == 1 else "heuristic")
 
 
 # -- operator-valued maps ----------------------------------------------------------

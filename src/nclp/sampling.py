@@ -65,15 +65,16 @@ def random_psd_with_spectrum(alg: TracedAlgebra, rng: np.random.Generator,
     return alg.element(blocks)
 
 
+def unitaries_from_gaussian(g: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (S, n, n) Gaussian stack: one stacked QR with phase fixing."""
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(np.where(d == 0, 1.0, d)))[..., None, :]
+
+
 def random_unitary_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR with phase fixing."""
-    q, r = np.linalg.qr(random_complex_matrix(rng, n, n))
-    d = np.diagonal(r)
-    return q * (d / np.abs(np.where(d == 0, 1.0, d)))
-
-
-def random_block_unitary(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    return alg.element([random_unitary_matrix(rng, n) for n in alg.block_sizes])
+    return unitaries_from_gaussian(random_complex_matrix(rng, n, n)[None])[0]
 
 
 def random_unit_vector(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 
 __all__ = ["StarAlgebra", "AlgebraVector", "matrix_algebra", "cyclic_group_algebra",
            "matrix_units_algebra"]
@@ -48,13 +48,13 @@ class StarAlgebra:
         unit = np.asarray(self.unit, dtype=complex).ravel()
         if invol.shape != (d, d) or unit.shape != (d,):
             raise StructureError("involution/unit shapes inconsistent with dimension")
-        for arr in (mult, invol, unit):
+        for name, arr in (("mult", mult), ("invol", invol), ("unit", unit)):
+            if not np.isfinite(arr).all():
+                raise DomainError(f"star algebra {name} needs finite entries")
             arr.setflags(write=False)
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "invol", invol)
-        object.__setattr__(self, "unit", unit)
+            object.__setattr__(self, name, arr)
         errs = self.axiom_residuals()
-        bad = {k: v for k, v in errs.items() if v > AXIOM_TOL}
+        bad = {k: v for k, v in errs.items() if not v <= AXIOM_TOL}
         if bad:
             raise StructureError(f"*-algebra axioms violated: {bad}")
 

@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,50 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error: ") and key in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("gns", {"domain": {"format": "nclp-star/1",
+                            "mult": {"re": [[[math.nan]]], "im": [[[0.0]]]},
+                            "invol": {"re": [[1.0]], "im": [[0.0]]},
+                            "unit": {"re": [1.0], "im": [0.0]}},
+                 "target": {"blocks": [1]}, "omega": [[{"re": [[1.0]], "im": [[0.0]]}]]},
+         "mult needs finite entries"),
+        ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
+                         "kernel": {"name": "constant", "c": math.nan}}, "c=nan"),
+        ("kernel-demo", {"algebra": {"blocks": [1]}, "W": [{"re": [[1.0]], "im": [[0.0]]}],
+                         "kernel": {"name": "constant", "c": math.inf}}, "c=inf"),
+    ], ids=["gns-star-nan", "kernel-constant-nan", "kernel-constant-inf"])
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, command, doc, message):
+        # NaN and Infinity are JSON literals Python reads; they must not
+        # reach an eigensolver or pass a residual test
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["check-cs-lp", "--constant", "nan"], "--constant must be a finite number > 0"),
+        (["check-cs-lp", "--constant", "inf"], "--constant must be a finite number > 0"),
+        (["check-cs-lp", "--constant", "-1"], "--constant must be a finite number > 0"),
+        (["check-cs-lp", "--constant", "0"], "--constant must be a finite number > 0"),
+        (["check-cs-lp", "--tol", "nan"], "--tol must be finite"),
+        (["check-cs-lp", "--tol", "inf"], "--tol must be finite"),
+        (["check-cs-normal", "--tol=-inf"], "--tol must be finite"),
+    ], ids=["constant-nan", "constant-inf", "constant-negative", "constant-zero", "tol-nan",
+            "tol-inf", "normal-tol-neg-inf"])
+    def test_bad_constant_or_tol_exits_2(self, capsys, argv, message):
+        # no JSON traceback on a non-finite value, and no verdict under a
+        # constant check_cs_lp rejects
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_finite_negative_tol_is_legal(self):
+        assert parse_config(["check-cs-lp", "--tol=-1e-3"]).tol == -1e-3
 
     @pytest.mark.parametrize("argv, flag", [
         (["check-cs-opvalued", "--trials", "1", "--budget-starts", "-1"], "--budget-starts"),

@@ -230,6 +230,11 @@ class TestKernelRegistry:
             with pytest.raises(DomainError, match="finite"):
                 GridKernel(x_grid=x_grid, t_grid=(0.0, 1.0), values=values)
 
+    @pytest.mark.parametrize("c", [-1.0, math.nan, math.inf])
+    def test_constant_kernel_needs_finite_nonnegative_c(self, c):
+        with pytest.raises(DomainError, match="c="):
+            ConstantKernel(c)
+
     def test_negative_kernel_rejected(self):
         from nclp.kernels import Kernel
 

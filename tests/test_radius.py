@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp import radius, suites
-from nclp.algebra import TracedAlgebra, schatten_norm
+from nclp.algebra import AlgebraElement, TracedAlgebra, schatten_norm
 from nclp.cli import main
 from nclp.errors import DomainError, PreconditionError, StructureError
 from nclp.kernels import KernelMap, OnePlusXTKernel
@@ -239,12 +239,15 @@ class TestSuperOperator:
         op = SuperOperator.from_apply(
             weighted, 3,
             lambda s: np.kron(np.eye(1), np.zeros((3, 3))) + _random_linear(s))
-        c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        ds = op.adjoint_at(c)
+        # a stack of three certificates: row i of each block stack pairs with C_i
+        cs = rng.standard_normal((3, 3, 3)) + 1j * rng.standard_normal((3, 3, 3))
+        ds = op.adjoint_at(cs)
+        assert [d.shape for d in ds] == [(3, n, n) for n in weighted.block_sizes]
         t = random_element_of(weighted, rng)
-        f_direct = np.real(np.trace(c @ op.apply(t)))
-        f_adj = sum(np.real(np.trace(d @ b)) for d, b in zip(ds, t.blocks))
-        assert f_direct == pytest.approx(f_adj, rel=1e-10, abs=1e-10)
+        for i, c in enumerate(cs):
+            f_direct = np.real(np.trace(c @ op.apply(t)))
+            f_adj = sum(np.real(np.trace(d[i] @ b)) for d, b in zip(ds, t.blocks))
+            assert f_direct == pytest.approx(f_adj, rel=1e-10, abs=1e-10)
 
     def test_norm_identity_map(self, tr2):
         op = SuperOperator.from_apply(tr2, 2, lambda s: s.dense())
@@ -456,14 +459,20 @@ POOL_ALGEBRAS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [
 @pytest.fixture
 def linalg_calls(monkeypatch):
     """Counts calls of np.linalg.svd, eigh and eigvalsh in ``["n"]``, and the
-    matrices they solve (the product of the leading axes) in ``["matrices"]``."""
-    calls = {"n": 0, "matrices": 0}
+    matrices they solve (the product of the leading axes) in ``["matrices"]``;
+    calls of np.linalg.qr in ``["qr"]``."""
+    calls = {"n": 0, "matrices": 0, "qr": 0}
     for name in ("svd", "eigh", "eigvalsh"):
         def counted(a, *args, _f=getattr(np.linalg, name), **kwargs):
             calls["n"] += 1
             calls["matrices"] += math.prod(np.shape(a)[:-2])
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def counted_qr(a, *args, _f=np.linalg.qr, **kwargs):
+        calls["qr"] += 1
+        return _f(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
     return calls
 
 
@@ -547,8 +556,8 @@ class TestStackedPool:
         # most angles, and the candidates out of the top three, unsolved
         phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
         op = phi.superop(np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j]))
-        cands = radius._unitary_candidates(op.source, SearchBudget(starts=64))
-        mats = (op.matrix @ np.stack([t.coords() for t in cands]).T).T.reshape(-1, 3, 3)
+        coords = radius._unitary_candidates(op.source, SearchBudget(starts=64))
+        mats = (op.matrix @ coords.T).T.reshape(-1, 3, 3)
         assert len(mats) == 97
         linalg_calls["matrices"] = 0
         vals = _TargetNorm("nr").batch_values(mats, top=3)
@@ -557,6 +566,41 @@ class TestStackedPool:
         order = np.argsort(vals)[::-1]
         assert order[:3].tolist() == np.argsort(full)[::-1][:3].tolist()
         assert vals[order[:3]].tolist() == full[order[:3]].tolist()
+
+    @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_pool_is_drawn_with_one_qr_per_block(self, linalg_calls, norm, alg):
+        # the random unitaries of the whole pool come from one stacked QR per
+        # source block, whatever the number of starts
+        phi = suites.random_operator_valued(alg, 2, 2, 2, seed=5)
+        op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
+        for starts in (8, 64):
+            linalg_calls["qr"] = 0
+            superop_norm(op, norm, SearchBudget(starts=starts, iters=3))
+            assert linalg_calls["qr"] == alg.n_blocks, (starts, linalg_calls["qr"])
+
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_search_builds_no_element_per_candidate(self, monkeypatch, norm):
+        # the pool and the chains are coordinate rows; only the returned
+        # maximizer is built as an element
+        built = []
+        init = AlgebraElement.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        phi = suites.random_operator_valued(POOL_ALGEBRAS[2], 3, 2, 2, seed=9)
+        op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
+        counts = []
+        for starts in (8, 64):
+            built.clear()
+            monkeypatch.setattr(AlgebraElement, "__init__", counting)
+            res = superop_norm(op, norm, SearchBudget(starts=starts, iters=6))
+            monkeypatch.undo()
+            counts.append(len(built))
+            assert res.maximizer.algebra == op.source
+        assert counts[0] == counts[1], counts
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_linalg_calls_of_ascent_do_not_grow_with_starts(self, linalg_calls, n):
@@ -725,6 +769,18 @@ class TestGoldenResults:
             got.append(res.value)
         assert got == [6.880011270236953, 26.344871748921875, 18.35046280834671,
                        21.137999786163565]
+
+    def test_superop_norm_nr_weighted_blocks(self):
+        # value and maximizer bytes, captured before the search ran on
+        # coordinate rows
+        src = TracedAlgebra([2, 1], [1.0, 0.5])
+        phi = suites.random_operator_valued(src, 3, 2, 2, 9)
+        op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
+        res = superop_norm(op, "nr", SearchBudget(starts=16, iters=12, seed=2))
+        assert (res.value, res.status) == (15.639022584948192, "heuristic")
+        maximizer = b"".join(b.tobytes() for b in res.maximizer.blocks)
+        assert hashlib.sha256(maximizer).hexdigest() == (
+            "ca38d0f65db2fd803b8865bb0702e4406daaec325608dacdf98eecf96b0ccbef")
 
     def test_operator_valued_suite(self):
         assert suites.operator_valued_suite(4, seed=7, starts=16, iters=6) == {

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from nclp.errors import StructureError
-from nclp.star import (AlgebraVector, cyclic_group_algebra, matrix_algebra,
+from nclp.errors import DomainError, StructureError
+from nclp.star import (AlgebraVector, StarAlgebra, cyclic_group_algebra, matrix_algebra,
                        matrix_units_algebra)
 
 
@@ -56,6 +56,24 @@ class TestBuiltins:
         z4 = cyclic_group_algebra(4)
         g = z4.basis_vector(1)
         assert np.allclose(z4.involute(g), z4.basis_vector(3))  # g* = g^3
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["mult", "invol", "unit"])
+    def test_non_finite_structure_rejected(self, name, bad):
+        # a NaN makes every axiom residual NaN, which no residual test may pass
+        parts = {k: getattr(matrix_algebra(1), k).copy() for k in ("mult", "invol", "unit")}
+        parts[name].flat[0] = bad
+        with pytest.raises(DomainError, match=name), np.errstate(invalid="ignore"):
+            StarAlgebra(**parts)
+
+    def test_overflowing_residual_is_not_a_pass(self):
+        # finite constants whose associativity residual overflows to inf - inf
+        with pytest.raises(StructureError, match="associativity"), \
+                np.errstate(invalid="ignore", over="ignore"):
+            StarAlgebra(mult=np.array([[[1e200]]]), invol=np.array([[1.0]]),
+                        unit=np.array([1e-200]))
 
 
 class TestInvolution:
