@@ -292,28 +292,6 @@ def as_exponent(p: "PExponent | float | str") -> PExponent:
 
 # -- helpers on raw blocks ----------------------------------------------------
 
-def _golden_max(f: Callable[[float], float], lo: float, hi: float,
-                iters: int = 90, xtol: float = 1e-12) -> float:
-    """Abscissa of the golden-section maximum of f on [lo, hi]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if b - a < xtol:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def hermitian_part_of(mat: np.ndarray) -> np.ndarray:
     """(M + M*) / 2 for a matrix or a stack of matrices (last two axes)."""
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))

@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -104,8 +105,19 @@ class RunReport:
                 "wall_time_s": self.wall_time_s}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads every negative float literal, -1e-3 and
+    -inf included, as a value and not as a flag (argparse's own test only
+    knows -1 and -.5)."""
+
+    def __init__(self, *args: Any, **kwargs: Any):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="nclp",
         description="Checkers for trace-normed matrix algebras: Cauchy-Schwarz "
                     "sweeps, radius norms, GNS constructions, kernel families.")

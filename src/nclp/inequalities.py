@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, PExponent, TracedAlgebra, _golden_max,
-                      as_exponent, operator_norm, real_imag_parts, schatten_norm)
+from .algebra import (AlgebraElement, PExponent, TracedAlgebra, as_exponent,
+                      operator_norm, real_imag_parts, schatten_norm)
 from .errors import DomainError, PreconditionError
 from .sampling import random_unit_vector, substreams
 from .sesquilinear import (PositivityCertificate, SesquilinearMap, check_left_invariance,
@@ -176,9 +176,16 @@ class UncertaintyReport:
     k_hermitian_defect: float
 
 
-def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray,
-                      p: float = 2.0):
-    """phi(a - t e, a - t e) as a quadratic in real t; returns t -> Delta(t)."""
+def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray):
+    """t -> Delta(t) = ||phi(a - t e, a - t e)||_2^(1/2) for real t, and
+    (lo, hi) -> the minimiser of Delta on [lo, hi].
+
+    phi(a - t e, a - t e) = A - t E + t^2 D with A = phi(a, a),
+    E = phi(a, e) + phi(e, a) and D = phi(e, e), so Delta(t)^4 is the real
+    quartic ||A||^2 - 2t <A, E> + t^2 (||E||^2 + 2 <A, D>) - 2t^3 <E, D>
+    + t^4 ||D||^2 in the inner product <X, Y> = Re rho(X* Y) of ||.||_2.  Its
+    minimum on [lo, hi] lies at an end or at a real root of its derivative.
+    """
     g_aa = evaluate(phi, a, a)
     g_ae = evaluate(phi, a, unit)
     g_ea = evaluate(phi, unit, a)
@@ -186,9 +193,22 @@ def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray,
 
     def delta(t: float) -> float:
         v = g_aa - t * g_ae - t * g_ea + (t * t) * g_ee
-        return math.sqrt(max(schatten_norm(v, p), 0.0))
+        return math.sqrt(max(schatten_norm(v, 2.0), 0.0))
 
-    return delta
+    def inner(x: AlgebraElement, y: AlgebraElement) -> float:
+        return sum(w * float(np.vdot(bx, by).real)
+                   for w, bx, by in zip(x.algebra.weights, x.blocks, y.blocks))
+
+    e = g_ae + g_ea
+    slope = [4.0 * inner(g_ee, g_ee), -6.0 * inner(e, g_ee),
+             2.0 * (inner(e, e) + 2.0 * inner(g_aa, g_ee)), -2.0 * inner(g_aa, e)]
+
+    def argmin(lo: float, hi: float) -> float:
+        # a complex root's real part is one more candidate, never a worse pick
+        ends = [lo, hi] + np.clip(np.roots(slope).real, lo, hi).tolist()
+        return min(ends, key=delta)
+
+    return delta, argmin
 
 
 def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
@@ -245,23 +265,23 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     herm_defect = max(np.max(np.abs(m - m.conj().T), initial=0.0) for m in g_ke.blocks)
     gamma = schatten_norm(g_ke, 2.0)
 
-    delta_a = _delta_polynomial(phi, a, unit)
-    delta_b = _delta_polynomial(phi, b, unit)
+    delta_a, argmin_a = _delta_polynomial(phi, a, unit)
+    delta_b, argmin_b = _delta_polynomial(phi, b, unit)
     if lam_grid is None:
         lam_grid = list(np.linspace(-3.0, 3.0, 41))
     if mu_grid is None:
         mu_grid = list(np.linspace(-3.0, 3.0, 41))
-    # refine around the grid minimum of each Delta; Delta need not be convex,
-    # so only grid + local refinement is claimed
+    # add each Delta's exact minimiser between the neighbours of its grid
+    # minimum; Delta need not be convex, so only that stretch is claimed
     lam_grid = list(lam_grid)
     mu_grid = list(mu_grid)
-    for grid, delta in ((lam_grid, delta_a), (mu_grid, delta_b)):
+    for grid, delta, argmin in ((lam_grid, delta_a, argmin_a), (mu_grid, delta_b, argmin_b)):
         vals = [delta(t) for t in grid]
         i = int(np.argmin(vals))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
         if hi > lo:
-            grid.append(_golden_max(lambda t: -delta(t), lo, hi, iters=80))
+            grid.append(argmin(lo, hi))
 
     reports = []
     for lam in lam_grid:

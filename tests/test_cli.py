@@ -209,6 +209,17 @@ class TestCommands:
     def test_finite_negative_tol_is_legal(self):
         assert parse_config(["check-cs-lp", "--tol=-1e-3"]).tol == -1e-3
 
+    def test_negative_scientific_tol_is_a_value(self, capsys):
+        # "-1e-3" after --tol is the flag's value, not an unknown flag
+        assert main(["check-cs-normal", "--trials", "2", "--tol", "-1e-3"]) in (0, 1)
+        assert json.loads(capsys.readouterr().out)["config"]["tol"] == -1e-3
+
+    def test_negative_scientific_constant_exits_2(self, capsys):
+        assert main(["check-cs-lp", "--trials", "2", "--constant", "-1e-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --constant must be a finite number > 0\n"
+
     @pytest.mark.parametrize("argv, flag", [
         (["check-cs-opvalued", "--trials", "1", "--budget-starts", "-1"], "--budget-starts"),
         (["check-cs-opvalued", "--trials", "1", "--budget-iters", "-2"], "--budget-iters"),
