@@ -297,10 +297,6 @@ def hermitian_part_of(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().swapaxes(-1, -2))
 
 
-def singular_values(x: AlgebraElement) -> list[np.ndarray]:
-    return [np.linalg.svd(b, compute_uv=False) for b in x.blocks]
-
-
 def eigh_blocks(x: AlgebraElement) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per-block hermitian eigendecomposition (W assumed hermitian within tol)."""
     return [np.linalg.eigh(hermitian_part_of(b)) for b in x.blocks]
@@ -314,26 +310,25 @@ def trace(x: AlgebraElement) -> complex:
 
 
 def operator_norm(x: AlgebraElement) -> float:
-    return max((float(s[0]) if s.size else 0.0) for s in singular_values(x))
+    return schatten_norm(x, math.inf)
 
 
 def schatten_norm(x: AlgebraElement, p: PExponent | float | str) -> float:
     """||X||_p = rho(|X|^p)^(1/p); the operator norm for p = inf."""
-    pe = as_exponent(p)
-    svals = singular_values(x)
-    if pe.is_inf:
-        return max((float(s[0]) if s.size else 0.0) for s in svals)
-    acc = sum(w * float(np.sum(s ** pe.value)) for w, s in zip(x.algebra.weights, svals))
-    return float(acc ** (1.0 / pe.value))
+    return float(_stacked_schatten(x.algebra, [b[None] for b in x.blocks],
+                                   as_exponent(p).value)[0])
 
 
 def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
                       p: float) -> np.ndarray:
-    """``schatten_norm(., p)`` of each item of a stack given as per-block
-    (B, n_k, n_k) arrays, with the operations of ``schatten_norm`` in the same
-    order (one SVD call per block, the final root taken per item)."""
-    terms = [wt * (np.linalg.svd(b, compute_uv=False) ** p).sum(axis=-1)
-             for wt, b in zip(alg.weights, blocks)]
+    """||X_t||_p of each item X_t of a stack given as per-block (T, n_k, n_k)
+    arrays: one SVD call per block, the weighted block sums added in block
+    order and the final root taken per item; the largest singular value over
+    the blocks for p = inf."""
+    svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    if math.isinf(p):
+        return np.maximum.reduce([s[:, 0] for s in svals])
+    terms = [wt * (s ** p).sum(axis=-1) for wt, s in zip(alg.weights, svals)]
     acc = terms[0]
     for t in terms[1:]:
         acc = acc + t

@@ -28,7 +28,7 @@ from .algebra import (AlgebraElement, TracedAlgebra, _stacked_schatten, as_expon
 from .errors import ConditioningError, InconsistencyError, PreconditionError
 from .sampling import rng_from
 from .sesquilinear import (SesquilinearMap, check_left_invariance, check_positivity,
-                           evaluate, from_linear_map, scalar_gram)
+                           evaluate, evaluate_stack, from_linear_map, scalar_gram)
 from .star import StarAlgebra
 
 __all__ = ["GnsRepresentation", "null_space", "gns_construct", "verify_representation",
@@ -70,8 +70,8 @@ def null_space(phi: SesquilinearMap) -> np.ndarray:
             f"({thr:.3e}, {GAP_CEILING * lam_max:.3e}); refusing to pick a kernel")
     kernel = q[:, lam <= thr]
     scale = phi.gram_scale()
-    for v in kernel.T:
-        resid = schatten_norm(evaluate(phi, v, v), 2.0)
+    for resid in _stacked_schatten(phi.target, evaluate_stack(phi, kernel.T, kernel.T),
+                                   2.0).tolist():
         if resid > 1e-8 * scale:
             raise InconsistencyError(
                 f"kernel vector of the scalar gram does not annihilate the map ({resid:.3e})")
@@ -211,10 +211,9 @@ def _residuals(rep: GnsRepresentation) -> dict:
     d = domain.dim
     scale = phi.gram_scale()
 
-    vecs = [rep.class_coords(rep.pi[i] @ rep.cyclic) for i in range(d)]
-    rebuilt = [evaluate(phi, vecs[i], vecs[j]) for i in range(d) for j in range(d)]
-    diffs = [g - np.array([r.blocks[k] for r in rebuilt])
-             for k, g in enumerate(phi.flat_gram())]
+    vecs = np.array([rep.class_coords(rep.pi[i] @ rep.cyclic) for i in range(d)])
+    rebuilt = evaluate_stack(phi, np.repeat(vecs, d, axis=0), np.tile(vecs, (d, 1)))
+    diffs = [g - r for g, r in zip(phi.flat_gram(), rebuilt)]
     recon = float(np.max(_stacked_schatten(phi.target, diffs, 2.0))) / scale
 
     mult = 0.0
@@ -265,10 +264,12 @@ def verify_representation(rep: GnsRepresentation, trials: int = 50,
     d = rep.domain.dim
     phi = rep.phi
     scale = phi.gram_scale()
-    recon = mult = adj = 0.0
-    for _ in range(max(trials, 1)):
-        a = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        b = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    mult = adj = 0.0
+    draws = [(rng.standard_normal(d) + 1j * rng.standard_normal(d),
+              rng.standard_normal(d) + 1j * rng.standard_normal(d))
+             for _ in range(max(trials, 1))]
+    classes = []
+    for a, b in draws:
         pa, pb = rep.pi_of(a), rep.pi_of(b)
         pscale = 1.0 + float(np.max(np.abs(pa), initial=0.0)) \
             + float(np.max(np.abs(pb), initial=0.0))
@@ -277,11 +278,16 @@ def verify_representation(rep: GnsRepresentation, trials: int = 50,
                    / (pscale * pscale))
         adj = max(adj, float(np.max(np.abs(rep.pi_of(rep.domain.involute(a))
                                            - pa.conj().T), initial=0.0)) / pscale)
-        va = rep.class_coords(pa @ rep.cyclic)
-        vb = rep.class_coords(pb @ rep.cyclic)
-        diff = evaluate(phi, a, b) - evaluate(phi, va, vb)
+        classes.append((rep.class_coords(pa @ rep.cyclic), rep.class_coords(pb @ rep.cyclic)))
+    # Phi(a, b) - Phi(va, vb) of every trial, as one stack
+    n = len(draws)
+    pairs = draws + classes
+    vals = evaluate_stack(phi, [x for x, _ in pairs], [y for _, y in pairs])
+    norms = _stacked_schatten(phi.target, [v[:n] - v[n:] for v in vals], 2.0).tolist()
+    recon = 0.0
+    for (a, b), norm in zip(draws, norms):
         norm_ab = 1.0 + float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-        recon = max(recon, schatten_norm(diff, 2.0) / (scale * norm_ab))
+        recon = max(recon, norm / (scale * norm_ab))
     return VerificationReport(trials=trials, reconstruction=recon, multiplicativity=mult,
                               adjointness=adj, cyclic_span_dim=_cyclic_span_rank(rep),
                               quotient_dim=rep.quotient_dim)

@@ -18,12 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, PExponent, TracedAlgebra, as_exponent,
-                      operator_norm, real_imag_parts, schatten_norm)
-from .errors import DomainError, PreconditionError
+from .algebra import (AlgebraElement, PExponent, TracedAlgebra, _stacked_schatten,
+                      as_exponent, hermitian_part_of, operator_norm, schatten_norm)
+from .errors import DomainError, PreconditionError, StructureError
 from .sampling import random_unit_vector, substreams
 from .sesquilinear import (PositivityCertificate, SesquilinearMap, check_left_invariance,
-                           check_positivity, evaluate, from_linear_map, random_map)
+                           check_positivity, evaluate, evaluate_stack, from_linear_map,
+                           random_map)
 from .star import StarAlgebra
 
 __all__ = ["InequalityReport", "UncertaintyReport", "check_cs_lp", "check_cs_normal",
@@ -83,6 +84,15 @@ def _require_not_violated(cert: PositivityCertificate) -> None:
             f"positivity certificate is violated (min eig {cert.witness_min_eig:.3e})")
 
 
+def _pair_stack(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+    """Phi(x, y), Phi(x, x) and Phi(y, y) as per-block (3, n_k, n_k) stacks."""
+    x = np.asarray(x, dtype=complex).ravel()
+    y = np.asarray(y, dtype=complex).ravel()
+    if x.shape != y.shape:
+        raise StructureError("x and y must have the same length")
+    return evaluate_stack(phi, [x, x, y], [y, x, y])
+
+
 def check_cs_lp(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
                 p: PExponent | float, constant: float | None = None,
                 certificate: PositivityCertificate | None = None) -> InequalityReport:
@@ -93,13 +103,12 @@ def check_cs_lp(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
     pe = as_exponent(p)
     if constant is None:
         constant = default_cs_constant(pe)
-    if constant <= 0:
-        raise DomainError("the Cauchy-Schwarz constant must be positive")
+    if not (math.isfinite(constant) and constant > 0):
+        raise DomainError(f"the Cauchy-Schwarz constant must be finite and positive, "
+                          f"got {constant}")
     cert = certificate if certificate is not None else check_positivity(phi)
     _require_not_violated(cert)
-    lhs = schatten_norm(evaluate(phi, x, y), pe)
-    dx = schatten_norm(evaluate(phi, x, x), pe)
-    dy = schatten_norm(evaluate(phi, y, y), pe)
+    lhs, dx, dy = _stacked_schatten(phi.target, _pair_stack(phi, x, y), pe.value).tolist()
     rhs = constant * math.sqrt(max(dx, 0.0)) * math.sqrt(max(dy, 0.0))
     witness = {"p": pe.value, "constant": constant, "x": np.asarray(x), "y": np.asarray(y)}
     return _report(lhs, rhs, witness)
@@ -132,12 +141,15 @@ def check_re_im(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
     """||Re Phi(x,y)||_2^2 <= ||Phi(x,x)||_2 ||Phi(y,y)||_2, and the same for Im."""
     cert = certificate if certificate is not None else check_positivity(phi)
     _require_not_violated(cert)
-    val = evaluate(phi, x, y)
-    re, im = real_imag_parts(val)
-    rhs = schatten_norm(evaluate(phi, x, x), 2.0) * schatten_norm(evaluate(phi, y, y), 2.0)
+    vals = _pair_stack(phi, x, y)
+    parts = [np.concatenate([hermitian_part_of(v[:1]),
+                             (v[:1] - v[:1].conj().swapaxes(-1, -2)) / 2j, v[1:]])
+             for v in vals]
+    n_re, n_im, n_x, n_y = _stacked_schatten(phi.target, parts, 2.0).tolist()
+    rhs = n_x * n_y
     wit = {"x": np.asarray(x), "y": np.asarray(y)}
-    rep_re = _report(schatten_norm(re, 2.0) ** 2, rhs, {**wit, "part": "re"})
-    rep_im = _report(schatten_norm(im, 2.0) ** 2, rhs, {**wit, "part": "im"})
+    rep_re = _report(n_re ** 2, rhs, {**wit, "part": "re"})
+    rep_im = _report(n_im ** 2, rhs, {**wit, "part": "im"})
     return rep_re, rep_im
 
 
@@ -186,10 +198,8 @@ def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray):
     + t^4 ||D||^2 in the inner product <X, Y> = Re rho(X* Y) of ||.||_2.  Its
     minimum on [lo, hi] lies at an end or at a real root of its derivative.
     """
-    g_aa = evaluate(phi, a, a)
-    g_ae = evaluate(phi, a, unit)
-    g_ea = evaluate(phi, unit, a)
-    g_ee = evaluate(phi, unit, unit)
+    vals = evaluate_stack(phi, [a, a, unit, unit], [a, unit, a, unit])
+    g_aa, g_ae, g_ea, g_ee = (phi.target.element([v[t] for v in vals]) for t in range(4))
 
     def delta(t: float) -> float:
         v = g_aa - t * g_ae - t * g_ea + (t * t) * g_ee
@@ -245,18 +255,15 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     scale *= (1.0 + float(np.max(np.abs(a))) ) * (1.0 + float(np.max(np.abs(b))))
     bstar = alg.involute(b)
     astar = alg.involute(a)
-    comm_resid = 0.0
-    for i in range(alg.dim):
-        ei = alg.basis_vector(i)
-        ax = alg.multiply(a, ei)
-        bx = alg.multiply(b, ei)
-        ikx = alg.multiply(1j * k, ei)
-        for j in range(alg.dim):
-            ej = alg.basis_vector(j)
-            lhs = evaluate(phi, ax, alg.multiply(bstar, ej)) \
-                - evaluate(phi, bx, alg.multiply(astar, ej))
-            rhs = evaluate(phi, ikx, ej)
-            comm_resid = max(comm_resid, schatten_norm(lhs - rhs, 2.0) / scale)
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    ax, bx, ikx, bstar_e, astar_e = (np.array([alg.multiply(u, e) for e in basis])
+                                     for u in (a, b, 1j * k, bstar, astar))
+    i, j = np.indices((alg.dim, alg.dim)).reshape(2, -1)
+    vals = evaluate_stack(phi, np.concatenate([ax[i], bx[i], ikx[i]]),
+                          np.concatenate([bstar_e[j], astar_e[j], np.array(basis)[j]]))
+    n = alg.dim ** 2
+    diffs = [v[:n] - v[n:2 * n] - v[2 * n:] for v in vals]
+    comm_resid = float(np.max(_stacked_schatten(phi.target, diffs, 2.0)) / scale)
     if comm_resid > tol:
         raise PreconditionError(f"Phi-commutator identity fails: residual {comm_resid:.3e}")
 

@@ -21,16 +21,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, schatten_norm
+from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, hermitian_part_of
 from .errors import DomainError, InconsistencyError, PreconditionError, StructureError
 from .sampling import random_complex_matrix, random_unit_vector, rng_from
 from .star import StarAlgebra
 
 __all__ = ["KrausFactor", "SesquilinearMap", "PositivityCertificate",
-           "evaluate", "check_positivity", "check_left_invariance",
+           "evaluate", "evaluate_stack", "check_positivity", "check_left_invariance",
            "random_map", "from_linear_map", "scalar_gram"]
 
 DEFAULT_POSITIVITY_SAMPLES = 512
+# coefficients evaluate_stack forms at once, which bounds its scratch memory
+STACK_COEFFS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -156,14 +158,55 @@ class PositivityCertificate:
 
 # -- operations -----------------------------------------------------------------
 
+def evaluate_stack(phi: SesquilinearMap, xs: np.ndarray,
+                   ys: np.ndarray) -> list[np.ndarray]:
+    """Per-block (T, n_k, n_k) stacks of Phi(xs[t], ys[t]) for (T, d) inputs.
+
+    Each row is accumulated like ``_combine``: the d*d gram slots in index
+    order from zero, skipping the row's zero coefficients, so it equals a
+    lone ``evaluate`` bit for bit.  Rows are taken in chunks of at most
+    ``STACK_COEFFS`` coefficients.
+    """
+    xs = np.asarray(xs, dtype=complex)
+    ys = np.asarray(ys, dtype=complex)
+    d = phi.domain_dim
+    if xs.ndim != 2 or xs.shape[1] != d or ys.shape != xs.shape:
+        raise StructureError(f"vectors must have length {d}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise DomainError("vectors need finite entries")
+    flat = phi.flat_gram()
+    out = [np.zeros((len(xs), *g.shape[1:]), dtype=complex) for g in flat]
+    step = max(1, STACK_COEFFS // (d * d))
+    for lo in range(0, len(xs), step):
+        # the coefficient products as np.outer forms them, one row per pair
+        coeffs = (xs[lo:lo + step, :, None]
+                  * np.conj(ys[lo:lo + step])[:, None, :]).reshape(-1, d * d)
+        live = coeffs != 0
+        # per live slot: the rows it adds to and their coefficients.  A slot
+        # live in one row multiplies by the scalar coefficient, as _combine
+        # does: numpy may round a one-element complex product apart from a
+        # broadcast one.
+        slots = []
+        for s, n in enumerate(live.sum(axis=0).tolist()):
+            if n == 1:
+                r = int(np.flatnonzero(live[:, s])[0])
+                slots.append((s, r, coeffs[r, s]))
+            elif n == len(coeffs):
+                slots.append((s, slice(None), coeffs[:, s, None, None]))
+            elif n:
+                rows = np.flatnonzero(live[:, s])
+                slots.append((s, rows, coeffs[rows, s, None, None]))
+        for g, acc in zip(flat, out):
+            chunk = acc[lo:lo + step]
+            for s, rows, c in slots:
+                chunk[rows] += c * g[s]
+    return out
+
+
 def evaluate(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray) -> AlgebraElement:
     """Phi(x, y) = sum_ij x_i conj(y_j) G[i, j]."""
-    x = np.asarray(x, dtype=complex).ravel()
-    y = np.asarray(y, dtype=complex).ravel()
-    if x.shape != (phi.domain_dim,) or y.shape != (phi.domain_dim,):
-        raise StructureError(f"vectors must have length {phi.domain_dim}")
-    coeff = np.outer(x, np.conj(y)).ravel()
-    return AlgebraElement(phi.target, [_combine(coeff, g) for g in phi.flat_gram()])
+    rows = [np.asarray(v, dtype=complex).ravel()[None] for v in (x, y)]
+    return AlgebraElement(phi.target, [b[0] for b in evaluate_stack(phi, *rows)])
 
 
 def _block_gram_matrices(phi: SesquilinearMap) -> list[np.ndarray]:
@@ -191,16 +234,15 @@ def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMP
             for big in _block_gram_matrices(phi)):
         return PositivityCertificate(status="certified", reason="block gram matrix is PSD")
     rng = rng_from(seed)
-    worst = np.inf
-    worst_x = None
-    for _ in range(trials):
-        x = random_unit_vector(rng, phi.domain_dim)
-        v = evaluate(phi, x, x)
-        herm_defect = max(np.max(np.abs(b - b.conj().T), initial=0.0) for b in v.blocks)
-        lam_min = min(np.linalg.eigvalsh(0.5 * (b + b.conj().T)).min() for b in v.blocks)
-        lam_min -= herm_defect  # a non-hermitian diagonal value counts against positivity
-        if lam_min < worst:
-            worst, worst_x = lam_min, x
+    xs = np.array([random_unit_vector(rng, phi.domain_dim) for _ in range(trials)])
+    vals = evaluate_stack(phi, xs, xs)
+    # a non-hermitian diagonal value counts against positivity
+    herm_defect = np.maximum.reduce([np.abs(v - v.conj().swapaxes(-1, -2)).max(axis=(1, 2))
+                                     for v in vals])
+    lam_min = np.minimum.reduce([np.linalg.eigvalsh(hermitian_part_of(v)).min(axis=-1)
+                                 for v in vals]) - herm_defect
+    at = int(np.argmin(lam_min))
+    worst, worst_x = lam_min[at], xs[at]
     if worst < -1e-9 * scale:
         return PositivityCertificate(status="violated", samples=trials, witness=worst_x,
                                      witness_min_eig=float(worst),
@@ -220,19 +262,16 @@ def check_left_invariance(phi: SesquilinearMap) -> float:
     if alg is None:
         raise PreconditionError("left-invariance needs a StarAlgebra domain")
     d = phi.domain_dim
-    scale = phi.gram_scale()
-    resid = 0.0
-    for a in range(d):
-        ea = alg.basis_vector(a)
-        astar = alg.involute(ea)
-        for c in range(d):
-            ac = alg.multiply(ea, alg.basis_vector(c))
-            for dd in range(d):
-                ad = alg.multiply(astar, alg.basis_vector(dd))
-                lhs = evaluate(phi, ac, alg.basis_vector(dd))
-                rhs = evaluate(phi, alg.basis_vector(c), ad)
-                resid = max(resid, schatten_norm(lhs - rhs, 2.0) / scale)
-    return float(resid)
+    eye = np.eye(d, dtype=complex)
+    # every basis triple (a, c, e): a c = mult[a, c] and a* e = sum_i invol[i, a] mult[i, e]
+    a, c, e = np.indices((d, d, d)).reshape(3, -1)
+    astar_e = np.einsum("ia,iek->aek", alg.invol, alg.mult)
+    vals = evaluate_stack(phi, np.concatenate([alg.mult[a, c], eye[c]]),
+                          np.concatenate([eye[e], astar_e[a, e]]))
+    # the gram entries ride in the same SVD stack for the scale of gram_scale
+    norms = _stacked_schatten(phi.target, [np.concatenate([g, v[:d ** 3] - v[d ** 3:]])
+                                           for g, v in zip(phi.flat_gram(), vals)], 2.0)
+    return float(np.max(norms[d * d:]) / (1.0 + float(np.max(norms[:d * d]))))
 
 
 def random_map(d: int, target: TracedAlgebra, rank: int = 1, seed: int = 0,

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -16,6 +17,27 @@ def tr2():
 def weighted():
     """Two weighted blocks, total dimension 3."""
     return TracedAlgebra([2, 1], [0.5, 2.0])
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Counts calls of np.linalg.svd, eigh and eigvalsh in ``["n"]`` and by
+    name, and the matrices they solve (the product of the leading axes) in
+    ``["matrices"]``; calls of np.linalg.qr in ``["qr"]``."""
+    calls = {"n": 0, "matrices": 0, "qr": 0, "svd": 0, "eigh": 0, "eigvalsh": 0}
+    for name in ("svd", "eigh", "eigvalsh"):
+        def counted(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls["n"] += 1
+            calls[_name] += 1
+            calls["matrices"] += math.prod(np.shape(a)[:-2])
+            return _f(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def counted_qr(a, *args, _f=np.linalg.qr, **kwargs):
+        calls["qr"] += 1
+        return _f(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    return calls
 
 
 @pytest.fixture

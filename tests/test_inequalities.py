@@ -55,6 +55,28 @@ class TestCsLp:
         with pytest.raises(DomainError):
             check_cs_lp(phi3, np.ones(3), np.ones(3), 2.0, constant=0.0)
 
+    @pytest.mark.parametrize("constant", [math.nan, math.inf, 0.0, -1.0],
+                             ids=["nan", "inf", "zero", "negative"])
+    def test_rejects_nonfinite_or_nonpositive_constant(self, constant):
+        # nan used to report "violated" and inf "holds"
+        phi = random_map(2, TracedAlgebra([2]), seed=1)
+        with pytest.raises(DomainError, match="finite and positive"):
+            check_cs_lp(phi, np.array([1.0, 0.0]), np.array([0.0, 1.0]), 2.0,
+                        constant=constant)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("check", ["cs_lp", "re_im", "cs_normal"])
+    def test_rejects_nonfinite_vectors(self, bad, check):
+        # a NaN entry used to give a NaN value or an SVD that did not converge
+        phi = random_map(2, TracedAlgebra([1, 1], [1.0, 2.0]), seed=1)
+        run = {"cs_lp": lambda x, y: check_cs_lp(phi, x, y, 2.0),
+               "re_im": lambda x, y: check_re_im(phi, x, y),
+               "cs_normal": lambda x, y: check_cs_normal(phi, x, y, 2.0)}[check]
+        good, v = np.array([1.0, 0.5]), np.array([bad, 0.0])
+        for x, y in ((v, good), (good, v)):
+            with pytest.raises(DomainError, match="finite"):
+                run(x, y)
+
     @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0, 3.0, 4.0, math.inf])
     def test_random_sweep_holds(self, phi3, rng, p):
         for _ in range(60):

@@ -1,13 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nclp.algebra import AlgebraElement, TracedAlgebra, schatten_norm, trace
-from nclp.errors import PreconditionError, StructureError
-from nclp.sesquilinear import (SesquilinearMap, _block_gram_matrices, check_left_invariance,
-                               check_positivity, evaluate, from_linear_map,
-                               random_map, scalar_gram)
-from nclp.star import matrix_algebra
-from nclp.suites import target_pool
+from nclp.algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, schatten_norm, trace
+from nclp.errors import DomainError, PreconditionError, StructureError
+from nclp import sesquilinear
+from nclp.inequalities import check_cs_lp
+from nclp.sampling import rng_from
+from nclp.sesquilinear import (SesquilinearMap, _block_gram_matrices, _combine,
+                               check_left_invariance, check_positivity, evaluate,
+                               evaluate_stack, from_linear_map, random_map, scalar_gram)
+from nclp.star import cyclic_group_algebra, matrix_algebra
+from nclp.suites import random_positive_linear_map, target_pool
 
 from conftest import gram_of
 
@@ -48,6 +55,16 @@ class TestEvaluate:
     def test_dimension_mismatch(self, kraus_map):
         with pytest.raises(StructureError):
             evaluate(kraus_map, np.ones(2), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_nonfinite_vector_rejected(self, kraus_map, bad):
+        v = np.array([bad, 0.0, 1.0])
+        with pytest.raises(DomainError):
+            evaluate(kraus_map, v, np.ones(3))
+        with pytest.raises(DomainError):
+            evaluate(kraus_map, np.ones(3), v)
+        with pytest.raises(DomainError):
+            evaluate_stack(kraus_map, np.ones((2, 3)), np.stack([np.ones(3), v]))
 
     def test_hermitian_kraus_1000(self, kraus_map, rng):
         for _ in range(1000):
@@ -276,3 +293,97 @@ class TestScalarGram:
         for _ in range(100):
             x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             assert evaluate(phi, x, x).is_psd()
+
+
+@st.composite
+def stacked_pairs(draw):
+    """A map into a pool target, a (T, d) stack of (x, y) pairs with exact
+    zero and unit entries mixed in, and a permutation of the stack."""
+    target = draw(st.sampled_from(target_pool()))
+    d = draw(st.integers(1, 4))
+    rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
+    phi = random_map(d, target, rank=draw(st.integers(1, 3)), seed=int(rng.integers(2 ** 31)))
+    t = draw(st.integers(1, 12))
+    xs, ys = (rng.standard_normal((2, t, d)) + 1j * rng.standard_normal((2, t, d)))
+    for v in (xs, ys):
+        v[rng.random((t, d)) < 0.3] = 0.0
+        v[rng.random((t, d)) < 0.1] = 1.0
+    order = draw(st.sampled_from(["same", "reversed", "shuffled"]))
+    perm = {"same": np.arange(t), "reversed": np.arange(t)[::-1],
+            "shuffled": rng.permutation(t)}[order]
+    return phi, xs, ys, perm
+
+
+class TestEvaluateStack:
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacked_pairs())
+    def test_rows_are_lone_evaluations_bit_for_bit(self, case):
+        phi, xs, ys, perm = case
+        stack = evaluate_stack(phi, xs, ys)
+        moved = evaluate_stack(phi, xs[perm], ys[perm])
+        for t, (x, y) in enumerate(zip(xs, ys)):
+            lone = evaluate(phi, x, y)
+            coeff = np.outer(x, np.conj(y)).ravel()
+            for g, b, s in zip(phi.flat_gram(), lone.blocks, stack):
+                assert np.array_equal(s[t], b)
+                assert np.array_equal(b, _combine(coeff, g))
+        for s, m in zip(stack, moved):
+            assert np.array_equal(s[perm], m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=stacked_pairs())
+    def test_stacked_schatten_is_schatten_norm_bit_for_bit(self, case):
+        phi, xs, ys, _ = case
+        stack = evaluate_stack(phi, xs, ys)
+        for p in (1.0, 1.25, 2.0, 4.0, math.inf):
+            norms = _stacked_schatten(phi.target, stack, p)
+            for t in range(len(xs)):
+                lone = phi.target.element([s[t] for s in stack])
+                assert norms[t] == schatten_norm(lone, p)
+
+    @pytest.mark.parametrize("coeffs", [1, 20, 9 * 7])
+    def test_chunked_rows_are_the_whole_stack(self, weighted, monkeypatch, coeffs):
+        # rows taken a few at a time (one at a time below d*d coefficients)
+        phi = random_map(3, weighted, rank=2, seed=7)
+        rng = rng_from(7)
+        xs, ys = rng.standard_normal((2, 50, 3)) + 1j * rng.standard_normal((2, 50, 3))
+        xs[rng.random((50, 3)) < 0.4] = 0.0
+        whole = evaluate_stack(phi, xs, ys)
+        monkeypatch.setattr(sesquilinear, "STACK_COEFFS", coeffs)
+        for w, c in zip(whole, evaluate_stack(phi, xs, ys)):
+            assert np.array_equal(w, c)
+
+    def test_zero_rows_are_zero(self, weighted):
+        phi = random_map(2, weighted, rank=1, seed=3)
+        stack = evaluate_stack(phi, np.zeros((3, 2)), np.ones((3, 2)))
+        assert all(np.array_equal(s, np.zeros_like(s)) for s in stack)
+
+    def test_rejects_misshapen_stacks(self, kraus_map):
+        for xs, ys in ((np.ones(3), np.ones(3)), (np.ones((2, 3)), np.ones((3, 3))),
+                       (np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(StructureError):
+                evaluate_stack(kraus_map, xs, ys)
+
+
+class TestSvdBudget:
+    """A check scores all of its pairs with one SVD call per target block,
+    not one per pair."""
+
+    @pytest.mark.parametrize("target", [TracedAlgebra([2]), TracedAlgebra([2, 1], [0.5, 2.0]),
+                                        TracedAlgebra([1, 1, 1], [1.0, 0.5, 0.25])],
+                             ids=["M2", "M2+M1", "C3"])
+    def test_cs_lp_is_one_svd_per_block(self, linalg_calls, target):
+        phi = random_map(3, target, rank=2, seed=1)
+        rng = rng_from(4)
+        x, y = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        check_cs_lp(phi, x, y, 1.5)
+        assert linalg_calls["svd"] == target.n_blocks, linalg_calls
+
+    @pytest.mark.parametrize("domain", [matrix_algebra(2), cyclic_group_algebra(3)],
+                             ids=["M2", "Z3"])
+    def test_left_invariance_is_one_svd_per_block(self, linalg_calls, domain):
+        target = TracedAlgebra([2, 1], [1.0, 0.5])
+        omega = random_positive_linear_map(domain, target, rank=2, rng=rng_from(6))
+        phi = from_linear_map(omega, domain, target)
+        check_left_invariance(phi)
+        assert linalg_calls["svd"] == target.n_blocks, linalg_calls
