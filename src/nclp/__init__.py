@@ -17,13 +17,13 @@ from .errors import (ConditioningError, DomainError, InconsistencyError,
                      PreconditionError, StructureError)
 from .gns import GnsRepresentation, gns_construct, null_space, verify_representation
 from .inequalities import (InequalityReport, UncertaintyReport, check_cs_lp,
-                           check_cs_normal, check_re_im, check_cs_linear_normal,
-                           ratio_sampler, uncertainty_check)
+                           check_cs_normal, check_re_im, ratio_sampler,
+                           uncertainty_check)
 from .kernels import KernelMap, bound_checks
 from .radius import (OperatorValuedMap, SearchBudget, SuperOperator, TripleNormResult,
                      check_cs_operator_valued, numerical_radius, superop_norm,
-                     triple_norm, triple_norm_axioms)
-from .sesquilinear import (KrausFactor, PositivityCertificate, SesquilinearMap,
+                     triple_norm)
+from .sesquilinear import (PositivityCertificate, SesquilinearMap,
                            check_left_invariance, check_positivity, evaluate,
                            from_linear_map, random_map)
 from .star import (AlgebraVector, StarAlgebra, cyclic_group_algebra, matrix_algebra,

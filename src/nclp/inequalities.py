@@ -23,12 +23,10 @@ from .algebra import (AlgebraElement, PExponent, TracedAlgebra, _stacked_schatte
 from .errors import DomainError, PreconditionError, StructureError
 from .sampling import random_unit_vector, substreams
 from .sesquilinear import (PositivityCertificate, SesquilinearMap, check_left_invariance,
-                           check_positivity, evaluate, evaluate_stack, from_linear_map,
-                           random_map)
-from .star import StarAlgebra
+                           check_positivity, evaluate, evaluate_stack, random_map)
 
 __all__ = ["InequalityReport", "UncertaintyReport", "check_cs_lp", "check_cs_normal",
-           "check_re_im", "check_cs_linear_normal", "uncertainty_check",
+           "check_re_im", "uncertainty_check",
            "ratio_sampler", "default_cs_constant"]
 
 REPORT_TOL_COEFF = 1e-8
@@ -151,25 +149,6 @@ def check_re_im(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
     rep_re = _report(n_re ** 2, rhs, {**wit, "part": "re"})
     rep_im = _report(n_im ** 2, rhs, {**wit, "part": "im"})
     return rep_re, rep_im
-
-
-def check_cs_linear_normal(omega: Sequence[AlgebraElement], domain: StarAlgebra,
-                            x: np.ndarray, y: np.ndarray,
-                            p: PExponent | float) -> InequalityReport:
-    """||omega(y* x)||_p <= ||omega(x* x)||_p^(1/2) ||omega(y* y)||_p^(1/2).
-
-    The linear map omega is given by its values on the domain basis; the check
-    routes through the induced map Phi_omega(x, y) = omega(y* x) and requires
-    omega(y* x) to be normal.
-    """
-    phi = from_linear_map(omega, domain, phi_target_of(omega))
-    return check_cs_normal(phi, x, y, p)
-
-
-def phi_target_of(omega: Sequence[AlgebraElement]) -> TracedAlgebra:
-    if not omega:
-        raise DomainError("omega needs at least one value")
-    return omega[0].algebra
 
 
 # -- uncertainty ------------------------------------------------------------------

@@ -50,12 +50,12 @@ from .algebra import (AlgebraElement, TracedAlgebra, _stacked_schatten,
                       hermitian_part_of, psd_tol, schatten_norm, structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
 from .inequalities import InequalityReport, _report
-from .sampling import (random_complex_matrix, random_element, random_hermitian,
-                       random_psd, rng_from, substreams, unitaries_from_gaussian)
+from .sampling import (random_complex_matrix, random_hermitian, random_psd, rng_from,
+                       substreams, unitaries_from_gaussian)
 from .sesquilinear import PositivityCertificate, _combine
 
 __all__ = ["numerical_radius", "SearchBudget", "TripleNormResult", "triple_norm",
-           "triple_norm_axioms", "SuperOperator", "superop_norm",
+           "SuperOperator", "superop_norm",
            "SuperOperatorNormResult", "OperatorValuedMap", "check_cs_operator_valued"]
 
 TWO_PI = 2.0 * math.pi
@@ -637,53 +637,6 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
                             rank1_bound=rank1, status=status)
 
 
-@dataclass
-class TripleNormAxiomReport:
-    samples: int
-    homogeneity_defect: float
-    triangle_defect: float
-    sandwich_failures: int
-    min_nonzero_value: float
-    zero_value: float
-
-
-def triple_norm_axioms(samples: int = 50, seed: int = 0,
-                       algebra: TracedAlgebra | None = None,
-                       budget: SearchBudget | None = None) -> TripleNormAxiomReport:
-    """Empirical norm axioms for |||.|||_2 on random elements.
-
-    Homogeneity and the triangle inequality are checked up to optimizer noise
-    (the computed values are lower bounds); the sandwich
-    w(F) <= |||F|||_2 <= ||F||_2 and faithfulness on nonzero inputs are
-    verified per sample.
-    """
-    alg = algebra or TracedAlgebra([2])
-    budget = budget or SearchBudget(starts=4, iters=25)
-    rngs = substreams(seed, samples)
-    hom = tri = 0.0
-    sandwich_bad = 0
-    min_nz = math.inf
-    for rng in rngs:
-        f = random_element(alg, rng)
-        g = random_element(alg, rng)
-        c = float(rng.uniform(0.5, 2.0))
-        tf = triple_norm(f, budget)
-        tg = triple_norm(g, budget)
-        tcf = triple_norm(c * f, budget)
-        tfg = triple_norm(f + g, budget)
-        hom = max(hom, abs(tcf.value - c * tf.value) / (1.0 + c * tf.value))
-        tri = max(tri, (tfg.value - tf.value - tg.value) / (1.0 + tf.value + tg.value))
-        wf = numerical_radius(f, grid=512)
-        if not (wf - 1e-6 <= tf.value <= tf.upper_bound + 1e-9):
-            sandwich_bad += 1
-        if tf.value > 0:
-            min_nz = min(min_nz, tf.value)
-    zero_val = triple_norm(alg.zero(), budget).value
-    return TripleNormAxiomReport(samples=samples, homogeneity_defect=hom,
-                                 triangle_defect=tri, sandwich_failures=sandwich_bad,
-                                 min_nonzero_value=min_nz, zero_value=zero_val)
-
-
 # ---------------------------------------------------------------------------
 # superoperators B(M, matrix space)
 # ---------------------------------------------------------------------------
@@ -925,9 +878,10 @@ class OperatorValuedMap:
 
     ``gram`` is one read-only (d, d, n^2, coord_dim) array: ``gram[i, j]`` is
     the ``SuperOperator`` matrix of Phi(e_i, e_j).  Only ``from_generator``
-    builds a map with a generator, the factors
-    ``Phi(x,y)(S) = sum_r A_r(x) S A_r(y)*`` with ``A_r(x) = sum_i x_i A[r][i]``
-    its gram is built from; they certify positivity (PSD S gives PSD values).
+    builds a map with a generator, the read-only (R, d, n, source total_dim)
+    factor array of ``Phi(x,y)(S) = sum_r A_r(x) S A_r(y)*`` with
+    ``A_r(x) = sum_i x_i A[r, i]`` its gram is built from; it certifies
+    positivity (PSD S gives PSD values).
     """
 
     def __init__(self, source: TracedAlgebra, target_dim: int, gram: np.ndarray,
@@ -965,7 +919,8 @@ class OperatorValuedMap:
             acc = acc + t
         phi = cls(source, n, acc.transpose(1, 2, 3, 4, 0).reshape(d, d, n * n, -1),
                   target_algebra=target_algebra)
-        phi.generator = tuple(tuple(row) for row in a)
+        a.setflags(write=False)
+        phi.generator = a
         return phi
 
     def superop(self, x: np.ndarray, y: np.ndarray) -> SuperOperator:

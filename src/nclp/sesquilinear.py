@@ -7,15 +7,19 @@ block k of ``Phi(e_i, e_j)``.  Only ``SesquilinearMap.from_generator`` gives a
 map a factored generator
 
     Phi(x, y) = sum_r T_r(x) C_r T_r(y)*,   T_r(x) = sum_i x_i A_{r,i},
+    C_r = G_r G_r*,
 
-with each C_r PSD, and it builds the stacks from those factors in a few
-batched matmuls, so the two cannot disagree.  Generator-backed maps are
-positive by construction; plain gram stacks get a sufficient block-PSD test or
-honest sampling.
+held as arrays too: per target block one (R, d, n_k, n_k) coefficient stack
+of the A_{r,i} and one (R, n_k, n_k) root stack of the G_r.  It builds the
+gram stacks from those in a few batched matmuls, so the two cannot disagree,
+and every C_r it forms is PSD.  Generator-backed maps are positive by
+construction; plain gram stacks get a sufficient block-PSD test or honest
+sampling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,10 +27,10 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, hermitian_part_of
 from .errors import DomainError, InconsistencyError, PreconditionError, StructureError
-from .sampling import random_complex_matrix, random_unit_vector, rng_from
+from .sampling import random_unit_vector, rng_from
 from .star import StarAlgebra
 
-__all__ = ["KrausFactor", "SesquilinearMap", "PositivityCertificate",
+__all__ = ["SesquilinearMap", "PositivityCertificate",
            "evaluate", "evaluate_stack", "check_positivity", "check_left_invariance",
            "random_map", "from_linear_map", "scalar_gram"]
 
@@ -35,28 +39,13 @@ DEFAULT_POSITIVITY_SAMPLES = 512
 STACK_COEFFS = 1 << 14
 
 
-@dataclass(frozen=True)
-class KrausFactor:
-    """One factored term: coefficients A_{r,i} and a PSD middle element C_r."""
-
-    coeffs: tuple[AlgebraElement, ...]
-    middle: AlgebraElement
-
-    def apply(self, x: np.ndarray) -> AlgebraElement:
-        acc = self.coeffs[0].algebra.zero()
-        for xi, a in zip(np.asarray(x, dtype=complex), self.coeffs):
-            if xi != 0:
-                acc = acc + xi * a
-        return acc
-
-
 class SesquilinearMap:
     """Gram-stack representation of a sesquilinear map into a traced algebra.
 
     ``gram[k]`` is the read-only (d, d, n_k, n_k) stack of block k of the
     entries Phi(e_i, e_j).  ``generator`` is None unless the map was built by
-    ``from_generator``, which builds the stacks from the factors and attaches
-    them.
+    ``from_generator``, which builds the stacks from the read-only
+    ``(coeffs, roots)`` stacks it attaches.
     """
 
     def __init__(self, target: TracedAlgebra, gram: Sequence[np.ndarray],
@@ -69,6 +58,8 @@ class SesquilinearMap:
                                  "per target block")
         if domain_algebra is not None and domain_algebra.dim != d:
             raise StructureError("domain algebra dimension does not match the gram tensor")
+        if not all(np.isfinite(g).all() for g in stacks):
+            raise DomainError("gram entries must be finite")
         for g in stacks:
             g.setflags(write=False)
         self.target = target
@@ -80,16 +71,28 @@ class SesquilinearMap:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_generator(cls, target: TracedAlgebra, factors: Sequence[KrausFactor],
+    def from_generator(cls, target: TracedAlgebra, coeffs: Sequence[np.ndarray],
+                       roots: Sequence[np.ndarray],
                        domain_algebra: StarAlgebra | None = None) -> "SesquilinearMap":
-        if not factors:
-            raise StructureError("generator needs at least one factor")
-        if any(el.algebra != target for f in factors for el in (*f.coeffs, f.middle)):
-            raise StructureError("generator factors must live in the target algebra")
+        """Phi(x, y) = sum_r T_r(x) G_r G_r* T_r(y)* from per-block stacks.
+
+        ``coeffs[k]`` is the (R, d, n_k, n_k) stack of block k of A_{r,i} and
+        ``roots[k]`` the (R, n_k, n_k) stack of block k of G_r.
+        """
+        a_stacks = tuple(np.array(a, dtype=complex) for a in coeffs)
+        g_stacks = tuple(np.array(g, dtype=complex) for g in roots)
+        r, d = a_stacks[0].shape[:2] if a_stacks and a_stacks[0].ndim == 4 else (0, 0)
+        if r < 1 or d < 1 or len(a_stacks) != target.n_blocks \
+                or len(g_stacks) != target.n_blocks or any(
+                    a.shape != (r, d, n, n) or g.shape != (r, n, n)
+                    for a, g, n in zip(a_stacks, g_stacks, target.block_sizes)):
+            raise StructureError("generator needs one (R, d, n_k, n_k) coefficient stack "
+                                 "and one (R, n_k, n_k) root stack per target block, R >= 1")
+        if not all(np.isfinite(s).all() for s in (*a_stacks, *g_stacks)):
+            raise DomainError("generator factors must be finite")
         gram = []
-        for k in range(target.n_blocks):
-            a = np.array([[c.blocks[k] for c in f.coeffs] for f in factors])
-            m = np.array([f.middle.blocks[k] for f in factors])
+        for a, g in zip(a_stacks, g_stacks):
+            m = g @ g.conj().swapaxes(-1, -2)
             # (A_i C) A_j* of every factor at once, summed in factor order
             terms = (a @ m[:, None])[:, :, None] @ a.conj().swapaxes(-1, -2)[:, None]
             acc = np.zeros(terms.shape[1:], dtype=complex)
@@ -97,7 +100,9 @@ class SesquilinearMap:
                 acc = acc + t
             gram.append(acc)
         phi = cls(target, gram, domain_algebra=domain_algebra)
-        phi.generator = tuple(factors)
+        for s in (*a_stacks, *g_stacks):
+            s.setflags(write=False)
+        phi.generator = (a_stacks, g_stacks)
         return phi
 
     # -- basic structure --------------------------------------------------------
@@ -122,13 +127,13 @@ class SesquilinearMap:
                    for g in self.gram)
 
     def scaled(self, c: float) -> "SesquilinearMap":
-        """c * Phi for c > 0 (keeps the generator middles PSD)."""
+        """c * Phi for c > 0; a generator map scales its roots by sqrt(c)."""
         if not c > 0:
             raise DomainError("scaling keeps positivity only for c > 0")
         if self.generator is not None:
+            coeffs, roots = self.generator
             return SesquilinearMap.from_generator(
-                self.target, [KrausFactor(coeffs=f.coeffs, middle=c * f.middle)
-                              for f in self.generator],
+                self.target, coeffs, [math.sqrt(c) * g for g in roots],
                 domain_algebra=self.domain_algebra)
         return SesquilinearMap(self.target, [complex(c) * g for g in self.gram],
                                domain_algebra=self.domain_algebra)
@@ -277,21 +282,26 @@ def check_left_invariance(phi: SesquilinearMap) -> float:
 def random_map(d: int, target: TracedAlgebra, rank: int = 1, seed: int = 0,
                domain_algebra: StarAlgebra | None = None,
                scale: float = 1.0) -> SesquilinearMap:
-    """Deterministic Kraus-form map with `rank` factors and Gaussian coefficients."""
+    """Deterministic Kraus-form map with `rank` factors and Gaussian coefficients.
+
+    One draw holds, per factor r and slot i (slot d is the root G_r), the real
+    then the imaginary parts of each block in turn: the order of one
+    ``random_complex_matrix`` call per (r, i, block).
+    """
     if rank < 1:
         raise DomainError("random map needs rank >= 1")
-    rng = rng_from(seed)
-    factors = []
-    for _ in range(rank):
-        coeffs = tuple(
-            target.element([random_complex_matrix(rng, n, n, scale)
-                            for n in target.block_sizes])
-            for _ in range(d))
-        g = target.element([random_complex_matrix(rng, n, n, scale)
-                            for n in target.block_sizes])
-        middle = g @ g.adjoint()
-        factors.append(KrausFactor(coeffs=coeffs, middle=middle))
-    return SesquilinearMap.from_generator(target, factors, domain_algebra=domain_algebra)
+    if d < 1:
+        raise StructureError("random map needs d >= 1")
+    z = rng_from(seed).standard_normal((rank, d + 1, 2 * target.coord_dim))
+    coeffs, roots, at = [], [], 0
+    for n in target.block_sizes:
+        parts = z[..., at:at + 2 * n * n].reshape(rank, d + 1, 2, n, n)
+        at += 2 * n * n
+        block = scale * (parts[:, :, 0] + 1j * parts[:, :, 1])
+        coeffs.append(block[:, :d])
+        roots.append(block[:, d])
+    return SesquilinearMap.from_generator(target, coeffs, roots,
+                                          domain_algebra=domain_algebra)
 
 
 def from_linear_map(omega: Sequence[AlgebraElement], domain: StarAlgebra,

@@ -333,10 +333,9 @@ def triple_norm_suite(samples: int, seed: int = 0,
 
 def random_operator_valued(source: TracedAlgebra, target_dim: int, d: int,
                            rank: int, seed: int) -> OperatorValuedMap:
-    rng = rng_from(seed)
-    factors = [[random_complex_matrix(rng, target_dim, source.total_dim)
-                for _ in range(d)] for _ in range(rank)]
-    return OperatorValuedMap.from_generator(source, factors)
+    # one draw in the order of a random_complex_matrix call per (factor, slot)
+    z = rng_from(seed).standard_normal((rank, d, 2, target_dim, source.total_dim))
+    return OperatorValuedMap.from_generator(source, z[:, :, 0] + 1j * z[:, :, 1])
 
 
 def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,

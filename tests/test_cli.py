@@ -116,6 +116,7 @@ class TestCommands:
         assert main(["check-cs-lp", "--p", "2", "--trials", "5"]) == 0
         assert main(["gns"]) == 2                       # missing --input
         assert main(["norms", "--input", str(tmp_path / "absent.json")]) == 2
+        assert main(["sample-ratios", "--dims", "-1"]) == 2
 
     @pytest.mark.parametrize("text, message", [
         (ELEMENT_FILE.replace("[[0, 1],", "[[NaN, 1],"), "finite"),

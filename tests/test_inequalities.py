@@ -6,8 +6,8 @@ import pytest
 from nclp.algebra import TracedAlgebra
 from nclp.errors import DomainError, PreconditionError
 from nclp.inequalities import (RatioProfile, check_cs_lp, check_cs_normal,
-                               check_re_im, check_cs_linear_normal,
-                               default_cs_constant, ratio_sampler, uncertainty_check)
+                               check_re_im, default_cs_constant, ratio_sampler,
+                               uncertainty_check)
 from nclp.kernels import KernelMap, OnePlusXTKernel
 from nclp.sesquilinear import SesquilinearMap, check_positivity, random_map
 from nclp.star import matrix_algebra
@@ -134,29 +134,6 @@ class TestReIm:
             y = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             rep_re, rep_im = check_re_im(phi3, x, y)
             assert rep_re.ok and rep_im.ok
-
-
-class TestCsLinearNormal:
-    def test_trace_into_diagonal_target(self, rng):
-        dom = matrix_algebra(2)
-        target = TracedAlgebra([1, 1], [1.0, 2.0])
-        f0 = target.diagonal([1.0, 0.5])
-        # omega(a) = tr~(a) F0; values omega(e_ab) = delta_ab F0
-        omega = [complex(1.0 if i in (0, 3) else 0.0) * f0 for i in range(4)]
-        for _ in range(40):
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            rep = check_cs_linear_normal(omega, dom, x, y, 2.0)
-            assert rep.ok
-
-    def test_equal_arguments(self, rng):
-        dom = matrix_algebra(2)
-        target = TracedAlgebra([1])
-        omega = [target.element([np.array([[1.0 if i in (0, 3) else 0.0]])])
-                 for i in range(4)]
-        x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        rep = check_cs_linear_normal(omega, dom, x, x, 3.0)
-        assert rep.ratio == pytest.approx(1.0, abs=1e-9)
 
 
 class TestUncertainty:

@@ -14,7 +14,7 @@ from nclp.kernels import KernelMap, OnePlusXTKernel
 from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
                          SuperOperatorNormResult, _TargetNorm, _triple2_pool,
                          check_cs_operator_valued, numerical_radius, superop_norm,
-                         triple_norm, triple_norm_axioms)
+                         triple_norm)
 from nclp.sampling import random_complex_matrix, random_element, rng_from
 
 from conftest import random_element_of, strip_wall_time
@@ -212,14 +212,6 @@ class TestTripleNorm:
         assert triple_norm(np.exp(1.1j) * f, budget).value == pytest.approx(
             base, abs=2e-6)
 
-    def test_axioms_report(self):
-        rep = triple_norm_axioms(samples=15, seed=0)
-        assert rep.zero_value == 0.0
-        assert rep.homogeneity_defect <= 1e-6
-        assert rep.triangle_defect <= 2e-6
-        assert rep.sandwich_failures == 0
-        assert rep.min_nonzero_value > 0
-
 
 class TestSuperOperator:
     def test_identity_apply(self, tr2, rng):
@@ -331,6 +323,29 @@ class TestOperatorValuedCs:
                             src, n, lambda s: sum(fr[i] @ s.dense() @ fr[j].conj().T
                                                   for fr in factors))
                         assert np.array_equal(phi.gram[i, j], op.matrix)
+
+    def test_one_draw_is_the_per_matrix_draw(self):
+        # the reference: one random_complex_matrix call per (factor, slot)
+        for sizes in ([1], [2], [3], [2, 1], [1, 1, 2]):
+            src = TracedAlgebra(sizes)
+            for n in (1, 2, 3):
+                for d in (1, 2, 3):
+                    for rank in (1, 2, 3):
+                        seed = 7 * sum(sizes) + 3 * n + d + rank
+                        rng = rng_from(seed)
+                        factors = [[random_complex_matrix(rng, n, src.total_dim)
+                                    for _ in range(d)] for _ in range(rank)]
+                        ref = OperatorValuedMap.from_generator(src, factors)
+                        phi = suites.random_operator_valued(src, n, d, rank, seed)
+                        assert np.array_equal(phi.gram, ref.gram)
+                        assert np.array_equal(phi.generator, ref.generator)
+
+    def test_generator_is_one_read_only_array(self, tr2):
+        phi = suites.random_operator_valued(tr2, 3, 2, 2, seed=1)
+        assert isinstance(phi.generator, np.ndarray)
+        assert phi.generator.shape == (2, 2, 3, 2)
+        with pytest.raises(ValueError):
+            phi.generator[0, 0] = 0.0
 
     def test_rejects_misshapen_gram(self, tr2):
         with pytest.raises(StructureError):

@@ -9,7 +9,7 @@ from nclp.algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, schat
 from nclp.errors import DomainError, PreconditionError, StructureError
 from nclp import sesquilinear
 from nclp.inequalities import check_cs_lp
-from nclp.sampling import rng_from
+from nclp.sampling import random_complex_matrix, rng_from
 from nclp.sesquilinear import (SesquilinearMap, _block_gram_matrices, _combine,
                                check_left_invariance, check_positivity, evaluate,
                                evaluate_stack, from_linear_map, random_map, scalar_gram)
@@ -116,15 +116,17 @@ class TestPositivity:
         assert SesquilinearMap(tr2, bad).generator is None
         assert check_positivity(SesquilinearMap(tr2, bad)).status == "violated"
 
-    def test_kraus_entry_formula(self, tr2, rng):
-        # Phi(x, y) must equal sum_r T_r(x) C_r T_r(y)*
-        phi = random_map(2, tr2, rank=2, seed=9)
+    def test_kraus_entry_formula(self, weighted, rng):
+        # Phi(x, y) must equal sum_r T_r(x) G_r G_r* T_r(y)*, read off the stacks
+        phi = random_map(2, weighted, rank=2, seed=9)
         x = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        acc = tr2.zero()
-        for f in phi.generator:
-            acc = acc + f.apply(x) @ f.middle @ f.apply(y).adjoint()
-        assert np.allclose(acc.blocks[0], evaluate(phi, x, y).blocks[0], atol=1e-9)
+        val = evaluate(phi, x, y)
+        for a, g, b in zip(*phi.generator, val.blocks):
+            tx = np.einsum("i,rikl->rkl", x, a)
+            ty = np.einsum("i,rikl->rkl", y, a)
+            acc = sum(t @ r @ r.conj().T @ u.conj().T for t, r, u in zip(tx, g, ty))
+            assert np.allclose(acc, b, atol=1e-9)
 
 
 class TestLeftInvariance:
@@ -174,26 +176,55 @@ class TestRandomMap:
 
     def test_rank_one_scalar_domain(self, tr2):
         phi = random_map(1, tr2, rank=1, seed=0)
-        f = phi.generator[0]
-        expected = f.coeffs[0] @ f.middle @ f.coeffs[0].adjoint()
-        assert np.allclose(phi.gram[0][0, 0], expected.blocks[0])
+        (a,), (g,) = phi.generator
+        assert a.shape == (1, 1, 2, 2) and g.shape == (1, 2, 2)
+        expected = a[0, 0] @ (g[0] @ g[0].conj().T) @ a[0, 0].conj().T
+        assert np.allclose(phi.gram[0][0, 0], expected)
 
     def test_gram_stack_is_the_factor_formula(self):
-        # every stacked entry, bit for bit, is sum_r A_ri M_r A_rj* summed in
-        # factor order in AlgebraElement arithmetic
+        # every stacked entry, bit for bit, is sum_r A_ri M_r A_rj* with
+        # M_r = G_r G_r*, summed in factor order from zero
         for target in target_pool():
             for d in range(1, 5):
                 for rank in range(1, 4):
                     phi = random_map(d, target, rank=rank, seed=10 * d + rank)
+                    for k, (a, g) in enumerate(zip(*phi.generator)):
+                        assert a.shape[:2] == (rank, d) and len(g) == rank
+                        for i in range(d):
+                            for j in range(d):
+                                acc = np.zeros_like(phi.gram[k][i, j])
+                                for r in range(rank):
+                                    m = g[r] @ g[r].conj().T
+                                    acc = acc + a[r, i] @ m @ a[r, j].conj().T
+                                assert np.array_equal(phi.gram[k][i, j], acc)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 7.5])
+    def test_one_draw_is_the_per_matrix_draw(self, scale):
+        # the reference: one random_complex_matrix call per (factor, slot,
+        # block) in that order, and AlgebraElement arithmetic for the gram
+        for t, target in enumerate(target_pool()):
+            for d in range(1, 5):
+                for rank in range(1, 4):
+                    seed = 100 * t + 10 * d + rank
+                    rng = rng_from(seed)
+                    factors = []
+                    for _ in range(rank):
+                        coeffs = [target.element([random_complex_matrix(rng, n, n, scale)
+                                                  for n in target.block_sizes])
+                                  for _ in range(d)]
+                        g = target.element([random_complex_matrix(rng, n, n, scale)
+                                            for n in target.block_sizes])
+                        factors.append((coeffs, g @ g.adjoint()))
+                    phi = random_map(d, target, rank=rank, seed=seed, scale=scale)
                     for i in range(d):
                         for j in range(d):
                             acc = target.zero()
-                            for f in phi.generator:
-                                acc = acc + f.coeffs[i] @ f.middle @ f.coeffs[j].adjoint()
+                            for coeffs, middle in factors:
+                                acc = acc + coeffs[i] @ middle @ coeffs[j].adjoint()
                             for g, b in zip(phi.gram, acc.blocks):
                                 assert np.array_equal(g[i, j], b)
 
-    def test_generator_builds_no_element_per_entry(self, weighted, monkeypatch):
+    def test_random_map_builds_no_element(self, weighted, monkeypatch):
         built = []
         init = AlgebraElement.__init__
 
@@ -201,15 +232,15 @@ class TestRandomMap:
             built.append(1)
             init(self, *args, **kwargs)
 
-        counts = []
+        monkeypatch.setattr(AlgebraElement, "__init__", counting)
         for d in (1, 4):
-            factors = random_map(d, weighted, rank=2, seed=d).generator
-            built.clear()
-            monkeypatch.setattr(AlgebraElement, "__init__", counting)
-            SesquilinearMap.from_generator(weighted, factors)
-            monkeypatch.undo()
-            counts.append(len(built))
-        assert counts[0] == counts[1]
+            random_map(d, weighted, rank=2, seed=d)
+        assert built == []
+
+    def test_generator_stacks_are_read_only(self, kraus_map):
+        for s in (*kraus_map.generator[0], *kraus_map.generator[1]):
+            with pytest.raises(ValueError):
+                s[0] = 0.0
 
     def test_stacks_are_read_only(self, kraus_map):
         with pytest.raises(ValueError):
@@ -223,17 +254,89 @@ class TestRandomMap:
             with pytest.raises(StructureError):
                 SesquilinearMap(weighted, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_nonfinite_gram(self, tr2, bad):
+        g = np.array(random_map(2, tr2, rank=1, seed=4).gram[0])
+        g[0, 1, 0, 1] = bad
+        with pytest.raises(DomainError):
+            SesquilinearMap(tr2, [g])
+
     def test_scaling_keeps_structure(self, kraus_map):
+        # the roots take the factor sqrt(c), so the gram moves only in its last bits
         doubled = kraus_map.scaled(2.0)
         assert check_positivity(doubled).status == "certified"
-        assert len(doubled.generator) == len(kraus_map.generator)
-        assert np.allclose(doubled.gram[0][1, 2], 2.0 * kraus_map.gram[0][1, 2])
+        (a,), (g,) = kraus_map.generator
+        (a2,), (g2,) = doubled.generator
+        assert np.array_equal(a2, a)
+        assert np.array_equal(g2, math.sqrt(2.0) * g)
+        err = np.max(np.abs(doubled.gram[0] - 2.0 * kraus_map.gram[0]))
+        assert err <= 1e-12 * np.max(np.abs(doubled.gram[0]))
 
     def test_scaling_gram_only_map(self, kraus_map):
         bare = SesquilinearMap(kraus_map.target, kraus_map.gram)
         tripled = bare.scaled(3.0)
         assert tripled.generator is None
         assert np.array_equal(tripled.gram[0][1, 2], 3.0 * kraus_map.gram[0][1, 2])
+
+
+def _generator_stacks(target, rank, d, rng):
+    coeffs = [rng.standard_normal((rank, d, n, n)) + 1j * rng.standard_normal((rank, d, n, n))
+              for n in target.block_sizes]
+    roots = [rng.standard_normal((rank, n, n)) + 1j * rng.standard_normal((rank, n, n))
+             for n in target.block_sizes]
+    return coeffs, roots
+
+
+class TestFromGenerator:
+    def test_stacks_are_kept(self, weighted, rng):
+        coeffs, roots = _generator_stacks(weighted, 2, 3, rng)
+        phi = SesquilinearMap.from_generator(weighted, coeffs, roots)
+        assert phi.domain_dim == 3
+        for given_, kept in zip((*coeffs, *roots), (*phi.generator[0], *phi.generator[1])):
+            assert np.array_equal(given_, kept)
+        assert check_positivity(phi).status == "certified"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_nonfinite_factors(self, weighted, rng, bad):
+        for which in (0, 1):
+            stacks = _generator_stacks(weighted, 2, 2, rng)
+            stacks[which][1][0, 0, 0] = bad
+            with pytest.raises(DomainError):
+                SesquilinearMap.from_generator(weighted, *stacks)
+
+    def test_rejects_misshapen_stacks(self, weighted, rng):
+        coeffs, roots = _generator_stacks(weighted, 2, 3, rng)
+        empty = [a[:0] for a in coeffs], [g[:0] for g in roots]
+        cases = [
+            empty,                                                 # R = 0
+            (coeffs[:1], roots),                                   # missing block
+            (coeffs, roots[:1]),
+            ([coeffs[0], coeffs[1][:1]], roots),                   # R differs across blocks
+            ([coeffs[0], coeffs[1][:, :2]], roots),                # d differs across blocks
+            (coeffs, [roots[0][:1], roots[1]]),                    # root R differs
+            ([coeffs[0][..., :1], coeffs[1]], roots),              # wrong block shape
+            (coeffs, [roots[0][:, :1], roots[1]]),
+            ([a[:, 0] for a in coeffs], roots),                    # no slot axis
+            ([a[:, :0] for a in coeffs], roots),                   # d = 0
+        ]
+        for c, r in cases:
+            with pytest.raises(StructureError):
+                SesquilinearMap.from_generator(weighted, c, r)
+
+    @settings(max_examples=40, deadline=None)
+    @given(t=st.sampled_from(range(len(target_pool()))), rank=st.integers(1, 3),
+           d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           log_scale=st.floats(-6, 6))
+    def test_diagonal_values_are_psd(self, t, rank, d, seed, log_scale):
+        # the middles are formed as G G*, so no passed-in root can make them
+        # indefinite
+        target = target_pool()[t]
+        rng = rng_from(seed)
+        coeffs, roots = _generator_stacks(target, rank, d, rng)
+        phi = SesquilinearMap.from_generator(
+            target, coeffs, [10.0 ** log_scale * g for g in roots])
+        for x in rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d)):
+            assert evaluate(phi, x, x).is_psd()
 
 
 class TestStackedLayout:
