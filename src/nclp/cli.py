@@ -23,7 +23,8 @@ import numpy as np
 
 from . import suites
 from .algebra import TracedAlgebra, as_exponent, schatten_norm, trace
-from .errors import DomainError, StructureError
+from .errors import (ConditioningError, DomainError, InconsistencyError, PreconditionError,
+                     StructureError)
 from .gns import gns_construct, verify_representation
 from .inequalities import RatioProfile, default_cs_constant, ratio_sampler
 from .kernels import KernelMap, kernel_by_name
@@ -41,11 +42,11 @@ COMMANDS = {
     "check-cs-lp": ("seed", "p", "trials", "constant", "tol"),
     "check-cs-normal": ("seed", "p", "trials", "tol"),
     "check-re-im": ("seed", "trials"),
-    "check-uncertainty": ("seed",),
+    "check-uncertainty": (),
     "check-cs-opvalued": ("seed", "trials", "budget_starts", "budget_iters"),
     "triple-norm": ("seed", "budget_starts", "budget_iters", "input_path"),
     "numerical-radius": ("input_path",),
-    "gns": ("seed", "p", "trials", "input_path"),
+    "gns": ("seed", "trials", "input_path"),
     "kernel-demo": ("seed", "trials", "input_path"),
     "sample-ratios": ("seed", "p", "trials", "dims", "fmt"),
     "check-all": ("seed", "trials", "budget_starts", "budget_iters"),
@@ -67,6 +68,9 @@ FLAGS = {
 }
 
 OK_STATUSES = ("holds", "holds_within_tol")
+# faults of the input, not verdicts: main reports them on one line with exit 2
+INPUT_ERRORS = (DomainError, StructureError, PreconditionError, InconsistencyError,
+                ConditioningError, OSError)
 
 
 @dataclass
@@ -149,6 +153,8 @@ def _validate(cfg: RunConfig) -> None:
         raise DomainError(f"command {cfg.command!r} requires --input")
     if cfg.trials is not None and cfg.trials < 1:
         raise DomainError("--trials must be >= 1")
+    if cfg.dims is not None and cfg.dims < 1:
+        raise DomainError("--dims must be >= 1")
     for flag, count in (("--budget-starts", cfg.budget_starts),
                         ("--budget-iters", cfg.budget_iters)):
         if count < 0:
@@ -242,7 +248,7 @@ def _cmd_re_im(cfg: RunConfig) -> list:
 
 
 def _cmd_uncertainty(cfg: RunConfig) -> list:
-    return [_named_entry(suites.uncertainty_suite(seed=cfg.seed))]
+    return [_named_entry(suites.uncertainty_suite())]
 
 
 def _cmd_opvalued(cfg: RunConfig) -> list:
@@ -261,7 +267,7 @@ def _cmd_gns(cfg: RunConfig) -> list:
     omega = [element_from_json(target, blocks) for blocks in _field(doc, "omega", list)]
     if len(omega) != domain.dim:
         raise StructureError("omega must list one value per domain basis vector")
-    rep = gns_construct(omega, domain, target, p=cfg.p or 2.0, seed=cfg.seed)
+    rep = gns_construct(omega, domain, target, seed=cfg.seed)
     ver = verify_representation(rep, trials=cfg.trials or 50, seed=cfg.seed)
     entry = {"check": "gns", "representation": gns_to_json(rep),
              "verification": {"reconstruction": ver.reconstruction,
@@ -292,7 +298,7 @@ def _cmd_kernel_demo(cfg: RunConfig) -> list:
 def _cmd_sample_ratios(cfg: RunConfig) -> list:
     profile = RatioProfile(p=cfg.p if cfg.p is not None else 2.0,
                            target=TracedAlgebra([2]),
-                           domain_dim=cfg.dims or 2,
+                           domain_dim=cfg.dims if cfg.dims is not None else 2,
                            trials=cfg.trials or 10,
                            seed=cfg.seed)
     rows = ratio_sampler(profile)
@@ -306,9 +312,10 @@ def _cmd_check_all(cfg: RunConfig) -> list:
     """Reduced acceptance matrix for CI; deterministic per seed.
 
     One row per suite: the check name, the suite, its trial count as
-    ``max(trials // divisor, floor)`` (None: the suite takes none) and the
-    offset of its seed.  Each suite decides its own status.  The uncertainty
-    row has no check name: its entry is the one check-uncertainty prints.
+    ``max(trials // divisor, floor)`` and the offset of its seed (None: the
+    suite takes neither).  Each suite decides its own status.  The
+    uncertainty row has no check name: its entry is the one
+    check-uncertainty prints.
     """
     trials = cfg.trials or 100
     table = (
@@ -317,7 +324,7 @@ def _cmd_check_all(cfg: RunConfig) -> list:
         ("cs-normal-matrix", partial(suites.cs_normal_sweep, p_values=(1.5, 2.0, 3.0)),
          (1, 1), 1),
         ("re-im", suites.re_im_sweep, (1, 1), 2),
-        (None, suites.uncertainty_suite, None, 0),
+        (None, suites.uncertainty_suite, None, None),
         ("pairing-holder", suites.pairing_and_holder_suite, (1, 1), 3),
         ("tail-projections", suites.tail_projection_suite, (5, 5), 4),
         ("numerical-radius-suite", suites.numerical_radius_suite, (2, 10), 5),
@@ -329,8 +336,8 @@ def _cmd_check_all(cfg: RunConfig) -> list:
     )
     results = []
     for check, suite, rule, offset in table:
-        args = () if rule is None else (max(trials // rule[0], rule[1]),)
-        r = suite(*args, seed=cfg.seed + offset)
+        r = suite() if rule is None else suite(max(trials // rule[0], rule[1]),
+                                               seed=cfg.seed + offset)
         results.append(_named_entry(r) if check is None else {"check": check, **_fields(r)})
     return results
 
@@ -404,12 +411,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         cfg = parse_config(argv)
-    except (DomainError, StructureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
         report = execute(cfg)
-    except (DomainError, StructureError, OSError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = emit_report(report, fmt=cfg.fmt, path=cfg.output_path)

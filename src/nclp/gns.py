@@ -23,12 +23,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (AlgebraElement, TracedAlgebra, _stacked_schatten, as_exponent,
-                      schatten_norm)
+from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten
 from .errors import ConditioningError, InconsistencyError, PreconditionError
 from .sampling import rng_from
 from .sesquilinear import (SesquilinearMap, check_left_invariance, check_positivity,
-                           evaluate, evaluate_stack, from_linear_map, scalar_gram)
+                           evaluate_stack, from_linear_map, scalar_gram)
 from .star import StarAlgebra
 
 __all__ = ["GnsRepresentation", "null_space", "gns_construct", "verify_representation",
@@ -118,7 +117,6 @@ class GnsRepresentation:
     quotient_frame: np.ndarray        # (d, r), S-orthonormal columns
     pi: tuple[np.ndarray, ...]        # matrices of pi(e_i) on the frame
     cyclic: np.ndarray                # frame coordinates of Lambda(e)
-    p: float
     residuals: dict = field(default_factory=dict)
 
     @property
@@ -137,24 +135,17 @@ class GnsRepresentation:
         """Algebra coordinates of a representative of the given frame vector."""
         return self.quotient_frame @ np.asarray(frame_vec, dtype=complex).ravel()
 
-    def lambda_norm(self, coords: np.ndarray) -> float:
-        """||Lambda(a)||_Phi = ||Phi(a, a)||_p^(1/2), the quotient quasi-norm."""
-        return float(np.sqrt(max(schatten_norm(
-            evaluate(self.phi, coords, coords), self.p), 0.0)))
-
 
 def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
                   domain: StarAlgebra, target: TracedAlgebra,
-                  p: float | str = 2.0,
-                  positivity_trials: int = 256, seed: int = 0) -> GnsRepresentation:
+                  seed: int = 0) -> GnsRepresentation:
     """Build the cyclic representation of a positive linear map or invariant Phi.
 
     ``source`` is either the list of values ``omega(e_i)`` of a positive
     linear map (turned into ``Phi(x,y) = omega(y* x)``, left-invariant by
     construction) or an already-assembled left-invariant SesquilinearMap over
-    ``domain``.
+    ``domain``.  Positivity is sampled at 256 points drawn from ``seed``.
     """
-    pe = as_exponent(p)
     if isinstance(source, SesquilinearMap):
         phi = source
         if phi.domain_algebra is None or phi.domain_algebra.dim != domain.dim:
@@ -164,7 +155,7 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
             raise PreconditionError(f"map is not left-invariant: residual {resid:.3e}")
     else:
         phi = from_linear_map(list(source), domain, target)
-    cert = check_positivity(phi, trials=positivity_trials, seed=seed)
+    cert = check_positivity(phi, trials=256, seed=seed)
     if cert.status == "violated":
         raise PreconditionError(
             f"map failed positivity sampling (min eig {cert.witness_min_eig:.3e})")
@@ -179,7 +170,7 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
                                 null_basis=kernel,
                                 quotient_frame=np.zeros((d, 0), dtype=complex),
                                 pi=tuple(np.zeros((0, 0), dtype=complex) for _ in range(d)),
-                                cyclic=np.zeros(0, dtype=complex), p=pe.value)
+                                cyclic=np.zeros(0, dtype=complex))
         rep.residuals = {"reconstruction": 0.0, "multiplicativity": 0.0,
                          "adjointness": 0.0, "cyclicity_rank": 0,
                          "invariance": 0.0}
@@ -201,7 +192,7 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
     xi = s_coords(domain.unit)
 
     rep = GnsRepresentation(domain=domain, target=target, phi=phi, null_basis=kernel,
-                            quotient_frame=frame, pi=tuple(pi), cyclic=xi, p=pe.value)
+                            quotient_frame=frame, pi=tuple(pi), cyclic=xi)
     rep.residuals = _residuals(rep)
     return rep
 

@@ -47,13 +47,12 @@ class InequalityReport:
         return self.status in ("holds", "holds_within_tol")
 
 
-def _report(lhs: float, rhs: float, witness: dict,
-            zero_tol: float = 1e-12) -> InequalityReport:
-    """Division-free status logic; rhs = 0 forces lhs = 0 for a pass."""
+def _report(lhs: float, rhs: float, witness: dict) -> InequalityReport:
+    """Division-free status logic; rhs = 0 (at most 1e-12) forces lhs = 0 for a pass."""
     tol = REPORT_TOL_COEFF * (1.0 + rhs)
     margin = rhs - lhs
-    if rhs <= zero_tol:
-        if lhs <= max(zero_tol, tol):
+    if rhs <= 1e-12:
+        if lhs <= max(1e-12, tol):
             return InequalityReport(lhs, rhs, 0.0, margin, "holds", witness)
         return InequalityReport(lhs, rhs, math.inf, margin, "violated", witness)
     ratio = lhs / rhs
@@ -202,16 +201,17 @@ def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray):
 
 def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
                       lam_grid: Sequence[float] | None = None,
-                      mu_grid: Sequence[float] | None = None,
-                      tol: float = 1e-8) -> list[UncertaintyReport]:
+                      mu_grid: Sequence[float] | None = None) -> list[UncertaintyReport]:
     """Uncertainty relation Delta_a(lam) * Delta_b(mu) >= gamma/2 on a grid.
 
     Requires a left-invariant hermitian map over a unital *-algebra and
     symmetric a, b.  The commutator k = i(ab - ba) is recomputed from the
     algebra and the defining identity
     Phi(a x, b* y) - Phi(b x, a* y) = Phi(i k x, y) is verified on all basis
-    pairs rather than assumed.  Phi(k, e) must come out self-adjoint.
+    pairs rather than assumed.  Phi(k, e) must come out self-adjoint.  The
+    identity's residual and the bound are tested with slack 1e-8.
     """
+    tol = 1e-8
     alg = phi.domain_algebra
     if alg is None:
         raise PreconditionError("uncertainty check needs a StarAlgebra domain")

@@ -51,8 +51,8 @@ class Kernel:
         """||k||_inf over [0, bound]^2 (analytic for builtins)."""
         raise NotImplementedError
 
-    def check_nonnegative(self, bound: float, grid: int = KERNEL_GRID) -> float:
-        xs = np.linspace(0.0, bound, grid)
+    def check_nonnegative(self, bound: float) -> float:
+        xs = np.linspace(0.0, bound, KERNEL_GRID)
         vals = self.eval(xs[:, None], xs[None, :])
         return float(np.min(vals))
 

@@ -1,4 +1,5 @@
-"""Shared structured-text (JSON) formats for algebras, elements and maps.
+"""Shared structured-text (JSON) formats for algebras, elements, star algebras
+and reports.
 
 Floats are serialized as shortest round-trip decimal strings (at most 17
 significant digits), so IEEE-754 doubles survive a save/load cycle bit-exactly.
@@ -14,16 +15,13 @@ import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra
 from .errors import DomainError, StructureError
-from .sesquilinear import SesquilinearMap
 from .star import StarAlgebra
 
 __all__ = ["fmt_float", "save_elements", "load_elements", "element_to_json",
            "element_from_json", "algebra_to_json", "algebra_from_json",
-           "save_gram", "load_gram", "star_to_json", "star_from_json", "save_json", "load_json",
-           "gns_to_json", "dump_deterministic"]
+           "star_from_json", "save_json", "load_json", "gns_to_json", "dump_deterministic"]
 
 FORMAT_ELEMENTS = "nclp-matrix/1"
-FORMAT_GRAM = "nclp-gram/1"
 FORMAT_STAR = "nclp-star/1"
 
 
@@ -114,44 +112,6 @@ def load_elements(path: str) -> tuple[TracedAlgebra, dict[str, AlgebraElement]]:
     for entry in _field(doc, "elements", list):
         out[_field(entry, "name", str)] = element_from_json(alg, _field(entry, "blocks"))
     return alg, out
-
-
-def save_gram(path: str, phi: SesquilinearMap) -> None:
-    d = phi.domain_dim
-    entries = [{"i": i, "j": j, "blocks": [_complex_to_json(g[i, j]) for g in phi.gram]}
-               for i in range(d) for j in range(d)]
-    doc = {"format": FORMAT_GRAM,
-           "algebra": algebra_to_json(phi.target),
-           "gram": {"domain_dim": d, "entries": entries}}
-    save_json(path, doc)
-
-
-def load_gram(path: str) -> SesquilinearMap:
-    doc = load_json(path)
-    if _field(doc, "format") != FORMAT_GRAM:
-        raise StructureError(f"not a gram file: format={doc['format']!r}")
-    alg = algebra_from_json(_field(doc, "algebra", dict))
-    gram_doc = _field(doc, "gram", dict)
-    d = _field(gram_doc, "domain_dim", int)
-    if d < 1:
-        raise StructureError(f"gram domain_dim must be >= 1, got {d}")
-    stacks = [np.zeros((d, d, n, n), dtype=complex) for n in alg.block_sizes]
-    seen = np.zeros((d, d), dtype=bool)
-    for entry in _field(gram_doc, "entries", list):
-        i, j = _field(entry, "i", int), _field(entry, "j", int)
-        if not (0 <= i < d and 0 <= j < d):
-            raise StructureError(f"gram entry ({i}, {j}) is outside domain_dim {d}")
-        for g, b in zip(stacks, element_from_json(alg, _field(entry, "blocks")).blocks):
-            g[i, j] = b
-        seen[i, j] = True
-    if not seen.all():
-        raise StructureError("gram file is missing entries")
-    return SesquilinearMap(alg, stacks)
-
-
-def star_to_json(alg: StarAlgebra) -> dict:
-    return {"format": FORMAT_STAR, "dim": alg.dim, "mult": _complex_to_json(alg.mult),
-            "invol": _complex_to_json(alg.invol), "unit": _complex_to_json(alg.unit)}
 
 
 def star_from_json(doc: dict) -> StarAlgebra:

@@ -881,7 +881,8 @@ class OperatorValuedMap:
     builds a map with a generator, the read-only (R, d, n, source total_dim)
     factor array of ``Phi(x,y)(S) = sum_r A_r(x) S A_r(y)*`` with
     ``A_r(x) = sum_i x_i A[r, i]`` its gram is built from; it certifies
-    positivity (PSD S gives PSD values).
+    positivity (PSD S gives PSD values).  A non-finite gram entry or factor
+    raises ``DomainError``.
     """
 
     def __init__(self, source: TracedAlgebra, target_dim: int, gram: np.ndarray,
@@ -894,6 +895,8 @@ class OperatorValuedMap:
                                  f"{source.coord_dim}) array, got {arr.shape}")
         if target_algebra is not None and target_algebra.total_dim != n:
             raise StructureError("target algebra dimension must equal target_dim")
+        if not np.isfinite(arr).all():
+            raise DomainError("gram entries must be finite")
         arr.setflags(write=False)
         self.gram = arr
         self.domain_dim = d
@@ -906,8 +909,11 @@ class OperatorValuedMap:
     def from_generator(cls, source: TracedAlgebra, factors: Sequence[Sequence[np.ndarray]],
                        target_algebra: TracedAlgebra | None = None) -> "OperatorValuedMap":
         a = np.array(factors, dtype=complex)                 # (rank, d, n, source dim)
-        if a.ndim != 4 or a.shape[3] != source.total_dim:
-            raise StructureError("generator factors must be (target_dim, source total_dim)")
+        if a.ndim != 4 or min(a.shape[:3]) < 1 or a.shape[3] != source.total_dim:
+            raise StructureError("generator factors must be a non-empty (R, d, n, "
+                                 f"{source.total_dim}) array, R >= 1, got {a.shape}")
+        if not np.isfinite(a).all():
+            raise DomainError("generator factors must be finite")
         _, d, n, _ = a.shape
         units = np.stack([source.from_coords(e).dense() for e in np.eye(source.coord_dim)])
         # (A_i E) A_j* for every factor and source basis element E at once,

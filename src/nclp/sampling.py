@@ -30,9 +30,8 @@ def random_complex_matrix(rng: np.random.Generator, rows: int, cols: int,
     return scale * (rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols)))
 
 
-def random_element(alg: TracedAlgebra, rng: np.random.Generator,
-                   scale: float = 1.0) -> AlgebraElement:
-    return alg.element([random_complex_matrix(rng, n, n, scale) for n in alg.block_sizes])
+def random_element(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:
+    return alg.element([random_complex_matrix(rng, n, n) for n in alg.block_sizes])
 
 
 def random_hermitian(alg: TracedAlgebra, rng: np.random.Generator,
@@ -41,12 +40,10 @@ def random_hermitian(alg: TracedAlgebra, rng: np.random.Generator,
                         for n in alg.block_sizes])
 
 
-def random_psd(alg: TracedAlgebra, rng: np.random.Generator,
-               scale: float = 1.0, rank: int | None = None) -> AlgebraElement:
+def random_psd(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:
     blocks = []
     for n in alg.block_sizes:
-        r = n if rank is None else min(rank, n)
-        g = random_complex_matrix(rng, n, r, scale)
+        g = random_complex_matrix(rng, n, n)
         blocks.append(g @ g.conj().T)
     return alg.element(blocks)
 

@@ -280,7 +280,6 @@ def check_left_invariance(phi: SesquilinearMap) -> float:
 
 
 def random_map(d: int, target: TracedAlgebra, rank: int = 1, seed: int = 0,
-               domain_algebra: StarAlgebra | None = None,
                scale: float = 1.0) -> SesquilinearMap:
     """Deterministic Kraus-form map with `rank` factors and Gaussian coefficients.
 
@@ -300,8 +299,7 @@ def random_map(d: int, target: TracedAlgebra, rank: int = 1, seed: int = 0,
         block = scale * (parts[:, :, 0] + 1j * parts[:, :, 1])
         coeffs.append(block[:, :d])
         roots.append(block[:, d])
-    return SesquilinearMap.from_generator(target, coeffs, roots,
-                                          domain_algebra=domain_algebra)
+    return SesquilinearMap.from_generator(target, coeffs, roots)
 
 
 def from_linear_map(omega: Sequence[AlgebraElement], domain: StarAlgebra,

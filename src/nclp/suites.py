@@ -70,8 +70,7 @@ def _ratio_against_one(phi, x, y, p) -> tuple[float, dict]:
 
 
 def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
-                pool: Sequence[TracedAlgebra] | None = None,
-                max_domain_dim: int = 4) -> dict:
+                pool: Sequence[TracedAlgebra] | None = None) -> dict:
     """Cauchy-Schwarz ratios of random certified-positive maps, per exponent.
 
     Ratios are measured against the constant-1 right-hand side; the status
@@ -87,7 +86,7 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
         outcomes = []
         for t, rng in enumerate(substreams(seed + int(round(p * 1000)), trials)):
             target = pool[t % len(pool)]
-            d = 1 + (t % max_domain_dim)
+            d = 1 + (t % 4)
             rank = 1 + (t % 3)
             phi = random_map(d, target, rank=rank, seed=int(rng.integers(0, 2 ** 62)))
             x = random_unit_vector(rng, d)
@@ -132,20 +131,20 @@ def re_im_sweep(trials: int, seed: int = 0) -> dict:
 
 # -- uncertainty -------------------------------------------------------------------
 
-def uncertainty_suite(seed: int = 0, grid_points: int = 41) -> dict:
+def uncertainty_suite() -> dict:
     """Kernel-map uncertainty instance with its closed-form gamma and Delta.
 
     W = diag(1, 2), k(x, t) = 1 + x t, T = I on M_2 with a = sigma_x and
     b = sigma_y gives gamma = sqrt(20) and Delta_a(0) Delta_b(0) = sqrt(89);
-    commuting a, b force gamma = 0.
+    commuting a, b force gamma = 0.  The instance is closed-form, so the
+    suite takes no seed.
     """
     alg = TracedAlgebra([2])
     km = KernelMap(alg.diagonal([1.0, 2.0]), OnePlusXTKernel())
     phi = km.as_sesquilinear()
     sigma_x = np.array([0, 1, 1, 0], dtype=complex)
     sigma_y = np.array([0, -1j, 1j, 0], dtype=complex)
-    grid = list(np.linspace(-3.0, 3.0, grid_points))
-    reports = uncertainty_check(phi, sigma_x, sigma_y, grid, grid)
+    reports = uncertainty_check(phi, sigma_x, sigma_y)      # its 41-point grid on [-3, 3]
     at_zero = min(reports, key=lambda r: abs(r.lam) + abs(r.mu))
     gamma = reports[0].gamma
     bound_failures = sum(0 if r.bound_ok else 1 for r in reports)
@@ -174,9 +173,7 @@ def uncertainty_suite(seed: int = 0, grid_points: int = 41) -> dict:
 
 # -- trace pairing, Hoelder, tail projections ------------------------------------------
 
-def pairing_and_holder_suite(trials: int, seed: int = 0,
-                             p_values: Sequence[float] = (1.0, 1.5, 2.0, 3.0, math.inf)
-                             ) -> dict:
+def pairing_and_holder_suite(trials: int, seed: int = 0) -> dict:
     """rho(AB) positivity/realness for PSD pairs and the Hoelder inequality.
 
     Inputs are normalised to ||.||_2 = 1 so the absolute tolerances 1e-10
@@ -200,7 +197,7 @@ def pairing_and_holder_suite(trials: int, seed: int = 0,
         h = random_element(alg, rng)
         g = (1.0 / schatten_norm(g, 2.0)) * g
         h = (1.0 / schatten_norm(h, 2.0)) * h
-        for p in p_values:
+        for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             rep = holder_check(g, h, p)
             worst_holder_margin = min(worst_holder_margin, rep.rhs - rep.lhs)
             if rep.lhs > rep.rhs + 1e-9:
@@ -212,9 +209,7 @@ def pairing_and_holder_suite(trials: int, seed: int = 0,
             "worst_holder_margin": worst_holder_margin, "status": _status(ok)}
 
 
-def tail_projection_suite(trials: int, seed: int = 0,
-                          p_values: Sequence[float] = (1.5, 2.0, 3.0),
-                          n_max: int = 8) -> dict:
+def tail_projection_suite(trials: int, seed: int = 0) -> dict:
     """||W (I - P_{1/n})||_p is nonincreasing in n and hits 0 past the spectrum.
 
     Random PSD anchors carry controlled spectra: eigenvalues are either exact
@@ -230,10 +225,10 @@ def tail_projection_suite(trials: int, seed: int = 0,
                     for _ in range(alg.total_dim)]
         w = random_psd_with_spectrum(alg, rng, spectrum)
         ident = alg.identity()
-        for p in p_values:
+        for p in (1.5, 2.0, 3.0):
             prev = math.inf
             last = math.inf
-            for n in range(1, n_max + 1):
+            for n in range(1, 9):
                 proj = spectral_tail_projection(w, 1.0 / n)
                 val = schatten_norm(w @ (ident - proj), p)
                 if val > prev + 1e-12 * (1.0 + prev):
@@ -281,11 +276,10 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
             "status": _status(ok)}
 
 
-def triple_norm_suite(samples: int, seed: int = 0,
-                      budget: SearchBudget | None = None) -> dict:
+def triple_norm_suite(samples: int, seed: int = 0) -> dict:
     """Exact anchors, the w(F) <= value <= ||F||_2 sandwich, and the
     constant-1 Cauchy-Schwarz in the radius norm on random positive maps."""
-    budget = budget or SearchBudget(starts=4, iters=25, seed=seed)
+    budget = SearchBudget(starts=4, iters=25, seed=seed)
     tr2 = TracedAlgebra([2])
     anchor_a = triple_norm(tr2.diagonal([1.0, 0.0]), budget)
     anchor_b = triple_norm(tr2.identity(), budget)
@@ -339,7 +333,6 @@ def random_operator_valued(source: TracedAlgebra, target_dim: int, d: int,
 
 
 def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
-                          target_norms: Sequence[str] = ("nr", "triple2"),
                           iters: int = 12) -> dict:
     """Generator-form sweeps of the operator-norm Cauchy-Schwarz inequality.
 
@@ -360,7 +353,8 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
                                        "nr", SearchBudget(starts=8, iters=8, seed=seed))
         exact_defect = max(exact_defect, abs(rep.ratio - 1.0))
     out["d1_ratio_defect"] = exact_defect
-    for norm in target_norms:
+    norms = ("nr", "triple2")
+    for norm in norms:
         violations = 0
         max_ratio = 0.0
         for t, rng in enumerate(substreams(seed + 17, instances)):
@@ -378,7 +372,7 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
             if rep.status == "violated":
                 violations += 1
         out[norm] = {"violations": violations, "max_ratio": max_ratio}
-    ok = exact_defect <= 1e-10 and all(out[norm]["violations"] == 0 for norm in target_norms)
+    ok = exact_defect <= 1e-10 and all(out[norm]["violations"] == 0 for norm in norms)
     out["status"] = _status(ok)
     return out
 

@@ -44,7 +44,7 @@ def test_criterion_03_re_im_estimates():
 
 
 def test_criterion_04_uncertainty_relation():
-    r = suites.uncertainty_suite(seed=104)
+    r = suites.uncertainty_suite()
     assert abs(r["gamma"] - math.sqrt(20.0)) <= 1e-9
     assert abs(r["delta_product_at_zero"] - math.sqrt(89.0)) <= 1e-9
     assert r["bound_failures"] == 0

@@ -117,6 +117,7 @@ class TestCommands:
         assert main(["gns"]) == 2                       # missing --input
         assert main(["norms", "--input", str(tmp_path / "absent.json")]) == 2
         assert main(["sample-ratios", "--dims", "-1"]) == 2
+        assert main(["sample-ratios", "--dims", "0"]) == 2   # not a silent d = 2
 
     @pytest.mark.parametrize("text, message", [
         (ELEMENT_FILE.replace("[[0, 1],", "[[NaN, 1],"), "finite"),
@@ -236,7 +237,9 @@ class TestCommands:
         assert err == f"error: {flag} must be >= 0\n"
 
     @pytest.mark.parametrize("argv", [["check-uncertainty", "--format", "csv"],
-                                      ["check-all", "--dims", "3"]])
+                                      ["check-all", "--dims", "3"],
+                                      ["check-uncertainty", "--seed", "3"],
+                                      ["gns", "--p", "3"]])
     def test_flag_the_command_does_not_read_exits_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -244,8 +247,26 @@ class TestCommands:
         assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
     def test_unset_flags_keep_config_defaults(self):
-        cfg = parse_config(["check-uncertainty", "--seed", "4"])
-        assert cfg == RunConfig(command="check-uncertainty", seed=4)
+        cfg = parse_config(["check-re-im", "--seed", "4"])
+        assert cfg == RunConfig(command="check-re-im", seed=4)
+
+    @pytest.mark.parametrize("values, message", [
+        ([1, 0, 0, -1], "failed positivity sampling"),
+        ([1, 1e-8j, 0, 1], "scalar gram is not hermitian"),
+    ], ids=["not-positive", "not-hermitian"])
+    def test_gns_map_the_construction_refuses_exits_2(self, tmp_path, capsys, values,
+                                                      message):
+        # a construction the input makes impossible is bad input (exit 2),
+        # not a violated verdict (exit 1)
+        omega = [[{"re": [[complex(v).real]], "im": [[complex(v).imag]]}] for v in values]
+        path = str(tmp_path / "omega.json")
+        save_json(path, {"domain": {"kind": "matrix_algebra", "size": 2},
+                         "target": {"blocks": [1]}, "omega": omega})
+        assert main(["gns", "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
 
 
 class TestDeterminism:

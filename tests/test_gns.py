@@ -119,12 +119,6 @@ class TestConstruction:
         rep = gns_construct(omega, dom, target)
         assert rep.quotient_dim + rep.null_basis.shape[1] == dom.dim
 
-    def test_lambda_norm_quasi_norm(self, scal, rng):
-        rep = gns_construct(omega_trace(), matrix_algebra(2), scal)
-        a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        expected = np.sqrt(schatten_norm(evaluate(rep.phi, a, a), 2.0))
-        assert rep.lambda_norm(a) == pytest.approx(expected, rel=1e-12)
-
     def test_rescaling_keeps_pi(self, scal, rng):
         dom = matrix_algebra(2)
         target = TracedAlgebra([1])

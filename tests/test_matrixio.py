@@ -8,10 +8,8 @@ from nclp.algebra import TracedAlgebra
 from nclp.errors import StructureError
 from nclp.matrixio import (algebra_from_json, algebra_to_json, dump_deterministic,
                            element_from_json, element_to_json, fmt_float,
-                           load_elements, load_gram, save_elements, save_gram, save_json,
-                           star_from_json, star_to_json)
-from nclp.sesquilinear import random_map
-from nclp.star import cyclic_group_algebra, matrix_algebra
+                           load_elements, save_elements, star_from_json)
+from nclp.star import cyclic_group_algebra
 
 from conftest import random_element_of
 
@@ -57,43 +55,29 @@ class TestElementsFile:
             load_elements(path)
 
 
-class TestGramFile:
-    def test_round_trip(self, tmp_path, tr2):
-        phi = random_map(3, tr2, rank=2, seed=7)
-        path = str(tmp_path / "gram.json")
-        save_gram(path, phi)
-        loaded = load_gram(path)
-        assert loaded.domain_dim == 3
-        for i in range(3):
-            for j in range(3):
-                assert np.array_equal(loaded.gram[0][i, j], phi.gram[0][i, j])
-
-    def _saved_doc(self, tmp_path, tr2):
-        path = str(tmp_path / "gram.json")
-        save_gram(path, random_map(2, tr2, rank=1, seed=3))
-        with open(path) as fh:
-            return path, json.load(fh)
-
-    def test_missing_entry_rejected(self, tmp_path, tr2):
-        path, doc = self._saved_doc(tmp_path, tr2)
-        del doc["gram"]["entries"][1]
-        save_json(path, doc)
-        with pytest.raises(StructureError, match="missing entries"):
-            load_gram(path)
-
-    def test_missing_gram_section_rejected(self, tmp_path, tr2):
-        path, doc = self._saved_doc(tmp_path, tr2)
-        del doc["gram"]
-        save_json(path, doc)
-        with pytest.raises(StructureError, match="'gram'"):
-            load_gram(path)
+# nclp-star/1 documents of Z_2 and Z_3, written out by hand
+STAR_DOCS = {2: """{"format": "nclp-star/1",
+ "mult": {"re": [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
+          "im": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]},
+ "invol": {"re": [[1, 0], [0, 1]], "im": [[0, 0], [0, 0]]},
+ "unit": {"re": [1, 0], "im": [0, 0]}}""",
+             3: """{"format": "nclp-star/1",
+ "mult": {"re": [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                 [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                 [[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+          "im": [[[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                 [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                 [[0, 0, 0], [0, 0, 0], [0, 0, 0]]]},
+ "invol": {"re": [[1, 0, 0], [0, 0, 1], [0, 1, 0]],
+           "im": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]},
+ "unit": {"re": [1, 0, 0], "im": [0, 0, 0]}}"""}
 
 
 class TestStarFile:
-    @pytest.mark.parametrize("alg", [matrix_algebra(2), cyclic_group_algebra(5)])
+    @pytest.mark.parametrize("alg", [cyclic_group_algebra(2), cyclic_group_algebra(3)])
     def test_round_trip(self, alg):
-        back = star_from_json(json.loads(dump_deterministic(star_to_json(alg))))
-        assert back == alg
+        # a literal document, not one this package wrote, reads back as the builtin
+        assert star_from_json(json.loads(STAR_DOCS[alg.dim])) == alg
 
 
 class TestDeterminism:

@@ -354,6 +354,20 @@ class TestOperatorValuedCs:
             OperatorValuedMap(tr2, 2, np.zeros((1, 2, 4, 4)))
         with pytest.raises(StructureError):
             OperatorValuedMap.from_generator(tr2, [[np.eye(3)]])
+        with pytest.raises(StructureError, match="R >= 1"):          # not the zero map
+            OperatorValuedMap.from_generator(tr2, np.zeros((0, 2, 2, 2)))
+
+    def test_rejects_non_finite_entries(self, tr2):
+        # a NaN factor must not reach the gram, where the generator would
+        # still certify the map
+        factors = np.ones((1, 1, 2, 2), dtype=complex)
+        factors[0, 0, 1, 0] = math.nan
+        with pytest.raises(DomainError, match="finite"):
+            OperatorValuedMap.from_generator(tr2, factors)
+        gram = np.zeros((1, 1, 4, 4), dtype=complex)
+        gram[0, 0, 2, 1] = math.inf
+        with pytest.raises(DomainError, match="finite"):
+            OperatorValuedMap(tr2, 2, gram)
 
     def test_generator_form_positivity(self, tr2):
         rng = rng_from(3)
