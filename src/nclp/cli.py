@@ -330,7 +330,7 @@ def _cmd_check_all(cfg: RunConfig) -> list:
         ("numerical-radius-suite", suites.numerical_radius_suite, (2, 10), 5),
         ("triple-norm-suite", suites.triple_norm_suite, (5, 5), 6),
         ("operator-valued-suite",
-         partial(suites.operator_valued_suite, starts=min(cfg.budget_starts, 16),
+         partial(suites.operator_valued_suite, starts=cfg.budget_starts,
                  iters=cfg.budget_iters), (10, 4), 7),
         ("gns-suite", suites.gns_suite, (20, 3), 8),
     )

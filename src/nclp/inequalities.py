@@ -112,13 +112,12 @@ def check_cs_lp(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
 
 
 def check_cs_normal(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
-                    p: PExponent | float,
-                    certificate: PositivityCertificate | None = None) -> InequalityReport:
+                    p: PExponent | float) -> InequalityReport:
     """Constant-1 Cauchy-Schwarz for pairs whose value Phi(x,y) is normal."""
     pe = as_exponent(p)
     if pe.value <= 1.0:
         raise DomainError("the normal-value check applies for p > 1")
-    cert = certificate if certificate is not None else check_positivity(phi)
+    cert = check_positivity(phi)
     _require_not_violated(cert)
     val = evaluate(phi, x, y)
     resid = max(np.max(np.abs(b @ b.conj().T - b.conj().T @ b), initial=0.0)
@@ -132,12 +131,10 @@ def check_cs_normal(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
     return rep
 
 
-def check_re_im(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
-                certificate: PositivityCertificate | None = None
-                ) -> tuple[InequalityReport, InequalityReport]:
+def check_re_im(phi: SesquilinearMap, x: np.ndarray,
+                y: np.ndarray) -> tuple[InequalityReport, InequalityReport]:
     """||Re Phi(x,y)||_2^2 <= ||Phi(x,x)||_2 ||Phi(y,y)||_2, and the same for Im."""
-    cert = certificate if certificate is not None else check_positivity(phi)
-    _require_not_violated(cert)
+    _require_not_violated(check_positivity(phi))
     vals = _pair_stack(phi, x, y)
     parts = [np.concatenate([hermitian_part_of(v[:1]),
                              (v[:1] - v[:1].conj().swapaxes(-1, -2)) / 2j, v[1:]])

@@ -23,13 +23,19 @@ Three layers:
   projected ascent runs on the same per-block stacks: all of its starts
   ascend together, each giving the result it would give alone.  Projection
   onto the feasible set is one clip of the spectrum to [0, 1] and one
-  rescale (``_project_stack``),
+  rescale (``_project_stack``).  The polar form F = |F*|^{1/2} U |F|^{1/2}
+  gives the upper bound |||F|||_2 <= K((|F| + |F*|) / 2), K the knapsack
+  value (``_polar_bound``); only the pruning of pool rankings reads it,
 * ``superop_norm``: operator norms of linear maps from a traced algebra into
   a matrix space, with the supremum over the unit ball searched on blockwise
   unitaries (the extreme points) and refined by alternating exact linearized
   maximization.  The candidate pool is drawn and scored as one stack of
   coordinate rows, and the refinement chains climb together as one stack of
-  certified values, so the result does not depend on a stack's size or order,
+  certified values, so the result does not depend on a stack's size or order.
+  Ranking a |||.|||_2 pool takes two passes (``_TargetNorm.batch_values``):
+  the three best-bounded candidates are scored first, then only those whose
+  polar bound reaches the least of their values; a tie among the four best
+  values scores the whole pool, so the ranking is the unpruned one,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
   maps.  A positive map peaks at T = I, so the right-hand side is exact at
   T = I and only the left-hand side is searched; a reported violation is
@@ -345,16 +351,12 @@ def _project_stack(alg: TracedAlgebra, blocks: Sequence[np.ndarray]) -> list[np.
     return out
 
 
-def _knapsack_stack(alg: TracedAlgebra,
-                    decomps: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
-    """Exact maximizers of rho(F W^2) over the feasible set for a stack of PSD F.
-
-    With V = W^2 the constraints become 0 <= V <= I, rho(V) <= 1 and the
-    objective rho(F V) is linear, so the optimum is a fractional knapsack in
-    the eigenbasis of F.  ``decomps`` holds the per-block stacked ``eigh`` of
-    F; eigenvalues are taken greedily in stable decreasing order.
-    """
-    lam = np.concatenate([np.maximum(l, 0.0) for l, _ in decomps], axis=1)
+def _knapsack_take(alg: TracedAlgebra, lam: np.ndarray) -> np.ndarray:
+    """Greedy fractional knapsack of a (B, total_dim) stack of nonnegative
+    eigenvalue rows, each entry weighing its block's weight against a budget
+    of 1: entries are taken in stable decreasing order, fully while the
+    budget lasts and then in part.  Returns the taken fractions in the
+    positions of ``lam``."""
     order = np.argsort(-lam, axis=1, kind="stable")
     rows = np.arange(len(lam))[:, None]
     lam_s = lam[rows, order]
@@ -370,11 +372,49 @@ def _knapsack_stack(alg: TracedAlgebra,
         budget = budget - wt_s[:, j] * take[:, j]
     v = np.empty_like(take)
     v[rows, order] = take
+    return v
+
+
+def _knapsack_stack(alg: TracedAlgebra,
+                    decomps: Sequence[tuple[np.ndarray, np.ndarray]]) -> list[np.ndarray]:
+    """Exact maximizers of rho(F W^2) over the feasible set for a stack of PSD F.
+
+    With V = W^2 the constraints become 0 <= V <= I, rho(V) <= 1 and the
+    objective rho(F V) is linear, so the optimum is a fractional knapsack in
+    the eigenbasis of F (``_knapsack_take``).  ``decomps`` holds the
+    per-block stacked ``eigh`` of F.
+    """
+    v = _knapsack_take(alg, np.concatenate([np.maximum(l, 0.0) for l, _ in decomps], axis=1))
     out, at = [], 0
     for (_, q), n in zip(decomps, alg.block_sizes):
         out.append(_spectral(q, np.sqrt(v[:, at:at + n])))
         at += n
     return out
+
+
+def _polar_bound(alg: TracedAlgebra,
+                 blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds K((|F| + |F*|) / 2) >= |||F|||_2 and the norms ||F||_2 of
+    a stack of elements given as per-block (B, n_k, n_k) arrays.
+
+    With the polar form F = |F*|^{1/2} U |F|^{1/2}, Hoelder in each block and
+    Cauchy-Schwarz over the blocks give ||W F W||_1 <= rho(W^2 |F*|)^{1/2}
+    rho(W^2 |F|)^{1/2}, and AM-GM bounds that by rho(W^2 (|F| + |F*|) / 2),
+    whose supremum over the feasible set is the knapsack value K of the PSD
+    mean (the |||.|||_2 analogue of Kittaneh's w(T) <= || |T| + |T*| || / 2,
+    Studia Math. 158, 2003).  One SVD F = U S V* per block gives |F| = V S V*
+    and |F*| = U S U*, one ``eigvalsh`` the spectrum of their mean.  The bound
+    lies between |||F|||_2 and ||F||_2, and equals |||F|||_2 for normal F.
+    """
+    lams, sq = [], np.zeros(len(blocks[0]))
+    for wt, b in zip(alg.weights, blocks):
+        u, s, vh = np.linalg.svd(b)
+        mean = 0.5 * (_spectral(vh.conj().swapaxes(-1, -2), s) + _spectral(u, s))
+        lams.append(np.linalg.eigvalsh(mean))
+        sq = sq + wt * (s ** 2).sum(axis=-1)
+    lam = np.maximum(np.concatenate(lams, axis=1), 0.0)
+    wts = np.repeat(alg.weights, alg.block_sizes)
+    return (wts * lam * _knapsack_take(alg, lam)).sum(axis=1), np.sqrt(sq)
 
 
 @dataclass
@@ -670,8 +710,7 @@ class SuperOperator:
 
     @classmethod
     def from_apply(cls, source: TracedAlgebra, target_dim: int,
-                   apply_fn: Callable[[AlgebraElement], np.ndarray],
-                   target_algebra: TracedAlgebra | None = None) -> "SuperOperator":
+                   apply_fn: Callable[[AlgebraElement], np.ndarray]) -> "SuperOperator":
         cols = []
         m = source.coord_dim
         for i in range(m):
@@ -680,7 +719,7 @@ class SuperOperator:
             cols.append(np.asarray(apply_fn(source.from_coords(e)),
                                    dtype=complex).reshape(-1))
         mat = np.stack(cols, axis=1)
-        return cls(source, target_dim, mat, target_algebra=target_algebra)
+        return cls(source, target_dim, mat)
 
     def apply(self, s: AlgebraElement) -> np.ndarray:
         if s.algebra != self.source:
@@ -732,8 +771,10 @@ class _TargetNorm:
 
     ``batch_values`` scores a whole candidate pool at once: ``nr`` on the
     pruned stacked theta grid, ``triple2`` through the stacked quick-path kernel
-    ``_triple2_pool``.  ``certify`` adds each item's certificate, for the
-    refinement chains of ``superop_norm``, which climb together as one stack.
+    ``_triple2_pool``, which a ranking runs only on the items whose polar
+    bound K((|F| + |F*|) / 2) can reach its ``top`` best.  ``certify`` adds
+    each item's certificate, for the refinement chains of ``superop_norm``,
+    which climb together as one stack.
     Each item's result is the one a stack of one gives, bit for bit, so
     results do not depend on the stack's size or order.
     """
@@ -747,13 +788,39 @@ class _TargetNorm:
         self.target_algebra = target_algebra
 
     def batch_values(self, mats: np.ndarray, top: int | None = None) -> np.ndarray:
-        """Norms of a (B, n, n) stack.  With ``top``, ``nr`` may return -inf
-        for an item its grid bound rules out of the ``top`` best, which keeps
-        the ``argsort`` prefix of length ``top`` and its values."""
+        """Norms of a (B, n, n) stack.  With ``top``, an item whose upper
+        bound rules it out of the ``top`` best may be -inf; the ``argsort``
+        prefix of length ``top`` and every finite value are those of the
+        unpruned stack, bit for bit.
+
+        ``nr`` prunes its theta grid (``_nr_grid``).  ``triple2`` ranks on the
+        polar bound (``_polar_bound``) in two passes: the ``top`` items with
+        the largest bounds (in stable order) are pooled first, and the least
+        of their values is the floor; then every item whose bound, plus a
+        rounding margin of 1e-12 ||F||_2, reaches the floor is pooled, the
+        first ``top`` again among them, so the second stack holds the same
+        kinds of items whatever the size of the candidate pool.  The rest
+        cannot reach the ``top`` best and are -inf.  ``argsort`` orders exact
+        ties by the rest of the array, so if the ``top + 1`` best values tie,
+        the whole stack is pooled.
+        """
         if self.kind == "nr":
             return np.max(_nr_grid(mats, self.NR_GRID, 1, top), axis=1)
         alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
-        return _triple2_pool(alg, _target_blocks(mats, alg)).values
+        blocks = _target_blocks(mats, alg)
+        if top is None or len(mats) <= top:
+            return _triple2_pool(alg, blocks).values
+        bound, norm2 = _polar_bound(alg, blocks)
+        first = np.argsort(-bound, kind="stable")[:top]
+        floor = _triple2_pool(alg, [b[first] for b in blocks]).values.min()
+        live = bound + 1e-12 * norm2 >= floor
+        live[first] = True
+        rows = live.nonzero()[0]
+        vals = np.full(len(mats), -np.inf)
+        vals[rows] = _triple2_pool(alg, [b[rows] for b in blocks]).values
+        if _tied(vals[None], top)[0]:
+            return _triple2_pool(alg, blocks).values
+        return vals
 
     def certify(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and certificates C of a (B, n, n) stack of matrices M.
@@ -976,8 +1043,7 @@ class OperatorValuedMap:
 
 def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarray,
                              target_norm: str = "nr",
-                             budget: SearchBudget | None = None,
-                             certificate: PositivityCertificate | None = None) -> InequalityReport:
+                             budget: SearchBudget | None = None) -> InequalityReport:
     """Cauchy-Schwarz in the operator norm of B(source, target norm).
 
     A positive map L peaks at T = I over the unit ball: for ``nr``,
@@ -989,8 +1055,7 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
     feasible T, so a reported violation is proven, and nothing is re-run.
     """
     budget = budget or SearchBudget()
-    cert = certificate if certificate is not None else phi.check_positivity(seed=budget.seed)
-    if cert.status == "violated":
+    if phi.check_positivity(seed=budget.seed).status == "violated":
         raise PreconditionError("operator-valued map failed positivity sampling")
     res = superop_norm(phi.superop(x, y), target_norm, budget)
     ident = phi.source.identity().coords()

@@ -57,6 +57,15 @@ class TestCommands:
         assert byname["ident"]["value"] == pytest.approx(1.0, abs=1e-10)
         assert report.overall == "holds"
 
+    def test_check_all_runs_the_budget_starts_it_echoes(self):
+        # the operator-valued suite runs the --budget-starts given, also above
+        # the default of 16, and its entry says so
+        report = execute(parse_config(["check-all", "--trials", "1", "--budget-starts", "24",
+                                       "--budget-iters", "2"]))
+        entry, = [r for r in report.results if r.get("check") == "operator-valued-suite"]
+        assert entry["starts"] == 24
+        assert report.config.echo()["budget"] == {"starts": 24, "iters": 2}
+
     def test_norms_file(self, shift_file):
         report = execute(parse_config(["norms", "--input", shift_file, "--p", "3"]))
         byname = {r["element"]: r for r in report.results}

@@ -580,6 +580,27 @@ class TestStackedPool:
         assert order[:3].tolist() == np.argsort(full)[::-1][:3].tolist()
         assert vals[order[:3]].tolist() == full[order[:3]].tolist()
 
+    def test_triple2_ranking_scores_a_pruned_pool(self, monkeypatch):
+        # the same 97-candidate pool ranked for |||.|||_2: the polar bound
+        # keeps the candidates out of the top three from the quick-path kernel
+        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
+        op = phi.superop(np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j]))
+        coords = radius._unitary_candidates(op.source, SearchBudget(starts=64))
+        mats = (op.matrix @ coords.T).T.reshape(-1, 3, 3)
+        rows = []
+
+        def counted(alg, blocks, *args, _f=radius._triple2_pool, **kwargs):
+            rows.append(len(blocks[0]))
+            return _f(alg, blocks, *args, **kwargs)
+
+        monkeypatch.setattr(radius, "_triple2_pool", counted)
+        vals = _TargetNorm("triple2").batch_values(mats, top=3)
+        assert sum(rows) <= 0.25 * 97, rows
+        full = _TargetNorm("triple2").batch_values(mats)
+        order = np.argsort(vals)[::-1]
+        assert order[:3].tolist() == np.argsort(full)[::-1][:3].tolist()
+        assert vals[order[:3]].tolist() == full[order[:3]].tolist()
+
     @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
     @pytest.mark.parametrize("norm", ["nr", "triple2"])
     def test_pool_is_drawn_with_one_qr_per_block(self, linalg_calls, norm, alg):
@@ -637,32 +658,38 @@ def _full_nr_grid(mats, grid):
     return np.linalg.eigvalsh(h)[..., -1]
 
 
+def _matrix_of_kind(rng, kind, n):
+    """A zero, hermitian, normal, c I or generic n x n matrix."""
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex)
+    if kind == "hermitian":
+        return g + g.conj().T
+    if kind == "normal":
+        q = np.linalg.qr(g)[0]
+        lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return (q * lam) @ q.conj().T
+    if kind == "scalar":
+        return complex(*rng.standard_normal(2)) * np.eye(n)
+    return g
+
+
 @st.composite
-def nr_stacks(draw):
+def nr_stacks(draw, alg=None):
     """Stacks of zero, hermitian, normal, c I and generic matrices at scales
     1e-12 .. 1e12, some rows repeated, so exact ties occur within and across
-    rows."""
-    n = draw(st.integers(1, 3))
+    rows.  With ``alg``, each row is block-diagonal over it, every block of
+    the row's kind."""
+    sizes = [draw(st.integers(1, 3))] if alg is None else alg.block_sizes
     rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
     mats = []
     for kind in draw(st.lists(st.sampled_from(["zero", "hermitian", "normal", "scalar",
                                                 "generic", "repeat"]), min_size=1, max_size=40)):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         if kind == "repeat" and mats:
             mats.append(mats[int(rng.integers(len(mats)))])
             continue
-        if kind == "zero":
-            m = np.zeros((n, n), dtype=complex)
-        elif kind == "hermitian":
-            m = g + g.conj().T
-        elif kind == "normal":
-            q = np.linalg.qr(g)[0]
-            lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            m = (q * lam) @ q.conj().T
-        elif kind == "scalar":
-            m = complex(*rng.standard_normal(2)) * np.eye(n)
-        else:
-            m = g
+        blocks = [_matrix_of_kind(rng, kind, n) for n in sizes]
+        m = blocks[0] if alg is None else alg.element(blocks).dense()
         mats.append(10.0 ** draw(st.floats(-12, 12)) * m)
     return np.stack(mats)
 
@@ -700,6 +727,44 @@ class TestPrunedNrGrid:
         mats = (v - v.min() + 1.0).astype(complex)[:, None, None]
         ranked = _TargetNorm("nr").batch_values(mats, top=3)
         want = _full_nr_grid(mats, _TargetNorm.NR_GRID).max(axis=1)
+        assert np.argsort(ranked)[::-1][:3].tolist() == np.argsort(want)[::-1][:3].tolist()
+
+
+class TestPolarBound:
+    """K((|F| + |F*|) / 2) bounds the quick-path |||.|||_2 from above and
+    ||F||_2 from below, and a ranking pruned by it is the unpruned one."""
+
+    @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_bounds_the_pool_and_keeps_the_ranking(self, alg, data):
+        mats = data.draw(nr_stacks(alg))
+        blocks = radius._target_blocks(mats, alg)
+        want = _triple2_pool(alg, blocks).values
+        bound, norm2 = radius._polar_bound(alg, blocks)
+        assert np.all(want <= bound + 1e-12 * norm2)
+        assert np.all(bound <= norm2 * (1 + 1e-12))
+        comm = np.abs(mats @ mats.conj().swapaxes(-1, -2)
+                      - mats.conj().swapaxes(-1, -2) @ mats).max(axis=(1, 2))
+        normal = comm <= 1e-12 * np.linalg.norm(mats, axis=(1, 2)) ** 2
+        assert np.all(np.abs(bound - want)[normal] <= 1e-12 * bound[normal])
+        # the superop_norm ranking: order[:3] and best_val, and every value scored
+        ranked = _TargetNorm("triple2", alg).batch_values(mats, top=3)
+        order = np.argsort(ranked)[::-1]
+        assert order[:3].tolist() == np.argsort(want)[::-1][:3].tolist()
+        assert ranked[order[0]] == want[order[0]]
+        finite = np.isfinite(ranked)
+        assert np.array_equal(ranked[finite], want[finite])
+
+    @pytest.mark.parametrize("c", [1.0, -0.7, 3.3])
+    def test_tied_values_keep_the_unpruned_order(self, c):
+        # positive 1x1 matrices are their own |||.|||_2; on a cosine these tie
+        # in pairs, and argsort orders such ties by the rest of the vector, so
+        # the ranking must not drop rows there
+        v = c * np.cos(radius.TWO_PI * np.arange(1024) / 1024)
+        mats = (v - v.min() + 1.0).astype(complex)[:, None, None]
+        tn = _TargetNorm("triple2")
+        ranked, want = tn.batch_values(mats, top=3), tn.batch_values(mats)
         assert np.argsort(ranked)[::-1][:3].tolist() == np.argsort(want)[::-1][:3].tolist()
 
 
