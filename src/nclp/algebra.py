@@ -215,27 +215,24 @@ class AlgebraElement:
 
     # -- recomputable predicates ---------------------------------------------
 
-    def _tol(self, tol: float | None) -> float:
-        return structure_tol(self.max_abs_entry) if tol is None else tol
-
     def is_hermitian(self, tol: float | None = None) -> bool:
-        t = self._tol(tol)
+        t = structure_tol(self.max_abs_entry) if tol is None else tol
         return all(np.max(np.abs(b - b.conj().T), initial=0.0) <= t for b in self.blocks)
 
-    def is_psd(self, tol: float | None = None) -> bool:
-        if not self.is_hermitian(tol):
+    def is_psd(self) -> bool:
+        if not self.is_hermitian():
             return False
-        t = psd_tol(operator_norm(self)) if tol is None else tol
+        t = psd_tol(operator_norm(self))
         return all(b.size == 0 or np.linalg.eigvalsh(hermitian_part_of(b)).min() >= -t
                    for b in self.blocks)
 
-    def is_projection(self, tol: float | None = None) -> bool:
-        t = self._tol(tol)
-        return self.is_hermitian(t) and all(
+    def is_projection(self) -> bool:
+        t = structure_tol(self.max_abs_entry)
+        return self.is_hermitian() and all(
             np.max(np.abs(b @ b - b), initial=0.0) <= t for b in self.blocks)
 
-    def is_partial_isometry(self, tol: float | None = None) -> bool:
-        t = self._tol(tol)
+    def is_partial_isometry(self) -> bool:
+        t = structure_tol(self.max_abs_entry)
         for b in self.blocks:
             p = b.conj().T @ b
             if np.max(np.abs(p @ p - p), initial=0.0) > t or np.max(np.abs(p - p.conj().T), initial=0.0) > t:

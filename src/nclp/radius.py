@@ -19,11 +19,15 @@ Three layers:
   and from above by ||F||_2.  The candidate maximizers of a whole stack of
   elements are built and scored by one kernel, ``_triple2_pool``, in a few
   stacked linalg calls; single elements go through it as a stack of one, and
-  each result is bit-identical whatever the size or order of the stack.  The
-  projected ascent runs on the same per-block stacks: all of its starts
-  ascend together, each giving the result it would give alone.  Projection
-  onto the feasible set is one clip of the spectrum to [0, 1] and one
-  rescale (``_project_stack``).  The polar form F = |F*|^{1/2} U |F|^{1/2}
+  each result is bit-identical whatever the size or order of the stack.  A
+  PSD item's pool is its knapsack maximizer alone.  The projected ascent
+  runs on the same per-block stacks: all of its starts ascend together, each
+  giving the result it would give alone.  Projection onto the feasible set
+  is one clip of the spectrum to [0, 1] and one rescale (``_project_stack``).
+  An ascent try is one ``eigh`` and one SVD per block; the SVD gives both
+  the objective and the next gradient, and the 2-norms of a gradient and of
+  a projection come from its entries and its clipped eigenvalues, so no
+  linalg call is spent on a norm.  The polar form F = |F*|^{1/2} U |F|^{1/2}
   gives the upper bound |||F|||_2 <= K((|F| + |F*|) / 2), K the knapsack
   value (``_polar_bound``); only the pruning of pool rankings reads it,
 * ``superop_norm``: operator norms of linear maps from a traced algebra into
@@ -300,16 +304,17 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Random starts and ascent steps of a search; a negative count raises
-    ``DomainError``."""
+    """Random starts, ascent steps and seed of a search; a field that is not
+    an integer >= 0 (a bool is not) raises ``DomainError``."""
     starts: int = 16
     iters: int = 40
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.starts < 0 or self.iters < 0:
-            raise DomainError(f"search budget needs starts >= 0 and iters >= 0, "
-                              f"got {self.starts} and {self.iters}")
+        for name in ("starts", "iters", "seed"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+                raise DomainError(f"search budget needs an integer {name} >= 0, got {v!r}")
 
 
 @dataclass
@@ -335,20 +340,26 @@ def _itemwise_max(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _norm2(alg: TracedAlgebra, parts: Sequence[np.ndarray]) -> np.ndarray:
+    """||X||_2 = (sum_k w_k ||X_k||_F^2)^{1/2} of each item of a stack, from
+    per-block (B, ...) arrays whose squared moduli sum to ||X_k||_F^2 per
+    item: the blocks themselves, or the eigenvalues of hermitian blocks."""
+    acc = 0.0
+    for wt, p in zip(alg.weights, parts):
+        acc = acc + wt * (np.abs(p) ** 2).sum(axis=tuple(range(1, p.ndim)))
+    return np.sqrt(acc)
+
+
 def _project_stack(alg: TracedAlgebra, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Map each item into {0 <= W <= I, ||W||_2 <= 1} in one step: clip the
     spectrum of its hermitian part to [0, 1] (one stacked ``eigh`` per block),
-    then rescale to ||W||_2 <= 1, which keeps 0 <= W <= I."""
-    out = []
-    for b in blocks:
-        lam, q = np.linalg.eigh(hermitian_part_of(b))
-        out.append(_spectral(q, lam.clip(0.0, 1.0)))
-    n2 = _stacked_schatten(alg, out, 2.0)
-    big = (~(n2 <= 1.0)).nonzero()[0]
-    shrink = (1.0 / n2[big]).astype(complex)[:, None, None]
-    for b in out:
-        b[big] = shrink * b[big]
-    return out
+    then rescale to ||W||_2 <= 1, which keeps 0 <= W <= I.  ||W||_2 comes from
+    the clipped eigenvalues, since W = Q diag(clip lambda) Q*."""
+    decs = [np.linalg.eigh(hermitian_part_of(b)) for b in blocks]
+    clipped = [lam.clip(0.0, 1.0) for lam, _ in decs]
+    n2 = _norm2(alg, clipped)
+    shrink = np.divide(1.0, n2, out=np.ones_like(n2), where=~(n2 <= 1.0))[:, None]
+    return [_spectral(q, c * shrink) for (_, q), c in zip(decs, clipped)]
 
 
 def _knapsack_take(alg: TracedAlgebra, lam: np.ndarray) -> np.ndarray:
@@ -424,8 +435,9 @@ class _TriplePool:
     Per item: ``upper`` = ||F||_2, ``exact`` for PSD input, ``scaled`` blocks
     F / ||F||_2 (zero for F = 0), the candidate maximizers in a fixed slot
     order (empty slots have objective -inf), the best rank-one objective
-    ``rank1``, and the projected best candidate ``maximizer`` with its
-    objective ``best``; all objectives are at unit ||F||_2.
+    ``rank1`` (in closed form for PSD input), and the projected best
+    candidate ``maximizer`` with its objective ``best``; all objectives are
+    at unit ||F||_2.
     """
     upper: np.ndarray
     exact: np.ndarray
@@ -441,80 +453,20 @@ class _TriplePool:
         return self.upper * self.best
 
 
-def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 64,
-                  refine: bool = False) -> _TriplePool:
-    """Candidate pool and quick-path |||.|||_2 for a stack of elements.
-
-    ``blocks`` are per-block (B, n_k, n_k) arrays.  Every candidate family of
-    ``triple_norm`` is built for the whole stack in a few stacked linalg
-    calls, in the slot order [knapsack of F (PSD F), knapsack of F+ and F-
-    (other hermitian F), knapsack of |F|, two rank-one directions per block,
-    spectral projections of |F| by decreasing level].  Each item's result
-    equals the one-element computation bit for bit, whatever the stack's
-    size or order.  ``refine`` refines the rank-one angles of each block,
-    all of its (item, peak) rows in one ``_nr_newton`` stack.
-    """
+def _heuristic_candidates(alg: TracedAlgebra, fr: Sequence[np.ndarray],
+                          dec_abs: Sequence[tuple[np.ndarray, np.ndarray]], grid: int,
+                          refine: bool) -> list[tuple[np.ndarray, np.ndarray, list]]:
+    """Rank-one and spectral-projection candidates of a stack of non-PSD
+    items, per-block (B, n_k, n_k) arrays ``fr`` with ``dec_abs`` the
+    per-block stacked ``eigh`` of |F|, as (rows, pool slots, per-block
+    candidate stacks or None) triples in ``_triple2_pool``'s slot order."""
     sizes, weights = alg.block_sizes, alg.weights
     nblk = len(sizes)
-    fs = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
-    items = len(fs[0])
-    upper = _stacked_schatten(alg, fs, 2.0)
-    inv = np.divide(1.0, upper, out=np.zeros(items), where=upper != 0.0)
-    scale = inv.astype(complex)[:, None, None]
-    fh = [scale * b for b in fs]                  # unit ||F||_2; homogeneous objective
-
-    nslot = 4 + 2 * nblk + alg.total_dim
-    cands = [np.zeros((items, nslot, n, n), dtype=complex) for n in sizes]
-    valid = np.zeros((items, nslot), dtype=bool)
-
-    def put(at: np.ndarray, slot: np.ndarray | int, ws: Sequence[np.ndarray | None]) -> None:
-        for c, w in zip(cands, ws):
-            if w is not None:
-                c[at, slot] = w
-        valid[at, slot] = True
-
-    # hermitian / PSD predicates, as AlgebraElement.is_hermitian / is_psd
-    maxabs = _itemwise_max([np.abs(b) for b in fh])
-    skew = _itemwise_max([np.abs(b - b.conj().swapaxes(-1, -2)) for b in fh])
-    herm = (skew <= structure_tol(maxabs)).nonzero()[0]
-    exact = np.zeros(items, dtype=bool)
-
-    # knapsack maximizers, in one stack: of |F| for every F, of F for PSD F,
-    # and of F+ and F- (where nonzero) for the other hermitian F
-    absf = []
-    for b in fh:
-        _, s, vh = np.linalg.svd(b)
-        absf.append(hermitian_part_of((vh.conj().swapaxes(-1, -2) * s[..., None, :]) @ vh))
-    dec_abs = [np.linalg.eigh(hermitian_part_of(a)) for a in absf]
-    owners, slots, decs = [np.arange(items)], [np.full(items, 3)], [dec_abs]
-    if herm.size:
-        fhh = [b[herm] for b in fh]
-        opn = _itemwise_max([np.linalg.svd(b, compute_uv=False) for b in fhh])
-        psd = np.all([np.linalg.eigvalsh(hermitian_part_of(b)).min(axis=-1) >= -psd_tol(opn)
-                      for b in fhh], axis=0)
-        exact[herm[psd]] = True
-        dec_h = [np.linalg.eigh(hermitian_part_of(b)) for b in fhh]
-        owners.append(herm[psd])
-        slots.append(np.zeros(psd.sum(), dtype=int))
-        decs.append([(lam[psd], q[psd]) for lam, q in dec_h])
-        mixed = ~psd
-        if mixed.any():
-            parts = [_spectral(np.concatenate([q[mixed], q[mixed]]),
-                               np.concatenate([np.maximum(lam[mixed], 0.0),
-                                               np.maximum(-lam[mixed], 0.0)]))
-                     for lam, q in dec_h]
-            nz = _stacked_schatten(alg, parts, 2.0) > 0
-            owners.append(np.tile(herm[mixed], 2)[nz])
-            slots.append(np.repeat([1, 2], mixed.sum())[nz])
-            decs.append([np.linalg.eigh(hermitian_part_of(b[nz])) for b in parts])
-    knap = _knapsack_stack(alg, [(np.concatenate([d[k][0] for d in decs]),
-                                  np.concatenate([d[k][1] for d in decs]))
-                                 for k in range(nblk)])
-    put(np.concatenate(owners), np.concatenate(slots), knap)
+    out = []
 
     # rank-one W = h h* from numerical-radius directions, two per nonzero block
     step = TWO_PI / grid
-    for kb, b in enumerate(fh):
+    for kb, b in enumerate(fr):
         found = _nr_peaks(b, grid, 2)[1]
         peaks = np.array([p + [-1] * (2 - len(p)) for p in found], dtype=int).reshape(-1, 2)
         thetas = peaks * step
@@ -528,7 +480,7 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
         at, j = ((b != 0).any(axis=(1, 2))[:, None] & (peaks >= 0)).nonzero()
         ws: list[np.ndarray | None] = [None] * nblk
         ws[kb] = outer[at, j]
-        put(at, 4 + 2 * kb + j, ws)
+        out.append((at, 4 + 2 * kb + j, ws))
 
     # spectral projections of |F| above each distinct positive level
     lam_abs = np.concatenate([lam for lam, _ in dec_abs], axis=1)
@@ -555,7 +507,95 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     for pk in proj:
         pk[big] = shrink * pk[big]
     keep = n2 > 0
-    put(at[keep], 4 + 2 * nblk + lv[keep], [pk[keep] for pk in proj])
+    out.append((at[keep], 4 + 2 * nblk + lv[keep], [pk[keep] for pk in proj]))
+    return out
+
+
+def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 64,
+                  refine: bool = False) -> _TriplePool:
+    """Candidate pool and quick-path |||.|||_2 for a stack of elements.
+
+    ``blocks`` are per-block (B, n_k, n_k) arrays.  A PSD item is exact: its
+    one candidate is the knapsack maximizer of F (slot 0), and its rank-one
+    objective max_k min(w_k, 1) lambda_max(F_k) comes in closed form from the
+    ``eigh`` the PSD test takes.  For the other items every candidate family
+    of ``triple_norm`` is built in a few stacked linalg calls, in the slot
+    order [knapsack of F+ and F- (hermitian F), knapsack of |F|, two rank-one
+    directions per block, spectral projections of |F| by decreasing level]
+    (``_heuristic_candidates``); a stack of PSD items builds none of them.
+    Each item's result equals the one-element computation bit for bit,
+    whatever the stack's size or order.  ``refine`` refines the rank-one
+    angles of each block, all of its (item, peak) rows in one ``_nr_newton``
+    stack.
+    """
+    sizes, weights = alg.block_sizes, alg.weights
+    nblk = len(sizes)
+    fs = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
+    items = len(fs[0])
+    upper = _stacked_schatten(alg, fs, 2.0)
+    inv = np.divide(1.0, upper, out=np.zeros(items), where=upper != 0.0)
+    scale = inv.astype(complex)[:, None, None]
+    fh = [scale * b for b in fs]                  # unit ||F||_2; homogeneous objective
+
+    nslot = 4 + 2 * nblk + alg.total_dim
+    cands = [np.zeros((items, nslot, n, n), dtype=complex) for n in sizes]
+    valid = np.zeros((items, nslot), dtype=bool)
+
+    def put(at: np.ndarray, slot: np.ndarray | int, ws: Sequence[np.ndarray | None]) -> None:
+        for c, w in zip(cands, ws):
+            if w is not None:
+                c[at, slot] = w
+        valid[at, slot] = True
+
+    # hermitian / PSD predicates, as AlgebraElement.is_hermitian / is_psd,
+    # the latter from one eigh per block of the hermitian items
+    maxabs = _itemwise_max([np.abs(b) for b in fh])
+    skew = _itemwise_max([np.abs(b - b.conj().swapaxes(-1, -2)) for b in fh])
+    herm = (skew <= structure_tol(maxabs)).nonzero()[0]
+    exact = np.zeros(items, dtype=bool)
+    psd_rows, psd_rank1 = np.zeros(0, dtype=int), np.zeros(0)
+
+    # knapsack maximizers, in one stack: of F for PSD F, of F+ and F- (where
+    # nonzero) for the other hermitian F, and of |F| for every non-PSD F
+    owners, slots, decs = [], [], []
+    if herm.size:
+        dec_h = [np.linalg.eigh(hermitian_part_of(b[herm])) for b in fh]
+        opn = _itemwise_max([np.abs(lam) for lam, _ in dec_h])
+        psd = np.all([lam[:, 0] >= -psd_tol(opn) for lam, _ in dec_h], axis=0)
+        psd_rows = herm[psd]
+        exact[psd_rows] = True
+        psd_rank1 = np.max([min(wt, 1.0) * lam[psd, -1]
+                            for wt, (lam, _) in zip(weights, dec_h)], axis=0)
+        owners.append(psd_rows)
+        slots.append(np.zeros(psd.sum(), dtype=int))
+        decs.append([(lam[psd], q[psd]) for lam, q in dec_h])
+        mixed = ~psd
+        if mixed.any():
+            parts = [_spectral(np.concatenate([q[mixed], q[mixed]]),
+                               np.concatenate([np.maximum(lam[mixed], 0.0),
+                                               np.maximum(-lam[mixed], 0.0)]))
+                     for lam, q in dec_h]
+            nz = _stacked_schatten(alg, parts, 2.0) > 0
+            owners.append(np.tile(herm[mixed], 2)[nz])
+            slots.append(np.repeat([1, 2], mixed.sum())[nz])
+            decs.append([np.linalg.eigh(hermitian_part_of(b[nz])) for b in parts])
+    rest = (~exact).nonzero()[0]
+    if rest.size:
+        fr = [b[rest] for b in fh]
+        absf = []
+        for b in fr:
+            _, s, vh = np.linalg.svd(b)
+            absf.append(hermitian_part_of((vh.conj().swapaxes(-1, -2) * s[..., None, :]) @ vh))
+        dec_abs = [np.linalg.eigh(hermitian_part_of(a)) for a in absf]
+        owners.append(rest)
+        slots.append(np.full(len(rest), 3))
+        decs.append(dec_abs)
+        for at, slot, ws in _heuristic_candidates(alg, fr, dec_abs, grid, refine):
+            put(rest[at], slot, ws)
+    knap = _knapsack_stack(alg, [(np.concatenate([d[k][0] for d in decs]),
+                                  np.concatenate([d[k][1] for d in decs]))
+                                 for k in range(nblk)])
+    put(np.concatenate(owners), np.concatenate(slots), knap)
 
     # objectives ||W F W||_1 of every candidate in one SVD per block
     flat = valid.ravel().nonzero()[0]
@@ -565,13 +605,29 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     objective[flat] = _stacked_schatten(alg, [w @ b[of] @ w for w, b in zip(pooled, fh)], 1.0)
     objective = objective.reshape(items, nslot)
 
-    ones = objective[:, 4:4 + 2 * nblk]
-    rank1 = np.where(np.isfinite(ones).any(axis=1), ones.max(axis=1), 0.0)
     pick = np.argmax(objective, axis=1)
     maximizer = _project_stack(alg, [c[np.arange(items), pick] for c in cands])
     best = _stacked_schatten(alg, [w @ b @ w for w, b in zip(maximizer, fh)], 1.0)
+    ones = objective[:, 4:4 + 2 * nblk]
+    rank1 = np.where(np.isfinite(ones).any(axis=1), ones.max(axis=1), 0.0)
+    # a rank-one W is feasible, so the exact value bounds it; the cap keeps
+    # rounding from putting it above
+    rank1[psd_rows] = np.minimum(best[psd_rows], psd_rank1)
     return _TriplePool(upper=upper, exact=exact, scaled=fh, candidates=cands,
                        objective=objective, rank1=rank1, maximizer=maximizer, best=best)
+
+
+def _trace_norm_polar(alg: TracedAlgebra,
+                      ms: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """||M||_1 of each item of a stack given as per-block (B, n_k, n_k) arrays,
+    and the per-block (U V*)* of M_k = U S V*, the subgradient of the trace
+    norm at M_k, from one full SVD per block."""
+    acc, polar = 0.0, []
+    for wt, mk in zip(alg.weights, ms):
+        u, s, vh = np.linalg.svd(mk)
+        polar.append((u @ vh).conj().swapaxes(-1, -2))
+        acc = acc + wt * s.sum(axis=-1)
+    return acc, polar
 
 
 def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.ndarray],
@@ -582,23 +638,24 @@ def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.nd
     stacks, all advanced together.  Each item takes the steps it would take
     alone: along its gradient G, W + (step / ||G||_2) G is projected for step
     = 0.5, 0.25, ... (ten tries) until the objective rises by more than
-    1e-14; an item stops once its gradient vanishes or no try rises.  Returns
-    the final objectives and the per-block stacks of final W.
+    1e-14; an item stops once its gradient vanishes or no try rises.  Each
+    try is one ``eigh`` (the projection) and one SVD per block, which gives
+    the objective and, for an accepted try, the subgradient (U V*)* the next
+    gradient is built from; ||G||_2 is the weighted Frobenius norm, so a step
+    takes no SVD of its own.  Returns the final objectives and the per-block
+    stacks of final W.
     """
     w = _project_stack(alg, starts)
-    m = [x @ b @ x for x, b in zip(w, fh)]
-    best = _stacked_schatten(alg, m, 1.0)
+    best, dh = _trace_norm_polar(alg, [x @ b @ x for x, b in zip(w, fh)])
     live = np.arange(len(best))
     for _ in range(iters):
         if not live.size:
             break
         grad = []
-        for wt, b, x, mk in zip(alg.weights, fh, w, m):
-            x = x[live]
-            u, _, vh = np.linalg.svd(mk[live])
-            dh = (u @ vh).conj().swapaxes(-1, -2)    # subgradient of the trace norm at M_k
-            grad.append(wt * hermitian_part_of(b @ x @ dh + dh @ x @ b))
-        gnorm = _stacked_schatten(alg, grad, 2.0)
+        for wt, b, x, d in zip(alg.weights, fh, w, dh):
+            x, d = x[live], d[live]
+            grad.append(wt * hermitian_part_of(b @ x @ d + d @ x @ b))
+        gnorm = _norm2(alg, grad)
         moving = ~(gnorm < 1e-14)
         live, gnorm = live[moving], gnorm[moving]
         grad = [g[moving] for g in grad]
@@ -610,12 +667,11 @@ def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.nd
             at = live[left]
             c = np.array([step / g for g in gnorm[left].tolist()], dtype=complex)[:, None, None]
             trial = _project_stack(alg, [x[at] + c * g[left] for x, g in zip(w, grad)])
-            tm = [t @ b @ t for t, b in zip(trial, fh)]
-            val = _stacked_schatten(alg, tm, 1.0)
+            val, tdh = _trace_norm_polar(alg, [t @ b @ t for t, b in zip(trial, fh)])
             up = val > best[at] + 1e-14
-            for x, mk, t, tmk in zip(w, m, trial, tm):
+            for x, d, t, td in zip(w, dh, trial, tdh):
                 x[at[up]] = t[up]
-                mk[at[up]] = tmk[up]
+                d[at[up]] = td[up]
             best[at[up]] = val[up]
             left = left[~up]
             step *= 0.5
@@ -843,11 +899,11 @@ class _TargetNorm:
         pool = _triple2_pool(alg, blocks)
         # Re tr_rho(D* W M W) = Re tr(C M) with C = blockdiag(w_k W_k D_k* W_k),
         # D the unitary polar factor of W M W
+        polar = _trace_norm_polar(alg, [w @ f @ w for w, f in zip(pool.maximizer, blocks)])[1]
         certs = np.zeros(mats.shape, dtype=complex)
         at = 0
-        for wt, w, f, n in zip(alg.weights, pool.maximizer, blocks, alg.block_sizes):
-            u, _, vh = np.linalg.svd(w @ f @ w)
-            certs[:, at:at + n, at:at + n] = wt * (w @ (u @ vh).conj().swapaxes(-1, -2) @ w)
+        for wt, w, d, n in zip(alg.weights, pool.maximizer, polar, alg.block_sizes):
+            certs[:, at:at + n, at:at + n] = wt * (w @ d @ w)
             at += n
         return pool.values, certs
 
@@ -1051,8 +1107,9 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
     ``triple2`` each W L(.) W is positive, so ||W L(T) W||_1 <= ||W L(I) W||_1.
     The right-hand side is therefore the target norm of the PSD matrices
     Phi(x,x)(I) and Phi(y,y)(I), which ``_TargetNorm.batch_values`` gives
-    exactly; only the left-hand side is searched.  Its value is attained at a
-    feasible T, so a reported violation is proven, and nothing is re-run.
+    exactly (for ``triple2``, the knapsack alone); only the left-hand side is
+    searched.  Its value is attained at a feasible T, so a reported violation
+    is proven, and nothing is re-run.
     """
     budget = budget or SearchBudget()
     if phi.check_positivity(seed=budget.seed).status == "violated":

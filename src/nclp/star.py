@@ -107,8 +107,9 @@ class StarAlgebra:
         return {"associativity": assoc, "anti_multiplicativity": antimult,
                 "involutive": invol2, "unit_left": unit_left, "unit_right": unit_right}
 
-    def is_commutative(self, tol: float = AXIOM_TOL) -> bool:
-        return float(np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2)), initial=0.0)) <= tol
+    def is_commutative(self) -> bool:
+        return (float(np.max(np.abs(self.mult - self.mult.transpose(1, 0, 2)), initial=0.0))
+                <= AXIOM_TOL)
 
     def vector(self, coords: np.ndarray) -> "AlgebraVector":
         return AlgebraVector(self, coords)
@@ -151,9 +152,9 @@ class AlgebraVector:
     def star(self) -> "AlgebraVector":
         return AlgebraVector(self.algebra, self.algebra.involute(self.coords))
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
+    def is_symmetric(self) -> bool:
         return bool(np.max(np.abs(self.star().coords - self.coords), initial=0.0)
-                    <= tol * (1.0 + np.max(np.abs(self.coords), initial=0.0)))
+                    <= 1e-12 * (1.0 + np.max(np.abs(self.coords), initial=0.0)))
 
     def __repr__(self) -> str:
         return f"AlgebraVector(dim={self.algebra.dim})"
