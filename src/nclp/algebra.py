@@ -264,9 +264,6 @@ class PExponent:
             return math.inf
         return self.value / (self.value - 1.0)
 
-    def conjugate(self) -> "PExponent":
-        return PExponent(self.q)
-
     def __repr__(self) -> str:
         return f"PExponent({self.value})"
 

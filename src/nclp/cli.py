@@ -26,7 +26,7 @@ from .algebra import TracedAlgebra, as_exponent, schatten_norm, trace
 from .errors import (ConditioningError, DomainError, InconsistencyError, PreconditionError,
                      StructureError)
 from .gns import gns_construct, verify_representation
-from .inequalities import RatioProfile, default_cs_constant, ratio_sampler
+from .inequalities import OK_STATUSES, RatioProfile, default_cs_constant, ratio_sampler
 from .kernels import KernelMap, kernel_by_name
 from .matrixio import (_field, algebra_from_json, dump_deterministic, element_from_json,
                        fmt_float, gns_to_json, load_elements, load_json,
@@ -35,22 +35,6 @@ from .radius import SearchBudget, numerical_radius, triple_norm
 from .star import builtin as star_builtin
 
 VERSION = "1"
-
-# the RunConfig fields each command reads, besides output_path, which all read
-COMMANDS = {
-    "norms": ("p", "input_path"),
-    "check-cs-lp": ("seed", "p", "trials", "constant", "tol"),
-    "check-cs-normal": ("seed", "p", "trials", "tol"),
-    "check-re-im": ("seed", "trials"),
-    "check-uncertainty": (),
-    "check-cs-opvalued": ("seed", "trials", "budget_starts", "budget_iters"),
-    "triple-norm": ("seed", "budget_starts", "budget_iters", "input_path"),
-    "numerical-radius": ("input_path",),
-    "gns": ("seed", "trials", "input_path"),
-    "kernel-demo": ("seed", "trials", "input_path"),
-    "sample-ratios": ("seed", "p", "trials", "dims", "fmt"),
-    "check-all": ("seed", "trials", "budget_starts", "budget_iters"),
-}
 
 # flag and argparse options per RunConfig field; defaults are RunConfig's
 FLAGS = {
@@ -67,7 +51,6 @@ FLAGS = {
     "tol": ("--tol", {"type": float}),
 }
 
-OK_STATUSES = ("holds", "holds_within_tol")
 # faults of the input, not verdicts: main reports them on one line with exit 2
 INPUT_ERRORS = (DomainError, StructureError, PreconditionError, InconsistencyError,
                 ConditioningError, OSError)
@@ -126,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Checkers for trace-normed matrix algebras: Cauchy-Schwarz "
                     "sweeps, radius norms, GNS constructions, kernel families.")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, fields in COMMANDS.items():
+    for name, (_, fields) in COMMANDS.items():
         p = sub.add_parser(name, argument_default=argparse.SUPPRESS)
         for dest in fields + ("output_path",):
             flag, opts = FLAGS[dest]
@@ -146,8 +129,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> None:
-    if cfg.command not in COMMANDS:
-        raise DomainError(f"unknown command {cfg.command!r}")
     needs_input = {"norms", "numerical-radius", "triple-norm", "gns"}
     if cfg.command in needs_input and not cfg.input_path:
         raise DomainError(f"command {cfg.command!r} requires --input")
@@ -342,25 +323,27 @@ def _cmd_check_all(cfg: RunConfig) -> list:
     return results
 
 
-_DISPATCH = {
-    "norms": _cmd_norms,
-    "numerical-radius": _cmd_numerical_radius,
-    "triple-norm": _cmd_triple_norm,
-    "check-cs-lp": _cmd_cs_lp,
-    "check-cs-normal": _cmd_cs_normal,
-    "check-re-im": _cmd_re_im,
-    "check-uncertainty": _cmd_uncertainty,
-    "check-cs-opvalued": _cmd_opvalued,
-    "gns": _cmd_gns,
-    "kernel-demo": _cmd_kernel_demo,
-    "sample-ratios": _cmd_sample_ratios,
-    "check-all": _cmd_check_all,
+# per command: its handler and the RunConfig fields it reads, besides
+# output_path, which all read
+COMMANDS = {
+    "norms": (_cmd_norms, ("p", "input_path")),
+    "check-cs-lp": (_cmd_cs_lp, ("seed", "p", "trials", "constant", "tol")),
+    "check-cs-normal": (_cmd_cs_normal, ("seed", "p", "trials", "tol")),
+    "check-re-im": (_cmd_re_im, ("seed", "trials")),
+    "check-uncertainty": (_cmd_uncertainty, ()),
+    "check-cs-opvalued": (_cmd_opvalued, ("seed", "trials", "budget_starts", "budget_iters")),
+    "triple-norm": (_cmd_triple_norm, ("seed", "budget_starts", "budget_iters", "input_path")),
+    "numerical-radius": (_cmd_numerical_radius, ("input_path",)),
+    "gns": (_cmd_gns, ("seed", "trials", "input_path")),
+    "kernel-demo": (_cmd_kernel_demo, ("seed", "trials", "input_path")),
+    "sample-ratios": (_cmd_sample_ratios, ("seed", "p", "trials", "dims", "fmt")),
+    "check-all": (_cmd_check_all, ("seed", "trials", "budget_starts", "budget_iters")),
 }
 
 
 def execute(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
-    results = _DISPATCH[cfg.command](cfg)
+    results = COMMANDS[cfg.command][0](cfg)
     report = RunReport(config=cfg, results=_jsonable(results))
     bad = [r for r in results if r.get("status") not in OK_STATUSES]
     report.overall = "violated" if bad else "holds"

@@ -31,6 +31,8 @@ __all__ = ["InequalityReport", "UncertaintyReport", "check_cs_lp", "check_cs_nor
 
 REPORT_TOL_COEFF = 1e-8
 INVARIANCE_TOL = 1e-8
+# the statuses that pass a check
+OK_STATUSES = ("holds", "holds_within_tol")
 
 
 @dataclass
@@ -39,12 +41,12 @@ class InequalityReport:
     rhs: float
     ratio: float
     margin: float
-    status: str                      # "holds" | "holds_within_tol" | "violated" | "inconclusive"
+    status: str                      # "holds" | "holds_within_tol" | "violated"
     witness: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
-        return self.status in ("holds", "holds_within_tol")
+        return self.status in OK_STATUSES
 
 
 def _report(lhs: float, rhs: float, witness: dict) -> InequalityReport:
@@ -151,12 +153,16 @@ def check_re_im(phi: SesquilinearMap, x: np.ndarray,
 
 @dataclass
 class UncertaintyReport:
-    lam: float
-    mu: float
-    delta_a: float
-    delta_b: float
+    """Delta_a(lam) over ``lam_grid`` and Delta_b(mu) over ``mu_grid``, each
+    taken once per grid point.  The relation separates, so its products over
+    the grid are ``np.outer(delta_a, delta_b)``; ``bound_failures`` counts the
+    pairs below gamma/2 - 1e-8."""
+    lam_grid: np.ndarray
+    delta_a: np.ndarray
+    mu_grid: np.ndarray
+    delta_b: np.ndarray
     gamma: float
-    bound_ok: bool
+    bound_failures: int
     k_coords: np.ndarray
     commutator_residual: float
     invariance_residual: float
@@ -198,7 +204,7 @@ def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray):
 
 def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
                       lam_grid: Sequence[float] | None = None,
-                      mu_grid: Sequence[float] | None = None) -> list[UncertaintyReport]:
+                      mu_grid: Sequence[float] | None = None) -> UncertaintyReport:
     """Uncertainty relation Delta_a(lam) * Delta_b(mu) >= gamma/2 on a grid.
 
     Requires a left-invariant hermitian map over a unital *-algebra and
@@ -206,7 +212,8 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     algebra and the defining identity
     Phi(a x, b* y) - Phi(b x, a* y) = Phi(i k x, y) is verified on all basis
     pairs rather than assumed.  Phi(k, e) must come out self-adjoint.  The
-    identity's residual and the bound are tested with slack 1e-8.
+    identity's residual and the bound are tested with slack 1e-8.  Returns
+    one report over the two grids.
     """
     tol = 1e-8
     alg = phi.domain_algebra
@@ -224,7 +231,6 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     ab = alg.multiply(a, b)
     ba = alg.multiply(b, a)
     k = 1j * (ab - ba)
-    k_defect = float(np.max(np.abs(alg.involute(k) - k), initial=0.0))
 
     # residual of the Phi-commutator identity over basis pairs
     scale = phi.gram_scale()
@@ -248,35 +254,26 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     herm_defect = max(np.max(np.abs(m - m.conj().T), initial=0.0) for m in g_ke.blocks)
     gamma = schatten_norm(g_ke, 2.0)
 
-    delta_a, argmin_a = _delta_polynomial(phi, a, unit)
-    delta_b, argmin_b = _delta_polynomial(phi, b, unit)
-    if lam_grid is None:
-        lam_grid = list(np.linspace(-3.0, 3.0, 41))
-    if mu_grid is None:
-        mu_grid = list(np.linspace(-3.0, 3.0, 41))
-    # add each Delta's exact minimiser between the neighbours of its grid
-    # minimum; Delta need not be convex, so only that stretch is claimed
-    lam_grid = list(lam_grid)
-    mu_grid = list(mu_grid)
-    for grid, delta, argmin in ((lam_grid, delta_a, argmin_a), (mu_grid, delta_b, argmin_b)):
+    axes = []
+    for op, grid in ((a, lam_grid), (b, mu_grid)):
+        delta, argmin = _delta_polynomial(phi, op, unit)
+        grid = list(np.linspace(-3.0, 3.0, 41) if grid is None else grid)
         vals = [delta(t) for t in grid]
+        # add Delta's exact minimiser between the neighbours of its grid
+        # minimum; Delta need not be convex, so only that stretch is claimed
         i = int(np.argmin(vals))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
         if hi > lo:
             grid.append(argmin(lo, hi))
-
-    reports = []
-    for lam in lam_grid:
-        da = delta_a(lam)
-        for mu in mu_grid:
-            db = delta_b(mu)
-            reports.append(UncertaintyReport(
-                lam=float(lam), mu=float(mu), delta_a=da, delta_b=db, gamma=gamma,
-                bound_ok=bool(da * db >= 0.5 * gamma - tol), k_coords=k,
-                commutator_residual=comm_resid, invariance_residual=inv_resid,
-                k_hermitian_defect=float(herm_defect)))
-    return reports
+            vals.append(delta(grid[-1]))
+        axes.append((np.array(grid, dtype=float), np.array(vals)))
+    (lams, delta_a), (mus, delta_b) = axes
+    failures = int(np.count_nonzero(~(np.outer(delta_a, delta_b) >= 0.5 * gamma - tol)))
+    return UncertaintyReport(
+        lam_grid=lams, delta_a=delta_a, mu_grid=mus, delta_b=delta_b, gamma=gamma,
+        bound_failures=failures, k_coords=k, commutator_residual=comm_resid,
+        invariance_residual=inv_resid, k_hermitian_defect=float(herm_defect))
 
 
 # -- sweeps -----------------------------------------------------------------------

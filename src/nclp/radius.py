@@ -62,7 +62,7 @@ from .errors import DomainError, PreconditionError, StructureError
 from .inequalities import InequalityReport, _report
 from .sampling import (random_complex_matrix, random_hermitian, random_psd, rng_from,
                        substreams, unitaries_from_gaussian)
-from .sesquilinear import PositivityCertificate, _combine
+from .sesquilinear import PositivityCertificate, _combine_rows
 
 __all__ = ["numerical_radius", "SearchBudget", "TripleNormResult", "triple_norm",
            "SuperOperator", "superop_norm",
@@ -1061,7 +1061,8 @@ class OperatorValuedMap:
         # differently
         coeff = np.array([xi * np.conj(yj) for xi in x for yj in y])
         flat = self.gram.reshape(-1, *self.gram.shape[2:])
-        return SuperOperator(self.source, self.target_dim, _combine(coeff, flat),
+        return SuperOperator(self.source, self.target_dim,
+                             _combine_rows(coeff[None], [flat])[0][0],
                              target_algebra=self.target_algebra)
 
     def check_positivity(self, trials: int = 64, seed: int = 0) -> PositivityCertificate:

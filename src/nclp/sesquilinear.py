@@ -139,13 +139,32 @@ class SesquilinearMap:
                                domain_algebra=self.domain_algebra)
 
 
-def _combine(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """sum_t coeffs[t] stack[t], accumulated in index order from zero and
-    skipping zero coefficients, so every entry adds in a fixed order."""
-    acc = np.zeros(stack.shape[1:], dtype=complex)
-    for t in np.flatnonzero(coeffs):
-        acc += coeffs[t] * stack[t]
-    return acc
+def _combine_rows(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per (K, ...) stack, the (T, ...) rows sum_s coeffs[t, s] stack[s] of
+    (T, K) coefficients.
+
+    Each row is accumulated from zero over the slots in index order, skipping
+    its zero coefficients, so it does not depend on the other rows.
+    """
+    out = [np.zeros((len(coeffs), *g.shape[1:]), dtype=complex) for g in stacks]
+    live = coeffs != 0
+    # per live slot: the rows it adds to and their coefficients.  A slot live
+    # in one row multiplies by the scalar coefficient: numpy may round a
+    # one-element complex product apart from a broadcast one.
+    slots = []
+    for s, n in enumerate(live.sum(axis=0).tolist()):
+        if n == 1:
+            r = int(np.flatnonzero(live[:, s])[0])
+            slots.append((s, r, coeffs[r, s]))
+        elif n == len(coeffs):
+            slots.append((s, slice(None), coeffs[:, s, None, None]))
+        elif n:
+            rows = np.flatnonzero(live[:, s])
+            slots.append((s, rows, coeffs[rows, s, None, None]))
+    for g, acc in zip(stacks, out):
+        for s, rows, c in slots:
+            acc[rows] += c * g[s]
+    return out
 
 
 @dataclass
@@ -167,9 +186,8 @@ def evaluate_stack(phi: SesquilinearMap, xs: np.ndarray,
                    ys: np.ndarray) -> list[np.ndarray]:
     """Per-block (T, n_k, n_k) stacks of Phi(xs[t], ys[t]) for (T, d) inputs.
 
-    Each row is accumulated like ``_combine``: the d*d gram slots in index
-    order from zero, skipping the row's zero coefficients, so it equals a
-    lone ``evaluate`` bit for bit.  Rows are taken in chunks of at most
+    Each row is a ``_combine_rows`` row over the d*d gram slots, so it equals
+    a lone ``evaluate`` bit for bit.  Rows are taken in chunks of at most
     ``STACK_COEFFS`` coefficients.
     """
     xs = np.asarray(xs, dtype=complex)
@@ -186,25 +204,8 @@ def evaluate_stack(phi: SesquilinearMap, xs: np.ndarray,
         # the coefficient products as np.outer forms them, one row per pair
         coeffs = (xs[lo:lo + step, :, None]
                   * np.conj(ys[lo:lo + step])[:, None, :]).reshape(-1, d * d)
-        live = coeffs != 0
-        # per live slot: the rows it adds to and their coefficients.  A slot
-        # live in one row multiplies by the scalar coefficient, as _combine
-        # does: numpy may round a one-element complex product apart from a
-        # broadcast one.
-        slots = []
-        for s, n in enumerate(live.sum(axis=0).tolist()):
-            if n == 1:
-                r = int(np.flatnonzero(live[:, s])[0])
-                slots.append((s, r, coeffs[r, s]))
-            elif n == len(coeffs):
-                slots.append((s, slice(None), coeffs[:, s, None, None]))
-            elif n:
-                rows = np.flatnonzero(live[:, s])
-                slots.append((s, rows, coeffs[rows, s, None, None]))
-        for g, acc in zip(flat, out):
-            chunk = acc[lo:lo + step]
-            for s, rows, c in slots:
-                chunk[rows] += c * g[s]
+        for acc, rows in zip(out, _combine_rows(coeffs, flat)):
+            acc[lo:lo + step] = rows
     return out
 
 
@@ -318,8 +319,9 @@ def from_linear_map(omega: Sequence[AlgebraElement], domain: StarAlgebra,
     coords = [[domain.multiply(domain.involute(basis[j]), basis[i]) for j in range(d)]
               for i in range(d)]
     values = [np.array([g.blocks[k] for g in omega]) for k in range(target.n_blocks)]
-    gram = [np.array([[_combine(c, v) for c in row] for row in coords]) for v in values]
-    return SesquilinearMap(target, gram, domain_algebra=domain)
+    rows = _combine_rows(np.reshape(coords, (d * d, d)), values)
+    return SesquilinearMap(target, [r.reshape(d, d, *r.shape[1:]) for r in rows],
+                           domain_algebra=domain)
 
 
 def scalar_gram(phi: SesquilinearMap) -> np.ndarray:

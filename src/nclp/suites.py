@@ -62,13 +62,6 @@ def _status(ok: bool) -> str:
     return "holds" if ok else "violated"
 
 
-def _ratio_against_one(phi, x, y, p) -> tuple[float, dict]:
-    rep = check_cs_lp(phi, x, y, p, constant=1.0)
-    ratio = rep.ratio if math.isfinite(rep.ratio) else 0.0
-    return ratio, {"lhs": rep.lhs, "rhs": rep.rhs, "ratio": ratio,
-                   "margin": rep.margin, "status": rep.status}
-
-
 def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
                 pool: Sequence[TracedAlgebra] | None = None) -> dict:
     """Cauchy-Schwarz ratios of random certified-positive maps, per exponent.
@@ -83,7 +76,7 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
     per_p = {}
     worst_excess = 0.0
     for p in p_values:
-        outcomes = []
+        max_ratio, worst = -math.inf, None          # the first trial of largest ratio
         for t, rng in enumerate(substreams(seed + int(round(p * 1000)), trials)):
             target = pool[t % len(pool)]
             d = 1 + (t % 4)
@@ -91,12 +84,15 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
             phi = random_map(d, target, rank=rank, seed=int(rng.integers(0, 2 ** 62)))
             x = random_unit_vector(rng, d)
             y = random_unit_vector(rng, d)
-            outcomes.append(_ratio_against_one(phi, x, y, p))
-        worst = max(range(trials), key=lambda i: outcomes[i][0])
-        per_p[str(p)] = {"max_ratio": outcomes[worst][0], "trials": trials,
-                         "worst_report": outcomes[worst][1]}
-        worst_excess = max(worst_excess,
-                           outcomes[worst][0] / (default_cs_constant(p) + 1e-8))
+            rep = check_cs_lp(phi, x, y, p, constant=1.0)
+            ratio = rep.ratio if math.isfinite(rep.ratio) else 0.0
+            if ratio > max_ratio:
+                max_ratio, worst = ratio, rep
+        per_p[str(p)] = {"max_ratio": max_ratio, "trials": trials,
+                         "worst_report": {"lhs": worst.lhs, "rhs": worst.rhs,
+                                          "ratio": max_ratio, "margin": worst.margin,
+                                          "status": worst.status}}
+        worst_excess = max(worst_excess, max_ratio / (default_cs_constant(p) + 1e-8))
     return {"name": "cs_lp_sweep", "trials_per_p": trials, "per_p": per_p,
             "elapsed_s": time.perf_counter() - t0, "status": _status(worst_excess <= 1.0)}
 
@@ -144,17 +140,19 @@ def uncertainty_suite() -> dict:
     phi = km.as_sesquilinear()
     sigma_x = np.array([0, 1, 1, 0], dtype=complex)
     sigma_y = np.array([0, -1j, 1j, 0], dtype=complex)
-    reports = uncertainty_check(phi, sigma_x, sigma_y)      # its 41-point grid on [-3, 3]
-    at_zero = min(reports, key=lambda r: abs(r.lam) + abs(r.mu))
-    gamma = reports[0].gamma
-    bound_failures = sum(0 if r.bound_ok else 1 for r in reports)
-    min_product = min(r.delta_a * r.delta_b for r in reports)
+    rep = uncertainty_check(phi, sigma_x, sigma_y)      # its 41-point grid on [-3, 3]
+    # the first grid points of least |lam| and least |mu|
+    i = int(np.argmin(np.abs(rep.lam_grid)))
+    j = int(np.argmin(np.abs(rep.mu_grid)))
+    delta_product = float(rep.delta_a[i] * rep.delta_b[j])
+    # Delta >= 0 and rounding is monotone: the least product over the grid
+    min_product = float(rep.delta_a.min() * rep.delta_b.min())
     # commuting pair: a = sigma_z, b = diag(1, 2) commute, so gamma must vanish
     sigma_z = np.array([1, 0, 0, -1], dtype=complex)
     diag12 = np.array([1, 0, 0, 2], dtype=complex)
-    commuting = uncertainty_check(phi, sigma_z, diag12, [0.0], [0.0])[0]
-    delta_product = at_zero.delta_a * at_zero.delta_b
-    ok = (bound_failures == 0
+    commuting = uncertainty_check(phi, sigma_z, diag12, [0.0], [0.0])
+    gamma = rep.gamma
+    ok = (rep.bound_failures == 0
           and abs(gamma - math.sqrt(20.0)) <= 1e-9
           and abs(delta_product - math.sqrt(89.0)) <= 1e-9
           and commuting.gamma <= 1e-12)
@@ -162,11 +160,12 @@ def uncertainty_suite() -> dict:
             "gamma": gamma, "gamma_expected": math.sqrt(20.0),
             "delta_product_at_zero": delta_product,
             "delta_product_expected": math.sqrt(89.0),
-            "grid_points": len(reports), "bound_failures": bound_failures,
+            "grid_points": len(rep.lam_grid) * len(rep.mu_grid),
+            "bound_failures": rep.bound_failures,
             "min_delta_product": min_product,
             "half_gamma": 0.5 * gamma,
-            "commutator_residual": reports[0].commutator_residual,
-            "k_hermitian_defect": reports[0].k_hermitian_defect,
+            "commutator_residual": rep.commutator_residual,
+            "k_hermitian_defect": rep.k_hermitian_defect,
             "commuting_gamma": commuting.gamma,
             "status": _status(ok)}
 
@@ -225,18 +224,17 @@ def tail_projection_suite(trials: int, seed: int = 0) -> dict:
                     for _ in range(alg.total_dim)]
         w = random_psd_with_spectrum(alg, rng, spectrum)
         ident = alg.identity()
+        tails = [w @ (ident - spectral_tail_projection(w, 1.0 / n)) for n in range(1, 9)]
+        zero_tol = 1e-12 * (1.0 + operator_norm(w))
         for p in (1.5, 2.0, 3.0):
             prev = math.inf
-            last = math.inf
-            for n in range(1, 9):
-                proj = spectral_tail_projection(w, 1.0 / n)
-                val = schatten_norm(w @ (ident - proj), p)
+            for tail in tails:
+                val = schatten_norm(tail, p)
                 if val > prev + 1e-12 * (1.0 + prev):
                     monotone_failures += 1
                 prev = val
-                last = val
-            worst_final = max(worst_final, last)
-            if last > 1e-12 * (1.0 + operator_norm(w)):
+            worst_final = max(worst_final, prev)
+            if prev > zero_tol:
                 final_nonzero += 1
     return {"name": "tail_projection", "trials": trials,
             "monotone_failures": monotone_failures,
@@ -355,23 +353,22 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
     out["d1_ratio_defect"] = exact_defect
     norms = ("nr", "triple2")
     for norm in norms:
-        violations = 0
-        max_ratio = 0.0
-        for t, rng in enumerate(substreams(seed + 17, instances)):
-            source = TracedAlgebra([2]) if t % 2 == 0 else TracedAlgebra([3])
-            n = 2 if t % 2 == 0 else 3
-            d = 2 + (t % 2)
-            phi = random_operator_valued(source, n, d, 1 + (t % 2),
-                                         int(rng.integers(0, 2 ** 62)))
-            x = random_unit_vector(rng, d)
-            y = random_unit_vector(rng, d)
+        out[norm] = {"violations": 0, "max_ratio": 0.0}
+    for t, rng in enumerate(substreams(seed + 17, instances)):
+        source = TracedAlgebra([2]) if t % 2 == 0 else TracedAlgebra([3])
+        n = 2 if t % 2 == 0 else 3
+        d = 2 + (t % 2)
+        phi = random_operator_valued(source, n, d, 1 + (t % 2),
+                                     int(rng.integers(0, 2 ** 62)))
+        x = random_unit_vector(rng, d)
+        y = random_unit_vector(rng, d)
+        for norm in norms:
             rep = check_cs_operator_valued(
                 phi, x, y, norm, SearchBudget(starts=starts, iters=iters, seed=seed + t))
             if math.isfinite(rep.ratio):
-                max_ratio = max(max_ratio, rep.ratio)
+                out[norm]["max_ratio"] = max(out[norm]["max_ratio"], rep.ratio)
             if rep.status == "violated":
-                violations += 1
-        out[norm] = {"violations": violations, "max_ratio": max_ratio}
+                out[norm]["violations"] += 1
     ok = exact_defect <= 1e-10 and all(out[norm]["violations"] == 0 for norm in norms)
     out["status"] = _status(ok)
     return out

@@ -140,19 +140,19 @@ class TestUncertainty:
     def test_kernel_instance_closed_form(self, kernel_phi):
         sx = np.array([0, 1, 1, 0], dtype=complex)
         sy = np.array([0, -1j, 1j, 0], dtype=complex)
-        reports = uncertainty_check(kernel_phi, sx, sy, [0.0], [0.0])
-        r = reports[0]
+        r = uncertainty_check(kernel_phi, sx, sy, [0.0], [0.0])
+        assert r.lam_grid.tolist() == r.mu_grid.tolist() == [0.0]
         assert r.gamma == pytest.approx(math.sqrt(20.0), abs=1e-12)
-        assert r.delta_a * r.delta_b == pytest.approx(math.sqrt(89.0), abs=1e-12)
+        assert r.delta_a[0] * r.delta_b[0] == pytest.approx(math.sqrt(89.0), abs=1e-12)
         assert np.allclose(r.k_coords, [-2, 0, 0, 2])
-        assert r.bound_ok
+        assert r.bound_failures == 0
         assert r.k_hermitian_defect <= 1e-12
 
     def test_equal_operators_trivial(self, kernel_phi):
         sx = np.array([0, 1, 1, 0], dtype=complex)
-        r = uncertainty_check(kernel_phi, sx, sx, [0.0], [0.0])[0]
+        r = uncertainty_check(kernel_phi, sx, sx, [0.0], [0.0])
         assert r.gamma == pytest.approx(0.0, abs=1e-12)
-        assert r.bound_ok
+        assert r.bound_failures == 0
 
     def test_tracial_map_kills_commutators(self):
         dom = matrix_algebra(2)
@@ -163,16 +163,20 @@ class TestUncertainty:
         phi = SesquilinearMap(target, gram_of(target, gram), domain_algebra=dom)
         sx = np.array([0, 1, 1, 0], dtype=complex)
         sy = np.array([0, -1j, 1j, 0], dtype=complex)
-        r = uncertainty_check(phi, sx, sy, [0.0, 1.0], [0.0])[0]
+        r = uncertainty_check(phi, sx, sy, [0.0, 1.0], [0.0])
+        # the lam axis gains its exact minimiser on [0, 1]
+        assert len(r.lam_grid) == len(r.delta_a) == 3
         assert r.gamma == pytest.approx(0.0, abs=1e-12)
-        assert r.bound_ok
+        assert r.bound_failures == 0
 
     def test_grid_boundced_everywhere(self, kernel_phi):
         sx = np.array([0, 1, 1, 0], dtype=complex)
         sy = np.array([0, -1j, 1j, 0], dtype=complex)
-        reports = uncertainty_check(kernel_phi, sx, sy)
-        assert len(reports) >= 41 * 41
-        assert all(r.bound_ok for r in reports)
+        r = uncertainty_check(kernel_phi, sx, sy)
+        assert len(r.lam_grid) * len(r.mu_grid) >= 41 * 41
+        assert r.delta_a.shape == r.lam_grid.shape and r.delta_b.shape == r.mu_grid.shape
+        assert r.bound_failures == 0
+        assert np.all(np.outer(r.delta_a, r.delta_b) >= 0.5 * r.gamma - 1e-8)
 
     def test_rejects_non_symmetric(self, kernel_phi):
         with pytest.raises(PreconditionError):

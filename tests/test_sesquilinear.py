@@ -10,7 +10,7 @@ from nclp.errors import DomainError, PreconditionError, StructureError
 from nclp import sesquilinear
 from nclp.inequalities import check_cs_lp
 from nclp.sampling import random_complex_matrix, rng_from
-from nclp.sesquilinear import (SesquilinearMap, _block_gram_matrices, _combine,
+from nclp.sesquilinear import (SesquilinearMap, _block_gram_matrices, _combine_rows,
                                check_left_invariance, check_positivity, evaluate,
                                evaluate_stack, from_linear_map, random_map, scalar_gram)
 from nclp.star import cyclic_group_algebra, matrix_algebra
@@ -429,7 +429,7 @@ class TestEvaluateStack:
             coeff = np.outer(x, np.conj(y)).ravel()
             for g, b, s in zip(phi.flat_gram(), lone.blocks, stack):
                 assert np.array_equal(s[t], b)
-                assert np.array_equal(b, _combine(coeff, g))
+                assert np.array_equal(b, _combine_rows(coeff[None], [g])[0][0])
         for s, m in zip(stack, moved):
             assert np.array_equal(s[perm], m)
 
