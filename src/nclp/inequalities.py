@@ -170,21 +170,27 @@ class UncertaintyReport:
 
 
 def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray):
-    """t -> Delta(t) = ||phi(a - t e, a - t e)||_2^(1/2) for real t, and
-    (lo, hi) -> the minimiser of Delta on [lo, hi].
+    """ts -> Delta(t) = ||phi(a - t e, a - t e)||_2^(1/2) at each real t of a
+    sequence, and (lo, hi) -> the minimiser of Delta on [lo, hi] with its
+    Delta.
 
     phi(a - t e, a - t e) = A - t E + t^2 D with A = phi(a, a),
     E = phi(a, e) + phi(e, a) and D = phi(e, e), so Delta(t)^4 is the real
     quartic ||A||^2 - 2t <A, E> + t^2 (||E||^2 + 2 <A, D>) - 2t^3 <E, D>
     + t^4 ||D||^2 in the inner product <X, Y> = Re rho(X* Y) of ||.||_2.  Its
     minimum on [lo, hi] lies at an end or at a real root of its derivative.
+    The norms of a sequence are one ``_stacked_schatten`` call, each the
+    ``schatten_norm`` of A - t phi(a, e) - t phi(e, a) + t^2 D bit for bit.
     """
     vals = evaluate_stack(phi, [a, a, unit, unit], [a, unit, a, unit])
     g_aa, g_ae, g_ea, g_ee = (phi.target.element([v[t] for v in vals]) for t in range(4))
 
-    def delta(t: float) -> float:
-        v = g_aa - t * g_ae - t * g_ea + (t * t) * g_ee
-        return math.sqrt(max(schatten_norm(v, 2.0), 0.0))
+    def delta(ts: Sequence[float]) -> np.ndarray:
+        c = np.array([complex(t) for t in ts])[:, None, None]
+        c2 = np.array([complex(t * t) for t in ts])[:, None, None]
+        stack = [aa - c * ae - c * ea + c2 * ee
+                 for aa, ae, ea, ee in zip(g_aa.blocks, g_ae.blocks, g_ea.blocks, g_ee.blocks)]
+        return np.sqrt(np.maximum(_stacked_schatten(phi.target, stack, 2.0), 0.0))
 
     def inner(x: AlgebraElement, y: AlgebraElement) -> float:
         return sum(w * float(np.vdot(bx, by).real)
@@ -194,10 +200,12 @@ def _delta_polynomial(phi: SesquilinearMap, a: np.ndarray, unit: np.ndarray):
     slope = [4.0 * inner(g_ee, g_ee), -6.0 * inner(e, g_ee),
              2.0 * (inner(e, e) + 2.0 * inner(g_aa, g_ee)), -2.0 * inner(g_aa, e)]
 
-    def argmin(lo: float, hi: float) -> float:
+    def argmin(lo: float, hi: float) -> tuple[float, float]:
         # a complex root's real part is one more candidate, never a worse pick
         ends = [lo, hi] + np.clip(np.roots(slope).real, lo, hi).tolist()
-        return min(ends, key=delta)
+        vals = delta(ends)
+        i = int(np.argmin(vals))                        # the first least, as min()
+        return ends[i], float(vals[i])
 
     return delta, argmin
 
@@ -258,15 +266,16 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     for op, grid in ((a, lam_grid), (b, mu_grid)):
         delta, argmin = _delta_polynomial(phi, op, unit)
         grid = list(np.linspace(-3.0, 3.0, 41) if grid is None else grid)
-        vals = [delta(t) for t in grid]
+        vals = delta(grid).tolist()
         # add Delta's exact minimiser between the neighbours of its grid
         # minimum; Delta need not be convex, so only that stretch is claimed
         i = int(np.argmin(vals))
         lo = grid[max(i - 1, 0)]
         hi = grid[min(i + 1, len(grid) - 1)]
         if hi > lo:
-            grid.append(argmin(lo, hi))
-            vals.append(delta(grid[-1]))
+            t, v = argmin(lo, hi)
+            grid.append(t)
+            vals.append(v)
         axes.append((np.array(grid, dtype=float), np.array(vals)))
     (lams, delta_a), (mus, delta_b) = axes
     failures = int(np.count_nonzero(~(np.outer(delta_a, delta_b) >= 0.5 * gamma - tol)))

@@ -10,7 +10,9 @@ Three layers:
   function of the numerical range, so after a coarse grid of NR_COARSE
   angles the outer polygon of the range bounds every other angle, and only
   the angles whose bound can reach the values a caller ranks are
-  eigensolved; each value computed is the full grid's, bit for bit,
+  eigensolved.  A search for several peaks first solves the two coarse arcs
+  around the best coarse angle, so its floor is taken at the peak.  Each
+  value computed is the full grid's, bit for bit,
 * ``triple_norm``: the L^2 radius norm  |||F|||_2 = sup ||W F W||_1 over
   PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to a
   fractional knapsack over the spectrum (substituting V = W^2 makes the
@@ -29,17 +31,22 @@ Three layers:
   a projection come from its entries and its clipped eigenvalues, so no
   linalg call is spent on a norm.  The polar form F = |F*|^{1/2} U |F|^{1/2}
   gives the upper bound |||F|||_2 <= K((|F| + |F*|) / 2), K the knapsack
-  value (``_polar_bound``); only the pruning of pool rankings reads it,
+  value of the polar mean (``_polar_mean``); only the pruning of pool
+  rankings reads it,
 * ``superop_norm``: operator norms of linear maps from a traced algebra into
   a matrix space, with the supremum over the unit ball searched on blockwise
   unitaries (the extreme points) and refined by alternating exact linearized
   maximization.  The candidate pool is drawn and scored as one stack of
   coordinate rows, and the refinement chains climb together as one stack of
   certified values, so the result does not depend on a stack's size or order.
-  Ranking a |||.|||_2 pool takes two passes (``_TargetNorm.batch_values``):
-  the three best-bounded candidates are scored first, then only those whose
-  polar bound reaches the least of their values; a tie among the four best
-  values scores the whole pool, so the ranking is the unpruned one,
+  Ranking a pool takes two passes for either target norm
+  (``_TargetNorm.batch_values``), behind an upper bound from the polar mean
+  (|F| + |F*|) / 2: its largest eigenvalue for nr (Kittaneh), its knapsack
+  value for |||.|||_2.  The three best-bounded candidates are scored first,
+  then only those whose bound reaches the least of their values; a tie
+  among the four best values scores the whole pool, so the ranking is the
+  unpruned one.  The last pool drawn is kept (a one-entry memo), so the two
+  target norms of an operator-valued check search one draw,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
   maps.  A positive map peaks at T = I, so the right-hand side is exact at
   T = I and only the left-hand side is searched; a reported violation is
@@ -48,6 +55,7 @@ Three layers:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -85,7 +93,7 @@ def _tied(vals: np.ndarray, count: int) -> np.ndarray:
     return (top[:, 1:] == top[:, :-1]).any(axis=1)
 
 
-def _nr_grid(mats: np.ndarray, grid: int, keep: int, top: int | None = None) -> np.ndarray:
+def _nr_grid(mats: np.ndarray, grid: int, keep: int) -> np.ndarray:
     """f(theta) = lambda_max(Re(e^{i theta} M)) on ``grid`` equally spaced
     angles for a stack of matrices, (len(mats), grid), -inf where pruned.
 
@@ -95,18 +103,18 @@ def _nr_grid(mats: np.ndarray, grid: int, keep: int, top: int | None = None) -> 
     alpha = sin(b - theta) / sin(b - a) >= 0 and beta = sin(theta - a) /
     sin(b - a) >= 0, so f(theta) <= alpha f(a) + beta f(b): the outer polygon
     of W(M) (C. R. Johnson, SIAM J. Numer. Anal. 15, 1978).  The angles at
-    every ``grid // NR_COARSE``-th index are eigensolved first; one more
-    stacked call eigensolves the angles whose bound from their coarse arc's
-    ends, plus a rounding margin of 1e-12 ||M||_F, reaches the row's
-    ``keep``-th largest coarse value.  Each row's ``keep`` largest values
-    and their ``argsort`` prefix are then those of the full grid.  With
-    ``top``, a row whose bounds all fall below the ``top``-th best coarse row
-    maximum is all -inf, so the ``top`` best row maxima and their ``argsort``
-    prefix are those of the full grid too.  ``argsort`` orders exact ties by
-    the rest of the array, so a row, or with ``top`` the stack, whose ranked
-    values tie gets the full grid, as does a grid that is not a multiple of
-    NR_COARSE above it.  Every finite value is the full grid's, bit for bit,
-    whatever the stack's size or order.
+    every ``grid // NR_COARSE``-th index are eigensolved first.  With
+    ``keep`` > 1 one more stacked call seeds each row at its peak: the fine
+    angles of the two coarse arcs around its best coarse angle.  The floor
+    is the row's ``keep``-th largest value computed so far, and a last
+    stacked call eigensolves the angles left whose bound from their coarse
+    arc's ends, plus a rounding margin of 1e-12 ||M||_F, reaches it.  Each
+    row's ``keep`` largest values and their ``argsort`` prefix are then
+    those of the full grid.  ``argsort`` orders exact ties by the rest of the
+    array, so a row whose ranked values tie gets the full grid, as does a
+    grid of at most 2 NR_COARSE angles or one that is not a multiple of
+    NR_COARSE.  Every finite value is the full grid's, bit for bit, whatever
+    the stack's size or order.
     """
     thetas = TWO_PI * np.arange(grid) / grid
     phases = np.exp(1j * thetas)
@@ -124,29 +132,28 @@ def _nr_grid(mats: np.ndarray, grid: int, keep: int, top: int | None = None) -> 
         solve(rows[at], cols)
 
     rows = np.arange(len(mats))
-    if grid % NR_COARSE or grid <= NR_COARSE:
+    if grid % NR_COARSE or grid <= 2 * NR_COARSE:
         fill(rows)
         return out
     stride = grid // NR_COARSE
     solve(np.repeat(rows, NR_COARSE), np.tile(np.arange(0, grid, stride), len(mats)))
     ends = out[:, ::stride].copy()                      # (B, NR_COARSE)
+    if keep > 1:
+        peak = np.argmax(ends, axis=1)[:, None]
+        arcs = np.concatenate([(peak - 1) % NR_COARSE, peak], axis=1)
+        seed = (arcs[:, :, None] * stride + np.arange(1, stride)).reshape(len(mats), -1)
+        solve(np.repeat(rows, seed.shape[1]), seed.ravel())
+    floor = np.partition(out, grid - keep, axis=1)[:, grid - keep]
     arc = TWO_PI / NR_COARSE
     step = np.arange(1, stride) * (arc / stride)
     alpha, beta = np.sin(arc - step) / math.sin(arc), np.sin(step) / math.sin(arc)
     margin = 1e-12 * np.linalg.norm(mats, axis=(1, 2))
     bound = (alpha * ends[:, :, None] + beta * np.roll(ends, -1, axis=1)[:, :, None]
              + margin[:, None, None])                   # (B, NR_COARSE, stride - 1)
-    live = np.ones(len(mats), dtype=bool)
-    if top is not None and len(mats) > top:
-        reach = np.maximum(ends.max(axis=1), bound.max(axis=(1, 2)))
-        live = reach >= np.sort(ends.max(axis=1))[-top]
-    floor = np.sort(ends, axis=1)[:, -keep]
-    at, a, j = ((bound >= floor[:, None, None]) & live[:, None, None]).nonzero()
+    unsolved = np.isneginf(out.reshape(len(mats), NR_COARSE, stride)[:, :, 1:])
+    at, a, j = ((bound >= floor[:, None, None]) & unsolved).nonzero()
     solve(at, a * stride + j + 1)
-    out[~live] = -np.inf
-    if top is not None and _tied(out.max(axis=1)[None], top)[0]:
-        return _nr_grid(mats, grid, keep)
-    fill((_tied(out, keep) & live).nonzero()[0])
+    fill(_tied(out, keep).nonzero()[0])
     return out
 
 
@@ -282,10 +289,11 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
     The three highest peaks of lambda_max(Re(e^{i theta} T)) on ``grid``
     angles are refined as one stack of safeguarded Newton steps
     (``_nr_newton``), each within one grid step of its peak.  Of the grid,
-    only NR_COARSE coarse angles and the angles whose bound from the two
-    coarse angles around them (the outer polygon of the numerical range)
-    reaches the 11th highest coarse value are eigensolved; the peaks, and so
-    w(T), are those of the full grid.
+    only NR_COARSE coarse angles, the angles of the two coarse arcs around
+    the best of them, and the angles whose bound from the two coarse angles
+    around them (the outer polygon of the numerical range) reaches the 11th
+    highest value solved so far are eigensolved, about a tenth of a
+    generic grid of 1024; the peaks, and so w(T), are those of the full grid.
     Non-finite entries and a ``grid`` that is not an integer >= 1 raise
     ``DomainError``, an array that is not a square matrix ``StructureError``.
     """
@@ -403,19 +411,32 @@ def _knapsack_stack(alg: TracedAlgebra,
     return out
 
 
-def _polar_bound(alg: TracedAlgebra,
-                 blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Upper bounds K((|F| + |F*|) / 2) >= |||F|||_2 and the norms ||F||_2 of
-    a stack of elements given as per-block (B, n_k, n_k) arrays.
+def _knapsack_value(alg: TracedAlgebra, lam: np.ndarray) -> np.ndarray:
+    """K = sup rho(F V) over 0 <= V <= I, rho(V) <= 1 for PSD F given by a
+    (B, total_dim) stack of nonnegative eigenvalue rows: the value of the
+    fractional knapsack ``_knapsack_take``."""
+    wts = np.repeat(alg.weights, alg.block_sizes)
+    return (wts * lam * _knapsack_take(alg, lam)).sum(axis=1)
 
-    With the polar form F = |F*|^{1/2} U |F|^{1/2}, Hoelder in each block and
-    Cauchy-Schwarz over the blocks give ||W F W||_1 <= rho(W^2 |F*|)^{1/2}
-    rho(W^2 |F|)^{1/2}, and AM-GM bounds that by rho(W^2 (|F| + |F*|) / 2),
-    whose supremum over the feasible set is the knapsack value K of the PSD
-    mean (the |||.|||_2 analogue of Kittaneh's w(T) <= || |T| + |T*| || / 2,
-    Studia Math. 158, 2003).  One SVD F = U S V* per block gives |F| = V S V*
-    and |F*| = U S U*, one ``eigvalsh`` the spectrum of their mean.  The bound
-    lies between |||F|||_2 and ||F||_2, and equals |||F|||_2 for normal F.
+
+def _polar_mean(alg: TracedAlgebra,
+                blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Spectra of the polar means (|F_k| + |F_k*|) / 2 and the norms ||F||_2
+    of a stack of elements given as per-block (B, n_k, n_k) arrays.
+
+    One SVD F_k = U S V* per block gives |F_k| = V S V* and |F_k*| = U S U*,
+    one ``eigvalsh`` the spectrum of their mean, ascending in each block and
+    clipped at 0; the blocks' spectra are concatenated, (B, total_dim).  The
+    mean bounds both target norms of a pool ranking from above:
+    * Kittaneh's w(T) <= || |T| + |T*| || / 2 (Studia Math. 158, 2003) is the
+      largest entry of a dense matrix's row,
+    * |||F|||_2 <= K((|F| + |F*|) / 2), K the knapsack value
+      (``_knapsack_value``): with the polar form F = |F*|^{1/2} U |F|^{1/2},
+      Hoelder in each block and Cauchy-Schwarz over the blocks give
+      ||W F W||_1 <= rho(W^2 |F*|)^{1/2} rho(W^2 |F|)^{1/2}, and AM-GM bounds
+      that by rho(W^2 (|F| + |F*|) / 2), whose supremum over the feasible
+      set is K.
+    Both lie below ||F||_2 and equal the norm for normal F.
     """
     lams, sq = [], np.zeros(len(blocks[0]))
     for wt, b in zip(alg.weights, blocks):
@@ -423,9 +444,7 @@ def _polar_bound(alg: TracedAlgebra,
         mean = 0.5 * (_spectral(vh.conj().swapaxes(-1, -2), s) + _spectral(u, s))
         lams.append(np.linalg.eigvalsh(mean))
         sq = sq + wt * (s ** 2).sum(axis=-1)
-    lam = np.maximum(np.concatenate(lams, axis=1), 0.0)
-    wts = np.repeat(alg.weights, alg.block_sizes)
-    return (wts * lam * _knapsack_take(alg, lam)).sum(axis=1), np.sqrt(sq)
+    return np.maximum(np.concatenate(lams, axis=1), 0.0), np.sqrt(sq)
 
 
 @dataclass
@@ -805,10 +824,13 @@ class SuperOperator:
 # -- target norms on matrices ---------------------------------------------------
 
 def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
-    """Per-block (B, n_k, n_k) stacks of a stack of dense target values."""
+    """Per-block (B, n_k, n_k) stacks of a stack of dense target values; over
+    one block, the contiguous stack itself."""
     mats = np.asarray(mats, dtype=complex)
     if mats.shape[1:] != (alg.total_dim, alg.total_dim):
         raise StructureError("dense matrix has wrong shape for this algebra")
+    if alg.n_blocks == 1:
+        return [np.ascontiguousarray(mats)]
     blocks, at = [], 0
     off = mats.copy()
     for n in alg.block_sizes:
@@ -826,9 +848,11 @@ class _TargetNorm:
     """Norm evaluation of stacks, plus linear certificates touching the value.
 
     ``batch_values`` scores a whole candidate pool at once: ``nr`` on the
-    pruned stacked theta grid, ``triple2`` through the stacked quick-path kernel
-    ``_triple2_pool``, which a ranking runs only on the items whose polar
-    bound K((|F| + |F*|) / 2) can reach its ``top`` best.  ``certify`` adds
+    pruned stacked theta grid (``_nr_grid``), ``triple2`` through the stacked
+    quick-path kernel ``_triple2_pool``.  A ranking runs the scorer only on
+    the items whose upper bound from the polar mean (``_polar_mean``) can
+    reach its ``top`` best: Kittaneh's || |F| + |F*| || / 2 for ``nr``, the
+    knapsack value K((|F| + |F*|) / 2) for ``triple2``.  ``certify`` adds
     each item's certificate, for the refinement chains of ``superop_norm``,
     which climb together as one stack.
     Each item's result is the one a stack of one gives, bit for bit, so
@@ -849,33 +873,43 @@ class _TargetNorm:
         prefix of length ``top`` and every finite value are those of the
         unpruned stack, bit for bit.
 
-        ``nr`` prunes its theta grid (``_nr_grid``).  ``triple2`` ranks on the
-        polar bound (``_polar_bound``) in two passes: the ``top`` items with
-        the largest bounds (in stable order) are pooled first, and the least
-        of their values is the floor; then every item whose bound, plus a
-        rounding margin of 1e-12 ||F||_2, reaches the floor is pooled, the
-        first ``top`` again among them, so the second stack holds the same
-        kinds of items whatever the size of the candidate pool.  The rest
-        cannot reach the ``top`` best and are -inf.  ``argsort`` orders exact
-        ties by the rest of the array, so if the ``top + 1`` best values tie,
-        the whole stack is pooled.
+        ``nr`` scores the dense matrices on the pruned theta grid
+        (``_nr_grid``), ``triple2`` the target blocks with ``_triple2_pool``.
+        A ranking takes two passes over an upper bound from ``_polar_mean``:
+        the largest eigenvalue of the polar mean of the dense matrix for
+        ``nr`` (Kittaneh), its knapsack value for ``triple2``.  The ``top``
+        items with the largest bounds (in stable order) are scored first, and
+        the least of their values is the floor; then every item whose bound,
+        plus a rounding margin of 1e-12 ||F||_2, reaches the floor is scored,
+        the first ``top`` again among them, so the second pass makes the same
+        linalg calls whatever the size of the candidate pool.  The rest
+        cannot reach the ``top`` best and are -inf.
+        ``argsort`` orders exact ties by the rest of the array, so if the
+        ``top + 1`` best values tie, the whole stack is scored.
         """
         if self.kind == "nr":
-            return np.max(_nr_grid(mats, self.NR_GRID, 1, top), axis=1)
-        alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
-        blocks = _target_blocks(mats, alg)
+            alg, blocks = TracedAlgebra([mats.shape[-1]]), [mats]
+
+            def score(bs: list[np.ndarray]) -> np.ndarray:
+                return np.max(_nr_grid(bs[0], self.NR_GRID, 1), axis=1)
+        else:
+            alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
+            blocks = _target_blocks(mats, alg)
+
+            def score(bs: list[np.ndarray]) -> np.ndarray:
+                return _triple2_pool(alg, bs).values
         if top is None or len(mats) <= top:
-            return _triple2_pool(alg, blocks).values
-        bound, norm2 = _polar_bound(alg, blocks)
+            return score(blocks)
+        lam, norm2 = _polar_mean(alg, blocks)
+        bound = lam[:, -1] if self.kind == "nr" else _knapsack_value(alg, lam)
         first = np.argsort(-bound, kind="stable")[:top]
-        floor = _triple2_pool(alg, [b[first] for b in blocks]).values.min()
-        live = bound + 1e-12 * norm2 >= floor
+        live = bound + 1e-12 * norm2 >= score([b[first] for b in blocks]).min()
         live[first] = True
         rows = live.nonzero()[0]
         vals = np.full(len(mats), -np.inf)
-        vals[rows] = _triple2_pool(alg, [b[rows] for b in blocks]).values
+        vals[rows] = score([b[rows] for b in blocks])
         if _tied(vals[None], top)[0]:
-            return _triple2_pool(alg, blocks).values
+            return score(blocks)
         return vals
 
     def certify(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -920,10 +954,18 @@ class SuperOperatorNormResult:
 def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarray:
     """Coordinate rows of the identity, seeded random blockwise unitaries u_i
     (one stacked QR per block) and hermitian contractions h_i, in the order
-    identity, u_0, h_0, u_1, u_2, h_2, ... of substream i's draws."""
-    sizes = source.block_sizes
+    identity, u_0, h_0, u_1, u_2, h_2, ... of substream i's draws.
+
+    The pool depends on the block sizes, starts and seed alone, and the last
+    one drawn is kept, read-only (a one-entry memo): an operator-valued check
+    searches the same pool for each target norm."""
+    return _draw_candidates(source.block_sizes, int(budget.starts), int(budget.seed))
+
+
+@functools.lru_cache(maxsize=1)
+def _draw_candidates(sizes: tuple[int, ...], starts: int, seed: int) -> np.ndarray:
     items, unitary_at = [[np.eye(n, dtype=complex) for n in sizes]], []
-    for i, rng in enumerate(substreams(budget.seed, budget.starts)):
+    for i, rng in enumerate(substreams(seed, starts)):
         unitary_at.append(len(items))
         items.append([random_complex_matrix(rng, n, n) for n in sizes])
         if i % 2 == 0:
@@ -937,7 +979,9 @@ def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarr
         if not hn <= 1.0:
             for b in blocks:
                 b[i] = complex(1.0 / hn) * b[i]
-    return np.concatenate([b.reshape(len(items), -1) for b in blocks], axis=1)
+    coords = np.concatenate([b.reshape(len(items), -1) for b in blocks], axis=1)
+    coords.setflags(write=False)
+    return coords
 
 
 def superop_norm(op: SuperOperator, target_norm: str = "nr",

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from nclp.algebra import TracedAlgebra
+from nclp.algebra import TracedAlgebra, schatten_norm
 from nclp.errors import DomainError, PreconditionError
-from nclp.inequalities import (RatioProfile, check_cs_lp, check_cs_normal,
-                               check_re_im, default_cs_constant, ratio_sampler,
-                               uncertainty_check)
+from nclp.inequalities import (RatioProfile, _delta_polynomial, check_cs_lp,
+                               check_cs_normal, check_re_im, default_cs_constant,
+                               ratio_sampler, uncertainty_check)
 from nclp.kernels import KernelMap, OnePlusXTKernel
-from nclp.sesquilinear import SesquilinearMap, check_positivity, random_map
+from nclp.sesquilinear import (SesquilinearMap, check_positivity, evaluate_stack,
+                               random_map)
 from nclp.star import matrix_algebra
 
 from conftest import gram_of
@@ -177,6 +178,23 @@ class TestUncertainty:
         assert r.delta_a.shape == r.lam_grid.shape and r.delta_b.shape == r.mu_grid.shape
         assert r.bound_failures == 0
         assert np.all(np.outer(r.delta_a, r.delta_b) >= 0.5 * r.gamma - 1e-8)
+
+    @pytest.mark.parametrize("target", [TracedAlgebra([2]), TracedAlgebra([2, 1], [0.5, 2.0])],
+                             ids=["M2", "M2+M1"])
+    def test_axis_delta_is_the_per_point_delta_bit_for_bit(self, target, rng):
+        # one stacked norm per axis gives each Delta of the element arithmetic
+        phi = random_map(3, target, rank=2, seed=7)
+        a, unit = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(2))
+        ts = list(np.linspace(-3.0, 3.0, 41)) + (
+            rng.standard_normal(20) * 10.0 ** rng.integers(-6, 7, 20)).tolist()
+        delta, argmin = _delta_polynomial(phi, a, unit)
+        vals = evaluate_stack(phi, [a, a, unit, unit], [a, unit, a, unit])
+        g_aa, g_ae, g_ea, g_ee = (target.element([v[t] for v in vals]) for t in range(4))
+        want = [math.sqrt(max(schatten_norm(g_aa - t * g_ae - t * g_ea + (t * t) * g_ee,
+                                            2.0), 0.0)) for t in ts]
+        assert delta(ts).tolist() == want
+        t, v = argmin(-3.0, 3.0)
+        assert -3.0 <= t <= 3.0 and v == delta([t])[0] <= min(want[:41])
 
     def test_rejects_non_symmetric(self, kernel_phi):
         with pytest.raises(PreconditionError):

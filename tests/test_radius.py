@@ -44,6 +44,13 @@ BAD_INPUTS = [pytest.param(fn, m, DomainError, id=f"{name}-{k}")
                      ("seed-negative", {"seed": -1}), ("seed-float", {"seed": 1.5}))]
 
 
+@pytest.fixture(autouse=True)
+def fresh_candidate_memo():
+    """Each test draws its own candidate pools: a memo hit left by an earlier
+    test would skip the linalg calls of a draw that a test counts."""
+    radius._draw_candidates.cache_clear()
+
+
 @pytest.mark.parametrize("fn, arg, error", BAD_INPUTS)
 def test_radius_entry_points_reject_bad_input(fn, arg, error):
     # non-finite entries, non-square arrays, bad grids and negative budgets
@@ -478,6 +485,29 @@ class TestOperatorValuedCs:
                                      SearchBudget(starts=2, iters=2, seed=0))
 
 
+def _criterion9_pool():
+    """Criterion 9's 97-candidate pool of 3 x 3 values: the identity, 64
+    unitaries and 32 hermitian contractions under one map."""
+    phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
+    op = phi.superop(np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j]))
+    coords = radius._unitary_candidates(op.source, SearchBudget(starts=64))
+    return (op.matrix @ coords.T).T.reshape(-1, 3, 3)
+
+
+@pytest.fixture
+def grid_angles(monkeypatch):
+    """Angles each ``_nr_grid`` call solves (its finite values), in call order."""
+    solved = []
+
+    def counted(*args, _f=radius._nr_grid):
+        out = _f(*args)
+        solved.append(int(np.isfinite(out).sum()))
+        return out
+
+    monkeypatch.setattr(radius, "_nr_grid", counted)
+    return solved
+
+
 def _mixed_pool(alg, seed, size=24):
     """Seeded elements cycling through PSD, hermitian-indefinite, zero, generic."""
     rng = rng_from(seed)
@@ -567,16 +597,15 @@ class TestStackedPool:
 
     def test_nr_ranking_eigensolves_a_pruned_grid(self, linalg_calls):
         # criterion 9's pool: the identity, 64 unitaries and 32 hermitian
-        # contractions, ranked on 256 angles; the coarse-grid bound leaves
-        # most angles, and the candidates out of the top three, unsolved
-        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
-        op = phi.superop(np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j]))
-        coords = radius._unitary_candidates(op.source, SearchBudget(starts=64))
-        mats = (op.matrix @ coords.T).T.reshape(-1, 3, 3)
+        # contractions, ranked on 256 angles; Kittaneh's bound (one SVD and
+        # one eigvalsh per candidate) keeps the candidates out of the top
+        # three off the grid, and the coarse-grid bound most angles of the
+        # rest (447 grid angles; the unpruned grid solves 24,832)
+        mats = _criterion9_pool()
         assert len(mats) == 97
         linalg_calls["matrices"] = 0
         vals = _TargetNorm("nr").batch_values(mats, top=3)
-        assert linalg_calls["matrices"] <= 0.4 * 97 * _TargetNorm.NR_GRID, linalg_calls
+        assert linalg_calls["matrices"] <= 2 * 97 + 460, linalg_calls
         full = _full_nr_grid(mats, _TargetNorm.NR_GRID).max(axis=1)
         order = np.argsort(vals)[::-1]
         assert order[:3].tolist() == np.argsort(full)[::-1][:3].tolist()
@@ -585,10 +614,7 @@ class TestStackedPool:
     def test_triple2_ranking_scores_a_pruned_pool(self, monkeypatch):
         # the same 97-candidate pool ranked for |||.|||_2: the polar bound
         # keeps the candidates out of the top three from the quick-path kernel
-        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
-        op = phi.superop(np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j]))
-        coords = radius._unitary_candidates(op.source, SearchBudget(starts=64))
-        mats = (op.matrix @ coords.T).T.reshape(-1, 3, 3)
+        mats = _criterion9_pool()
         rows = []
 
         def counted(alg, blocks, *args, _f=radius._triple2_pool, **kwargs):
@@ -602,6 +628,13 @@ class TestStackedPool:
         order = np.argsort(vals)[::-1]
         assert order[:3].tolist() == np.argsort(full)[::-1][:3].tolist()
         assert vals[order[:3]].tolist() == full[order[:3]].tolist()
+
+    def test_one_block_target_is_the_stack(self):
+        # one target block needs no copy and no off-diagonal scan
+        alg = POOL_ALGEBRAS[1]
+        mats = np.stack([f.dense() for f in _mixed_pool(alg, seed=41)])
+        (blocks,) = radius._target_blocks(mats, alg)
+        assert blocks.flags.c_contiguous and blocks.tobytes() == mats.tobytes()
 
     @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
     @pytest.mark.parametrize("norm", ["nr", "triple2"])
@@ -733,8 +766,24 @@ class TestPrunedNrGrid:
 
 
 class TestPolarBound:
-    """K((|F| + |F*|) / 2) bounds the quick-path |||.|||_2 from above and
-    ||F||_2 from below, and a ranking pruned by it is the unpruned one."""
+    """The polar mean (|F| + |F*|) / 2 bounds both target norms: its largest
+    eigenvalue bounds the numerical radius (Kittaneh), its knapsack value
+    K bounds the quick-path |||.|||_2 from above and ||F||_2 from below, and
+    a ranking pruned by either is the unpruned one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mats=nr_stacks())
+    def test_kittaneh_bounds_the_full_grid(self, mats):
+        lam, norm2 = radius._polar_mean(TracedAlgebra([mats.shape[-1]]), [mats])
+        bound = lam[:, -1]
+        full = _full_nr_grid(mats, _TargetNorm.NR_GRID).max(axis=1)
+        assert np.all(full <= bound + 1e-12 * norm2)
+        # equality for normal rows, where |F| = |F*| and w(F) = ||F||
+        comm = np.abs(mats @ mats.conj().swapaxes(-1, -2)
+                      - mats.conj().swapaxes(-1, -2) @ mats).max(axis=(1, 2))
+        normal = comm <= 1e-12 * np.linalg.norm(mats, axis=(1, 2)) ** 2
+        w = np.array([numerical_radius(m) for m in mats[normal]])
+        assert np.all(np.abs(bound[normal] - w) <= 1e-12 * w)
 
     @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
     @settings(max_examples=40, deadline=None)
@@ -743,7 +792,8 @@ class TestPolarBound:
         mats = data.draw(nr_stacks(alg))
         blocks = radius._target_blocks(mats, alg)
         want = _triple2_pool(alg, blocks).values
-        bound, norm2 = radius._polar_bound(alg, blocks)
+        lam, norm2 = radius._polar_mean(alg, blocks)
+        bound = radius._knapsack_value(alg, lam)
         assert np.all(want <= bound + 1e-12 * norm2)
         assert np.all(bound <= norm2 * (1 + 1e-12))
         comm = np.abs(mats @ mats.conj().swapaxes(-1, -2)
@@ -796,6 +846,42 @@ def _pool_rows(pool):
                                                pool.exact.tolist()))]
 
 
+class TestCandidateMemo:
+    """The last candidate pool drawn is kept, read-only, for the next search."""
+
+    def test_hit_is_a_read_only_fresh_draw(self):
+        src = TracedAlgebra([2, 1], [1.0, 0.5])
+        drawn = radius._unitary_candidates(src, SearchBudget(starts=16, iters=3, seed=3))
+        # the pool depends on block sizes, starts and seed, not weights or iters
+        hit = radius._unitary_candidates(TracedAlgebra([2, 1]), SearchBudget(starts=16, seed=3))
+        assert hit is drawn and radius._draw_candidates.cache_info().hits == 1
+        assert not hit.flags.writeable
+        with pytest.raises(ValueError):
+            hit[0, 0] = 0.0
+        fresh = radius._draw_candidates.__wrapped__((2, 1), 16, 3)
+        assert hit.tobytes() == fresh.tobytes()
+
+    def test_second_budget_evicts_the_first(self):
+        a, b = SearchBudget(starts=8, seed=1), SearchBudget(starts=8, seed=2)
+        for budget in (a, a, b, a):
+            radius._unitary_candidates(_M2, budget)
+        info = radius._draw_candidates.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
+    def test_target_norm_order_does_not_move_reports(self):
+        # each norm's search meets a fresh draw in one order and a memo hit
+        # in the other
+        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
+        x, y = np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j])
+        budget = SearchBudget(starts=16, iters=4, seed=5)
+
+        def reports(norms):
+            radius._draw_candidates.cache_clear()
+            return {n: check_cs_operator_valued(phi, x, y, n, budget) for n in norms}
+
+        assert reports(("nr", "triple2")) == reports(("triple2", "nr"))
+
+
 class TestPsdPool:
     """A PSD item's pool is its knapsack maximizer alone."""
 
@@ -846,7 +932,8 @@ class TestPsdPool:
         ident = phi.source.identity().coords()
         psd = np.stack([phi.superop(v, v).apply_coords(ident) for v in (x, y)])
         m3 = TracedAlgebra([3])                     # the map's dense 3 x 3 target
-        knap = radius._polar_bound(m3, radius._target_blocks(psd, m3))[0]   # K(F) at PSD F
+        lam = radius._polar_mean(m3, radius._target_blocks(psd, m3))[0]   # spectra of PSD F
+        knap = radius._knapsack_value(m3, lam)
         assert rep.rhs == pytest.approx(math.sqrt(knap[0] * knap[1]), rel=1e-13)
 
 
@@ -861,13 +948,31 @@ class TestEigensolveBudget:
     ], ids=["shift", "random-3x3", "random-5x5"])
     def test_numerical_radius_refines_in_few_eigh_calls(self, linalg_calls, mat):
         # the pruned grid takes at most three eigvalsh calls (coarse angles,
-        # bounded angles, tied rows); the three peaks are refined as one
-        # stack, one eigh per Newton step, plus one for the top eigenvector
+        # the seeded arcs around the peak, bounded angles); the three peaks
+        # are refined as one stack, one eigh per Newton step, plus one for
+        # the top eigenvector
         assert len(radius._nr_peaks(mat[None], 1024, 3)[1][0]) == 3
         linalg_calls["eigh"] = linalg_calls["eigvalsh"] = 0
         numerical_radius(mat)
         assert 1 <= linalg_calls["eigh"] <= 6, linalg_calls
         assert linalg_calls["eigvalsh"] <= 3, linalg_calls
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_numerical_radius_solves_a_seeded_grid(self, grid_angles, seed):
+        # the floor is the 11th best value around the peak, not the 11th best
+        # coarse value: a generic 4x4 solves 94-99 of its 1,024 angles, where
+        # the coarse floor alone solves 340-373
+        numerical_radius(random_element(TracedAlgebra([4]), rng_from(seed)).blocks[0])
+        assert grid_angles and sum(grid_angles) <= 120, grid_angles
+
+    def test_nr_certify_keeps_the_coarse_floor(self, grid_angles):
+        # at keep = 1 the best coarse value is the floor, unseeded: seeding
+        # the arcs around the peak would solve more angles than it saves
+        mats = _criterion9_pool()
+        grid_angles.clear()
+        for rows in ([0, 5, 9], [1, 2, 3], [10, 40, 90]):
+            _TargetNorm("nr").certify(mats[rows])
+        assert grid_angles == [107, 114, 116], grid_angles
 
     @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
     def test_projection_is_one_eigh_per_block(self, linalg_calls, alg):
