@@ -10,9 +10,13 @@ Three layers:
   function of the numerical range, so after a coarse grid of NR_COARSE
   angles the outer polygon of the range bounds every other angle, and only
   the angles whose bound can reach the values a caller ranks are
-  eigensolved.  A search for several peaks first solves the two coarse arcs
-  around the best coarse angle, so its floor is taken at the peak.  Each
-  value computed is the full grid's, bit for bit,
+  eigensolved, at most NR_CHUNK matrices per ``eigvalsh`` call.  A search
+  for several peaks first solves the two coarse arcs around the best coarse
+  angle, so its floor is taken at the peak.  Each value computed is the
+  full grid's, bit for bit.  One kernel, ``_nr_stack``, gives w of a whole
+  stack of matrices in one grid, one Newton stack and one top-eigenvector
+  call; ``numerical_radius`` is a stack of one per block, and the check-all
+  suites call the kernel once per matrix size,
 * ``triple_norm``: the L^2 radius norm  |||F|||_2 = sup ||W F W||_1 over
   PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to a
   fractional knapsack over the spectrum (substituting V = W^2 makes the
@@ -20,12 +24,14 @@ Three layers:
   maximizers (rank-one directions, spectral projections, projected ascent)
   and from above by ||F||_2.  The candidate maximizers of a whole stack of
   elements are built and scored by one kernel, ``_triple2_pool``, in a few
-  stacked linalg calls; single elements go through it as a stack of one, and
-  each result is bit-identical whatever the size or order of the stack.  A
-  PSD item's pool is its knapsack maximizer alone.  The projected ascent
-  runs on the same per-block stacks: all of its starts ascend together, each
-  giving the result it would give alone.  Projection onto the feasible set
-  is one clip of the spectrum to [0, 1] and one rescale (``_project_stack``).
+  stacked linalg calls, and each result is bit-identical whatever the size
+  or order of the stack.  A PSD item's pool is its knapsack maximizer
+  alone.  ``_triple_norm_stack`` runs the whole search for a list of
+  elements: one pool, then the projected ascent on per-block stacks, where
+  the starts of every element ascend together, each on its own F and each
+  giving the result it would give alone; ``triple_norm`` is a list of one.
+  Projection onto the feasible set is one clip of the spectrum to [0, 1]
+  and one rescale (``_project_stack``).
   An ascent try is one ``eigh`` and one SVD per block; the SVD gives both
   the objective and the next gradient, and the 2-norms of a gradient and of
   a projection come from its entries and its clipped eigenvalues, so no
@@ -43,7 +49,7 @@ Three layers:
   (``_TargetNorm.batch_values``), behind an upper bound from the polar mean
   (|F| + |F*|) / 2: its largest eigenvalue for nr (Kittaneh), its knapsack
   value for |||.|||_2.  The three best-bounded candidates are scored first,
-  then only those whose bound reaches the least of their values; a tie
+  then only the others whose bound reaches the least of their values; a tie
   among the four best values scores the whole pool, so the ranking is the
   unpruned one.  The last pool drawn is kept (a one-entry memo), so the two
   target norms of an operator-valued check search one draw,
@@ -85,6 +91,7 @@ TWO_PI = 2.0 * math.pi
 
 NR_COARSE = 32            # coarse angles of the pruned theta grid
 NR_NEWTON_STEPS = 8       # cap on the eigensolves of a peak refinement; converged rows take 3-4
+NR_CHUNK = 1024           # most matrices one grid eigensolve takes
 
 
 def _tied(vals: np.ndarray, count: int) -> np.ndarray:
@@ -122,10 +129,10 @@ def _nr_grid(mats: np.ndarray, grid: int, keep: int) -> np.ndarray:
     out = np.full((len(mats), grid), -np.inf)
 
     def solve(rows: np.ndarray, cols: np.ndarray) -> None:
-        if rows.size:
-            p = phases[cols][:, None, None]
-            h = 0.5 * (p * mats[rows] + np.conj(p) * adj[rows])
-            out[rows, cols] = np.linalg.eigvalsh(h)[:, -1]
+        for at in range(0, rows.size, NR_CHUNK):
+            r, c = rows[at:at + NR_CHUNK], cols[at:at + NR_CHUNK]
+            p = phases[c][:, None, None]
+            out[r, c] = np.linalg.eigvalsh(0.5 * (p * mats[r] + np.conj(p) * adj[r]))[:, -1]
 
     def fill(rows: np.ndarray) -> None:
         at, cols = np.isneginf(out[rows]).nonzero()
@@ -191,12 +198,14 @@ def _nr_peaks(mats: np.ndarray, grid: int, count: int) -> tuple[np.ndarray, list
     return vals, _grid_peaks(vals, count)
 
 
-def _nr_top(mats: np.ndarray, thetas: np.ndarray,
+def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray,
             vals: Sequence[float]) -> tuple[list[float], np.ndarray, list[float]]:
     """Top eigenvector h of Re(e^{i theta} M) at each item's angle, and (value,
     h, angle) per item: |<Mh, h>| is itself a lower bound, tight at the
-    optimum, so it replaces the item's value in ``vals`` if it beats it."""
-    rot = np.exp(1j * thetas)[:, None, None] * mats
+    optimum, so it replaces the item's value in ``vals`` if it beats it.
+    ``mats`` is a stack or a list of matrices; <Mh, h> is taken on each as
+    given."""
+    rot = np.exp(1j * thetas)[:, None, None] * np.asarray(mats)
     vecs = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
     vals, thetas = list(vals), list(thetas)
     for i, (mat, vec) in enumerate(zip(mats, vecs)):
@@ -259,21 +268,38 @@ def _nr_newton(mats: np.ndarray, thetas: np.ndarray,
     return best_t, best_f
 
 
-def _nr_dense(mat: np.ndarray, grid: int) -> float:
-    """w(M) of one dense matrix: the grid peaks refined as one ``_nr_newton``
-    stack."""
-    if mat.shape[0] == 0 or not np.any(mat):
-        return 0.0
-    grid_vals, found = _nr_peaks(mat[None], grid, 3)
-    vals, peaks = grid_vals[0], found[0]
+def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int) -> np.ndarray:
+    """w(M) of every matrix of a (B, n, n) stack or a list of n x n matrices;
+    zero matrices give 0.
+
+    One pruned grid (``_nr_peaks``) finds up to three peaks per matrix, one
+    ``_nr_newton`` stack refines every (matrix, peak) pair within one grid
+    step, and one ``_nr_top`` call scores each matrix's best angle, the first
+    peak unless a later refined one beats it.  The grid and the refinement
+    give each matrix the same bits whatever its memory layout, but
+    ``_nr_top``'s <Mh, h> is a BLAS matrix-vector product whose last bits
+    follow the layout, so it takes each matrix as given: a list may mix layouts (an adjoint as
+    a transposed view), a row of a stack has the stack's.  Each value is the
+    one ``numerical_radius`` gives that matrix alone, bit for bit.
+    """
+    stack = np.asarray(mats)
+    out = np.zeros(len(stack))
+    rows = stack.any(axis=(1, 2)).nonzero()[0]
+    if not rows.size:
+        return out
+    if rows.size < len(stack):
+        stack, mats = stack[rows], [mats[i] for i in rows]
+    vals, found = _nr_peaks(stack, grid, 3)
     step = TWO_PI / grid
-    best_theta, best_val = peaks[0] * step, float(vals[peaks[0]])
-    thetas, tops = _nr_newton(np.repeat(mat[None], len(peaks), axis=0),
-                              np.array(peaks) * step, step)
-    for t, v in zip(thetas.tolist(), tops.tolist()):
-        if v > best_val:
-            best_theta, best_val = t, v
-    return _nr_top(mat[None], np.array([best_theta]), [best_val])[0][0]
+    owner = np.repeat(np.arange(len(stack)), [len(p) for p in found])
+    thetas, tops = _nr_newton(stack[owner], np.concatenate(found) * step, step)
+    best_theta = [p[0] * step for p in found]
+    best_val = vals[np.arange(len(stack)), [p[0] for p in found]].tolist()
+    for i, t, v in zip(owner.tolist(), thetas.tolist(), tops.tolist()):
+        if v > best_val[i]:
+            best_theta[i], best_val[i] = t, v
+    out[rows] = _nr_top(mats, np.array(best_theta), best_val)[0]
+    return out
 
 
 def _require_finite(mats: Sequence[np.ndarray], what: str) -> None:
@@ -284,10 +310,10 @@ def _require_finite(mats: Sequence[np.ndarray], what: str) -> None:
 def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
     """w(T) = sup over unit vectors of |<Th, h>|.
 
-    Block-diagonal elements reduce to the maximum over blocks.  Satisfies
-    ||T||/2 <= w(T) <= ||T|| with equality w(T) = ||T|| for normal T.
-    The three highest peaks of lambda_max(Re(e^{i theta} T)) on ``grid``
-    angles are refined as one stack of safeguarded Newton steps
+    Block-diagonal elements reduce to the maximum over blocks, each block a
+    stack of one for ``_nr_stack``.  Satisfies ||T||/2 <= w(T) <= ||T||
+    with equality w(T) = ||T|| for normal T.  The three highest peaks of
+    lambda_max(Re(e^{i theta} T)) on ``grid`` angles are refined as one stack of safeguarded Newton steps
     (``_nr_newton``), each within one grid step of its peak.  Of the grid,
     only NR_COARSE coarse angles, the angles of the two coarse arcs around
     the best of them, and the angles whose bound from the two coarse angles
@@ -303,7 +329,18 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
     _require_finite(mats, "numerical radius")
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
         raise DomainError(f"numerical radius needs an integer grid >= 1, got {grid!r}")
-    return max(_nr_dense(m, grid) for m in mats)
+    return max(float(_nr_stack(m[None], grid)[0]) for m in mats)
+
+
+def _nr_elements(fs: Sequence[AlgebraElement], grid: int) -> np.ndarray:
+    """``numerical_radius`` of each element of a list over one algebra: the
+    largest over its blocks, one ``_nr_stack`` call per block.  Non-finite
+    entries raise ``DomainError``."""
+    if not fs:
+        return np.zeros(0)
+    _require_finite([b for f in fs for b in f.blocks], "numerical radius")
+    return np.max([_nr_stack(np.stack([f.blocks[k] for f in fs]), grid)
+                   for k in range(fs[0].algebra.n_blocks)], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +690,12 @@ def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.nd
             iters: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """Projected gradient ascent of ||W F W||_1 from a stack of starts.
 
-    ``fh`` holds F's (1, n_k, n_k) blocks and ``starts`` per-block (S, n_k, n_k)
-    stacks, all advanced together.  Each item takes the steps it would take
-    alone: along its gradient G, W + (step / ||G||_2) G is projected for step
-    = 0.5, 0.25, ... (ten tries) until the objective rises by more than
-    1e-14; an item stops once its gradient vanishes or no try rises.  Each
+    ``starts`` are per-block (S, n_k, n_k) stacks and ``fh`` the per-block
+    (S, n_k, n_k) stacks of the F each start climbs on, so the starts of
+    several elements advance together.  Each row takes the steps it would
+    take alone: along its gradient G, W + (step / ||G||_2) G is projected for
+    step = 0.5, 0.25, ... (ten tries) until the objective rises by more than
+    1e-14; a row stops once its gradient vanishes or no try rises.  Each
     try is one ``eigh`` (the projection) and one SVD per block, which gives
     the objective and, for an accepted try, the subgradient (U V*)* the next
     gradient is built from; ||G||_2 is the weighted Frobenius norm, so a step
@@ -666,17 +704,19 @@ def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.nd
     """
     w = _project_stack(alg, starts)
     best, dh = _trace_norm_polar(alg, [x @ b @ x for x, b in zip(w, fh)])
-    live = np.arange(len(best))
+    live, fl = np.arange(len(best)), list(fh)      # fl: the F of each live row
     for _ in range(iters):
         if not live.size:
             break
         grad = []
-        for wt, b, x, d in zip(alg.weights, fh, w, dh):
+        for wt, b, x, d in zip(alg.weights, fl, w, dh):
             x, d = x[live], d[live]
             grad.append(wt * hermitian_part_of(b @ x @ d + d @ x @ b))
         gnorm = _norm2(alg, grad)
         moving = ~(gnorm < 1e-14)
-        live, gnorm = live[moving], gnorm[moving]
+        if not moving.all():
+            live, fl = live[moving], [b[moving] for b in fl]
+        gnorm = gnorm[moving]
         grad = [g[moving] for g in grad]
         left = np.arange(len(live))                  # positions still line-searching
         step = 0.5
@@ -686,7 +726,8 @@ def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.nd
             at = live[left]
             c = np.array([step / g for g in gnorm[left].tolist()], dtype=complex)[:, None, None]
             trial = _project_stack(alg, [x[at] + c * g[left] for x, g in zip(w, grad)])
-            val, tdh = _trace_norm_polar(alg, [t @ b @ t for t, b in zip(trial, fh)])
+            fb = fl if len(left) == len(live) else [b[left] for b in fl]
+            val, tdh = _trace_norm_polar(alg, [t @ b @ t for t, b in zip(trial, fb)])
             up = val > best[at] + 1e-14
             for x, d, t, td in zip(w, dh, trial, tdh):
                 x[at[up]] = t[up]
@@ -694,7 +735,10 @@ def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.nd
             best[at[up]] = val[up]
             left = left[~up]
             step *= 0.5
-        live = np.delete(live, left)
+        if left.size:
+            stay = np.ones(len(live), dtype=bool)
+            stay[left] = False
+            live, fl = live[stay], [b[stay] for b in fl]
     return best, w
 
 
@@ -706,50 +750,80 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
     bound ||F||_2.  PSD inputs are solved exactly (status "exact"); otherwise
     the value combines rank-one directions (for single weight-1 blocks these
     reproduce the numerical radius), spectral projections of |F|, knapsack
-    solutions on the hermitian parts, and multi-start projected ascent.  The
-    candidates are built and evaluated as one stacked pool (``_triple2_pool``
-    at a stack of one), so the value does not depend on whether F is
-    evaluated alone or inside a larger pool.  The ascent then starts from the
-    three best candidates and ``budget.starts`` random points, all advanced
-    as one stack (``_ascend``); each start ends where it would end alone, and
-    the first start with the highest objective wins if it beats the pool.
-    With ``quick`` the ascent phase is skipped.  Non-finite entries raise
-    ``DomainError``.
+    solutions on the hermitian parts, and multi-start projected ascent.  F
+    goes through the stacked kernel ``_triple_norm_stack`` as a stack of one,
+    so the value does not depend on whether F is evaluated alone or inside a
+    larger stack.  With ``quick`` the ascent phase is skipped.  Non-finite
+    entries raise ``DomainError``.
     """
-    _require_finite(f.blocks, "|||.|||_2")
-    alg = f.algebra
-    budget = budget or SearchBudget()
-    pool = _triple2_pool(alg, [b[None] for b in f.blocks],
-                         grid=64 if quick else 256, refine=not quick)
-    upper = float(pool.upper[0])
-    if upper == 0.0:
-        return TripleNormResult(0.0, alg.zero(), 0.0, 0.0, "exact")
-    exact = bool(pool.exact[0])
-    best = float(pool.best[0])
-    w_final = AlgebraElement(alg, [m[0] for m in pool.maximizer])
+    return _triple_norm_stack(f.algebra, [f], budget, quick)[0]
 
-    if not exact and not quick:
-        obj = pool.objective[0]
-        order = [i for i in np.argsort(-obj, kind="stable")[:3] if np.isfinite(obj[i])]
-        starts = [c[0, order] for c in pool.candidates]
+
+def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
+                       budget: SearchBudget | None = None,
+                       quick: bool = False) -> list[TripleNormResult]:
+    """``triple_norm`` of every element of a list over ``alg``, each result
+    the one a list of one gives, bit for bit.
+
+    One ``_triple2_pool`` call scores every element's candidates.  Without
+    ``quick``, each non-exact element's ascent starts from its three best
+    candidates and the ``budget.starts`` random points (drawn once, the same
+    for every element), and the starts of all elements climb as one
+    ``_ascend`` stack, each on its own F.  An element's first start with the
+    highest objective wins if it beats its pool; the winners are projected
+    once more and scored in one more stack.
+    """
+    for f in fs:
+        _require_finite(f.blocks, "|||.|||_2")
+    budget = budget or SearchBudget()
+    if not fs:
+        return []
+    pool = _triple2_pool(alg, [np.stack([f.blocks[k] for f in fs]) for k in range(alg.n_blocks)],
+                         grid=64 if quick else 256, refine=not quick)
+    upper, best = pool.upper.tolist(), pool.best.tolist()
+    w_final = [[m[i] for m in pool.maximizer] for i in range(len(fs))]
+
+    search = [] if quick else [i for i, u in enumerate(upper) if u != 0.0 and not pool.exact[i]]
+    if search:
         drawn = [random_hermitian(alg, rng, 0.7).blocks
                  for rng in substreams(budget.seed, budget.starts)]
-        if drawn:
-            rand = _project_stack(alg, [np.stack([d[k] for d in drawn]) + 0.5 * np.eye(n)
-                                        for k, n in enumerate(alg.block_sizes)])
-            starts = [np.concatenate(pair) for pair in zip(starts, rand)]
-        vals, ws = _ascend(alg, pool.scaled, starts, budget.iters)
-        win = int(np.argmax(vals))                   # the first of equal maxima
-        if vals[win] > obj.max():
-            # no steps: project the winner once more and score it
-            one, w_win = _ascend(alg, pool.scaled, [x[win:win + 1] for x in ws], 0)
-            best, w_final = float(one[0]), AlgebraElement(alg, [x[0] for x in w_win])
+        rand = (_project_stack(alg, [np.stack([d[k] for d in drawn]) + 0.5 * np.eye(n)
+                                     for k, n in enumerate(alg.block_sizes)])
+                if drawn else [np.zeros((0, n, n), dtype=complex) for n in alg.block_sizes])
+        owner, starts = [], [[] for _ in alg.block_sizes]
+        for i in search:
+            obj = pool.objective[i]
+            order = [j for j in np.argsort(-obj, kind="stable")[:3] if np.isfinite(obj[j])]
+            owner.append(np.full(len(order) + len(drawn), i))
+            for s, c, r in zip(starts, pool.candidates, rand):
+                s += [c[i, order], r]
+        owner = np.concatenate(owner)
+        vals, ws = _ascend(alg, [b[owner] for b in pool.scaled],
+                           [np.concatenate(s) for s in starts], budget.iters)
+        won, rows = [], []
+        for i in search:
+            at = (owner == i).nonzero()[0]
+            win = at[int(np.argmax(vals[at]))]       # the first of equal maxima
+            if vals[win] > pool.objective[i].max():
+                won.append(i)
+                rows.append(win)
+        if won:
+            # no steps: project the winners once more and score them
+            one, w_win = _ascend(alg, [b[won] for b in pool.scaled], [x[rows] for x in ws], 0)
+            for j, i in enumerate(won):
+                best[i], w_final[i] = float(one[j]), [x[j] for x in w_win]
 
-    value = upper * best
-    rank1 = upper * float(pool.rank1[0])
-    status = "exact" if (exact or value >= upper * (1.0 - 1e-11)) else "heuristic"
-    return TripleNormResult(value=value, maximizer=w_final, upper_bound=upper,
-                            rank1_bound=rank1, status=status)
+    out = []
+    for i, (u, b, w) in enumerate(zip(upper, best, w_final)):
+        if u == 0.0:
+            out.append(TripleNormResult(0.0, alg.zero(), 0.0, 0.0, "exact"))
+            continue
+        value = u * b
+        status = "exact" if (pool.exact[i] or value >= u * (1.0 - 1e-11)) else "heuristic"
+        out.append(TripleNormResult(value=value, maximizer=AlgebraElement(alg, w),
+                                    upper_bound=u, rank1_bound=u * float(pool.rank1[i]),
+                                    status=status))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -879,11 +953,9 @@ class _TargetNorm:
         the largest eigenvalue of the polar mean of the dense matrix for
         ``nr`` (Kittaneh), its knapsack value for ``triple2``.  The ``top``
         items with the largest bounds (in stable order) are scored first, and
-        the least of their values is the floor; then every item whose bound,
-        plus a rounding margin of 1e-12 ||F||_2, reaches the floor is scored,
-        the first ``top`` again among them, so the second pass makes the same
-        linalg calls whatever the size of the candidate pool.  The rest
-        cannot reach the ``top`` best and are -inf.
+        the least of their values is the floor; then every other item whose
+        bound, plus a rounding margin of 1e-12 ||F||_2, reaches the floor is
+        scored.  The rest cannot reach the ``top`` best and are -inf.
         ``argsort`` orders exact ties by the rest of the array, so if the
         ``top + 1`` best values tie, the whole stack is scored.
         """
@@ -903,11 +975,13 @@ class _TargetNorm:
         lam, norm2 = _polar_mean(alg, blocks)
         bound = lam[:, -1] if self.kind == "nr" else _knapsack_value(alg, lam)
         first = np.argsort(-bound, kind="stable")[:top]
-        live = bound + 1e-12 * norm2 >= score([b[first] for b in blocks]).min()
-        live[first] = True
-        rows = live.nonzero()[0]
         vals = np.full(len(mats), -np.inf)
-        vals[rows] = score([b[rows] for b in blocks])
+        vals[first] = score([b[first] for b in blocks])
+        live = bound + 1e-12 * norm2 >= vals[first].min()
+        live[first] = False
+        rows = live.nonzero()[0]
+        if rows.size:
+            vals[rows] = score([b[rows] for b in blocks])
         if _tied(vals[None], top)[0]:
             return score(blocks)
         return vals

@@ -20,8 +20,8 @@ from .algebra import (TracedAlgebra, holder_check, operator_norm, schatten_norm,
 from .gns import GnsRepresentation, VerificationReport, gns_construct, verify_representation
 from .inequalities import check_cs_lp, check_re_im, default_cs_constant, uncertainty_check
 from .kernels import KernelMap, OnePlusXTKernel, bound_checks
-from .radius import (OperatorValuedMap, SearchBudget, check_cs_operator_valued,
-                     numerical_radius, triple_norm)
+from .radius import (OperatorValuedMap, SearchBudget, _nr_elements, _nr_stack,
+                     _triple_norm_stack, check_cs_operator_valued, numerical_radius)
 from .sampling import (random_complex_matrix, random_element, random_psd,
                        random_psd_with_spectrum, random_unit_vector, rng_from,
                        substreams)
@@ -245,28 +245,38 @@ def tail_projection_suite(trials: int, seed: int = 0) -> dict:
 # -- numerical radius and the L^2 radius norm -------------------------------------------
 
 def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
-    """w on the shift block, the operator-norm sandwich and the hermitian case."""
+    """w on the shift block, the operator-norm sandwich and the hermitian case.
+
+    All samples are drawn first; then the w of each size's matrices M, their
+    hermitian parts, adjoints and unitary conjugates come from one
+    ``_nr_stack`` call per size, each value the one ``numerical_radius``
+    gives alone."""
     shift = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     w_shift = numerical_radius(shift)
-    sandwich_failures = 0
-    hermitian_defect = 0.0
-    unitary_defect = 0.0
+    by_size: dict[int, list] = {}
     for t, rng in enumerate(substreams(seed, trials)):
         n = 2 + (t % 4)
         m = random_complex_matrix(rng, n, n)
-        wm = numerical_radius(m)
-        opn = float(np.linalg.svd(m, compute_uv=False)[0])
-        if not (0.5 * opn - 1e-9 * (1.0 + opn) <= wm <= opn + 1e-9 * (1.0 + opn)):
-            sandwich_failures += 1
-        h = 0.5 * (m + m.conj().T)
-        wh = numerical_radius(h)
-        spectral_radius = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-        hermitian_defect = max(hermitian_defect, abs(wh - spectral_radius))
+        by_size.setdefault(n, []).append((m, random_complex_matrix(rng, n, n)))
+    sandwich_failures = 0
+    hermitian_defect = 0.0
+    unitary_defect = 0.0
+    for draws in by_size.values():
+        m = np.stack([d[0] for d in draws])
+        q = np.linalg.qr(np.stack([d[1] for d in draws]))[0]
+        adj = m.conj().swapaxes(-1, -2)
+        h = 0.5 * (m + adj)
+        # a list of rows keeps each adjoint a transposed view, as M.conj().T is
+        rows = [*m, *h, *adj, *(q @ m @ q.conj().swapaxes(-1, -2))]
+        wm, wh, wadj, wconj = _nr_stack(rows, 1024).reshape(4, -1)
+        opn = np.linalg.svd(m, compute_uv=False)[:, 0]
+        tol = 1e-9 * (1.0 + opn)
+        sandwich_failures += int(np.sum(~((0.5 * opn - tol <= wm) & (wm <= opn + tol))))
+        spectral_radius = np.abs(np.linalg.eigvalsh(h)).max(axis=1)
+        hermitian_defect = max(hermitian_defect, float(np.abs(wh - spectral_radius).max()))
         # invariance under * and unitary conjugation
-        wadj = numerical_radius(m.conj().T)
-        q = np.linalg.qr(random_complex_matrix(rng, n, n))[0]
-        wconj = numerical_radius(q @ m @ q.conj().T)
-        unitary_defect = max(unitary_defect, abs(wadj - wm), abs(wconj - wm))
+        unitary_defect = max(unitary_defect, float(np.abs(wadj - wm).max()),
+                             float(np.abs(wconj - wm).max()))
     ok = abs(w_shift - 0.5) <= 1e-8 and sandwich_failures == 0 and hermitian_defect <= 1e-10
     return {"name": "numerical_radius", "trials": trials,
             "w_shift": w_shift, "sandwich_failures": sandwich_failures,
@@ -276,40 +286,50 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
 
 def triple_norm_suite(samples: int, seed: int = 0) -> dict:
     """Exact anchors, the w(F) <= value <= ||F||_2 sandwich, and the
-    constant-1 Cauchy-Schwarz in the radius norm on random positive maps."""
+    constant-1 Cauchy-Schwarz in the radius norm on random positive maps.
+
+    All samples are drawn first.  Per algebra, the sandwich elements and the
+    PSD right-hand sides go through one full ``_triple_norm_stack`` call (one
+    ascent), the left-hand sides through one quick call, and the sandwich's
+    w(F) through one ``_nr_elements`` call; each value is the one a call per
+    element gives."""
     budget = SearchBudget(starts=4, iters=25, seed=seed)
     tr2 = TracedAlgebra([2])
-    anchor_a = triple_norm(tr2.diagonal([1.0, 0.0]), budget)
-    anchor_b = triple_norm(tr2.identity(), budget)
+    anchor_a, anchor_b = _triple_norm_stack(tr2, [tr2.diagonal([1.0, 0.0]), tr2.identity()],
+                                            budget)
     algebras = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([4])]
+    fs = [random_element(algebras[t % len(algebras)], rng)
+          for t, rng in enumerate(substreams(seed + 1, samples))]
+    cs = []
+    for t, rng in enumerate(substreams(seed + 2, samples)):
+        d = 1 + (t % 3)
+        phi = random_map(d, algebras[t % len(algebras)], rank=1 + (t % 2),
+                         seed=int(rng.integers(0, 2 ** 62)))
+        x = random_unit_vector(rng, d)
+        y = random_unit_vector(rng, d)
+        cs.append((evaluate(phi, x, y), evaluate(phi, x, x), evaluate(phi, y, y)))
     sandwich_failures = 0
     worst_low = math.inf
     worst_high = -math.inf
-    for t, rng in enumerate(substreams(seed + 1, samples)):
-        alg = algebras[t % len(algebras)]
-        f = random_element(alg, rng)
-        res = triple_norm(f, budget)
-        wf = numerical_radius(f, grid=512)
-        up = schatten_norm(f, 2.0)
-        worst_low = min(worst_low, res.value - wf)
-        worst_high = max(worst_high, res.value - up)
-        if not (wf - 1e-6 <= res.value <= up + 1e-9):
-            sandwich_failures += 1
     cs_failures = 0
     worst_cs = -math.inf
-    for t, rng in enumerate(substreams(seed + 2, samples)):
-        alg = algebras[t % len(algebras)]
-        d = 1 + (t % 3)
-        phi = random_map(d, alg, rank=1 + (t % 2), seed=int(rng.integers(0, 2 ** 62)))
-        x = random_unit_vector(rng, d)
-        y = random_unit_vector(rng, d)
-        lhs = triple_norm(evaluate(phi, x, y), budget, quick=True).value
-        rx = triple_norm(evaluate(phi, x, x), budget)      # PSD: exact knapsack
-        ry = triple_norm(evaluate(phi, y, y), budget)
-        rhs = math.sqrt(max(rx.value, 0.0)) * math.sqrt(max(ry.value, 0.0))
-        worst_cs = max(worst_cs, lhs - rhs)
-        if lhs > rhs + 1e-6:
-            cs_failures += 1
+    for j, alg in enumerate(algebras):
+        f_j, cs_j = fs[j::len(algebras)], cs[j::len(algebras)]
+        full = _triple_norm_stack(alg, f_j + [c[1] for c in cs_j] + [c[2] for c in cs_j],
+                                  budget)
+        for f, res, wf in zip(f_j, full, _nr_elements(f_j, 512).tolist()):
+            up = schatten_norm(f, 2.0)
+            worst_low = min(worst_low, res.value - wf)
+            worst_high = max(worst_high, res.value - up)
+            if not (wf - 1e-6 <= res.value <= up + 1e-9):
+                sandwich_failures += 1
+        quick = _triple_norm_stack(alg, [c[0] for c in cs_j], budget, quick=True)
+        rx, ry = full[len(f_j):len(f_j) + len(cs_j)], full[len(f_j) + len(cs_j):]
+        for lhs, x_res, y_res in zip(quick, rx, ry):              # PSD: exact knapsack
+            rhs = math.sqrt(max(x_res.value, 0.0)) * math.sqrt(max(y_res.value, 0.0))
+            worst_cs = max(worst_cs, lhs.value - rhs)
+            if lhs.value > rhs + 1e-6:
+                cs_failures += 1
     ok = (abs(anchor_a.value - 1.0) <= 1e-6 and abs(anchor_b.value - 1.0) <= 1e-6
           and sandwich_failures == 0 and cs_failures == 0)
     return {"name": "triple_norm", "anchor_diag10": anchor_a.value,

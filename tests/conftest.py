@@ -23,13 +23,16 @@ def weighted():
 def linalg_calls(monkeypatch):
     """Counts calls of np.linalg.svd, eigh and eigvalsh in ``["n"]`` and by
     name, and the matrices they solve (the product of the leading axes) in
-    ``["matrices"]``; calls of np.linalg.qr in ``["qr"]``."""
-    calls = {"n": 0, "matrices": 0, "qr": 0, "svd": 0, "eigh": 0, "eigvalsh": 0}
+    ``["matrices"]``, the most that one call solves in ``["largest"]``;
+    calls of np.linalg.qr in ``["qr"]``."""
+    calls = {"n": 0, "matrices": 0, "largest": 0, "qr": 0, "svd": 0, "eigh": 0,
+             "eigvalsh": 0}
     for name in ("svd", "eigh", "eigvalsh"):
         def counted(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
             calls["n"] += 1
             calls[_name] += 1
             calls["matrices"] += math.prod(np.shape(a)[:-2])
+            calls["largest"] = max(calls["largest"], math.prod(np.shape(a)[:-2]))
             return _f(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
 

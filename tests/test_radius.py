@@ -519,6 +519,8 @@ def _mixed_pool(alg, seed, size=24):
 
 
 POOL_ALGEBRAS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [1.0, 0.5])]
+STACK_ALGEBRAS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([4]),
+                  TracedAlgebra([2, 1], [1.0, 0.5])]
 
 
 class TestStackedPool:
@@ -585,7 +587,11 @@ class TestStackedPool:
                 assert np.array_equal(got, want[0])
 
     def test_linalg_calls_do_not_grow_with_pool(self, linalg_calls):
-        # a per-candidate loop would make the count grow with the number of starts
+        # the ranking scores a pool of any size in two stacked passes, the
+        # second only on the rows the first did not score (none of the 25
+        # candidates at 16 starts, 4 of the 97 at 64), then certifies the
+        # three chains in one: 22 and 31 calls.  A per-candidate loop makes
+        # a pool's calls for each candidate it scores.
         phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 2, 2, seed=5)
         op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
         counts = []
@@ -593,7 +599,7 @@ class TestStackedPool:
             linalg_calls["n"] = 0
             superop_norm(op, "triple2", SearchBudget(starts=starts, iters=0))
             counts.append(linalg_calls["n"])
-        assert counts[0] == counts[1], counts
+        assert max(counts) <= 31, counts
 
     def test_nr_ranking_eigensolves_a_pruned_grid(self, linalg_calls):
         # criterion 9's pool: the identity, 64 unitaries and 32 hermitian
@@ -694,12 +700,14 @@ def _full_nr_grid(mats, grid):
 
 
 def _matrix_of_kind(rng, kind, n):
-    """A zero, hermitian, normal, c I or generic n x n matrix."""
+    """A zero, hermitian, real, normal, c I or generic n x n matrix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if kind == "zero":
         return np.zeros((n, n), dtype=complex)
     if kind == "hermitian":
         return g + g.conj().T
+    if kind == "real":
+        return g.real + 0j
     if kind == "normal":
         q = np.linalg.qr(g)[0]
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -710,16 +718,18 @@ def _matrix_of_kind(rng, kind, n):
 
 
 @st.composite
-def nr_stacks(draw, alg=None):
-    """Stacks of zero, hermitian, normal, c I and generic matrices at scales
-    1e-12 .. 1e12, some rows repeated, so exact ties occur within and across
-    rows.  With ``alg``, each row is block-diagonal over it, every block of
+def nr_stacks(draw, alg=None, max_n=3, max_rows=40):
+    """Stacks of zero, hermitian, real, normal, c I and generic matrices at
+    scales 1e-12 .. 1e12, some rows repeated, so exact ties occur within and
+    across rows.  Without ``alg`` the matrices are n x n, n at most
+    ``max_n``; with it, each row is block-diagonal over it, every block of
     the row's kind."""
-    sizes = [draw(st.integers(1, 3))] if alg is None else alg.block_sizes
+    sizes = [draw(st.integers(1, max_n))] if alg is None else alg.block_sizes
     rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
     mats = []
-    for kind in draw(st.lists(st.sampled_from(["zero", "hermitian", "normal", "scalar",
-                                                "generic", "repeat"]), min_size=1, max_size=40)):
+    for kind in draw(st.lists(st.sampled_from(["zero", "hermitian", "real", "normal", "scalar",
+                                                "generic", "repeat"]),
+                              min_size=1, max_size=max_rows)):
         if kind == "repeat" and mats:
             mats.append(mats[int(rng.integers(len(mats)))])
             continue
@@ -821,13 +831,13 @@ class TestPolarBound:
 
 
 @st.composite
-def psd_stacks(draw, alg):
+def psd_stacks(draw, alg, max_rows=12):
     """Stacks of PSD G G*, rank-one g g* and zero elements over ``alg`` at
     scales 1e-12 .. 1e12, some rows repeated."""
     rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
     mats = []
     for kind in draw(st.lists(st.sampled_from(["full", "rank-one", "zero", "repeat"]),
-                              min_size=1, max_size=12)):
+                              min_size=1, max_size=max_rows)):
         if kind == "repeat" and mats:
             mats.append(mats[int(rng.integers(len(mats)))])
             continue
@@ -844,6 +854,52 @@ def _pool_rows(pool):
     return [(v, r, e, [m[i].tobytes() for m in pool.maximizer])
             for i, (v, r, e) in enumerate(zip(pool.values.tolist(), pool.rank1.tolist(),
                                                pool.exact.tolist()))]
+
+
+class TestStackedRadius:
+    """The stacked kernels behind ``numerical_radius`` and ``triple_norm``
+    give each matrix or element the result of a call on it alone, bit for
+    bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mats=nr_stacks(max_n=5), grid=st.sampled_from([64, 256, 512, 1024, 100]),
+           adjoints=st.lists(st.booleans(), min_size=40, max_size=40))
+    def test_nr_stack_is_numerical_radius_per_matrix(self, mats, grid, adjoints):
+        want = [numerical_radius(m, grid=grid) for m in mats]
+        assert radius._nr_stack(mats, grid).tolist() == want
+        # a list may mix layouts: an adjoint is scored as the transposed view
+        views = [m.conj().T if a else m for m, a in zip(mats, adjoints)]
+        assert radius._nr_stack(views, grid).tolist() == [numerical_radius(v, grid=grid)
+                                                          for v in views]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_adjoint_views_keep_their_bits(self, n):
+        # <Mh, h> on a transposed view is another BLAS kernel than on its
+        # contiguous copy; with OpenBLAS 0.3.31 the two differ in the last
+        # bits for about one 4x4 or 5x5 adjoint in ten, as
+        # numerical_radius_suite draws them
+        rng = rng_from(123)
+        adj = [random_complex_matrix(rng, n, n).conj().T for _ in range(40)]
+        assert radius._nr_stack(adj, 1024).tolist() == [numerical_radius(a) for a in adj]
+
+    @pytest.mark.parametrize("quick", [True, False], ids=["quick", "full"])
+    @pytest.mark.parametrize("alg", STACK_ALGEBRAS, ids=["M2", "M3", "M4", "M2+M1"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_triple_norm_stack_is_triple_norm_per_element(self, alg, quick, data):
+        mats = np.concatenate([data.draw(nr_stacks(alg, max_rows=5)),
+                               data.draw(psd_stacks(alg, max_rows=2))])
+        mats = mats[data.draw(st.permutations(range(len(mats))))]
+        fs = [alg.from_dense(m) for m in mats]
+        budget = SearchBudget(starts=data.draw(st.sampled_from([0, 4])), iters=6,
+                              seed=data.draw(st.integers(0, 9)))
+        got = radius._triple_norm_stack(alg, fs, budget, quick)
+        for f, res in zip(fs, got, strict=True):
+            one = triple_norm(f, budget, quick)
+            assert (res.value, res.upper_bound, res.rank1_bound, res.status) == (
+                one.value, one.upper_bound, one.rank1_bound, one.status)
+            assert [b.tobytes() for b in res.maximizer.blocks] == [
+                b.tobytes() for b in one.maximizer.blocks]
 
 
 class TestCandidateMemo:
@@ -990,7 +1046,7 @@ class TestEigensolveBudget:
         # SVD (the objective and the next gradient) per block
         f = random_element(alg, rng_from(5))
         up = _stacked_schatten(alg, [b[None] for b in f.blocks], 2.0)[0]
-        fh = [b[None] / up for b in f.blocks]
+        fh = [np.repeat(b[None] / up, 3, axis=0) for b in f.blocks]     # one F per start
         starts = [np.stack([c * np.eye(n, dtype=complex) for c in (0.05, 0.1, 0.2)])
                   for n in alg.block_sizes]
         got = []

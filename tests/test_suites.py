@@ -1,9 +1,11 @@
 """The check-all suites compute each value once: call counts of the layers
-they drive."""
+they drive, and the types of what they report."""
 
 import pytest
 
-from nclp import inequalities, suites
+from nclp import inequalities, radius, suites
+from nclp.algebra import TracedAlgebra
+from nclp.kernels import KernelMap, OnePlusXTKernel
 
 
 def counted(monkeypatch, module, name):
@@ -43,3 +45,44 @@ class TestSuiteWork:
         assert r["status"] == "holds"
         # 8 d = 1 probes, then one map per instance checked in both target norms
         assert calls["n"] == 8 + instances
+
+    @pytest.mark.parametrize("trials", [4, 12])
+    def test_numerical_radius_grids_once_per_size(self, monkeypatch, trials):
+        calls = counted(monkeypatch, radius, "_nr_grid")
+        r = suites.numerical_radius_suite(trials, seed=5)
+        assert r["status"] == "holds"
+        # sizes 2..5: one stacked grid each, plus one for the shift block
+        assert calls["n"] <= 4 + 1, calls
+
+    @pytest.mark.parametrize("samples", [3, 9])
+    def test_triple_norm_climbs_once_per_algebra(self, monkeypatch, samples):
+        climbs = []
+
+        def ascend(alg, fh, starts, iters, _f=radius._ascend):
+            climbs.append(iters)
+            return _f(alg, fh, starts, iters)
+
+        monkeypatch.setattr(radius, "_ascend", ascend)
+        r = suites.triple_norm_suite(samples, seed=6)
+        assert r["status"] == "holds"
+        # M_2, M_3 and M_4: one climbing stack each; a zero-step ascent only
+        # projects the winners
+        assert 1 <= sum(1 for i in climbs if i > 0) <= 3, climbs
+
+    def test_grid_eigensolves_are_chunked(self, linalg_calls):
+        # hermitian rows tie with their mirror angle and fill the whole grid:
+        # the ten of one size leave over 9,000 angles to one fill, which the
+        # grid eigensolves NR_CHUNK at a time
+        r = suites.numerical_radius_suite(40, seed=5)
+        assert r["status"] == "holds"
+        assert linalg_calls["matrices"] > 4 * radius.NR_CHUNK, linalg_calls
+        assert linalg_calls["largest"] <= radius.NR_CHUNK, linalg_calls
+
+    def test_radius_reports_hold_python_numbers(self):
+        # the stacked kernels return arrays; the reports keep int and float
+        km = KernelMap(TracedAlgebra([2]).diagonal([1.0, 2.0]), OnePlusXTKernel())
+        for r in (suites.numerical_radius_suite(8, seed=5), suites.triple_norm_suite(3, seed=6),
+                  suites.kernel_bound_suite(km, trials=3, seed=0)):
+            for key, v in r.items():
+                if not isinstance(v, (str, list)):
+                    assert type(v) in (int, float), (r["name"], key, type(v))
