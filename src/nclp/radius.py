@@ -42,21 +42,30 @@ Three layers:
 * ``superop_norm``: operator norms of linear maps from a traced algebra into
   a matrix space, with the supremum over the unit ball searched on blockwise
   unitaries (the extreme points) and refined by alternating exact linearized
-  maximization.  The candidate pool is drawn and scored as one stack of
-  coordinate rows, and the refinement chains climb together as one stack of
-  certified values, so the result does not depend on a stack's size or order.
-  Ranking a pool takes two passes for either target norm
-  (``_TargetNorm.batch_values``), behind an upper bound from the polar mean
-  (|F| + |F*|) / 2: its largest eigenvalue for nr (Kittaneh), its knapsack
-  value for |||.|||_2.  The three best-bounded candidates are scored first,
-  then only the others whose bound reaches the least of their values; a tie
-  among the four best values scores the whole pool, so the ranking is the
-  unpruned one.  The last pool drawn is kept (a one-entry memo), so the two
-  target norms of an operator-valued check search one draw,
+  maximization.  One kernel, ``_superop_stack``, searches a list of
+  operators of one shape (source, target dimension and target algebra),
+  each with its own budget and seeded pool, each giving the result it gives
+  alone, bit for bit; ``superop_norm`` is a list of one.  The pools are
+  coordinate rows, and one ``_TargetNorm.batch_values`` call ranks all of
+  them, each pool on its own.  Ranking takes two passes for either target
+  norm, behind an upper bound from the polar mean (|F| + |F*|) / 2: its
+  largest eigenvalue for nr (Kittaneh), its knapsack value for |||.|||_2.
+  The three best-bounded candidates of each pool are scored first, then only
+  the others whose bound reaches the least of their values; a tie among a
+  pool's four best values scores that pool whole, so each ranking is the
+  unpruned one.  The refinement chains of all operators climb as one stack
+  of certified values, one ``certify`` call per step.  The last pool drawn
+  is kept (a one-entry memo), so the two target norms of one check search
+  one draw,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
   maps.  A positive map peaks at T = I, so the right-hand side is exact at
   T = I and only the left-hand side is searched; a reported violation is
-  proven, and no check is re-run at a larger budget.
+  proven, and no check is re-run at a larger budget.  One kernel,
+  ``_check_cs_stack``, checks a list of instances of one shape: each
+  instance's pool is drawn once for every target norm, and each norm makes
+  one ``_superop_stack`` call and one stack of right-hand sides, each
+  report the one the check gives alone; ``check_cs_operator_valued`` is a
+  list of one.
 """
 
 from __future__ import annotations
@@ -921,14 +930,14 @@ def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
 class _TargetNorm:
     """Norm evaluation of stacks, plus linear certificates touching the value.
 
-    ``batch_values`` scores a whole candidate pool at once: ``nr`` on the
+    ``batch_values`` scores whole candidate pools at once: ``nr`` on the
     pruned stacked theta grid (``_nr_grid``), ``triple2`` through the stacked
     quick-path kernel ``_triple2_pool``.  A ranking runs the scorer only on
     the items whose upper bound from the polar mean (``_polar_mean``) can
-    reach its ``top`` best: Kittaneh's || |F| + |F*| || / 2 for ``nr``, the
-    knapsack value K((|F| + |F*|) / 2) for ``triple2``.  ``certify`` adds
-    each item's certificate, for the refinement chains of ``superop_norm``,
-    which climb together as one stack.
+    reach their pool's ``top`` best: Kittaneh's || |F| + |F*| || / 2 for
+    ``nr``, the knapsack value K((|F| + |F*|) / 2) for ``triple2``.
+    ``certify`` adds each item's certificate, for the refinement chains of
+    ``_superop_stack``, which climb together as one stack.
     Each item's result is the one a stack of one gives, bit for bit, so
     results do not depend on the stack's size or order.
     """
@@ -941,23 +950,29 @@ class _TargetNorm:
         self.kind = kind
         self.target_algebra = target_algebra
 
-    def batch_values(self, mats: np.ndarray, top: int | None = None) -> np.ndarray:
-        """Norms of a (B, n, n) stack.  With ``top``, an item whose upper
-        bound rules it out of the ``top`` best may be -inf; the ``argsort``
-        prefix of length ``top`` and every finite value are those of the
-        unpruned stack, bit for bit.
+    def batch_values(self, mats: np.ndarray, top: int | None = None,
+                     groups: Sequence[int] | None = None) -> np.ndarray:
+        """Norms of a (B, n, n) stack.  With ``top``, the stack is ranked
+        per group: ``groups`` gives the lengths of consecutive runs of items
+        (one run by default), each ranked on its own, and an item whose upper
+        bound rules it out of its group's ``top`` best may be -inf.  Each
+        group's ``argsort`` prefix of length ``top`` and every finite value
+        are those of the group's unpruned stack, bit for bit.
 
         ``nr`` scores the dense matrices on the pruned theta grid
         (``_nr_grid``), ``triple2`` the target blocks with ``_triple2_pool``.
         A ranking takes two passes over an upper bound from ``_polar_mean``:
         the largest eigenvalue of the polar mean of the dense matrix for
-        ``nr`` (Kittaneh), its knapsack value for ``triple2``.  The ``top``
-        items with the largest bounds (in stable order) are scored first, and
-        the least of their values is the floor; then every other item whose
-        bound, plus a rounding margin of 1e-12 ||F||_2, reaches the floor is
-        scored.  The rest cannot reach the ``top`` best and are -inf.
-        ``argsort`` orders exact ties by the rest of the array, so if the
-        ``top + 1`` best values tie, the whole stack is scored.
+        ``nr`` (Kittaneh), its knapsack value for ``triple2``.  In each group
+        the ``top`` items with the largest bounds (in stable order) are
+        scored first, and the least of their values is the floor; then every
+        other item whose bound, plus a rounding margin of 1e-12 ||F||_2,
+        reaches the floor is scored.  The rest cannot reach the ``top`` best
+        and are -inf.  ``argsort`` orders exact ties by the rest of the
+        array, so a group whose ``top + 1`` best values tie is scored whole,
+        as is a group of at most ``top`` items.  Each pass is one stacked
+        call over every group, so one polar mean and three scoring stacks at
+        most rank any number of groups.
         """
         if self.kind == "nr":
             alg, blocks = TracedAlgebra([mats.shape[-1]]), [mats]
@@ -970,20 +985,32 @@ class _TargetNorm:
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return _triple2_pool(alg, bs).values
-        if top is None or len(mats) <= top:
+        if top is None:
             return score(blocks)
-        lam, norm2 = _polar_mean(alg, blocks)
-        bound = lam[:, -1] if self.kind == "nr" else _knapsack_value(alg, lam)
-        first = np.argsort(-bound, kind="stable")[:top]
         vals = np.full(len(mats), -np.inf)
-        vals[first] = score([b[first] for b in blocks])
-        live = bound + 1e-12 * norm2 >= vals[first].min()
-        live[first] = False
-        rows = live.nonzero()[0]
-        if rows.size:
-            vals[rows] = score([b[rows] for b in blocks])
-        if _tied(vals[None], top)[0]:
-            return score(blocks)
+        scored = np.zeros(len(mats), dtype=bool)
+
+        def fill(parts: list[np.ndarray]) -> None:
+            rows = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+            if rows.size:
+                vals[rows] = score([b[rows] for b in blocks])
+                scored[rows] = True
+
+        sizes = [len(mats)] if groups is None else list(groups)
+        spans = [(end - k, end) for k, end in zip(sizes, np.cumsum(sizes).tolist())]
+        ranked = [(a, b) for a, b in spans if b - a > top]
+        bound, reach, tops = np.zeros(len(mats)), np.zeros(len(mats)), []
+        if ranked:
+            rows = np.concatenate([np.arange(a, b) for a, b in ranked])
+            lam, norm2 = _polar_mean(alg, [b[rows] for b in blocks])
+            bound[rows] = lam[:, -1] if self.kind == "nr" else _knapsack_value(alg, lam)
+            reach[rows] = bound[rows] + 1e-12 * norm2
+            tops = [a + np.argsort(-bound[a:b], kind="stable")[:top] for a, b in ranked]
+        fill([np.arange(a, b) for a, b in spans if b - a <= top] + tops)
+        fill([a + (~scored[a:b] & (reach[a:b] >= vals[t].min())).nonzero()[0]
+              for (a, b), t in zip(ranked, tops)])
+        fill([a + (~scored[a:b]).nonzero()[0]
+              for a, b in ranked if _tied(vals[None, a:b], top)[0]])
         return vals
 
     def certify(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1067,49 +1094,92 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
     (plus the identity and hermitian contractions) and refines the best finds
     by alternating exact maximization of the linearized objective over the
     unitary group.  The pool and the chains are coordinate rows of the source,
-    and the chains from the three best candidates climb together, one stacked
-    SVD per block and one ``_TargetNorm.certify`` call per step; a chain stops
-    once a step does not raise its value, so each takes the steps it would
-    take alone.  The result is a certified lower bound with a feasible
-    maximizer (the only element built); it never decreases with the budget.
+    and the chains from the three best candidates climb together; a chain
+    step is kept only if it raises that chain's certified value.  The result
+    is a certified lower bound with a feasible maximizer (the only element
+    built).  ``op`` goes through the stacked kernel ``_superop_stack`` as a
+    list of one.
     """
-    budget = budget or SearchBudget()
-    tn = _TargetNorm(target_norm, op.target_algebra)
-    if op.is_zero:
-        return SuperOperatorNormResult(0.0, op.source.identity(), "exact")
-    coords = _unitary_candidates(op.source, budget)
-    vals_raw = (op.matrix @ coords.T).T.reshape(len(coords), op.target_dim, op.target_dim)
-    vals = tn.batch_values(vals_raw, top=3)          # only order[:3] is read
-    order = np.argsort(vals)[::-1]
-    best_val = float(vals[order[0]])
-    best_t = coords[order[0]]
+    return _superop_stack([op], target_norm, [budget or SearchBudget()])[0]
+
+
+def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
+                   budgets: Sequence[SearchBudget],
+                   pools: Sequence[np.ndarray | None] | None = None
+                   ) -> list[SuperOperatorNormResult]:
+    """``superop_norm`` of every operator of a list of one shape (source,
+    target dimension and target algebra), each at its own budget, each result
+    the one a list of one gives, bit for bit.
+
+    Each nonzero operator searches its own pool: ``pools[i]``, or its
+    ``_unitary_candidates`` draw.  One ``batch_values`` call ranks every pool
+    (a group each).  The chains of every operator then climb as one stack:
+    per step, one ``adjoint_at`` per operator on its live chains (one
+    matrix-vector product per chain), one stacked SVD per source block and
+    one ``certify`` call.  A chain stops once a step does not raise its
+    value, and an operator's chains stop after its ``budget.iters`` steps.
+    For ``nr``, one ``_nr_stack`` call on the 1024-angle grid scores every
+    operator's best T.
+    """
+    tn = _TargetNorm(target_norm, ops[0].target_algebra)
+    search = [i for i, op in enumerate(ops) if not op.is_zero]
+    out = [SuperOperatorNormResult(0.0, op.source.identity(), "exact") if op.is_zero else None
+           for op in ops]
+    if not search:
+        return out
+    pool = [pools[i] if pools is not None else _unitary_candidates(ops[i].source, budgets[i])
+            for i in search]
+    n = ops[0].target_dim
+    vals = tn.batch_values(np.concatenate([(ops[i].matrix @ c.T).T.reshape(len(c), n, n)
+                                           for i, c in zip(search, pool)]),
+                           top=3, groups=[len(c) for c in pool])
+    best_val, best_t, chain_t, at = [], [], [], 0
+    for c in pool:
+        order = np.argsort(vals[at:at + len(c)])[::-1]      # only order[:3] is read
+        best_val.append(float(vals[at + order[0]]))
+        best_t.append(c[order[0]])
+        chain_t.append(c[order[:3]])
+        at += len(c)
+    owner = np.repeat(np.arange(len(search)), [len(t) for t in chain_t])
+    chain_t = np.concatenate(chain_t)
+    ops_of = [ops[search[o]] for o in owner.tolist()]
+    iters = np.array([budgets[i].iters for i in search])
 
     # one matrix-vector product per chain: a matrix product rounds differently
-    chain_t = coords[order[:3]]
-    chain_val, certs = tn.certify(np.stack([op.apply_coords(t) for t in chain_t]))
+    chain_val, certs = tn.certify(np.stack([op.apply_coords(t) for op, t in zip(ops_of, chain_t)]))
     live = np.arange(len(chain_t))
-    for _ in range(budget.iters):
+    for step in range(int(iters.max())):
+        live = live[iters[owner[live]] > step]
         if not live.size:
             break
         # blockwise unitaries Q P* maximizing Re tr(C L(T)), D_k = P S Q*
+        own = owner[live]
+        cuts = [0, *((own[1:] != own[:-1]).nonzero()[0] + 1).tolist(), len(live)]
+        adj = [ops_of[live[a]].adjoint_at(certs[live[a:b]]) for a, b in zip(cuts, cuts[1:])]
         nxt = []
-        for d in op.adjoint_at(certs[live]):
+        for d in (np.concatenate(ds) for ds in zip(*adj)):
             p, _, qh = np.linalg.svd(d)
             nxt.append((qh.conj().swapaxes(-1, -2) @ p.conj().swapaxes(-1, -2))
                        .reshape(len(d), -1))
         nxt = np.concatenate(nxt, axis=1)
-        nxt_val, nxt_cert = tn.certify(np.stack([op.apply_coords(t) for t in nxt]))
+        nxt_val, nxt_cert = tn.certify(np.stack([ops_of[j].apply_coords(t)
+                                                 for j, t in zip(live.tolist(), nxt)]))
         up = nxt_val > chain_val[live] + 1e-13 * (1.0 + chain_val[live])
         live = live[up]
         chain_t[live], chain_val[live], certs[live] = nxt[up], nxt_val[up], nxt_cert[up]
-    for t, v in zip(chain_t, chain_val.tolist()):
-        if v > best_val:
-            best_val, best_t = v, t
+    for o, t, v in zip(owner.tolist(), chain_t, chain_val.tolist()):
+        if v > best_val[o]:
+            best_val[o], best_t[o] = v, t
 
     if target_norm == "nr":
-        best_val = max(best_val, numerical_radius(op.apply_coords(best_t), grid=1024))
-    return SuperOperatorNormResult(value=best_val, maximizer=op.source.from_coords(best_t),
-                                   status="exact" if op.source.coord_dim == 1 else "heuristic")
+        mats = [ops[i].apply_coords(t) for i, t in zip(search, best_t)]
+        _require_finite(mats, "numerical radius")
+        best_val = [max(v, w) for v, w in zip(best_val, _nr_stack(np.stack(mats), 1024).tolist())]
+    for i, v, t in zip(search, best_val, best_t):
+        src = ops[i].source
+        out[i] = SuperOperatorNormResult(value=v, maximizer=src.from_coords(t),
+                                         status="exact" if src.coord_dim == 1 else "heuristic")
+    return out
 
 
 # -- operator-valued maps ----------------------------------------------------------
@@ -1228,15 +1298,46 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
     Phi(x,x)(I) and Phi(y,y)(I), which ``_TargetNorm.batch_values`` gives
     exactly (for ``triple2``, the knapsack alone); only the left-hand side is
     searched.  Its value is attained at a feasible T, so a reported violation
-    is proven, and nothing is re-run.
+    is proven, and nothing is re-run.  The check goes through the stacked
+    kernel ``_check_cs_stack`` as a list of one.
     """
-    budget = budget or SearchBudget()
-    if phi.check_positivity(seed=budget.seed).status == "violated":
-        raise PreconditionError("operator-valued map failed positivity sampling")
-    res = superop_norm(phi.superop(x, y), target_norm, budget)
-    ident = phi.source.identity().coords()
-    at_identity = np.stack([phi.superop(v, v).apply_coords(ident) for v in (x, y)])
-    v_x, v_y = _TargetNorm(target_norm, phi.target_algebra).batch_values(at_identity).tolist()
-    rhs = math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0))
-    return _report(res.value, rhs, {"target_norm": target_norm, "budget_starts": budget.starts,
-                                    "heuristic": res.status == "heuristic"})
+    return _check_cs_stack([phi], [x], [y], [budget or SearchBudget()],
+                           [target_norm])[target_norm][0]
+
+
+def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
+                    ys: Sequence[np.ndarray], budgets: Sequence[SearchBudget],
+                    norms: Sequence[str]) -> dict[str, list[InequalityReport]]:
+    """``check_cs_operator_valued`` of every instance (phi, x, y, budget) of
+    lists of one shape (source, target dimension and target algebra), for
+    each target norm of ``norms``; each report is the one a list of one
+    gives, bit for bit.
+
+    Each instance's pool is drawn once and searched for every norm, and each
+    norm takes one ``_superop_stack`` call and one ``batch_values`` stack of
+    right-hand sides.  Maps of another shape than the first raise
+    ``StructureError``.
+    """
+    head = phis[0]
+    if any((p.source, p.target_dim, p.target_algebra)
+           != (head.source, head.target_dim, head.target_algebra) for p in phis):
+        raise StructureError("a stacked check needs maps of one shape")
+    for phi, budget in zip(phis, budgets):
+        if phi.check_positivity(seed=budget.seed).status == "violated":
+            raise PreconditionError("operator-valued map failed positivity sampling")
+    ops = [phi.superop(x, y) for phi, x, y in zip(phis, xs, ys)]
+    pools = [None if op.is_zero else _unitary_candidates(op.source, b)
+             for op, b in zip(ops, budgets)]
+    ident = head.source.identity().coords()
+    at_identity = np.stack([phi.superop(v, v).apply_coords(ident)
+                            for phi, x, y in zip(phis, xs, ys) for v in (x, y)])
+    out = {}
+    for norm in norms:
+        results = _superop_stack(ops, norm, budgets, pools)
+        sides = _TargetNorm(norm, head.target_algebra).batch_values(at_identity)
+        out[norm] = [_report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
+                             {"target_norm": norm, "budget_starts": budget.starts,
+                              "heuristic": res.status == "heuristic"})
+                     for res, (v_x, v_y), budget in zip(results, sides.reshape(-1, 2).tolist(),
+                                                        budgets)]
+    return out

@@ -46,6 +46,24 @@ class TestSuiteWork:
         # 8 d = 1 probes, then one map per instance checked in both target norms
         assert calls["n"] == 8 + instances
 
+    def test_operator_valued_certifies_once_per_step_per_shape(self, monkeypatch):
+        calls = counted(monkeypatch, radius._TargetNorm, "certify")
+        r = suites.operator_valued_suite(10, seed=7, starts=16, iters=24)
+        assert r["status"] == "holds"
+        # one stacked search per (source shape, norm): two shapes times two
+        # norms at 24 steps, and one nr search per probe shape at 8 steps;
+        # each certifies its chains once, then once per step; a check per
+        # instance makes 362 calls
+        assert calls["n"] <= 4 * (24 + 1) + 2 * (8 + 1), calls
+
+    def test_operator_valued_draws_each_pool_once(self):
+        # 10 instances, each with its own seed, and the two probe shapes,
+        # whose probes share one budget; a probe order alternating the
+        # shapes, or a draw per norm, misses the one-entry memo more often
+        radius._draw_candidates.cache_clear()
+        suites.operator_valued_suite(10, seed=7, starts=16, iters=24)
+        assert radius._draw_candidates.cache_info().misses == 10 + 2
+
     @pytest.mark.parametrize("trials", [4, 12])
     def test_numerical_radius_grids_once_per_size(self, monkeypatch, trials):
         calls = counted(monkeypatch, radius, "_nr_grid")
