@@ -16,7 +16,11 @@ Three layers:
   full grid's, bit for bit.  One kernel, ``_nr_stack``, gives w of a whole
   stack of matrices in one grid, one Newton stack and one top-eigenvector
   call; ``numerical_radius`` is a stack of one per block, and the check-all
-  suites call the kernel once per matrix size,
+  suites call the kernel once per matrix size.  A normal matrix takes no
+  grid: for it rho(M) <= w(M) <= || |M| + |M*| || / 2 (Kittaneh) is an
+  equality, and ``_nr_normal`` settles it once a lower bound |<Mh, h>| at
+  its top eigenvalue's angle reaches the upper bound, to a rounding margin
+  of 1e-12 ||M||_F,
 * ``triple_norm``: the L^2 radius norm  |||F|||_2 = sup ||W F W||_1 over
   PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to a
   fractional knapsack over the spectrum (substituting V = W^2 makes the
@@ -277,11 +281,45 @@ def _nr_newton(mats: np.ndarray, thetas: np.ndarray,
     return best_t, best_f
 
 
+def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
+               rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Settle the ``rows`` of a stack that the normal bracket closes: write
+    their w into ``out`` and return the other rows.
+
+    For normal M, rho(M) <= w(M) <= || |M| + |M*| || / 2 (Kittaneh, Studia
+    Math. 158, 2003) is an equality.  Rows with ||M M* - M* M||_F <=
+    1e-12 ||M||_F^2 are tried; the test only picks them and proves nothing.
+    The value is |<Mh, h>| from ``_nr_top`` at theta = -arg lambda, lambda an
+    eigenvalue of largest modulus, and the upper bound the largest eigenvalue
+    of the polar mean (``_polar_mean``).  A row is settled when the value
+    reaches the bound less 1e-12 ||M||_F; the others are left to the grid.
+    """
+    sub = stack[rows]
+    adj = np.conj(np.swapaxes(sub, -1, -2))
+    fro = np.sqrt((np.abs(sub) ** 2).sum(axis=(1, 2)))
+    comm = np.sqrt((np.abs(sub @ adj - adj @ sub) ** 2).sum(axis=(1, 2)))
+    pick = comm <= 1e-12 * fro ** 2
+    if not pick.any():
+        return rows
+    sub, fro = sub[pick], fro[pick]
+    upper = _polar_mean(TracedAlgebra([sub.shape[-1]]), [sub])[0][:, -1]
+    eig = np.linalg.eigvals(sub)
+    top = eig[np.arange(len(sub)), np.argmax(np.abs(eig), axis=1)]
+    vals = np.array(_nr_top([mats[i] for i in rows[pick]], -np.angle(top),
+                            [0.0] * len(sub))[0])
+    closed = vals >= upper - 1e-12 * fro
+    out[rows[pick][closed]] = vals[closed]
+    pick[pick] = closed
+    return rows[~pick]
+
+
 def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int) -> np.ndarray:
     """w(M) of every matrix of a (B, n, n) stack or a list of n x n matrices;
     zero matrices give 0.
 
-    One pruned grid (``_nr_peaks``) finds up to three peaks per matrix, one
+    Normal matrices are settled first on rho(M) <= w(M) <= || |M| + |M*| || / 2
+    (``_nr_normal``), with no grid.  For the others, one pruned grid
+    (``_nr_peaks``) finds up to three peaks per matrix, one
     ``_nr_newton`` stack refines every (matrix, peak) pair within one grid
     step, and one ``_nr_top`` call scores each matrix's best angle, the first
     peak unless a later refined one beats it.  The grid and the refinement
@@ -294,6 +332,7 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int) -> np.ndarray:
     stack = np.asarray(mats)
     out = np.zeros(len(stack))
     rows = stack.any(axis=(1, 2)).nonzero()[0]
+    rows = _nr_normal(stack, mats, rows, out)
     if not rows.size:
         return out
     if rows.size < len(stack):
@@ -321,7 +360,9 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
 
     Block-diagonal elements reduce to the maximum over blocks, each block a
     stack of one for ``_nr_stack``.  Satisfies ||T||/2 <= w(T) <= ||T||
-    with equality w(T) = ||T|| for normal T.  The three highest peaks of
+    with equality w(T) = ||T|| for normal T.  A normal block is settled on
+    rho(T) <= w(T) <= || |T| + |T*| || / 2 without a grid (``_nr_normal``);
+    for the others, the three highest peaks of
     lambda_max(Re(e^{i theta} T)) on ``grid`` angles are refined as one stack of safeguarded Newton steps
     (``_nr_newton``), each within one grid step of its peak.  Of the grid,
     only NR_COARSE coarse angles, the angles of the two coarse arcs around

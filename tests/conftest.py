@@ -21,13 +21,13 @@ def weighted():
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counts calls of np.linalg.svd, eigh and eigvalsh in ``["n"]`` and by
-    name, and the matrices they solve (the product of the leading axes) in
+    """Counts calls of np.linalg.svd, eigh, eigvalsh and eigvals in ``["n"]``
+    and by name, and the matrices they solve (the product of the leading axes) in
     ``["matrices"]``, the most that one call solves in ``["largest"]``;
     calls of np.linalg.qr in ``["qr"]``."""
     calls = {"n": 0, "matrices": 0, "largest": 0, "qr": 0, "svd": 0, "eigh": 0,
-             "eigvalsh": 0}
-    for name in ("svd", "eigh", "eigvalsh"):
+             "eigvalsh": 0, "eigvals": 0}
+    for name in ("svd", "eigh", "eigvalsh", "eigvals"):
         def counted(a, *args, _f=getattr(np.linalg, name), _name=name, **kwargs):
             calls["n"] += 1
             calls[_name] += 1

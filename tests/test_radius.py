@@ -259,12 +259,32 @@ class TestSuperOperator:
         res = superop_norm(op, "nr", SearchBudget(starts=8, iters=8, seed=0))
         assert res.value == pytest.approx(1.0, abs=1e-8)
 
-    def test_norm_monotone_in_budget(self, tr2, rng):
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    @pytest.mark.parametrize("starts", [2, 8, 32])
+    def test_kept_chain_steps_raise_their_value(self, tr2, rng, monkeypatch, norm, starts):
+        # the first certify call scores the three chain starts, each later one
+        # the chains still climbing, in order; a chain climbs on only if its
+        # step raised its certified value, and the result is at least every
+        # value a chain kept
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        op = SuperOperator(tr2, 2, mat)
-        vals = [superop_norm(op, "nr", SearchBudget(starts=s, iters=6, seed=4)).value
-                for s in (2, 8, 32)]
-        assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
+        seen = []
+
+        def certify(self, mats, _f=_TargetNorm.certify):
+            vals, certs = _f(self, mats)
+            seen.append(vals.copy())
+            return vals, certs
+        monkeypatch.setattr(_TargetNorm, "certify", certify)
+        res = superop_norm(SuperOperator(tr2, 2, mat), norm,
+                           SearchBudget(starts=starts, iters=12, seed=4))
+        assert len(seen[0]) == 3 and 2 <= len(seen) <= 13, seen
+        chain, kept = seen[0], [seen[0]]
+        for vals in seen[1:]:
+            assert len(vals) == len(chain), (seen, chain)
+            up = vals > chain + 1e-13 * (1.0 + chain)
+            chain = vals[up]
+            kept.append(chain)
+        assert sum(len(k) for k in kept[1:]) >= 1, seen
+        assert res.value >= np.concatenate(kept).max()
 
     def test_identity_candidate_lower_bound(self, tr2, rng):
         mat = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -700,7 +720,8 @@ def _full_nr_grid(mats, grid):
 
 
 def _matrix_of_kind(rng, kind, n):
-    """A zero, hermitian, real, normal, c I or generic n x n matrix."""
+    """A zero, hermitian, real, real symmetric, PSD, normal, c I, c U,
+    shift, nearly normal or generic n x n matrix."""
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     if kind == "zero":
         return np.zeros((n, n), dtype=complex)
@@ -708,28 +729,39 @@ def _matrix_of_kind(rng, kind, n):
         return g + g.conj().T
     if kind == "real":
         return g.real + 0j
-    if kind == "normal":
+    if kind == "symmetric":
+        return g.real + g.real.T + 0j
+    if kind == "psd":
+        return g @ g.conj().T
+    if kind in ("normal", "nudged"):
         q = np.linalg.qr(g)[0]
         lam = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        return (q * lam) @ q.conj().T
+        m = (q * lam) @ q.conj().T
+        # a non-normal nudge near the filter's 1e-12 relative commutator
+        return m if kind == "normal" else m + 10.0 ** rng.uniform(-15, -11) * g
     if kind == "scalar":
         return complex(*rng.standard_normal(2)) * np.eye(n)
+    if kind == "unitary":
+        return complex(*rng.standard_normal(2)) * np.linalg.qr(g)[0]
+    if kind == "shift":
+        return np.eye(n, k=1, dtype=complex)
     return g
 
 
+NR_KINDS = ["zero", "hermitian", "real", "normal", "scalar", "generic", "repeat"]
+
+
 @st.composite
-def nr_stacks(draw, alg=None, max_n=3, max_rows=40):
-    """Stacks of zero, hermitian, real, normal, c I and generic matrices at
-    scales 1e-12 .. 1e12, some rows repeated, so exact ties occur within and
-    across rows.  Without ``alg`` the matrices are n x n, n at most
-    ``max_n``; with it, each row is block-diagonal over it, every block of
-    the row's kind."""
+def nr_stacks(draw, alg=None, max_n=3, max_rows=40, kinds=NR_KINDS):
+    """Stacks of matrices of ``kinds`` (``_matrix_of_kind``; by default zero,
+    hermitian, real, normal, c I and generic) at scales 1e-12 .. 1e12, some
+    rows repeated, so exact ties occur within and across rows.  Without
+    ``alg`` the matrices are n x n, n at most ``max_n``; with it, each row is
+    block-diagonal over it, every block of the row's kind."""
     sizes = [draw(st.integers(1, max_n))] if alg is None else alg.block_sizes
     rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
     mats = []
-    for kind in draw(st.lists(st.sampled_from(["zero", "hermitian", "real", "normal", "scalar",
-                                                "generic", "repeat"]),
-                              min_size=1, max_size=max_rows)):
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_rows)):
         if kind == "repeat" and mats:
             mats.append(mats[int(rng.integers(len(mats)))])
             continue
@@ -900,6 +932,67 @@ class TestStackedRadius:
                 one.value, one.upper_bound, one.rank1_bound, one.status)
             assert [b.tobytes() for b in res.maximizer.blocks] == [
                 b.tobytes() for b in one.maximizer.blocks]
+
+
+BRACKET_KINDS = ["zero", "hermitian", "symmetric", "psd", "normal", "unitary", "shift",
+                 "nudged", "generic", "repeat"]
+
+
+def _grid_only_nr(mats, grid=1024):
+    """``_nr_stack`` with the normal bracket switched off: every row on the grid."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(radius, "_nr_normal", lambda stack, mats, rows, out: rows)
+        return radius._nr_stack(mats, grid)
+
+
+class TestNormalBracket:
+    """``_nr_stack`` settles normal rows on rho(M) <= w(M) <= || |M| + |M*| || / 2
+    with no grid; every other row keeps the grid's value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(mats=nr_stacks(max_n=5, max_rows=12, kinds=BRACKET_KINDS))
+    def test_settled_rows_close_the_bracket(self, mats):
+        got = radius._nr_stack(mats, 1024)
+        fro = np.linalg.norm(mats, axis=(1, 2))
+        w, rows = np.zeros(len(mats)), fro.nonzero()[0]
+        settled = np.setdiff1d(rows, radius._nr_normal(mats, mats, rows, w))
+        vals = w[settled]
+        assert got[settled].tolist() == vals.tolist()
+        upper = radius._polar_mean(TracedAlgebra([mats.shape[-1]]), [mats])[0][:, -1]
+        rho = np.abs(np.linalg.eigvals(mats)).max(axis=1)
+        # |<Mh, h>| and the polar mean each carry rounding of order eps ||M||_F
+        assert np.all(vals <= upper[settled] + 1e-12 * fro[settled])
+        assert np.all(np.abs(vals - rho[settled]) <= 1e-12 * fro[settled])
+        # non-normal rows, and normal rows left open, are the grid's bit for bit
+        rest = np.setdiff1d(np.arange(len(mats)), settled)
+        assert got[rest].tolist() == _grid_only_nr(mats)[rest].tolist()
+        # a stacked value is the one the matrix gives alone
+        assert got.tolist() == [numerical_radius(m) for m in mats]
+
+    @pytest.mark.parametrize("kind", ["hermitian", "symmetric", "psd", "normal", "unitary"])
+    def test_normal_rows_skip_the_grid(self, grid_angles, kind):
+        rng = rng_from(31)
+        for n in (1, 2, 3, 5):
+            mats = np.stack([10.0 ** s * _matrix_of_kind(rng, kind, n) for s in (-12, 0, 12)])
+            w = radius._nr_stack(mats, 1024)
+            assert grid_angles == []
+            # the bracket moves w by rounding only
+            assert np.all(np.abs(w - _grid_only_nr(mats)) <= 1e-14 * w)
+            grid_angles.clear()
+
+    def test_open_rows_fall_back_to_the_grid(self, grid_angles, monkeypatch):
+        # the closing test decides, not the filter: an angle taken at the
+        # smallest eigenvalue, -1 here, leaves the hermitian rows open, and
+        # the grid gives them its value
+        rng = rng_from(33)
+        q = np.linalg.qr(random_complex_matrix(rng, 2, 2))[0]
+        mats = np.stack([s * (q * [3.0, -1.0]) @ q.conj().T for s in (1e-6, 1.0, 1e6)])
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a, _f=np.linalg.eigvals: 1.0 / _f(a))
+        assert radius._nr_normal(mats, mats, np.arange(3), np.zeros(3)).tolist() == [0, 1, 2]
+        w = radius._nr_stack(mats, 1024)
+        assert len(grid_angles) == 1
+        assert w.tolist() == _grid_only_nr(mats).tolist()
+        assert np.allclose(w, [3e-6, 3.0, 3e6], rtol=1e-14)
 
 
 class TestStackedSearch:
@@ -1092,6 +1185,13 @@ class TestEigensolveBudget:
         numerical_radius(mat)
         assert 1 <= linalg_calls["eigh"] <= 6, linalg_calls
         assert linalg_calls["eigvalsh"] <= 3, linalg_calls
+
+    def test_generic_matrix_skips_the_normal_bracket(self, linalg_calls):
+        # the normality filter runs no linalg and turns a generic 4x4 away
+        # before any solve: the grid's two eigvalsh calls and the Newton and
+        # top-vector eigh calls, as before the bracket
+        numerical_radius(random_element(TracedAlgebra([4]), rng_from(0)).blocks[0])
+        assert (linalg_calls["n"], linalg_calls["eigvalsh"], linalg_calls["eigh"]) == (6, 2, 4)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_numerical_radius_solves_a_seeded_grid(self, grid_angles, seed):

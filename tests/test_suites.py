@@ -1,6 +1,7 @@
 """The check-all suites compute each value once: call counts of the layers
 they drive, and the types of what they report."""
 
+import numpy as np
 import pytest
 
 from nclp import inequalities, radius, suites
@@ -72,6 +73,30 @@ class TestSuiteWork:
         # sizes 2..5: one stacked grid each, plus one for the shift block
         assert calls["n"] <= 4 + 1, calls
 
+    def test_numerical_radius_grids_only_the_shift_whole(self, monkeypatch):
+        # normal rows (the hermitian parts, 1x1 blocks) close on Kittaneh's
+        # bracket before any grid; of the rows left, only the shift ties with
+        # its mirror angle and fills its grid.  Without the bracket the 48
+        # hermitian rows tie too and the suite solves 64,473 angles
+        angles, tied = [], []
+
+        def grid(mats, count, keep, _f=radius._nr_grid):
+            out = _f(mats, count, keep)
+            angles.append(int(np.isfinite(out).sum()))
+            return out
+
+        def ties(vals, count, _f=radius._tied):
+            out = _f(vals, count)
+            tied.append(int(out.sum()))
+            return out
+        monkeypatch.setattr(radius, "_nr_grid", grid)
+        monkeypatch.setattr(radius, "_tied", ties)
+        r = suites.numerical_radius_suite(50, seed=5)
+        assert r["status"] == "holds"
+        assert sum(angles) <= 16_000, angles
+        # the first grid is the shift's, alone
+        assert tied == [1, 0, 0, 0, 0], tied
+
     @pytest.mark.parametrize("samples", [3, 9])
     def test_triple_norm_climbs_once_per_algebra(self, monkeypatch, samples):
         climbs = []
@@ -88,9 +113,9 @@ class TestSuiteWork:
         assert 1 <= sum(1 for i in climbs if i > 0) <= 3, climbs
 
     def test_grid_eigensolves_are_chunked(self, linalg_calls):
-        # hermitian rows tie with their mirror angle and fill the whole grid:
-        # the ten of one size leave over 9,000 angles to one fill, which the
-        # grid eigensolves NR_CHUNK at a time
+        # the 30 non-normal rows of one size seed their peaks' arcs with
+        # 1,860 angles in one call, which the grid eigensolves NR_CHUNK at a
+        # time
         r = suites.numerical_radius_suite(40, seed=5)
         assert r["status"] == "holds"
         assert linalg_calls["matrices"] > 4 * radius.NR_CHUNK, linalg_calls
