@@ -87,7 +87,7 @@ class RunReport:
     wall_time_s: float = 0.0
 
     def to_doc(self) -> dict:
-        return {"version": VERSION, "config": self.config.echo(),
+        return {"version": VERSION, "config": _jsonable(self.config.echo()),
                 "results": self.results, "summary": {"overall": self.overall},
                 "wall_time_s": self.wall_time_s}
 

@@ -25,8 +25,8 @@ Three layers:
   PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to a
   fractional knapsack over the spectrum (substituting V = W^2 makes the
   objective linear); everything else is certified from below by feasible
-  maximizers (rank-one directions, spectral projections, projected ascent)
-  and from above by ||F||_2.  The candidate maximizers of a whole stack of
+  maximizers (the knapsack maximizer of |F|, two rank-one directions per
+  block, projected ascent) and from above by ||F||_2.  The candidate maximizers of a whole stack of
   elements are built and scored by one kernel, ``_triple2_pool``, in a few
   stacked linalg calls, and each result is bit-identical whatever the size
   or order of the stack.  A PSD item's pool is its knapsack maximizer
@@ -539,9 +539,10 @@ class _TriplePool:
     """Quick-path |||.|||_2 of a stack of elements, with its candidate pool.
 
     Per item: ``upper`` = ||F||_2, ``exact`` for PSD input, ``scaled`` blocks
-    F / ||F||_2 (zero for F = 0), the candidate maximizers in a fixed slot
-    order (empty slots have objective -inf), the best rank-one objective
-    ``rank1`` (in closed form for PSD input), and the projected best
+    F / ||F||_2 (zero for F = 0), the candidate maximizers in 1 + 2 n_blocks
+    slots (the knapsack maximizer, then two rank-one directions per block;
+    empty slots have objective -inf), the best rank-one objective ``rank1``
+    (in closed form for PSD input), and the projected best
     candidate ``maximizer`` with its objective ``best``; all objectives are
     at unit ||F||_2.
     """
@@ -559,19 +560,15 @@ class _TriplePool:
         return self.upper * self.best
 
 
-def _heuristic_candidates(alg: TracedAlgebra, fr: Sequence[np.ndarray],
-                          dec_abs: Sequence[tuple[np.ndarray, np.ndarray]], grid: int,
-                          refine: bool) -> list[tuple[np.ndarray, np.ndarray, list]]:
-    """Rank-one and spectral-projection candidates of a stack of non-PSD
-    items, per-block (B, n_k, n_k) arrays ``fr`` with ``dec_abs`` the
-    per-block stacked ``eigh`` of |F|, as (rows, pool slots, per-block
-    candidate stacks or None) triples in ``_triple2_pool``'s slot order."""
-    sizes, weights = alg.block_sizes, alg.weights
-    nblk = len(sizes)
-    out = []
-
-    # rank-one W = h h* from numerical-radius directions, two per nonzero block
+def _rank_one_candidates(alg: TracedAlgebra, fr: Sequence[np.ndarray], grid: int,
+                         refine: bool) -> list[tuple[np.ndarray, np.ndarray, list]]:
+    """Rank-one candidates W = h h* of a stack of non-PSD items, per-block
+    (B, n_k, n_k) arrays ``fr``, from two numerical-radius directions per
+    nonzero block, as (rows, pool slots, per-block candidate stacks or None)
+    triples in ``_triple2_pool``'s slot order."""
+    weights, nblk = alg.weights, alg.n_blocks
     step = TWO_PI / grid
+    out = []
     for kb, b in enumerate(fr):
         found = _nr_peaks(b, grid, 2)[1]
         peaks = np.array([p + [-1] * (2 - len(p)) for p in found], dtype=int).reshape(-1, 2)
@@ -586,34 +583,7 @@ def _heuristic_candidates(alg: TracedAlgebra, fr: Sequence[np.ndarray],
         at, j = ((b != 0).any(axis=(1, 2))[:, None] & (peaks >= 0)).nonzero()
         ws: list[np.ndarray | None] = [None] * nblk
         ws[kb] = outer[at, j]
-        out.append((at, 4 + 2 * kb + j, ws))
-
-    # spectral projections of |F| above each distinct positive level
-    lam_abs = np.concatenate([lam for lam, _ in dec_abs], axis=1)
-    desc = np.sort(lam_abs, axis=1)[:, ::-1]
-    fresh = np.ones(desc.shape, dtype=bool)
-    fresh[:, 1:] = desc[:, 1:] != desc[:, :-1]
-    level_ok = fresh & (desc > 0)
-    at, col = level_ok.nonzero()                  # row-major: levels in decreasing order
-    count = level_ok.sum(axis=1)
-    lv = np.arange(len(at)) - (np.cumsum(count) - count)[at]
-    thresh = desc[at, col] - 1e-14
-    proj = []
-    for (lam, q), n in zip(dec_abs, sizes):
-        rank = (lam[at] >= thresh[:, None]).sum(axis=1)           # eigh is ascending
-        pk = np.zeros((len(at), n, n), dtype=complex)
-        for r in sorted(set(rank.tolist()) - {0}):
-            sel = (rank == r).nonzero()[0]
-            top = q[at[sel]][:, :, np.arange(n) >= n - r]
-            pk[sel] = top @ top.conj().swapaxes(-1, -2)
-        proj.append(pk)
-    n2 = _stacked_schatten(alg, proj, 2.0)
-    big = (~(n2 <= 1.0)).nonzero()[0]
-    shrink = (1.0 / n2[big]).astype(complex)[:, None, None]
-    for pk in proj:
-        pk[big] = shrink * pk[big]
-    keep = n2 > 0
-    out.append((at[keep], 4 + 2 * nblk + lv[keep], [pk[keep] for pk in proj]))
+        out.append((at, 1 + 2 * kb + j, ws))
     return out
 
 
@@ -624,11 +594,11 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     ``blocks`` are per-block (B, n_k, n_k) arrays.  A PSD item is exact: its
     one candidate is the knapsack maximizer of F (slot 0), and its rank-one
     objective max_k min(w_k, 1) lambda_max(F_k) comes in closed form from the
-    ``eigh`` the PSD test takes.  For the other items every candidate family
-    of ``triple_norm`` is built in a few stacked linalg calls, in the slot
-    order [knapsack of F+ and F- (hermitian F), knapsack of |F|, two rank-one
-    directions per block, spectral projections of |F| by decreasing level]
-    (``_heuristic_candidates``); a stack of PSD items builds none of them.
+    ``eigh`` the PSD test takes.  The other items have 1 + 2 n_blocks slots,
+    built in a few stacked linalg calls: the knapsack maximizer of |F|
+    (slot 0, shared with the PSD items' knapsack in one stack), then two
+    rank-one directions per block in block order (``_rank_one_candidates``);
+    a stack of PSD items builds no rank-one direction.
     Each item's result equals the one-element computation bit for bit,
     whatever the stack's size or order.  ``refine`` refines the rank-one
     angles of each block, all of its (item, peak) rows in one ``_nr_newton``
@@ -643,7 +613,7 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     scale = inv.astype(complex)[:, None, None]
     fh = [scale * b for b in fs]                  # unit ||F||_2; homogeneous objective
 
-    nslot = 4 + 2 * nblk + alg.total_dim
+    nslot = 1 + 2 * nblk
     cands = [np.zeros((items, nslot, n, n), dtype=complex) for n in sizes]
     valid = np.zeros((items, nslot), dtype=bool)
 
@@ -661,9 +631,8 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     exact = np.zeros(items, dtype=bool)
     psd_rows, psd_rank1 = np.zeros(0, dtype=int), np.zeros(0)
 
-    # knapsack maximizers, in one stack: of F for PSD F, of F+ and F- (where
-    # nonzero) for the other hermitian F, and of |F| for every non-PSD F
-    owners, slots, decs = [], [], []
+    # knapsack maximizers, in one stack: of F for PSD F, of |F| for the rest
+    owners, decs = [], []
     if herm.size:
         dec_h = [np.linalg.eigh(hermitian_part_of(b[herm])) for b in fh]
         opn = _itemwise_max([np.abs(lam) for lam, _ in dec_h])
@@ -673,35 +642,19 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
         psd_rank1 = np.max([min(wt, 1.0) * lam[psd, -1]
                             for wt, (lam, _) in zip(weights, dec_h)], axis=0)
         owners.append(psd_rows)
-        slots.append(np.zeros(psd.sum(), dtype=int))
         decs.append([(lam[psd], q[psd]) for lam, q in dec_h])
-        mixed = ~psd
-        if mixed.any():
-            parts = [_spectral(np.concatenate([q[mixed], q[mixed]]),
-                               np.concatenate([np.maximum(lam[mixed], 0.0),
-                                               np.maximum(-lam[mixed], 0.0)]))
-                     for lam, q in dec_h]
-            nz = _stacked_schatten(alg, parts, 2.0) > 0
-            owners.append(np.tile(herm[mixed], 2)[nz])
-            slots.append(np.repeat([1, 2], mixed.sum())[nz])
-            decs.append([np.linalg.eigh(hermitian_part_of(b[nz])) for b in parts])
     rest = (~exact).nonzero()[0]
     if rest.size:
         fr = [b[rest] for b in fh]
-        absf = []
-        for b in fr:
-            _, s, vh = np.linalg.svd(b)
-            absf.append(hermitian_part_of((vh.conj().swapaxes(-1, -2) * s[..., None, :]) @ vh))
-        dec_abs = [np.linalg.eigh(hermitian_part_of(a)) for a in absf]
         owners.append(rest)
-        slots.append(np.full(len(rest), 3))
-        decs.append(dec_abs)
-        for at, slot, ws in _heuristic_candidates(alg, fr, dec_abs, grid, refine):
+        decs.append([np.linalg.eigh(hermitian_part_of(_spectral(vh.conj().swapaxes(-1, -2), s)))
+                     for _, s, vh in map(np.linalg.svd, fr)])
+        for at, slot, ws in _rank_one_candidates(alg, fr, grid, refine):
             put(rest[at], slot, ws)
     knap = _knapsack_stack(alg, [(np.concatenate([d[k][0] for d in decs]),
                                   np.concatenate([d[k][1] for d in decs]))
                                  for k in range(nblk)])
-    put(np.concatenate(owners), np.concatenate(slots), knap)
+    put(np.concatenate(owners), 0, knap)
 
     # objectives ||W F W||_1 of every candidate in one SVD per block
     flat = valid.ravel().nonzero()[0]
@@ -714,7 +667,7 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     pick = np.argmax(objective, axis=1)
     maximizer = _project_stack(alg, [c[np.arange(items), pick] for c in cands])
     best = _stacked_schatten(alg, [w @ b @ w for w, b in zip(maximizer, fh)], 1.0)
-    ones = objective[:, 4:4 + 2 * nblk]
+    ones = objective[:, 1:]
     rank1 = np.where(np.isfinite(ones).any(axis=1), ones.max(axis=1), 0.0)
     # a rank-one W is feasible, so the exact value bounds it; the cap keeps
     # rounding from putting it above
@@ -799,8 +752,9 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
     Returns a certified lower bound with a feasible maximizer plus the upper
     bound ||F||_2.  PSD inputs are solved exactly (status "exact"); otherwise
     the value combines rank-one directions (for single weight-1 blocks these
-    reproduce the numerical radius), spectral projections of |F|, knapsack
-    solutions on the hermitian parts, and multi-start projected ascent.  F
+    reproduce the numerical radius), the knapsack maximizer of |F|, and
+    multi-start projected ascent from the best of them and from random
+    points.  F
     goes through the stacked kernel ``_triple_norm_stack`` as a stack of one,
     so the value does not depend on whether F is evaluated alone or inside a
     larger stack.  With ``quick`` the ascent phase is skipped.  Non-finite

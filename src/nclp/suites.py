@@ -69,7 +69,8 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
     Ratios are measured against the constant-1 right-hand side; the status
     compares each recorded maximum with ``default_cs_constant(p)`` (2 in
     general, sqrt(2) at p = 2, 1 at p = 1).  Trials run on per-trial seed
-    substreams.
+    substreams of ``seed + round(1000 p)``; p = inf takes ``seed`` itself,
+    an offset no finite p >= 1 has.
     """
     pool = list(pool) if pool is not None else target_pool()
     t0 = time.perf_counter()
@@ -77,7 +78,8 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
     worst_excess = 0.0
     for p in p_values:
         max_ratio, worst = -math.inf, None          # the first trial of largest ratio
-        for t, rng in enumerate(substreams(seed + int(round(p * 1000)), trials)):
+        offset = int(round(p * 1000)) if math.isfinite(p) else 0
+        for t, rng in enumerate(substreams(seed + offset, trials)):
             target = pool[t % len(pool)]
             d = 1 + (t % 4)
             rank = 1 + (t % 3)

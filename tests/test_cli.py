@@ -89,6 +89,25 @@ class TestCommands:
         assert len(lines) == 12              # header + 10 rows + summary
         assert lines[-1].startswith("summary")
 
+    @pytest.mark.parametrize("argv", [
+        ["check-cs-lp", "--trials", "3"],
+        ["check-cs-normal", "--trials", "3"],
+        ["sample-ratios", "--trials", "3"],
+        ["norms"],
+    ], ids=["cs-lp", "cs-normal", "sample-ratios", "norms"])
+    def test_p_inf_runs(self, capsys, shift_file, argv):
+        # the help accepts 'inf': each command runs there, and the report
+        # writes the exponent as the string "inf"
+        argv = argv + ["--p", "inf"] + (["--input", shift_file] if argv[0] == "norms" else [])
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["config"]["p"] == "inf"
+        assert all(r["status"] == "holds" for r in doc["results"])
+        assert main(argv) == 0
+        assert strip_wall_time(capsys.readouterr().out) == strip_wall_time(out)
+
     def test_gns_command(self, tmp_path):
         target = {"blocks": [1], "weights": [1.0]}
         omega = [[{"re": [[1.0 if i in (0, 3) else 0.0]], "im": [[0.0]]}]

@@ -1166,6 +1166,137 @@ class TestPsdPool:
         assert rep.rhs == pytest.approx(math.sqrt(knap[0] * knap[1]), rel=1e-13)
 
 
+class TestPoolFamilies:
+    """Each item of a |||.|||_2 pool has 1 + 2 n_blocks slots: the knapsack
+    maximizer (of F for PSD F, of |F| otherwise), then two rank-one
+    directions per block, in block order."""
+
+    @staticmethod
+    def _abs(m):
+        lam, q = np.linalg.eigh(m.conj().T @ m)
+        return (q * np.sqrt(np.maximum(lam, 0.0))) @ q.conj().T
+
+    @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
+    @pytest.mark.parametrize("refine", [False, True], ids=["quick", "full"])
+    def test_slots_are_the_knapsack_then_rank_one_directions(self, alg, refine):
+        fs = []
+        rng = rng_from(44)
+        for t in range(16):                          # PSD, indefinite, zero, generic
+            f = random_element(alg, rng)
+            h = f + f.adjoint()
+            lam = np.concatenate([np.linalg.eigvalsh(b) for b in h.blocks])
+            h = h - alg.identity() * (0.4 * lam.min() + 0.6 * lam.max())
+            fs.append([f @ f.adjoint(), h, alg.zero(), f][t % 4])
+        blocks = [np.stack([f.blocks[k] for f in fs]) for k in range(alg.n_blocks)]
+        pool = _triple2_pool(alg, blocks, grid=256 if refine else 64, refine=refine)
+        nblk = alg.n_blocks
+        assert pool.objective.shape == (len(fs), 1 + 2 * nblk)
+        assert all(c.shape[:2] == (len(fs), 1 + 2 * nblk) for c in pool.candidates)
+        for i, f in enumerate(fs):
+            kind = ("psd", "hermitian", "zero", "generic")[i % 4]
+            assert bool(pool.exact[i]) == (kind in ("psd", "zero"))
+            if kind == "hermitian":
+                assert min(np.linalg.eigvalsh(b)[0] for b in f.blocks) < 0.0
+            # slot 0: the knapsack maximizer of F (PSD) or of |F|
+            base = f.blocks if pool.exact[i] else [self._abs(b) for b in f.blocks]
+            want = radius._knapsack_stack(alg, [np.linalg.eigh(b[None]) for b in base])
+            for c, w in zip(pool.candidates, want):
+                assert np.allclose(c[i, 0], w[0], rtol=0, atol=1e-10)
+            if kind == "zero":
+                assert pool.objective[i, 0] == 0.0
+            else:
+                wf = AlgebraElement(alg, [c[i, 0] for c in pool.candidates])
+                assert pool.objective[i, 0] == pytest.approx(
+                    schatten_norm(wf @ f @ wf, 1.0) / schatten_norm(f, 2.0), rel=1e-12)
+            # then two rank-one slots per block: c h h* in that block alone
+            ones = pool.objective[i, 1:].reshape(nblk, 2)
+            if pool.exact[i]:
+                assert np.all(ones == -np.inf)
+                continue
+            for kb, (wt, b) in enumerate(zip(alg.weights, f.blocks)):
+                assert np.isfinite(ones[kb, 0])
+                cap = min(1.0, 1.0 / math.sqrt(wt))
+                for j in np.isfinite(ones[kb]).nonzero()[0]:
+                    slot = 1 + 2 * kb + j
+                    for kc, c in enumerate(pool.candidates):
+                        w = c[i, slot]
+                        if kc != kb:
+                            assert not w.any()
+                            continue
+                        assert np.allclose(np.linalg.eigvalsh(w),
+                                           [0.0] * (len(w) - 1) + [cap], atol=1e-12)
+                # the first direction is the numerical radius' own
+                nr = wt * cap ** 2 * numerical_radius(b) / schatten_norm(f, 2.0)
+                assert ones[kb].max() <= nr * (1.0 + 1e-12)
+                if refine:
+                    assert ones[kb, 0] == pytest.approx(nr, rel=1e-9)
+
+
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _unit_psd_2x2(x):
+    """The PSD W on M_2 with ||W||_F = 1 at parameters x = (a, theta, phi):
+    eigenvalues cos a >= sin a (a in [0, pi/4]) and top eigenvector the Bloch
+    direction (theta, phi)."""
+    a, th, ph = x[..., 0], x[..., 1], x[..., 2]
+    n = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)], axis=-1)
+    top = 0.5 * (np.eye(2) + np.einsum("...i,ijk->...jk", n, _PAULI))
+    return (np.cos(a)[..., None, None] * top
+            + np.sin(a)[..., None, None] * (np.eye(2) - top))
+
+
+def _trace_norm_2x2(m):
+    """||M||_1 = (||M||_F^2 + 2 |det M|)^{1/2} of a stack of 2 x 2 matrices."""
+    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return np.sqrt((np.abs(m) ** 2).sum(axis=(-2, -1)) + 2.0 * np.abs(det))
+
+
+def _brute_force_triple_2x2(f):
+    """|||F|||_2 on M_2 with the plain trace, by brute force: ||W F W||_1 is
+    homogeneous of degree 2 in W, so the sup sits on ||W||_F = 1 (which
+    implies ||W||_inf <= 1).  A dense grid over (a, theta, phi), then a
+    coordinate search polished down to steps of 1e-13."""
+    axes = np.meshgrid(np.linspace(0.0, np.pi / 4, 24), np.linspace(0.0, np.pi, 32),
+                       np.linspace(0.0, 2 * np.pi, 64, endpoint=False), indexing="ij")
+    pts = np.stack(axes, axis=-1).reshape(-1, 3)
+
+    def value(x):
+        w = _unit_psd_2x2(x)
+        return _trace_norm_2x2(w @ f @ w)
+
+    vals = value(pts)
+    x, best = pts[np.argmax(vals)], vals.max()
+    lo, hi = np.array([0.0, -np.inf, -np.inf]), np.array([np.pi / 4, np.inf, np.inf])
+    moves = np.concatenate([np.eye(3), -np.eye(3)])
+    step = np.pi / 32
+    while step > 1e-13:
+        trial = np.clip(x + step * moves, lo, hi)
+        tv = value(trial)
+        if tv.max() > best:
+            x, best = trial[np.argmax(tv)], tv.max()
+        else:
+            step *= 0.5
+    return float(best)
+
+
+class TestTripleNormGroundTruth:
+    """The full |||.|||_2 search on M_2 against an independent brute force."""
+
+    def test_matches_brute_force_on_m2(self):
+        rng = rng_from(2024)
+        for t in range(20):
+            f = random_complex_matrix(rng, 2, 2)
+            if t % 2:                                # indefinite hermitian
+                q = np.linalg.qr(f)[0]
+                f = (q * [rng.uniform(0.1, 2.0), -rng.uniform(0.1, 2.0)]) @ q.conj().T
+            f = 10.0 ** rng.integers(-3, 4) * f
+            ref = _brute_force_triple_2x2(f)
+            got = triple_norm(_M2.element([f])).value
+            assert got == pytest.approx(ref, rel=1e-9)
+            assert got <= ref * (1.0 + 1e-13)
+
+
 class TestEigensolveBudget:
     """The peak refinement and the projection take a bounded number of
     stacked eigensolves, not one per angle or per round."""
