@@ -26,8 +26,9 @@ Three layers:
   fractional knapsack over the spectrum (substituting V = W^2 makes the
   objective linear); everything else is certified from below by feasible
   maximizers (the knapsack maximizer of |F|, two rank-one directions per
-  block, projected ascent) and from above by ||F||_2.  The candidate maximizers of a whole stack of
-  elements are built and scored by one kernel, ``_triple2_pool``, in a few
+  block, the spectral projections of |F|, projected ascent) and from above
+  by ||F||_2.  The candidate maximizers of a whole stack of elements are
+  built and scored by one kernel, ``_triple2_pool``, in a few
   stacked linalg calls, and each result is bit-identical whatever the size
   or order of the stack.  A PSD item's pool is its knapsack maximizer
   alone.  ``_triple_norm_stack`` runs the whole search for a list of
@@ -539,12 +540,12 @@ class _TriplePool:
     """Quick-path |||.|||_2 of a stack of elements, with its candidate pool.
 
     Per item: ``upper`` = ||F||_2, ``exact`` for PSD input, ``scaled`` blocks
-    F / ||F||_2 (zero for F = 0), the candidate maximizers in 1 + 2 n_blocks
-    slots (the knapsack maximizer, then two rank-one directions per block;
-    empty slots have objective -inf), the best rank-one objective ``rank1``
-    (in closed form for PSD input), and the projected best
-    candidate ``maximizer`` with its objective ``best``; all objectives are
-    at unit ||F||_2.
+    F / ||F||_2 (zero for F = 0), the candidate maximizers in
+    1 + 2 n_blocks + total_dim slots (the knapsack maximizer, two rank-one
+    directions per block, the spectral projections of |F|; empty slots have
+    objective -inf), the best rank-one objective ``rank1`` (in closed form
+    for PSD input), and the projected best candidate ``maximizer`` with its
+    objective ``best``; all objectives are at unit ||F||_2.
     """
     upper: np.ndarray
     exact: np.ndarray
@@ -560,31 +561,33 @@ class _TriplePool:
         return self.upper * self.best
 
 
-def _rank_one_candidates(alg: TracedAlgebra, fr: Sequence[np.ndarray], grid: int,
-                         refine: bool) -> list[tuple[np.ndarray, np.ndarray, list]]:
-    """Rank-one candidates W = h h* of a stack of non-PSD items, per-block
-    (B, n_k, n_k) arrays ``fr``, from two numerical-radius directions per
-    nonzero block, as (rows, pool slots, per-block candidate stacks or None)
-    triples in ``_triple2_pool``'s slot order."""
-    weights, nblk = alg.weights, alg.n_blocks
-    step = TWO_PI / grid
-    out = []
-    for kb, b in enumerate(fr):
-        found = _nr_peaks(b, grid, 2)[1]
-        peaks = np.array([p + [-1] * (2 - len(p)) for p in found], dtype=int).reshape(-1, 2)
-        thetas = peaks * step
-        if refine:
-            i, j = (peaks >= 0).nonzero()
-            thetas[i, j] = _nr_newton(b[i], thetas[i, j], step)[0]
-        rot = np.exp(1j * thetas)[..., None, None] * b[:, None]
-        h = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
-        outer = complex(min(1.0, 1.0 / math.sqrt(weights[kb]))) * (
-            h[..., :, None] * h.conj()[..., None, :])
-        at, j = ((b != 0).any(axis=(1, 2))[:, None] & (peaks >= 0)).nonzero()
-        ws: list[np.ndarray | None] = [None] * nblk
-        ws[kb] = outer[at, j]
-        out.append((at, 1 + 2 * kb + j, ws))
-    return out
+def _level_projections(alg: TracedAlgebra, dec_abs: Sequence[tuple[np.ndarray, np.ndarray]]
+                       ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Spectral projections of |F| above each distinct positive level, for a
+    stack of items given by the per-block stacked ``eigh`` ``dec_abs`` of |F|:
+    (rows, level index from the top, per-block projection stacks), each
+    projection shrunk to ||P||_2 <= 1."""
+    lam_abs = np.concatenate([lam for lam, _ in dec_abs], axis=1)
+    desc = np.sort(lam_abs, axis=1)[:, ::-1]
+    fresh = np.ones(desc.shape, dtype=bool)
+    fresh[:, 1:] = desc[:, 1:] != desc[:, :-1]
+    level_ok = fresh & (desc > 0)
+    at, col = level_ok.nonzero()                  # row-major: levels in decreasing order
+    count = level_ok.sum(axis=1)
+    lv = np.arange(len(at)) - (np.cumsum(count) - count)[at]
+    thresh = desc[at, col] - 1e-14
+    proj, sq = [], np.zeros(len(at))
+    for (lam, q), n, wt in zip(dec_abs, alg.block_sizes, alg.weights):
+        rank = (lam[at] >= thresh[:, None]).sum(axis=1)           # eigh is ascending
+        pk = np.zeros((len(at), n, n), dtype=complex)
+        for r in sorted(set(rank.tolist()) - {0}):
+            sel = (rank == r).nonzero()[0]
+            top = q[at[sel]][:, :, np.arange(n) >= n - r]
+            pk[sel] = top @ top.conj().swapaxes(-1, -2)
+        proj.append(pk)
+        sq = sq + wt * rank                       # ||P||_2^2 = sum_k w_k rank P_k
+    shrink = np.minimum(1.0, 1.0 / np.sqrt(sq)).astype(complex)[:, None, None]
+    return at, lv, [shrink * pk for pk in proj]
 
 
 def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 64,
@@ -594,11 +597,12 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     ``blocks`` are per-block (B, n_k, n_k) arrays.  A PSD item is exact: its
     one candidate is the knapsack maximizer of F (slot 0), and its rank-one
     objective max_k min(w_k, 1) lambda_max(F_k) comes in closed form from the
-    ``eigh`` the PSD test takes.  The other items have 1 + 2 n_blocks slots,
-    built in a few stacked linalg calls: the knapsack maximizer of |F|
-    (slot 0, shared with the PSD items' knapsack in one stack), then two
-    rank-one directions per block in block order (``_rank_one_candidates``);
-    a stack of PSD items builds no rank-one direction.
+    ``eigh`` the PSD test takes.  The other items have 1 + 2 n_blocks +
+    total_dim slots, built in a few stacked linalg calls: the knapsack
+    maximizer of |F| (slot 0, shared with the PSD items' knapsack in one
+    stack), two rank-one directions per block in block order, then the
+    spectral projections of |F| by decreasing level
+    (``_level_projections``); a stack of PSD items builds none of these.
     Each item's result equals the one-element computation bit for bit,
     whatever the stack's size or order.  ``refine`` refines the rank-one
     angles of each block, all of its (item, peak) rows in one ``_nr_newton``
@@ -613,7 +617,7 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     scale = inv.astype(complex)[:, None, None]
     fh = [scale * b for b in fs]                  # unit ||F||_2; homogeneous objective
 
-    nslot = 1 + 2 * nblk
+    nslot = 1 + 2 * nblk + alg.total_dim
     cands = [np.zeros((items, nslot, n, n), dtype=complex) for n in sizes]
     valid = np.zeros((items, nslot), dtype=bool)
 
@@ -646,11 +650,27 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     rest = (~exact).nonzero()[0]
     if rest.size:
         fr = [b[rest] for b in fh]
+        dec_abs = [np.linalg.eigh(hermitian_part_of(_spectral(vh.conj().swapaxes(-1, -2), s)))
+                   for _, s, vh in map(np.linalg.svd, fr)]
         owners.append(rest)
-        decs.append([np.linalg.eigh(hermitian_part_of(_spectral(vh.conj().swapaxes(-1, -2), s)))
-                     for _, s, vh in map(np.linalg.svd, fr)])
-        for at, slot, ws in _rank_one_candidates(alg, fr, grid, refine):
-            put(rest[at], slot, ws)
+        decs.append(dec_abs)
+        # rank-one W = h h* from numerical-radius directions, two per nonzero block
+        step = TWO_PI / grid
+        for kb, b in enumerate(fr):
+            found = _nr_peaks(b, grid, 2)[1]
+            peaks = np.array([p + [-1] * (2 - len(p)) for p in found], dtype=int).reshape(-1, 2)
+            thetas = peaks * step
+            if refine:
+                i, j = (peaks >= 0).nonzero()
+                thetas[i, j] = _nr_newton(b[i], thetas[i, j], step)[0]
+            rot = np.exp(1j * thetas)[..., None, None] * b[:, None]
+            h = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
+            outer = complex(min(1.0, 1.0 / math.sqrt(weights[kb]))) * (
+                h[..., :, None] * h.conj()[..., None, :])
+            at, j = ((b != 0).any(axis=(1, 2))[:, None] & (peaks >= 0)).nonzero()
+            put(rest[at], 1 + 2 * kb + j, [outer[at, j] if k == kb else None for k in range(nblk)])
+        at, lv, proj = _level_projections(alg, dec_abs)
+        put(rest[at], 1 + 2 * nblk + lv, proj)
     knap = _knapsack_stack(alg, [(np.concatenate([d[k][0] for d in decs]),
                                   np.concatenate([d[k][1] for d in decs]))
                                  for k in range(nblk)])
@@ -667,7 +687,7 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     pick = np.argmax(objective, axis=1)
     maximizer = _project_stack(alg, [c[np.arange(items), pick] for c in cands])
     best = _stacked_schatten(alg, [w @ b @ w for w, b in zip(maximizer, fh)], 1.0)
-    ones = objective[:, 1:]
+    ones = objective[:, 1:1 + 2 * nblk]
     rank1 = np.where(np.isfinite(ones).any(axis=1), ones.max(axis=1), 0.0)
     # a rank-one W is feasible, so the exact value bounds it; the cap keeps
     # rounding from putting it above
@@ -752,13 +772,12 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
     Returns a certified lower bound with a feasible maximizer plus the upper
     bound ||F||_2.  PSD inputs are solved exactly (status "exact"); otherwise
     the value combines rank-one directions (for single weight-1 blocks these
-    reproduce the numerical radius), the knapsack maximizer of |F|, and
-    multi-start projected ascent from the best of them and from random
-    points.  F
-    goes through the stacked kernel ``_triple_norm_stack`` as a stack of one,
-    so the value does not depend on whether F is evaluated alone or inside a
-    larger stack.  With ``quick`` the ascent phase is skipped.  Non-finite
-    entries raise ``DomainError``.
+    reproduce the numerical radius), the knapsack maximizer and the spectral
+    projections of |F|, and multi-start projected ascent from the best of
+    them and from random points.  F goes through the stacked kernel
+    ``_triple_norm_stack`` as a stack of one, so the value does not depend on
+    whether F is evaluated alone or inside a larger stack.  With ``quick``
+    the ascent phase is skipped.  Non-finite entries raise ``DomainError``.
     """
     return _triple_norm_stack(f.algebra, [f], budget, quick)[0]
 

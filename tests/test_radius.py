@@ -1167,9 +1167,10 @@ class TestPsdPool:
 
 
 class TestPoolFamilies:
-    """Each item of a |||.|||_2 pool has 1 + 2 n_blocks slots: the knapsack
-    maximizer (of F for PSD F, of |F| otherwise), then two rank-one
-    directions per block, in block order."""
+    """Each item of a |||.|||_2 pool has 1 + 2 n_blocks + total_dim slots: the
+    knapsack maximizer (of F for PSD F, of |F| otherwise), two rank-one
+    directions per block in block order, then the spectral projections of
+    |F| by decreasing level."""
 
     @staticmethod
     def _abs(m):
@@ -1178,7 +1179,7 @@ class TestPoolFamilies:
 
     @pytest.mark.parametrize("alg", POOL_ALGEBRAS, ids=["M2", "M3", "M2+M1"])
     @pytest.mark.parametrize("refine", [False, True], ids=["quick", "full"])
-    def test_slots_are_the_knapsack_then_rank_one_directions(self, alg, refine):
+    def test_slots_are_knapsack_rank_one_then_projections(self, alg, refine):
         fs = []
         rng = rng_from(44)
         for t in range(16):                          # PSD, indefinite, zero, generic
@@ -1190,8 +1191,9 @@ class TestPoolFamilies:
         blocks = [np.stack([f.blocks[k] for f in fs]) for k in range(alg.n_blocks)]
         pool = _triple2_pool(alg, blocks, grid=256 if refine else 64, refine=refine)
         nblk = alg.n_blocks
-        assert pool.objective.shape == (len(fs), 1 + 2 * nblk)
-        assert all(c.shape[:2] == (len(fs), 1 + 2 * nblk) for c in pool.candidates)
+        nslot = 1 + 2 * nblk + alg.total_dim
+        assert pool.objective.shape == (len(fs), nslot)
+        assert all(c.shape[:2] == (len(fs), nslot) for c in pool.candidates)
         for i, f in enumerate(fs):
             kind = ("psd", "hermitian", "zero", "generic")[i % 4]
             assert bool(pool.exact[i]) == (kind in ("psd", "zero"))
@@ -1209,9 +1211,9 @@ class TestPoolFamilies:
                 assert pool.objective[i, 0] == pytest.approx(
                     schatten_norm(wf @ f @ wf, 1.0) / schatten_norm(f, 2.0), rel=1e-12)
             # then two rank-one slots per block: c h h* in that block alone
-            ones = pool.objective[i, 1:].reshape(nblk, 2)
+            ones = pool.objective[i, 1:1 + 2 * nblk].reshape(nblk, 2)
             if pool.exact[i]:
-                assert np.all(ones == -np.inf)
+                assert np.all(pool.objective[i, 1:] == -np.inf)
                 continue
             for kb, (wt, b) in enumerate(zip(alg.weights, f.blocks)):
                 assert np.isfinite(ones[kb, 0])
@@ -1230,6 +1232,41 @@ class TestPoolFamilies:
                 assert ones[kb].max() <= nr * (1.0 + 1e-12)
                 if refine:
                     assert ones[kb, 0] == pytest.approx(nr, rel=1e-9)
+            # then the projection of |F| onto each distinct positive level and
+            # above, largest level first, shrunk to ||P||_2 = sqrt(sum w_k rank_k)
+            decs = [np.linalg.eigh(self._abs(b)) for b in f.blocks]
+            levels = np.sort(np.concatenate([lam for lam, _ in decs]))[::-1]
+            levels = levels[levels > 1e-12]
+            assert np.all(np.diff(levels) < -1e-9)       # distinct levels, no ties
+            projs = pool.objective[i, 1 + 2 * nblk:]
+            assert np.all(np.isfinite(projs[:len(levels)]))
+            assert np.all(projs[len(levels):] == -np.inf)
+            for lv, level in enumerate(levels):
+                above = [(q * (lam >= level - 1e-9)) @ q.conj().T for lam, q in decs]
+                sq = sum(wt * np.trace(a).real for wt, a in zip(alg.weights, above))
+                shrink = min(1.0, 1.0 / math.sqrt(sq))
+                for c, a in zip(pool.candidates, above):
+                    assert np.allclose(c[i, 1 + 2 * nblk + lv], shrink * a, rtol=0, atol=1e-9)
+
+
+class TestWeightedPoolValues:
+    """On algebras with a block weight below 1 a spectral projection of |F|
+    can be the best candidate of the pool, so the quick |||.|||_2 rests on it.
+    Pinned: the 39th and 26th draws of rng_from(1003), as F = f - 0.3 f*."""
+
+    @pytest.mark.parametrize("sizes, weights, draw, value", [
+        ([2, 1], [1.0, 0.5], 38, 2.746524513253278),
+        ([3, 1], [0.5, 1.0], 25, 2.602417446930636),
+    ], ids=["M2+M1", "M3+M1"])
+    def test_quick_value_of_a_projection_winner(self, sizes, weights, draw, value):
+        alg = TracedAlgebra(sizes, weights)
+        rng = rng_from(1003)
+        for _ in range(draw + 1):
+            f = random_element(alg, rng)
+        f = f - f.adjoint() * 0.3
+        pool = _triple2_pool(alg, [b[None] for b in f.blocks])
+        assert np.argmax(pool.objective[0]) >= 1 + 2 * alg.n_blocks
+        assert triple_norm(f, quick=True).value >= value * (1.0 - 1e-13)
 
 
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
