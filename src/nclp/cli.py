@@ -132,6 +132,8 @@ def _validate(cfg: RunConfig) -> None:
     needs_input = {"norms", "numerical-radius", "triple-norm", "gns"}
     if cfg.command in needs_input and not cfg.input_path:
         raise DomainError(f"command {cfg.command!r} requires --input")
+    if cfg.seed < 0:
+        raise DomainError("--seed must be >= 0")
     if cfg.trials is not None and cfg.trials < 1:
         raise DomainError("--trials must be >= 1")
     if cfg.dims is not None and cfg.dims < 1:

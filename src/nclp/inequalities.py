@@ -22,8 +22,8 @@ from .algebra import (AlgebraElement, PExponent, TracedAlgebra, _stacked_schatte
                       as_exponent, hermitian_part_of, operator_norm, schatten_norm)
 from .errors import DomainError, PreconditionError, StructureError
 from .sampling import random_unit_vector, substreams
-from .sesquilinear import (PositivityCertificate, SesquilinearMap, check_left_invariance,
-                           check_positivity, evaluate, evaluate_stack, random_map)
+from .sesquilinear import (PositivityCertificate, SesquilinearMap, _random_map_pairs,
+                           check_left_invariance, check_positivity, evaluate, evaluate_stack)
 
 __all__ = ["InequalityReport", "UncertaintyReport", "check_cs_lp", "check_cs_normal",
            "check_re_im", "uncertainty_check",
@@ -107,7 +107,13 @@ def check_cs_lp(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
                           f"got {constant}")
     cert = certificate if certificate is not None else check_positivity(phi)
     _require_not_violated(cert)
-    lhs, dx, dy = _stacked_schatten(phi.target, _pair_stack(phi, x, y), pe.value).tolist()
+    norms = _stacked_schatten(phi.target, _pair_stack(phi, x, y), pe.value)
+    return _cs_report(*norms.tolist(), pe, constant, x, y)
+
+
+def _cs_report(lhs: float, dx: float, dy: float, pe: PExponent, constant: float,
+               x: np.ndarray, y: np.ndarray) -> InequalityReport:
+    """The Cauchy-Schwarz report from ||Phi(x,y)||_p, ||Phi(x,x)||_p and ||Phi(y,y)||_p."""
     rhs = constant * math.sqrt(max(dx, 0.0)) * math.sqrt(max(dy, 0.0))
     witness = {"p": pe.value, "constant": constant, "x": np.asarray(x), "y": np.asarray(y)}
     return _report(lhs, rhs, witness)
@@ -137,16 +143,58 @@ def check_re_im(phi: SesquilinearMap, x: np.ndarray,
                 y: np.ndarray) -> tuple[InequalityReport, InequalityReport]:
     """||Re Phi(x,y)||_2^2 <= ||Phi(x,x)||_2 ||Phi(y,y)||_2, and the same for Im."""
     _require_not_violated(check_positivity(phi))
-    vals = _pair_stack(phi, x, y)
-    parts = [np.concatenate([hermitian_part_of(v[:1]),
-                             (v[:1] - v[:1].conj().swapaxes(-1, -2)) / 2j, v[1:]])
-             for v in vals]
-    n_re, n_im, n_x, n_y = _stacked_schatten(phi.target, parts, 2.0).tolist()
+    norms = _stacked_schatten(phi.target, _re_im_parts(_pair_stack(phi, x, y)), 2.0)
+    return _re_im_reports(*norms.tolist(), x, y)
+
+
+def _re_im_parts(vals: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per-block (..., 4, n, n) stacks of Re Phi(x,y), Im Phi(x,y), Phi(x,x) and
+    Phi(y,y) from (..., 3, n, n) stacks of Phi(x,y), Phi(x,x) and Phi(y,y)."""
+    return [np.concatenate([hermitian_part_of(v[..., :1, :, :]),
+                            (v[..., :1, :, :] - v[..., :1, :, :].conj().swapaxes(-1, -2)) / 2j,
+                            v[..., 1:, :, :]], axis=-3)
+            for v in vals]
+
+
+def _re_im_reports(n_re: float, n_im: float, n_x: float, n_y: float, x: np.ndarray,
+                   y: np.ndarray) -> tuple[InequalityReport, InequalityReport]:
+    """The Re and Im reports from the 2-norms of the four ``_re_im_parts``."""
     rhs = n_x * n_y
     wit = {"x": np.asarray(x), "y": np.asarray(y)}
-    rep_re = _report(n_re ** 2, rhs, {**wit, "part": "re"})
-    rep_im = _report(n_im ** 2, rhs, {**wit, "part": "im"})
-    return rep_re, rep_im
+    return (_report(n_re ** 2, rhs, {**wit, "part": "re"}),
+            _report(n_im ** 2, rhs, {**wit, "part": "im"}))
+
+
+# -- stacked random-map trials ------------------------------------------------------
+
+def _trial_norms(trials: Sequence[tuple], p: float, parts=None) -> list[list[float]]:
+    """Per trial ``(target, d, rank, map_seed, x, y)``, the p-norms of its
+    three values from ``_random_map_pairs`` (or of ``parts`` of them), taken
+    in one ``_stacked_schatten`` call per target."""
+    norms: list = [None] * len(trials)
+    for target, (order, vals) in _random_map_pairs(trials).items():
+        blocks = parts(vals) if parts is not None else vals
+        flat = _stacked_schatten(target, [b.reshape(-1, *b.shape[-2:]) for b in blocks], p)
+        for i, row in zip(order, flat.reshape(len(order), -1).tolist()):
+            norms[i] = row
+    return norms
+
+
+def _cs_lp_trials(trials: Sequence[tuple], pe: PExponent) -> list[InequalityReport]:
+    """``check_cs_lp(random_map(d, target, rank, map_seed), x, y, pe, constant=1.0)``
+    of each trial ``(target, d, rank, map_seed, x, y)``, bit for bit.
+
+    Generator maps are positive by construction, so no certificate is drawn.
+    """
+    return [_cs_report(*row, pe, 1.0, t[4], t[5])
+            for t, row in zip(trials, _trial_norms(trials, pe.value))]
+
+
+def _re_im_trials(trials: Sequence[tuple]) -> list[tuple[InequalityReport, InequalityReport]]:
+    """``check_re_im(random_map(d, target, rank, map_seed), x, y)`` of each
+    trial ``(target, d, rank, map_seed, x, y)``, bit for bit."""
+    return [_re_im_reports(*row, t[4], t[5])
+            for t, row in zip(trials, _trial_norms(trials, 2.0, _re_im_parts))]
 
 
 # -- uncertainty ------------------------------------------------------------------
@@ -306,23 +354,24 @@ def ratio_sampler(profile: RatioProfile) -> list[dict]:
     if profile.trials < 1:
         raise DomainError("ratio sampler needs trials >= 1")
     pe = as_exponent(profile.p)
-    streams = substreams(profile.seed, profile.trials)
+    d = profile.domain_dim
+    if d < 1:                           # before a unit vector of C^0 is drawn
+        raise StructureError("random map needs d >= 1")
+    trials = []
+    for rng in substreams(profile.seed, profile.trials):
+        trial_seed = int(rng.integers(0, 2 ** 63 - 1))
+        trials.append((profile.target, d, profile.rank, trial_seed,
+                       random_unit_vector(rng, d), random_unit_vector(rng, d)))
     dims = "+".join(str(n) for n in profile.target.block_sizes)
     rows = []
     max_ratio = 0.0
-    for t, rng in enumerate(streams):
-        trial_seed = int(rng.integers(0, 2 ** 63 - 1))
-        phi = random_map(profile.domain_dim, profile.target, rank=profile.rank,
-                         seed=trial_seed)
-        x = random_unit_vector(rng, profile.domain_dim)
-        y = random_unit_vector(rng, profile.domain_dim)
-        rep = check_cs_lp(phi, x, y, pe, constant=1.0)
+    for t, rep in enumerate(_cs_lp_trials(trials, pe)):
         ratio = rep.ratio if math.isfinite(rep.ratio) else 0.0
         max_ratio = max(max_ratio, ratio)
-        rows.append({"trial": t, "p": pe.value, "d": profile.domain_dim,
+        rows.append({"trial": t, "p": pe.value, "d": d,
                      "target_dims": dims, "ratio": ratio, "lhs": rep.lhs,
                      "rhs": rep.rhs, "seed": profile.seed})
-    rows.append({"trial": "summary", "p": pe.value, "d": profile.domain_dim,
+    rows.append({"trial": "summary", "p": pe.value, "d": d,
                  "target_dims": dims, "ratio": max_ratio, "lhs": None,
                  "rhs": None, "seed": profile.seed})
     return rows

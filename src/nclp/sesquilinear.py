@@ -15,6 +15,12 @@ gram stacks from those in a few batched matmuls, so the two cannot disagree,
 and every C_r it forms is PSD.  Generator-backed maps are positive by
 construction; plain gram stacks get a sufficient block-PSD test or honest
 sampling.
+
+Sweeps over many ``random_map`` draws take one path, ``_random_map_pairs``:
+it builds the gram stacks of every (target, d, rank) shape with the same
+helper as ``from_generator``, over a trial axis, and evaluates Phi(x, y),
+Phi(x, x) and Phi(y, y) of all the shape's trials in one combine.  Each
+value is the one ``evaluate_stack`` gives that trial's map alone.
 """
 
 from __future__ import annotations
@@ -90,15 +96,7 @@ class SesquilinearMap:
                                  "and one (R, n_k, n_k) root stack per target block, R >= 1")
         if not all(np.isfinite(s).all() for s in (*a_stacks, *g_stacks)):
             raise DomainError("generator factors must be finite")
-        gram = []
-        for a, g in zip(a_stacks, g_stacks):
-            m = g @ g.conj().swapaxes(-1, -2)
-            # (A_i C) A_j* of every factor at once, summed in factor order
-            terms = (a @ m[:, None])[:, :, None] @ a.conj().swapaxes(-1, -2)[:, None]
-            acc = np.zeros(terms.shape[1:], dtype=complex)
-            for t in terms:
-                acc = acc + t
-            gram.append(acc)
+        gram = [_generator_gram(a, g) for a, g in zip(a_stacks, g_stacks)]
         phi = cls(target, gram, domain_algebra=domain_algebra)
         for s in (*a_stacks, *g_stacks):
             s.setflags(write=False)
@@ -137,6 +135,23 @@ class SesquilinearMap:
                 domain_algebra=self.domain_algebra)
         return SesquilinearMap(self.target, [complex(c) * g for g in self.gram],
                                domain_algebra=self.domain_algebra)
+
+
+def _generator_gram(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The (..., d, d, n, n) gram stack sum_r A_{r,i} G_r G_r* A_{r,j}* of
+    (R, ..., d, n, n) coefficients and (R, ..., n, n) roots.
+
+    Every factor's (A_i C) A_j* comes from one batched matmul, and the factors
+    are summed in order from zeros, so a trial axis after the factor axis
+    gives each map the stack it gets alone.
+    """
+    m = g @ g.conj().swapaxes(-1, -2)
+    terms = (a @ m[..., None, :, :])[..., None, :, :] \
+        @ a.conj().swapaxes(-1, -2)[..., None, :, :, :]
+    acc = np.zeros(terms.shape[1:], dtype=complex)
+    for t in terms:
+        acc = acc + t
+    return acc
 
 
 def _combine_rows(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -288,19 +303,75 @@ def random_map(d: int, target: TracedAlgebra, rank: int = 1, seed: int = 0,
     then the imaginary parts of each block in turn: the order of one
     ``random_complex_matrix`` call per (r, i, block).
     """
+    coeffs, roots = _kraus_factors(_kraus_draw(d, target, rank, seed), target, d, scale)
+    return SesquilinearMap.from_generator(target, coeffs, roots)
+
+
+def _kraus_draw(d: int, target: TracedAlgebra, rank: int, seed: int) -> np.ndarray:
+    """The (rank, d + 1, 2 * coord_dim) Gaussian draw of ``random_map``."""
     if rank < 1:
         raise DomainError("random map needs rank >= 1")
     if d < 1:
         raise StructureError("random map needs d >= 1")
-    z = rng_from(seed).standard_normal((rank, d + 1, 2 * target.coord_dim))
+    return rng_from(seed).standard_normal((rank, d + 1, 2 * target.coord_dim))
+
+
+def _kraus_factors(z: np.ndarray, target: TracedAlgebra, d: int,
+                   scale: float = 1.0) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per target block, the (R, ..., d, n, n) coefficients and (R, ..., n, n)
+    roots that a (R, ..., d + 1, 2 * coord_dim) ``_kraus_draw`` draw, or a
+    stack of them on axis 1, holds."""
+    lead = z.shape[:-1]
     coeffs, roots, at = [], [], 0
     for n in target.block_sizes:
-        parts = z[..., at:at + 2 * n * n].reshape(rank, d + 1, 2, n, n)
+        parts = z[..., at:at + 2 * n * n].reshape(lead + (2, n, n))
         at += 2 * n * n
-        block = scale * (parts[:, :, 0] + 1j * parts[:, :, 1])
-        coeffs.append(block[:, :d])
-        roots.append(block[:, d])
-    return SesquilinearMap.from_generator(target, coeffs, roots)
+        block = scale * (parts[..., 0, :, :] + 1j * parts[..., 1, :, :])
+        coeffs.append(block[..., :d, :, :])
+        roots.append(block[..., d, :, :])
+    return coeffs, roots
+
+
+def _random_map_pairs(trials: Sequence[tuple]) -> dict:
+    """Phi(x, y), Phi(x, x) and Phi(y, y) of many random maps, grouped by target.
+
+    Each trial is a ``(target, d, rank, map_seed, x, y)`` tuple and Phi is
+    ``random_map(d, target, rank, map_seed)``.  Returns, per target in order
+    of first appearance, the indices of its trials and per-block
+    (T, 3, n_k, n_k) stacks of their three values, in that index order.
+
+    Each draw still takes its own generator, so the draws are those of
+    ``random_map``.  Per (target, d, rank) shape, the gram stacks come from
+    one ``_generator_gram`` call over a trial axis and the values from one
+    combine: the products of every trial's coefficients with its gram slots
+    at once, added in slot order to rows started at zero.  A zero
+    coefficient adds a zero to a row that is never -0, so every value is
+    the one ``evaluate_stack(random_map(...), [x, x, y], [y, x, y])`` gives,
+    bit for bit.
+    """
+    shapes: dict = {}
+    for i, (target, d, rank, *_) in enumerate(trials):
+        shapes.setdefault((target, d, rank), []).append(i)
+    by_target: dict = {}
+    for (target, d, rank), ids in shapes.items():
+        x = np.array([trials[i][4] for i in ids], dtype=complex)
+        y = np.array([trials[i][5] for i in ids], dtype=complex)
+        # the coefficient products as evaluate_stack forms them
+        coeffs = (np.stack([x, x, y], axis=1)[..., :, None]
+                  * np.conj(np.stack([y, x, y], axis=1))[..., None, :])
+        coeffs = coeffs.reshape(len(ids), 3, d * d, 1, 1)
+        z = np.stack([_kraus_draw(d, target, rank, trials[i][3]) for i in ids], axis=1)
+        vals = []
+        for a, g, n in zip(*_kraus_factors(z, target, d), target.block_sizes):
+            terms = coeffs * _generator_gram(a, g).reshape(len(ids), 1, d * d, n, n)
+            acc = np.zeros((len(ids), 3, n, n), dtype=complex)
+            for s in range(d * d):
+                acc += terms[:, :, s]
+            vals.append(acc)
+        by_target.setdefault(target, []).append((ids, vals))
+    return {target: ([i for ids, _ in groups for i in ids],
+                     [np.concatenate(v) for v in zip(*(vals for _, vals in groups))])
+            for target, groups in by_target.items()}
 
 
 def from_linear_map(omega: Sequence[AlgebraElement], domain: StarAlgebra,

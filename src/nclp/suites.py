@@ -5,6 +5,12 @@ its ``name``, the measured counts and extremes, and last its own ``status``
 ("holds" or "violated"), decided from thresholds stated here and nowhere
 else.  The CLI ``check-all`` command and the acceptance tests drive these
 same functions, only with different trial counts.
+
+The Cauchy-Schwarz sweeps and the radius suites draw all their samples
+first, then evaluate them as stacks.  Random-map trials go through one
+path, ``sesquilinear._random_map_pairs``, and the sweeps take their norms
+in one stacked call per (exponent, target); each report is the one the
+public per-trial check gives.
 """
 
 from __future__ import annotations
@@ -15,17 +21,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (TracedAlgebra, holder_check, operator_norm, schatten_norm,
+from .algebra import (TracedAlgebra, as_exponent, holder_check, operator_norm, schatten_norm,
                       spectral_tail_projection, trace)
+from .errors import DomainError
 from .gns import GnsRepresentation, VerificationReport, gns_construct, verify_representation
-from .inequalities import check_cs_lp, check_re_im, default_cs_constant, uncertainty_check
+from .inequalities import _cs_lp_trials, _re_im_trials, default_cs_constant, uncertainty_check
 from .kernels import KernelMap, OnePlusXTKernel, bound_checks
 from .radius import (OperatorValuedMap, SearchBudget, _check_cs_stack, _nr_elements, _nr_stack,
                      _triple_norm_stack, numerical_radius)
 from .sampling import (random_complex_matrix, random_element, random_psd,
                        random_psd_with_spectrum, random_unit_vector, rng_from,
                        substreams)
-from .sesquilinear import evaluate, random_map
+from .sesquilinear import _random_map_pairs
 from .star import StarAlgebra, cyclic_group_algebra, matrix_algebra
 
 __all__ = ["target_pool", "commutative_pool", "cs_lp_sweep", "cs_normal_sweep",
@@ -62,6 +69,24 @@ def _status(ok: bool) -> str:
     return "holds" if ok else "violated"
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise DomainError(f"a sweep needs trials >= 1, got {trials}")
+
+
+def _map_trials(trials: int, seed: int,
+                pool: Sequence[TracedAlgebra]) -> list[tuple]:
+    """The sweeps' random-map trials ``(target, d, rank, map_seed, x, y)``:
+    trial t, on substream t of ``seed``, takes target t mod the pool, d = 1 +
+    t mod 4 and rank 1 + t mod 3, then draws its map seed, x and y."""
+    out = []
+    for t, rng in enumerate(substreams(seed, trials)):
+        d = 1 + (t % 4)
+        out.append((pool[t % len(pool)], d, 1 + (t % 3), int(rng.integers(0, 2 ** 62)),
+                    random_unit_vector(rng, d), random_unit_vector(rng, d)))
+    return out
+
+
 def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
                 pool: Sequence[TracedAlgebra] | None = None) -> dict:
     """Cauchy-Schwarz ratios of random certified-positive maps, per exponent.
@@ -70,23 +95,23 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
     compares each recorded maximum with ``default_cs_constant(p)`` (2 in
     general, sqrt(2) at p = 2, 1 at p = 1).  Trials run on per-trial seed
     substreams of ``seed + round(1000 p)``; p = inf takes ``seed`` itself,
-    an offset no finite p >= 1 has.
+    an offset no finite p >= 1 has.  Each exponent's trials are checked as
+    one stack (``_cs_lp_trials``): one norm call per target, each report
+    the one ``check_cs_lp`` gives its trial.
     """
+    _require_trials(trials)
+    p_values = list(p_values)
+    if not p_values:
+        raise DomainError("a Cauchy-Schwarz sweep needs at least one exponent")
+    exponents = [as_exponent(p) for p in p_values]       # rejects p < 1 and nan
     pool = list(pool) if pool is not None else target_pool()
     t0 = time.perf_counter()
     per_p = {}
     worst_excess = 0.0
-    for p in p_values:
+    for p, pe in zip(p_values, exponents):
         max_ratio, worst = -math.inf, None          # the first trial of largest ratio
-        offset = int(round(p * 1000)) if math.isfinite(p) else 0
-        for t, rng in enumerate(substreams(seed + offset, trials)):
-            target = pool[t % len(pool)]
-            d = 1 + (t % 4)
-            rank = 1 + (t % 3)
-            phi = random_map(d, target, rank=rank, seed=int(rng.integers(0, 2 ** 62)))
-            x = random_unit_vector(rng, d)
-            y = random_unit_vector(rng, d)
-            rep = check_cs_lp(phi, x, y, p, constant=1.0)
+        offset = int(round(pe.value * 1000)) if not pe.is_inf else 0
+        for rep in _cs_lp_trials(_map_trials(trials, seed + offset, pool), pe):
             ratio = rep.ratio if math.isfinite(rep.ratio) else 0.0
             if ratio > max_ratio:
                 max_ratio, worst = ratio, rep
@@ -108,18 +133,13 @@ def cs_normal_sweep(trials: int, p_values: Sequence[float], seed: int = 0) -> di
 
 
 def re_im_sweep(trials: int, seed: int = 0) -> dict:
-    """Real/imaginary part estimates at p = 2 on random positive maps."""
-    pool = target_pool()
+    """Real/imaginary part estimates at p = 2 on random positive maps, the
+    trials checked as one stack (``_re_im_trials``)."""
+    _require_trials(trials)
     violations = 0
     worst_margin = math.inf
-    for t, rng in enumerate(substreams(seed, trials)):
-        target = pool[t % len(pool)]
-        d = 1 + (t % 4)
-        phi = random_map(d, target, rank=1 + (t % 3), seed=int(rng.integers(0, 2 ** 62)))
-        x = random_unit_vector(rng, d)
-        y = random_unit_vector(rng, d)
-        rep_re, rep_im = check_re_im(phi, x, y)
-        for rep in (rep_re, rep_im):
+    for reps in _re_im_trials(_map_trials(trials, seed, target_pool())):
+        for rep in reps:
             worst_margin = min(worst_margin, rep.margin)
             if not rep.ok:
                 violations += 1
@@ -290,11 +310,12 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
     """Exact anchors, the w(F) <= value <= ||F||_2 sandwich, and the
     constant-1 Cauchy-Schwarz in the radius norm on random positive maps.
 
-    All samples are drawn first.  Per algebra, the sandwich elements and the
-    PSD right-hand sides go through one full ``_triple_norm_stack`` call (one
-    ascent), the left-hand sides through one quick call, and the sandwich's
-    w(F) through one ``_nr_elements`` call; each value is the one a call per
-    element gives."""
+    All samples are drawn first, and the Cauchy-Schwarz values of all the
+    maps come from one ``_random_map_pairs`` call.  Per algebra, the
+    sandwich elements and the PSD right-hand sides go through one full
+    ``_triple_norm_stack`` call (one ascent), the left-hand sides through
+    one quick call, and the sandwich's w(F) through one ``_nr_elements``
+    call; each value is the one a call per element gives."""
     budget = SearchBudget(starts=4, iters=25, seed=seed)
     tr2 = TracedAlgebra([2])
     anchor_a, anchor_b = _triple_norm_stack(tr2, [tr2.diagonal([1.0, 0.0]), tr2.identity()],
@@ -302,14 +323,17 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
     algebras = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([4])]
     fs = [random_element(algebras[t % len(algebras)], rng)
           for t, rng in enumerate(substreams(seed + 1, samples))]
-    cs = []
+    draws = []
     for t, rng in enumerate(substreams(seed + 2, samples)):
         d = 1 + (t % 3)
-        phi = random_map(d, algebras[t % len(algebras)], rank=1 + (t % 2),
-                         seed=int(rng.integers(0, 2 ** 62)))
-        x = random_unit_vector(rng, d)
-        y = random_unit_vector(rng, d)
-        cs.append((evaluate(phi, x, y), evaluate(phi, x, x), evaluate(phi, y, y)))
+        draws.append((algebras[t % len(algebras)], d, 1 + (t % 2),
+                      int(rng.integers(0, 2 ** 62)), random_unit_vector(rng, d),
+                      random_unit_vector(rng, d)))
+    # Phi(x, y), Phi(x, x) and Phi(y, y) of every map, as evaluate gives them
+    cs: list = [None] * samples
+    for alg, (order, vals) in _random_map_pairs(draws).items():
+        for j, i in enumerate(order):
+            cs[i] = tuple(alg.element([v[j, r] for v in vals]) for r in range(3))
     sandwich_failures = 0
     worst_low = math.inf
     worst_high = -math.inf

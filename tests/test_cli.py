@@ -264,6 +264,21 @@ class TestCommands:
         assert out == ""
         assert err == f"error: {flag} must be >= 0\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["check-re-im", "--seed", "-5"],
+        ["check-cs-opvalued", "--trials", "1", "--seed", "-1"],
+        ["check-cs-lp", "--seed", "-1"],
+        ["check-all", "--seed", "-3"],
+        ["sample-ratios", "--seed=-2"],
+    ], ids=["re-im", "opvalued", "cs-lp", "check-all", "sample-ratios"])
+    def test_negative_seed_exits_2(self, capsys, argv):
+        # one line, not a traceback from the seed spawner; check-cs-lp's seed
+        # offset of round(1000 p) would otherwise hide it
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --seed must be >= 0\n"
+
     @pytest.mark.parametrize("argv", [["check-uncertainty", "--format", "csv"],
                                       ["check-all", "--dims", "3"],
                                       ["check-uncertainty", "--seed", "3"],

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nclp.algebra import TracedAlgebra, schatten_norm
-from nclp.errors import DomainError, PreconditionError
+from nclp.errors import DomainError, PreconditionError, StructureError
 from nclp.inequalities import (RatioProfile, _delta_polynomial, check_cs_lp,
                                check_cs_normal, check_re_im, default_cs_constant,
                                ratio_sampler, uncertainty_check)
@@ -279,3 +279,11 @@ class TestRatioSampler:
         rows = ratio_sampler(RatioProfile(p=3.0, target=target, domain_dim=3,
                                           trials=50, seed=4))
         assert rows[-1]["ratio"] <= 1.0 + 1e-8
+
+    @pytest.mark.parametrize("dims, rank, error", [(0, 2, StructureError),
+                                                   (2, 0, DomainError)])
+    def test_bad_profile_raises(self, tr2, dims, rank, error):
+        # d = 0 is refused before a unit vector of C^0 is drawn
+        with pytest.raises(error):
+            ratio_sampler(RatioProfile(p=2.0, target=tr2, domain_dim=dims, trials=3,
+                                       seed=0, rank=rank))

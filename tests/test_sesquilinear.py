@@ -468,6 +468,47 @@ class TestEvaluateStack:
                 evaluate_stack(kraus_map, xs, ys)
 
 
+class TestRandomMapPairs:
+    """The stacked trial kernel gives each trial the values of its own
+    random map, bit for bit, whatever the other trials in the call."""
+
+    @staticmethod
+    def trials():
+        rng = rng_from(29)
+        pool = [TracedAlgebra([2]), TracedAlgebra([2, 1], [0.5, 2.0]),
+                TracedAlgebra([1, 1, 1], [1.0, 0.5, 0.25])]
+        out = []
+        for t in range(30):
+            d = 1 + t % 4
+            x, y = rng.standard_normal((2, d)) + 1j * rng.standard_normal((2, d))
+            if t % 3 == 0:
+                x = np.eye(d, dtype=complex)[0]          # zero coefficients
+            if t % 5 == 0 and d > 1:
+                y = np.eye(d, dtype=complex)[d - 1]
+            out.append((pool[t % 3], d, 1 + (t // 3) % 3, int(rng.integers(0, 2 ** 62)), x, y))
+        return out
+
+    def test_values_are_evaluate_stack_bit_for_bit(self):
+        trials = self.trials()
+        seen = []
+        for target, (order, vals) in sesquilinear._random_map_pairs(trials).items():
+            assert [len(v) for v in vals] == [len(order)] * target.n_blocks
+            for j, i in enumerate(order):
+                tg, d, rank, seed, x, y = trials[i]
+                assert tg == target
+                phi = random_map(d, tg, rank=rank, seed=seed)
+                lone = evaluate_stack(phi, [x, x, y], [y, x, y])
+                # evaluate_stack skips zero slots and multiplies a slot live
+                # in one row by a scalar; the kernel adds every slot's product
+                for v, b in zip(vals, lone):
+                    assert v[j].tobytes() == b.tobytes()
+                for r, (u, w) in enumerate(((x, y), (x, x), (y, y))):
+                    assert all(v[j, r].tobytes() == b.tobytes()
+                               for v, b in zip(vals, evaluate(phi, u, w).blocks))
+                seen.append(i)
+        assert sorted(seen) == list(range(len(trials)))
+
+
 class TestSvdBudget:
     """A check scores all of its pairs with one SVD call per target block,
     not one per pair."""

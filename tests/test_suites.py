@@ -1,12 +1,18 @@
 """The check-all suites compute each value once: call counts of the layers
 they drive, and the types of what they report."""
 
+import math
+
 import numpy as np
 import pytest
 
 from nclp import inequalities, radius, suites
-from nclp.algebra import TracedAlgebra
+from nclp.algebra import TracedAlgebra, as_exponent
+from nclp.errors import DomainError
+from nclp.inequalities import check_cs_lp, check_re_im
 from nclp.kernels import KernelMap, OnePlusXTKernel
+from nclp.sampling import random_unit_vector, substreams
+from nclp.sesquilinear import random_map
 
 
 def counted(monkeypatch, module, name):
@@ -129,3 +135,103 @@ class TestSuiteWork:
             for key, v in r.items():
                 if not isinstance(v, (str, list)):
                     assert type(v) in (int, float), (r["name"], key, type(v))
+
+
+def lone_checks(trials, seed, pool, check):
+    """``check(phi, x, y)`` of each sweep trial, one public map and check at
+    a time, drawn as the sweeps drew them before they were stacked."""
+    out = []
+    for t, rng in enumerate(substreams(seed, trials)):
+        target = pool[t % len(pool)]
+        d = 1 + (t % 4)
+        phi = random_map(d, target, rank=1 + (t % 3), seed=int(rng.integers(0, 2 ** 62)))
+        x = random_unit_vector(rng, d)
+        y = random_unit_vector(rng, d)
+        out.append(check(phi, x, y))
+    return out
+
+
+POOLS = {"target": suites.target_pool, "commutative": suites.commutative_pool}
+
+
+class TestStackedTrials:
+    """The sweeps check their trials as one stack; every report is the one
+    the public per-trial path gives, bit for bit."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    @pytest.mark.parametrize("p", [1.25, 2.0, math.inf])
+    def test_cs_lp_reports_are_the_lone_checks(self, seed, pool, p):
+        targets = POOLS[pool]()
+        offset = 0 if math.isinf(p) else round(1000 * p)
+        lone = lone_checks(48, seed + offset, targets,
+                           lambda phi, x, y: check_cs_lp(phi, x, y, p, constant=1.0))
+        stacked = inequalities._cs_lp_trials(suites._map_trials(48, seed + offset, targets),
+                                             as_exponent(p))
+        assert [(r.lhs, r.rhs, r.status) for r in stacked] == \
+            [(r.lhs, r.rhs, r.status) for r in lone]
+        # the sweep's worst report is the first lone report of largest ratio
+        stats = suites.cs_lp_sweep(48, [p], seed=seed, pool=targets)["per_p"][str(p)]
+        ratios = [r.ratio if math.isfinite(r.ratio) else 0.0 for r in lone]
+        worst = lone[ratios.index(max(ratios))]
+        assert stats["max_ratio"] == max(ratios)
+        assert stats["worst_report"] == {"lhs": worst.lhs, "rhs": worst.rhs,
+                                         "ratio": max(ratios), "margin": worst.margin,
+                                         "status": worst.status}
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("pool", sorted(POOLS))
+    def test_re_im_reports_are_the_lone_checks(self, seed, pool):
+        targets = POOLS[pool]()
+        lone = lone_checks(48, seed, targets, check_re_im)
+        stacked = inequalities._re_im_trials(suites._map_trials(48, seed, targets))
+        key = [[(r.lhs, r.rhs, r.status) for r in reps] for reps in lone]
+        assert [[(r.lhs, r.rhs, r.status) for r in reps] for reps in stacked] == key
+        if pool == "target":                 # the pool re_im_sweep draws from
+            r = suites.re_im_sweep(48, seed=seed)
+            assert r["worst_margin"] == min(rep.margin for reps in lone for rep in reps)
+            assert r["violations"] == sum(not rep.ok for reps in lone for rep in reps)
+
+    def test_ratio_sampler_rows_are_the_lone_checks(self):
+        profile = inequalities.RatioProfile(p=3.0, target=TracedAlgebra([2, 1], [1.0, 0.5]),
+                                            domain_dim=3, trials=12, seed=5)
+        rows = inequalities.ratio_sampler(profile)
+        for row, rng in zip(rows, substreams(profile.seed, profile.trials)):
+            phi = random_map(3, profile.target, rank=2, seed=int(rng.integers(0, 2 ** 63 - 1)))
+            rep = check_cs_lp(phi, random_unit_vector(rng, 3), random_unit_vector(rng, 3),
+                              3.0, constant=1.0)
+            assert (row["lhs"], row["rhs"], row["ratio"]) == (rep.lhs, rep.rhs, rep.ratio)
+
+    def test_cs_lp_sweep_is_one_norm_per_exponent_and_target(self, linalg_calls):
+        # one stacked norm per (p, target), which takes one SVD per block of
+        # the target; a check per trial takes 500 norms
+        ps = (1.25, 1.5, 2.0, 3.0, 4.0)
+        r = suites.cs_lp_sweep(100, ps)
+        assert r["status"] == "holds"
+        blocks = sum(t.n_blocks for t in suites.target_pool())
+        assert 0 < linalg_calls["svd"] <= len(ps) * blocks, linalg_calls
+        assert linalg_calls["n"] == linalg_calls["svd"], linalg_calls
+
+    def test_re_im_sweep_is_one_norm_per_target(self, linalg_calls):
+        assert suites.re_im_sweep(50)["status"] == "holds"
+        assert linalg_calls["svd"] <= sum(t.n_blocks for t in suites.target_pool())
+
+
+class TestSweepInput:
+    @pytest.mark.parametrize("call", [
+        lambda: suites.cs_lp_sweep(0, [2.0]),
+        lambda: suites.cs_normal_sweep(0, [2.0]),
+        lambda: suites.cs_lp_sweep(3, []),
+        lambda: suites.cs_normal_sweep(3, ()),
+        lambda: suites.re_im_sweep(0),
+        lambda: suites.re_im_sweep(-2),
+        lambda: suites.cs_lp_sweep(3, [2.0, 0.5]),
+        lambda: suites.cs_lp_sweep(3, [math.nan]),
+        lambda: suites.cs_normal_sweep(3, [-math.inf]),
+    ], ids=["cs-no-trials", "normal-no-trials", "cs-no-p", "normal-no-p", "re-im-no-trials",
+            "re-im-negative", "cs-p-below-1", "cs-p-nan", "normal-p-neg-inf"])
+    def test_empty_or_bad_sweeps_raise(self, call):
+        # no AttributeError on a missing worst report, no "holds" over zero
+        # trials, and every exponent passes through as_exponent
+        with pytest.raises(DomainError):
+            call()
