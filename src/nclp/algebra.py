@@ -11,10 +11,16 @@ Schatten norms, polar decomposition, spectral tail projections, functional
 calculus, hermitian real/imaginary splitting, the four-positive-parts Jordan
 splitting, Hoelder and trace-pairing checks, and the dual-norm achiever for
 1 < p < infinity.
+
+``TracedAlgebra`` owns the coordinate layout, block-major and row-major inside
+each block: other modules slice and assemble it for stacks only through
+``split_spectrum``, ``split_coords``, ``diagonal_blocks``, ``block_diag`` and
+``matrix_units``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -77,6 +83,9 @@ class TracedAlgebra:
             raise StructureError(f"trace weights must be strictly positive, got {w}")
         object.__setattr__(self, "block_sizes", sizes)
         object.__setattr__(self, "weights", w)
+        # the layout's slices, of the Hilbert space and of the coordinates
+        object.__setattr__(self, "_dim_spans", _spans(sizes))
+        object.__setattr__(self, "_coord_spans", _spans([n * n for n in sizes]))
 
     @property
     def n_blocks(self) -> int:
@@ -107,36 +116,62 @@ class TracedAlgebra:
 
     def diagonal(self, entries: Sequence[float | complex]) -> "AlgebraElement":
         """Element with the given diagonal, filled block after block."""
-        vals = list(entries)
-        if len(vals) != self.total_dim:
-            raise StructureError("need one diagonal entry per Hilbert space dimension")
-        blocks, at = [], 0
-        for n in self.block_sizes:
-            blocks.append(np.diag(np.asarray(vals[at:at + n], dtype=complex)))
-            at += n
-        return AlgebraElement(self, blocks)
+        vals = np.asarray(list(entries), dtype=complex)
+        return AlgebraElement(self, [np.diag(v) for v in self.split_spectrum(vals)])
 
     def from_coords(self, coords: np.ndarray) -> "AlgebraElement":
         """Inverse of ``AlgebraElement.coords`` (block-major, row-major)."""
-        coords = np.asarray(coords, dtype=complex).ravel()
-        if coords.size != self.coord_dim:
-            raise StructureError(f"expected {self.coord_dim} coordinates, got {coords.size}")
-        blocks, at = [], 0
-        for n in self.block_sizes:
-            blocks.append(coords[at:at + n * n].reshape(n, n))
-            at += n * n
-        return AlgebraElement(self, blocks)
+        return AlgebraElement(self, self.split_coords(np.asarray(coords, dtype=complex).ravel()))
 
     def from_dense(self, mat: np.ndarray) -> "AlgebraElement":
         """Extract the block-diagonal part of a dense total_dim x total_dim matrix."""
-        mat = np.asarray(mat, dtype=complex)
-        if mat.shape != (self.total_dim, self.total_dim):
+        return AlgebraElement(self, self.diagonal_blocks(np.asarray(mat, dtype=complex)))
+
+    # -- the coordinate layout, on stacks over any leading axes -----------------
+
+    def split_spectrum(self, vals: np.ndarray) -> list[np.ndarray]:
+        """Per-block (..., n_k) views of a (..., total_dim) array."""
+        vals = np.asarray(vals)
+        if vals.shape[-1:] != (self.total_dim,):
+            raise StructureError("need one entry per Hilbert space dimension "
+                                 f"({self.total_dim}), got shape {vals.shape}")
+        return [vals[..., s] for s in self._dim_spans]
+
+    def split_coords(self, coords: np.ndarray) -> list[np.ndarray]:
+        """Per-block (..., n_k, n_k) views of (..., coord_dim) coordinates."""
+        coords = np.asarray(coords)
+        if coords.shape[-1:] != (self.coord_dim,):
+            raise StructureError(f"expected {self.coord_dim} coordinates, "
+                                 f"got shape {coords.shape}")
+        lead = coords.shape[:-1]
+        return [coords[..., s].reshape(lead + (n, n))
+                for s, n in zip(self._coord_spans, self.block_sizes)]
+
+    def diagonal_blocks(self, mats: np.ndarray) -> list[np.ndarray]:
+        """Per-block (..., n_k, n_k) views of the diagonal blocks of (..., D, D)
+        matrices, D = total_dim."""
+        n = self.total_dim
+        if mats.shape[-2:] != (n, n):
             raise StructureError("dense matrix has wrong shape for this algebra")
-        blocks, at = [], 0
-        for n in self.block_sizes:
-            blocks.append(mat[at:at + n, at:at + n])
-            at += n
-        return AlgebraElement(self, blocks)
+        return [mats[..., s, s] for s in self._dim_spans]
+
+    def block_diag(self, blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """The (..., D, D) complex block-diagonal matrices of per-block
+        (..., n_k, n_k) stacks, zero off the blocks."""
+        n = self.total_dim
+        out = np.zeros(np.shape(blocks[0])[:-2] + (n, n), dtype=complex)
+        for view, b in zip(self.diagonal_blocks(out), blocks):
+            view[...] = b
+        return out
+
+    def matrix_units(self) -> np.ndarray:
+        """The (coord_dim, D, D) stack of dense matrix units, in coordinate order."""
+        return self.block_diag(self.split_coords(np.eye(self.coord_dim, dtype=complex)))
+
+
+def _spans(sizes: Sequence[int]) -> list[slice]:
+    """Consecutive slices of the given lengths, starting at 0."""
+    return [slice(end - n, end) for n, end in zip(sizes, itertools.accumulate(sizes))]
 
 
 class AlgebraElement:
@@ -198,13 +233,7 @@ class AlgebraElement:
 
     def dense(self) -> np.ndarray:
         """Embed as a dense block-diagonal total_dim x total_dim matrix."""
-        n = self.algebra.total_dim
-        out = np.zeros((n, n), dtype=complex)
-        at = 0
-        for b, m in zip(self.blocks, self.algebra.block_sizes):
-            out[at:at + m, at:at + m] = b
-            at += m
-        return out
+        return self.algebra.block_diag(self.blocks)
 
     @property
     def max_abs_entry(self) -> float:

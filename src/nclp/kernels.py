@@ -262,10 +262,8 @@ class KernelMap:
     def as_operator_valued(self) -> OperatorValuedMap:
         """The operator-valued family S -> Phi(X, Y)(S), gram over matrix units."""
         alg = self.algebra
-        _, basis = matrix_units_algebra(alg.block_sizes)
-        els = [alg.from_dense(b) for b in basis]
-        units = [alg.from_coords(e) for e in np.eye(alg.coord_dim)]
-        gram = [[np.stack([self.phi_operator(x, y, s).dense().reshape(-1) for s in units],
+        els = [alg.from_dense(u) for u in alg.matrix_units()]
+        gram = [[np.stack([self.phi_operator(x, y, s).dense().reshape(-1) for s in els],
                           axis=1) for y in els] for x in els]
         return OperatorValuedMap(alg, alg.total_dim, gram, target_algebra=alg)
 

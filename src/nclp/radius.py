@@ -90,7 +90,7 @@ from .errors import DomainError, PreconditionError, StructureError
 from .inequalities import InequalityReport, _report
 from .sampling import (random_complex_matrix, random_hermitian, random_psd, rng_from,
                        substreams, unitaries_from_gaussian)
-from .sesquilinear import PositivityCertificate, _combine_rows
+from .sesquilinear import PositivityCertificate, _combine_rows, _generator_gram
 
 __all__ = ["numerical_radius", "SearchBudget", "TripleNormResult", "triple_norm",
            "SuperOperator", "superop_norm",
@@ -492,11 +492,7 @@ def _knapsack_stack(alg: TracedAlgebra,
     per-block stacked ``eigh`` of F.
     """
     v = _knapsack_take(alg, np.concatenate([np.maximum(l, 0.0) for l, _ in decomps], axis=1))
-    out, at = [], 0
-    for (_, q), n in zip(decomps, alg.block_sizes):
-        out.append(_spectral(q, np.sqrt(v[:, at:at + n])))
-        at += n
-    return out
+    return [_spectral(q, np.sqrt(vk)) for (_, q), vk in zip(decomps, alg.split_spectrum(v))]
 
 
 def _knapsack_value(alg: TracedAlgebra, lam: np.ndarray) -> np.ndarray:
@@ -883,15 +879,9 @@ class SuperOperator:
     @classmethod
     def from_apply(cls, source: TracedAlgebra, target_dim: int,
                    apply_fn: Callable[[AlgebraElement], np.ndarray]) -> "SuperOperator":
-        cols = []
-        m = source.coord_dim
-        for i in range(m):
-            e = np.zeros(m, dtype=complex)
-            e[i] = 1.0
-            cols.append(np.asarray(apply_fn(source.from_coords(e)),
-                                   dtype=complex).reshape(-1))
-        mat = np.stack(cols, axis=1)
-        return cls(source, target_dim, mat)
+        cols = [np.asarray(apply_fn(source.from_coords(e)), dtype=complex).reshape(-1)
+                for e in np.eye(source.coord_dim)]
+        return cls(source, target_dim, np.stack(cols, axis=1))
 
     def apply(self, s: AlgebraElement) -> np.ndarray:
         if s.algebra != self.source:
@@ -911,11 +901,7 @@ class SuperOperator:
         Re sum_k tr(D_k T_k), one per C of an (L, n, n) stack."""
         # one matrix-vector product per vec_row(C^T): a matrix product rounds differently
         g = np.stack([self.matrix.T @ ci.T.reshape(-1) for ci in np.asarray(c, dtype=complex)])
-        out, at = [], 0
-        for n in self.source.block_sizes:
-            out.append(g[:, at:at + n * n].reshape(len(g), n, n).swapaxes(-1, -2))
-            at += n * n
-        return out
+        return [b.swapaxes(-1, -2) for b in self.source.split_coords(g)]
 
 
 # -- target norms on matrices ---------------------------------------------------
@@ -924,16 +910,12 @@ def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
     """Per-block (B, n_k, n_k) stacks of a stack of dense target values; over
     one block, the contiguous stack itself."""
     mats = np.asarray(mats, dtype=complex)
-    if mats.shape[1:] != (alg.total_dim, alg.total_dim):
-        raise StructureError("dense matrix has wrong shape for this algebra")
+    blocks = [np.ascontiguousarray(b) for b in alg.diagonal_blocks(mats)]
     if alg.n_blocks == 1:
-        return [np.ascontiguousarray(mats)]
-    blocks, at = [], 0
+        return blocks
     off = mats.copy()
-    for n in alg.block_sizes:
-        blocks.append(np.ascontiguousarray(mats[:, at:at + n, at:at + n]))
-        off[:, at:at + n, at:at + n] = 0.0
-        at += n
+    for b in alg.diagonal_blocks(off):
+        b[...] = 0.0
     worst = np.max(np.abs(off), axis=(1, 2), initial=0.0)
     if np.any(worst > 1e-9 * (1.0 + np.max(np.abs(mats), axis=(1, 2), initial=0.0))):
         raise PreconditionError(
@@ -1049,12 +1031,8 @@ class _TargetNorm:
         # Re tr_rho(D* W M W) = Re tr(C M) with C = blockdiag(w_k W_k D_k* W_k),
         # D the unitary polar factor of W M W
         polar = _trace_norm_polar(alg, [w @ f @ w for w, f in zip(pool.maximizer, blocks)])[1]
-        certs = np.zeros(mats.shape, dtype=complex)
-        at = 0
-        for wt, w, d, n in zip(alg.weights, pool.maximizer, polar, alg.block_sizes):
-            certs[:, at:at + n, at:at + n] = wt * (w @ d @ w)
-            at += n
-        return pool.values, certs
+        return pool.values, alg.block_diag([wt * (w @ d @ w) for wt, w, d in
+                                            zip(alg.weights, pool.maximizer, polar)])
 
 
 # -- unit-ball search -------------------------------------------------------------
@@ -1240,14 +1218,8 @@ class OperatorValuedMap:
         if not np.isfinite(a).all():
             raise DomainError("generator factors must be finite")
         _, d, n, _ = a.shape
-        units = np.stack([source.from_coords(e).dense() for e in np.eye(source.coord_dim)])
-        # (A_i E) A_j* for every factor and source basis element E at once,
-        # summed in factor order
-        terms = (a[:, None] @ units[None, :, None])[:, :, :, None] \
-            @ a.conj().swapaxes(-1, -2)[:, None, None]
-        acc = np.zeros(terms.shape[1:], dtype=complex)
-        for t in terms:
-            acc = acc + t
+        # the (U, d, d, n, n) gram of every source matrix unit E_u as the middle factor
+        acc = _generator_gram(a[:, None], source.matrix_units()[None])
         phi = cls(source, n, acc.transpose(1, 2, 3, 4, 0).reshape(d, d, n * n, -1),
                   target_algebra=target_algebra)
         a.setflags(write=False)

@@ -50,15 +50,13 @@ def random_psd(alg: TracedAlgebra, rng: np.random.Generator) -> AlgebraElement:
 
 def random_psd_with_spectrum(alg: TracedAlgebra, rng: np.random.Generator,
                              spectrum: Sequence[float]) -> AlgebraElement:
-    """Random PSD element with the prescribed eigenvalues (Haar-rotated)."""
-    vals = list(spectrum)
-    if len(vals) != alg.total_dim:
-        raise ValueError("need one eigenvalue per Hilbert space dimension")
-    blocks, at = [], 0
-    for n in alg.block_sizes:
-        q = random_unitary_matrix(rng, n)
-        blocks.append((q * np.asarray(vals[at:at + n])) @ q.conj().T)
-        at += n
+    """Random PSD element with the prescribed eigenvalues (Haar-rotated), one
+    per Hilbert space dimension in block order; a wrong count raises
+    ``StructureError``."""
+    blocks = []
+    for v in alg.split_spectrum(np.asarray(list(spectrum))):
+        q = random_unitary_matrix(rng, len(v))
+        blocks.append((q * v) @ q.conj().T)
     return alg.element(blocks)
 
 

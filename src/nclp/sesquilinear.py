@@ -12,9 +12,11 @@ map a factored generator
 held as arrays too: per target block one (R, d, n_k, n_k) coefficient stack
 of the A_{r,i} and one (R, n_k, n_k) root stack of the G_r.  It builds the
 gram stacks from those in a few batched matmuls, so the two cannot disagree,
-and every C_r it forms is PSD.  Generator-backed maps are positive by
-construction; plain gram stacks get a sufficient block-PSD test or honest
-sampling.
+and every C_r it forms is PSD.  ``_generator_gram`` is the one place a Kraus
+gram is summed: ``radius.OperatorValuedMap.from_generator`` calls it too,
+with the source's matrix units as the middle factors.  Generator-backed
+maps are positive by construction; plain gram stacks get a sufficient
+block-PSD test or honest sampling.
 
 Sweeps over many ``random_map`` draws take one path, ``_random_map_pairs``:
 it builds the gram stacks of every (target, d, rank) shape with the same
@@ -96,7 +98,8 @@ class SesquilinearMap:
                                  "and one (R, n_k, n_k) root stack per target block, R >= 1")
         if not all(np.isfinite(s).all() for s in (*a_stacks, *g_stacks)):
             raise DomainError("generator factors must be finite")
-        gram = [_generator_gram(a, g) for a, g in zip(a_stacks, g_stacks)]
+        gram = [_generator_gram(a, g @ g.conj().swapaxes(-1, -2))
+                for a, g in zip(a_stacks, g_stacks)]
         phi = cls(target, gram, domain_algebra=domain_algebra)
         for s in (*a_stacks, *g_stacks):
             s.setflags(write=False)
@@ -137,15 +140,17 @@ class SesquilinearMap:
                                domain_algebra=self.domain_algebra)
 
 
-def _generator_gram(a: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The (..., d, d, n, n) gram stack sum_r A_{r,i} G_r G_r* A_{r,j}* of
-    (R, ..., d, n, n) coefficients and (R, ..., n, n) roots.
+def _generator_gram(a: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The (..., d, d, n, n) gram stack sum_r A_{r,i} M_r A_{r,j}* of
+    (R, ..., d, n, m) coefficients and (R, ..., m, m) middle factors, the one
+    place a Kraus gram is summed.
 
-    Every factor's (A_i C) A_j* comes from one batched matmul, and the factors
-    are summed in order from zeros, so a trial axis after the factor axis
-    gives each map the stack it gets alone.
+    Sesquilinear maps pass M_r = G_r G_r*; ``OperatorValuedMap`` passes the
+    source's matrix units on an axis after the factor axis.  Every factor's
+    (A_i M) A_j* comes from one batched matmul, and the factors are summed in
+    order from zeros, so a trial axis after the factor axis gives each map
+    the stack it gets alone.
     """
-    m = g @ g.conj().swapaxes(-1, -2)
     terms = (a @ m[..., None, :, :])[..., None, :, :] \
         @ a.conj().swapaxes(-1, -2)[..., None, :, :, :]
     acc = np.zeros(terms.shape[1:], dtype=complex)
@@ -363,7 +368,8 @@ def _random_map_pairs(trials: Sequence[tuple]) -> dict:
         z = np.stack([_kraus_draw(d, target, rank, trials[i][3]) for i in ids], axis=1)
         vals = []
         for a, g, n in zip(*_kraus_factors(z, target, d), target.block_sizes):
-            terms = coeffs * _generator_gram(a, g).reshape(len(ids), 1, d * d, n, n)
+            gram = _generator_gram(a, g @ g.conj().swapaxes(-1, -2))
+            terms = coeffs * gram.reshape(len(ids), 1, d * d, n, n)
             acc = np.zeros((len(ids), 3, n, n), dtype=complex)
             for s in range(d * d):
                 acc += terms[:, :, s]

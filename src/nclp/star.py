@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import TracedAlgebra
 from .errors import DomainError, StructureError
 
 __all__ = ["StarAlgebra", "AlgebraVector", "matrix_algebra", "cyclic_group_algebra",
@@ -200,31 +201,14 @@ def matrix_units_algebra(block_sizes: tuple[int, ...]) -> tuple[StarAlgebra, lis
     block-diagonal arrays) so that coordinate vectors can be mapped back to
     concrete matrices.  Basis order is block-major, row-major inside blocks.
     """
-    total = sum(block_sizes)
-    basis: list[np.ndarray] = []
-    at = 0
-    for n in block_sizes:
-        for a in range(n):
-            for b in range(n):
-                m = np.zeros((total, total), dtype=complex)
-                m[at + a, at + b] = 1.0
-                basis.append(m)
-        at += n
-    d = len(basis)
+    layout = TracedAlgebra(block_sizes)
+    d = layout.coord_dim
     mult = np.zeros((d, d, d), dtype=complex)
     invol = np.zeros((d, d), dtype=complex)
     unit = np.zeros(d, dtype=complex)
-    # index arithmetic: within a block of size n, e_{ab} has offset a*n + b
-    offs, at = [], 0
-    for n in block_sizes:
-        offs.append(at)
-        at += n * n
-    for kb, n in enumerate(block_sizes):
-        o = offs[kb]
-        for a in range(n):
-            unit[o + a * n + a] = 1.0
-            for b in range(n):
-                invol[o + b * n + a, o + a * n + b] = 1.0
-                for e in range(n):                   # e_ab e_be = e_ae
-                    mult[o + a * n + b, o + b * n + e, o + a * n + e] = 1.0
-    return StarAlgebra(mult=mult, invol=invol, unit=unit), basis
+    # within a block, ix[a, b] is the coordinate of e_ab
+    for ix in layout.split_coords(np.arange(d)):
+        unit[ix.diagonal()] = 1.0
+        invol[ix.T, ix] = 1.0
+        mult[ix[:, :, None], ix[None], ix[:, None]] = 1.0     # e_ab e_be = e_ae
+    return StarAlgebra(mult=mult, invol=invol, unit=unit), list(layout.matrix_units())

@@ -69,9 +69,12 @@ def _status(ok: bool) -> str:
     return "holds" if ok else "violated"
 
 
-def _require_trials(trials: int) -> None:
+def _require_trials(trials: int, seed: int) -> None:
+    """Reject, before any draw, an empty sweep (no "holds" over nothing) and a negative seed."""
     if trials < 1:
         raise DomainError(f"a sweep needs trials >= 1, got {trials}")
+    if seed < 0:
+        raise DomainError(f"a sweep needs seed >= 0, got {seed}")
 
 
 def _map_trials(trials: int, seed: int,
@@ -99,7 +102,7 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
     one stack (``_cs_lp_trials``): one norm call per target, each report
     the one ``check_cs_lp`` gives its trial.
     """
-    _require_trials(trials)
+    _require_trials(trials, seed)
     p_values = list(p_values)
     if not p_values:
         raise DomainError("a Cauchy-Schwarz sweep needs at least one exponent")
@@ -135,7 +138,7 @@ def cs_normal_sweep(trials: int, p_values: Sequence[float], seed: int = 0) -> di
 def re_im_sweep(trials: int, seed: int = 0) -> dict:
     """Real/imaginary part estimates at p = 2 on random positive maps, the
     trials checked as one stack (``_re_im_trials``)."""
-    _require_trials(trials)
+    _require_trials(trials, seed)
     violations = 0
     worst_margin = math.inf
     for reps in _re_im_trials(_map_trials(trials, seed, target_pool())):
@@ -200,6 +203,7 @@ def pairing_and_holder_suite(trials: int, seed: int = 0) -> dict:
     Inputs are normalised to ||.||_2 = 1 so the absolute tolerances 1e-10
     (pairing) and 1e-9 (Hoelder) are meaningful.
     """
+    _require_trials(trials, seed)
     pool = target_pool()
     worst_re = math.inf
     worst_im = 0.0
@@ -236,6 +240,7 @@ def tail_projection_suite(trials: int, seed: int = 0) -> dict:
     Random PSD anchors carry controlled spectra: eigenvalues are either exact
     zeros or lie in [0.25, 3], so 1/n < 0.25 guarantees the tail vanishes.
     """
+    _require_trials(trials, seed)
     pool = target_pool()
     monotone_failures = 0
     final_nonzero = 0
@@ -273,6 +278,7 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
     hermitian parts, adjoints and unitary conjugates come from one
     ``_nr_stack`` call per size, each value the one ``numerical_radius``
     gives alone."""
+    _require_trials(trials, seed)
     shift = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     w_shift = numerical_radius(shift)
     by_size: dict[int, list] = {}
@@ -316,6 +322,7 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
     ``_triple_norm_stack`` call (one ascent), the left-hand sides through
     one quick call, and the sandwich's w(F) through one ``_nr_elements``
     call; each value is the one a call per element gives."""
+    _require_trials(samples, seed)
     budget = SearchBudget(starts=4, iters=25, seed=seed)
     tr2 = TracedAlgebra([2])
     anchor_a, anchor_b = _triple_norm_stack(tr2, [tr2.diagonal([1.0, 0.0]), tr2.identity()],
@@ -390,6 +397,7 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
     of the shape as one stack.  Each report is the one a check per instance
     gives.
     """
+    _require_trials(instances, seed)
     out: dict = {"name": "operator_valued", "instances": instances, "starts": starts}
     norms = ("nr", "triple2")
     probes: list[list] = [[], []]
@@ -468,6 +476,7 @@ def random_positive_linear_map(domain: StarAlgebra, target: TracedAlgebra,
 
 def gns_suite(per_domain: int, seed: int = 0) -> dict:
     """Random positive linear maps on the builtin domains plus exact anchors."""
+    _require_trials(per_domain, seed)
     scal = TracedAlgebra([1])
     m2 = matrix_algebra(2)
     domains = [("matrix_algebra(2)", m2, TracedAlgebra([2])),
@@ -520,6 +529,7 @@ def gns_status(rep: GnsRepresentation, ver: VerificationReport) -> str:
 def kernel_bound_suite(km: KernelMap, trials: int, seed: int = 0) -> dict:
     """The closed-form norm bounds, left invariance and positivity of a
     kernel family (``bound_checks``), with their status."""
+    _require_trials(trials, seed)
     rep = bound_checks(km, trials=trials, seed=seed)
     ok = (rep.nr_bound_failures == 0 and rep.triple_bound_failures == 0
           and rep.invariance_residual <= 1e-9 and rep.positivity_status != "violated")

@@ -12,6 +12,8 @@ from nclp.algebra import (PExponent, TracedAlgebra, dual_norm_achiever,
                           trace_pairing_checks)
 from nclp.errors import DomainError, PreconditionError, StructureError
 
+from nclp.sampling import random_psd_with_spectrum, rng_from
+
 from conftest import random_element_of
 
 
@@ -56,6 +58,65 @@ class TestConstruction:
         x = tr2.identity()
         with pytest.raises(ValueError):
             x.blocks[0][0, 0] = 5.0
+
+
+class TestLayout:
+    """The block-major coordinate layout, on a weighted three-block algebra."""
+
+    ALG = TracedAlgebra([2, 1, 3], [1.0, 0.5, 2.0])
+
+    def test_element_round_trips(self, rng):
+        x = random_element_of(self.ALG, rng)
+        for y in (self.ALG.from_coords(x.coords()), self.ALG.from_dense(x.dense())):
+            assert all(np.array_equal(a, b) for a, b in zip(x.blocks, y.blocks))
+
+    def test_stacked_splits_match_single_items(self, rng):
+        alg = self.ALG
+        coords = rng.standard_normal((4, 5, alg.coord_dim)) \
+            + 1j * rng.standard_normal((4, 5, alg.coord_dim))
+        blocks = alg.split_coords(coords)
+        assert [b.shape for b in blocks] == [(4, 5, n, n) for n in alg.block_sizes]
+        for i in range(4):
+            for j in range(5):
+                x = alg.from_coords(coords[i, j])
+                assert all(np.array_equal(b[i, j], xb) for b, xb in zip(blocks, x.blocks))
+        spec = rng.standard_normal((3, alg.total_dim))
+        for i in range(3):
+            x = alg.diagonal(spec[i])
+            for v, xb in zip(alg.split_spectrum(spec), x.blocks):
+                assert np.array_equal(np.diag(v[i]), xb)
+
+    def test_diagonal_blocks_of_block_diag(self, rng):
+        alg = self.ALG
+        blocks = [rng.standard_normal((2, 3, n, n)) + 1j * rng.standard_normal((2, 3, n, n))
+                  for n in alg.block_sizes]
+        mats = alg.block_diag(blocks)
+        assert mats.shape == (2, 3, alg.total_dim, alg.total_dim)
+        assert all(np.array_equal(a, b) for a, b in zip(alg.diagonal_blocks(mats), blocks))
+        for view in alg.diagonal_blocks(mats):
+            view[...] = 0.0
+        assert not mats.any()                 # zero off the blocks; the views write through
+
+    def test_matrix_units_in_coordinate_order(self):
+        alg = self.ALG
+        units = alg.matrix_units()
+        assert units.shape == (alg.coord_dim, alg.total_dim, alg.total_dim)
+        for u, e in zip(units, np.eye(alg.coord_dim)):
+            assert np.array_equal(u, alg.from_coords(e).dense())
+
+    @pytest.mark.parametrize("call", [
+        lambda a: a.split_spectrum(np.zeros(a.total_dim + 1)),
+        lambda a: a.split_coords(np.zeros((2, a.coord_dim - 1))),
+        lambda a: a.diagonal_blocks(np.zeros((a.total_dim, a.total_dim + 1))),
+        lambda a: a.from_coords(np.zeros(a.coord_dim + 1)),
+        lambda a: a.from_dense(np.zeros((2, a.total_dim, a.total_dim))),
+        lambda a: a.diagonal([1.0] * (a.total_dim - 1)),
+        lambda a: random_psd_with_spectrum(a, rng_from(0), [1.0] * (a.total_dim + 1)),
+    ], ids=["spectrum", "coords", "dense-blocks", "from-coords", "from-dense", "diagonal",
+            "psd-spectrum"])
+    def test_wrong_lengths_raise(self, call):
+        with pytest.raises(StructureError):
+            call(self.ALG)
 
 
 class TestTrace:

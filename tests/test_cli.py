@@ -84,7 +84,8 @@ class TestCommands:
         rc = main(["sample-ratios", "--p", "2", "--trials", "10",
                    "--format", "csv", "--output", out])
         assert rc == 0
-        lines = open(out).read().strip().splitlines()
+        with open(out) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "trial,p,d,target_dims,ratio,lhs,rhs,seed"
         assert len(lines) == 12              # header + 10 rows + summary
         assert lines[-1].startswith("summary")

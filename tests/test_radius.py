@@ -310,6 +310,24 @@ class TestOperatorValuedCs:
                                        "nr", SearchBudget(starts=6, iters=6, seed=0))
         assert rep.ratio == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("sizes, weights", [([2], None), ([3], None), ([2, 1], [1.0, 0.5])],
+                             ids=["M2", "M3", "M2+M1"])
+    def test_generator_gram_is_the_kraus_sum(self, sizes, weights):
+        # column u of gram[i, j] is sum_r A_{r,i} E_u A_{r,j}* for the u-th
+        # source matrix unit E_u, flattened
+        rng = rng_from(5)
+        src = TracedAlgebra(sizes, weights)
+        units = [src.from_coords(e).dense() for e in np.eye(src.coord_dim)]
+        for d, rank, n in [(1, 1, 2), (2, 2, 3), (3, 2, 2)]:
+            a = rng.standard_normal((rank, d, n, src.total_dim)) \
+                + 1j * rng.standard_normal((rank, d, n, src.total_dim))
+            phi = OperatorValuedMap.from_generator(src, a)
+            ref = np.array([[np.stack([sum(a[r, i] @ e @ a[r, j].conj().T for r in range(rank))
+                                       .reshape(-1) for e in units], axis=1)
+                             for j in range(d)] for i in range(d)])
+            assert phi.gram.shape == ref.shape
+            assert np.max(np.abs(phi.gram - ref)) <= 1e-13 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("target", ["nr", "triple2"])
     def test_positive_map_peaks_at_identity(self, target):
         # Russo-Dye: no contraction T beats T = I for Phi(v, v), so the

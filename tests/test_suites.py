@@ -228,10 +228,45 @@ class TestSweepInput:
         lambda: suites.cs_lp_sweep(3, [2.0, 0.5]),
         lambda: suites.cs_lp_sweep(3, [math.nan]),
         lambda: suites.cs_normal_sweep(3, [-math.inf]),
+        lambda: suites.pairing_and_holder_suite(0),
+        lambda: suites.tail_projection_suite(0),
+        lambda: suites.numerical_radius_suite(0),
+        lambda: suites.triple_norm_suite(0),
+        lambda: suites.operator_valued_suite(0),
+        lambda: suites.gns_suite(0),
     ], ids=["cs-no-trials", "normal-no-trials", "cs-no-p", "normal-no-p", "re-im-no-trials",
-            "re-im-negative", "cs-p-below-1", "cs-p-nan", "normal-p-neg-inf"])
+            "re-im-negative", "cs-p-below-1", "cs-p-nan", "normal-p-neg-inf",
+            "pairing-no-trials", "tail-no-trials", "radius-no-trials", "triple-no-trials",
+            "opvalued-no-trials", "gns-no-trials"])
     def test_empty_or_bad_sweeps_raise(self, call):
         # no AttributeError on a missing worst report, no "holds" over zero
         # trials, and every exponent passes through as_exponent
         with pytest.raises(DomainError):
             call()
+
+    @pytest.mark.parametrize("call", [
+        lambda seed, km: suites.cs_lp_sweep(2, [2.0], seed=seed),
+        lambda seed, km: suites.cs_lp_sweep(2, [math.inf], seed=seed),
+        lambda seed, km: suites.cs_normal_sweep(2, [2.0], seed=seed),
+        lambda seed, km: suites.re_im_sweep(2, seed=seed),
+        lambda seed, km: suites.pairing_and_holder_suite(2, seed=seed),
+        lambda seed, km: suites.tail_projection_suite(2, seed=seed),
+        lambda seed, km: suites.numerical_radius_suite(2, seed=seed),
+        lambda seed, km: suites.triple_norm_suite(2, seed=seed),
+        lambda seed, km: suites.operator_valued_suite(2, seed=seed),
+        lambda seed, km: suites.gns_suite(2, seed=seed),
+        lambda seed, km: suites.kernel_bound_suite(km, 2, seed=seed),
+    ], ids=["cs-lp-2", "cs-lp-inf", "cs-normal", "re-im", "pairing-holder", "tail",
+            "numerical-radius", "triple-norm", "operator-valued", "gns", "kernel-bounds"])
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_raises_before_drawing(self, monkeypatch, call, seed):
+        # one answer for every suite and exponent: no shifted seed that
+        # happens to be valid, no numpy error from the generator
+        km = KernelMap(TracedAlgebra([2]).diagonal([1.0, 2.0]), OnePlusXTKernel())
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before checking the seed")
+        for name in ("substreams", "rng_from"):
+            monkeypatch.setattr(suites, name, no_draw)
+        with pytest.raises(DomainError, match="seed >= 0"):
+            call(seed, km)
