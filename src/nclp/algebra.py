@@ -348,7 +348,13 @@ def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
     arrays: one SVD call per block, the weighted block sums added in block
     order and the final root taken per item; the largest singular value over
     the blocks for p = inf."""
-    svals = [np.linalg.svd(b, compute_uv=False) for b in blocks]
+    return _schatten_from_svals(alg, [np.linalg.svd(b, compute_uv=False) for b in blocks], p)
+
+
+def _schatten_from_svals(alg: TracedAlgebra, svals: Sequence[np.ndarray],
+                         p: float) -> np.ndarray:
+    """``_stacked_schatten``'s formula on per-block (T, n_k) singular values
+    (descending), so several exponents can share one SVD per block."""
     if math.isinf(p):
         return np.maximum.reduce([s[:, 0] for s in svals])
     terms = [wt * (s ** p).sum(axis=-1) for wt, s in zip(alg.weights, svals)]
@@ -384,16 +390,47 @@ def spectral_tail_projection(w: AlgebraElement, t: float) -> AlgebraElement:
     """
     if not t > 0.0:
         raise DomainError(f"threshold must be positive, got {t}")
-    opn = operator_norm(w)
-    tol = psd_tol(opn)
-    blocks = []
-    for b in w.blocks:
-        lam, q = np.linalg.eigh(hermitian_part_of(b))
-        if lam.size and lam.min() < -tol:
-            raise DomainError(f"element is not PSD: min eigenvalue {lam.min():.3e}")
-        keep = lam > t
-        blocks.append((q[:, keep]) @ (q[:, keep].conj().T))
-    return AlgebraElement(w.algebra, blocks)
+    proj, _ = _tail_projections(w.algebra, [b[None] for b in w.blocks], [t])
+    return AlgebraElement(w.algebra, [pk[0, 0] for pk in proj])
+
+
+def _tail_projections(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
+                      thresholds: Sequence[float]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Spectral projections above each positive threshold of a stack of PSD
+    items given as per-block (T, n_k, n_k) arrays: per-block
+    (len(thresholds), T, n_k, n_k) projection stacks, and the items'
+    operator norms.
+
+    One ``eigh`` per block serves every threshold.  An item whose block has
+    an eigenvalue below ``-psd_tol`` raises ``DomainError``, checked in item
+    then block order.
+    """
+    opn = _stacked_schatten(alg, blocks, math.inf)
+    decs = [np.linalg.eigh(hermitian_part_of(b)) for b in blocks]
+    lows = np.stack([lam.min(axis=1) for lam, _ in decs], axis=1)
+    bad = np.argwhere(lows < -psd_tol(opn)[:, None])
+    if len(bad):
+        raise DomainError(f"element is not PSD: min eigenvalue {lows[tuple(bad[0])]:.3e}")
+    lead = (len(thresholds), len(opn))
+    rows = np.tile(np.arange(len(opn)), len(thresholds))
+    proj = []
+    for lam, q in decs:
+        rank = (lam[None] > np.asarray(thresholds, dtype=float)[:, None, None]).sum(axis=2)
+        proj.append(_rank_projections(q, rows, rank.ravel()).reshape(lead + q.shape[1:]))
+    return proj, opn
+
+
+def _rank_projections(q: np.ndarray, rows: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """(S, n, n) projections onto the top ``rank[s]`` eigenvectors of item
+    ``rows[s]`` of a stacked ascending ``eigh`` basis ``q`` (T, n, n): grouped
+    by rank, so each is the product ``Q_r Q_r*`` a lone projection takes."""
+    n = q.shape[-1]
+    out = np.zeros((len(rows), n, n), dtype=complex)
+    for r in sorted(set(rank.tolist()) - {0}):
+        sel = (rank == r).nonzero()[0]
+        top = q[rows[sel]][:, :, np.arange(n) >= n - r]
+        out[sel] = top @ top.conj().swapaxes(-1, -2)
+    return out
 
 
 def functional_calculus(w: AlgebraElement,

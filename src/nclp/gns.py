@@ -14,11 +14,18 @@ construction computes
   with cyclic vector Lambda(e),
 * residuals of adjointness, multiplicativity, cyclicity and of the
   reconstruction identity Phi(a, b) = <pi(a) xi, pi(b) xi>_Phi.
+
+The representation is evaluated on stacks of coordinate rows
+(``GnsRepresentation.pi_rows``, through ``sesquilinear._combine_rows``), so
+the construction's residuals and ``verify_representation`` take all their
+basis products, involutes and random trials in a few stacked calls, each row
+the matrix a lone ``pi_of`` gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +33,8 @@ import numpy as np
 from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten
 from .errors import ConditioningError, InconsistencyError, PreconditionError
 from .sampling import rng_from
-from .sesquilinear import (SesquilinearMap, check_left_invariance, check_positivity,
-                           evaluate_stack, from_linear_map, scalar_gram)
+from .sesquilinear import (SesquilinearMap, _combine_rows, check_left_invariance,
+                           check_positivity, evaluate_stack, from_linear_map, scalar_gram)
 from .star import StarAlgebra
 
 __all__ = ["GnsRepresentation", "null_space", "gns_construct", "verify_representation",
@@ -123,17 +130,32 @@ class GnsRepresentation:
     def quotient_dim(self) -> int:
         return self.quotient_frame.shape[1]
 
+    @cached_property
+    def cyclic_span_dim(self) -> int:
+        """Rank of the vectors pi(e_i) xi, i.e. the dimension of the cyclic span."""
+        if not self.quotient_dim:
+            return 0
+        span = np.stack([m @ self.cyclic for m in self.pi], axis=1)
+        return int(np.linalg.matrix_rank(span, tol=1e-10 * (1.0 + float(
+            np.max(np.abs(span), initial=0.0)))))
+
     def pi_of(self, coords: np.ndarray) -> np.ndarray:
-        coords = np.asarray(coords, dtype=complex).ravel()
-        out = np.zeros((self.quotient_dim, self.quotient_dim), dtype=complex)
-        for c, m in zip(coords, self.pi):
-            if c != 0:
-                out = out + c * m
-        return out
+        return self.pi_rows(np.asarray(coords, dtype=complex).ravel()[None])[0]
+
+    def pi_rows(self, coords: np.ndarray) -> np.ndarray:
+        """The (T, r, r) stack of pi(a_t) for (T, d) coordinates: each row
+        accumulated from zero over the basis in order, skipping zero
+        coefficients, so it is the matrix ``pi_of`` gives alone."""
+        return _combine_rows(coords, [np.array(self.pi)])[0]
 
     def class_coords(self, frame_vec: np.ndarray) -> np.ndarray:
         """Algebra coordinates of a representative of the given frame vector."""
         return self.quotient_frame @ np.asarray(frame_vec, dtype=complex).ravel()
+
+    def cyclic_classes(self, pis: np.ndarray) -> np.ndarray:
+        """(T, d) algebra coordinates of the classes pi_t xi of a (T, r, r)
+        stack, each as ``class_coords(pi_t @ cyclic)`` gives it."""
+        return (self.quotient_frame @ (pis @ self.cyclic)[..., None])[..., 0]
 
 
 def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
@@ -178,21 +200,19 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
 
     frame = _pivoted_frame(s, kernel, rank)
 
-    def s_coords(vec: np.ndarray) -> np.ndarray:
-        """Frame coordinates of Lambda(vec): <vec, f_b>_S = f_b* S vec."""
-        return frame.conj().T @ (s @ vec)
+    def s_coords(vecs: np.ndarray) -> np.ndarray:
+        """Frame coordinates of Lambda(v) for (..., d) rows v: <v, f_b>_S = f_b* S v,
+        each row by matrix-vector products."""
+        return (frame.conj().T @ (s @ vecs[..., None]))[..., 0]
 
-    pi = []
-    for i in range(d):
-        cols = []
-        for c in range(rank):
-            prod = domain.multiply(domain.basis_vector(i), frame[:, c])
-            cols.append(s_coords(prod))
-        pi.append(np.stack(cols, axis=1))
+    # column c of pi(e_i) is Lambda(e_i f_c), row i rank + c
+    cols = s_coords(domain.multiply(np.repeat(np.eye(d, dtype=complex), rank, axis=0),
+                                    np.tile(frame.T, (d, 1))))
+    pi = tuple(np.ascontiguousarray(m.T) for m in cols.reshape(d, rank, rank))
     xi = s_coords(domain.unit)
 
     rep = GnsRepresentation(domain=domain, target=target, phi=phi, null_basis=kernel,
-                            quotient_frame=frame, pi=tuple(pi), cyclic=xi)
+                            quotient_frame=frame, pi=pi, cyclic=xi)
     rep.residuals = _residuals(rep)
     return rep
 
@@ -201,37 +221,30 @@ def _residuals(rep: GnsRepresentation) -> dict:
     domain, phi = rep.domain, rep.phi
     d = domain.dim
     scale = phi.gram_scale()
+    pis = np.array(rep.pi)
 
-    vecs = np.array([rep.class_coords(rep.pi[i] @ rep.cyclic) for i in range(d)])
+    vecs = rep.cyclic_classes(pis)
     rebuilt = evaluate_stack(phi, np.repeat(vecs, d, axis=0), np.tile(vecs, (d, 1)))
     diffs = [g - r for g, r in zip(phi.flat_gram(), rebuilt)]
     recon = float(np.max(_stacked_schatten(phi.target, diffs, 2.0))) / scale
 
-    mult = 0.0
-    adjoint = 0.0
-    pscale = 1.0 + max(float(np.max(np.abs(m), initial=0.0)) for m in rep.pi)
-    for i in range(d):
-        star = rep.pi_of(domain.involute(domain.basis_vector(i)))
-        adjoint = max(adjoint, float(np.max(np.abs(star - rep.pi[i].conj().T),
-                                            initial=0.0)) / pscale)
-        for j in range(d):
-            prod = rep.pi_of(domain.multiply(domain.basis_vector(i),
-                                             domain.basis_vector(j)))
-            mult = max(mult, float(np.max(np.abs(prod - rep.pi[i] @ rep.pi[j]),
-                                          initial=0.0)) / (pscale * pscale))
+    # pi(e_i e_j) against pi(e_i) pi(e_j), row i d + j, and pi(e_i*) against pi(e_i)*
+    eye = np.eye(d, dtype=complex)
+    prods = rep.pi_rows(domain.multiply(np.repeat(eye, d, axis=0), np.tile(eye, (d, 1))))
+    stars = rep.pi_rows(domain.involute(eye))
+    pscale = 1.0 + float(np.max(np.abs(pis), initial=0.0))
+    mult = _max_abs(prods - (pis[:, None] @ pis[None]).reshape(prods.shape)) / (pscale * pscale)
+    adjoint = _max_abs(stars - pis.conj().swapaxes(-1, -2)) / pscale
 
     inv = check_left_invariance(phi)
-    return {"reconstruction": recon, "multiplicativity": mult, "adjointness": adjoint,
-            "cyclicity_rank": _cyclic_span_rank(rep), "invariance": inv}
+    return {"reconstruction": recon, "multiplicativity": float(mult.max(initial=0.0)),
+            "adjointness": float(adjoint.max(initial=0.0)),
+            "cyclicity_rank": rep.cyclic_span_dim, "invariance": inv}
 
 
-def _cyclic_span_rank(rep: GnsRepresentation) -> int:
-    """Rank of the vectors pi(e_i) xi, i.e. the dimension of the cyclic span."""
-    if not rep.quotient_dim:
-        return 0
-    span = np.stack([rep.pi[i] @ rep.cyclic for i in range(rep.domain.dim)], axis=1)
-    return int(np.linalg.matrix_rank(span, tol=1e-10 * (1.0 + float(
-        np.max(np.abs(span), initial=0.0)))))
+def _max_abs(mats: np.ndarray) -> np.ndarray:
+    """Largest entry modulus of each matrix of a (T, r, r) stack (0 when r = 0)."""
+    return np.max(np.abs(mats), axis=(1, 2), initial=0.0)
 
 
 @dataclass
@@ -255,30 +268,25 @@ def verify_representation(rep: GnsRepresentation, trials: int = 50,
     d = rep.domain.dim
     phi = rep.phi
     scale = phi.gram_scale()
-    mult = adj = 0.0
     draws = [(rng.standard_normal(d) + 1j * rng.standard_normal(d),
               rng.standard_normal(d) + 1j * rng.standard_normal(d))
              for _ in range(max(trials, 1))]
-    classes = []
-    for a, b in draws:
-        pa, pb = rep.pi_of(a), rep.pi_of(b)
-        pscale = 1.0 + float(np.max(np.abs(pa), initial=0.0)) \
-            + float(np.max(np.abs(pb), initial=0.0))
-        ab = rep.domain.multiply(a, b)
-        mult = max(mult, float(np.max(np.abs(rep.pi_of(ab) - pa @ pb), initial=0.0))
-                   / (pscale * pscale))
-        adj = max(adj, float(np.max(np.abs(rep.pi_of(rep.domain.involute(a))
-                                           - pa.conj().T), initial=0.0)) / pscale)
-        classes.append((rep.class_coords(pa @ rep.cyclic), rep.class_coords(pb @ rep.cyclic)))
+    a, b = (np.array(v) for v in zip(*draws))
+    pa, pb = rep.pi_rows(a), rep.pi_rows(b)
+    pab = rep.pi_rows(rep.domain.multiply(a, b))
+    pstar = rep.pi_rows(rep.domain.involute(a))
+    pscale = 1.0 + _max_abs(pa) + _max_abs(pb)
+    mult = float(np.max(_max_abs(pab - pa @ pb) / (pscale * pscale)))
+    adj = float(np.max(_max_abs(pstar - pa.conj().swapaxes(-1, -2)) / pscale))
     # Phi(a, b) - Phi(va, vb) of every trial, as one stack
+    vals = evaluate_stack(phi, np.concatenate([a, rep.cyclic_classes(pa)]),
+                          np.concatenate([b, rep.cyclic_classes(pb)]))
     n = len(draws)
-    pairs = draws + classes
-    vals = evaluate_stack(phi, [x for x, _ in pairs], [y for _, y in pairs])
     norms = _stacked_schatten(phi.target, [v[:n] - v[n:] for v in vals], 2.0).tolist()
     recon = 0.0
-    for (a, b), norm in zip(draws, norms):
-        norm_ab = 1.0 + float(np.linalg.norm(a)) * float(np.linalg.norm(b))
+    for (x, y), norm in zip(draws, norms):
+        norm_ab = 1.0 + float(np.linalg.norm(x)) * float(np.linalg.norm(y))
         recon = max(recon, norm / (scale * norm_ab))
     return VerificationReport(trials=trials, reconstruction=recon, multiplicativity=mult,
-                              adjointness=adj, cyclic_span_dim=_cyclic_span_rank(rep),
+                              adjointness=adj, cyclic_span_dim=rep.cyclic_span_dim,
                               quotient_dim=rep.quotient_dim)

@@ -81,8 +81,12 @@ def _numbers(key: str, vals: Any, kind: type = float) -> list:
 
 
 def _complex_array(doc: Any) -> np.ndarray:
-    """The complex array stored as ``{"re": ..., "im": ...}``."""
-    return _real_matrix(_field(doc, "re", list)) + 1j * _real_matrix(_field(doc, "im", list))
+    """The complex array stored as ``{"re": ..., "im": ...}``; both parts must
+    have one shape (no broadcasting)."""
+    re, im = (_real_matrix(_field(doc, key, list)) for key in ("re", "im"))
+    if re.shape != im.shape:
+        raise StructureError(f"'re' and 'im' must have one shape, got {re.shape} and {im.shape}")
+    return re + 1j * im
 
 
 def element_from_json(alg: TracedAlgebra, blocks: Sequence[dict]) -> AlgebraElement:

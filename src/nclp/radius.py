@@ -84,7 +84,7 @@ import numpy as np
 
 # schatten_norm is not called here but stays importable from this module:
 # the benchmark's recorder test reads nclp.radius.schatten_norm
-from .algebra import (AlgebraElement, TracedAlgebra, _stacked_schatten,
+from .algebra import (AlgebraElement, TracedAlgebra, _rank_projections, _stacked_schatten,
                       hermitian_part_of, psd_tol, schatten_norm, structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
 from .inequalities import InequalityReport, _report
@@ -573,14 +573,9 @@ def _level_projections(alg: TracedAlgebra, dec_abs: Sequence[tuple[np.ndarray, n
     lv = np.arange(len(at)) - (np.cumsum(count) - count)[at]
     thresh = desc[at, col] - 1e-14
     proj, sq = [], np.zeros(len(at))
-    for (lam, q), n, wt in zip(dec_abs, alg.block_sizes, alg.weights):
+    for (lam, q), wt in zip(dec_abs, alg.weights):
         rank = (lam[at] >= thresh[:, None]).sum(axis=1)           # eigh is ascending
-        pk = np.zeros((len(at), n, n), dtype=complex)
-        for r in sorted(set(rank.tolist()) - {0}):
-            sel = (rank == r).nonzero()[0]
-            top = q[at[sel]][:, :, np.arange(n) >= n - r]
-            pk[sel] = top @ top.conj().swapaxes(-1, -2)
-        proj.append(pk)
+        proj.append(_rank_projections(q, at, rank))
         sq = sq + wt * rank                       # ||P||_2^2 = sum_k w_k rank P_k
     shrink = np.minimum(1.0, 1.0 / np.sqrt(sq)).astype(complex)[:, None, None]
     return at, lv, [shrink * pk for pk in proj]

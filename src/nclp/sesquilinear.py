@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, hermitian_part_of
-from .errors import DomainError, InconsistencyError, PreconditionError, StructureError
+from .errors import (ConditioningError, DomainError, InconsistencyError, PreconditionError,
+                     StructureError)
 from .sampling import random_unit_vector, rng_from
 from .star import StarAlgebra
 
@@ -172,9 +173,12 @@ def _combine_rows(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> list[np.n
     # in one row multiplies by the scalar coefficient: numpy may round a
     # one-element complex product apart from a broadcast one.
     slots = []
+    first = None                  # each slot's first live row, taken once if needed
     for s, n in enumerate(live.sum(axis=0).tolist()):
         if n == 1:
-            r = int(np.flatnonzero(live[:, s])[0])
+            if first is None:
+                first = live.argmax(axis=0).tolist()
+            r = first[s]
             slots.append((s, r, coeffs[r, s]))
         elif n == len(coeffs):
             slots.append((s, slice(None), coeffs[:, s, None, None]))
@@ -242,6 +246,18 @@ def _block_gram_matrices(phi: SesquilinearMap) -> list[np.ndarray]:
             for g, n in zip(phi.gram, phi.target.block_sizes)]
 
 
+def _eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh``, raising ``ConditioningError`` instead of
+    solving matrices that overflowed, or where LAPACK does not converge."""
+    if not np.isfinite(mats).all():
+        raise ConditioningError("positivity eigensolve failed: the hermitian part "
+                                "overflows the float range")
+    try:
+        return np.linalg.eigvalsh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise ConditioningError(f"positivity eigensolve failed: {exc}") from None
+
+
 def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMPLES,
                      seed: int = 0) -> PositivityCertificate:
     """Certify or sample vector-positivity of Phi.
@@ -255,9 +271,11 @@ def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMP
     if phi.generator is not None:
         return PositivityCertificate(status="certified", reason="factored generator")
     scale = 1.0 + phi.max_abs_entry
-    if phi.is_hermitian() and all(
-            np.linalg.eigvalsh(0.5 * (big + big.conj().T)).min() >= -1e-10 * scale
-            for big in _block_gram_matrices(phi)):
+    with np.errstate(over="ignore", invalid="ignore"):      # _eigvalsh refuses an overflow
+        psd_gram = phi.is_hermitian() and all(
+            _eigvalsh(0.5 * (big + big.conj().T)).min() >= -1e-10 * scale
+            for big in _block_gram_matrices(phi))
+    if psd_gram:
         return PositivityCertificate(status="certified", reason="block gram matrix is PSD")
     rng = rng_from(seed)
     xs = np.array([random_unit_vector(rng, phi.domain_dim) for _ in range(trials)])
@@ -265,7 +283,7 @@ def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMP
     # a non-hermitian diagonal value counts against positivity
     herm_defect = np.maximum.reduce([np.abs(v - v.conj().swapaxes(-1, -2)).max(axis=(1, 2))
                                      for v in vals])
-    lam_min = np.minimum.reduce([np.linalg.eigvalsh(hermitian_part_of(v)).min(axis=-1)
+    lam_min = np.minimum.reduce([_eigvalsh(hermitian_part_of(v)).min(axis=-1)
                                  for v in vals]) - herm_defect
     at = int(np.argmin(lam_min))
     worst, worst_x = lam_min[at], xs[at]
@@ -392,11 +410,11 @@ def from_linear_map(omega: Sequence[AlgebraElement], domain: StarAlgebra,
         if g.algebra != target:
             raise StructureError("omega values must live in the target algebra")
     d = domain.dim
-    basis = [domain.basis_vector(i) for i in range(d)]
-    coords = [[domain.multiply(domain.involute(basis[j]), basis[i]) for j in range(d)]
-              for i in range(d)]
+    eye = np.eye(d, dtype=complex)
+    # row i d + j: the coordinates of e_j* e_i
+    coords = domain.multiply(np.tile(domain.involute(eye), (d, 1)), np.repeat(eye, d, axis=0))
     values = [np.array([g.blocks[k] for g in omega]) for k in range(target.n_blocks)]
-    rows = _combine_rows(np.reshape(coords, (d * d, d)), values)
+    rows = _combine_rows(coords, values)
     return SesquilinearMap(target, [r.reshape(d, d, *r.shape[1:]) for r in rows],
                            domain_algebra=domain)
 

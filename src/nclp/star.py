@@ -66,11 +66,15 @@ class StarAlgebra:
     # -- coordinate operations ---------------------------------------------
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", np.asarray(a, dtype=complex),
+        """Coordinates of a b; for (T, d) rows, of each a_t b_t as a lone call
+        gives it (one einsum)."""
+        return np.einsum("...i,...j,ijk->...k", np.asarray(a, dtype=complex),
                          np.asarray(b, dtype=complex), self.mult)
 
     def involute(self, a: np.ndarray) -> np.ndarray:
-        return self.invol @ np.conj(np.asarray(a, dtype=complex))
+        """Coordinates of a*; for (T, d) rows, of each a_t* as a lone call
+        gives it (one matmul of matrix-vector products)."""
+        return (self.invol @ np.conj(np.asarray(a, dtype=complex))[..., None])[..., 0]
 
     def left_mult_matrix(self, a: np.ndarray) -> np.ndarray:
         """Matrix of x -> a x in the basis coordinates."""

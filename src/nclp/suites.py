@@ -6,11 +6,14 @@ its ``name``, the measured counts and extremes, and last its own ``status``
 else.  The CLI ``check-all`` command and the acceptance tests drive these
 same functions, only with different trial counts.
 
-The Cauchy-Schwarz sweeps and the radius suites draw all their samples
-first, then evaluate them as stacks.  Random-map trials go through one
-path, ``sesquilinear._random_map_pairs``, and the sweeps take their norms
-in one stacked call per (exponent, target); each report is the one the
-public per-trial check gives.
+Every seeded suite draws all its samples first, then evaluates them as
+stacks.  Random-map trials go through one path,
+``sesquilinear._random_map_pairs``, and the sweeps take their norms in one
+stacked call per (exponent, target).  The pairing/Hoelder and tail-projection
+suites check one stack per target, reading every exponent from one SVD per
+block; the GNS suite verifies each representation with the stacked
+``verify_representation``.  Each report is the one the public per-trial
+check gives.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import (TracedAlgebra, as_exponent, holder_check, operator_norm, schatten_norm,
-                      spectral_tail_projection, trace)
+from .algebra import (TracedAlgebra, _schatten_from_svals, _stacked_schatten,
+                      _tail_projections, as_exponent, schatten_norm)
 from .errors import DomainError
 from .gns import GnsRepresentation, VerificationReport, gns_construct, verify_representation
 from .inequalities import _cs_lp_trials, _re_im_trials, default_cs_constant, uncertainty_check
@@ -201,32 +204,43 @@ def pairing_and_holder_suite(trials: int, seed: int = 0) -> dict:
     """rho(AB) positivity/realness for PSD pairs and the Hoelder inequality.
 
     Inputs are normalised to ||.||_2 = 1 so the absolute tolerances 1e-10
-    (pairing) and 1e-9 (Hoelder) are meaningful.
+    (pairing) and 1e-9 (Hoelder) are meaningful.  All trials are drawn
+    first, then checked as one stack per target: one 2-norm per operand,
+    one stacked product and trace for rho(AB), and one SVD per block of g,
+    h and gh, from which all five exponent pairs are read.  Each value is
+    the one ``trace`` and ``holder_check`` give the trial alone.
     """
     _require_trials(trials, seed)
     pool = target_pool()
+    draws: list[list] = [[] for _ in pool]
+    for t, rng in enumerate(substreams(seed, trials)):
+        alg = pool[t % len(pool)]
+        a, b = random_psd(alg, rng), random_psd(alg, rng)
+        g, h = random_element(alg, rng), random_element(alg, rng)
+        draws[t % len(pool)].append([x.blocks for x in (a, b, g, h)])
     worst_re = math.inf
     worst_im = 0.0
     holder_violations = 0
     worst_holder_margin = math.inf
-    for t, rng in enumerate(substreams(seed, trials)):
-        alg = pool[t % len(pool)]
-        a = random_psd(alg, rng)
-        b = random_psd(alg, rng)
-        a = (1.0 / schatten_norm(a, 2.0)) * a
-        b = (1.0 / schatten_norm(b, 2.0)) * b
-        val = trace(a @ b)
-        worst_re = min(worst_re, val.real)
-        worst_im = max(worst_im, abs(val.imag))
-        g = random_element(alg, rng)
-        h = random_element(alg, rng)
-        g = (1.0 / schatten_norm(g, 2.0)) * g
-        h = (1.0 / schatten_norm(h, 2.0)) * h
+    for alg, items in zip(pool, draws):
+        if not items:
+            continue
+        a, b, g, h = ([np.stack(blocks) for blocks in zip(*x)] for x in zip(*items))
+        a, b, g, h = (_unit_2norm(alg, x) for x in (a, b, g, h))
+        val = 0
+        for wt, ak, bk in zip(alg.weights, a, b):     # trace's weighted block sum
+            val = val + wt * np.trace(ak @ bk, axis1=1, axis2=2)
+        worst_re = min(worst_re, float(val.real.min()))
+        worst_im = max(worst_im, float(np.abs(val.imag).max()))
+        sv_g, sv_h, sv_gh = ([np.linalg.svd(x, compute_uv=False) for x in blocks]
+                             for blocks in (g, h, [gk @ hk for gk, hk in zip(g, h)]))
+        lhs = _schatten_from_svals(alg, sv_gh, 1.0)
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
-            rep = holder_check(g, h, p)
-            worst_holder_margin = min(worst_holder_margin, rep.rhs - rep.lhs)
-            if rep.lhs > rep.rhs + 1e-9:
-                holder_violations += 1
+            pe = as_exponent(p)
+            rhs = (_schatten_from_svals(alg, sv_g, pe.value)
+                   * _schatten_from_svals(alg, sv_h, pe.q))
+            worst_holder_margin = min(worst_holder_margin, float((rhs - lhs).min()))
+            holder_violations += int(np.sum(lhs > rhs + 1e-9))
     ok = worst_re >= -1e-10 and worst_im <= 1e-10 and holder_violations == 0
     return {"name": "pairing_and_holder", "trials": trials,
             "worst_re": worst_re, "worst_im": worst_im,
@@ -234,35 +248,51 @@ def pairing_and_holder_suite(trials: int, seed: int = 0) -> dict:
             "worst_holder_margin": worst_holder_margin, "status": _status(ok)}
 
 
+def _unit_2norm(alg: TracedAlgebra, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-block stacks of X_t / ||X_t||_2, scaled as ``(1 / ||X||_2) * X`` scales
+    one element."""
+    inv = (1.0 / _stacked_schatten(alg, blocks, 2.0)).astype(complex)[:, None, None]
+    return [inv * b for b in blocks]
+
+
 def tail_projection_suite(trials: int, seed: int = 0) -> dict:
     """||W (I - P_{1/n})||_p is nonincreasing in n and hits 0 past the spectrum.
 
     Random PSD anchors carry controlled spectra: eigenvalues are either exact
     zeros or lie in [0.25, 3], so 1/n < 0.25 guarantees the tail vanishes.
+    All anchors are drawn first, then checked as one stack per target: one
+    ``eigh`` per block serves the eight thresholds, and one SVD per block
+    all eight tails and the three exponents.  Each projection and norm is
+    the one ``spectral_tail_projection`` and ``schatten_norm`` give alone.
     """
     _require_trials(trials, seed)
     pool = target_pool()
-    monotone_failures = 0
-    final_nonzero = 0
-    worst_final = 0.0
+    draws: list[list] = [[] for _ in pool]
     for t, rng in enumerate(substreams(seed, trials)):
         alg = pool[t % len(pool)]
         spectrum = [0.0 if rng.random() < 0.3 else float(rng.uniform(0.25, 3.0))
                     for _ in range(alg.total_dim)]
-        w = random_psd_with_spectrum(alg, rng, spectrum)
-        ident = alg.identity()
-        tails = [w @ (ident - spectral_tail_projection(w, 1.0 / n)) for n in range(1, 9)]
-        zero_tol = 1e-12 * (1.0 + operator_norm(w))
+        draws[t % len(pool)].append(random_psd_with_spectrum(alg, rng, spectrum).blocks)
+    levels = [1.0 / n for n in range(1, 9)]
+    monotone_failures = 0
+    final_nonzero = 0
+    worst_final = 0.0
+    for alg, items in zip(pool, draws):
+        if not items:
+            continue
+        w = [np.stack(blocks) for blocks in zip(*items)]
+        proj, opn = _tail_projections(alg, w, levels)
+        # W (I - P) of every (level, anchor), then one SVD per block
+        svals = [np.linalg.svd(wk @ (np.eye(wk.shape[-1], dtype=complex) - pk),
+                               compute_uv=False).reshape(-1, wk.shape[-1])
+                 for wk, pk in zip(w, proj)]
+        zero_tol = 1e-12 * (1.0 + opn)
         for p in (1.5, 2.0, 3.0):
-            prev = math.inf
-            for tail in tails:
-                val = schatten_norm(tail, p)
-                if val > prev + 1e-12 * (1.0 + prev):
-                    monotone_failures += 1
-                prev = val
-            worst_final = max(worst_final, prev)
-            if prev > zero_tol:
-                final_nonzero += 1
+            vals = _schatten_from_svals(alg, svals, p).reshape(len(levels), -1)
+            prev = vals[:-1]
+            monotone_failures += int(np.sum(vals[1:] > prev + 1e-12 * (1.0 + prev)))
+            worst_final = max(worst_final, float(vals[-1].max()))
+            final_nonzero += int(np.sum(vals[-1] > zero_tol))
     return {"name": "tail_projection", "trials": trials,
             "monotone_failures": monotone_failures,
             "final_nonzero": final_nonzero, "worst_final": worst_final,

@@ -312,6 +312,58 @@ class TestCommands:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["norms", "--p", "2"], ["triple-norm"],
+                                      ["numerical-radius"]],
+                             ids=["norms", "triple-norm", "numerical-radius"])
+    @pytest.mark.parametrize("im", [[], [[5]]], ids=["im-empty", "im-broadcast"])
+    def test_re_im_of_different_shapes_exit_2(self, tmp_path, capsys, argv, im):
+        # an empty im is no broadcast traceback, and a 1x1 im is not spread
+        # over the 2x2 re (trace_im 10.0 under status holds)
+        path = tmp_path / "el.json"
+        path.write_text(ELEMENT_FILE.replace('"im": [[0, 0], [0, 0]]', f'"im": {im}'))
+        assert main(argv + ["--input", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: 're' and 'im' must have one shape, got (2, 2) and "
+                       f"{np.shape(im)}\n")
+
+    @pytest.mark.parametrize("field, im", [("mult", [[[0.0]]]), ("invol", [[0.0]]),
+                                           ("unit", [0.0])],
+                             ids=["mult", "invol", "unit"])
+    def test_star_document_re_im_of_different_shapes_exit_2(self, tmp_path, capsys, field, im):
+        # the cyclic group algebra of Z_2; one field's im would broadcast
+        star = {"format": "nclp-star/1",
+                "mult": {"re": [[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]],
+                         "im": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+                "invol": {"re": [[1.0, 0.0], [0.0, 1.0]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+                "unit": {"re": [1.0, 0.0], "im": [0.0, 0.0]}}
+        omega = [[{"re": [[1.0]], "im": [[0.0]]}], [{"re": [[0.0]], "im": [[0.0]]}]]
+        path = str(tmp_path / "star.json")
+        save_json(path, {"domain": star, "target": {"blocks": [1]}, "omega": omega})
+        assert main(["gns", "--input", path]) == 0
+        capsys.readouterr()
+        star[field]["im"] = im
+        save_json(path, {"domain": star, "target": {"blocks": [1]}, "omega": omega})
+        assert main(["gns", "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 're' and 'im' must have one shape")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("entry", [1e308, -1e308, 1.7e308])
+    def test_gns_omega_that_overflows_exits_2(self, tmp_path, capsys, entry):
+        # a finite omega whose block gram overflows: no LinAlgError traceback
+        # from the positivity eigensolve, and no overflow warnings
+        omega = [[{"re": [[v]], "im": [[0.0]]}] for v in (entry, 0.0, 0.0, 1.0)]
+        path = str(tmp_path / "omega.json")
+        save_json(path, {"domain": {"kind": "matrix_algebra", "size": 2},
+                         "target": {"blocks": [1]}, "omega": omega})
+        assert main(["gns", "--input", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("error: positivity eigensolve failed: the hermitian part overflows "
+                       "the float range\n")
+
 
 class TestDeterminism:
     def test_same_seed_same_bytes(self):
