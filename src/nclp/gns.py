@@ -148,14 +148,9 @@ class GnsRepresentation:
         coefficients, so it is the matrix ``pi_of`` gives alone."""
         return _combine_rows(coords, [np.array(self.pi)])[0]
 
-    def class_coords(self, frame_vec: np.ndarray) -> np.ndarray:
-        """Algebra coordinates of a representative of the given frame vector."""
-        return self.quotient_frame @ np.asarray(frame_vec, dtype=complex).ravel()
-
-    def cyclic_classes(self, pis: np.ndarray) -> np.ndarray:
-        """(T, d) algebra coordinates of the classes pi_t xi of a (T, r, r)
-        stack, each as ``class_coords(pi_t @ cyclic)`` gives it."""
-        return (self.quotient_frame @ (pis @ self.cyclic)[..., None])[..., 0]
+    def class_coords(self, frame_vecs: np.ndarray) -> np.ndarray:
+        """Algebra coordinates of representatives of (..., r) frame vectors."""
+        return (self.quotient_frame @ np.asarray(frame_vecs, dtype=complex)[..., None])[..., 0]
 
 
 def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
@@ -223,7 +218,7 @@ def _residuals(rep: GnsRepresentation) -> dict:
     scale = phi.gram_scale()
     pis = np.array(rep.pi)
 
-    vecs = rep.cyclic_classes(pis)
+    vecs = rep.class_coords(pis @ rep.cyclic)
     rebuilt = evaluate_stack(phi, np.repeat(vecs, d, axis=0), np.tile(vecs, (d, 1)))
     diffs = [g - r for g, r in zip(phi.flat_gram(), rebuilt)]
     recon = float(np.max(_stacked_schatten(phi.target, diffs, 2.0))) / scale
@@ -279,8 +274,8 @@ def verify_representation(rep: GnsRepresentation, trials: int = 50,
     mult = float(np.max(_max_abs(pab - pa @ pb) / (pscale * pscale)))
     adj = float(np.max(_max_abs(pstar - pa.conj().swapaxes(-1, -2)) / pscale))
     # Phi(a, b) - Phi(va, vb) of every trial, as one stack
-    vals = evaluate_stack(phi, np.concatenate([a, rep.cyclic_classes(pa)]),
-                          np.concatenate([b, rep.cyclic_classes(pb)]))
+    vals = evaluate_stack(phi, np.concatenate([a, rep.class_coords(pa @ rep.cyclic)]),
+                          np.concatenate([b, rep.class_coords(pb @ rep.cyclic)]))
     n = len(draws)
     norms = _stacked_schatten(phi.target, [v[:n] - v[n:] for v in vals], 2.0).tolist()
     recon = 0.0

@@ -173,12 +173,9 @@ def _combine_rows(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> list[np.n
     # in one row multiplies by the scalar coefficient: numpy may round a
     # one-element complex product apart from a broadcast one.
     slots = []
-    first = None                  # each slot's first live row, taken once if needed
     for s, n in enumerate(live.sum(axis=0).tolist()):
         if n == 1:
-            if first is None:
-                first = live.argmax(axis=0).tolist()
-            r = first[s]
+            r = int(np.flatnonzero(live[:, s])[0])
             slots.append((s, r, coeffs[r, s]))
         elif n == len(coeffs):
             slots.append((s, slice(None), coeffs[:, s, None, None]))
