@@ -6,7 +6,8 @@ positive sesquilinear maps (``sesquilinear``), Cauchy-Schwarz and uncertainty
 checkers (``inequalities``), numerical-radius-type norms and operator-valued
 checks (``radius``), GNS-type representations (``gns``), kernel-driven map
 families (``kernels``), serialization (``matrixio``) and the batch driver
-(``cli``).
+(``cli``).  Every status they report, the rules that decide it and the
+positivity certificate come from ``verdict``.
 """
 
 from .algebra import (AlgebraElement, PExponent, TracedAlgebra, dual_norm_achiever,
@@ -16,17 +17,16 @@ from .algebra import (AlgebraElement, PExponent, TracedAlgebra, dual_norm_achiev
 from .errors import (ConditioningError, DomainError, InconsistencyError,
                      PreconditionError, StructureError)
 from .gns import GnsRepresentation, gns_construct, null_space, verify_representation
-from .inequalities import (InequalityReport, UncertaintyReport, check_cs_lp,
-                           check_cs_normal, check_re_im, ratio_sampler,
-                           uncertainty_check)
+from .inequalities import (UncertaintyReport, check_cs_lp, check_cs_normal, check_re_im,
+                           ratio_sampler, uncertainty_check)
 from .kernels import KernelMap, bound_checks
 from .radius import (OperatorValuedMap, SearchBudget, SuperOperator, TripleNormResult,
                      check_cs_operator_valued, numerical_radius, superop_norm,
                      triple_norm)
-from .sesquilinear import (PositivityCertificate, SesquilinearMap,
-                           check_left_invariance, check_positivity, evaluate,
-                           from_linear_map, random_map)
+from .sesquilinear import (SesquilinearMap, check_left_invariance, check_positivity,
+                           evaluate, from_linear_map, random_map)
 from .star import (AlgebraVector, StarAlgebra, cyclic_group_algebra, matrix_algebra,
                    matrix_units_algebra)
+from .verdict import InequalityReport, PositivityCertificate
 
 __version__ = "0.1.0"

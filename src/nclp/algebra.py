@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError, PreconditionError, StructureError
+from .verdict import within
 
 __all__ = [
     "TracedAlgebra",
@@ -514,8 +515,7 @@ def holder_check(a: AlgebraElement, b: AlgebraElement, p: PExponent | float) -> 
     pe = as_exponent(p)
     lhs = schatten_norm(a @ b, 1.0)
     rhs = schatten_norm(a, pe) * schatten_norm(b, pe.q)
-    return HolderReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + 1e-9 * (1.0 + rhs),
-                        p=pe.value, q=pe.q)
+    return HolderReport(lhs=lhs, rhs=rhs, holds=within(lhs, rhs, 1e-9), p=pe.value, q=pe.q)
 
 
 @dataclass

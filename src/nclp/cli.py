@@ -26,13 +26,14 @@ from .algebra import TracedAlgebra, as_exponent, schatten_norm, trace
 from .errors import (ConditioningError, DomainError, InconsistencyError, PreconditionError,
                      StructureError)
 from .gns import gns_construct, verify_representation
-from .inequalities import OK_STATUSES, RatioProfile, default_cs_constant, ratio_sampler
+from .inequalities import RatioProfile, default_cs_constant, ratio_sampler
 from .kernels import KernelMap, kernel_by_name
 from .matrixio import (_field, algebra_from_json, dump_deterministic, element_from_json,
                        fmt_float, gns_to_json, load_elements, load_json,
                        star_from_json)
 from .radius import SearchBudget, numerical_radius, triple_norm
 from .star import builtin as star_builtin
+from .verdict import HOLDS, OK_STATUSES, status
 
 VERSION = "1"
 
@@ -83,7 +84,7 @@ class RunConfig:
 class RunReport:
     config: RunConfig
     results: list = field(default_factory=list)
-    overall: str = "holds"
+    overall: str = HOLDS
     wall_time_s: float = 0.0
 
     def to_doc(self) -> dict:
@@ -164,8 +165,8 @@ def _named_entry(r: dict) -> dict:
     """The entry check-uncertainty and check-cs-opvalued print: the suite's
     fields, then its name as ``check``, then its status."""
     entry = _fields(r)
-    status = entry.pop("status")
-    return {**entry, "check": r["name"], "status": status}
+    verdict = entry.pop("status")
+    return {**entry, "check": r["name"], "status": verdict}
 
 
 def _cmd_norms(cfg: RunConfig) -> list:
@@ -178,7 +179,7 @@ def _cmd_norms(cfg: RunConfig) -> list:
         for p in ps:
             key = "norm_inf" if math.isinf(p) else f"norm_{p:g}"
             entry[key] = schatten_norm(el, p)
-        entry["status"] = "holds"
+        entry["status"] = HOLDS
         results.append(entry)
     return results
 
@@ -186,7 +187,7 @@ def _cmd_norms(cfg: RunConfig) -> list:
 def _cmd_numerical_radius(cfg: RunConfig) -> list:
     alg, elements = load_elements(cfg.input_path)
     return [{"check": "numerical-radius", "element": name,
-             "value": numerical_radius(el), "status": "holds"}
+             "value": numerical_radius(el), "status": HOLDS}
             for name, el in elements.items()]
 
 
@@ -199,7 +200,7 @@ def _cmd_triple_norm(cfg: RunConfig) -> list:
         res = triple_norm(el, budget)
         out.append({"check": "triple-norm", "element": name, "value": res.value,
                     "upper_bound": res.upper_bound, "rank1_bound": res.rank1_bound,
-                    "optimum": res.status, "status": "holds"})
+                    "optimum": res.status, "status": HOLDS})
     return out
 
 
@@ -208,20 +209,18 @@ def _cmd_cs_lp(cfg: RunConfig) -> list:
     trials = cfg.trials or 200
     constant = cfg.constant if cfg.constant is not None else default_cs_constant(p)
     stats = suites.cs_lp_sweep(trials, [p], seed=cfg.seed)["per_p"][str(p)]
-    violated = stats["max_ratio"] > constant + _tol(cfg)
     return [{"check": "check-cs-lp", "p": p, "constant": constant,
              "trials": trials, "max_ratio": stats["max_ratio"],
-             "status": "violated" if violated else "holds"}]
+             "status": status(stats["max_ratio"] <= constant + _tol(cfg))}]
 
 
 def _cmd_cs_normal(cfg: RunConfig) -> list:
     p = cfg.p if cfg.p is not None else 2.0
     trials = cfg.trials or 200
     stats = suites.cs_normal_sweep(trials, [p], seed=cfg.seed)["per_p"][str(p)]
-    violated = stats["max_ratio"] > 1.0 + _tol(cfg)
     return [{"check": "check-cs-normal", "p": p, "trials": trials,
              "max_ratio": stats["max_ratio"],
-             "status": "violated" if violated else "holds"}]
+             "status": status(stats["max_ratio"] <= 1.0 + _tol(cfg))}]
 
 
 def _cmd_re_im(cfg: RunConfig) -> list:
@@ -287,7 +286,7 @@ def _cmd_sample_ratios(cfg: RunConfig) -> list:
     rows = ratio_sampler(profile)
     for row in rows:
         row["check"] = "sample-ratios"
-        row["status"] = "holds"
+        row["status"] = HOLDS
     return rows
 
 
@@ -347,8 +346,7 @@ def execute(cfg: RunConfig) -> RunReport:
     t0 = time.perf_counter()
     results = COMMANDS[cfg.command][0](cfg)
     report = RunReport(config=cfg, results=_jsonable(results))
-    bad = [r for r in results if r.get("status") not in OK_STATUSES]
-    report.overall = "violated" if bad else "holds"
+    report.overall = status(all(r.get("status") in OK_STATUSES for r in results))
     report.wall_time_s = time.perf_counter() - t0
     return report
 

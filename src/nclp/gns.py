@@ -172,10 +172,7 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
             raise PreconditionError(f"map is not left-invariant: residual {resid:.3e}")
     else:
         phi = from_linear_map(list(source), domain, target)
-    cert = check_positivity(phi, trials=256, seed=seed)
-    if cert.status == "violated":
-        raise PreconditionError(
-            f"map failed positivity sampling (min eig {cert.witness_min_eig:.3e})")
+    check_positivity(phi, trials=256, seed=seed).require()
 
     s = _hermitian_scalar_gram(phi)
     kernel = null_space(phi)

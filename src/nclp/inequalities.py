@@ -13,7 +13,7 @@ Implemented inequalities, for a positive sesquilinear map Phi into L^p(rho):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,49 +22,15 @@ from .algebra import (AlgebraElement, PExponent, TracedAlgebra, _stacked_schatte
                       as_exponent, hermitian_part_of, operator_norm, schatten_norm)
 from .errors import DomainError, PreconditionError, StructureError
 from .sampling import random_unit_vector, substreams
-from .sesquilinear import (PositivityCertificate, SesquilinearMap, _random_map_pairs,
-                           check_left_invariance, check_positivity, evaluate, evaluate_stack)
+from .sesquilinear import (SesquilinearMap, _random_map_pairs, check_left_invariance,
+                           check_positivity, evaluate, evaluate_stack)
+from .verdict import InequalityReport, PositivityCertificate, report
 
-__all__ = ["InequalityReport", "UncertaintyReport", "check_cs_lp", "check_cs_normal",
+__all__ = ["UncertaintyReport", "check_cs_lp", "check_cs_normal",
            "check_re_im", "uncertainty_check",
            "ratio_sampler", "default_cs_constant"]
 
-REPORT_TOL_COEFF = 1e-8
 INVARIANCE_TOL = 1e-8
-# the statuses that pass a check
-OK_STATUSES = ("holds", "holds_within_tol")
-
-
-@dataclass
-class InequalityReport:
-    lhs: float
-    rhs: float
-    ratio: float
-    margin: float
-    status: str                      # "holds" | "holds_within_tol" | "violated"
-    witness: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return self.status in OK_STATUSES
-
-
-def _report(lhs: float, rhs: float, witness: dict) -> InequalityReport:
-    """Division-free status logic; rhs = 0 (at most 1e-12) forces lhs = 0 for a pass."""
-    tol = REPORT_TOL_COEFF * (1.0 + rhs)
-    margin = rhs - lhs
-    if rhs <= 1e-12:
-        if lhs <= max(1e-12, tol):
-            return InequalityReport(lhs, rhs, 0.0, margin, "holds", witness)
-        return InequalityReport(lhs, rhs, math.inf, margin, "violated", witness)
-    ratio = lhs / rhs
-    if margin >= 0.0:
-        status = "holds"
-    elif margin >= -tol:
-        status = "holds_within_tol"
-    else:
-        status = "violated"
-    return InequalityReport(lhs, rhs, ratio, margin, status, witness)
 
 
 def default_cs_constant(p: PExponent | float) -> float:
@@ -75,12 +41,6 @@ def default_cs_constant(p: PExponent | float) -> float:
     if pe.value == 2.0:
         return math.sqrt(2.0)
     return 2.0
-
-
-def _require_not_violated(cert: PositivityCertificate) -> None:
-    if cert.status == "violated":
-        raise PreconditionError(
-            f"positivity certificate is violated (min eig {cert.witness_min_eig:.3e})")
 
 
 def _pair_stack(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
@@ -106,7 +66,7 @@ def check_cs_lp(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
         raise DomainError(f"the Cauchy-Schwarz constant must be finite and positive, "
                           f"got {constant}")
     cert = certificate if certificate is not None else check_positivity(phi)
-    _require_not_violated(cert)
+    cert.require()
     norms = _stacked_schatten(phi.target, _pair_stack(phi, x, y), pe.value)
     return _cs_report(*norms.tolist(), pe, constant, x, y)
 
@@ -116,7 +76,7 @@ def _cs_report(lhs: float, dx: float, dy: float, pe: PExponent, constant: float,
     """The Cauchy-Schwarz report from ||Phi(x,y)||_p, ||Phi(x,x)||_p and ||Phi(y,y)||_p."""
     rhs = constant * math.sqrt(max(dx, 0.0)) * math.sqrt(max(dy, 0.0))
     witness = {"p": pe.value, "constant": constant, "x": np.asarray(x), "y": np.asarray(y)}
-    return _report(lhs, rhs, witness)
+    return report(lhs, rhs, witness)
 
 
 def check_cs_normal(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
@@ -126,7 +86,7 @@ def check_cs_normal(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
     if pe.value <= 1.0:
         raise DomainError("the normal-value check applies for p > 1")
     cert = check_positivity(phi)
-    _require_not_violated(cert)
+    cert.require()
     val = evaluate(phi, x, y)
     resid = max(np.max(np.abs(b @ b.conj().T - b.conj().T @ b), initial=0.0)
                 for b in val.blocks)
@@ -142,7 +102,7 @@ def check_cs_normal(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray,
 def check_re_im(phi: SesquilinearMap, x: np.ndarray,
                 y: np.ndarray) -> tuple[InequalityReport, InequalityReport]:
     """||Re Phi(x,y)||_2^2 <= ||Phi(x,x)||_2 ||Phi(y,y)||_2, and the same for Im."""
-    _require_not_violated(check_positivity(phi))
+    check_positivity(phi).require()
     norms = _stacked_schatten(phi.target, _re_im_parts(_pair_stack(phi, x, y)), 2.0)
     return _re_im_reports(*norms.tolist(), x, y)
 
@@ -161,8 +121,8 @@ def _re_im_reports(n_re: float, n_im: float, n_x: float, n_y: float, x: np.ndarr
     """The Re and Im reports from the 2-norms of the four ``_re_im_parts``."""
     rhs = n_x * n_y
     wit = {"x": np.asarray(x), "y": np.asarray(y)}
-    return (_report(n_re ** 2, rhs, {**wit, "part": "re"}),
-            _report(n_im ** 2, rhs, {**wit, "part": "im"}))
+    return (report(n_re ** 2, rhs, {**wit, "part": "re"}),
+            report(n_im ** 2, rhs, {**wit, "part": "im"}))
 
 
 # -- stacked random-map trials ------------------------------------------------------

@@ -30,6 +30,7 @@ from .radius import OperatorValuedMap, SearchBudget, _nr_elements, _triple_norm_
 from .sampling import random_element, random_psd, substreams
 from .sesquilinear import SesquilinearMap, check_left_invariance, check_positivity
 from .star import matrix_units_algebra
+from .verdict import within
 
 __all__ = ["Kernel", "ConstantKernel", "OnePlusXTKernel", "ExpAbsDiffKernel",
            "GridKernel", "KernelMap", "FunctionSample", "bound_checks", "KernelBoundReport"]
@@ -324,17 +325,16 @@ def bound_checks(km: KernelMap, trials: int = 50, seed: int = 0) -> KernelBoundR
                                                    quick=True)]
     nr_fail = tr_fail = 0
     max_nr = max_tr = 0.0
-    tol = 1e-9
     for (x_el, y_el, s, _), nr_val, tr_val in zip(draws, nr_vals, tr_vals):
         cap = k_sup ** 2 * schatten_norm(x_el, 2.0) * schatten_norm(y_el, 2.0) \
             * operator_norm(s)
         nr_cap = t_inf ** 2 * cap
-        if nr_val > nr_cap + tol * (1.0 + nr_cap):
+        if not within(nr_val, nr_cap, 1e-9):
             nr_fail += 1
         if nr_cap > 0:
             max_nr = max(max_nr, nr_val / nr_cap)
         tr_cap = t_four ** 2 * cap
-        if tr_val > tr_cap + tol * (1.0 + tr_cap):
+        if not within(tr_val, tr_cap, 1e-9):
             tr_fail += 1
         if tr_cap > 0:
             max_tr = max(max_tr, tr_val / tr_cap)

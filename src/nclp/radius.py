@@ -87,10 +87,11 @@ import numpy as np
 from .algebra import (AlgebraElement, TracedAlgebra, _rank_projections, _stacked_schatten,
                       hermitian_part_of, psd_tol, schatten_norm, structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
-from .inequalities import InequalityReport, _report
 from .sampling import (random_complex_matrix, random_hermitian, random_psd, rng_from,
                        substreams, unitaries_from_gaussian)
-from .sesquilinear import PositivityCertificate, _combine_rows, _generator_gram
+from .sesquilinear import _combine_rows, _generator_gram
+from .verdict import (CERTIFIED, EXACT, HEURISTIC, InequalityReport, PositivityCertificate,
+                      report)
 
 __all__ = ["numerical_radius", "SearchBudget", "TripleNormResult", "triple_norm",
            "SuperOperator", "superop_norm",
@@ -419,7 +420,7 @@ class TripleNormResult:
     maximizer: AlgebraElement
     upper_bound: float
     rank1_bound: float
-    status: str                     # "exact" | "heuristic"
+    status: str                     # EXACT | HEURISTIC
 
 
 def _spectral(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -830,10 +831,10 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
     out = []
     for i, (u, b, w) in enumerate(zip(upper, best, w_final)):
         if u == 0.0:
-            out.append(TripleNormResult(0.0, alg.zero(), 0.0, 0.0, "exact"))
+            out.append(TripleNormResult(0.0, alg.zero(), 0.0, 0.0, EXACT))
             continue
         value = u * b
-        status = "exact" if (pool.exact[i] or value >= u * (1.0 - 1e-11)) else "heuristic"
+        status = EXACT if (pool.exact[i] or value >= u * (1.0 - 1e-11)) else HEURISTIC
         out.append(TripleNormResult(value=value, maximizer=AlgebraElement(alg, w),
                                     upper_bound=u, rank1_bound=u * float(pool.rank1[i]),
                                     status=status))
@@ -1036,7 +1037,7 @@ class _TargetNorm:
 class SuperOperatorNormResult:
     value: float
     maximizer: AlgebraElement
-    status: str                      # "exact" | "heuristic"
+    status: str                      # EXACT | HEURISTIC
 
 
 def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarray:
@@ -1110,7 +1111,7 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
     """
     tn = _TargetNorm(target_norm, ops[0].target_algebra)
     search = [i for i, op in enumerate(ops) if not op.is_zero]
-    out = [SuperOperatorNormResult(0.0, op.source.identity(), "exact") if op.is_zero else None
+    out = [SuperOperatorNormResult(0.0, op.source.identity(), EXACT) if op.is_zero else None
            for op in ops]
     if not search:
         return out
@@ -1165,7 +1166,7 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
     for i, v, t in zip(search, best_val, best_t):
         src = ops[i].source
         out[i] = SuperOperatorNormResult(value=v, maximizer=src.from_coords(t),
-                                         status="exact" if src.coord_dim == 1 else "heuristic")
+                                         status=EXACT if src.coord_dim == 1 else HEURISTIC)
     return out
 
 
@@ -1235,15 +1236,11 @@ class OperatorValuedMap:
                              target_algebra=self.target_algebra)
 
     def check_positivity(self, trials: int = 64, seed: int = 0) -> PositivityCertificate:
-        """Certify positivity by the generator, or sample Phi(x, x)(S) on PSD S.
-
-        A sampled certificate carries the worst unit vector x as ``witness``
-        and its least eigenvalue as ``witness_min_eig``.
-        """
+        """Certify positivity by the generator, or sample Phi(x, x)(S) on PSD S."""
         if trials < 1:
             raise DomainError("positivity sampling needs trials >= 1")
         if self.generator is not None:
-            return PositivityCertificate(status="certified", reason="factored generator")
+            return PositivityCertificate(status=CERTIFIED, reason="factored generator")
         rng = rng_from(seed)
         worst = math.inf
         worst_x = None
@@ -1256,15 +1253,8 @@ class OperatorValuedMap:
             lam = float(np.linalg.eigvalsh(hermitian_part_of(val)).min()) - defect
             if lam < worst:
                 worst, worst_x = lam, x
-        scale = 1.0 + float(np.max(np.abs(self.gram)))
-        if worst < -1e-8 * scale:
-            return PositivityCertificate(status="violated", samples=trials, witness=worst_x,
-                                         witness_min_eig=worst,
-                                         reason="sampled value on a PSD input with "
-                                                "negative eigenvalue")
-        return PositivityCertificate(status="sampled", samples=trials, witness=worst_x,
-                                     witness_min_eig=worst,
-                                     reason="no violation among sampled unit vectors")
+        return PositivityCertificate.sampled(worst, worst_x, trials,
+                                             1.0 + float(np.max(np.abs(self.gram))))
 
 
 def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarray,
@@ -1304,8 +1294,7 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
            != (head.source, head.target_dim, head.target_algebra) for p in phis):
         raise StructureError("a stacked check needs maps of one shape")
     for phi, budget in zip(phis, budgets):
-        if phi.check_positivity(seed=budget.seed).status == "violated":
-            raise PreconditionError("operator-valued map failed positivity sampling")
+        phi.check_positivity(seed=budget.seed).require()
     ops = [phi.superop(x, y) for phi, x, y in zip(phis, xs, ys)]
     pools = [None if op.is_zero else _unitary_candidates(op.source, b)
              for op, b in zip(ops, budgets)]
@@ -1316,9 +1305,9 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
     for norm in norms:
         results = _superop_stack(ops, norm, budgets, pools)
         sides = _TargetNorm(norm, head.target_algebra).batch_values(at_identity)
-        out[norm] = [_report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
-                             {"target_norm": norm, "budget_starts": budget.starts,
-                              "heuristic": res.status == "heuristic"})
+        out[norm] = [report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
+                            {"target_norm": norm, "budget_starts": budget.starts,
+                             "heuristic": res.status == HEURISTIC})
                      for res, (v_x, v_y), budget in zip(results, sides.reshape(-1, 2).tolist(),
                                                         budgets)]
     return out

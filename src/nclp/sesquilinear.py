@@ -28,20 +28,18 @@ value is the one ``evaluate_stack`` gives that trial's map alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, hermitian_part_of
-from .errors import (ConditioningError, DomainError, InconsistencyError, PreconditionError,
-                     StructureError)
+from .errors import ConditioningError, DomainError, PreconditionError, StructureError
 from .sampling import random_unit_vector, rng_from
 from .star import StarAlgebra
+from .verdict import CERTIFIED, PositivityCertificate
 
-__all__ = ["SesquilinearMap", "PositivityCertificate",
-           "evaluate", "evaluate_stack", "check_positivity", "check_left_invariance",
-           "random_map", "from_linear_map", "scalar_gram"]
+__all__ = ["SesquilinearMap", "evaluate", "evaluate_stack", "check_positivity",
+           "check_left_invariance", "random_map", "from_linear_map", "scalar_gram"]
 
 DEFAULT_POSITIVITY_SAMPLES = 512
 # coefficients evaluate_stack forms at once, which bounds its scratch memory
@@ -120,8 +118,12 @@ class SesquilinearMap:
 
     def gram_scale(self) -> float:
         """1 + the largest 2-norm of a gram entry, the scale residuals are
-        measured against."""
-        return 1.0 + float(np.max(_stacked_schatten(self.target, self.flat_gram(), 2.0)))
+        measured against; ``ConditioningError`` if it overflows."""
+        with np.errstate(over="ignore"):
+            scale = 1.0 + float(np.max(_stacked_schatten(self.target, self.flat_gram(), 2.0)))
+        if not math.isfinite(scale):
+            raise ConditioningError("the gram scale overflows the float range")
+        return scale
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         bound = tol * (1.0 + self.max_abs_entry)
@@ -186,19 +188,6 @@ def _combine_rows(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> list[np.n
         for s, rows, c in slots:
             acc[rows] += c * g[s]
     return out
-
-
-@dataclass
-class PositivityCertificate:
-    status: str                      # "certified" | "sampled" | "violated"
-    samples: int = 0
-    witness: np.ndarray | None = None
-    witness_min_eig: float | None = None
-    reason: str = ""
-
-    def __post_init__(self):
-        if self.status == "violated" and self.witness is None:
-            raise InconsistencyError("a violated certificate must carry a witness")
 
 
 # -- operations -----------------------------------------------------------------
@@ -266,14 +255,14 @@ def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMP
     if trials < 1:
         raise DomainError("positivity sampling needs trials >= 1")
     if phi.generator is not None:
-        return PositivityCertificate(status="certified", reason="factored generator")
+        return PositivityCertificate(status=CERTIFIED, reason="factored generator")
     scale = 1.0 + phi.max_abs_entry
     with np.errstate(over="ignore", invalid="ignore"):      # _eigvalsh refuses an overflow
         psd_gram = phi.is_hermitian() and all(
             _eigvalsh(0.5 * (big + big.conj().T)).min() >= -1e-10 * scale
             for big in _block_gram_matrices(phi))
     if psd_gram:
-        return PositivityCertificate(status="certified", reason="block gram matrix is PSD")
+        return PositivityCertificate(status=CERTIFIED, reason="block gram matrix is PSD")
     rng = rng_from(seed)
     xs = np.array([random_unit_vector(rng, phi.domain_dim) for _ in range(trials)])
     vals = evaluate_stack(phi, xs, xs)
@@ -283,14 +272,7 @@ def check_positivity(phi: SesquilinearMap, trials: int = DEFAULT_POSITIVITY_SAMP
     lam_min = np.minimum.reduce([_eigvalsh(hermitian_part_of(v)).min(axis=-1)
                                  for v in vals]) - herm_defect
     at = int(np.argmin(lam_min))
-    worst, worst_x = lam_min[at], xs[at]
-    if worst < -1e-9 * scale:
-        return PositivityCertificate(status="violated", samples=trials, witness=worst_x,
-                                     witness_min_eig=float(worst),
-                                     reason="sampled diagonal value with negative eigenvalue")
-    return PositivityCertificate(status="sampled", samples=trials,
-                                 witness_min_eig=float(worst),
-                                 reason="no violation among sampled unit vectors")
+    return PositivityCertificate.sampled(lam_min[at], xs[at], trials, scale)
 
 
 def check_left_invariance(phi: SesquilinearMap) -> float:

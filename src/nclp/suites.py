@@ -2,9 +2,9 @@
 
 Each suite runs a deterministic seeded sweep and returns a JSON-ready dict:
 its ``name``, the measured counts and extremes, and last its own ``status``
-("holds" or "violated"), decided from thresholds stated here and nowhere
-else.  The CLI ``check-all`` command and the acceptance tests drive these
-same functions, only with different trial counts.
+(holds or violated, from ``verdict.status``), decided from thresholds stated
+here and nowhere else.  The CLI ``check-all`` command and the acceptance tests
+drive these same functions, only with different trial counts.
 
 Every seeded suite draws all its samples first, then evaluates them as
 stacks.  Random-map trials go through one path,
@@ -37,6 +37,7 @@ from .sampling import (random_complex_matrix, random_element, random_psd,
                        substreams)
 from .sesquilinear import _random_map_pairs
 from .star import StarAlgebra, cyclic_group_algebra, matrix_algebra
+from .verdict import VIOLATED, status, within
 
 __all__ = ["target_pool", "commutative_pool", "cs_lp_sweep", "cs_normal_sweep",
            "re_im_sweep", "uncertainty_suite", "pairing_and_holder_suite",
@@ -66,10 +67,6 @@ def commutative_pool() -> list[TracedAlgebra]:
         TracedAlgebra([1, 1, 1], [0.5, 1.0, 1.5]),
         TracedAlgebra([1, 1, 1, 1], [1.0, 0.25, 2.0, 0.5]),
     ]
-
-
-def _status(ok: bool) -> str:
-    return "holds" if ok else "violated"
 
 
 def _require_trials(trials: int, seed: int) -> None:
@@ -127,7 +124,7 @@ def cs_lp_sweep(trials: int, p_values: Sequence[float], seed: int = 0,
                                           "status": worst.status}}
         worst_excess = max(worst_excess, max_ratio / (default_cs_constant(p) + 1e-8))
     return {"name": "cs_lp_sweep", "trials_per_p": trials, "per_p": per_p,
-            "elapsed_s": time.perf_counter() - t0, "status": _status(worst_excess <= 1.0)}
+            "elapsed_s": time.perf_counter() - t0, "status": status(worst_excess <= 1.0)}
 
 
 def cs_normal_sweep(trials: int, p_values: Sequence[float], seed: int = 0) -> dict:
@@ -135,7 +132,7 @@ def cs_normal_sweep(trials: int, p_values: Sequence[float], seed: int = 0) -> di
     out = cs_lp_sweep(trials, p_values, seed=seed, pool=commutative_pool())
     worst = max(s["max_ratio"] for s in out["per_p"].values())
     return {"name": "cs_normal_sweep", "per_p": out["per_p"],
-            "elapsed_s": out["elapsed_s"], "status": _status(worst <= 1.0 + 1e-8)}
+            "elapsed_s": out["elapsed_s"], "status": status(worst <= 1.0 + 1e-8)}
 
 
 def re_im_sweep(trials: int, seed: int = 0) -> dict:
@@ -150,7 +147,7 @@ def re_im_sweep(trials: int, seed: int = 0) -> dict:
             if not rep.ok:
                 violations += 1
     return {"name": "re_im_sweep", "violations": violations,
-            "worst_margin": worst_margin, "status": _status(violations == 0)}
+            "worst_margin": worst_margin, "status": status(violations == 0)}
 
 
 # -- uncertainty -------------------------------------------------------------------
@@ -195,7 +192,7 @@ def uncertainty_suite() -> dict:
             "commutator_residual": rep.commutator_residual,
             "k_hermitian_defect": rep.k_hermitian_defect,
             "commuting_gamma": commuting.gamma,
-            "status": _status(ok)}
+            "status": status(ok)}
 
 
 # -- trace pairing, Hoelder, tail projections ------------------------------------------
@@ -240,12 +237,12 @@ def pairing_and_holder_suite(trials: int, seed: int = 0) -> dict:
             rhs = (_schatten_from_svals(alg, sv_g, pe.value)
                    * _schatten_from_svals(alg, sv_h, pe.q))
             worst_holder_margin = min(worst_holder_margin, float((rhs - lhs).min()))
-            holder_violations += int(np.sum(lhs > rhs + 1e-9))
+            holder_violations += int(np.sum(~within(lhs, rhs, 1e-9)))
     ok = worst_re >= -1e-10 and worst_im <= 1e-10 and holder_violations == 0
     return {"name": "pairing_and_holder", "trials": trials,
             "worst_re": worst_re, "worst_im": worst_im,
             "holder_violations": holder_violations,
-            "worst_holder_margin": worst_holder_margin, "status": _status(ok)}
+            "worst_holder_margin": worst_holder_margin, "status": status(ok)}
 
 
 def _unit_2norm(alg: TracedAlgebra, blocks: list[np.ndarray]) -> list[np.ndarray]:
@@ -289,14 +286,13 @@ def tail_projection_suite(trials: int, seed: int = 0) -> dict:
         zero_tol = 1e-12 * (1.0 + opn)
         for p in (1.5, 2.0, 3.0):
             vals = _schatten_from_svals(alg, svals, p).reshape(len(levels), -1)
-            prev = vals[:-1]
-            monotone_failures += int(np.sum(vals[1:] > prev + 1e-12 * (1.0 + prev)))
+            monotone_failures += int(np.sum(~within(vals[1:], vals[:-1], 1e-12)))
             worst_final = max(worst_final, float(vals[-1].max()))
             final_nonzero += int(np.sum(vals[-1] > zero_tol))
     return {"name": "tail_projection", "trials": trials,
             "monotone_failures": monotone_failures,
             "final_nonzero": final_nonzero, "worst_final": worst_final,
-            "status": _status(monotone_failures == 0 and final_nonzero == 0)}
+            "status": status(monotone_failures == 0 and final_nonzero == 0)}
 
 
 # -- numerical radius and the L^2 radius norm -------------------------------------------
@@ -339,7 +335,7 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
     return {"name": "numerical_radius", "trials": trials,
             "w_shift": w_shift, "sandwich_failures": sandwich_failures,
             "hermitian_defect": hermitian_defect, "unitary_defect": unitary_defect,
-            "status": _status(ok)}
+            "status": status(ok)}
 
 
 def triple_norm_suite(samples: int, seed: int = 0) -> dict:
@@ -401,7 +397,7 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
             "samples": samples, "sandwich_failures": sandwich_failures,
             "worst_low": worst_low, "worst_high": worst_high,
             "cs_failures": cs_failures, "worst_cs_excess": worst_cs,
-            "status": _status(ok)}
+            "status": status(ok)}
 
 
 # -- operator-valued Cauchy-Schwarz -------------------------------------------------
@@ -473,10 +469,10 @@ def operator_valued_suite(instances: int, seed: int = 0, starts: int = 64,
             rep = reps[norm, t]
             if math.isfinite(rep.ratio):
                 out[norm]["max_ratio"] = max(out[norm]["max_ratio"], rep.ratio)
-            if rep.status == "violated":
+            if rep.status == VIOLATED:
                 out[norm]["violations"] += 1
     ok = exact_defect <= 1e-10 and all(out[norm]["violations"] == 0 for norm in norms)
-    out["status"] = _status(ok)
+    out["status"] = status(ok)
     return out
 
 
@@ -544,14 +540,14 @@ def gns_suite(per_domain: int, seed: int = 0) -> dict:
             "cyclic_failures": cyclic_failures,
             "a11_quotient_dim": rep_a11.quotient_dim,
             "trace_quotient_dim": rep_tr.quotient_dim,
-            "status": _status(ok)}
+            "status": status(ok)}
 
 
 def gns_status(rep: GnsRepresentation, ver: VerificationReport) -> str:
     """Status of one GNS construction from its residuals and Lambda(e)'s cyclicity."""
-    return _status(rep.residuals["reconstruction"] <= 1e-9 and ver.cyclic
-                   and rep.residuals["multiplicativity"] <= 1e-9
-                   and rep.residuals["adjointness"] <= 1e-9)
+    return status(rep.residuals["reconstruction"] <= 1e-9 and ver.cyclic
+                  and rep.residuals["multiplicativity"] <= 1e-9
+                  and rep.residuals["adjointness"] <= 1e-9)
 
 
 # -- kernel families ------------------------------------------------------------------
@@ -562,7 +558,7 @@ def kernel_bound_suite(km: KernelMap, trials: int, seed: int = 0) -> dict:
     _require_trials(trials, seed)
     rep = bound_checks(km, trials=trials, seed=seed)
     ok = (rep.nr_bound_failures == 0 and rep.triple_bound_failures == 0
-          and rep.invariance_residual <= 1e-9 and rep.positivity_status != "violated")
+          and rep.invariance_residual <= 1e-9 and rep.positivity_status != VIOLATED)
     return {"name": "kernel_bounds", "trials": rep.trials,
             "nr_bound_failures": rep.nr_bound_failures,
             "triple_bound_failures": rep.triple_bound_failures,
@@ -571,4 +567,4 @@ def kernel_bound_suite(km: KernelMap, trials: int, seed: int = 0) -> dict:
             "invariance_residual": rep.invariance_residual,
             "positivity": rep.positivity_status,
             "min_diag_eig": rep.min_diag_eig,
-            "status": _status(ok)}
+            "status": status(ok)}

@@ -350,10 +350,16 @@ class TestCommands:
         assert err.startswith("error: 're' and 'im' must have one shape")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("entry", [1e308, -1e308, 1.7e308])
-    def test_gns_omega_that_overflows_exits_2(self, tmp_path, capsys, entry):
+    @pytest.mark.parametrize("entry, message", [
+        *((v, "positivity eigensolve failed: the hermitian part overflows the float range")
+          for v in (1e308, -1e308, 1.7e308)),
+        *((v, "the gram scale overflows the float range") for v in (1e200, 1e300, 1e307)),
+    ], ids=["1e+308", "-1e+308", "1.7e+308", "1e+200", "1e+300", "1e+307"])
+    def test_gns_omega_that_overflows_exits_2(self, tmp_path, capsys, entry, message):
         # a finite omega whose block gram overflows: no LinAlgError traceback
-        # from the positivity eigensolve, and no overflow warnings
+        # from the positivity eigensolve, and no overflow warnings; one whose
+        # gram is PSD but whose scale overflows gets no verdict over residuals
+        # divided by an inf scale, and no NaN in the report
         omega = [[{"re": [[v]], "im": [[0.0]]}] for v in (entry, 0.0, 0.0, 1.0)]
         path = str(tmp_path / "omega.json")
         save_json(path, {"domain": {"kind": "matrix_algebra", "size": 2},
@@ -361,8 +367,24 @@ class TestCommands:
         assert main(["gns", "--input", path]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == ("error: positivity eigensolve failed: the hermitian part overflows "
-                       "the float range\n")
+        assert err == f"error: {message}\n"
+
+    # the kernels are not yet scaled (ROADMAP item 15), so ||T||_4 overflows
+    # with RuntimeWarnings on the way to the refused verdict
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kernel_demo_cap_that_overflows_exits_2(self, tmp_path, capsys):
+        # ||T||_4 of T = 1e100 I is inf, and an inf triple-norm cap would
+        # pass every trial with max_triple_ratio 0.0
+        path = str(tmp_path / "kernel.json")
+        save_json(path, {"algebra": {"blocks": [2]},
+                         "W": [{"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}],
+                         "T": [{"re": [[1e100, 0.0], [0.0, 1e100]],
+                                "im": [[0.0, 0.0], [0.0, 0.0]]}],
+                         "kernel": {"name": "one_plus_xt"}})
+        assert main(["kernel-demo", "--input", path, "--trials", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no verdict on a non-finite side of a bound\n"
 
 
 class TestDeterminism:

@@ -12,6 +12,7 @@ from nclp.kernels import KernelMap, OnePlusXTKernel
 from nclp.sesquilinear import (SesquilinearMap, check_positivity, evaluate_stack,
                                random_map)
 from nclp.star import matrix_algebra
+from nclp.verdict import report
 
 from conftest import gram_of
 
@@ -242,16 +243,14 @@ class TestConstantAboveOneIsNeeded:
 
 class TestReportLogic:
     def test_zero_rhs_positive_lhs_violated(self):
-        from nclp.inequalities import _report
-        rep = _report(0.5, 0.0, {})
+        rep = report(0.5, 0.0, {})
         assert rep.status == "violated"
         assert rep.ratio == math.inf
 
     def test_within_tolerance_band(self):
-        from nclp.inequalities import _report
-        rep = _report(1.0 + 5e-9, 1.0, {})
+        rep = report(1.0 + 5e-9, 1.0, {})
         assert rep.status == "holds_within_tol"
-        rep2 = _report(1.0 + 1e-6, 1.0, {})
+        rep2 = report(1.0 + 1e-6, 1.0, {})
         assert rep2.status == "violated"
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nclp import gns, inequalities, radius, suites
+from nclp import gns, inequalities, radius, suites, verdict
 from nclp.algebra import (TracedAlgebra, _tail_projections, as_exponent, hermitian_part_of,
                           holder_check, operator_norm, psd_tol, schatten_norm,
                           spectral_tail_projection, trace)
@@ -268,13 +268,13 @@ def ref_pairing_and_holder(trials, seed):
         for p in (1.0, 1.5, 2.0, 3.0, math.inf):
             rep = holder_check(g, h, p)
             worst_holder_margin = min(worst_holder_margin, rep.rhs - rep.lhs)
-            if rep.lhs > rep.rhs + 1e-9:
+            if not rep.holds:                   # holder_check: within(lhs, rhs, 1e-9)
                 holder_violations += 1
     ok = worst_re >= -1e-10 and worst_im <= 1e-10 and holder_violations == 0
     return {"name": "pairing_and_holder", "trials": trials,
             "worst_re": worst_re, "worst_im": worst_im,
             "holder_violations": holder_violations,
-            "worst_holder_margin": worst_holder_margin, "status": suites._status(ok)}
+            "worst_holder_margin": worst_holder_margin, "status": verdict.status(ok)}
 
 
 def ref_tail_projection(w, t):
@@ -314,7 +314,7 @@ def ref_tail_suite(trials, seed):
     return {"name": "tail_projection", "trials": trials,
             "monotone_failures": monotone_failures,
             "final_nonzero": final_nonzero, "worst_final": worst_final,
-            "status": suites._status(monotone_failures == 0 and final_nonzero == 0)}
+            "status": verdict.status(monotone_failures == 0 and final_nonzero == 0)}
 
 
 def ref_pi_of(rep, coords):
@@ -429,7 +429,7 @@ def ref_gns_suite(per_domain, seed):
             "cyclic_failures": cyclic_failures,
             "a11_quotient_dim": rep_a11.quotient_dim,
             "trace_quotient_dim": rep_tr.quotient_dim,
-            "status": suites._status(ok)}
+            "status": verdict.status(ok)}
 
 
 class TestStackedSuites:
