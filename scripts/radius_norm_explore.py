@@ -32,19 +32,22 @@ def main() -> int:
         ("M3+M1 weighted", TracedAlgebra([3, 1], [0.5, 2.0])),
     ]
     budget = SearchBudget(starts=args.starts, iters=30, seed=args.seed)
-    # with unit trace weights w(F) <= |||F|||_2; weighted traces only keep the
-    # feasible rank-one bound, so that is what gets asserted per sample
+    # with every trace weight w_k >= 1, |||F|||_2 = w(F): a unitary Z bounds
+    # |tr(Z W_k F_k W_k)| by w(F_k) tr(W_k^2), so ||W F W||_1 <= w(F) ||W||_2^2,
+    # and W = w_k^{-1/2} h h* attains w(F_k); with a weight below 1 the same
+    # argument gives max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F), so the
+    # feasible rank-one bound is what gets asserted per sample
     print(f"{'layout':>16} {'mean val/||F||_2':>16} {'min':>8} {'max':>8} "
           f"{'mean val/w(F)':>14}")
     for name, alg in layouts:
         ratios, vs_radius = [], []
-        unit_weights = all(w == 1.0 for w in alg.weights)
+        weights_at_least_one = all(w >= 1.0 for w in alg.weights)
         for rng in substreams(args.seed, args.samples):
             f = random_element(alg, rng)
             res = triple_norm(f, budget)
             up = schatten_norm(f, 2.0)
             wf = numerical_radius(f, grid=512)
-            low = wf if unit_weights else res.rank1_bound
+            low = wf if weights_at_least_one else res.rank1_bound
             assert low - 1e-6 <= res.value <= up + 1e-9, (name, res.value, low, up)
             ratios.append(res.value / up)
             vs_radius.append(res.value / wf)

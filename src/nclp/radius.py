@@ -24,15 +24,24 @@ Three layers:
 * ``triple_norm``: the L^2 radius norm  |||F|||_2 = sup ||W F W||_1 over
   PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to a
   fractional knapsack over the spectrum (substituting V = W^2 makes the
-  objective linear); everything else is certified from below by feasible
+  objective linear).  When every block weight w_k is >= 1, |||F|||_2 = w(F):
+  for a unitary Z = sum_j z_j e_j e_j*, |tr(Z W_k F_k W_k)| =
+  |sum_j z_j <F_k W_k e_j, W_k e_j>| <= w(F_k) tr(W_k^2), so ||W F W||_1 <=
+  w(F) ||W||_2^2 <= w(F), and the feasible W = w_k^{-1/2} h h* attains
+  w(F_k).  On such an algebra every other input goes to the numerical-radius
+  kernel ``_nr_stack``, and the value is ``numerical_radius``'s bit for bit.
+  For other weights the same argument gives max_k min(w_k, 1) w(F_k) <=
+  |||F|||_2 <= w(F), and the value is certified from below by feasible
   maximizers (the knapsack maximizer of |F|, two rank-one directions per
   block, the spectral projections of |F|, projected ascent) and from above
   by ||F||_2.  The candidate maximizers of a whole stack of elements are
   built and scored by one kernel, ``_triple2_pool``, in a few
   stacked linalg calls, and each result is bit-identical whatever the size
   or order of the stack.  A PSD item's pool is its knapsack maximizer
-  alone.  ``_triple_norm_stack`` runs the whole search for a list of
-  elements: one pool, then the projected ascent on per-block stacks, where
+  alone.  ``_triple_norm_stack`` takes a list of elements: on weights >= 1
+  the PSD ones get their knapsack pool and the others one ``_nr_stack``
+  call per block; otherwise it runs the whole search (``_triple_norm_search``):
+  one pool, then the projected ascent on per-block stacks, where
   the starts of every element ascend together, each on its own F and each
   giving the result it would give alone; ``triple_norm`` is a list of one.
   Projection onto the feasible set is one clip of the spectrum to [0, 1]
@@ -59,7 +68,9 @@ Three layers:
   the others whose bound reaches the least of their values; a tie among a
   pool's four best values scores that pool whole, so each ranking is the
   unpruned one.  The refinement chains of all operators climb as one stack
-  of certified values, one ``certify`` call per step.  The last pool drawn
+  of certified values, one ``certify`` call per step.  On a target whose
+  block weights are all >= 1, |||.|||_2 is w, and ``triple2`` is ``nr``
+  there: the same ranking, certificates and polish.  The last pool drawn
   is kept (a one-entry memo), so the two target norms of one check search
   one draw,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
@@ -68,9 +79,9 @@ Three layers:
   proven, and no check is re-run at a larger budget.  One kernel,
   ``_check_cs_stack``, checks a list of instances of one shape: each
   instance's pool is drawn once for every target norm, and each norm makes
-  one ``_superop_stack`` call and one stack of right-hand sides, each
-  report the one the check gives alone; ``check_cs_operator_valued`` is a
-  list of one.
+  one ``_superop_stack`` call and one stack of right-hand sides (one for
+  both where ``triple2`` is ``nr``), each report the one the check gives
+  alone; ``check_cs_operator_valued`` is a list of one.
 """
 
 from __future__ import annotations
@@ -284,9 +295,10 @@ def _nr_newton(mats: np.ndarray, thetas: np.ndarray,
 
 
 def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
-               rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+               rows: np.ndarray, out: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
     """Settle the ``rows`` of a stack that the normal bracket closes: write
-    their w into ``out`` and return the other rows.
+    their w into ``out`` (and their h into ``vecs``, if given) and return
+    the other rows.
 
     For normal M, rho(M) <= w(M) <= || |M| + |M*| || / 2 (Kittaneh, Studia
     Math. 158, 2003) is an equality.  Rows with ||M M* - M* M||_F <=
@@ -295,29 +307,39 @@ def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
     eigenvalue of largest modulus, and the upper bound the largest eigenvalue
     of the polar mean (``_polar_mean``).  A row is settled when the value
     reaches the bound less 1e-12 ||M||_F; the others are left to the grid.
+    The test and the bound are taken on each row scaled by 2^-e, e the
+    exponent of its largest |entry|, so squares neither overflow nor
+    underflow; a power of two scales them exactly, and the value comes from
+    the row as given.
     """
     sub = stack[rows]
-    adj = np.conj(np.swapaxes(sub, -1, -2))
-    fro = np.sqrt((np.abs(sub) ** 2).sum(axis=(1, 2)))
-    comm = np.sqrt((np.abs(sub @ adj - adj @ sub) ** 2).sum(axis=(1, 2)))
+    exp = np.frexp(np.abs(sub).max(axis=(1, 2)))[1]
+    unit = np.ldexp(1.0, -exp)[:, None, None] * sub
+    adj = np.conj(np.swapaxes(unit, -1, -2))
+    fro = np.sqrt((np.abs(unit) ** 2).sum(axis=(1, 2)))
+    comm = np.sqrt((np.abs(unit @ adj - adj @ unit) ** 2).sum(axis=(1, 2)))
     pick = comm <= 1e-12 * fro ** 2
     if not pick.any():
         return rows
-    sub, fro = sub[pick], fro[pick]
-    upper = _polar_mean(TracedAlgebra([sub.shape[-1]]), [sub])[0][:, -1]
+    sub, unit, exp = sub[pick], unit[pick], exp[pick]
+    upper = _polar_mean(TracedAlgebra([sub.shape[-1]]), [unit])[0][:, -1]
     eig = np.linalg.eigvals(sub)
     top = eig[np.arange(len(sub)), np.argmax(np.abs(eig), axis=1)]
-    vals = np.array(_nr_top([mats[i] for i in rows[pick]], -np.angle(top),
-                            [0.0] * len(sub))[0])
-    closed = vals >= upper - 1e-12 * fro
+    vals, hs, _ = _nr_top([mats[i] for i in rows[pick]], -np.angle(top), [0.0] * len(sub))
+    vals = np.array(vals)
+    closed = np.ldexp(vals, -exp) >= upper - 1e-12 * fro[pick]
     out[rows[pick][closed]] = vals[closed]
+    if vecs is not None:
+        vecs[rows[pick][closed]] = hs[closed]
     pick[pick] = closed
     return rows[~pick]
 
 
-def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int) -> np.ndarray:
+def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
+              vecs: np.ndarray | None = None) -> np.ndarray:
     """w(M) of every matrix of a (B, n, n) stack or a list of n x n matrices;
-    zero matrices give 0.
+    zero matrices give 0.  With ``vecs``, a (B, n) array, each nonzero
+    matrix's unit vector h with |<Mh, h>| = w(M) is written into it.
 
     Normal matrices are settled first on rho(M) <= w(M) <= || |M| + |M*| || / 2
     (``_nr_normal``), with no grid.  For the others, one pruned grid
@@ -334,7 +356,8 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int) -> np.ndarray:
     stack = np.asarray(mats)
     out = np.zeros(len(stack))
     rows = stack.any(axis=(1, 2)).nonzero()[0]
-    rows = _nr_normal(stack, mats, rows, out)
+    settle = _nr_normal if vecs is None else functools.partial(_nr_normal, vecs=vecs)
+    rows = settle(stack, mats, rows, out)
     if not rows.size:
         return out
     if rows.size < len(stack):
@@ -348,7 +371,9 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int) -> np.ndarray:
     for i, t, v in zip(owner.tolist(), thetas.tolist(), tops.tolist()):
         if v > best_val[i]:
             best_theta[i], best_val[i] = t, v
-    out[rows] = _nr_top(mats, np.array(best_theta), best_val)[0]
+    out[rows], hs, _ = _nr_top(mats, np.array(best_theta), best_val)
+    if vecs is not None:
+        vecs[rows] = hs
     return out
 
 
@@ -582,6 +607,32 @@ def _level_projections(alg: TracedAlgebra, dec_abs: Sequence[tuple[np.ndarray, n
     return at, lv, [shrink * pk for pk in proj]
 
 
+def _unit_norm2(alg: TracedAlgebra,
+                blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """||F||_2 of each item of a stack given as per-block (B, n_k, n_k)
+    arrays, and the blocks of F / ||F||_2 (zero for F = 0)."""
+    fs = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
+    upper = _stacked_schatten(alg, fs, 2.0)
+    inv = np.divide(1.0, upper, out=np.zeros(len(upper)), where=upper != 0.0)
+    scale = inv.astype(complex)[:, None, None]
+    return upper, [scale * b for b in fs]
+
+
+def _psd_items(fh: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarray]:
+    """The hermitian rows of a stack of unit-||.||_2 items, the per-block
+    stacked ``eigh`` of their hermitian parts and which of them are PSD: the
+    predicates of AlgebraElement.is_hermitian and is_psd."""
+    maxabs = _itemwise_max([np.abs(b) for b in fh])
+    skew = _itemwise_max([np.abs(b - b.conj().swapaxes(-1, -2)) for b in fh])
+    herm = (skew <= structure_tol(maxabs)).nonzero()[0]
+    if not herm.size:
+        return herm, [], np.zeros(0, dtype=bool)
+    dec_h = [np.linalg.eigh(hermitian_part_of(b[herm])) for b in fh]
+    opn = _itemwise_max([np.abs(lam) for lam, _ in dec_h])
+    psd = np.all([lam[:, 0] >= -psd_tol(opn) for lam, _ in dec_h], axis=0)
+    return herm, dec_h, psd
+
+
 def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 64,
                   refine: bool = False) -> _TriplePool:
     """Candidate pool and quick-path |||.|||_2 for a stack of elements.
@@ -600,14 +651,17 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
     angles of each block, all of its (item, peak) rows in one ``_nr_newton``
     stack.
     """
+    upper, fh = _unit_norm2(alg, blocks)
+    return _triple2_pool_of(alg, upper, fh, _psd_items(fh), grid, refine)
+
+
+def _triple2_pool_of(alg: TracedAlgebra, upper: np.ndarray, fh: list[np.ndarray],
+                     psd_items: tuple[np.ndarray, list, np.ndarray], grid: int,
+                     refine: bool) -> _TriplePool:
+    """``_triple2_pool`` from the items' ``_unit_norm2`` and ``_psd_items``."""
     sizes, weights = alg.block_sizes, alg.weights
     nblk = len(sizes)
-    fs = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
-    items = len(fs[0])
-    upper = _stacked_schatten(alg, fs, 2.0)
-    inv = np.divide(1.0, upper, out=np.zeros(items), where=upper != 0.0)
-    scale = inv.astype(complex)[:, None, None]
-    fh = [scale * b for b in fs]                  # unit ||F||_2; homogeneous objective
+    items = len(upper)
 
     nslot = 1 + 2 * nblk + alg.total_dim
     cands = [np.zeros((items, nslot, n, n), dtype=complex) for n in sizes]
@@ -619,22 +673,14 @@ def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 
                 c[at, slot] = w
         valid[at, slot] = True
 
-    # hermitian / PSD predicates, as AlgebraElement.is_hermitian / is_psd,
-    # the latter from one eigh per block of the hermitian items
-    maxabs = _itemwise_max([np.abs(b) for b in fh])
-    skew = _itemwise_max([np.abs(b - b.conj().swapaxes(-1, -2)) for b in fh])
-    herm = (skew <= structure_tol(maxabs)).nonzero()[0]
+    herm, dec_h, psd = psd_items
     exact = np.zeros(items, dtype=bool)
-    psd_rows, psd_rank1 = np.zeros(0, dtype=int), np.zeros(0)
+    psd_rows, psd_rank1 = herm[psd], np.zeros(0)
+    exact[psd_rows] = True
 
     # knapsack maximizers, in one stack: of F for PSD F, of |F| for the rest
     owners, decs = [], []
     if herm.size:
-        dec_h = [np.linalg.eigh(hermitian_part_of(b[herm])) for b in fh]
-        opn = _itemwise_max([np.abs(lam) for lam, _ in dec_h])
-        psd = np.all([lam[:, 0] >= -psd_tol(opn) for lam, _ in dec_h], axis=0)
-        psd_rows = herm[psd]
-        exact[psd_rows] = True
         psd_rank1 = np.max([min(wt, 1.0) * lam[psd, -1]
                             for wt, (lam, _) in zip(weights, dec_h)], axis=0)
         owners.append(psd_rows)
@@ -757,21 +803,45 @@ def _ascend(alg: TracedAlgebra, fh: Sequence[np.ndarray], starts: Sequence[np.nd
     return best, w
 
 
+def _triple2_is_nr(alg: TracedAlgebra) -> bool:
+    """Whether |||.|||_2 is the numerical radius on ``alg``: every block
+    weight is >= 1 (see ``triple_norm``)."""
+    return min(alg.weights) >= 1.0
+
+
 def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
                 quick: bool = False) -> TripleNormResult:
     """|||F|||_2 = sup { ||W F W||_1 : W >= 0, ||W||_2 <= 1, ||W||_inf <= 1 }.
 
     Returns a certified lower bound with a feasible maximizer plus the upper
-    bound ||F||_2.  PSD inputs are solved exactly (status "exact"); otherwise
-    the value combines rank-one directions (for single weight-1 blocks these
-    reproduce the numerical radius), the knapsack maximizer and the spectral
-    projections of |F|, and multi-start projected ascent from the best of
-    them and from random points.  F goes through the stacked kernel
+    bound ||F||_2.  PSD inputs are solved exactly (status "exact").  When
+    every block weight w_k is >= 1, |||F|||_2 = w(F), the numerical radius:
+    for a unitary Z = sum_j z_j e_j e_j*, |tr(Z W_k F_k W_k)| =
+    |sum_j z_j <F_k W_k e_j, W_k e_j>| <= w(F_k) tr(W_k^2), so
+    ||W F W||_1 <= w(F) ||W||_2^2 <= w(F); and the feasible
+    W = w_k^{-1/2} h h* in block k, h a unit vector with |<F_k h, h>| =
+    w(F_k), attains w(F_k).  There the value is ``numerical_radius(F)`` bit
+    for bit, with that maximizer and rank-one bound.  For other weights the
+    same argument gives max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F), and
+    the value combines rank-one directions, the knapsack maximizer and the
+    spectral projections of |F|, and multi-start projected ascent from the
+    best of them and from random points.  F goes through the stacked kernel
     ``_triple_norm_stack`` as a stack of one, so the value does not depend on
     whether F is evaluated alone or inside a larger stack.  With ``quick``
     the ascent phase is skipped.  Non-finite entries raise ``DomainError``.
     """
     return _triple_norm_stack(f.algebra, [f], budget, quick)[0]
+
+
+def _triple_result(alg: TracedAlgebra, upper: float, value: float, rank1: float,
+                   w: Sequence[np.ndarray], exact: bool) -> TripleNormResult:
+    """The result for ||F||_2 = ``upper``; exact when ``exact`` or the value
+    reaches the upper bound."""
+    if upper == 0.0:
+        return TripleNormResult(0.0, alg.zero(), 0.0, 0.0, EXACT)
+    status = EXACT if (exact or value >= upper * (1.0 - 1e-11)) else HEURISTIC
+    return TripleNormResult(value=value, maximizer=AlgebraElement(alg, w), upper_bound=upper,
+                            rank1_bound=rank1, status=status)
 
 
 def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
@@ -780,23 +850,74 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
     """``triple_norm`` of every element of a list over ``alg``, each result
     the one a list of one gives, bit for bit.
 
-    One ``_triple2_pool`` call scores every element's candidates.  Without
-    ``quick``, each non-exact element's ascent starts from its three best
-    candidates and the ``budget.starts`` random points (drawn once, the same
-    for every element), and the starts of all elements climb as one
-    ``_ascend`` stack, each on its own F.  An element's first start with the
-    highest objective wins if it beats its pool; the winners are projected
-    once more and scored in one more stack.
+    When every block weight w_k is >= 1 (``_triple2_is_nr``), |||F|||_2 =
+    w(F): a unitary Z bounds |tr(Z W_k F_k W_k)| by w(F_k) tr(W_k^2), so
+    ||W F W||_1 <= w(F) ||W||_2^2 <= w(F), and W = w_k^{-1/2} h h* attains
+    w(F_k).  There PSD and zero elements get their knapsack pool
+    (``_triple2_pool_of``), exact with no search, and every other element F
+    gets w(F): one ``_nr_stack`` call per block on the 1024-angle grid, the
+    largest over the blocks, the maximizer w_k^{-1/2} h h* from the top
+    eigenvector h the winning block's refinement ends on, ``rank1_bound``
+    the value and ``upper_bound`` ||F||_2; ``budget`` and ``quick`` change
+    nothing there.
+    With a weight below 1, where only max_k min(w_k, 1) w(F_k) <=
+    |||F|||_2 <= w(F) is known, the whole search runs
+    (``_triple_norm_search``).
     """
     for f in fs:
         _require_finite(f.blocks, "|||.|||_2")
     budget = budget or SearchBudget()
     if not fs:
         return []
-    pool = _triple2_pool(alg, [np.stack([f.blocks[k] for f in fs]) for k in range(alg.n_blocks)],
-                         grid=64 if quick else 256, refine=not quick)
+    blocks = [np.stack([f.blocks[k] for f in fs]) for k in range(alg.n_blocks)]
+    if not _triple2_is_nr(alg):
+        pool = _triple2_pool(alg, blocks, grid=64 if quick else 256, refine=not quick)
+        return _triple_norm_search(alg, pool, budget, quick)
+    upper, fh = _unit_norm2(alg, blocks)
+    herm, dec_h, psd = _psd_items(fh)
+    out: list = [None] * len(fs)
+    exact = np.zeros(len(fs), dtype=bool)
+    at = herm[psd]
+    exact[at] = True
+    if at.size:
+        only = (np.arange(at.size), [(lam[psd], q[psd]) for lam, q in dec_h],
+                np.ones(at.size, dtype=bool))
+        pool = _triple2_pool_of(alg, upper[at], [b[at] for b in fh], only, 64, False)
+        for i, res in zip(at.tolist(), _triple_norm_search(alg, pool, budget, True)):
+            out[i] = res
+    rest = (~exact).nonzero()[0]
+    if rest.size:
+        vals, vecs = [], []
+        for k, n in enumerate(alg.block_sizes):
+            vecs.append(np.zeros((rest.size, n), dtype=complex))
+            vals.append(_nr_stack([fs[i].blocks[k] for i in rest], 1024, vecs[-1]))
+        win = np.argmax(vals, axis=0)                    # the first block of largest w
+        for j, (i, kb) in enumerate(zip(rest.tolist(), win.tolist())):
+            h = vecs[kb][j]
+            w = [np.zeros((n, n), dtype=complex) for n in alg.block_sizes]
+            w[kb] = complex(1.0 / math.sqrt(alg.weights[kb])) * hermitian_part_of(
+                h[:, None] * h.conj()[None, :])
+            value = float(vals[kb][j])
+            out[i] = _triple_result(alg, float(upper[i]), value, value, w, False)
+    return out
+
+
+def _triple_norm_search(alg: TracedAlgebra, pool: _TriplePool, budget: SearchBudget,
+                        quick: bool) -> list[TripleNormResult]:
+    """The |||.|||_2 search of a stack of elements from their candidate
+    pool, each result the one a stack of one gives, bit for bit.
+
+    A PSD element is exact on its knapsack.  Without ``quick``, each non-exact
+    element's ascent starts from its three best candidates and the
+    ``budget.starts`` random points (drawn once, the same for every
+    element), and the starts of all elements climb as one ``_ascend``
+    stack, each on its own F.  An element's first start with the highest
+    objective wins if it beats its pool; the winners are projected once more
+    and scored in one more stack.
+    """
+    items = len(pool.upper)
     upper, best = pool.upper.tolist(), pool.best.tolist()
-    w_final = [[m[i] for m in pool.maximizer] for i in range(len(fs))]
+    w_final = [[m[i] for m in pool.maximizer] for i in range(items)]
 
     search = [] if quick else [i for i, u in enumerate(upper) if u != 0.0 and not pool.exact[i]]
     if search:
@@ -828,17 +949,8 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
             for j, i in enumerate(won):
                 best[i], w_final[i] = float(one[j]), [x[j] for x in w_win]
 
-    out = []
-    for i, (u, b, w) in enumerate(zip(upper, best, w_final)):
-        if u == 0.0:
-            out.append(TripleNormResult(0.0, alg.zero(), 0.0, 0.0, EXACT))
-            continue
-        value = u * b
-        status = EXACT if (pool.exact[i] or value >= u * (1.0 - 1e-11)) else HEURISTIC
-        out.append(TripleNormResult(value=value, maximizer=AlgebraElement(alg, w),
-                                    upper_bound=u, rank1_bound=u * float(pool.rank1[i]),
-                                    status=status))
-    return out
+    return [_triple_result(alg, u, u * b, u * float(pool.rank1[i]), w, bool(pool.exact[i]))
+            for i, (u, b, w) in enumerate(zip(upper, best, w_final))]
 
 
 # ---------------------------------------------------------------------------
@@ -932,6 +1044,17 @@ class _TargetNorm:
     ``_superop_stack``, which climb together as one stack.
     Each item's result is the one a stack of one gives, bit for bit, so
     results do not depend on the stack's size or order.
+
+    On a target algebra whose block weights are all >= 1 (the default
+    TracedAlgebra([n]) included) |||F|||_2 = w(F): a unitary Z bounds
+    |tr(Z W_k F_k W_k)| by w(F_k) tr(W_k^2), so ||W F W||_1 <= w(F)
+    ||W||_2^2 <= w(F), and W = w_k^{-1/2} h h* attains w(F_k) (see
+    ``triple_norm``); w of a block-diagonal matrix is the largest w of its
+    blocks.  There ``triple2`` is ``nr``: ``radius`` is set, and it ranks,
+    certifies and takes the 1024-angle polish of ``_superop_stack`` exactly
+    as ``nr`` does, after ``_target_blocks`` has refused values that are not
+    block-diagonal.  With a weight below 1, max_k min(w_k, 1) w(F_k) <=
+    |||F|||_2 <= w(F), and ``triple2`` keeps its own pool.
     """
 
     NR_GRID = 256
@@ -941,6 +1064,14 @@ class _TargetNorm:
             raise DomainError(f"unknown target norm {kind!r}")
         self.kind = kind
         self.target_algebra = target_algebra
+        self.radius = kind == "nr" or target_algebra is None or _triple2_is_nr(target_algebra)
+
+    def _radius_stack(self, mats: np.ndarray) -> np.ndarray:
+        """The dense matrices a ``radius`` norm scores: a ``triple2`` value
+        that is not block-diagonal over the target algebra is refused."""
+        if self.kind == "triple2" and self.target_algebra is not None:
+            _target_blocks(mats, self.target_algebra)
+        return mats
 
     def batch_values(self, mats: np.ndarray, top: int | None = None,
                      groups: Sequence[int] | None = None) -> np.ndarray:
@@ -951,11 +1082,12 @@ class _TargetNorm:
         group's ``argsort`` prefix of length ``top`` and every finite value
         are those of the group's unpruned stack, bit for bit.
 
-        ``nr`` scores the dense matrices on the pruned theta grid
-        (``_nr_grid``), ``triple2`` the target blocks with ``_triple2_pool``.
+        ``nr``, and ``triple2`` with ``radius`` set, score the dense
+        matrices on the pruned theta grid (``_nr_grid``); ``triple2``
+        otherwise scores the target blocks with ``_triple2_pool``.
         A ranking takes two passes over an upper bound from ``_polar_mean``:
         the largest eigenvalue of the polar mean of the dense matrix for
-        ``nr`` (Kittaneh), its knapsack value for ``triple2``.  In each group
+        the former (Kittaneh), its knapsack value for the latter.  In each group
         the ``top`` items with the largest bounds (in stable order) are
         scored first, and the least of their values is the floor; then every
         other item whose bound, plus a rounding margin of 1e-12 ||F||_2,
@@ -966,13 +1098,13 @@ class _TargetNorm:
         call over every group, so one polar mean and three scoring stacks at
         most rank any number of groups.
         """
-        if self.kind == "nr":
-            alg, blocks = TracedAlgebra([mats.shape[-1]]), [mats]
+        if self.radius:
+            alg, blocks = TracedAlgebra([mats.shape[-1]]), [self._radius_stack(mats)]
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return np.max(_nr_grid(bs[0], self.NR_GRID, 1), axis=1)
         else:
-            alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
+            alg = self.target_algebra
             blocks = _target_blocks(mats, alg)
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
@@ -995,7 +1127,7 @@ class _TargetNorm:
         if ranked:
             rows = np.concatenate([np.arange(a, b) for a, b in ranked])
             lam, norm2 = _polar_mean(alg, [b[rows] for b in blocks])
-            bound[rows] = lam[:, -1] if self.kind == "nr" else _knapsack_value(alg, lam)
+            bound[rows] = lam[:, -1] if self.radius else _knapsack_value(alg, lam)
             reach[rows] = bound[rows] + 1e-12 * norm2
             tops = [a + np.argsort(-bound[a:b], kind="stable")[:top] for a, b in ranked]
         fill([np.arange(a, b) for a, b in spans if b - a <= top] + tops)
@@ -1010,9 +1142,9 @@ class _TargetNorm:
 
         Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.
         """
-        if self.kind == "nr":
+        if self.radius:
             # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
-            grid, found = _nr_peaks(mats, self.NR_GRID, 1)
+            grid, found = _nr_peaks(self._radius_stack(mats), self.NR_GRID, 1)
             top = np.array([p[0] for p in found])
             vals, vecs, thetas = _nr_top(mats, top * (TWO_PI / self.NR_GRID),
                                          grid[np.arange(len(mats)), top].tolist())
@@ -1021,7 +1153,7 @@ class _TargetNorm:
             zero = ~mats.any(axis=(1, 2))
             certs[zero] = 0.0
             return np.where(zero, 0.0, vals), certs
-        alg = self.target_algebra or TracedAlgebra([mats.shape[-1]])
+        alg = self.target_algebra
         blocks = _target_blocks(mats, alg)
         pool = _triple2_pool(alg, blocks)
         # Re tr_rho(D* W M W) = Re tr(C M) with C = blockdiag(w_k W_k D_k* W_k),
@@ -1106,8 +1238,9 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
     matrix-vector product per chain), one stacked SVD per source block and
     one ``certify`` call.  A chain stops once a step does not raise its
     value, and an operator's chains stop after its ``budget.iters`` steps.
-    For ``nr``, one ``_nr_stack`` call on the 1024-angle grid scores every
-    operator's best T.
+    For ``nr``, and ``triple2`` where it is ``nr`` (``_TargetNorm.radius``),
+    one ``_nr_stack`` call on the 1024-angle grid scores every operator's
+    best T, so the two give the same result there, bit for bit.
     """
     tn = _TargetNorm(target_norm, ops[0].target_algebra)
     search = [i for i, op in enumerate(ops) if not op.is_zero]
@@ -1159,7 +1292,7 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
         if v > best_val[o]:
             best_val[o], best_t[o] = v, t
 
-    if target_norm == "nr":
+    if tn.radius:
         mats = [ops[i].apply_coords(t) for i, t in zip(search, best_t)]
         _require_finite(mats, "numerical radius")
         best_val = [max(v, w) for v, w in zip(best_val, _nr_stack(np.stack(mats), 1024).tolist())]
@@ -1286,7 +1419,9 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
 
     Each instance's pool is drawn once and searched for every norm, and each
     norm takes one ``_superop_stack`` call and one ``batch_values`` stack of
-    right-hand sides.  Maps of another shape than the first raise
+    right-hand sides; ``triple2`` on a target where it is ``nr``
+    (``_TargetNorm.radius``) takes nr's, so with both norms asked for there
+    the search runs once.  Maps of another shape than the first raise
     ``StructureError``.
     """
     head = phis[0]
@@ -1301,13 +1436,19 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
     ident = head.source.identity().coords()
     at_identity = np.stack([phi.superop(v, v).apply_coords(ident)
                             for phi, x, y in zip(phis, xs, ys) for v in (x, y)])
-    out = {}
-    for norm in norms:
-        results = _superop_stack(ops, norm, budgets, pools)
-        sides = _TargetNorm(norm, head.target_algebra).batch_values(at_identity)
+    out, searched = {}, {}
+    # triple2 first: a search shared with nr then refuses values that are
+    # not block-diagonal, as triple2's own search does
+    for norm in sorted(norms, key=lambda n: n != "triple2"):
+        tn = _TargetNorm(norm, head.target_algebra)
+        key = "nr" if tn.radius else norm
+        if key not in searched:
+            searched[key] = (_superop_stack(ops, norm, budgets, pools),
+                             tn.batch_values(at_identity))
+        results, sides = searched[key]
         out[norm] = [report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
                             {"target_norm": norm, "budget_starts": budget.starts,
                              "heuristic": res.status == HEURISTIC})
                      for res, (v_x, v_y), budget in zip(results, sides.reshape(-1, 2).tolist(),
                                                         budgets)]
-    return out
+    return {norm: out[norm] for norm in norms}

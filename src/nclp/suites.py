@@ -345,9 +345,11 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
     All samples are drawn first, and the Cauchy-Schwarz values of all the
     maps come from one ``_random_map_pairs`` call.  Per algebra, the
     sandwich elements and the PSD right-hand sides go through one full
-    ``_triple_norm_stack`` call (one ascent), the left-hand sides through
-    one quick call, and the sandwich's w(F) through one ``_nr_elements``
-    call; each value is the one a call per element gives."""
+    ``_triple_norm_stack`` call, the left-hand sides through one quick call,
+    and the sandwich's w(F) through one ``_nr_elements`` call; each value is
+    the one a call per element gives.  The algebras have unit weights, so
+    |||F|||_2 = w(F) there, and the sandwich's lower side compares w on the
+    1024-angle grid with w on a 512-angle one."""
     _require_trials(samples, seed)
     budget = SearchBudget(starts=4, iters=25, seed=seed)
     tr2 = TracedAlgebra([2])

@@ -104,7 +104,7 @@ def test_criterion_09_operator_valued_cs():
     assert r == {"name": "operator_valued", "instances": 100, "starts": 64,
                  "d1_ratio_defect": 1.1102230246251565e-15,
                  "nr": {"violations": 0, "max_ratio": 0.9988262147527879},
-                 "triple2": {"violations": 0, "max_ratio": 0.9988245686599456},
+                 "triple2": {"violations": 0, "max_ratio": 0.9988262147527879},
                  "status": "holds"}
     report(f"criterion 9 PASS: d=1 defect {r['d1_ratio_defect']:.2e}; "
            f"100 instances per target norm at 64 starts, "

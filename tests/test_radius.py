@@ -577,8 +577,15 @@ class TestStackedPool:
         rev_v, rev_c = tn.certify(stack[::-1])
         assert rev_v.tolist() == vals[::-1].tolist()
         assert np.array_equal(rev_c, certs[::-1])
-        if norm == "triple2":
+        if norm == "triple2" and min(alg.weights) < 1.0:
+            # the pool's quick path: certify's values are the scores
             assert vals.tolist() == tn.batch_values(stack).tolist()
+        elif norm == "triple2":
+            # unit weights: |||.|||_2 is w, certified and scored as nr does
+            nr = _TargetNorm("nr", alg)
+            nr_v, nr_c = nr.certify(stack)
+            assert vals.tolist() == nr_v.tolist() and np.array_equal(certs, nr_c)
+            assert tn.batch_values(stack).tolist() == nr.batch_values(stack).tolist()
 
     @pytest.mark.parametrize("norm", ["nr", "triple2"])
     def test_certificates_touch_and_bound_the_norm(self, norm):
@@ -619,6 +626,11 @@ class TestStackedPool:
         for f in _mixed_pool(alg, seed=42, size=8):
             res = triple_norm(f, SearchBudget(starts=0, iters=0), quick=True)
             pool = _triple2_pool(alg, [b[None] for b in f.blocks])
+            if min(alg.weights) >= 1.0 and not pool.exact[0]:
+                # unit weights: w(F), its own rank-one bound, at a rank-one W
+                assert res.value == res.rank1_bound == numerical_radius(f)
+                assert np.linalg.matrix_rank(res.maximizer.dense()) == 1
+                continue
             assert res.value == float(pool.values[0])
             assert res.rank1_bound == float(pool.upper[0] * pool.rank1[0])
             for got, want in zip(res.maximizer.blocks, pool.maximizer):
@@ -863,6 +875,13 @@ class TestPolarBound:
         # the superop_norm ranking: order[:3] and best_val, and every value scored
         ranked = _TargetNorm("triple2", alg).batch_values(mats, top=3)
         order = np.argsort(ranked)[::-1]
+        if min(alg.weights) >= 1.0:
+            # unit weights: the ranking is nr's, bit for bit
+            nr = _TargetNorm("nr", alg)
+            assert ranked.tobytes() == nr.batch_values(mats, top=3).tobytes()
+            full = nr.batch_values(mats)
+            assert order[:3].tolist() == np.argsort(full)[::-1][:3].tolist()
+            return
         assert order[:3].tolist() == np.argsort(want)[::-1][:3].tolist()
         assert ranked[order[0]] == want[order[0]]
         finite = np.isfinite(ranked)
@@ -1011,6 +1030,153 @@ class TestNormalBracket:
         assert len(grid_angles) == 1
         assert w.tolist() == _grid_only_nr(mats).tolist()
         assert np.allclose(w, [3e-6, 3.0, 3e6], rtol=1e-14)
+
+
+@pytest.mark.parametrize("name, scale", [
+    (name, scale) for name in ("jordan", "diagonal", "hermitian", "generic")
+    for scale in (1e-150, 1e80, 1e150)] + [("diagonal", 1e160)])
+def test_normal_test_scales_without_overflow(name, scale):
+    # the normality test and the bracket run on each row scaled by a power
+    # of two: no square overflows or underflows (RuntimeWarning is an error
+    # here), and w(cM) / c is w(M); at 1e160 only a normal row, settled on
+    # the bracket alone, is free of overflow: the grid's still overflows
+    g = random_complex_matrix(rng_from(5), 3, 3)
+    mat = {"jordan": np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex),
+           "diagonal": np.diag([1.0, 2.0 + 1.0j]), "hermitian": g + g.conj().T,
+           "generic": g}[name]
+    assert numerical_radius(scale * mat) / scale == pytest.approx(numerical_radius(mat),
+                                                                  rel=1e-14)
+
+
+@st.composite
+def weighted_elements(draw, low=1.0, high=4.0):
+    """An element over 1-3 blocks of sizes 1-3, each block weight drawn in
+    [low, high], at scales 1e-3 .. 1e3."""
+    count = draw(st.integers(1, 3))
+    alg = TracedAlgebra([draw(st.integers(1, 3)) for _ in range(count)],
+                        [draw(st.floats(low, high)) for _ in range(count)])
+    f = random_element(alg, rng_from(draw(st.integers(0, 2 ** 32 - 1))))
+    return f * (10.0 ** draw(st.floats(-3, 3)))
+
+
+WEIGHTED_ALGEBRAS = [TracedAlgebra([2, 1], [1.0, 0.5])] + [
+    a for a in suites.target_pool() if min(a.weights) < 1.0]
+
+
+class TestRadiusIdentity:
+    """|||F|||_2 = w(F) when every block weight is >= 1: W = w_k^{-1/2} h h*
+    attains w(F_k), and |tr(Z W_k F_k W_k)| <= w(F_k) tr(W_k^2) for unitary
+    Z bounds ||W F W||_1 by w(F) ||W||_2^2.  For other weights the same
+    argument gives max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=weighted_elements(), seed=st.integers(0, 9))
+    def test_weights_at_least_one_give_the_numerical_radius(self, f, seed):
+        w = numerical_radius(f)
+        budget = SearchBudget(starts=2, iters=5, seed=seed)
+        for res in (triple_norm(f, budget, quick=True), triple_norm(f, budget)):
+            assert res.value == res.rank1_bound == w
+            assert res.upper_bound == pytest.approx(schatten_norm(f, 2.0), rel=1e-14)
+            m = res.maximizer
+            # feasible: W >= 0, ||W||_inf <= 1, ||W||_2 <= 1, and it attains w
+            for b in m.blocks:
+                assert np.array_equal(b, b.conj().T)
+                lam = np.linalg.eigvalsh(b)
+                assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
+            assert schatten_norm(m, 2.0) <= 1.0 + 1e-12
+            assert schatten_norm(m @ f @ m, 1.0) == pytest.approx(w, rel=1e-12)
+
+    @pytest.mark.parametrize("alg", WEIGHTED_ALGEBRAS, ids=str)
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(-3, 3))
+    def test_other_weights_lie_between_the_block_radii(self, alg, seed, scale):
+        f = random_element(alg, rng_from(seed)) * (10.0 ** scale)
+        res = triple_norm(f, SearchBudget(starts=2, iters=10, seed=1))
+        radii = [numerical_radius(b) for b in f.blocks]
+        low = max(min(wt, 1.0) * r for wt, r in zip(alg.weights, radii))
+        assert low * (1.0 - 1e-12) <= res.value <= max(radii) * (1.0 + 1e-12)
+
+
+def _block_diagonal_map(source, target, seed):
+    """A generator-form map, d = 2, whose values are block-diagonal over
+    ``target``: one rank term per target block, its factors zero outside
+    the block's rows."""
+    rng = rng_from(seed)
+    factors, lo = [], 0
+    for n in target.block_sizes:
+        a = np.zeros((2, target.total_dim, source.total_dim), dtype=complex)
+        a[:, lo:lo + n] = (rng.standard_normal((2, n, source.total_dim))
+                           + 1j * rng.standard_normal((2, n, source.total_dim)))
+        factors.append(a)
+        lo += n
+    return OperatorValuedMap.from_generator(source, factors, target_algebra=target)
+
+
+class TestTriple2IsNr:
+    """On targets whose block weights are all >= 1 the triple2 target norm
+    is nr: the same search, value and maximizer, and one search when a
+    check asks for both."""
+
+    TARGETS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [1.0, 2.0])]
+    X, Y = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["M2", "M3", "M2+M1"])
+    def test_superop_norm_is_nr(self, target):
+        for seed in range(3):
+            op = _block_diagonal_map(TracedAlgebra([2]), target, seed).superop(self.X, self.Y)
+            budget = SearchBudget(starts=8, iters=4, seed=seed)
+            tri, nr = superop_norm(op, "triple2", budget), superop_norm(op, "nr", budget)
+            assert (tri.value, tri.status) == (nr.value, nr.status)
+            assert [b.tobytes() for b in tri.maximizer.blocks] == [
+                b.tobytes() for b in nr.maximizer.blocks]
+
+    @pytest.mark.parametrize("target", TARGETS, ids=["M2", "M3", "M2+M1"])
+    def test_check_searches_once_for_both_norms(self, target, monkeypatch):
+        calls = []
+
+        def counted(ops, norm, budgets, pools, _f=radius._superop_stack):
+            calls.append(norm)
+            return _f(ops, norm, budgets, pools)
+
+        monkeypatch.setattr(radius, "_superop_stack", counted)
+        phis = [_block_diagonal_map(TracedAlgebra([2]), target, seed) for seed in range(3)]
+        budgets = [SearchBudget(starts=8, iters=4, seed=seed) for seed in range(3)]
+        reps = radius._check_cs_stack(phis, [self.X] * 3, [self.Y] * 3, budgets,
+                                      ("nr", "triple2"))
+        assert len(calls) == 1
+        for nr, tri in zip(reps["nr"], reps["triple2"], strict=True):
+            assert (tri.lhs, tri.rhs, tri.ratio, tri.status) == (nr.lhs, nr.rhs, nr.ratio,
+                                                                 nr.status)
+            assert tri.witness == {**nr.witness, "target_norm": "triple2"}
+
+    def test_a_weight_below_one_keeps_the_pool(self, monkeypatch):
+        rows = []
+
+        def counted(alg, blocks, *args, _f=radius._triple2_pool, **kwargs):
+            rows.append(len(blocks[0]))
+            return _f(alg, blocks, *args, **kwargs)
+
+        monkeypatch.setattr(radius, "_triple2_pool", counted)
+        target = TracedAlgebra([2, 1], [1.0, 0.5])
+        phi = _block_diagonal_map(TracedAlgebra([2]), target, 0)
+        reps = radius._check_cs_stack([phi], [self.X], [self.Y], [SearchBudget(starts=8, iters=4)],
+                                      ("nr", "triple2"))
+        assert sum(rows) > 0
+        assert reps["triple2"][0].lhs != reps["nr"][0].lhs
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 0.5]])
+    def test_values_off_the_blocks_are_refused(self, weights):
+        target = TracedAlgebra([2, 1], weights)
+        rng = rng_from(6)
+        factors = [[random_complex_matrix(rng, 3, 2) for _ in range(2)]]
+        phi = OperatorValuedMap.from_generator(TracedAlgebra([2]), factors, target_algebra=target)
+        with pytest.raises(PreconditionError):
+            superop_norm(phi.superop(self.X, self.Y), "triple2", SearchBudget(starts=4, iters=2))
+        # also where a check shares one search between nr and triple2
+        for norms in (("nr", "triple2"), ("triple2", "nr")):
+            with pytest.raises(PreconditionError):
+                radius._check_cs_stack([phi], [self.X], [self.Y],
+                                       [SearchBudget(starts=4, iters=2)], norms)
 
 
 class TestStackedSearch:
@@ -1519,33 +1685,36 @@ class TestGoldenResults:
     stacked Newton steps and the feasible-set projection one round, and the
     triple-norm, triple2 superoperator, suite and check-all ones when an
     ascent try became one SVD per block and a PSD pool its knapsack alone.
+    The M_2 and M_3 triple-norm rows, the triple2 superoperator and suite
+    literals and the report digests were captured again when |||.|||_2 on
+    block weights >= 1 became the numerical radius (and triple2 there nr).
     Other numpy or BLAS builds may move the last bits, so the class runs
     only on that build.
     """
 
     TRIPLE = [
-        (1.679980869417687, 1.6799808694176872, "heuristic",
-         1.6799839850620828, 1.6799839850620846, "heuristic"),
-        (3.3361160022731116, 3.3361160022731124, "heuristic",
-         3.3361160022731116, 3.3361160022731124, "heuristic"),
+        (1.679983985062083, 1.679983985062083, "heuristic",
+         1.679983985062083, 1.679983985062083, "heuristic"),
+        (3.3361160022731102, 3.3361160022731102, "heuristic",
+         3.3361160022731102, 3.3361160022731102, "heuristic"),
         (2.948326805852975, 2.948326805852975, "exact",
          2.948326805852975, 2.948326805852975, "exact"),
-        (2.355936640592555, 2.355936640592555, "heuristic",
-         2.35596641887543, 2.3559664188754286, "heuristic"),
-        (1.5717796371636976, 1.5717796371636976, "heuristic",
-         1.5717796371636976, 1.5717796371636976, "heuristic"),
+        (2.355966418875431, 2.355966418875431, "heuristic",
+         2.355966418875431, 2.355966418875431, "heuristic"),
+        (1.5717796371636983, 1.5717796371636983, "heuristic",
+         1.5717796371636983, 1.5717796371636983, "heuristic"),
         (6.213100799272543, 6.213100799272543, "exact",
          6.213100799272543, 6.213100799272543, "exact"),
-        (2.7261216912968216, 2.7261216912968225, "heuristic",
-         2.72643312689001, 2.7264331268900106, "heuristic"),
-        (3.463938207862175, 3.463938207862179, "heuristic",
-         3.463938207862175, 3.463938207862179, "heuristic"),
+        (2.726433126890012, 2.726433126890012, "heuristic",
+         2.726433126890012, 2.726433126890012, "heuristic"),
+        (3.4639382078621743, 3.4639382078621743, "heuristic",
+         3.4639382078621743, 3.4639382078621743, "heuristic"),
         (10.8058137824752, 10.8058137824752, "exact",
          10.8058137824752, 10.8058137824752, "exact"),
-        (2.638554103949752, 2.6385541039497524, "heuristic",
-         2.638842066091213, 2.638842066091213, "heuristic"),
-        (4.440900686965173, 4.440900686965179, "heuristic",
-         4.440900686965173, 4.440900686965179, "heuristic"),
+        (2.6388420660912137, 2.6388420660912137, "heuristic",
+         2.6388420660912137, 2.6388420660912137, "heuristic"),
+        (4.440900686965175, 4.440900686965175, "heuristic",
+         4.440900686965175, 4.440900686965175, "heuristic"),
         (9.876164790306182, 9.876164790306182, "exact",
          9.876164790306182, 9.876164790306182, "exact"),
         (1.7411133611582876, 1.6799808694176859, "heuristic",
@@ -1584,8 +1753,8 @@ class TestGoldenResults:
             op = phi.superop(np.array([1.0, 0.5j]), np.array([0.3, 1.0]))
             res = superop_norm(op, "triple2", SearchBudget(starts=8, iters=4, seed=t))
             got.append(res.value)
-        assert got == [6.8801523725673075, 26.34487458239192, 18.35046280834671,
-                       21.137999786163565]
+        assert got == [6.883795671166045, 26.345088720724277, 18.350466529744345,
+                       21.13704436006641]
 
     def test_superop_norm_nr_weighted_blocks(self):
         # value and maximizer bytes, captured before the search ran on
@@ -1604,18 +1773,18 @@ class TestGoldenResults:
             "name": "operator_valued", "instances": 4, "starts": 16,
             "d1_ratio_defect": 4.440892098500626e-16,
             "nr": {"violations": 0, "max_ratio": 0.9976673951732925},
-            "triple2": {"violations": 0, "max_ratio": 0.9976673800451255},
+            "triple2": {"violations": 0, "max_ratio": 0.9976673951732925},
             "status": "holds"}
 
     @pytest.mark.parametrize("argv, digest", [
         (["check-all", "--seed", "0"],
-         "8b16785ed91868dffa6e5dcf2c7960b11d15b81f6b58b5f6b09a59be6a95f4e5"),
+         "870836c3e49ec79d9f3447f92d4bba15812543dab49d05a471bbe6f7cdb2ae5e"),
         (["kernel-demo", "--seed", "0"],
-         "fc8a628165e4feb8ac5a31eca01fac8d336bce69d1f40ed5c5aa8793798a3468"),
+         "f25224b1d7905408d010d774e91c8c4374b53a120a76dc39aad04ed8a62fc737"),
         (["check-all", "--seed", "3"],
-         "a17294f3b202cd14ecc10ab11f00e7d201ecd491f27b79303eeabe42e6d7ba74"),
+         "3f6c5be30c488748550cc7141849e2931c6e572eb2349978d98c589e52947c92"),
         (["check-all", "--seed", "7"],
-         "2a2f5845405c14373380ed681fb821ce0247fa70ca890156f94232eb33e21a7a"),
+         "4444906b80941f334b4187c5439f1b3daeda1332085aad6cb7d78599365f0ac2"),
     ], ids=["check-all", "kernel-demo", "check-all-seed3", "check-all-seed7"])
     def test_report_bytes(self, capsys, argv, digest):
         # sha256 of the rendered report with wall_time_s zeroed
@@ -1627,6 +1796,6 @@ class TestGoldenResults:
         assert suites.triple_norm_suite(5, seed=6) == {
             "name": "triple_norm", "anchor_diag10": 1.0, "anchor_identity": 1.0,
             "anchor_statuses": ["exact", "exact"], "samples": 5, "sandwich_failures": 0,
-            "worst_low": -3.1086244689504383e-15, "worst_high": -0.38623000315400247,
-            "cs_failures": 0, "worst_cs_excess": 7.105427357601002e-15,
+            "worst_low": 0.0, "worst_high": -0.3862300031540009,
+            "cs_failures": 0, "worst_cs_excess": 5.684341886080802e-14,
             "status": "holds"}

@@ -144,9 +144,20 @@ class TestSuiteWork:
         monkeypatch.setattr(radius, "_ascend", ascend)
         r = suites.triple_norm_suite(samples, seed=6)
         assert r["status"] == "holds"
-        # M_2, M_3 and M_4: one climbing stack each; a zero-step ascent only
-        # projects the winners
-        assert 1 <= sum(1 for i in climbs if i > 0) <= 3, climbs
+        # M_2, M_3 and M_4 have unit weights, where |||F|||_2 = w(F): no climb
+        assert climbs == []
+        # a weight below 1 keeps the search: one climbing stack for the
+        # algebra; a zero-step ascent only projects the winners
+        alg = TracedAlgebra([2, 1], [1.0, 0.5])
+        rng = np.random.default_rng(samples)
+        fs = [random_element(alg, rng) for _ in range(samples)]
+        radius._triple_norm_stack(alg, fs, radius.SearchBudget(starts=4, iters=25, seed=6))
+        assert sum(1 for i in climbs if i > 0) == 1, climbs
+        # on unit weights each element gets its numerical radius, bit for bit
+        m3 = TracedAlgebra([3])
+        fs = [random_element(m3, rng) for _ in range(samples)]
+        got = radius._triple_norm_stack(m3, fs, radius.SearchBudget(starts=4, iters=25))
+        assert [res.value for res in got] == [radius.numerical_radius(f) for f in fs]
 
     def test_grid_eigensolves_are_chunked(self, linalg_calls):
         # the 30 non-normal rows of one size seed their peaks' arcs with
