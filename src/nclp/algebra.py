@@ -20,6 +20,7 @@ each block: other modules slice and assemble it for stacks only through
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError, StructureError
+from .errors import ConditioningError, DomainError, PreconditionError, StructureError
 from .verdict import within
 
 __all__ = [
@@ -352,17 +353,53 @@ def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
     return _schatten_from_svals(alg, [np.linalg.svd(b, compute_uv=False) for b in blocks], p)
 
 
+UNIT_LO, UNIT_HI = 2.0 ** -64, 2.0 ** 64
+
+
+def _unit_exponents(top: np.ndarray) -> np.ndarray | None:
+    """Per item of a stack, the exponent e of its scale ``top`` (2^(e-1) <=
+    top < 2^e) when top is nonzero and lies outside [2^-64, 2^64], and 0
+    otherwise; None when no item lies outside, so unit-scale stacks skip
+    the scaling and keep their bits."""
+    # min and max of the few values in Python cost less than the ufuncs below
+    tops = top.tolist()
+    if not tops or (UNIT_LO <= min(tops) and max(tops) <= UNIT_HI):
+        return None
+    far = (top > 0.0) & ((top < UNIT_LO) | (top > UNIT_HI))
+    if not far.any():
+        return None
+    return np.where(far, np.frexp(top)[1], 0)
+
+
 def _schatten_from_svals(alg: TracedAlgebra, svals: Sequence[np.ndarray],
                          p: float) -> np.ndarray:
     """``_stacked_schatten``'s formula on per-block (T, n_k) singular values
-    (descending), so several exponents can share one SVD per block."""
+    (descending), so several exponents can share one SVD per block.
+
+    Scaling rule: an item whose largest singular value lies outside
+    [2^-64, 2^64] (``_unit_exponents``) is summed as 2^-e S and its norm is
+    multiplied back by 2^e, so s^p neither overflows nor underflows.  Both
+    steps are ``ldexp`` on the values themselves, which is exact; a factor
+    2^-e would itself overflow for a subnormal input.  Other items keep
+    their bits.  A norm above the float range raises ``ConditioningError``.
+    """
+    top = functools.reduce(np.maximum, [s[:, 0] for s in svals])
     if math.isinf(p):
-        return np.maximum.reduce([s[:, 0] for s in svals])
-    terms = [wt * (s ** p).sum(axis=-1) for wt, s in zip(alg.weights, svals)]
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return np.array([a ** (1.0 / p) for a in acc.tolist()])
+        out = top.copy()
+    else:
+        exp = _unit_exponents(top)
+        if exp is not None:
+            svals = [np.ldexp(s, -exp[:, None]) for s in svals]
+        terms = [wt * (s ** p).sum(axis=-1) for wt, s in zip(alg.weights, svals)]
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        out = np.array([a ** (1.0 / p) for a in acc.tolist()])
+        if exp is not None:
+            out = np.ldexp(out, exp)
+    if math.inf in out.tolist():
+        raise ConditioningError("a Schatten norm overflows the float range")
+    return out
 
 
 # -- spectral toolkit ----------------------------------------------------------

@@ -71,8 +71,10 @@ Three layers:
   of certified values, one ``certify`` call per step.  On a target whose
   block weights are all >= 1, |||.|||_2 is w, and ``triple2`` is ``nr``
   there: the same ranking, certificates and polish.  The last pool drawn
-  is kept (a one-entry memo), so the two target norms of one check search
-  one draw,
+  is kept (a one-entry memo keyed on block sizes, starts and seed), so
+  searches at one budget draw once: a weighted target's ``nr`` and
+  ``triple2`` searches, and probes that share a budget.  A search is not
+  kept here; ``OperatorValuedMap`` keeps its last one,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
   maps.  A positive map peaks at T = I, so the right-hand side is exact at
   T = I and only the left-hand side is searched; a reported violation is
@@ -81,7 +83,13 @@ Three layers:
   instance's pool is drawn once for every target norm, and each norm makes
   one ``_superop_stack`` call and one stack of right-hand sides (one for
   both where ``triple2`` is ``nr``), each report the one the check gives
-  alone; ``check_cs_operator_valued`` is a list of one.
+  alone; ``check_cs_operator_valued`` is a list of one.  Each map keeps a
+  one-entry memo of its last searched left-hand side, keyed on (x, y,
+  budget) and filed under every target norm that search answers, so
+  checking ``nr`` and then ``triple2`` on one map searches once where
+  ``triple2`` is ``nr``.  ``nr`` does not answer ``triple2`` on a target
+  of several blocks, where ``triple2`` must refuse values that are not
+  block-diagonal.  The memo dies with its map, and a new key replaces it.
 """
 
 from __future__ import annotations
@@ -96,7 +104,8 @@ import numpy as np
 # schatten_norm is not called here but stays importable from this module:
 # the benchmark's recorder test reads nclp.radius.schatten_norm
 from .algebra import (AlgebraElement, TracedAlgebra, _rank_projections, _stacked_schatten,
-                      hermitian_part_of, psd_tol, schatten_norm, structure_tol)
+                      _unit_exponents, hermitian_part_of, psd_tol, schatten_norm,
+                      structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
 from .sampling import (random_complex_matrix, random_hermitian, random_psd, rng_from,
                        substreams, unitaries_from_gaussian)
@@ -352,10 +361,21 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
     follow the layout, so it takes each matrix as given: a list may mix layouts (an adjoint as
     a transposed view), a row of a stack has the stack's.  Each value is the
     one ``numerical_radius`` gives that matrix alone, bit for bit.
+
+    Scaling rule: w(cM) = |c| w(M), and the grid's margin and the Newton
+    noise floor square entries, so a row whose largest |entry| lies outside
+    [2^-64, 2^64] (``_unit_exponents``) goes through the kernel as 2^-e M,
+    e its exponent, and its value is multiplied back by 2^e.  Both steps are
+    ``ldexp``, which is exact; the other rows keep their bits.
     """
     stack = np.asarray(mats)
+    top = np.abs(stack).max(axis=(1, 2))
+    exp = _unit_exponents(top)
+    if exp is not None:
+        unit = [_ldexp_complex(m, -e) if e else m for m, e in zip(mats, exp.tolist())]
+        return np.ldexp(_nr_stack(unit, grid, vecs), exp)
     out = np.zeros(len(stack))
-    rows = stack.any(axis=(1, 2)).nonzero()[0]
+    rows = (top > 0.0).nonzero()[0]
     settle = _nr_normal if vecs is None else functools.partial(_nr_normal, vecs=vecs)
     rows = settle(stack, mats, rows, out)
     if not rows.size:
@@ -374,6 +394,13 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
     out[rows], hs, _ = _nr_top(mats, np.array(best_theta), best_val)
     if vecs is not None:
         vecs[rows] = hs
+    return out
+
+
+def _ldexp_complex(m: np.ndarray, e: int) -> np.ndarray:
+    """2^e m, exactly, in the memory layout of ``m``."""
+    out = np.empty_like(m)
+    out.real, out.imag = np.ldexp(m.real, e), np.ldexp(m.imag, e)
     return out
 
 
@@ -1178,8 +1205,9 @@ def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarr
     identity, u_0, h_0, u_1, u_2, h_2, ... of substream i's draws.
 
     The pool depends on the block sizes, starts and seed alone, and the last
-    one drawn is kept, read-only (a one-entry memo): an operator-valued check
-    searches the same pool for each target norm."""
+    one drawn is kept, read-only (a one-entry memo): the ``nr`` and
+    ``triple2`` searches of a weighted target, and probes that share a
+    budget, draw it once."""
     return _draw_candidates(source.block_sizes, int(budget.starts), int(budget.seed))
 
 
@@ -1336,6 +1364,9 @@ class OperatorValuedMap:
         self.target_dim = n
         self.target_algebra = target_algebra
         self.generator = None
+        # (x, y, budget) of the last left-hand side searched, and its
+        # (result, (v_x, v_y)) under each target norm it answers
+        self._last_lhs: tuple | None = None
 
     @classmethod
     def from_generator(cls, source: TracedAlgebra, factors: Sequence[Sequence[np.ndarray]],
@@ -1403,10 +1434,30 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
     exactly (for ``triple2``, the knapsack alone); only the left-hand side is
     searched.  Its value is attained at a feasible T, so a reported violation
     is proven, and nothing is re-run.  The check goes through the stacked
-    kernel ``_check_cs_stack`` as a list of one.
+    kernel ``_check_cs_stack`` as a list of one, so ``phi`` keeps its last
+    search (key (x, y, budget)): checking the other target norm next, at the
+    same x, y and budget, reuses it where that norm is the same search (see
+    ``_check_cs_stack``).
     """
     return _check_cs_stack([phi], [x], [y], [budget or SearchBudget()],
                            [target_norm])[target_norm][0]
+
+
+def _answered_by(tn: _TargetNorm) -> tuple[str, ...]:
+    """The target norms a left-hand-side search run as ``tn`` answers.
+
+    ``triple2`` where it is ``nr`` (``_TargetNorm.radius``) answers ``nr``
+    too.  ``nr`` answers ``triple2`` only where ``triple2`` is ``nr`` and
+    ``_target_blocks`` cannot refuse a value (no target algebra, or one
+    block), so a ``triple2`` check on a multi-block target always searches
+    and refuses values that are not block-diagonal.
+    """
+    alg = tn.target_algebra
+    if tn.kind == "triple2":
+        return ("triple2", "nr") if tn.radius else ("triple2",)
+    if alg is None or (alg.n_blocks == 1 and _triple2_is_nr(alg)):
+        return ("nr", "triple2")
+    return ("nr",)
 
 
 def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
@@ -1417,12 +1468,18 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
     each target norm of ``norms``; each report is the one a list of one
     gives, bit for bit.
 
-    Each instance's pool is drawn once and searched for every norm, and each
-    norm takes one ``_superop_stack`` call and one ``batch_values`` stack of
-    right-hand sides; ``triple2`` on a target where it is ``nr``
-    (``_TargetNorm.radius``) takes nr's, so with both norms asked for there
-    the search runs once.  Maps of another shape than the first raise
-    ``StructureError``.
+    Each map keeps a one-entry memo of its last searched left-hand side: the
+    key is (x, y, budget), x and y as the complex raveled bytes ``superop``
+    uses, and the value is the ``SuperOperatorNormResult`` and the
+    right-hand sides (v_x, v_y) under each target norm the search answers
+    (``_answered_by``).  A new key replaces the entry, and the memo lives
+    and dies with its map.  Positivity is checked on every call, before the
+    memo is read.  Only the instances that miss are searched: each one's
+    pool is drawn once for every norm, and each norm takes one
+    ``_superop_stack`` call and one ``batch_values`` stack of right-hand
+    sides over them.  ``triple2`` runs first, so a search it shares with
+    ``nr`` refuses values that are not block-diagonal, as its own does.
+    Maps of another shape than the first raise ``StructureError``.
     """
     head = phis[0]
     if any((p.source, p.target_dim, p.target_algebra)
@@ -1430,25 +1487,34 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
         raise StructureError("a stacked check needs maps of one shape")
     for phi, budget in zip(phis, budgets):
         phi.check_positivity(seed=budget.seed).require()
-    ops = [phi.superop(x, y) for phi, x, y in zip(phis, xs, ys)]
-    pools = [None if op.is_zero else _unitary_candidates(op.source, b)
-             for op, b in zip(ops, budgets)]
-    ident = head.source.identity().coords()
-    at_identity = np.stack([phi.superop(v, v).apply_coords(ident)
-                            for phi, x, y in zip(phis, xs, ys) for v in (x, y)])
-    out, searched = {}, {}
-    # triple2 first: a search shared with nr then refuses values that are
-    # not block-diagonal, as triple2's own search does
+    keys = [(np.asarray(x, dtype=complex).ravel().tobytes(),
+             np.asarray(y, dtype=complex).ravel().tobytes(), budget)
+            for x, y, budget in zip(xs, ys, budgets)]
+    found = [dict(phi._last_lhs[1]) if phi._last_lhs and phi._last_lhs[0] == key else {}
+             for phi, key in zip(phis, keys)]
+    need = [i for i, f in enumerate(found) if not f.keys() >= set(norms)]
+    if need:
+        ops = [phis[i].superop(xs[i], ys[i]) for i in need]
+        pools = [None if op.is_zero else _unitary_candidates(op.source, budgets[i])
+                 for i, op in zip(need, ops)]
+        ident = head.source.identity().coords()
+        at_identity = np.stack([phis[i].superop(v, v).apply_coords(ident)
+                                for i in need for v in (xs[i], ys[i])])
+        at_identity = at_identity.reshape(len(need), 2, *at_identity.shape[1:])
     for norm in sorted(norms, key=lambda n: n != "triple2"):
+        miss = [j for j, i in enumerate(need) if norm not in found[i]]
+        if not miss:
+            continue
         tn = _TargetNorm(norm, head.target_algebra)
-        key = "nr" if tn.radius else norm
-        if key not in searched:
-            searched[key] = (_superop_stack(ops, norm, budgets, pools),
-                             tn.batch_values(at_identity))
-        results, sides = searched[key]
-        out[norm] = [report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
-                            {"target_norm": norm, "budget_starts": budget.starts,
-                             "heuristic": res.status == HEURISTIC})
-                     for res, (v_x, v_y), budget in zip(results, sides.reshape(-1, 2).tolist(),
-                                                        budgets)]
-    return {norm: out[norm] for norm in norms}
+        results = _superop_stack([ops[j] for j in miss], norm, [budgets[need[j]] for j in miss],
+                                 [pools[j] for j in miss])
+        sides = tn.batch_values(np.concatenate(at_identity[miss])).reshape(-1, 2).tolist()
+        for j, res, side in zip(miss, results, sides):
+            found[need[j]].update(dict.fromkeys(_answered_by(tn), (res, side)))
+    for phi, key, f in zip(phis, keys, found):
+        phi._last_lhs = (key, f)
+    return {norm: [report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
+                          {"target_norm": norm, "budget_starts": budget.starts,
+                           "heuristic": res.status == HEURISTIC})
+                   for (res, (v_x, v_y)), budget in zip((f[norm] for f in found), budgets)]
+            for norm in norms}

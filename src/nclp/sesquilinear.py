@@ -118,10 +118,12 @@ class SesquilinearMap:
 
     def gram_scale(self) -> float:
         """1 + the largest 2-norm of a gram entry, the scale residuals are
-        measured against; ``ConditioningError`` if it overflows."""
-        with np.errstate(over="ignore"):
-            scale = 1.0 + float(np.max(_stacked_schatten(self.target, self.flat_gram(), 2.0)))
-        if not math.isfinite(scale):
+        measured against; ``ConditioningError`` if it or its square
+        overflows.  The gns and uncertainty residual checks multiply the
+        scale by further factors and are not known to keep headroom past
+        sqrt(DBL_MAX), so such maps are refused."""
+        scale = 1.0 + float(np.max(_stacked_schatten(self.target, self.flat_gram(), 2.0)))
+        if not math.isfinite(scale * scale):
             raise ConditioningError("the gram scale overflows the float range")
         return scale
 

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nclp.algebra import (PExponent, TracedAlgebra, dual_norm_achiever,
+from nclp.algebra import (PExponent, TracedAlgebra, _stacked_schatten, dual_norm_achiever,
                           functional_calculus, holder_check, jordan_split,
                           operator_norm, polar_decomposition, real_imag_parts,
                           schatten_norm, spectral_tail_projection, trace,
                           trace_pairing_checks)
-from nclp.errors import DomainError, PreconditionError, StructureError
+from nclp.errors import ConditioningError, DomainError, PreconditionError, StructureError
 
 from nclp.sampling import random_psd_with_spectrum, rng_from
 
@@ -193,6 +193,52 @@ class TestSchattenNorm:
                 inv_r = 0.0 if math.isinf(r) else 1.0 / r
                 rhs = schatten_norm(x, r) * rho_i ** (1.0 / p - inv_r)
                 assert lhs <= rhs + 1e-9 * (1 + rhs)
+
+
+class TestSchattenScaling:
+    """An item whose largest singular value lies outside [2^-64, 2^64] is
+    summed at unit scale and scaled back by a power of two."""
+
+    ALGEBRAS = [TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [1.0, 0.5])]
+
+    @settings(max_examples=60, deadline=None)
+    @given(alg=st.sampled_from(ALGEBRAS), seed=st.integers(0, 2 ** 32 - 1),
+           exponent=st.floats(-150.0, 150.0), sign=st.sampled_from([1.0, -1.0]),
+           p=st.sampled_from([1.25, 2.0, 4.0, 10.0]))
+    def test_homogeneous_from_1e_minus_150_to_1e150(self, alg, seed, exponent, sign, p):
+        # ||cX||_p = |c| ||X||_p: unscaled, s^10 overflows at 1e31 and
+        # underflows at 1e-33
+        x = random_element_of(alg, rng_from(seed))
+        c = sign * 10.0 ** exponent
+        got = schatten_norm(x * c, p) / abs(c)
+        assert got == pytest.approx(schatten_norm(x, p), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("v", [1e-310, 2e-320, 5e-324])
+    def test_subnormal_values(self, tr2, v):
+        # 2^-e itself overflows for a subnormal scale; ldexp on the values does not
+        x = tr2.element([np.diag([v, 0.0])])
+        for p in (1.25, 2.0, 4.0, math.inf):
+            assert schatten_norm(x, p) == v
+
+    def test_unit_scale_items_keep_their_bits(self):
+        # a far item in the stack moves no bit of the others
+        alg = TracedAlgebra([2, 1], [1.0, 0.5])
+        rng = rng_from(8)
+        xs = [random_element_of(alg, rng) for _ in range(4)]
+        xs[1] = xs[1] * 1e200
+        blocks = [np.stack([x.blocks[k] for x in xs]) for k in range(alg.n_blocks)]
+        for p in (1.25, 2.0, 4.0):
+            stacked = _stacked_schatten(alg, blocks, p)
+            assert [stacked[i] for i in (0, 2, 3)] == [schatten_norm(xs[i], p) for i in (0, 2, 3)]
+            assert stacked[1] / 1e200 == pytest.approx(schatten_norm(xs[1] * 1e-200, p),
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
+    def test_norm_above_the_float_range_is_refused(self, tr2, p):
+        # ||X||_p >= ||X|| = 1.5e308 sqrt(2), above DBL_MAX: no silent inf
+        x = tr2.element([1.5e308 * np.array([[1.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(ConditioningError, match="overflows the float range"):
+            schatten_norm(x, p)
 
 
 class TestPolar:

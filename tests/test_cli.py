@@ -369,22 +369,67 @@ class TestCommands:
         assert out == ""
         assert err == f"error: {message}\n"
 
-    # the kernels are not yet scaled (ROADMAP item 15), so ||T||_4 overflows
-    # with RuntimeWarnings on the way to the refused verdict
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_kernel_demo_cap_that_overflows_exits_2(self, tmp_path, capsys):
-        # ||T||_4 of T = 1e100 I is inf, and an inf triple-norm cap would
-        # pass every trial with max_triple_ratio 0.0
-        path = str(tmp_path / "kernel.json")
-        save_json(path, {"algebra": {"blocks": [2]},
-                         "W": [{"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}],
-                         "T": [{"re": [[1e100, 0.0], [0.0, 1e100]],
-                                "im": [[0.0, 0.0], [0.0, 0.0]]}],
-                         "kernel": {"name": "one_plus_xt"}})
-        assert main(["kernel-demo", "--input", path, "--trials", "5"]) == 2
+    def test_kernel_demo_at_t_1e100_is_the_verdict_at_t_1(self, tmp_path, capsys):
+        # ||T||_4 of T = 1e100 I is finite once Schatten norms are scaled,
+        # and the bound ratios are homogeneous: T = 1e100 I gives the ratios
+        # of T = I (an unscaled ||T||_4 was inf, and the inf cap was refused)
+        ratios = []
+        for t in (1.0, 1e100):
+            path = str(tmp_path / "kernel.json")
+            save_json(path, {"algebra": {"blocks": [2]},
+                             "W": [{"re": [[1.0, 0.0], [0.0, 2.0]],
+                                    "im": [[0.0, 0.0], [0.0, 0.0]]}],
+                             "T": [{"re": [[t, 0.0], [0.0, t]], "im": [[0.0, 0.0], [0.0, 0.0]]}],
+                             "kernel": {"name": "one_plus_xt"}})
+            assert main(["kernel-demo", "--input", path, "--trials", "5"]) == 0
+            entry, = json.loads(capsys.readouterr().out)["results"]
+            assert entry["status"] == "holds"
+            ratios.append((entry["max_nr_ratio"], entry["max_triple_ratio"]))
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
+    # c [[1, 2], [0, 1]] on M_2: unscaled, ||.||_4 read 0.0 at 1e-100 and inf
+    # at 1e80, and triple-norm computed a NaN at 1e160
+    SCALED_JORDAN = [1e-100, 1e80, 1e160]
+
+    @staticmethod
+    def _jordan_file(tmp_path, c):
+        path = str(tmp_path / "jordan.json")
+        alg = TracedAlgebra([2])
+        save_elements(path, alg, {"f": alg.element([c * np.array([[1.0, 2.0], [0.0, 1.0]])])})
+        return path
+
+    @pytest.mark.parametrize("c", SCALED_JORDAN)
+    def test_norms_of_a_scaled_element(self, tmp_path, capsys, c):
+        got = []
+        for scale in (1.0, c):
+            assert main(["norms", "--p", "4", "--input", self._jordan_file(tmp_path, scale)]) == 0
+            entry, = json.loads(capsys.readouterr().out)["results"]
+            got.append({k: v / scale for k, v in entry.items() if k.startswith("norm_")})
+        assert set(got[1]) == {"norm_1", "norm_2", "norm_inf", "norm_4"}
+        assert got[1] == pytest.approx(got[0], rel=1e-12)
+        # singular values 1 +- sqrt(2): ||.||_4^4 = (3 + 2 sqrt 2)^2 + (3 - 2 sqrt 2)^2 = 34
+        assert got[0]["norm_4"] == pytest.approx(34.0 ** 0.25, rel=1e-12)
+
+    @pytest.mark.parametrize("c", SCALED_JORDAN)
+    def test_triple_norm_of_a_scaled_element(self, tmp_path, capsys, c):
+        got = []
+        for scale in (1.0, c):
+            assert main(["triple-norm", "--input", self._jordan_file(tmp_path, scale)]) == 0
+            entry, = json.loads(capsys.readouterr().out)["results"]
+            assert entry["optimum"] == "heuristic"
+            got.append([entry[k] / scale for k in ("value", "upper_bound", "rank1_bound")])
+        assert got[1] == pytest.approx(got[0], rel=1e-12)
+        assert got[0][0] == pytest.approx(2.0, rel=1e-12)      # w([[1, 2], [0, 1]]) = 2
+
+    def test_norm_above_the_float_range_exits_2(self, tmp_path, capsys):
+        # ||.||_1 >= ||.|| = 1.5e308 sqrt(2), above DBL_MAX: no silent "inf"
+        path = str(tmp_path / "big.json")
+        alg = TracedAlgebra([2])
+        save_elements(path, alg, {"f": alg.element([np.array([[1.5e308, 1.5e308], [0.0, 0.0]])])})
+        assert main(["norms", "--input", path]) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: no verdict on a non-finite side of a bound\n"
+        assert err == "error: a Schatten norm overflows the float range\n"
 
 
 class TestDeterminism:

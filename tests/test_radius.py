@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1048,6 +1050,49 @@ def test_normal_test_scales_without_overflow(name, scale):
                                                                   rel=1e-14)
 
 
+class TestNrScaling:
+    """A row of ``_nr_stack`` whose largest |entry| lies outside [2^-64, 2^64]
+    runs as 2^-e M and its value is scaled back by 2^e."""
+
+    SCALES = [1e-300, 1e-150, 1e150, 1e160, 1e300]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_homogeneous_without_warnings(self, scale):
+        # w(cA) / c is w(A) for numerical_radius and for triple_norm on unit
+        # weights (M_3, and M_2 + M_1 at (1, 2)); unscaled, the grid's margin
+        # and the Newton noise floor square entries, and w came out up to
+        # 1e-6 off at 1e160
+        rng = rng_from(12)
+        algs = [TracedAlgebra([3]), TracedAlgebra([2, 1], [1.0, 2.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in range(20):
+                a = random_complex_matrix(rng, 3, 3)
+                assert numerical_radius(scale * a) / scale == pytest.approx(
+                    numerical_radius(a), rel=1e-12, abs=0)
+                f = random_element(algs[t % 2], rng)
+                res, one = triple_norm(f * scale), triple_norm(f)
+                assert res.value / scale == pytest.approx(one.value, rel=1e-12, abs=0)
+                assert res.upper_bound / scale == pytest.approx(one.upper_bound, rel=1e-12)
+                assert res.status == one.status
+
+    def test_far_rows_leave_the_others_bits(self):
+        # each unit-scale row keeps the value it has alone, and a far row's
+        # top eigenvector still attains its w
+        rng = rng_from(13)
+        mats = np.stack([random_complex_matrix(rng, 3, 3) for _ in range(4)])
+        mats[1] *= 1e200
+        mats[3] *= 1e-200
+        vecs = np.zeros((4, 3), dtype=complex)
+        got = radius._nr_stack(mats, 1024, vecs)
+        for i in (0, 2):
+            assert got[i] == radius._nr_stack(mats[i:i + 1], 1024)[0]
+        for i, c in ((1, 1e200), (3, 1e-200)):
+            assert got[i] / c == pytest.approx(numerical_radius(mats[i] / c), rel=1e-12)
+            h = vecs[i]
+            assert abs(np.conj(h) @ (mats[i] @ h)) == pytest.approx(got[i], rel=1e-12)
+
+
 @st.composite
 def weighted_elements(draw, low=1.0, high=4.0):
     """An element over 1-3 blocks of sizes 1-3, each block weight drawn in
@@ -1293,6 +1338,144 @@ class TestCandidateMemo:
             return {n: check_cs_operator_valued(phi, x, y, n, budget) for n in norms}
 
         assert reports(("nr", "triple2")) == reports(("triple2", "nr"))
+
+
+class TestLhsMemo:
+    """Each map keeps its last searched left-hand side, keyed on (x, y,
+    budget), under every target norm that search answers."""
+
+    X, Y = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
+    BUDGET = SearchBudget(starts=8, iters=4, seed=2)
+    TARGETS = {"none": None, "M2": TracedAlgebra([2]),
+               "M2+M1-heavy": TracedAlgebra([2, 1], [1.0, 2.0]),
+               "M2+M1-light": TracedAlgebra([2, 1], [1.0, 0.5])}
+
+    @staticmethod
+    def _map(target, seed=0):
+        if target is None:
+            return suites.random_operator_valued(TracedAlgebra([2]), 2, 2, 2, seed)
+        return _block_diagonal_map(TracedAlgebra([2]), target, seed)
+
+    @staticmethod
+    def _fields(rep):
+        return (rep.lhs, rep.rhs, rep.ratio, rep.status, rep.witness)
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The operator counts of each ``_superop_stack`` call."""
+        calls = []
+
+        def counted(ops, norm, budgets, pools, _f=radius._superop_stack):
+            calls.append(len(ops))
+            return _f(ops, norm, budgets, pools)
+
+        monkeypatch.setattr(radius, "_superop_stack", counted)
+        return calls
+
+    @pytest.mark.parametrize("target", TARGETS.values(), ids=TARGETS.keys())
+    @pytest.mark.parametrize("order", [("nr", "triple2"), ("triple2", "nr")],
+                             ids=["nr-first", "triple2-first"])
+    def test_either_order_is_the_shared_check(self, target, order):
+        shared = radius._check_cs_stack([self._map(target)], [self.X], [self.Y], [self.BUDGET],
+                                        ("nr", "triple2"))
+        phi = self._map(target)
+        for norm in order:
+            rep = check_cs_operator_valued(phi, self.X, self.Y, norm, self.BUDGET)
+            assert self._fields(rep) == self._fields(shared[norm][0])
+
+    @pytest.mark.parametrize("target, order, second", [
+        (None, ("nr", "triple2"), 0), (None, ("triple2", "nr"), 0),
+        (TracedAlgebra([2]), ("nr", "triple2"), 0),
+        # a multi-block triple2 searches to refuse off-block values
+        (TracedAlgebra([2, 1], [1.0, 2.0]), ("nr", "triple2"), 1),
+        (TracedAlgebra([2, 1], [1.0, 2.0]), ("triple2", "nr"), 0),
+        # a weight below 1: two searches
+        (TracedAlgebra([2, 1], [1.0, 0.5]), ("nr", "triple2"), 1),
+        (TracedAlgebra([2, 1], [1.0, 0.5]), ("triple2", "nr"), 1),
+    ], ids=["none-nr", "none-triple2", "M2-nr", "heavy-nr", "heavy-triple2", "light-nr",
+            "light-triple2"])
+    def test_second_norm_searches_only_where_it_must(self, searches, target, order, second):
+        phi = self._map(target)
+        check_cs_operator_valued(phi, self.X, self.Y, order[0], self.BUDGET)
+        assert searches == [1]
+        check_cs_operator_valued(phi, self.X, self.Y, order[1], self.BUDGET)
+        assert searches == [1] * (1 + second)
+        # a repeat of either norm is a hit
+        for norm in order:
+            check_cs_operator_valued(phi, self.X, self.Y, norm, self.BUDGET)
+        assert searches == [1] * (1 + second)
+
+    @pytest.mark.parametrize("change", ["x", "y", "starts", "iters", "seed", "rebuilt"])
+    def test_a_new_key_or_map_searches_again(self, searches, change):
+        phi = self._map(None)
+        check_cs_operator_valued(phi, self.X, self.Y, "nr", self.BUDGET)
+        x, y, budget = self.X, self.Y, self.BUDGET
+        if change == "x":
+            x = np.array([1.0, 0.5j + 1e-15])
+        elif change == "y":
+            y = -self.Y
+        elif change in ("starts", "iters", "seed"):
+            budget = dataclasses.replace(budget, **{change: getattr(budget, change) + 1})
+        else:
+            phi = self._map(None)
+        rep = check_cs_operator_valued(phi, x, y, "triple2", budget)
+        assert searches == [1, 1]
+        assert rep == check_cs_operator_valued(self._map(None), x, y, "triple2", budget)
+        # the memo holds the last key alone: the first one misses again
+        if change != "rebuilt":
+            check_cs_operator_valued(phi, self.X, self.Y, "nr", self.BUDGET)
+            assert len(searches) == 4
+            assert phi._last_lhs[0][2] == self.BUDGET
+
+    def test_equal_keys_of_other_objects_hit(self, searches):
+        # x and y by their complex raveled bytes, the budget by value
+        phi = self._map(None)
+        check_cs_operator_valued(phi, self.X, self.Y, "nr", self.BUDGET)
+        check_cs_operator_valued(phi, [[1.0], [0.5j]], self.Y.astype(complex), "triple2",
+                                 SearchBudget(starts=8, iters=4, seed=2))
+        assert searches == [1]
+
+    def test_off_block_values_are_refused_on_the_second_call(self):
+        target = TracedAlgebra([2, 1], [1.0, 2.0])
+        factors = [[random_complex_matrix(rng_from(6), 3, 2) for _ in range(2)]]
+        phi = OperatorValuedMap.from_generator(TracedAlgebra([2]), factors, target_algebra=target)
+        check_cs_operator_valued(phi, self.X, self.Y, "nr", self.BUDGET)
+        with pytest.raises(PreconditionError, match="block-diagonal"):
+            check_cs_operator_valued(phi, self.X, self.Y, "triple2", self.BUDGET)
+
+    def test_a_map_failing_positivity_is_refused_on_every_call(self, searches):
+        neg = SuperOperator.from_apply(_M2, 2, lambda s: -s.dense())
+        phi = OperatorValuedMap(_M2, 2, [[neg.matrix]])
+        for norm in ("nr", "triple2", "nr"):
+            with pytest.raises(PreconditionError, match="positivity"):
+                check_cs_operator_valued(phi, np.array([1.0]), np.array([1.0]), norm,
+                                         SearchBudget(starts=2, iters=2))
+        assert searches == [] and phi._last_lhs is None
+
+    @pytest.mark.parametrize("target", [None, TracedAlgebra([2, 1], [1.0, 0.5])],
+                             ids=["none", "M2+M1-light"])
+    def test_stack_of_hits_and_misses_is_the_check_per_instance(self, searches, target):
+        rng = rng_from(21)
+        phis = [self._map(target, seed) for seed in range(5)]
+        xs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in phis]
+        ys = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in phis]
+        budgets = [SearchBudget(starts=8, iters=3, seed=s) for s in range(5)]
+        # instance 1 is a hit for nr, 3 for triple2 and, where triple2 is
+        # nr, for nr too; 4 has a stale key
+        check_cs_operator_valued(phis[1], xs[1], ys[1], "nr", budgets[1])
+        check_cs_operator_valued(phis[3], xs[3], ys[3], "triple2", budgets[3])
+        check_cs_operator_valued(phis[4], ys[4], xs[4], "nr", budgets[4])
+        searches.clear()
+        reps = radius._check_cs_stack(phis, xs, ys, budgets, ("nr", "triple2"))
+        if target is None:
+            assert searches == [3]                  # instances 0, 2 and 4, once
+        else:
+            assert searches == [4, 4]               # triple2 for 0, 1, 2, 4; nr for 0, 2, 3, 4
+        for i, (x, y, b) in enumerate(zip(xs, ys, budgets)):
+            fresh = self._map(target, i)
+            for norm in ("nr", "triple2"):
+                one = check_cs_operator_valued(fresh, x, y, norm, b)
+                assert self._fields(reps[norm][i]) == self._fields(one)
 
 
 class TestPsdPool:
