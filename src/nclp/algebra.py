@@ -396,7 +396,8 @@ def _schatten_from_svals(alg: TracedAlgebra, svals: Sequence[np.ndarray],
             acc = acc + t
         out = np.array([a ** (1.0 / p) for a in acc.tolist()])
         if exp is not None:
-            out = np.ldexp(out, exp)
+            with np.errstate(over="ignore"):        # refused just below
+                out = np.ldexp(out, exp)
     if math.inf in out.tolist():
         raise ConditioningError("a Schatten norm overflows the float range")
     return out

@@ -24,7 +24,7 @@ import numpy as np
 
 from .algebra import (AlgebraElement, eigh_blocks, hermitian_part_of,
                       operator_norm, schatten_norm, trace)
-from .errors import DomainError, StructureError
+from .errors import ConditioningError, DomainError, StructureError
 from .matrixio import _field, _is_number, _numbers
 from .radius import OperatorValuedMap, SearchBudget, _nr_elements, _triple_norm_stack
 from .sampling import random_element, random_psd, substreams
@@ -307,7 +307,8 @@ def bound_checks(km: KernelMap, trials: int = 50, seed: int = 0) -> KernelBoundR
     plus left-invariance and positivity of the induced sesquilinear map.
     All samples are drawn first; both norms of every Phi(X,Y)(S) then come
     from one stacked call each (``_nr_elements``, ``_triple_norm_stack``),
-    each value the one a call per element gives.
+    each value the one a call per element gives.  A kernel value that
+    overflows the float range raises ``ConditioningError``.
     """
     alg = km.algebra
     k_sup = km.sup_kernel_norm()
@@ -319,7 +320,11 @@ def bound_checks(km: KernelMap, trials: int = 50, seed: int = 0) -> KernelBoundR
         y_el = random_element(alg, rng)
         s = random_element(alg, rng)
         draws.append((x_el, y_el, s, random_psd(alg, rng)))
-    vals = [km.phi_operator(x_el, y_el, s) for x_el, y_el, s, _ in draws]
+    with np.errstate(over="ignore", invalid="ignore"):      # refused just below
+        vals = [km.phi_operator(x_el, y_el, s) for x_el, y_el, s, _ in draws]
+        diags = [km.phi_operator(x_el, x_el, spsd) for x_el, _, _, spsd in draws]
+    if not all(np.isfinite(b).all() for v in vals + diags for b in v.blocks):
+        raise ConditioningError("a kernel value T g(W) T* overflows the float range")
     nr_vals = _nr_elements(vals, 256).tolist()
     tr_vals = [r.value for r in _triple_norm_stack(alg, vals, SearchBudget(starts=0, iters=0),
                                                    quick=True)]
@@ -339,7 +344,6 @@ def bound_checks(km: KernelMap, trials: int = 50, seed: int = 0) -> KernelBoundR
         if tr_cap > 0:
             max_tr = max(max_tr, tr_val / tr_cap)
     # positivity of the diagonal on a PSD probe, one eigvalsh per block
-    diags = [km.phi_operator(x_el, x_el, spsd) for x_el, _, _, spsd in draws]
     min_eig = math.inf
     for k in range(alg.n_blocks if diags else 0):
         lam = np.linalg.eigvalsh(hermitian_part_of(np.stack([d.blocks[k] for d in diags])))

@@ -70,31 +70,27 @@ Three layers:
   unpruned one.  The refinement chains of all operators climb as one stack
   of certified values, one ``certify`` call per step.  On a target whose
   block weights are all >= 1, |||.|||_2 is w, and ``triple2`` is ``nr``
-  there: the same ranking, certificates and polish.  The last pool drawn
-  is kept (a one-entry memo keyed on block sizes, starts and seed), so
-  searches at one budget draw once: a weighted target's ``nr`` and
-  ``triple2`` searches, and probes that share a budget.  A search is not
-  kept here; ``OperatorValuedMap`` keeps its last one,
+  there: the same ranking, certificates and polish, so one search
+  (``_TargetNorm.key``).  ``triple2`` on a target of several blocks
+  refuses an operator whose columns are not block-diagonal.  Nothing is
+  kept here: no pool, no search,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
   maps.  A positive map peaks at T = I, so the right-hand side is exact at
   T = I and only the left-hand side is searched; a reported violation is
   proven, and no check is re-run at a larger budget.  One kernel,
-  ``_check_cs_stack``, checks a list of instances of one shape: each
-  instance's pool is drawn once for every target norm, and each norm makes
-  one ``_superop_stack`` call and one stack of right-hand sides (one for
-  both where ``triple2`` is ``nr``), each report the one the check gives
-  alone; ``check_cs_operator_valued`` is a list of one.  Each map keeps a
-  one-entry memo of its last searched left-hand side, keyed on (x, y,
-  budget) and filed under every target norm that search answers, so
-  checking ``nr`` and then ``triple2`` on one map searches once where
-  ``triple2`` is ``nr``.  ``nr`` does not answer ``triple2`` on a target
-  of several blocks, where ``triple2`` must refuse values that are not
-  block-diagonal.  The memo dies with its map, and a new key replaces it.
+  ``_check_cs_stack``, checks a list of instances of one shape: those
+  that share a budget share one pool draw, and each search makes one
+  ``_superop_stack`` call and one stack of right-hand sides, each report
+  the one the check gives alone; ``check_cs_operator_valued`` is a list of
+  one.  Each map keeps one memo, its last searched left-hand side, keyed
+  on (x, y, budget) and filed under the search that ran, so checking
+  ``nr`` and then ``triple2`` on one map searches once where ``triple2``
+  is ``nr``.  Before the memo is read, ``triple2`` on a target of several
+  blocks refuses a map whose gram's columns are not block-diagonal.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -316,27 +312,23 @@ def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
     eigenvalue of largest modulus, and the upper bound the largest eigenvalue
     of the polar mean (``_polar_mean``).  A row is settled when the value
     reaches the bound less 1e-12 ||M||_F; the others are left to the grid.
-    The test and the bound are taken on each row scaled by 2^-e, e the
-    exponent of its largest |entry|, so squares neither overflow nor
-    underflow; a power of two scales them exactly, and the value comes from
-    the row as given.
+    ``_nr_stack`` passes rows whose largest |entry| lies in [2^-64, 2^64]
+    alone, so the squares taken here neither overflow nor underflow.
     """
     sub = stack[rows]
-    exp = np.frexp(np.abs(sub).max(axis=(1, 2)))[1]
-    unit = np.ldexp(1.0, -exp)[:, None, None] * sub
-    adj = np.conj(np.swapaxes(unit, -1, -2))
-    fro = np.sqrt((np.abs(unit) ** 2).sum(axis=(1, 2)))
-    comm = np.sqrt((np.abs(unit @ adj - adj @ unit) ** 2).sum(axis=(1, 2)))
+    adj = np.conj(np.swapaxes(sub, -1, -2))
+    fro = np.sqrt((np.abs(sub) ** 2).sum(axis=(1, 2)))
+    comm = np.sqrt((np.abs(sub @ adj - adj @ sub) ** 2).sum(axis=(1, 2)))
     pick = comm <= 1e-12 * fro ** 2
     if not pick.any():
         return rows
-    sub, unit, exp = sub[pick], unit[pick], exp[pick]
-    upper = _polar_mean(TracedAlgebra([sub.shape[-1]]), [unit])[0][:, -1]
+    sub = sub[pick]
+    upper = _polar_mean(TracedAlgebra([sub.shape[-1]]), [sub])[0][:, -1]
     eig = np.linalg.eigvals(sub)
     top = eig[np.arange(len(sub)), np.argmax(np.abs(eig), axis=1)]
     vals, hs, _ = _nr_top([mats[i] for i in rows[pick]], -np.angle(top), [0.0] * len(sub))
     vals = np.array(vals)
-    closed = np.ldexp(vals, -exp) >= upper - 1e-12 * fro[pick]
+    closed = vals >= upper - 1e-12 * fro[pick]
     out[rows[pick][closed]] = vals[closed]
     if vecs is not None:
         vecs[rows[pick][closed]] = hs[closed]
@@ -376,8 +368,7 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
         return np.ldexp(_nr_stack(unit, grid, vecs), exp)
     out = np.zeros(len(stack))
     rows = (top > 0.0).nonzero()[0]
-    settle = _nr_normal if vecs is None else functools.partial(_nr_normal, vecs=vecs)
-    rows = settle(stack, mats, rows, out)
+    rows = _nr_normal(stack, mats, rows, out, vecs)
     if not rows.size:
         return out
     if rows.size < len(stack):
@@ -397,7 +388,7 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
     return out
 
 
-def _ldexp_complex(m: np.ndarray, e: int) -> np.ndarray:
+def _ldexp_complex(m: np.ndarray, e: int | np.ndarray) -> np.ndarray:
     """2^e m, exactly, in the memory layout of ``m``."""
     out = np.empty_like(m)
     out.real, out.imag = np.ldexp(m.real, e), np.ldexp(m.imag, e)
@@ -637,10 +628,16 @@ def _level_projections(alg: TracedAlgebra, dec_abs: Sequence[tuple[np.ndarray, n
 def _unit_norm2(alg: TracedAlgebra,
                 blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """||F||_2 of each item of a stack given as per-block (B, n_k, n_k)
-    arrays, and the blocks of F / ||F||_2 (zero for F = 0)."""
+    arrays, and the blocks of F / ||F||_2 (zero for F = 0).  A norm outside
+    [2^-64, 2^64] (``_unit_exponents``), whose reciprocal may be subnormal or
+    infinite, divides as 2^-e F by 2^-e ||F||_2, both exact ``ldexp``."""
     fs = [np.ascontiguousarray(b, dtype=complex) for b in blocks]
     upper = _stacked_schatten(alg, fs, 2.0)
-    inv = np.divide(1.0, upper, out=np.zeros(len(upper)), where=upper != 0.0)
+    unit, exp = upper, _unit_exponents(upper)
+    if exp is not None:
+        unit = np.ldexp(upper, -exp)
+        fs = [_ldexp_complex(b, -exp[:, None, None]) for b in fs]
+    inv = np.divide(1.0, unit, out=np.zeros(len(unit)), where=unit != 0.0)
     scale = inv.astype(complex)[:, None, None]
     return upper, [scale * b for b in fs]
 
@@ -976,7 +973,9 @@ def _triple_norm_search(alg: TracedAlgebra, pool: _TriplePool, budget: SearchBud
             for j, i in enumerate(won):
                 best[i], w_final[i] = float(one[j]), [x[j] for x in w_win]
 
-    return [_triple_result(alg, u, u * b, u * float(pool.rank1[i]), w, bool(pool.exact[i]))
+    # |||F|||_2 <= ||F||_2: a pool value above it is rounding
+    return [_triple_result(alg, u, min(u * b, u), u * float(pool.rank1[i]), w,
+                           bool(pool.exact[i]))
             for i, (u, b, w) in enumerate(zip(upper, best, w_final))]
 
 
@@ -1044,18 +1043,8 @@ class SuperOperator:
 def _target_blocks(mats: np.ndarray, alg: TracedAlgebra) -> list[np.ndarray]:
     """Per-block (B, n_k, n_k) stacks of a stack of dense target values; over
     one block, the contiguous stack itself."""
-    mats = np.asarray(mats, dtype=complex)
-    blocks = [np.ascontiguousarray(b) for b in alg.diagonal_blocks(mats)]
-    if alg.n_blocks == 1:
-        return blocks
-    off = mats.copy()
-    for b in alg.diagonal_blocks(off):
-        b[...] = 0.0
-    worst = np.max(np.abs(off), axis=(1, 2), initial=0.0)
-    if np.any(worst > 1e-9 * (1.0 + np.max(np.abs(mats), axis=(1, 2), initial=0.0))):
-        raise PreconditionError(
-            "superoperator value is not block-diagonal over the target algebra")
-    return blocks
+    return [np.ascontiguousarray(b)
+            for b in alg.diagonal_blocks(np.asarray(mats, dtype=complex))]
 
 
 class _TargetNorm:
@@ -1077,28 +1066,43 @@ class _TargetNorm:
     |tr(Z W_k F_k W_k)| by w(F_k) tr(W_k^2), so ||W F W||_1 <= w(F)
     ||W||_2^2 <= w(F), and W = w_k^{-1/2} h h* attains w(F_k) (see
     ``triple_norm``); w of a block-diagonal matrix is the largest w of its
-    blocks.  There ``triple2`` is ``nr``: ``radius`` is set, and it ranks,
-    certifies and takes the 1024-angle polish of ``_superop_stack`` exactly
-    as ``nr`` does, after ``_target_blocks`` has refused values that are not
-    block-diagonal.  With a weight below 1, max_k min(w_k, 1) w(F_k) <=
-    |||F|||_2 <= w(F), and ``triple2`` keeps its own pool.
+    blocks.  There ``triple2`` is ``nr``, and ``key``, the search that runs,
+    is ``nr``: it ranks, certifies and takes the 1024-angle polish of
+    ``_superop_stack`` exactly as ``nr`` does.  With a weight below 1,
+    max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F), and ``key`` is
+    ``triple2``, which keeps its own pool.  |||.|||_2 is defined on
+    block-diagonal values alone, so ``triple2`` on a target of several
+    blocks refuses a map whose values leave the blocks
+    (``require_block_diagonal``) before anything is scored.
     """
 
     NR_GRID = 256
 
-    def __init__(self, kind: str, target_algebra: TracedAlgebra | None = None):
-        if kind not in ("nr", "triple2"):
-            raise DomainError(f"unknown target norm {kind!r}")
-        self.kind = kind
+    def __init__(self, norm: str, target_algebra: TracedAlgebra | None = None):
+        if norm not in ("nr", "triple2"):
+            raise DomainError(f"unknown target norm {norm!r}")
         self.target_algebra = target_algebra
-        self.radius = kind == "nr" or target_algebra is None or _triple2_is_nr(target_algebra)
+        radius = norm == "nr" or target_algebra is None or _triple2_is_nr(target_algebra)
+        self.key = "nr" if radius else "triple2"
+        self.blockwise = (norm == "triple2" and target_algebra is not None
+                          and target_algebra.n_blocks > 1)
 
-    def _radius_stack(self, mats: np.ndarray) -> np.ndarray:
-        """The dense matrices a ``radius`` norm scores: a ``triple2`` value
-        that is not block-diagonal over the target algebra is refused."""
-        if self.kind == "triple2" and self.target_algebra is not None:
-            _target_blocks(mats, self.target_algebra)
-        return mats
+    def require_block_diagonal(self, columns: np.ndarray) -> None:
+        """Refuse a linear map whose values at a basis, the columns of
+        (..., n^2, m) ``columns``, include a V with max |off-block entry| >
+        1e-9 (1 + max |V|): every value is a combination of them.  Only
+        ``triple2`` on a target of several blocks checks."""
+        if not self.blockwise:
+            return
+        n = self.target_algebra.total_dim
+        vals = np.swapaxes(columns, -1, -2).reshape(-1, n, n)
+        off = vals.copy()
+        for b in self.target_algebra.diagonal_blocks(off):
+            b[...] = 0.0
+        worst = np.max(np.abs(off), axis=(1, 2), initial=0.0)
+        if np.any(worst > 1e-9 * (1.0 + np.max(np.abs(vals), axis=(1, 2), initial=0.0))):
+            raise PreconditionError(
+                "superoperator value is not block-diagonal over the target algebra")
 
     def batch_values(self, mats: np.ndarray, top: int | None = None,
                      groups: Sequence[int] | None = None) -> np.ndarray:
@@ -1109,9 +1113,9 @@ class _TargetNorm:
         group's ``argsort`` prefix of length ``top`` and every finite value
         are those of the group's unpruned stack, bit for bit.
 
-        ``nr``, and ``triple2`` with ``radius`` set, score the dense
-        matrices on the pruned theta grid (``_nr_grid``); ``triple2``
-        otherwise scores the target blocks with ``_triple2_pool``.
+        The ``nr`` search scores the dense matrices on the pruned theta
+        grid (``_nr_grid``), the ``triple2`` one the target blocks with
+        ``_triple2_pool``.
         A ranking takes two passes over an upper bound from ``_polar_mean``:
         the largest eigenvalue of the polar mean of the dense matrix for
         the former (Kittaneh), its knapsack value for the latter.  In each group
@@ -1125,8 +1129,8 @@ class _TargetNorm:
         call over every group, so one polar mean and three scoring stacks at
         most rank any number of groups.
         """
-        if self.radius:
-            alg, blocks = TracedAlgebra([mats.shape[-1]]), [self._radius_stack(mats)]
+        if self.key == "nr":
+            alg, blocks = TracedAlgebra([mats.shape[-1]]), [mats]
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return np.max(_nr_grid(bs[0], self.NR_GRID, 1), axis=1)
@@ -1154,7 +1158,7 @@ class _TargetNorm:
         if ranked:
             rows = np.concatenate([np.arange(a, b) for a, b in ranked])
             lam, norm2 = _polar_mean(alg, [b[rows] for b in blocks])
-            bound[rows] = lam[:, -1] if self.radius else _knapsack_value(alg, lam)
+            bound[rows] = lam[:, -1] if self.key == "nr" else _knapsack_value(alg, lam)
             reach[rows] = bound[rows] + 1e-12 * norm2
             tops = [a + np.argsort(-bound[a:b], kind="stable")[:top] for a, b in ranked]
         fill([np.arange(a, b) for a, b in spans if b - a <= top] + tops)
@@ -1169,9 +1173,9 @@ class _TargetNorm:
 
         Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.
         """
-        if self.radius:
+        if self.key == "nr":
             # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
-            grid, found = _nr_peaks(self._radius_stack(mats), self.NR_GRID, 1)
+            grid, found = _nr_peaks(mats, self.NR_GRID, 1)
             top = np.array([p[0] for p in found])
             vals, vecs, thetas = _nr_top(mats, top * (TWO_PI / self.NR_GRID),
                                          grid[np.arange(len(mats)), top].tolist())
@@ -1204,17 +1208,12 @@ def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarr
     (one stacked QR per block) and hermitian contractions h_i, in the order
     identity, u_0, h_0, u_1, u_2, h_2, ... of substream i's draws.
 
-    The pool depends on the block sizes, starts and seed alone, and the last
-    one drawn is kept, read-only (a one-entry memo): the ``nr`` and
-    ``triple2`` searches of a weighted target, and probes that share a
-    budget, draw it once."""
-    return _draw_candidates(source.block_sizes, int(budget.starts), int(budget.seed))
-
-
-@functools.lru_cache(maxsize=1)
-def _draw_candidates(sizes: tuple[int, ...], starts: int, seed: int) -> np.ndarray:
+    The pool depends on the block sizes, starts and seed alone, and it is
+    read-only, so ``_check_cs_stack`` hands one draw to every instance of a
+    call that shares a budget."""
+    sizes = source.block_sizes
     items, unitary_at = [[np.eye(n, dtype=complex) for n in sizes]], []
-    for i, rng in enumerate(substreams(seed, starts)):
+    for i, rng in enumerate(substreams(budget.seed, budget.starts)):
         unitary_at.append(len(items))
         items.append([random_complex_matrix(rng, n, n) for n in sizes])
         if i % 2 == 0:
@@ -1266,11 +1265,15 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
     matrix-vector product per chain), one stacked SVD per source block and
     one ``certify`` call.  A chain stops once a step does not raise its
     value, and an operator's chains stop after its ``budget.iters`` steps.
-    For ``nr``, and ``triple2`` where it is ``nr`` (``_TargetNorm.radius``),
-    one ``_nr_stack`` call on the 1024-angle grid scores every operator's
-    best T, so the two give the same result there, bit for bit.
+    For the ``nr`` search, which ``triple2`` runs where it is ``nr``
+    (``_TargetNorm.key``), one ``_nr_stack`` call on the 1024-angle grid
+    scores every operator's best T, so the two give the same result there,
+    bit for bit.  ``triple2`` on a target of several blocks first refuses
+    an operator whose values leave the blocks (checked on its columns).
     """
     tn = _TargetNorm(target_norm, ops[0].target_algebra)
+    for op in ops:
+        tn.require_block_diagonal(op.matrix)
     search = [i for i, op in enumerate(ops) if not op.is_zero]
     out = [SuperOperatorNormResult(0.0, op.source.identity(), EXACT) if op.is_zero else None
            for op in ops]
@@ -1320,7 +1323,7 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
         if v > best_val[o]:
             best_val[o], best_t[o] = v, t
 
-    if tn.radius:
+    if tn.key == "nr":
         mats = [ops[i].apply_coords(t) for i, t in zip(search, best_t)]
         _require_finite(mats, "numerical radius")
         best_val = [max(v, w) for v, w in zip(best_val, _nr_stack(np.stack(mats), 1024).tolist())]
@@ -1365,7 +1368,7 @@ class OperatorValuedMap:
         self.target_algebra = target_algebra
         self.generator = None
         # (x, y, budget) of the last left-hand side searched, and its
-        # (result, (v_x, v_y)) under each target norm it answers
+        # (result, (v_x, v_y)) under each search run (``_TargetNorm.key``)
         self._last_lhs: tuple | None = None
 
     @classmethod
@@ -1433,31 +1436,15 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
     Phi(x,x)(I) and Phi(y,y)(I), which ``_TargetNorm.batch_values`` gives
     exactly (for ``triple2``, the knapsack alone); only the left-hand side is
     searched.  Its value is attained at a feasible T, so a reported violation
-    is proven, and nothing is re-run.  The check goes through the stacked
-    kernel ``_check_cs_stack`` as a list of one, so ``phi`` keeps its last
-    search (key (x, y, budget)): checking the other target norm next, at the
-    same x, y and budget, reuses it where that norm is the same search (see
-    ``_check_cs_stack``).
+    is proven, and nothing is re-run.  ``triple2`` on a target of several
+    blocks refuses a map with a value off the blocks, on every call.  The
+    check goes through the stacked kernel ``_check_cs_stack`` as a list of
+    one, so ``phi`` keeps its last search (key (x, y, budget)): checking the
+    other target norm next, at the same x, y and budget, reuses it where
+    that norm runs the same search (see ``_check_cs_stack``).
     """
     return _check_cs_stack([phi], [x], [y], [budget or SearchBudget()],
                            [target_norm])[target_norm][0]
-
-
-def _answered_by(tn: _TargetNorm) -> tuple[str, ...]:
-    """The target norms a left-hand-side search run as ``tn`` answers.
-
-    ``triple2`` where it is ``nr`` (``_TargetNorm.radius``) answers ``nr``
-    too.  ``nr`` answers ``triple2`` only where ``triple2`` is ``nr`` and
-    ``_target_blocks`` cannot refuse a value (no target algebra, or one
-    block), so a ``triple2`` check on a multi-block target always searches
-    and refuses values that are not block-diagonal.
-    """
-    alg = tn.target_algebra
-    if tn.kind == "triple2":
-        return ("triple2", "nr") if tn.radius else ("triple2",)
-    if alg is None or (alg.n_blocks == 1 and _triple2_is_nr(alg)):
-        return ("nr", "triple2")
-    return ("nr",)
 
 
 def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
@@ -1468,18 +1455,17 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
     each target norm of ``norms``; each report is the one a list of one
     gives, bit for bit.
 
-    Each map keeps a one-entry memo of its last searched left-hand side: the
-    key is (x, y, budget), x and y as the complex raveled bytes ``superop``
-    uses, and the value is the ``SuperOperatorNormResult`` and the
-    right-hand sides (v_x, v_y) under each target norm the search answers
-    (``_answered_by``).  A new key replaces the entry, and the memo lives
-    and dies with its map.  Positivity is checked on every call, before the
-    memo is read.  Only the instances that miss are searched: each one's
-    pool is drawn once for every norm, and each norm takes one
+    Each call first checks every map, whatever its memo holds: positivity,
+    then, for ``triple2`` on a target of several blocks, that its gram's
+    columns are block-diagonal (``_TargetNorm.require_block_diagonal``).  Each
+    map keeps a one-entry memo of its last searched left-hand side: the key
+    is (x, y, budget), x and y as the complex raveled bytes ``superop``
+    uses, and the value maps each search run (``_TargetNorm.key``) to its
+    ``SuperOperatorNormResult`` and right-hand sides (v_x, v_y).  A new key
+    replaces the entry.  Only the instances that miss are searched: those
+    that share a budget share one pool draw, and each search takes one
     ``_superop_stack`` call and one ``batch_values`` stack of right-hand
-    sides over them.  ``triple2`` runs first, so a search it shares with
-    ``nr`` refuses values that are not block-diagonal, as its own does.
-    Maps of another shape than the first raise ``StructureError``.
+    sides.  Maps of another shape than the first raise ``StructureError``.
     """
     head = phis[0]
     if any((p.source, p.target_dim, p.target_algebra)
@@ -1487,34 +1473,41 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
         raise StructureError("a stacked check needs maps of one shape")
     for phi, budget in zip(phis, budgets):
         phi.check_positivity(seed=budget.seed).require()
+    tns = {norm: _TargetNorm(norm, head.target_algebra) for norm in norms}
+    for phi in phis:
+        for tn in tns.values():
+            tn.require_block_diagonal(phi.gram)
     keys = [(np.asarray(x, dtype=complex).ravel().tobytes(),
              np.asarray(y, dtype=complex).ravel().tobytes(), budget)
             for x, y, budget in zip(xs, ys, budgets)]
     found = [dict(phi._last_lhs[1]) if phi._last_lhs and phi._last_lhs[0] == key else {}
              for phi, key in zip(phis, keys)]
-    need = [i for i, f in enumerate(found) if not f.keys() >= set(norms)]
+    runs = {tn.key: tn for tn in tns.values()}
+    need = [i for i, f in enumerate(found) if not f.keys() >= runs.keys()]
     if need:
         ops = [phis[i].superop(xs[i], ys[i]) for i in need]
-        pools = [None if op.is_zero else _unitary_candidates(op.source, budgets[i])
-                 for i, op in zip(need, ops)]
+        shared = {(budgets[i].starts, budgets[i].seed): budgets[i]
+                  for i, op in zip(need, ops) if not op.is_zero}
+        drawn = {k: _unitary_candidates(head.source, b) for k, b in shared.items()}
+        pools = [drawn.get((budgets[i].starts, budgets[i].seed)) for i in need]
         ident = head.source.identity().coords()
         at_identity = np.stack([phis[i].superop(v, v).apply_coords(ident)
                                 for i in need for v in (xs[i], ys[i])])
         at_identity = at_identity.reshape(len(need), 2, *at_identity.shape[1:])
-    for norm in sorted(norms, key=lambda n: n != "triple2"):
-        miss = [j for j, i in enumerate(need) if norm not in found[i]]
+    for key, tn in runs.items():
+        miss = [j for j, i in enumerate(need) if key not in found[i]]
         if not miss:
             continue
-        tn = _TargetNorm(norm, head.target_algebra)
-        results = _superop_stack([ops[j] for j in miss], norm, [budgets[need[j]] for j in miss],
+        results = _superop_stack([ops[j] for j in miss], key, [budgets[need[j]] for j in miss],
                                  [pools[j] for j in miss])
         sides = tn.batch_values(np.concatenate(at_identity[miss])).reshape(-1, 2).tolist()
         for j, res, side in zip(miss, results, sides):
-            found[need[j]].update(dict.fromkeys(_answered_by(tn), (res, side)))
+            found[need[j]][key] = (res, side)
     for phi, key, f in zip(phis, keys, found):
         phi._last_lhs = (key, f)
     return {norm: [report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
                           {"target_norm": norm, "budget_starts": budget.starts,
                            "heuristic": res.status == HEURISTIC})
-                   for (res, (v_x, v_y)), budget in zip((f[norm] for f in found), budgets)]
+                   for (res, (v_x, v_y)), budget in zip((f[tns[norm].key] for f in found),
+                                                        budgets)]
             for norm in norms}

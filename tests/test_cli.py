@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,23 @@ class TestCommands:
             assert entry["status"] == "holds"
             ratios.append((entry["max_nr_ratio"], entry["max_triple_ratio"]))
         assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
+    def test_kernel_demo_whose_values_overflow_exits_2(self, tmp_path, capsys):
+        # T = 1e155 I is finite, but T g(W) T* is not: one line naming the
+        # overflow, where the overflow warnings of the product and a refusal
+        # blaming the input's entries came before
+        path = str(tmp_path / "kernel.json")
+        save_json(path, {"algebra": {"blocks": [2]},
+                         "W": [{"re": [[1.0, 0.0], [0.0, 2.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}],
+                         "T": [{"re": [[1e155, 0.0], [0.0, 1e155]],
+                                "im": [[0.0, 0.0], [0.0, 0.0]]}],
+                         "kernel": {"name": "one_plus_xt"}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kernel-demo", "--input", path, "--trials", "5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: a kernel value T g(W) T* overflows the float range\n"
 
     # c [[1, 2], [0, 1]] on M_2: unscaled, ||.||_4 read 0.0 at 1e-100 and inf
     # at 1e80, and triple-norm computed a NaN at 1e160

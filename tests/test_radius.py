@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from nclp import radius, suites
 from nclp.algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, schatten_norm
 from nclp.cli import main
-from nclp.errors import DomainError, PreconditionError, StructureError
+from nclp.errors import ConditioningError, DomainError, PreconditionError, StructureError
 from nclp.kernels import KernelMap, OnePlusXTKernel
 from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
                          SuperOperatorNormResult, _TargetNorm, _triple2_pool,
@@ -44,13 +44,6 @@ BAD_INPUTS = [pytest.param(fn, m, DomainError, id=f"{name}-{k}")
     for name, kw in (("starts", {"starts": -1}), ("iters", {"iters": -1}),
                      ("starts-float", {"starts": 2.5}), ("starts-bool", {"starts": True}),
                      ("seed-negative", {"seed": -1}), ("seed-float", {"seed": 1.5}))]
-
-
-@pytest.fixture(autouse=True)
-def fresh_candidate_memo():
-    """Each test draws its own candidate pools: a memo hit left by an earlier
-    test would skip the linalg calls of a draw that a test counts."""
-    radius._draw_candidates.cache_clear()
 
 
 @pytest.mark.parametrize("fn, arg, error", BAD_INPUTS)
@@ -980,7 +973,7 @@ BRACKET_KINDS = ["zero", "hermitian", "symmetric", "psd", "normal", "unitary", "
 def _grid_only_nr(mats, grid=1024):
     """``_nr_stack`` with the normal bracket switched off: every row on the grid."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radius, "_nr_normal", lambda stack, mats, rows, out: rows)
+        mp.setattr(radius, "_nr_normal", lambda stack, mats, rows, out, vecs=None: rows)
         return radius._nr_stack(mats, grid)
 
 
@@ -1091,6 +1084,52 @@ class TestNrScaling:
             assert got[i] / c == pytest.approx(numerical_radius(mats[i] / c), rel=1e-12)
             h = vecs[i]
             assert abs(np.conj(h) @ (mats[i] @ h)) == pytest.approx(got[i], rel=1e-12)
+
+
+def _diagonal_m2(c):
+    return TracedAlgebra([2]).element([np.diag([c, 0.0])])
+
+
+def _shift_m2_m1(c):
+    return TracedAlgebra([2, 1], [1.0, 0.5]).element(
+        [np.array([[0.0, c], [0.0, 0.0]]), np.array([[c / 2]])])
+
+
+class TestTripleNormScaling:
+    """``_unit_norm2`` divides an item whose ||F||_2 lies outside [2^-64,
+    2^64] as 2^-e F by 2^-e ||F||_2: the reciprocal of the norm itself is
+    subnormal or infinite near the ends of the float range."""
+
+    @pytest.mark.parametrize("make, c", [
+        (_diagonal_m2, 1e-300), (_diagonal_m2, 2.0 ** 1000), (_diagonal_m2, 1.7e308),
+        (_shift_m2_m1, 1e-300), (_shift_m2_m1, 2.0 ** 1000)],
+        ids=["M2-1e-300", "M2-2^1000", "M2-1.7e308", "M2+M1-1e-300", "M2+M1-2^1000"])
+    def test_value_over_c_is_the_unit_scale_value(self, make, c):
+        # unscaled, 1.7e308 diag(1, 0) read 1.7000000000000003e+308 above
+        # its upper bound 1.7e+308
+        one = triple_norm(make(1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = triple_norm(make(c))
+        assert abs(res.value / c - one.value) <= 1e-12
+        assert res.status == one.status
+        assert res.value <= res.upper_bound
+
+    def test_a_norm_above_the_float_range_is_refused(self):
+        # ||F||_2 = 1.06 c at c = 1.7e308: no overflow warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConditioningError, match="overflows"):
+                triple_norm(_shift_m2_m1(1.7e308))
+
+    @pytest.mark.parametrize("make", [_diagonal_m2, _shift_m2_m1], ids=["M2", "M2+M1"])
+    def test_subnormal_input_gives_a_finite_value(self, make):
+        # unscaled, 1 / ||F||_2 overflowed and the SVD of the inf-scaled
+        # blocks did not converge
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = triple_norm(make(1e-310))
+        assert math.isfinite(res.value) and 0.0 < res.value <= res.upper_bound
 
 
 @st.composite
@@ -1223,6 +1262,26 @@ class TestTriple2IsNr:
                 radius._check_cs_stack([phi], [self.X], [self.Y],
                                        [SearchBudget(starts=4, iters=2)], norms)
 
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 0.5]])
+    def test_off_block_operators_are_refused_before_any_scoring(self, weights, monkeypatch):
+        # the operator's columns decide: no candidate is ranked or certified
+        calls = []
+        for name in ("certify", "batch_values"):
+            def counted(self, *args, _f=getattr(_TargetNorm, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _f(self, *args, **kwargs)
+            monkeypatch.setattr(_TargetNorm, name, counted)
+        target = TracedAlgebra([2, 1], weights)
+        factors = [[random_complex_matrix(rng_from(6), 3, 2) for _ in range(2)]]
+        phi = OperatorValuedMap.from_generator(TracedAlgebra([2]), factors, target_algebra=target)
+        op = phi.superop(self.X, self.Y)
+        with pytest.raises(PreconditionError, match="block-diagonal"):
+            superop_norm(op, "triple2", SearchBudget(starts=4, iters=2))
+        assert calls == []
+        # nr takes any value
+        assert superop_norm(op, "nr", SearchBudget(starts=4, iters=2)).value > 0.0
+        assert calls[0] == "batch_values" and "certify" in calls
+
 
 class TestStackedSearch:
     """The stacked operator-valued search gives each instance the result of
@@ -1304,45 +1363,79 @@ class TestStackedSearch:
             radius._check_cs_stack(phis, [v, v], [v, v], [SearchBudget()] * 2, ("nr",))
 
 
-class TestCandidateMemo:
-    """The last candidate pool drawn is kept, read-only, for the next search."""
+class TestCandidateDraws:
+    """A candidate pool is drawn per call, once for the instances of a
+    stacked check that share a budget, and kept nowhere after it."""
 
-    def test_hit_is_a_read_only_fresh_draw(self):
-        src = TracedAlgebra([2, 1], [1.0, 0.5])
-        drawn = radius._unitary_candidates(src, SearchBudget(starts=16, iters=3, seed=3))
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """The pools ``_unitary_candidates`` returns, in call order."""
+        pools = []
+
+        def counted(source, budget, _f=radius._unitary_candidates):
+            pools.append(_f(source, budget))
+            return pools[-1]
+
+        monkeypatch.setattr(radius, "_unitary_candidates", counted)
+        return pools
+
+    def test_a_draw_is_read_only_and_the_same_every_time(self):
         # the pool depends on block sizes, starts and seed, not weights or iters
-        hit = radius._unitary_candidates(TracedAlgebra([2, 1]), SearchBudget(starts=16, seed=3))
-        assert hit is drawn and radius._draw_candidates.cache_info().hits == 1
-        assert not hit.flags.writeable
+        drawn = radius._unitary_candidates(TracedAlgebra([2, 1], [1.0, 0.5]),
+                                           SearchBudget(starts=16, iters=3, seed=3))
+        again = radius._unitary_candidates(TracedAlgebra([2, 1]), SearchBudget(starts=16, seed=3))
+        assert again is not drawn and again.tobytes() == drawn.tobytes()
+        assert not drawn.flags.writeable
         with pytest.raises(ValueError):
-            hit[0, 0] = 0.0
-        fresh = radius._draw_candidates.__wrapped__((2, 1), 16, 3)
-        assert hit.tobytes() == fresh.tobytes()
+            drawn[0, 0] = 0.0
 
-    def test_second_budget_evicts_the_first(self):
-        a, b = SearchBudget(starts=8, seed=1), SearchBudget(starts=8, seed=2)
-        for budget in (a, a, b, a):
-            radius._unitary_candidates(_M2, budget)
-        info = radius._draw_candidates.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+    def test_instances_sharing_a_budget_share_one_draw(self, draws, monkeypatch):
+        pools = []
+
+        def searched(ops, norm, budgets, given, _f=radius._superop_stack):
+            pools.extend(given)
+            return _f(ops, norm, budgets, given)
+
+        monkeypatch.setattr(radius, "_superop_stack", searched)
+        phis = [suites.random_operator_valued(TracedAlgebra([2]), 2, 2, 1, seed)
+                for seed in range(4)]
+        x, y = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
+        shared, other = SearchBudget(starts=8, iters=3, seed=1), SearchBudget(starts=8, seed=2)
+        budgets = [shared, other, dataclasses.replace(shared, iters=5), shared]
+        reps = radius._check_cs_stack(phis, [x] * 4, [y] * 4, budgets, ("nr",))
+        # iters does not enter the pool: instances 0, 2 and 3 share one draw
+        assert len(draws) == 2
+        assert [id(p) for p in pools] == [id(draws[0]), id(draws[1]), id(draws[0]), id(draws[0])]
+        assert not draws[0].flags.writeable
+        for seed, (b, rep) in enumerate(zip(budgets, reps["nr"])):
+            fresh = suites.random_operator_valued(TracedAlgebra([2]), 2, 2, 1, seed)
+            assert rep == check_cs_operator_valued(fresh, x, y, "nr", b)
+
+    def test_separate_calls_give_one_report(self, draws):
+        # no cache outlives a call: each call draws its pool afresh
+        x, y = np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j])
+        budget = SearchBudget(starts=16, iters=4, seed=5)
+        maps = [suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
+                for _ in range(2)]
+        reps = [check_cs_operator_valued(phi, x, y, "nr", budget) for phi in maps]
+        assert reps[0] == reps[1] and len(draws) == 2
 
     def test_target_norm_order_does_not_move_reports(self):
-        # each norm's search meets a fresh draw in one order and a memo hit
-        # in the other
         phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
         x, y = np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j])
         budget = SearchBudget(starts=16, iters=4, seed=5)
 
         def reports(norms):
-            radius._draw_candidates.cache_clear()
-            return {n: check_cs_operator_valued(phi, x, y, n, budget) for n in norms}
+            fresh = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
+            return {n: check_cs_operator_valued(fresh, x, y, n, budget) for n in norms}
 
         assert reports(("nr", "triple2")) == reports(("triple2", "nr"))
 
 
 class TestLhsMemo:
     """Each map keeps its last searched left-hand side, keyed on (x, y,
-    budget), under every target norm that search answers."""
+    budget), under the search that ran: ``nr`` wherever ``triple2`` is
+    ``nr``."""
 
     X, Y = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
     BUDGET = SearchBudget(starts=8, iters=4, seed=2)
@@ -1386,8 +1479,8 @@ class TestLhsMemo:
     @pytest.mark.parametrize("target, order, second", [
         (None, ("nr", "triple2"), 0), (None, ("triple2", "nr"), 0),
         (TracedAlgebra([2]), ("nr", "triple2"), 0),
-        # a multi-block triple2 searches to refuse off-block values
-        (TracedAlgebra([2, 1], [1.0, 2.0]), ("nr", "triple2"), 1),
+        # a multi-block triple2 refuses off-block maps before the memo is read
+        (TracedAlgebra([2, 1], [1.0, 2.0]), ("nr", "triple2"), 0),
         (TracedAlgebra([2, 1], [1.0, 2.0]), ("triple2", "nr"), 0),
         # a weight below 1: two searches
         (TracedAlgebra([2, 1], [1.0, 0.5]), ("nr", "triple2"), 1),
@@ -1442,6 +1535,35 @@ class TestLhsMemo:
         check_cs_operator_valued(phi, self.X, self.Y, "nr", self.BUDGET)
         with pytest.raises(PreconditionError, match="block-diagonal"):
             check_cs_operator_valued(phi, self.X, self.Y, "triple2", self.BUDGET)
+
+    @pytest.mark.parametrize("memo", ["empty", "hit", "stale"])
+    @pytest.mark.parametrize("order", [("nr", "triple2"), ("triple2", "nr")],
+                             ids=["nr-first", "triple2-first"])
+    @pytest.mark.parametrize("weights", [[1.0, 2.0], [1.0, 0.5]], ids=["heavy", "light"])
+    def test_off_block_maps_are_refused_whatever_the_memo_holds(self, searches, weights,
+                                                                order, memo):
+        # triple2 checks the map's basis values on every call, before the
+        # memo is read; nr takes any value, and its memo entry stays
+        target = TracedAlgebra([2, 1], weights)
+        factors = [[random_complex_matrix(rng_from(6), 3, 2) for _ in range(2)]]
+        phi = OperatorValuedMap.from_generator(TracedAlgebra([2]), factors, target_algebra=target)
+        if memo != "empty":
+            y = self.Y if memo == "hit" else -self.Y
+            check_cs_operator_valued(phi, self.X, y, "nr", self.BUDGET)
+        kept, count = phi._last_lhs, len(searches)
+        with pytest.raises(PreconditionError, match="block-diagonal"):
+            radius._check_cs_stack([phi], [self.X], [self.Y], [self.BUDGET], order)
+        assert phi._last_lhs is kept and len(searches) == count
+        for norm in order:
+            if norm == "triple2":
+                with pytest.raises(PreconditionError, match="block-diagonal"):
+                    check_cs_operator_valued(phi, self.X, self.Y, norm, self.BUDGET)
+            else:
+                rep = check_cs_operator_valued(phi, self.X, self.Y, norm, self.BUDGET)
+        assert len(searches) == count + (memo != "hit")
+        fresh = OperatorValuedMap.from_generator(TracedAlgebra([2]), factors,
+                                                 target_algebra=target)
+        assert rep == check_cs_operator_valued(fresh, self.X, self.Y, "nr", self.BUDGET)
 
     def test_a_map_failing_positivity_is_refused_on_every_call(self, searches):
         neg = SuperOperator.from_apply(_M2, 2, lambda s: -s.dense())

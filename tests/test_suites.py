@@ -93,13 +93,13 @@ class TestSuiteWork:
         # instance makes 362 calls
         assert calls["n"] <= 4 * (24 + 1) + 2 * (8 + 1), calls
 
-    def test_operator_valued_draws_each_pool_once(self):
+    def test_operator_valued_draws_each_pool_once(self, monkeypatch):
         # 10 instances, each with its own seed, and the two probe shapes,
-        # whose probes share one budget; a probe order alternating the
-        # shapes, or a draw per norm, misses the one-entry memo more often
-        radius._draw_candidates.cache_clear()
+        # whose probes share one budget: one stacked check per shape draws
+        # once per budget, for both norms
+        calls = counted(monkeypatch, radius, "_unitary_candidates")
         suites.operator_valued_suite(10, seed=7, starts=16, iters=24)
-        assert radius._draw_candidates.cache_info().misses == 10 + 2
+        assert calls["n"] == 10 + 2
 
     @pytest.mark.parametrize("trials", [4, 12])
     def test_numerical_radius_grids_once_per_size(self, monkeypatch, trials):
