@@ -127,7 +127,7 @@ NR_CHUNK = 1024           # most matrices one grid eigensolve takes
 
 def _tied(vals: np.ndarray, count: int) -> np.ndarray:
     """Rows of ``vals`` whose ``count + 1`` largest entries are not all distinct."""
-    top = np.sort(vals, axis=1)[:, ::-1][:, :count + 1]
+    top = np.sort(vals, axis=1)[:, -count - 1:]
     return (top[:, 1:] == top[:, :-1]).any(axis=1)
 
 
@@ -149,49 +149,56 @@ def _nr_grid(mats: np.ndarray, grid: int, keep: int) -> np.ndarray:
     arc's ends, plus a rounding margin of 1e-12 ||M||_F, reaches it.  Each
     row's ``keep`` largest values and their ``argsort`` prefix are then
     those of the full grid.  ``argsort`` orders exact ties by the rest of the
-    array, so a row whose ranked values tie gets the full grid, as does a
-    grid of at most 2 NR_COARSE angles or one that is not a multiple of
-    NR_COARSE.  Every finite value is the full grid's, bit for bit, whatever
-    the stack's size or order.
+    array, so a row whose ranked values tie (``_tied``) gets the full grid,
+    as does a grid of at most 2 NR_COARSE angles or one that is not a
+    multiple of NR_COARSE.  Only the phases of the angles solved are formed,
+    each as exp(i 2 pi k / grid).  Every finite value is the full grid's,
+    bit for bit, whatever the stack's size or order.
     """
-    thetas = TWO_PI * np.arange(grid) / grid
-    phases = np.exp(1j * thetas)
+    count = len(mats)
     adj = np.conj(np.swapaxes(mats, -1, -2))
-    out = np.full((len(mats), grid), -np.inf)
+    out = np.full((count, grid), -np.inf)
 
     def solve(rows: np.ndarray, cols: np.ndarray) -> None:
-        for at in range(0, rows.size, NR_CHUNK):
-            r, c = rows[at:at + NR_CHUNK], cols[at:at + NR_CHUNK]
-            p = phases[c][:, None, None]
-            out[r, c] = np.linalg.eigvalsh(0.5 * (p * mats[r] + np.conj(p) * adj[r]))[:, -1]
+        # the angles cols (R, K), or (1, K) for every row, of rows (R, 1):
+        # at most NR_CHUNK matrices per eigvalsh call
+        wide = min(cols.shape[1], NR_CHUNK)
+        span = NR_CHUNK // wide
+        for at in range(0, len(rows), span):
+            r = rows[at:at + span]
+            cr = cols if len(cols) == 1 else cols[at:at + span]
+            for j in range(0, cols.shape[1], wide):
+                c = cr[:, j:j + wide]
+                p = np.exp(1j * (TWO_PI * c / grid))[..., None, None]
+                out[r, c] = np.linalg.eigvalsh(
+                    0.5 * (p * mats[r] + np.conj(p) * adj[r]))[..., -1]
 
-    def fill(rows: np.ndarray) -> None:
-        at, cols = np.isneginf(out[rows]).nonzero()
-        solve(rows[at], cols)
-
-    rows = np.arange(len(mats))
+    every = np.arange(count)[:, None]
     if grid % NR_COARSE or grid <= 2 * NR_COARSE:
-        fill(rows)
+        solve(every, np.arange(grid)[None])
         return out
     stride = grid // NR_COARSE
-    solve(np.repeat(rows, NR_COARSE), np.tile(np.arange(0, grid, stride), len(mats)))
-    ends = out[:, ::stride].copy()                      # (B, NR_COARSE)
+    coarse = np.arange(0, grid + 1, stride) % grid          # wraps to angle 0
+    solve(every, coarse[None, :-1])
+    ends = out[:, coarse]                               # (B, NR_COARSE + 1)
     if keep > 1:
-        peak = np.argmax(ends, axis=1)[:, None]
+        peak = np.argmax(ends[:, :-1], axis=1)[:, None]
         arcs = np.concatenate([(peak - 1) % NR_COARSE, peak], axis=1)
-        seed = (arcs[:, :, None] * stride + np.arange(1, stride)).reshape(len(mats), -1)
-        solve(np.repeat(rows, seed.shape[1]), seed.ravel())
-    floor = np.partition(out, grid - keep, axis=1)[:, grid - keep]
+        solve(every, (arcs[:, :, None] * stride + np.arange(1, stride)).reshape(count, -1))
+    floor = np.sort(out, axis=1)[:, grid - keep]
     arc = TWO_PI / NR_COARSE
     step = np.arange(1, stride) * (arc / stride)
     alpha, beta = np.sin(arc - step) / math.sin(arc), np.sin(step) / math.sin(arc)
     margin = 1e-12 * np.linalg.norm(mats, axis=(1, 2))
-    bound = (alpha * ends[:, :, None] + beta * np.roll(ends, -1, axis=1)[:, :, None]
+    bound = (alpha * ends[:, :-1, None] + beta * ends[:, 1:, None]
              + margin[:, None, None])                   # (B, NR_COARSE, stride - 1)
-    unsolved = np.isneginf(out.reshape(len(mats), NR_COARSE, stride)[:, :, 1:])
+    unsolved = np.isneginf(out.reshape(count, NR_COARSE, stride)[:, :, 1:])
     at, a, j = ((bound >= floor[:, None, None]) & unsolved).nonzero()
-    solve(at, a * stride + j + 1)
-    fill(_tied(out, keep).nonzero()[0])
+    solve(at[:, None], (a * stride + j + 1)[:, None])
+    tied = _tied(out, keep).nonzero()[0]
+    if tied.size:
+        at, cols = np.isneginf(out[tied]).nonzero()
+        solve(tied[at, None], cols[:, None])
     return out
 
 
@@ -206,12 +213,28 @@ def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
     """Up to ``count`` maxima per row of periodic grid values (rows, grid).
 
     Peaks are picked greedily in ``argsort(row)[::-1]`` order, each more than
-    two grid steps from the ones already picked.
+    two grid steps from the ones already picked, from that order's prefix
+    of ``_peak_prefix(count)``.  A row whose prefix + 1 largest values are
+    distinct has that prefix as its values above the (prefix + 1)-th,
+    ordered by value; ``argsort`` orders ties by the rest of the row, so
+    the other rows take their full ``argsort``.
     """
-    grid = vals.shape[-1]
-    orders = np.argsort(vals, axis=-1)[:, ::-1][:, :_peak_prefix(count)].tolist()
+    rows, grid = vals.shape
+    size = _peak_prefix(count)
+    if grid > size:
+        head = np.sort(vals, axis=1)[:, -size - 1:]     # ascending
+        fast = (head[:, 1:] != head[:, :-1]).all(axis=1)
+    else:
+        fast = np.zeros(rows, dtype=bool)
+    orders = np.empty((rows, min(size, grid)), dtype=int)
+    if fast.any():
+        sub = vals[fast]
+        at, col = (sub > head[fast, :1]).nonzero()      # ``size`` per row
+        orders[fast] = col[np.lexsort((-sub[at, col], at))].reshape(-1, size)
+    if not fast.all():
+        orders[~fast] = np.argsort(vals[~fast], axis=-1)[:, ::-1][:, :size]
     peaks = []
-    for order in orders:
+    for order in orders.tolist():
         picked: list[int] = []
         for idx in order:
             if len(picked) >= count:
@@ -230,14 +253,16 @@ def _nr_peaks(mats: np.ndarray, grid: int, count: int) -> tuple[np.ndarray, list
 
 
 def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray,
-            vals: Sequence[float]) -> tuple[list[float], np.ndarray, list[float]]:
+            vals: Sequence[float], vecs: Sequence[np.ndarray] | None = None
+            ) -> tuple[list[float], Sequence[np.ndarray], list[float]]:
     """Top eigenvector h of Re(e^{i theta} M) at each item's angle, and (value,
     h, angle) per item: |<Mh, h>| is itself a lower bound, tight at the
     optimum, so it replaces the item's value in ``vals`` if it beats it.
     ``mats`` is a stack or a list of matrices; <Mh, h> is taken on each as
-    given."""
-    rot = np.exp(1j * thetas)[:, None, None] * np.asarray(mats)
-    vecs = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
+    given.  ``vecs``, if given, holds the h, already solved at ``thetas``."""
+    if vecs is None:
+        rot = np.exp(1j * thetas)[:, None, None] * np.asarray(mats)
+        vecs = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
     vals, thetas = list(vals), list(thetas)
     for i, (mat, vec) in enumerate(zip(mats, vecs)):
         quad = complex(np.conj(vec) @ (mat @ vec))
@@ -246,8 +271,9 @@ def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray,
     return vals, vecs, thetas
 
 
-def _nr_newton(mats: np.ndarray, thetas: np.ndarray,
-               step: float) -> tuple[np.ndarray, np.ndarray]:
+def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
+               best: Sequence[float] | None = None
+               ) -> tuple[list[float], list[float], np.ndarray]:
     """Maxima of f(theta) = lambda_max(Re(e^{i theta} M)) for a stack of rows
     (M, theta0), each on [theta0 - step, theta0 + step].
 
@@ -260,43 +286,63 @@ def _nr_newton(mats: np.ndarray, thetas: np.ndarray,
     bracket's uphill end while that end is still theta0 +- step, and to the
     bracket's midpoint otherwise.  A row stops once f' is at rounding level,
     once its step is below 1e-12, or once it drives into its bracket edge: a
-    shoulder "peak" has its maximum at the neighbouring grid angle.  Returns
-    the best angle evaluated per row and f there.
+    shoulder "peak" has its maximum at the neighbouring grid angle.  The
+    eigensolves and f', f'' are stacked; each row's bracket is kept in
+    Python floats, the same IEEE operations row by row.  ``best``, if given,
+    is a value per row already held at theta0: an angle replaces theta0 only
+    if f there is larger.  Returns per row the best angle, its value and the
+    top eigenvector v there (a row of a stacked ``eigh`` output).
     """
-    theta = np.array(thetas, dtype=float)
-    edge_lo, edge_hi = theta - step, theta + step
-    lo, hi = edge_lo.copy(), edge_hi.copy()
-    best_t, best_f = theta.copy(), np.full(len(theta), -np.inf)
-    noise = 8.0 * np.finfo(float).eps * np.linalg.norm(mats, axis=(1, 2))
-    live = np.arange(len(theta))
-    for _ in range(NR_NEWTON_STEPS):
-        if not live.size:
+    theta = [float(t) for t in thetas]
+    count = len(theta)
+    edge_lo, edge_hi = [t - step for t in theta], [t + step for t in theta]
+    lo, hi = list(edge_lo), list(edge_hi)
+    best_t = list(theta)
+    best_f = [-math.inf] * count if best is None else [float(v) for v in best]
+    noise = 8.0 * np.finfo(float).eps * np.linalg.norm(mats, axis=(1, 2))[:, None]
+    tiny = noise[:, 0].tolist()
+    vecs = None
+    live = list(range(count))
+    for it in range(NR_NEWTON_STEPS):
+        if not live:
             break
-        t, tiny = theta[live], noise[live]
-        rot = np.exp(1j * t)[:, None, None] * mats[live]
+        t = [theta[i] for i in live]
+        every = len(live) == count
+        rot = np.exp(1j * np.array(t))[:, None, None] * (mats if every else mats[live])
         lam, q = np.linalg.eigh(hermitian_part_of(rot))
         f = lam[:, -1]
-        up = f > best_f[live]
-        best_t[live[up]], best_f[live[up]] = t[up], f[up]
         c = (q.conj().swapaxes(-1, -2) @ hermitian_part_of(1j * rot) @ q[..., -1:])[..., 0]
-        d1 = c[:, -1].real
         gap = f[:, None] - lam[:, :-1]
-        curv = np.divide(np.abs(c[:, :-1]) ** 2, gap, out=np.zeros_like(gap),
-                         where=gap > tiny[:, None])
-        d2 = 2.0 * curv.sum(axis=1) - f
-        rising = d1 > 0.0
-        lo[live[rising]] = t[rising]
-        hi[live[d1 < 0.0]] = t[d1 < 0.0]
-        l, h = lo[live], hi[live]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            nxt = np.where(d2 < 0.0, t - d1 / d2, np.where(rising, np.inf, -np.inf))
-        mid = 0.5 * (l + h)
-        nxt = np.where(nxt >= h, np.where(h == edge_hi[live], h, mid), nxt)
-        nxt = np.where(nxt <= l, np.where(l == edge_lo[live], l, mid), nxt)
-        done = (np.abs(d1) <= tiny) | (np.abs(nxt - t) < 1e-12)
-        theta[live] = nxt
-        live = live[~done]
-    return best_t, best_f
+        # |c_j|^2 / gap_j where the gap clears the noise floor, and 0 (over inf) elsewhere
+        curv = np.abs(c[:, :-1]) ** 2 / np.where(gap > (noise if every else noise[live]),
+                                                 gap, np.inf)
+        d1, s2 = c[:, -1].real.tolist(), curv.sum(axis=1).tolist()
+        if vecs is None:
+            vecs = q[..., -1]           # each row's best angle is theta0 so far
+        moved, ups, at = [], [], []
+        for k, (i, tk, fk) in enumerate(zip(live, t, f.tolist())):
+            if fk > best_f[i]:
+                best_t[i], best_f[i] = tk, fk
+                ups.append(i)
+                at.append(k)
+            g1, g2 = d1[k], 2.0 * s2[k] - fk
+            if g1 > 0.0:
+                lo[i] = tk
+            elif g1 < 0.0:
+                hi[i] = tk
+            l, h = lo[i], hi[i]
+            nxt = tk - g1 / g2 if g2 < 0.0 else (math.inf if g1 > 0.0 else -math.inf)
+            if nxt >= h:
+                nxt = h if h == edge_hi[i] else 0.5 * (l + h)
+            if nxt <= l:
+                nxt = l if l == edge_lo[i] else 0.5 * (l + h)
+            if not (abs(g1) <= tiny[i] or abs(nxt - tk) < 1e-12):
+                theta[i] = nxt
+                moved.append(i)
+        if it and ups:
+            vecs[ups] = q[at, :, -1]
+        live = moved
+    return best_t, best_f, vecs
 
 
 def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
@@ -375,14 +421,23 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
         stack, mats = stack[rows], [mats[i] for i in rows]
     vals, found = _nr_peaks(stack, grid, 3)
     step = TWO_PI / grid
-    owner = np.repeat(np.arange(len(stack)), [len(p) for p in found])
-    thetas, tops = _nr_newton(stack[owner], np.concatenate(found) * step, step)
-    best_theta = [p[0] * step for p in found]
-    best_val = vals[np.arange(len(stack)), [p[0] for p in found]].tolist()
-    for i, t, v in zip(owner.tolist(), thetas.tolist(), tops.tolist()):
-        if v > best_val[i]:
-            best_theta[i], best_val[i] = t, v
-    out[rows], hs, _ = _nr_top(mats, np.array(best_theta), best_val)
+    owner, angles, held = [], [], []
+    for i, p in enumerate(found):
+        owner += [i] * len(p)
+        angles += [k * step for k in p]
+        held += [vals[i, p[0]]] + [-math.inf] * (len(p) - 1)
+    # the first peak's row holds the grid value: a refined angle wins only above it
+    thetas, tops, hs = _nr_newton(stack[owner], angles, step, held)
+    win, at = [], 0
+    for p in found:
+        j = at
+        for r in range(at + 1, at + len(p)):
+            if tops[r] > tops[j]:
+                j = r
+        win.append(j)
+        at += len(p)
+    out[rows], hs, _ = _nr_top(mats, [thetas[j] for j in win], [tops[j] for j in win],
+                               [hs[j] for j in win])
     if vecs is not None:
         vecs[rows] = hs
     return out

@@ -1835,20 +1835,21 @@ class TestEigensolveBudget:
     def test_numerical_radius_refines_in_few_eigh_calls(self, linalg_calls, mat):
         # the pruned grid takes at most three eigvalsh calls (coarse angles,
         # the seeded arcs around the peak, bounded angles); the three peaks
-        # are refined as one stack, one eigh per Newton step, plus one for
-        # the top eigenvector
+        # are refined as one stack, one eigh per Newton step, and the top
+        # eigenvector is the one of the step that evaluated the winning
+        # angle, with no eigh of its own
         assert len(radius._nr_peaks(mat[None], 1024, 3)[1][0]) == 3
         linalg_calls["eigh"] = linalg_calls["eigvalsh"] = 0
         numerical_radius(mat)
-        assert 1 <= linalg_calls["eigh"] <= 6, linalg_calls
+        assert 1 <= linalg_calls["eigh"] <= 5, linalg_calls
         assert linalg_calls["eigvalsh"] <= 3, linalg_calls
 
     def test_generic_matrix_skips_the_normal_bracket(self, linalg_calls):
         # the normality filter runs no linalg and turns a generic 4x4 away
-        # before any solve: the grid's two eigvalsh calls and the Newton and
-        # top-vector eigh calls, as before the bracket
+        # before any solve: the grid's two eigvalsh calls and one eigh per
+        # Newton step, which also gives the top eigenvector
         numerical_radius(random_element(TracedAlgebra([4]), rng_from(0)).blocks[0])
-        assert (linalg_calls["n"], linalg_calls["eigvalsh"], linalg_calls["eigh"]) == (6, 2, 4)
+        assert (linalg_calls["n"], linalg_calls["eigvalsh"], linalg_calls["eigh"]) == (5, 2, 3)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_numerical_radius_solves_a_seeded_grid(self, grid_angles, seed):
@@ -2104,3 +2105,28 @@ class TestGoldenResults:
             "worst_low": 0.0, "worst_high": -0.3862300031540009,
             "cs_failures": 0, "worst_cs_excess": 5.684341886080802e-14,
             "status": "holds"}
+
+    @staticmethod
+    def _kernel_sweep():
+        """numerical_radius of seeded n x n generic, hermitian, normal,
+        upper-triangular and weighted-shift matrices, n = 1..5, each at
+        2^-70, 1 and 2^70, then the nr certificate values and certificates
+        of criterion 9's pool rows, as one float64 byte string."""
+        rng = rng_from(31)
+        out = []
+        for n in range(1, 6):
+            for kind in ("generic", "hermitian", "normal", "triangular", "shift"):
+                for _ in range(3):
+                    g = random_complex_matrix(rng, n, n)
+                    m = {"generic": g, "hermitian": g + g.conj().T,
+                         "normal": (np.linalg.qr(g)[0] * np.diag(g)) @ np.linalg.qr(g)[0].conj().T,
+                         "triangular": np.triu(g),
+                         "shift": np.diag(np.diag(g, k=1), k=1) if n > 1 else g}[kind]
+                    out += [numerical_radius(s * m) for s in (2.0 ** -70, 1.0, 2.0 ** 70)]
+        vals, certs = _TargetNorm("nr").certify(_criterion9_pool())
+        return np.array(out).tobytes() + vals.tobytes() + certs.view(np.float64).tobytes()
+
+    def test_kernel_bits(self):
+        # the numerical-radius kernel's values and nr certificates, bit for bit
+        digest = hashlib.sha256(self._kernel_sweep()).hexdigest()
+        assert digest == "a4056bc5654391bd0fa327af5ffe48023f715ba484bcec7b9206cfd96df9d2ab"
