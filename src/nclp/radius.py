@@ -450,6 +450,17 @@ def _ldexp_complex(m: np.ndarray, e: int | np.ndarray) -> np.ndarray:
     return out
 
 
+def _unit_rows(mats: np.ndarray) -> tuple[np.ndarray | list[np.ndarray], np.ndarray | None]:
+    """The rows of a (B, n, n) stack, each whose largest |entry| lies outside
+    [2^-64, 2^64] (``_unit_exponents``) as 2^-e M in its own layout, e its
+    exponent, and the exponents; the stack itself and None when no row lies
+    outside."""
+    exp = _unit_exponents(np.abs(mats).max(axis=(1, 2), initial=0.0))
+    if exp is None:
+        return mats, None
+    return [_ldexp_complex(m, -e) if e else m for m, e in zip(mats, exp.tolist())], exp
+
+
 def _require_finite(mats: Sequence[np.ndarray], what: str) -> None:
     if not all(np.isfinite(m).all() for m in mats):
         raise DomainError(f"{what} needs finite entries")
@@ -1184,8 +1195,10 @@ class _TargetNorm:
         call over every group, so one polar mean and three scoring stacks at
         most rank any number of groups.
         """
+        exp = None
         if self.key == "nr":
-            alg, blocks = TracedAlgebra([mats.shape[-1]]), [mats]
+            unit, exp = _unit_rows(mats)
+            alg, blocks = TracedAlgebra([mats.shape[-1]]), [np.asarray(unit)]
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return np.max(_nr_grid(bs[0], self.NR_GRID, 1), axis=1)
@@ -1195,15 +1208,18 @@ class _TargetNorm:
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return _triple2_pool(alg, bs).values
+
+        def back(v: np.ndarray, rows: np.ndarray | slice) -> np.ndarray:
+            return v if exp is None else np.ldexp(v, exp[rows])
         if top is None:
-            return score(blocks)
+            return back(score(blocks), slice(None))
         vals = np.full(len(mats), -np.inf)
         scored = np.zeros(len(mats), dtype=bool)
 
         def fill(parts: list[np.ndarray]) -> None:
             rows = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
             if rows.size:
-                vals[rows] = score([b[rows] for b in blocks])
+                vals[rows] = back(score([b[rows] for b in blocks]), rows)
                 scored[rows] = True
 
         sizes = [len(mats)] if groups is None else list(groups)
@@ -1213,8 +1229,8 @@ class _TargetNorm:
         if ranked:
             rows = np.concatenate([np.arange(a, b) for a, b in ranked])
             lam, norm2 = _polar_mean(alg, [b[rows] for b in blocks])
-            bound[rows] = lam[:, -1] if self.key == "nr" else _knapsack_value(alg, lam)
-            reach[rows] = bound[rows] + 1e-12 * norm2
+            bound[rows] = back(lam[:, -1] if self.key == "nr" else _knapsack_value(alg, lam), rows)
+            reach[rows] = bound[rows] + 1e-12 * back(norm2, rows)
             tops = [a + np.argsort(-bound[a:b], kind="stable")[:top] for a, b in ranked]
         fill([np.arange(a, b) for a, b in spans if b - a <= top] + tops)
         fill([a + (~scored[a:b] & (reach[a:b] >= vals[t].min())).nonzero()[0]
@@ -1230,15 +1246,16 @@ class _TargetNorm:
         """
         if self.key == "nr":
             # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
-            grid, found = _nr_peaks(mats, self.NR_GRID, 1)
+            unit, exp = _unit_rows(mats)
+            grid, found = _nr_peaks(np.asarray(unit), self.NR_GRID, 1)
             top = np.array([p[0] for p in found])
-            vals, vecs, thetas = _nr_top(mats, top * (TWO_PI / self.NR_GRID),
+            vals, vecs, thetas = _nr_top(unit, top * (TWO_PI / self.NR_GRID),
                                          grid[np.arange(len(mats)), top].tolist())
             certs = np.exp(1j * np.array(thetas))[:, None, None] * (
                 vecs[:, :, None] * vecs.conj()[:, None, :])
             zero = ~mats.any(axis=(1, 2))
             certs[zero] = 0.0
-            return np.where(zero, 0.0, vals), certs
+            return np.where(zero, 0.0, vals if exp is None else np.ldexp(vals, exp)), certs
         alg = self.target_algebra
         blocks = _target_blocks(mats, alg)
         pool = _triple2_pool(alg, blocks)
@@ -1371,7 +1388,8 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
         nxt = np.concatenate(nxt, axis=1)
         nxt_val, nxt_cert = tn.certify(np.stack([ops_of[j].apply_coords(t)
                                                  for j, t in zip(live.tolist(), nxt)]))
-        up = nxt_val > chain_val[live] + 1e-13 * (1.0 + chain_val[live])
+        # a relative margin: the chains of c L climb exactly as those of L
+        up = nxt_val > chain_val[live] + 1e-13 * np.abs(chain_val[live])
         live = live[up]
         chain_t[live], chain_val[live], certs[live] = nxt[up], nxt_val[up], nxt_cert[up]
     for o, t, v in zip(owner.tolist(), chain_t, chain_val.tolist()):

@@ -1086,6 +1086,72 @@ class TestNrScaling:
             assert abs(np.conj(h) @ (mats[i] @ h)) == pytest.approx(got[i], rel=1e-12)
 
 
+
+class TestOperatorValuedHomogeneity:
+    """CS for operator-valued maps is homogeneous: at 2^k x both sides are
+    2^k times those at x, bit for bit, for both target norms."""
+
+    X, Y = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
+
+    @staticmethod
+    def _maps():
+        # rank-1 maps over M_2 at a small budget, rank-2 maps over M_3 at
+        # the default one
+        return [(suites.random_operator_valued(TracedAlgebra([2]), 2, 2, 1, 3),
+                 SearchBudget(8, 4)),
+                (suites.random_operator_valued(TracedAlgebra([3]), 3, 2, 2, 5),
+                 SearchBudget())]
+
+    def _sides(self, phi, k, norm, budget):
+        rep = check_cs_operator_valued(phi, 2.0 ** k * self.X, self.Y, norm, budget)
+        return rep.lhs, rep.rhs
+
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_chain_steps_are_kept_on_a_relative_margin(self, norm):
+        # a chain step was kept only above value + 1e-13 (1 + value), so at
+        # small scales no step was kept: lhs / 2^k read 7e-7 low at k = -32
+        # over M_2 and 3e-9 low at k = -20 over M_3
+        for phi, budget in self._maps():
+            lhs, rhs = self._sides(phi, 0, norm, budget)
+            for k in (-48, -40, -32, -20, 20, 48):
+                assert self._sides(phi, k, norm, budget) == (math.ldexp(lhs, k),
+                                                             math.ldexp(rhs, k))
+
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_far_scales_are_exact_and_quiet(self, norm):
+        # Phi(2^k x, 2^k x)(I) has entries near 2^(2k): the nr ranking and
+        # certificates run its rows as 2^-e M, where the grid's margin
+        # overflowed at k = 260
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi, budget in self._maps():
+                lhs, rhs = self._sides(phi, 0, norm, budget)
+                for k in (-300, -260, 260, 300):
+                    assert self._sides(phi, k, norm, budget) == (math.ldexp(lhs, k),
+                                                                 math.ldexp(rhs, k))
+
+    @pytest.mark.parametrize("k", [-300, -260, 260, 300])
+    def test_target_norm_scales_far_rows_alone(self, k):
+        # far rows give 2^k times their unit values and the same
+        # certificates; the unit rows beside them keep their bits.  <Mh, h>
+        # follows the memory layout, so every stack here is C-ordered
+        mats = np.ascontiguousarray(_criterion9_pool()[:12])
+        far, scale = mats.copy(), np.ones(12)
+        far[::3] *= 2.0 ** k
+        scale[::3] = 2.0 ** k
+        tn = _TargetNorm("nr")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, certs = tn.certify(far)
+            full, ranked = tn.batch_values(far), tn.batch_values(far, top=3)
+        want_vals, want_certs = tn.certify(mats)
+        assert vals.tobytes() == (scale * want_vals).tobytes()
+        assert certs.tobytes() == want_certs.tobytes()
+        assert full.tobytes() == (scale * tn.batch_values(mats)).tobytes()
+        finite = np.isfinite(ranked)
+        assert np.array_equal(ranked[finite], full[finite])
+        assert np.argsort(ranked)[::-1][:3].tolist() == np.argsort(full)[::-1][:3].tolist()
+
 def _diagonal_m2(c):
     return TracedAlgebra([2]).element([np.diag([c, 0.0])])
 
