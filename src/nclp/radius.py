@@ -214,25 +214,20 @@ def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
 
     Peaks are picked greedily in ``argsort(row)[::-1]`` order, each more than
     two grid steps from the ones already picked, from that order's prefix
-    of ``_peak_prefix(count)``.  A row whose prefix + 1 largest values are
-    distinct has that prefix as its values above the (prefix + 1)-th,
-    ordered by value; ``argsort`` orders ties by the rest of the row, so
-    the other rows take their full ``argsort``.
+    of ``_peak_prefix(count)``.  A prefix of several indices is found
+    without a full sort of indices when every row's prefix + 1 largest
+    values are distinct: it is the row's values above the (prefix + 1)-th,
+    in decreasing order.  ``argsort`` orders ties by the rest of the row,
+    so otherwise, and for a one-index prefix, the rows take it whole.
     """
     rows, grid = vals.shape
     size = _peak_prefix(count)
-    if grid > size:
-        head = np.sort(vals, axis=1)[:, -size - 1:]     # ascending
-        fast = (head[:, 1:] != head[:, :-1]).all(axis=1)
+    head = np.sort(vals, axis=1)[:, -size - 1:] if 1 < size < grid else None
+    if head is not None and (head[:, 1:] != head[:, :-1]).all():
+        at, col = (vals > head[:, :1]).nonzero()        # ``size`` per row, row-major
+        orders = col[np.lexsort((-vals[at, col], at))].reshape(rows, size)
     else:
-        fast = np.zeros(rows, dtype=bool)
-    orders = np.empty((rows, min(size, grid)), dtype=int)
-    if fast.any():
-        sub = vals[fast]
-        at, col = (sub > head[fast, :1]).nonzero()      # ``size`` per row
-        orders[fast] = col[np.lexsort((-sub[at, col], at))].reshape(-1, size)
-    if not fast.all():
-        orders[~fast] = np.argsort(vals[~fast], axis=-1)[:, ::-1][:, :size]
+        orders = np.argsort(vals, axis=-1)[:, ::-1][:, :size]
     peaks = []
     for order in orders.tolist():
         picked: list[int] = []
