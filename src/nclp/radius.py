@@ -14,9 +14,11 @@ Three layers:
   for several peaks first solves the two coarse arcs around the best coarse
   angle, so its floor is taken at the peak.  Each value computed is the
   full grid's, bit for bit.  One kernel, ``_nr_stack``, gives w of a whole
-  stack of matrices in one grid, one Newton stack and one top-eigenvector
-  call; ``numerical_radius`` is a stack of one per block, and the check-all
-  suites call the kernel once per matrix size.  A normal matrix takes no
+  stack of matrices in one grid and one Newton stack, whose step at each
+  matrix's winning angle also gives its top eigenvector: at most 3
+  ``eigvalsh`` calls and one ``eigh`` per Newton step, with no separate
+  top-vector ``eigh``.  ``numerical_radius`` is a stack of one per block, and
+  the check-all suites call the kernel once per matrix size.  A normal matrix takes no
   grid: for it rho(M) <= w(M) <= || |M| + |M*| || / 2 (Kittaneh) is an
   equality, and ``_nr_normal`` settles it once a lower bound |<Mh, h>| at
   its top eigenvalue's angle reaches the upper bound, to a rounding margin
@@ -247,7 +249,7 @@ def _nr_peaks(mats: np.ndarray, grid: int, count: int) -> tuple[np.ndarray, list
     return vals, _grid_peaks(vals, count)
 
 
-def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray,
+def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray | Sequence[float],
             vals: Sequence[float], vecs: Sequence[np.ndarray] | None = None
             ) -> tuple[list[float], Sequence[np.ndarray], list[float]]:
     """Top eigenvector h of Re(e^{i theta} M) at each item's angle, and (value,
@@ -385,30 +387,31 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
 
     Normal matrices are settled first on rho(M) <= w(M) <= || |M| + |M*| || / 2
     (``_nr_normal``), with no grid.  For the others, one pruned grid
-    (``_nr_peaks``) finds up to three peaks per matrix, one
-    ``_nr_newton`` stack refines every (matrix, peak) pair within one grid
-    step, and one ``_nr_top`` call scores each matrix's best angle, the first
-    peak unless a later refined one beats it.  The grid and the refinement
-    give each matrix the same bits whatever its memory layout, but
-    ``_nr_top``'s <Mh, h> is a BLAS matrix-vector product whose last bits
-    follow the layout, so it takes each matrix as given: a list may mix layouts (an adjoint as
+    (``_nr_peaks``, at most 3 ``eigvalsh`` calls) finds up to three peaks
+    per matrix, and one ``_nr_newton`` stack (one ``eigh`` per step) refines
+    every (matrix, peak) pair within one grid step.  A matrix's best angle is
+    its first peak, at its grid value, unless a refined angle beats it; the
+    top eigenvector h there is the one of the Newton step that evaluated
+    that angle, the same ``eigh`` input bit for bit, so no ``eigh`` is spent
+    on it, and ``_nr_top`` only forms <Mh, h>.  The grid and the refinement
+    give each matrix the same bits whatever its memory layout, but <Mh, h>
+    is a BLAS matrix-vector product whose last bits follow the layout, so it
+    is taken on each matrix as given: a list may mix layouts (an adjoint as
     a transposed view), a row of a stack has the stack's.  Each value is the
     one ``numerical_radius`` gives that matrix alone, bit for bit.
 
     Scaling rule: w(cM) = |c| w(M), and the grid's margin and the Newton
     noise floor square entries, so a row whose largest |entry| lies outside
-    [2^-64, 2^64] (``_unit_exponents``) goes through the kernel as 2^-e M,
+    [2^-64, 2^64] (``_unit_rows``) goes through the kernel as 2^-e M,
     e its exponent, and its value is multiplied back by 2^e.  Both steps are
     ``ldexp``, which is exact; the other rows keep their bits.
     """
-    stack = np.asarray(mats)
-    top = np.abs(stack).max(axis=(1, 2))
-    exp = _unit_exponents(top)
+    unit, exp = _unit_rows(mats)
     if exp is not None:
-        unit = [_ldexp_complex(m, -e) if e else m for m, e in zip(mats, exp.tolist())]
         return np.ldexp(_nr_stack(unit, grid, vecs), exp)
+    stack = np.asarray(mats)
     out = np.zeros(len(stack))
-    rows = (top > 0.0).nonzero()[0]
+    rows = stack.any(axis=(1, 2)).nonzero()[0]
     rows = _nr_normal(stack, mats, rows, out, vecs)
     if not rows.size:
         return out
@@ -445,11 +448,12 @@ def _ldexp_complex(m: np.ndarray, e: int | np.ndarray) -> np.ndarray:
     return out
 
 
-def _unit_rows(mats: np.ndarray) -> tuple[np.ndarray | list[np.ndarray], np.ndarray | None]:
-    """The rows of a (B, n, n) stack, each whose largest |entry| lies outside
-    [2^-64, 2^64] (``_unit_exponents``) as 2^-e M in its own layout, e its
-    exponent, and the exponents; the stack itself and None when no row lies
-    outside."""
+def _unit_rows(mats: np.ndarray | Sequence[np.ndarray]
+               ) -> tuple[np.ndarray | Sequence[np.ndarray], np.ndarray | None]:
+    """The matrices of a (B, n, n) stack or a list, each whose largest
+    |entry| lies outside [2^-64, 2^64] (``_unit_exponents``) as 2^-e M in
+    its own layout, e its exponent, and the exponents; ``mats`` itself and
+    None when no matrix lies outside."""
     exp = _unit_exponents(np.abs(mats).max(axis=(1, 2), initial=0.0))
     if exp is None:
         return mats, None
@@ -476,6 +480,9 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
     around them (the outer polygon of the numerical range) reaches the 11th
     highest value solved so far are eigensolved, about a tenth of a
     generic grid of 1024; the peaks, and so w(T), are those of the full grid.
+    Per block that is at most 3 ``eigvalsh`` calls and one ``eigh`` per
+    Newton step (at most NR_NEWTON_STEPS); the maximizing vector comes from
+    the Newton step at the winning angle, with no ``eigh`` of its own.
     Non-finite entries and a ``grid`` that is not an integer >= 1 raise
     ``DomainError``, an array that is not a square matrix ``StructureError``.
     """
@@ -1176,7 +1183,10 @@ class _TargetNorm:
 
         The ``nr`` search scores the dense matrices on the pruned theta
         grid (``_nr_grid``), the ``triple2`` one the target blocks with
-        ``_triple2_pool``.
+        ``_triple2_pool``.  For ``nr``, a row whose largest |entry| lies
+        outside [2^-64, 2^64] is scored and bounded as 2^-e M
+        (``_unit_rows``), and both are multiplied back by 2^e, exactly; the
+        other rows keep their bits.
         A ranking takes two passes over an upper bound from ``_polar_mean``:
         the largest eigenvalue of the polar mean of the dense matrix for
         the former (Kittaneh), its knapsack value for the latter.  In each group
@@ -1237,7 +1247,10 @@ class _TargetNorm:
     def certify(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Values and certificates C of a (B, n, n) stack of matrices M.
 
-        Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.
+        Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.  For
+        ``nr``, a row whose largest |entry| lies outside [2^-64, 2^64] is
+        certified as 2^-e M (``_unit_rows``): C is unchanged and the value
+        is multiplied back by 2^e.
         """
         if self.key == "nr":
             # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
@@ -1331,7 +1344,8 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
     per step, one ``adjoint_at`` per operator on its live chains (one
     matrix-vector product per chain), one stacked SVD per source block and
     one ``certify`` call.  A chain stops once a step does not raise its
-    value, and an operator's chains stop after its ``budget.iters`` steps.
+    value by more than 1e-13 of it, a relative margin, so the chains of c L
+    are those of L; an operator's chains stop after its ``budget.iters`` steps.
     For the ``nr`` search, which ``triple2`` runs where it is ``nr``
     (``_TargetNorm.key``), one ``_nr_stack`` call on the 1024-angle grid
     scores every operator's best T, so the two give the same result there,
@@ -1383,7 +1397,6 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
         nxt = np.concatenate(nxt, axis=1)
         nxt_val, nxt_cert = tn.certify(np.stack([ops_of[j].apply_coords(t)
                                                  for j, t in zip(live.tolist(), nxt)]))
-        # a relative margin: the chains of c L climb exactly as those of L
         up = nxt_val > chain_val[live] + 1e-13 * np.abs(chain_val[live])
         live = live[up]
         chain_t[live], chain_val[live], certs[live] = nxt[up], nxt_val[up], nxt_cert[up]
