@@ -270,7 +270,7 @@ def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray | Sequen
 
 def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
                best: Sequence[float] | None = None
-               ) -> tuple[list[float], list[float], np.ndarray]:
+               ) -> tuple[list[float], list[float], list[np.ndarray]]:
     """Maxima of f(theta) = lambda_max(Re(e^{i theta} M)) for a stack of rows
     (M, theta0), each on [theta0 - step, theta0 + step].
 
@@ -288,7 +288,7 @@ def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
     Python floats, the same IEEE operations row by row.  ``best``, if given,
     is a value per row already held at theta0: an angle replaces theta0 only
     if f there is larger.  Returns per row the best angle, its value and the
-    top eigenvector v there (a row of a stacked ``eigh`` output).
+    top eigenvector v there, a column of the stacked ``eigh`` output.
     """
     theta = [float(t) for t in thetas]
     count = len(theta)
@@ -298,9 +298,9 @@ def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
     best_f = [-math.inf] * count if best is None else [float(v) for v in best]
     noise = 8.0 * np.finfo(float).eps * np.linalg.norm(mats, axis=(1, 2))[:, None]
     tiny = noise[:, 0].tolist()
-    vecs = None
+    src: list = [None] * count          # (eigh vectors, row) at each row's best angle
     live = list(range(count))
-    for it in range(NR_NEWTON_STEPS):
+    for _ in range(NR_NEWTON_STEPS):
         if not live:
             break
         t = [theta[i] for i in live]
@@ -314,14 +314,13 @@ def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
         curv = np.abs(c[:, :-1]) ** 2 / np.where(gap > (noise if every else noise[live]),
                                                  gap, np.inf)
         d1, s2 = c[:, -1].real.tolist(), curv.sum(axis=1).tolist()
-        if vecs is None:
-            vecs = q[..., -1]           # each row's best angle is theta0 so far
-        moved, ups, at = [], [], []
+        moved = []
         for k, (i, tk, fk) in enumerate(zip(live, t, f.tolist())):
             if fk > best_f[i]:
                 best_t[i], best_f[i] = tk, fk
-                ups.append(i)
-                at.append(k)
+                src[i] = (q, k)
+            elif src[i] is None:        # theta0 keeps the value ``best`` gave it
+                src[i] = (q, k)
             g1, g2 = d1[k], 2.0 * s2[k] - fk
             if g1 > 0.0:
                 lo[i] = tk
@@ -336,10 +335,8 @@ def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
             if not (abs(g1) <= tiny[i] or abs(nxt - tk) < 1e-12):
                 theta[i] = nxt
                 moved.append(i)
-        if it and ups:
-            vecs[ups] = q[at, :, -1]
         live = moved
-    return best_t, best_f, vecs
+    return best_t, best_f, [q[k, :, -1] for q, k in src]
 
 
 def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
