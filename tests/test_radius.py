@@ -2184,9 +2184,9 @@ class TestGoldenResults:
             for kind in ("generic", "hermitian", "normal", "triangular", "shift"):
                 for _ in range(3):
                     g = random_complex_matrix(rng, n, n)
+                    q = np.linalg.qr(g)[0]
                     m = {"generic": g, "hermitian": g + g.conj().T,
-                         "normal": (np.linalg.qr(g)[0] * np.diag(g)) @ np.linalg.qr(g)[0].conj().T,
-                         "triangular": np.triu(g),
+                         "normal": (q * np.diag(g)) @ q.conj().T, "triangular": np.triu(g),
                          "shift": np.diag(np.diag(g, k=1), k=1) if n > 1 else g}[kind]
                     out += [numerical_radius(s * m) for s in (2.0 ** -70, 1.0, 2.0 ** 70)]
         vals, certs = _TargetNorm("nr").certify(_criterion9_pool())
