@@ -1130,11 +1130,13 @@ class TestOperatorValuedHomogeneity:
                     assert self._sides(phi, k, norm, budget) == (math.ldexp(lhs, k),
                                                                  math.ldexp(rhs, k))
 
-    @pytest.mark.parametrize("k", [-300, -260, 260, 300])
+    @pytest.mark.parametrize("k", [-540, -300, 300, 520])
     def test_target_norm_scales_far_rows_alone(self, k):
         # far rows give 2^k times their unit values and the same
-        # certificates; the unit rows beside them keep their bits.  <Mh, h>
-        # follows the memory layout, so every stack here is C-ordered
+        # certificates; the unit rows beside them keep their bits.  Unscaled,
+        # the grid's margin overflowed at k = 520, and the values at k = -540
+        # were not 2^k times the unit ones.  <Mh, h> follows the memory
+        # layout, so every stack here is C-ordered
         mats = np.ascontiguousarray(_criterion9_pool()[:12])
         far, scale = mats.copy(), np.ones(12)
         far[::3] *= 2.0 ** k
