@@ -1086,7 +1086,6 @@ class TestNrScaling:
             assert abs(np.conj(h) @ (mats[i] @ h)) == pytest.approx(got[i], rel=1e-12)
 
 
-
 class TestOperatorValuedHomogeneity:
     """CS for operator-valued maps is homogeneous: at 2^k x both sides are
     2^k times those at x, bit for bit, for both target norms."""
@@ -1153,6 +1152,7 @@ class TestOperatorValuedHomogeneity:
         finite = np.isfinite(ranked)
         assert np.array_equal(ranked[finite], full[finite])
         assert np.argsort(ranked)[::-1][:3].tolist() == np.argsort(full)[::-1][:3].tolist()
+
 
 def _diagonal_m2(c):
     return TracedAlgebra([2]).element([np.diag([c, 0.0])])
