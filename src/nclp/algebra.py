@@ -349,11 +349,24 @@ def _stacked_schatten(alg: TracedAlgebra, blocks: Sequence[np.ndarray],
     """||X_t||_p of each item X_t of a stack given as per-block (T, n_k, n_k)
     arrays: one SVD call per block, the weighted block sums added in block
     order and the final root taken per item; the largest singular value over
-    the blocks for p = inf."""
-    return _schatten_from_svals(alg, [np.linalg.svd(b, compute_uv=False) for b in blocks], p)
+    the blocks for p = inf.  LAPACK rescales a matrix whose entries are far
+    from 1 by a factor that is not a power of two, which moves the last bits
+    of its singular values, so ``_schatten_from_svals`` decomposes a far item
+    again as 2^-e X."""
+    return _schatten_from_svals(alg, [np.linalg.svd(b, compute_uv=False) for b in blocks], p,
+                                blocks)
 
 
 UNIT_LO, UNIT_HI = 2.0 ** -64, 2.0 ** 64
+
+
+def _ldexp_complex(m: np.ndarray, e: int | np.ndarray) -> np.ndarray:
+    """2^e m, exactly, in the memory layout and dtype of ``m``."""
+    if not np.iscomplexobj(m):
+        return np.ldexp(m, e)
+    out = np.empty_like(m)
+    out.real, out.imag = np.ldexp(m.real, e), np.ldexp(m.imag, e)
+    return out
 
 
 def _unit_exponents(top: np.ndarray) -> np.ndarray | None:
@@ -372,7 +385,7 @@ def _unit_exponents(top: np.ndarray) -> np.ndarray | None:
 
 
 def _schatten_from_svals(alg: TracedAlgebra, svals: Sequence[np.ndarray],
-                         p: float) -> np.ndarray:
+                         p: float, blocks: Sequence[np.ndarray] | None = None) -> np.ndarray:
     """``_stacked_schatten``'s formula on per-block (T, n_k) singular values
     (descending), so several exponents can share one SVD per block.
 
@@ -380,24 +393,34 @@ def _schatten_from_svals(alg: TracedAlgebra, svals: Sequence[np.ndarray],
     [2^-64, 2^64] (``_unit_exponents``) is summed as 2^-e S and its norm is
     multiplied back by 2^e, so s^p neither overflows nor underflows.  Both
     steps are ``ldexp`` on the values themselves, which is exact; a factor
-    2^-e would itself overflow for a subnormal input.  Other items keep
-    their bits.  A norm above the float range raises ``ConditioningError``.
+    2^-e would itself overflow for a subnormal input.  Given the per-block
+    ``blocks`` the values came from, such an item's 2^-e S are those of an
+    SVD of 2^-e X instead.  Other items keep their bits.  The root at p = 2
+    is ``math.sqrt``, correctly rounded, so ||X||_2 of a single real entry
+    x is |x| at every scale.  A norm above the float range raises
+    ``ConditioningError``.
     """
     top = functools.reduce(np.maximum, [s[:, 0] for s in svals])
+    exp = _unit_exponents(top)
+    if exp is not None:
+        svals = [np.ldexp(s, -exp[:, None]) for s in svals]
+        far = exp.nonzero()[0]
+        for s, b in zip(svals, [] if blocks is None else blocks):
+            s[far] = np.linalg.svd(_ldexp_complex(np.asarray(b)[far], -exp[far, None, None]),
+                                   compute_uv=False)
+        top = functools.reduce(np.maximum, [s[:, 0] for s in svals])
     if math.isinf(p):
         out = top.copy()
     else:
-        exp = _unit_exponents(top)
-        if exp is not None:
-            svals = [np.ldexp(s, -exp[:, None]) for s in svals]
         terms = [wt * (s ** p).sum(axis=-1) for wt, s in zip(alg.weights, svals)]
         acc = terms[0]
         for t in terms[1:]:
             acc = acc + t
-        out = np.array([a ** (1.0 / p) for a in acc.tolist()])
-        if exp is not None:
-            with np.errstate(over="ignore"):        # refused just below
-                out = np.ldexp(out, exp)
+        acc = acc.tolist()
+        out = np.array([math.sqrt(a) for a in acc] if p == 2.0 else [a ** (1.0 / p) for a in acc])
+    if exp is not None:
+        with np.errstate(over="ignore"):            # refused just below
+            out = np.ldexp(out, exp)
     if math.inf in out.tolist():
         raise ConditioningError("a Schatten norm overflows the float range")
     return out

@@ -1,94 +1,55 @@
 """Numerical-radius-type norms and operator-valued Cauchy-Schwarz checks.
 
-Three layers:
+Four layers:
 
 * ``numerical_radius``: w(T) = sup_{|h|=1} |<Th, h>| via a theta-grid over
-  lambda_max(Re(e^{i theta} T)), whose peaks are refined together by
-  safeguarded Newton steps (``_nr_newton``, one stacked ``eigh`` per step,
-  f' and f'' from eigenvalue perturbation theory).  The grid is
-  pruned (``_nr_grid``): lambda_max(Re(e^{i theta} T)) is the support
-  function of the numerical range, so after a coarse grid of NR_COARSE
-  angles the outer polygon of the range bounds every other angle, and only
-  the angles whose bound can reach the values a caller ranks are
-  eigensolved, at most NR_CHUNK matrices per ``eigvalsh`` call.  A search
-  for several peaks first solves the two coarse arcs around the best coarse
-  angle, so its floor is taken at the peak.  Each value computed is the
-  full grid's, bit for bit.  One kernel, ``_nr_stack``, gives w of a whole
-  stack of matrices in one grid and one Newton stack, whose step at each
-  matrix's winning angle also gives its top eigenvector: at most 3
-  ``eigvalsh`` calls and one ``eigh`` per Newton step, with no separate
-  top-vector ``eigh``.  ``numerical_radius`` is a stack of one per block, and
-  the check-all suites call the kernel once per matrix size.  A normal matrix takes no
-  grid: for it rho(M) <= w(M) <= || |M| + |M*| || / 2 (Kittaneh) is an
-  equality, and ``_nr_normal`` settles it once a lower bound |<Mh, h>| at
-  its top eigenvalue's angle reaches the upper bound, to a rounding margin
-  of 1e-12 ||M||_F,
-* ``triple_norm``: the L^2 radius norm  |||F|||_2 = sup ||W F W||_1 over
-  PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to a
-  fractional knapsack over the spectrum (substituting V = W^2 makes the
-  objective linear).  When every block weight w_k is >= 1, |||F|||_2 = w(F):
-  for a unitary Z = sum_j z_j e_j e_j*, |tr(Z W_k F_k W_k)| =
-  |sum_j z_j <F_k W_k e_j, W_k e_j>| <= w(F_k) tr(W_k^2), so ||W F W||_1 <=
-  w(F) ||W||_2^2 <= w(F), and the feasible W = w_k^{-1/2} h h* attains
-  w(F_k).  On such an algebra every other input goes to the numerical-radius
-  kernel ``_nr_stack``, and the value is ``numerical_radius``'s bit for bit.
-  For other weights the same argument gives max_k min(w_k, 1) w(F_k) <=
-  |||F|||_2 <= w(F), and the value is certified from below by feasible
-  maximizers (the knapsack maximizer of |F|, two rank-one directions per
-  block, the spectral projections of |F|, projected ascent) and from above
-  by ||F||_2.  The candidate maximizers of a whole stack of elements are
-  built and scored by one kernel, ``_triple2_pool``, in a few
-  stacked linalg calls, and each result is bit-identical whatever the size
-  or order of the stack.  A PSD item's pool is its knapsack maximizer
-  alone.  ``_triple_norm_stack`` takes a list of elements: on weights >= 1
-  the PSD ones get their knapsack pool and the others one ``_nr_stack``
-  call per block; otherwise it runs the whole search (``_triple_norm_search``):
-  one pool, then the projected ascent on per-block stacks, where
-  the starts of every element ascend together, each on its own F and each
-  giving the result it would give alone; ``triple_norm`` is a list of one.
-  Projection onto the feasible set is one clip of the spectrum to [0, 1]
-  and one rescale (``_project_stack``).
-  An ascent try is one ``eigh`` and one SVD per block; the SVD gives both
-  the objective and the next gradient, and the 2-norms of a gradient and of
-  a projection come from its entries and its clipped eigenvalues, so no
-  linalg call is spent on a norm.  The polar form F = |F*|^{1/2} U |F|^{1/2}
-  gives the upper bound |||F|||_2 <= K((|F| + |F*|) / 2), K the knapsack
-  value of the polar mean (``_polar_mean``); only the pruning of pool
-  rankings reads it,
+  f(theta) = lambda_max(Re(e^{i theta} T)), whose peaks are refined together
+  by safeguarded Newton steps (``_nr_newton``, one stacked ``eigh`` per
+  step).  f is the support function of the numerical range, so after
+  NR_COARSE coarse angles the outer polygon of the range bounds every other
+  angle, and ``_nr_grid`` eigensolves only the angles whose bound reaches
+  the values a caller ranks, at most NR_CHUNK matrices per ``eigvalsh``
+  call; a search for several peaks first solves the two coarse arcs around
+  the best coarse angle.  For one peak the floor is the best coarse value,
+  the tie test reads a row's top two values and the peak is an ``argmax``.
+  Each value computed is the full grid's, bit for bit.  One kernel,
+  ``_nr_stack``, gives w of a stack of matrices in one grid and one Newton
+  stack: at most 3 ``eigvalsh`` calls and one ``eigh`` per Newton step,
+  the top eigenvector taken from the step at the winning angle.  A normal
+  matrix takes no grid: for it rho(M) <= w(M) <= || |M| + |M*| || / 2
+  (Kittaneh) is an equality, settled by ``_nr_normal``,
+* ``triple_norm``: the L^2 radius norm |||F|||_2 = sup ||W F W||_1 over
+  PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to
+  a fractional knapsack over the spectrum.  When every block weight is
+  >= 1, |||F|||_2 = w(F) (see ``triple_norm``), and the value is
+  ``numerical_radius``'s bit for bit.  For other weights the value is
+  certified from below by feasible maximizers (the knapsack maximizer of
+  |F|, two rank-one directions per block, the spectral projections of |F|,
+  projected ascent), built and scored for a whole stack by
+  ``_triple2_pool``, and from above by ||F||_2; the polar mean
+  (``_polar_mean``) bounds it for pruning pool rankings,
 * ``superop_norm``: operator norms of linear maps from a traced algebra into
-  a matrix space, with the supremum over the unit ball searched on blockwise
-  unitaries (the extreme points) and refined by alternating exact linearized
-  maximization.  One kernel, ``_superop_stack``, searches a list of
-  operators of one shape (source, target dimension and target algebra),
-  each with its own budget and seeded pool, each giving the result it gives
-  alone, bit for bit; ``superop_norm`` is a list of one.  The pools are
-  coordinate rows, and one ``_TargetNorm.batch_values`` call ranks all of
-  them, each pool on its own.  Ranking takes two passes for either target
-  norm, behind an upper bound from the polar mean (|F| + |F*|) / 2: its
-  largest eigenvalue for nr (Kittaneh), its knapsack value for |||.|||_2.
-  The three best-bounded candidates of each pool are scored first, then only
-  the others whose bound reaches the least of their values; a tie among a
-  pool's four best values scores that pool whole, so each ranking is the
-  unpruned one.  The refinement chains of all operators climb as one stack
-  of certified values, one ``certify`` call per step.  On a target whose
-  block weights are all >= 1, |||.|||_2 is w, and ``triple2`` is ``nr``
-  there: the same ranking, certificates and polish, so one search
-  (``_TargetNorm.key``).  ``triple2`` on a target of several blocks
-  refuses an operator whose columns are not block-diagonal.  Nothing is
-  kept here: no pool, no search,
+  a matrix space, searched over a seeded pool of blockwise unitaries (the
+  extreme points of the unit ball) and refined by alternating exact
+  linearized maximization.  ``_unitary_candidates`` draws a pool with one
+  ``standard_normal`` call per seed substream and builds it as one stack.
+  ``_superop_stack`` searches a list of operators of one shape, each result
+  the one it gives alone, bit for bit: one ``_TargetNorm.batch_values``
+  call ranks every pool behind a polar-mean upper bound, and the
+  refinement chains of all operators climb as one stack, each step one
+  stacked matrix-vector product for the adjoints, one for the values and
+  one ``certify`` call.  Where every block weight of the target is >= 1,
+  ``triple2`` runs the ``nr`` search (``_TargetNorm.key``); on a target of
+  several blocks it refuses an operator whose values leave the blocks,
 * ``check_cs_operator_valued``: Cauchy-Schwarz for positive operator-valued
-  maps.  A positive map peaks at T = I, so the right-hand side is exact at
-  T = I and only the left-hand side is searched; a reported violation is
-  proven, and no check is re-run at a larger budget.  One kernel,
-  ``_check_cs_stack``, checks a list of instances of one shape: those
-  that share a budget share one pool draw, and each search makes one
-  ``_superop_stack`` call and one stack of right-hand sides, each report
-  the one the check gives alone; ``check_cs_operator_valued`` is a list of
-  one.  Each map keeps one memo, its last searched left-hand side, keyed
-  on (x, y, budget) and filed under the search that ran, so checking
-  ``nr`` and then ``triple2`` on one map searches once where ``triple2``
-  is ``nr``.  Before the memo is read, ``triple2`` on a target of several
-  blocks refuses a map whose gram's columns are not block-diagonal.
+  maps.  A positive map peaks at T = I over the unit ball, so the
+  right-hand side is exact and only the left-hand side is searched; a
+  reported violation is proven.  ``_check_cs_stack`` checks a list of
+  instances of one shape: those that share a budget share one pool draw,
+  x and y far from unit scale are checked as 2^-e x and 2^-f y with both
+  sides multiplied back by 2^(e + f), exactly, and each map keeps its last
+  searched left-hand side, so ``nr`` then ``triple2`` on one map searches
+  once where the two are one search.  Nothing else is kept.
 """
 
 from __future__ import annotations
@@ -101,12 +62,11 @@ import numpy as np
 
 # schatten_norm is not called here but stays importable from this module:
 # the benchmark's recorder test reads nclp.radius.schatten_norm
-from .algebra import (AlgebraElement, TracedAlgebra, _rank_projections, _stacked_schatten,
-                      _unit_exponents, hermitian_part_of, psd_tol, schatten_norm,
-                      structure_tol)
+from .algebra import (AlgebraElement, TracedAlgebra, _ldexp_complex, _rank_projections,
+                      _stacked_schatten, _unit_exponents, hermitian_part_of, psd_tol,
+                      schatten_norm, structure_tol)
 from .errors import DomainError, PreconditionError, StructureError
-from .sampling import (random_complex_matrix, random_hermitian, random_psd, rng_from,
-                       substreams, unitaries_from_gaussian)
+from .sampling import random_hermitian, random_psd, rng_from, substreams, unitaries_from_gaussian
 from .sesquilinear import _combine_rows, _generator_gram
 from .verdict import (CERTIFIED, EXACT, HEURISTIC, InequalityReport, PositivityCertificate,
                       report)
@@ -128,8 +88,12 @@ NR_CHUNK = 1024           # most matrices one grid eigensolve takes
 
 
 def _tied(vals: np.ndarray, count: int) -> np.ndarray:
-    """Rows of ``vals`` whose ``count + 1`` largest entries are not all distinct."""
-    top = np.sort(vals, axis=1)[:, -count - 1:]
+    """Rows of ``vals`` whose ``count + 1`` largest entries are not all
+    distinct; for ``count`` 1, whose top two, by ``np.partition``."""
+    if count == 1 and vals.shape[1] > 1:
+        top = np.partition(vals, -2, axis=1)[:, -2:]
+    else:
+        top = np.sort(vals, axis=1)[:, -count - 1:]
     return (top[:, 1:] == top[:, :-1]).any(axis=1)
 
 
@@ -146,9 +110,11 @@ def _nr_grid(mats: np.ndarray, grid: int, keep: int) -> np.ndarray:
     every ``grid // NR_COARSE``-th index are eigensolved first.  With
     ``keep`` > 1 one more stacked call seeds each row at its peak: the fine
     angles of the two coarse arcs around its best coarse angle.  The floor
-    is the row's ``keep``-th largest value computed so far, and a last
-    stacked call eigensolves the angles left whose bound from their coarse
-    arc's ends, plus a rounding margin of 1e-12 ||M||_F, reaches it.  Each
+    is the row's ``keep``-th largest value computed so far (with ``keep`` 1,
+    a row max of the coarse values, every fine angle still unsolved), and a
+    last stacked call eigensolves the angles left whose bound from their
+    coarse arc's ends, plus a rounding margin of 1e-12 ||M||_F, reaches it;
+    each call is one ``eigvalsh`` when it fits in NR_CHUNK matrices.  Each
     row's ``keep`` largest values and their ``argsort`` prefix are then
     those of the full grid.  ``argsort`` orders exact ties by the rest of the
     array, so a row whose ranked values tie (``_tied``) gets the full grid,
@@ -187,15 +153,19 @@ def _nr_grid(mats: np.ndarray, grid: int, keep: int) -> np.ndarray:
         peak = np.argmax(ends[:, :-1], axis=1)[:, None]
         arcs = np.concatenate([(peak - 1) % NR_COARSE, peak], axis=1)
         solve(every, (arcs[:, :, None] * stride + np.arange(1, stride)).reshape(count, -1))
-    floor = np.sort(out, axis=1)[:, grid - keep]
+        floor = np.sort(out, axis=1)[:, grid - keep]
+    else:
+        floor = ends.max(axis=1)                        # only the coarse angles are solved
     arc = TWO_PI / NR_COARSE
     step = np.arange(1, stride) * (arc / stride)
     alpha, beta = np.sin(arc - step) / math.sin(arc), np.sin(step) / math.sin(arc)
     margin = 1e-12 * np.linalg.norm(mats, axis=(1, 2))
     bound = (alpha * ends[:, :-1, None] + beta * ends[:, 1:, None]
              + margin[:, None, None])                   # (B, NR_COARSE, stride - 1)
-    unsolved = np.isneginf(out.reshape(count, NR_COARSE, stride)[:, :, 1:])
-    at, a, j = ((bound >= floor[:, None, None]) & unsolved).nonzero()
+    reach = bound >= floor[:, None, None]
+    if keep > 1:
+        reach &= np.isneginf(out.reshape(count, NR_COARSE, stride)[:, :, 1:])
+    at, a, j = reach.nonzero()
     solve(at[:, None], (a * stride + j + 1)[:, None])
     tied = _tied(out, keep).nonzero()[0]
     if tied.size:
@@ -220,9 +190,17 @@ def _grid_peaks(vals: np.ndarray, count: int) -> list[list[int]]:
     without a full sort of indices when every row's prefix + 1 largest
     values are distinct: it is the row's values above the (prefix + 1)-th,
     in decreasing order.  ``argsort`` orders ties by the rest of the row,
-    so otherwise, and for a one-index prefix, the rows take it whole.
+    so otherwise the rows take it whole.  A one-index prefix is the row's
+    ``argmax`` where its top two values differ (``_tied``), and its
+    ``argsort`` where they tie.
     """
     rows, grid = vals.shape
+    if count == 1:
+        top = np.argmax(vals, axis=1)
+        tied = _tied(vals, 1)
+        if tied.any():
+            top[tied] = np.argsort(vals[tied], axis=-1)[:, -1]
+        return [[i] for i in top.tolist()]
     size = _peak_prefix(count)
     head = np.sort(vals, axis=1)[:, -size - 1:] if 1 < size < grid else None
     if head is not None and (head[:, 1:] != head[:, :-1]).all():
@@ -435,13 +413,6 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
                                [hs[j] for j in win])
     if vecs is not None:
         vecs[rows] = hs
-    return out
-
-
-def _ldexp_complex(m: np.ndarray, e: int | np.ndarray) -> np.ndarray:
-    """2^e m, exactly, in the memory layout of ``m``."""
-    out = np.empty_like(m)
-    out.real, out.imag = np.ldexp(m.real, e), np.ldexp(m.imag, e)
     return out
 
 
@@ -940,18 +911,15 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
     the one a list of one gives, bit for bit.
 
     When every block weight w_k is >= 1 (``_triple2_is_nr``), |||F|||_2 =
-    w(F): a unitary Z bounds |tr(Z W_k F_k W_k)| by w(F_k) tr(W_k^2), so
-    ||W F W||_1 <= w(F) ||W||_2^2 <= w(F), and W = w_k^{-1/2} h h* attains
-    w(F_k).  There PSD and zero elements get their knapsack pool
-    (``_triple2_pool_of``), exact with no search, and every other element F
-    gets w(F): one ``_nr_stack`` call per block on the 1024-angle grid, the
-    largest over the blocks, the maximizer w_k^{-1/2} h h* from the top
-    eigenvector h the winning block's refinement ends on, ``rank1_bound``
-    the value and ``upper_bound`` ||F||_2; ``budget`` and ``quick`` change
-    nothing there.
-    With a weight below 1, where only max_k min(w_k, 1) w(F_k) <=
-    |||F|||_2 <= w(F) is known, the whole search runs
-    (``_triple_norm_search``).
+    w(F) (see ``triple_norm``).  There PSD and zero elements get their
+    knapsack pool (``_triple2_pool_of``), exact with no search, and every
+    other element F gets w(F): one ``_nr_stack`` call per block on the
+    1024-angle grid, the largest over the blocks, the maximizer w_k^{-1/2}
+    h h* from the top eigenvector h the winning block's refinement ends on,
+    ``rank1_bound`` the value and ``upper_bound`` ||F||_2, or the value
+    where rounding puts it above (a 1 x 1 block's |f| from ``hypot``
+    against LAPACK's); ``budget`` and ``quick`` change nothing there.  With
+    a weight below 1 the whole search runs (``_triple_norm_search``).
     """
     for f in fs:
         _require_finite(f.blocks, "|||.|||_2")
@@ -987,7 +955,7 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
             w[kb] = complex(1.0 / math.sqrt(alg.weights[kb])) * hermitian_part_of(
                 h[:, None] * h.conj()[None, :])
             value = float(vals[kb][j])
-            out[i] = _triple_result(alg, float(upper[i]), value, value, w, False)
+            out[i] = _triple_result(alg, max(float(upper[i]), value), value, value, w, False)
     return out
 
 
@@ -1098,9 +1066,15 @@ class SuperOperator:
     def adjoint_at(self, c: np.ndarray) -> list[np.ndarray]:
         """Per-source-block (L, n_k, n_k) stacks of D_k with Re tr(C L(T)) =
         Re sum_k tr(D_k T_k), one per C of an (L, n, n) stack."""
-        # one matrix-vector product per vec_row(C^T): a matrix product rounds differently
-        g = np.stack([self.matrix.T @ ci.T.reshape(-1) for ci in np.asarray(c, dtype=complex)])
-        return [b.swapaxes(-1, -2) for b in self.source.split_coords(g)]
+        return _adjoint_stack(self.source, self.matrix, np.asarray(c, dtype=complex))
+
+
+def _adjoint_stack(source: TracedAlgebra, mats: np.ndarray, c: np.ndarray) -> list[np.ndarray]:
+    """``adjoint_at`` of an (n^2, coord_dim) matrix, or of an (L, ...) stack,
+    at an (L, n, n) stack of C: a stacked matrix-vector product per
+    vec_row(C^T), each with the bits of its own; a gemm rounds differently."""
+    g = (np.swapaxes(mats, -1, -2) @ c.swapaxes(-1, -2).reshape(len(c), -1, 1))[..., 0]
+    return [b.swapaxes(-1, -2) for b in source.split_coords(g)]
 
 
 # -- target norms on matrices ---------------------------------------------------
@@ -1127,11 +1101,9 @@ class _TargetNorm:
     results do not depend on the stack's size or order.
 
     On a target algebra whose block weights are all >= 1 (the default
-    TracedAlgebra([n]) included) |||F|||_2 = w(F): a unitary Z bounds
-    |tr(Z W_k F_k W_k)| by w(F_k) tr(W_k^2), so ||W F W||_1 <= w(F)
-    ||W||_2^2 <= w(F), and W = w_k^{-1/2} h h* attains w(F_k) (see
-    ``triple_norm``); w of a block-diagonal matrix is the largest w of its
-    blocks.  There ``triple2`` is ``nr``, and ``key``, the search that runs,
+    TracedAlgebra([n]) included) |||F|||_2 = w(F) (see ``triple_norm``),
+    and w of a block-diagonal matrix is the largest w of its blocks.  There
+    ``triple2`` is ``nr``, and ``key``, the search that runs,
     is ``nr``: it ranks, certifies and takes the 1024-angle polish of
     ``_superop_stack`` exactly as ``nr`` does.  With a weight below 1,
     max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F), and ``key`` is
@@ -1285,26 +1257,37 @@ def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarr
     (one stacked QR per block) and hermitian contractions h_i, in the order
     identity, u_0, h_0, u_1, u_2, h_2, ... of substream i's draws.
 
-    The pool depends on the block sizes, starts and seed alone, and it is
-    read-only, so ``_check_cs_stack`` hands one draw to every instance of a
-    call that shares a budget."""
+    Substream i makes one ``standard_normal`` call, u_i's Gaussians then on
+    even i h_i's, each the real then the imaginary part of each block: the
+    draws of one ``random_complex_matrix`` call per block and item.  All
+    items are built as coordinate rows at once, then per block one stacked
+    ``hermitian_part_of``, QR and SVD; an h_i of norm above 1 is divided by
+    it.  The pool depends on the block sizes, starts and seed alone, and it
+    is read-only, so ``_check_cs_stack`` hands one draw to every instance of
+    a call that shares a budget."""
     sizes = source.block_sizes
-    items, unitary_at = [[np.eye(n, dtype=complex) for n in sizes]], []
-    for i, rng in enumerate(substreams(budget.seed, budget.starts)):
-        unitary_at.append(len(items))
-        items.append([random_complex_matrix(rng, n, n) for n in sizes])
-        if i % 2 == 0:
-            items.append([hermitian_part_of(random_complex_matrix(rng, n, n)) for n in sizes])
+    spans = np.cumsum([0, *(n * n for n in sizes)]).tolist()
+    width = spans[-1]
+    draws = [rng.standard_normal((2 if i % 2 else 4) * width)
+             for i, rng in enumerate(substreams(budget.seed, budget.starts))]
+    gauss = np.concatenate([np.zeros(0), *draws]).reshape(-1, 2 * width)   # a row per item
+    # block k of an item: its n_k^2 real parts at 2 spans[k], then the imaginary ones
+    re = np.concatenate([np.arange(2 * a, a + b) for a, b in zip(spans, spans[1:])])
+    im = re + np.repeat(np.diff(spans), np.diff(spans))
+    coords = np.empty((1 + len(gauss), width), dtype=complex)
+    coords[0] = np.concatenate([np.eye(n, dtype=complex).ravel() for n in sizes])
+    coords[1:] = gauss[:, re] + 1j * gauss[:, im]
+    unitary_at = [1 + i + (i + 1) // 2 for i in range(budget.starts)]
     herm_at = [i + 1 for i in unitary_at[::2]]
-    blocks = [np.stack(b) for b in zip(*items)]
-    for b in blocks:
-        b[unitary_at] = unitaries_from_gaussian(b[unitary_at])
-    norms = _itemwise_max([np.linalg.svd(b[herm_at], compute_uv=False) for b in blocks])
-    for i, hn in zip(herm_at, norms.tolist()):
-        if not hn <= 1.0:
-            for b in blocks:
-                b[i] = complex(1.0 / hn) * b[i]
-    coords = np.concatenate([b.reshape(len(items), -1) for b in blocks], axis=1)
+    svals = []
+    for n, a, b in zip(sizes, spans, spans[1:]):
+        block = coords[:, a:b].reshape(-1, n, n)             # a view: writes go to coords
+        block[herm_at] = hermitian_part_of(block[herm_at])
+        block[unitary_at] = unitaries_from_gaussian(block[unitary_at])
+        svals.append(np.linalg.svd(block[herm_at], compute_uv=False))
+    norms = _itemwise_max(svals)
+    big = ~(norms <= 1.0)
+    coords[np.array(herm_at, dtype=int)[big]] *= (1.0 / norms[big]).astype(complex)[:, None]
     coords.setflags(write=False)
     return coords
 
@@ -1338,9 +1321,10 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
     Each nonzero operator searches its own pool: ``pools[i]``, or its
     ``_unitary_candidates`` draw.  One ``batch_values`` call ranks every pool
     (a group each).  The chains of every operator then climb as one stack:
-    per step, one ``adjoint_at`` per operator on its live chains (one
-    matrix-vector product per chain), one stacked SVD per source block and
-    one ``certify`` call.  A chain stops once a step does not raise its
+    per step, one stacked matrix-vector product gives ``adjoint_at`` of
+    every live chain and one more their next values, each the bits of a
+    product per chain, then one stacked SVD per source block and one
+    ``certify`` call.  A chain stops once a step does not raise its
     value by more than 1e-13 of it, a relative margin, so the chains of c L
     are those of L; an operator's chains stop after its ``budget.iters`` steps.
     For the ``nr`` search, which ``triple2`` runs where it is ``nr``
@@ -1372,28 +1356,24 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
         at += len(c)
     owner = np.repeat(np.arange(len(search)), [len(t) for t in chain_t])
     chain_t = np.concatenate(chain_t)
-    ops_of = [ops[search[o]] for o in owner.tolist()]
+    chain_op = np.stack([ops[i].matrix for i in search])[owner]
     iters = np.array([budgets[i].iters for i in search])
 
-    # one matrix-vector product per chain: a matrix product rounds differently
-    chain_val, certs = tn.certify(np.stack([op.apply_coords(t) for op, t in zip(ops_of, chain_t)]))
+    # a matrix-vector product per chain: a matrix product rounds differently
+    chain_val, certs = tn.certify((chain_op @ chain_t[..., None]).reshape(-1, n, n))
     live = np.arange(len(chain_t))
     for step in range(int(iters.max())):
         live = live[iters[owner[live]] > step]
         if not live.size:
             break
         # blockwise unitaries Q P* maximizing Re tr(C L(T)), D_k = P S Q*
-        own = owner[live]
-        cuts = [0, *((own[1:] != own[:-1]).nonzero()[0] + 1).tolist(), len(live)]
-        adj = [ops_of[live[a]].adjoint_at(certs[live[a:b]]) for a, b in zip(cuts, cuts[1:])]
         nxt = []
-        for d in (np.concatenate(ds) for ds in zip(*adj)):
+        for d in _adjoint_stack(ops[0].source, chain_op[live], certs[live]):
             p, _, qh = np.linalg.svd(d)
             nxt.append((qh.conj().swapaxes(-1, -2) @ p.conj().swapaxes(-1, -2))
                        .reshape(len(d), -1))
         nxt = np.concatenate(nxt, axis=1)
-        nxt_val, nxt_cert = tn.certify(np.stack([ops_of[j].apply_coords(t)
-                                                 for j, t in zip(live.tolist(), nxt)]))
+        nxt_val, nxt_cert = tn.certify((chain_op[live] @ nxt[..., None]).reshape(-1, n, n))
         up = nxt_val > chain_val[live] + 1e-13 * np.abs(chain_val[live])
         live = live[up]
         chain_t[live], chain_val[live], certs[live] = nxt[up], nxt_val[up], nxt_cert[up]
@@ -1525,6 +1505,17 @@ def check_cs_operator_valued(phi: OperatorValuedMap, x: np.ndarray, y: np.ndarra
                            [target_norm])[target_norm][0]
 
 
+def _unit_vectors(vs: Sequence[np.ndarray]) -> tuple[list[np.ndarray], list[int]]:
+    """Each vector of a list, raveled complex, as 2^-e v, e the exponent of
+    its largest |entry| when that lies outside [2^-64, 2^64]
+    (``_unit_exponents``) and 0 otherwise, exactly, and the e."""
+    vs = [np.asarray(v, dtype=complex).ravel() for v in vs]
+    exp = _unit_exponents(np.array([np.abs(v).max(initial=0.0) for v in vs]))
+    if exp is None:
+        return vs, [0] * len(vs)
+    return [_ldexp_complex(v, -e) for v, e in zip(vs, exp.tolist())], exp.tolist()
+
+
 def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
                     ys: Sequence[np.ndarray], budgets: Sequence[SearchBudget],
                     norms: Sequence[str]) -> dict[str, list[InequalityReport]]:
@@ -1535,12 +1526,16 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
 
     Each call first checks every map, whatever its memo holds: positivity,
     then, for ``triple2`` on a target of several blocks, that its gram's
-    columns are block-diagonal (``_TargetNorm.require_block_diagonal``).  Each
-    map keeps a one-entry memo of its last searched left-hand side: the key
-    is (x, y, budget), x and y as the complex raveled bytes ``superop``
-    uses, and the value maps each search run (``_TargetNorm.key``) to its
-    ``SuperOperatorNormResult`` and right-hand sides (v_x, v_y).  A new key
-    replaces the entry.  Only the instances that miss are searched: those
+    columns are block-diagonal (``_TargetNorm.require_block_diagonal``).
+    Scaling rule: Phi(2^e x, 2^f y) = 2^(e + f) Phi(x, y), so a vector whose
+    largest |entry| lies outside [2^-64, 2^64] is checked as 2^-e x
+    (``_unit_vectors``) and both sides are multiplied back by 2^(e + f),
+    exactly; in-range vectors keep their bits, and a side above the float
+    range is refused by ``report``.  Each map keeps a one-entry memo of its
+    last searched left-hand side: the key is (x, y, budget), the scaled x
+    and y as complex raveled bytes, and the value maps each search run
+    (``_TargetNorm.key``) to its ``SuperOperatorNormResult`` and right-hand
+    sides (v_x, v_y).  A new key replaces the entry.  Only the instances that miss are searched: those
     that share a budget share one pool draw, and each search takes one
     ``_superop_stack`` call and one ``batch_values`` stack of right-hand
     sides.  Maps of another shape than the first raise ``StructureError``.
@@ -1555,9 +1550,8 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
     for phi in phis:
         for tn in tns.values():
             tn.require_block_diagonal(phi.gram)
-    keys = [(np.asarray(x, dtype=complex).ravel().tobytes(),
-             np.asarray(y, dtype=complex).ravel().tobytes(), budget)
-            for x, y, budget in zip(xs, ys, budgets)]
+    (xs, ex), (ys, ey) = _unit_vectors(xs), _unit_vectors(ys)
+    keys = [(x.tobytes(), y.tobytes(), budget) for x, y, budget in zip(xs, ys, budgets)]
     found = [dict(phi._last_lhs[1]) if phi._last_lhs and phi._last_lhs[0] == key else {}
              for phi, key in zip(phis, keys)]
     runs = {tn.key: tn for tn in tns.values()}
@@ -1583,9 +1577,13 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
             found[need[j]][key] = (res, side)
     for phi, key, f in zip(phis, keys, found):
         phi._last_lhs = (key, f)
-    return {norm: [report(res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0)),
-                          {"target_norm": norm, "budget_starts": budget.starts,
-                           "heuristic": res.status == HEURISTIC})
-                   for (res, (v_x, v_y)), budget in zip((f[tns[norm].key] for f in found),
-                                                        budgets)]
-            for norm in norms}
+    out: dict[str, list[InequalityReport]] = {norm: [] for norm in norms}
+    for norm in norms:
+        for (res, (v_x, v_y)), budget, e in zip((f[tns[norm].key] for f in found), budgets,
+                                                np.add(ex, ey).tolist()):
+            with np.errstate(over="ignore"):        # report refuses a side above the range
+                sides = np.ldexp([res.value, math.sqrt(max(v_x, 0.0)) * math.sqrt(max(v_y, 0.0))],
+                                 e).tolist()
+            out[norm].append(report(*sides, {"target_norm": norm, "budget_starts": budget.starts,
+                                             "heuristic": res.status == HEURISTIC}))
+    return out

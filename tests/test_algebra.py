@@ -233,6 +233,21 @@ class TestSchattenScaling:
             assert stacked[1] / 1e200 == pytest.approx(schatten_norm(xs[1] * 1e-200, p),
                                                        rel=1e-12)
 
+    @pytest.mark.parametrize("alg, block", [(TracedAlgebra([2]), 0), (TracedAlgebra([2, 1]), 0),
+                                            (TracedAlgebra([2, 1]), 1)])
+    def test_single_real_entry_is_exact_at_every_scale(self, alg, block):
+        # ||f E_11||_2 = ||f E_11|| = |f|: the root at p = 2 is math.sqrt,
+        # and a far item is decomposed again at unit scale, where LAPACK's
+        # own rescaling moved the last bit of about one f in seven beyond
+        # 2^460 and below 2^-459
+        rng = rng_from(4)
+        for k in range(-1000, 1001, 20):
+            for f in np.ldexp(rng.uniform(0.5, 1.0, 6) * rng.choice([-1.0, 1.0], 6), k):
+                blocks = [np.zeros((n, n)) for n in alg.block_sizes]
+                blocks[block][0, 0] = f
+                x = alg.element(blocks)
+                assert (schatten_norm(x, 2.0), schatten_norm(x, math.inf)) == (abs(f), abs(f))
+
     @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, math.inf])
     def test_norm_above_the_float_range_is_refused(self, tr2, p):
         # ||X||_p >= ||X|| = 1.5e308 sqrt(2), above DBL_MAX: no silent inf

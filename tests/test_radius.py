@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nclp import radius, suites
-from nclp.algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, schatten_norm
+from nclp.algebra import (AlgebraElement, TracedAlgebra, _stacked_schatten, hermitian_part_of,
+                          schatten_norm)
 from nclp.cli import main
 from nclp.errors import ConditioningError, DomainError, PreconditionError, StructureError
 from nclp.kernels import KernelMap, OnePlusXTKernel
@@ -17,7 +18,8 @@ from nclp.radius import (OperatorValuedMap, SearchBudget, SuperOperator,
                          SuperOperatorNormResult, _TargetNorm, _triple2_pool,
                          check_cs_operator_valued, numerical_radius, superop_norm,
                          triple_norm)
-from nclp.sampling import random_complex_matrix, random_element, rng_from
+from nclp.sampling import (random_complex_matrix, random_element, rng_from, substreams,
+                           unitaries_from_gaussian)
 
 from conftest import random_element_of, strip_wall_time
 
@@ -1125,9 +1127,32 @@ class TestOperatorValuedHomogeneity:
             warnings.simplefilter("error")
             for phi, budget in self._maps():
                 lhs, rhs = self._sides(phi, 0, norm, budget)
-                for k in (-300, -260, 260, 300):
+                for k in (-540, -520, -300, -260, 260, 300, 520, 540):
                     assert self._sides(phi, k, norm, budget) == (math.ldexp(lhs, k),
                                                                  math.ldexp(rhs, k))
+
+    @pytest.mark.parametrize("norm", ["nr", "triple2"])
+    def test_far_vectors_are_checked_at_unit_scale(self, norm):
+        # x and y are checked as 2^-e x and 2^-f y, and both sides are
+        # multiplied back by 2^(e + f).  Unscaled, 2^520 x and 1e160 x raised
+        # DomainError after an overflow warning, and at 2^-540 x the rhs
+        # underflowed to 0.0 with status "holds"
+        phi = suites.random_operator_valued(TracedAlgebra([3]), 3, 3, 2, seed=11)
+        x, y = np.array([1.0, 0.5j, -0.2]), np.array([0.3, 1.0, 0.1j])
+        base = check_cs_operator_valued(phi, x, y, norm)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kx, ky in ((520, 0), (-540, 0), (0, 540), (300, -300), (-520, -500),
+                           (500, 500)):
+                rep = check_cs_operator_valued(phi, 2.0 ** kx * x, 2.0 ** ky * y, norm)
+                assert (rep.lhs, rep.rhs) == (math.ldexp(base.lhs, kx + ky),
+                                              math.ldexp(base.rhs, kx + ky))
+                assert rep.status == base.status
+            rep = check_cs_operator_valued(phi, 1e160 * x, y, norm)
+        assert rep.status == "holds" and rep.rhs == pytest.approx(1e160 * base.rhs, rel=1e-12)
+        # sides above the float range get no verdict
+        with pytest.raises(ConditioningError, match="non-finite side"):
+            check_cs_operator_valued(phi, 2.0 ** 600 * x, 2.0 ** 600 * y, norm)
 
     @pytest.mark.parametrize("k", [-540, -300, 300, 520])
     def test_target_norm_scales_far_rows_alone(self, k):
@@ -1237,6 +1262,19 @@ class TestRadiusIdentity:
                 assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
             assert schatten_norm(m, 2.0) <= 1.0 + 1e-12
             assert schatten_norm(m @ f @ m, 1.0) == pytest.approx(w, rel=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(re=st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)),
+           im=st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)),
+           k=st.integers(-1000, 1000), weight=st.sampled_from([1.0, 2.0, 0.5]))
+    def test_a_one_by_one_value_stays_within_its_bound(self, re, im, k, weight):
+        # w(f) is |f| from hypot, ||f||_2 LAPACK's |f| times sqrt(weight):
+        # at weight 1 they differ in the last bit for about one complex f in
+        # three, and the value read above its bound for about one in six
+        f = math.ldexp(1.0, k) * complex(re, im)
+        res = triple_norm(TracedAlgebra([1], [weight]).element([np.array([[f]])]),
+                          SearchBudget(starts=2, iters=5))
+        assert res.value <= res.upper_bound
 
     @pytest.mark.parametrize("alg", WEIGHTED_ALGEBRAS, ids=str)
     @settings(max_examples=8, deadline=None)
@@ -1498,6 +1536,124 @@ class TestCandidateDraws:
             return {n: check_cs_operator_valued(fresh, x, y, n, budget) for n in norms}
 
         assert reports(("nr", "triple2")) == reports(("triple2", "nr"))
+
+
+def _reference_pool(sizes, starts, seed):
+    """The candidate pool drawn one matrix at a time: per substream, one
+    ``random_complex_matrix`` per block for u_i, then on even i one per block
+    for h_i; one QR and one SVD per item, and h_i divided by its norm above 1."""
+    items, unitary_at, herm_at = [[np.eye(n, dtype=complex) for n in sizes]], [], []
+    for i, rng in enumerate(substreams(seed, starts)):
+        unitary_at.append(len(items))
+        items.append([random_complex_matrix(rng, n, n) for n in sizes])
+        if i % 2 == 0:
+            herm_at.append(len(items))
+            items.append([hermitian_part_of(random_complex_matrix(rng, n, n)) for n in sizes])
+    for i in unitary_at:
+        items[i] = [unitaries_from_gaussian(g[None])[0] for g in items[i]]
+    for i in herm_at:
+        hn = max(np.linalg.svd(h, compute_uv=False)[0] for h in items[i])
+        if not hn <= 1.0:
+            items[i] = [complex(1.0 / hn) * h for h in items[i]]
+    return np.stack([np.concatenate([b.ravel() for b in item]) for item in items])
+
+
+class TestPoolDraw:
+    """A candidate pool is one ``standard_normal`` call per substream, built
+    as one stack, and equals the pool drawn one matrix at a time."""
+
+    SIZES = [(2,), (3,), (2, 1), (1, 1, 1)]
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=str)
+    @pytest.mark.parametrize("starts", [0, 1, 2, 5, 64])
+    def test_equals_the_per_matrix_draw(self, sizes, starts):
+        for seed in (0, 7, 12345):
+            got = radius._unitary_candidates(TracedAlgebra(list(sizes)),
+                                             SearchBudget(starts=starts, seed=seed))
+            want = _reference_pool(sizes, starts, seed)
+            assert got.shape == (1 + starts + (starts + 1) // 2, sum(n * n for n in sizes))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=str)
+    def test_one_gaussian_call_per_substream(self, monkeypatch, sizes):
+        calls = []
+
+        class Counted:
+            def __init__(self, rng, i):
+                self.rng, self.i = rng, i
+
+            def standard_normal(self, *args, **kwargs):
+                calls.append(self.i)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def counted(seed, n):
+            return [Counted(rng, i) for i, rng in enumerate(substreams(seed, n))]
+
+        budget = SearchBudget(starts=9, seed=3)
+        want = radius._unitary_candidates(TracedAlgebra(list(sizes)), budget)
+        monkeypatch.setattr(radius, "substreams", counted)
+        got = radius._unitary_candidates(TracedAlgebra(list(sizes)), budget)
+        assert calls == list(range(9))
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def tied_rows(draw):
+    """(rows, grid) values with exact ties: entries from a few levels, some
+    -inf, the largest repeated in some rows."""
+    rows, grid = draw(st.integers(1, 6)), draw(st.sampled_from([2, 3, 8, 64, 256]))
+    levels = draw(st.lists(st.floats(-3, 3), min_size=1, max_size=4)) + [-np.inf]
+    vals = np.array(draw(st.lists(st.sampled_from(levels), min_size=rows * grid,
+                                  max_size=rows * grid))).reshape(rows, grid)
+    return vals
+
+
+class TestTopOneTies:
+    """At keep = 1 the tie test, the grid's floor and the peak read the top
+    two values and an ``argmax``, not a full sort; on rows with exact ties
+    each equals its full-sort reference."""
+
+    @staticmethod
+    def _sorted_tied(vals):
+        top = np.sort(vals, axis=1)[:, -2:]
+        return top[:, 1] == top[:, 0]
+
+    @staticmethod
+    def _sorted_peaks(vals):
+        return [[int(i)] for i in np.argsort(vals, axis=-1)[:, ::-1][:, 0]]
+
+    @settings(max_examples=120, deadline=None)
+    @given(vals=tied_rows())
+    def test_random_rows(self, vals):
+        assert np.array_equal(radius._tied(vals, 1), self._sorted_tied(vals))
+        assert radius._grid_peaks(vals, 1) == self._sorted_peaks(vals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(mats=nr_stacks(kinds=["zero", "hermitian", "normal", "shift", "scalar", "generic",
+                                 "repeat"]))
+    def test_pruned_grid(self, mats):
+        # the floor is the largest coarse value, as the sorted full grid's
+        # top entry gives it once only the coarse angles are solved; the
+        # angles solved and every value are those a full-sort floor gives
+        grid, stride = 256, 256 // radius.NR_COARSE
+        full = _full_nr_grid(mats, grid)
+        got = radius._nr_grid(mats, grid, 1)
+        coarse = np.full_like(full, -np.inf)
+        coarse[:, ::stride] = full[:, ::stride]
+        floor = np.sort(coarse, axis=1)[:, -1]
+        ends = np.concatenate([full[:, ::stride], full[:, :1]], axis=1)
+        arc = radius.TWO_PI / radius.NR_COARSE
+        step = np.arange(1, stride) * (arc / stride)
+        alpha, beta = np.sin(arc - step) / math.sin(arc), np.sin(step) / math.sin(arc)
+        bound = (alpha * ends[:, :-1, None] + beta * ends[:, 1:, None]
+                 + 1e-12 * np.linalg.norm(mats, axis=(1, 2))[:, None, None])
+        solved = np.isfinite(coarse).reshape(len(mats), radius.NR_COARSE, stride)
+        solved[:, :, 1:] = bound >= floor[:, None, None]
+        solved = solved.reshape(len(mats), grid)
+        solved[self._sorted_tied(np.where(solved, full, -np.inf))] = True
+        assert np.array_equal(np.isfinite(got), solved)
+        assert np.array_equal(got[solved], full[solved])
+        assert radius._grid_peaks(got, 1) == self._sorted_peaks(full)
 
 
 class TestLhsMemo:
