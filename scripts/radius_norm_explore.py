@@ -34,9 +34,10 @@ def main() -> int:
     budget = SearchBudget(starts=args.starts, iters=30, seed=args.seed)
     # with every trace weight w_k >= 1, |||F|||_2 = w(F): a unitary Z bounds
     # |tr(Z W_k F_k W_k)| by w(F_k) tr(W_k^2), so ||W F W||_1 <= w(F) ||W||_2^2,
-    # and W = w_k^{-1/2} h h* attains w(F_k); with a weight below 1 the same
-    # argument gives max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F), so the
-    # feasible rank-one bound is what gets asserted per sample
+    # and W = w_k^{-1/2} h h* attains w(F_k); with a weight below 1,
+    # W_k = t_k^{1/2} h_k h_k* gives L <= |||F|||_2 <= w(F), L the knapsack of
+    # the rates w(F_k) with capacities w_k, so that feasible rank-one bound
+    # (rank1_bound) is what gets asserted per sample
     print(f"{'layout':>16} {'mean val/||F||_2':>16} {'min':>8} {'max':>8} "
           f"{'mean val/w(F)':>14}")
     for name, alg in layouts:

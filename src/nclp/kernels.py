@@ -326,8 +326,7 @@ def bound_checks(km: KernelMap, trials: int = 50, seed: int = 0) -> KernelBoundR
     if not all(np.isfinite(b).all() for v in vals + diags for b in v.blocks):
         raise ConditioningError("a kernel value T g(W) T* overflows the float range")
     nr_vals = _nr_elements(vals, 256).tolist()
-    tr_vals = [r.value for r in _triple_norm_stack(alg, vals, SearchBudget(starts=0, iters=0),
-                                                   quick=True)]
+    tr_vals = [r.value for r in _triple_norm_stack(alg, vals, SearchBudget(starts=0, iters=0))]
     nr_fail = tr_fail = 0
     max_nr = max_tr = 0.0
     for (x_el, y_el, s, _), nr_val, tr_val in zip(draws, nr_vals, tr_vals):

@@ -24,10 +24,10 @@ Four layers:
   >= 1, |||F|||_2 = w(F) (see ``triple_norm``), and the value is
   ``numerical_radius``'s bit for bit.  For other weights the value is
   certified from below by feasible maximizers (the knapsack maximizer of
-  |F|, two rank-one directions per block, the spectral projections of |F|,
-  projected ascent), built and scored for a whole stack by
-  ``_triple2_pool``, and from above by ||F||_2; the polar mean
-  (``_polar_mean``) bounds it for pruning pool rankings,
+  |F|, the witness of the rank-one bound L (``_rank1_witness``), the
+  spectral projections of |F|, projected ascent from each), built and
+  scored for a whole stack by ``_triple2_pool``, and from above by
+  ||F||_2; the polar mean (``_polar_mean``) bounds it for pool rankings,
 * ``superop_norm``: operator norms of linear maps from a traced algebra into
   a matrix space, searched over a seeded pool of blockwise unitaries (the
   extreme points of the unit ball) and refined by alternating exact
@@ -247,8 +247,7 @@ def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray | Sequen
 
 
 def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
-               best: Sequence[float] | None = None
-               ) -> tuple[list[float], list[float], list[np.ndarray]]:
+               best: Sequence[float]) -> tuple[list[float], list[float], list[np.ndarray]]:
     """Maxima of f(theta) = lambda_max(Re(e^{i theta} M)) for a stack of rows
     (M, theta0), each on [theta0 - step, theta0 + step].
 
@@ -263,17 +262,17 @@ def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
     once its step is below 1e-12, or once it drives into its bracket edge: a
     shoulder "peak" has its maximum at the neighbouring grid angle.  The
     eigensolves and f', f'' are stacked; each row's bracket is kept in
-    Python floats, the same IEEE operations row by row.  ``best``, if given,
-    is a value per row already held at theta0: an angle replaces theta0 only
-    if f there is larger.  Returns per row the best angle, its value and the
-    top eigenvector v there, a column of the stacked ``eigh`` output.
+    Python floats, the same IEEE operations row by row.  ``best`` is a value
+    per row already held at theta0 (-inf for none): an angle replaces theta0
+    only if f there is larger.  Returns per row the best angle, its value
+    and the top eigenvector v there, a column of the stacked ``eigh`` output.
     """
     theta = [float(t) for t in thetas]
     count = len(theta)
     edge_lo, edge_hi = [t - step for t in theta], [t + step for t in theta]
     lo, hi = list(edge_lo), list(edge_hi)
     best_t = list(theta)
-    best_f = [-math.inf] * count if best is None else [float(v) for v in best]
+    best_f = [float(v) for v in best]
     noise = 8.0 * np.finfo(float).eps * np.linalg.norm(mats, axis=(1, 2))[:, None]
     tiny = noise[:, 0].tolist()
     src: list = [None] * count          # (eigh vectors, row) at each row's best angle
@@ -495,6 +494,8 @@ class SearchBudget:
 
 @dataclass
 class TripleNormResult:
+    """rank1_bound <= value <= upper_bound = ||F||_2, ``value`` attained by
+    ``maximizer`` and ``rank1_bound`` L, by a W of rank one in each block."""
     value: float
     maximizer: AlgebraElement
     upper_bound: float
@@ -611,17 +612,45 @@ def _polar_mean(alg: TracedAlgebra,
     return np.maximum(np.concatenate(lams, axis=1), 0.0), np.sqrt(sq)
 
 
+def _block_knapsack(alg: TracedAlgebra, rates: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L = sup sum_k w_k t_k r_k over 0 <= t_k <= 1, sum_k w_k t_k <= 1, for
+    a (B, n_blocks) stack of block rates (the knapsack ``_knapsack_take``
+    with capacities w_k), and the coefficients t_k^{1/2}.  With every weight
+    >= 1 that is the first block of largest rate alone, at w_k^{-1/2}."""
+    if _triple2_is_nr(alg):
+        first = np.arange(alg.n_blocks) == rates.argmax(axis=1)[:, None]
+        return rates.max(axis=1), first / np.sqrt(alg.weights)
+    take = _knapsack_take(TracedAlgebra([1] * alg.n_blocks, alg.weights), rates)
+    return (np.asarray(alg.weights) * rates * take).sum(axis=1), np.sqrt(take)
+
+
+def _rank1_witness(alg: TracedAlgebra, blocks: Sequence[np.ndarray | Sequence[np.ndarray]]
+                   ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rank-one bound L of |||F|||_2 and the per-block (B, n_k, n_k)
+    stacks of a feasible W attaining it, for elements given per block as a
+    stack or a list of matrices (a list keeps each matrix's layout).
+    W_k = t_k^{1/2} h_k h_k*, |<F_k h_k, h_k>| = w(F_k), has objective
+    sum_k w_k t_k w(F_k) and ||W||_2^2 = sum_k w_k t_k, so L is the block
+    knapsack on the rates w(F_k), each from one ``_nr_stack(..., 1024,
+    vecs)`` call per block; with every weight >= 1, L is w(F) bit for bit."""
+    vecs = [np.zeros((len(b), n), dtype=complex) for b, n in zip(blocks, alg.block_sizes)]
+    rates = np.array([_nr_stack(b, 1024, v) for b, v in zip(blocks, vecs)]).T
+    value, coef = _block_knapsack(alg, rates)
+    return value, [np.where(c[:, None, None] > 0.0, c[:, None, None] * hermitian_part_of(
+        h[:, :, None] * h.conj()[:, None, :]), 0.0) for c, h in zip(coef.T, vecs)]
+
+
 @dataclass
 class _TriplePool:
-    """Quick-path |||.|||_2 of a stack of elements, with its candidate pool.
+    """Pool-only |||.|||_2 of a stack of elements, with its candidate pool.
 
     Per item: ``upper`` = ||F||_2, ``exact`` for PSD input, ``scaled`` blocks
     F / ||F||_2 (zero for F = 0), the candidate maximizers in
-    1 + 2 n_blocks + total_dim slots (the knapsack maximizer, two rank-one
-    directions per block, the spectral projections of |F|; empty slots have
-    objective -inf), the best rank-one objective ``rank1`` (in closed form
+    2 + total_dim slots (the knapsack maximizer, the rank-one witness of
+    ``_rank1_witness``, the spectral projections of |F|; empty slots have
+    objective -inf), the rank-one lower bound ``rank1`` = L (in closed form
     for PSD input), and the projected best candidate ``maximizer`` with its
-    objective ``best``; all objectives are at unit ||F||_2.
+    objective ``best``, which caps ``rank1``; all are at unit ||F||_2.
     """
     upper: np.ndarray
     exact: np.ndarray
@@ -693,56 +722,51 @@ def _psd_items(fh: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarray]:
     return herm, dec_h, psd
 
 
-def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray], grid: int = 64,
-                  refine: bool = False) -> _TriplePool:
-    """Candidate pool and quick-path |||.|||_2 for a stack of elements.
+def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray]) -> _TriplePool:
+    """Candidate pool and pool-only |||.|||_2 for a stack of elements.
 
     ``blocks`` are per-block (B, n_k, n_k) arrays.  A PSD item is exact: its
     one candidate is the knapsack maximizer of F (slot 0), and its rank-one
-    objective max_k min(w_k, 1) lambda_max(F_k) comes in closed form from the
-    ``eigh`` the PSD test takes.  The other items have 1 + 2 n_blocks +
-    total_dim slots, built in a few stacked linalg calls: the knapsack
-    maximizer of |F| (slot 0, shared with the PSD items' knapsack in one
-    stack), two rank-one directions per block in block order, then the
-    spectral projections of |F| by decreasing level
+    bound L the block knapsack of lambda_max(F_k) from the ``eigh`` the PSD
+    test takes (``_block_knapsack``).  The other items have 2 + total_dim
+    slots, built in a few stacked linalg calls: the knapsack maximizer of
+    |F| (slot 0, shared with the PSD items' knapsack in one stack), the
+    rank-one witness of L (slot 1, ``_rank1_witness``), then the spectral
+    projections of |F| by decreasing level
     (``_level_projections``); a stack of PSD items builds none of these.
     Each item's result equals the one-element computation bit for bit,
-    whatever the stack's size or order.  ``refine`` refines the rank-one
-    angles of each block, all of its (item, peak) rows in one ``_nr_newton``
-    stack.
+    whatever the stack's size or order.
     """
     upper, fh = _unit_norm2(alg, blocks)
-    return _triple2_pool_of(alg, upper, fh, _psd_items(fh), grid, refine)
+    return _triple2_pool_of(alg, upper, fh, _psd_items(fh))
 
 
 def _triple2_pool_of(alg: TracedAlgebra, upper: np.ndarray, fh: list[np.ndarray],
-                     psd_items: tuple[np.ndarray, list, np.ndarray], grid: int,
-                     refine: bool) -> _TriplePool:
+                     psd_items: tuple[np.ndarray, list, np.ndarray]) -> _TriplePool:
     """``_triple2_pool`` from the items' ``_unit_norm2`` and ``_psd_items``."""
-    sizes, weights = alg.block_sizes, alg.weights
+    sizes = alg.block_sizes
     nblk = len(sizes)
     items = len(upper)
 
-    nslot = 1 + 2 * nblk + alg.total_dim
+    nslot = 2 + alg.total_dim
     cands = [np.zeros((items, nslot, n, n), dtype=complex) for n in sizes]
     valid = np.zeros((items, nslot), dtype=bool)
+    rank1 = np.zeros(items)
 
-    def put(at: np.ndarray, slot: np.ndarray | int, ws: Sequence[np.ndarray | None]) -> None:
+    def put(at: np.ndarray, slot: np.ndarray | int, ws: Sequence[np.ndarray]) -> None:
         for c, w in zip(cands, ws):
-            if w is not None:
-                c[at, slot] = w
+            c[at, slot] = w
         valid[at, slot] = True
 
     herm, dec_h, psd = psd_items
     exact = np.zeros(items, dtype=bool)
-    psd_rows, psd_rank1 = herm[psd], np.zeros(0)
+    psd_rows = herm[psd]
     exact[psd_rows] = True
 
     # knapsack maximizers, in one stack: of F for PSD F, of |F| for the rest
     owners, decs = [], []
     if herm.size:
-        psd_rank1 = np.max([min(wt, 1.0) * lam[psd, -1]
-                            for wt, (lam, _) in zip(weights, dec_h)], axis=0)
+        rank1[psd_rows] = _block_knapsack(alg, np.array([lam[psd, -1] for lam, _ in dec_h]).T)[0]
         owners.append(psd_rows)
         decs.append([(lam[psd], q[psd]) for lam, q in dec_h])
     rest = (~exact).nonzero()[0]
@@ -752,23 +776,10 @@ def _triple2_pool_of(alg: TracedAlgebra, upper: np.ndarray, fh: list[np.ndarray]
                    for _, s, vh in map(np.linalg.svd, fr)]
         owners.append(rest)
         decs.append(dec_abs)
-        # rank-one W = h h* from numerical-radius directions, two per nonzero block
-        step = TWO_PI / grid
-        for kb, b in enumerate(fr):
-            found = _nr_peaks(b, grid, 2)[1]
-            peaks = np.array([p + [-1] * (2 - len(p)) for p in found], dtype=int).reshape(-1, 2)
-            thetas = peaks * step
-            if refine:
-                i, j = (peaks >= 0).nonzero()
-                thetas[i, j] = _nr_newton(b[i], thetas[i, j], step)[0]
-            rot = np.exp(1j * thetas)[..., None, None] * b[:, None]
-            h = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
-            outer = complex(min(1.0, 1.0 / math.sqrt(weights[kb]))) * (
-                h[..., :, None] * h.conj()[..., None, :])
-            at, j = ((b != 0).any(axis=(1, 2))[:, None] & (peaks >= 0)).nonzero()
-            put(rest[at], 1 + 2 * kb + j, [outer[at, j] if k == kb else None for k in range(nblk)])
+        rank1[rest], witness = _rank1_witness(alg, fr)
+        put(rest, 1, witness)
         at, lv, proj = _level_projections(alg, dec_abs)
-        put(rest[at], 1 + 2 * nblk + lv, proj)
+        put(rest[at], 2 + lv, proj)
     knap = _knapsack_stack(alg, [(np.concatenate([d[k][0] for d in decs]),
                                   np.concatenate([d[k][1] for d in decs]))
                                  for k in range(nblk)])
@@ -785,13 +796,9 @@ def _triple2_pool_of(alg: TracedAlgebra, upper: np.ndarray, fh: list[np.ndarray]
     pick = np.argmax(objective, axis=1)
     maximizer = _project_stack(alg, [c[np.arange(items), pick] for c in cands])
     best = _stacked_schatten(alg, [w @ b @ w for w, b in zip(maximizer, fh)], 1.0)
-    ones = objective[:, 1:1 + 2 * nblk]
-    rank1 = np.where(np.isfinite(ones).any(axis=1), ones.max(axis=1), 0.0)
-    # a rank-one W is feasible, so the exact value bounds it; the cap keeps
-    # rounding from putting it above
-    rank1[psd_rows] = np.minimum(best[psd_rows], psd_rank1)
     return _TriplePool(upper=upper, exact=exact, scaled=fh, candidates=cands,
-                       objective=objective, rank1=rank1, maximizer=maximizer, best=best)
+                       objective=objective, rank1=np.minimum(best, rank1),
+                       maximizer=maximizer, best=best)
 
 
 def _trace_norm_polar(alg: TracedAlgebra,
@@ -869,57 +876,55 @@ def _triple2_is_nr(alg: TracedAlgebra) -> bool:
     return min(alg.weights) >= 1.0
 
 
-def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None,
-                quick: bool = False) -> TripleNormResult:
+def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None) -> TripleNormResult:
     """|||F|||_2 = sup { ||W F W||_1 : W >= 0, ||W||_2 <= 1, ||W||_inf <= 1 }.
 
     Returns a certified lower bound with a feasible maximizer plus the upper
-    bound ||F||_2.  PSD inputs are solved exactly (status "exact").  When
-    every block weight w_k is >= 1, |||F|||_2 = w(F), the numerical radius:
-    for a unitary Z = sum_j z_j e_j e_j*, |tr(Z W_k F_k W_k)| =
-    |sum_j z_j <F_k W_k e_j, W_k e_j>| <= w(F_k) tr(W_k^2), so
-    ||W F W||_1 <= w(F) ||W||_2^2 <= w(F); and the feasible
-    W = w_k^{-1/2} h h* in block k, h a unit vector with |<F_k h, h>| =
-    w(F_k), attains w(F_k).  There the value is ``numerical_radius(F)`` bit
-    for bit, with that maximizer and rank-one bound.  For other weights the
-    same argument gives max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F), and
-    the value combines rank-one directions, the knapsack maximizer and the
-    spectral projections of |F|, and multi-start projected ascent from the
-    best of them and from random points.  F goes through the stacked kernel
-    ``_triple_norm_stack`` as a stack of one, so the value does not depend on
-    whether F is evaluated alone or inside a larger stack.  With ``quick``
-    the ascent phase is skipped.  Non-finite entries raise ``DomainError``.
+    bound ||F||_2.  PSD inputs are solved exactly (status "exact").  For a
+    unitary Z = sum_j z_j e_j e_j*, |tr(Z W_k F_k W_k)| =
+    |sum_j z_j <F_k W_k e_j, W_k e_j>| <= w(F_k) tr(W_k^2), and
+    W_k = t_k^{1/2} h h*, |<F_k h, h>| = w(F_k), attains that for t_k <= 1,
+    so L <= |||F|||_2 <= w(F), L (``rank1_bound``) the fractional knapsack
+    over the blocks with rate w(F_k) and capacity w_k (``_rank1_witness``).
+    When every block weight w_k is >= 1, L = w(F) = |||F|||_2, the value is
+    ``numerical_radius(F)`` bit for bit, with the maximizer w_k^{-1/2} h h*.
+    For other weights the value is the best of the pool (the knapsack
+    maximizer of |F|, the witness of L, the spectral projections of |F|)
+    and of projected ascent from each of them and from random points.  F
+    goes through the stacked kernel ``_triple_norm_stack`` as a stack of
+    one, so the value does not depend on whether F is evaluated alone or
+    inside a larger stack.  Non-finite entries raise ``DomainError``.
     """
-    return _triple_norm_stack(f.algebra, [f], budget, quick)[0]
+    return _triple_norm_stack(f.algebra, [f], budget)[0]
 
 
 def _triple_result(alg: TracedAlgebra, upper: float, value: float, rank1: float,
                    w: Sequence[np.ndarray], exact: bool) -> TripleNormResult:
     """The result for ||F||_2 = ``upper``; exact when ``exact`` or the value
-    reaches the upper bound."""
+    reaches the upper bound.  The value is a feasible W's, so either bound
+    on the wrong side of it is rounding and takes the value."""
     if upper == 0.0:
         return TripleNormResult(0.0, alg.zero(), 0.0, 0.0, EXACT)
     status = EXACT if (exact or value >= upper * (1.0 - 1e-11)) else HEURISTIC
-    return TripleNormResult(value=value, maximizer=AlgebraElement(alg, w), upper_bound=upper,
-                            rank1_bound=rank1, status=status)
+    return TripleNormResult(value=value, maximizer=AlgebraElement(alg, w),
+                            upper_bound=max(upper, value), rank1_bound=min(rank1, value),
+                            status=status)
 
 
 def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
-                       budget: SearchBudget | None = None,
-                       quick: bool = False) -> list[TripleNormResult]:
+                       budget: SearchBudget | None = None) -> list[TripleNormResult]:
     """``triple_norm`` of every element of a list over ``alg``, each result
     the one a list of one gives, bit for bit.
 
     When every block weight w_k is >= 1 (``_triple2_is_nr``), |||F|||_2 =
     w(F) (see ``triple_norm``).  There PSD and zero elements get their
     knapsack pool (``_triple2_pool_of``), exact with no search, and every
-    other element F gets w(F): one ``_nr_stack`` call per block on the
-    1024-angle grid, the largest over the blocks, the maximizer w_k^{-1/2}
-    h h* from the top eigenvector h the winning block's refinement ends on,
-    ``rank1_bound`` the value and ``upper_bound`` ||F||_2, or the value
-    where rounding puts it above (a 1 x 1 block's |f| from ``hypot``
-    against LAPACK's); ``budget`` and ``quick`` change nothing there.  With
-    a weight below 1 the whole search runs (``_triple_norm_search``).
+    other element F gets L = w(F), its maximizer and its rank-one bound
+    from one ``_rank1_witness`` call on its blocks as given, and
+    ``upper_bound`` ||F||_2, or the value where rounding puts it above (a
+    1 x 1 block's |f| from ``hypot`` against LAPACK's); ``budget`` changes
+    nothing there.  With a weight below 1 the whole search runs
+    (``_triple_norm_search``).
     """
     for f in fs:
         _require_finite(f.blocks, "|||.|||_2")
@@ -928,8 +933,7 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
         return []
     blocks = [np.stack([f.blocks[k] for f in fs]) for k in range(alg.n_blocks)]
     if not _triple2_is_nr(alg):
-        pool = _triple2_pool(alg, blocks, grid=64 if quick else 256, refine=not quick)
-        return _triple_norm_search(alg, pool, budget, quick)
+        return _triple_norm_search(alg, _triple2_pool(alg, blocks), budget)
     upper, fh = _unit_norm2(alg, blocks)
     herm, dec_h, psd = _psd_items(fh)
     out: list = [None] * len(fs)
@@ -939,44 +943,37 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
     if at.size:
         only = (np.arange(at.size), [(lam[psd], q[psd]) for lam, q in dec_h],
                 np.ones(at.size, dtype=bool))
-        pool = _triple2_pool_of(alg, upper[at], [b[at] for b in fh], only, 64, False)
-        for i, res in zip(at.tolist(), _triple_norm_search(alg, pool, budget, True)):
+        pool = _triple2_pool_of(alg, upper[at], [b[at] for b in fh], only)
+        for i, res in zip(at.tolist(), _triple_norm_search(alg, pool, budget)):
             out[i] = res
     rest = (~exact).nonzero()[0]
     if rest.size:
-        vals, vecs = [], []
-        for k, n in enumerate(alg.block_sizes):
-            vecs.append(np.zeros((rest.size, n), dtype=complex))
-            vals.append(_nr_stack([fs[i].blocks[k] for i in rest], 1024, vecs[-1]))
-        win = np.argmax(vals, axis=0)                    # the first block of largest w
-        for j, (i, kb) in enumerate(zip(rest.tolist(), win.tolist())):
-            h = vecs[kb][j]
-            w = [np.zeros((n, n), dtype=complex) for n in alg.block_sizes]
-            w[kb] = complex(1.0 / math.sqrt(alg.weights[kb])) * hermitian_part_of(
-                h[:, None] * h.conj()[None, :])
-            value = float(vals[kb][j])
-            out[i] = _triple_result(alg, max(float(upper[i]), value), value, value, w, False)
+        vals, wit = _rank1_witness(alg, [[fs[i].blocks[k] for i in rest]
+                                         for k in range(alg.n_blocks)])
+        for j, (i, value) in enumerate(zip(rest.tolist(), vals.tolist())):
+            out[i] = _triple_result(alg, float(upper[i]), value, value, [x[j] for x in wit],
+                                    False)
     return out
 
 
-def _triple_norm_search(alg: TracedAlgebra, pool: _TriplePool, budget: SearchBudget,
-                        quick: bool) -> list[TripleNormResult]:
+def _triple_norm_search(alg: TracedAlgebra, pool: _TriplePool,
+                        budget: SearchBudget) -> list[TripleNormResult]:
     """The |||.|||_2 search of a stack of elements from their candidate
     pool, each result the one a stack of one gives, bit for bit.
 
-    A PSD element is exact on its knapsack.  Without ``quick``, each non-exact
-    element's ascent starts from its three best candidates and the
+    A PSD element is exact on its knapsack.  Each other element's ascent
+    starts from every candidate of its pool, in slot order, and from the
     ``budget.starts`` random points (drawn once, the same for every
     element), and the starts of all elements climb as one ``_ascend``
     stack, each on its own F.  An element's first start with the highest
-    objective wins if it beats its pool; the winners are projected once more
-    and scored in one more stack.
+    objective wins if it beats its pool, which holds the witness of L; the
+    winners are projected once more and scored in one more stack.
     """
     items = len(pool.upper)
     upper, best = pool.upper.tolist(), pool.best.tolist()
     w_final = [[m[i] for m in pool.maximizer] for i in range(items)]
 
-    search = [] if quick else [i for i, u in enumerate(upper) if u != 0.0 and not pool.exact[i]]
+    search = [i for i, u in enumerate(upper) if u != 0.0 and not pool.exact[i]]
     if search:
         drawn = [random_hermitian(alg, rng, 0.7).blocks
                  for rng in substreams(budget.seed, budget.starts)]
@@ -985,11 +982,10 @@ def _triple_norm_search(alg: TracedAlgebra, pool: _TriplePool, budget: SearchBud
                 if drawn else [np.zeros((0, n, n), dtype=complex) for n in alg.block_sizes])
         owner, starts = [], [[] for _ in alg.block_sizes]
         for i in search:
-            obj = pool.objective[i]
-            order = [j for j in np.argsort(-obj, kind="stable")[:3] if np.isfinite(obj[j])]
-            owner.append(np.full(len(order) + len(drawn), i))
+            slots = np.isfinite(pool.objective[i]).nonzero()[0]
+            owner.append(np.full(len(slots) + len(drawn), i))
             for s, c, r in zip(starts, pool.candidates, rand):
-                s += [c[i, order], r]
+                s += [c[i, slots], r]
         owner = np.concatenate(owner)
         vals, ws = _ascend(alg, [b[owner] for b in pool.scaled],
                            [np.concatenate(s) for s in starts], budget.iters)
@@ -1006,9 +1002,7 @@ def _triple_norm_search(alg: TracedAlgebra, pool: _TriplePool, budget: SearchBud
             for j, i in enumerate(won):
                 best[i], w_final[i] = float(one[j]), [x[j] for x in w_win]
 
-    # |||F|||_2 <= ||F||_2: a pool value above it is rounding
-    return [_triple_result(alg, u, min(u * b, u), u * float(pool.rank1[i]), w,
-                           bool(pool.exact[i]))
+    return [_triple_result(alg, u, u * b, u * float(pool.rank1[i]), w, bool(pool.exact[i]))
             for i, (u, b, w) in enumerate(zip(upper, best, w_final))]
 
 
@@ -1091,7 +1085,7 @@ class _TargetNorm:
 
     ``batch_values`` scores whole candidate pools at once: ``nr`` on the
     pruned stacked theta grid (``_nr_grid``), ``triple2`` through the stacked
-    quick-path kernel ``_triple2_pool``.  A ranking runs the scorer only on
+    pool kernel ``_triple2_pool``.  A ranking runs the scorer only on
     the items whose upper bound from the polar mean (``_polar_mean``) can
     reach their pool's ``top`` best: Kittaneh's || |F| + |F*| || / 2 for
     ``nr``, the knapsack value K((|F| + |F*|) / 2) for ``triple2``.
@@ -1103,14 +1097,13 @@ class _TargetNorm:
     On a target algebra whose block weights are all >= 1 (the default
     TracedAlgebra([n]) included) |||F|||_2 = w(F) (see ``triple_norm``),
     and w of a block-diagonal matrix is the largest w of its blocks.  There
-    ``triple2`` is ``nr``, and ``key``, the search that runs,
-    is ``nr``: it ranks, certifies and takes the 1024-angle polish of
-    ``_superop_stack`` exactly as ``nr`` does.  With a weight below 1,
-    max_k min(w_k, 1) w(F_k) <= |||F|||_2 <= w(F), and ``key`` is
-    ``triple2``, which keeps its own pool.  |||.|||_2 is defined on
-    block-diagonal values alone, so ``triple2`` on a target of several
-    blocks refuses a map whose values leave the blocks
-    (``require_block_diagonal``) before anything is scored.
+    ``triple2`` is ``nr``, and ``key``, the search that runs, is ``nr``: it
+    ranks, certifies and takes the 1024-angle polish of ``_superop_stack``
+    exactly as ``nr`` does.  With a weight below 1 ``key`` is ``triple2``,
+    which keeps its own pool.  |||.|||_2 is defined on block-diagonal
+    values alone, so ``triple2`` on a target of several blocks refuses a map
+    whose values leave the blocks (``require_block_diagonal``) before
+    anything is scored.
     """
 
     NR_GRID = 256
@@ -1152,8 +1145,8 @@ class _TargetNorm:
 
         The ``nr`` search scores the dense matrices on the pruned theta
         grid (``_nr_grid``), the ``triple2`` one the target blocks with
-        ``_triple2_pool``.  For ``nr``, a row whose largest |entry| lies
-        outside [2^-64, 2^64] is scored and bounded as 2^-e M
+        ``_triple2_pool``.  For either key, a row whose largest |entry|
+        lies outside [2^-64, 2^64] is scored and bounded as 2^-e M
         (``_unit_rows``), and both are multiplied back by 2^e, exactly; the
         other rows keep their bits.
         A ranking takes two passes over an upper bound from ``_polar_mean``:
@@ -1169,16 +1162,15 @@ class _TargetNorm:
         call over every group, so one polar mean and three scoring stacks at
         most rank any number of groups.
         """
-        exp = None
+        unit, exp = _unit_rows(mats)
         if self.key == "nr":
-            unit, exp = _unit_rows(mats)
             alg, blocks = TracedAlgebra([mats.shape[-1]]), [np.asarray(unit)]
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return np.max(_nr_grid(bs[0], self.NR_GRID, 1), axis=1)
         else:
             alg = self.target_algebra
-            blocks = _target_blocks(mats, alg)
+            blocks = _target_blocks(unit, alg)
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return _triple2_pool(alg, bs).values
@@ -1217,13 +1209,13 @@ class _TargetNorm:
         """Values and certificates C of a (B, n, n) stack of matrices M.
 
         Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.  For
-        ``nr``, a row whose largest |entry| lies outside [2^-64, 2^64] is
-        certified as 2^-e M (``_unit_rows``): C is unchanged and the value
-        is multiplied back by 2^e.
+        either key, a row whose largest |entry| lies outside [2^-64, 2^64]
+        is certified as 2^-e M (``_unit_rows``): C is unchanged and the
+        value is multiplied back by 2^e.
         """
+        unit, exp = _unit_rows(mats)
         if self.key == "nr":
             # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
-            unit, exp = _unit_rows(mats)
             grid, found = _nr_peaks(np.asarray(unit), self.NR_GRID, 1)
             top = np.array([p[0] for p in found])
             vals, vecs, thetas = _nr_top(unit, top * (TWO_PI / self.NR_GRID),
@@ -1234,13 +1226,15 @@ class _TargetNorm:
             certs[zero] = 0.0
             return np.where(zero, 0.0, vals if exp is None else np.ldexp(vals, exp)), certs
         alg = self.target_algebra
-        blocks = _target_blocks(mats, alg)
+        blocks = _target_blocks(unit, alg)
         pool = _triple2_pool(alg, blocks)
         # Re tr_rho(D* W M W) = Re tr(C M) with C = blockdiag(w_k W_k D_k* W_k),
         # D the unitary polar factor of W M W
         polar = _trace_norm_polar(alg, [w @ f @ w for w, f in zip(pool.maximizer, blocks)])[1]
-        return pool.values, alg.block_diag([wt * (w @ d @ w) for wt, w, d in
-                                            zip(alg.weights, pool.maximizer, polar)])
+        vals = pool.values
+        return (vals if exp is None else np.ldexp(vals, exp),
+                alg.block_diag([wt * (w @ d @ w) for wt, w, d in
+                                zip(alg.weights, pool.maximizer, polar)]))
 
 
 # -- unit-ball search -------------------------------------------------------------

@@ -344,10 +344,10 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
 
     All samples are drawn first, and the Cauchy-Schwarz values of all the
     maps come from one ``_random_map_pairs`` call.  Per algebra, the
-    sandwich elements and the PSD right-hand sides go through one full
-    ``_triple_norm_stack`` call, the left-hand sides through one quick call,
-    and the sandwich's w(F) through one ``_nr_elements`` call; each value is
-    the one a call per element gives.  The algebras have unit weights, so
+    sandwich elements, the left-hand sides and the PSD right-hand sides go
+    through one ``_triple_norm_stack`` call, and the sandwich's w(F) through
+    one ``_nr_elements`` call; each value is the one a call per element
+    gives.  The algebras have unit weights, so
     |||F|||_2 = w(F) there, and the sandwich's lower side compares w on the
     1024-angle grid with w on a 512-angle one."""
     _require_trials(samples, seed)
@@ -376,17 +376,16 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
     worst_cs = -math.inf
     for j, alg in enumerate(algebras):
         f_j, cs_j = fs[j::len(algebras)], cs[j::len(algebras)]
-        full = _triple_norm_stack(alg, f_j + [c[1] for c in cs_j] + [c[2] for c in cs_j],
-                                  budget)
+        n_f, n_cs = len(f_j), len(cs_j)
+        full = _triple_norm_stack(alg, f_j + [c[r] for r in range(3) for c in cs_j], budget)
         for f, res, wf in zip(f_j, full, _nr_elements(f_j, 512).tolist()):
             up = schatten_norm(f, 2.0)
             worst_low = min(worst_low, res.value - wf)
             worst_high = max(worst_high, res.value - up)
             if not (wf - 1e-6 <= res.value <= up + 1e-9):
                 sandwich_failures += 1
-        quick = _triple_norm_stack(alg, [c[0] for c in cs_j], budget, quick=True)
-        rx, ry = full[len(f_j):len(f_j) + len(cs_j)], full[len(f_j) + len(cs_j):]
-        for lhs, x_res, y_res in zip(quick, rx, ry):              # PSD: exact knapsack
+        lhs_res, rx, ry = (full[n_f + r * n_cs:n_f + (r + 1) * n_cs] for r in range(3))
+        for lhs, x_res, y_res in zip(lhs_res, rx, ry):            # rhs PSD: exact knapsack
             rhs = math.sqrt(max(x_res.value, 0.0)) * math.sqrt(max(y_res.value, 0.0))
             worst_cs = max(worst_cs, lhs.value - rhs)
             if lhs.value > rhs + 1e-6:
