@@ -163,6 +163,7 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
     construction) or an already-assembled left-invariant SesquilinearMap over
     ``domain``.  Positivity is sampled at 256 points drawn from ``seed``.
     """
+    resid = None
     if isinstance(source, SesquilinearMap):
         phi = source
         if phi.domain_algebra is None or phi.domain_algebra.dim != domain.dim:
@@ -205,11 +206,13 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
 
     rep = GnsRepresentation(domain=domain, target=target, phi=phi, null_basis=kernel,
                             quotient_frame=frame, pi=pi, cyclic=xi)
-    rep.residuals = _residuals(rep)
+    rep.residuals = _residuals(rep, resid)
     return rep
 
 
-def _residuals(rep: GnsRepresentation) -> dict:
+def _residuals(rep: GnsRepresentation, invariance: float | None) -> dict:
+    """The construction's residuals; ``invariance`` is a left-invariance
+    residual already measured on ``rep.phi``, if any."""
     domain, phi = rep.domain, rep.phi
     d = domain.dim
     scale = phi.gram_scale()
@@ -228,10 +231,11 @@ def _residuals(rep: GnsRepresentation) -> dict:
     mult = _max_abs(prods - (pis[:, None] @ pis[None]).reshape(prods.shape)) / (pscale * pscale)
     adjoint = _max_abs(stars - pis.conj().swapaxes(-1, -2)) / pscale
 
-    inv = check_left_invariance(phi)
+    if invariance is None:
+        invariance = check_left_invariance(phi)
     return {"reconstruction": recon, "multiplicativity": float(mult.max(initial=0.0)),
             "adjointness": float(adjoint.max(initial=0.0)),
-            "cyclicity_rank": rep.cyclic_span_dim, "invariance": inv}
+            "cyclicity_rank": rep.cyclic_span_dim, "invariance": invariance}
 
 
 def _max_abs(mats: np.ndarray) -> np.ndarray:

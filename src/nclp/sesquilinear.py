@@ -18,11 +18,12 @@ with the source's matrix units as the middle factors.  Generator-backed
 maps are positive by construction; plain gram stacks get a sufficient
 block-PSD test or honest sampling.
 
-Sweeps over many ``random_map`` draws take one path, ``_random_map_pairs``:
-it builds the gram stacks of every (target, d, rank) shape with the same
-helper as ``from_generator``, over a trial axis, and evaluates Phi(x, y),
-Phi(x, x) and Phi(y, y) of all the shape's trials in one combine.  Each
-value is the one ``evaluate_stack`` gives that trial's map alone.
+Every value sum_ij x_i conj(y_j) Phi(e_i, e_j) is one ``_slot_sum``: the
+products with the d*d gram slots in one broadcast multiply, added left to
+right by ``np.add.accumulate``.  Sweeps over many ``random_map`` draws take
+``_random_map_pairs``: it builds the gram stacks of every (target, d, rank)
+shape with ``from_generator``'s helper over a trial axis and sums Phi(x, y),
+Phi(x, x), Phi(y, y) of its trials at once, each as ``evaluate_stack`` alone.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ __all__ = ["SesquilinearMap", "evaluate", "evaluate_stack", "check_positivity",
            "check_left_invariance", "random_map", "from_linear_map", "scalar_gram"]
 
 DEFAULT_POSITIVITY_SAMPLES = 512
-# coefficients evaluate_stack forms at once, which bounds its scratch memory
-STACK_COEFFS = 1 << 14
+# slot products a slot sum forms at once; numpy buffers broadcast operands up to
+# 8192 elements, so larger chunks would take more scratch than per-slot products
+STACK_COEFFS = 1 << 11
 
 
 class SesquilinearMap:
@@ -57,7 +59,11 @@ class SesquilinearMap:
 
     def __init__(self, target: TracedAlgebra, gram: Sequence[np.ndarray],
                  domain_algebra: StarAlgebra | None = None):
-        stacks = tuple(np.array(g, dtype=complex) for g in gram)
+        self._adopt(target, tuple(np.array(g, dtype=complex) for g in gram), domain_algebra)
+
+    def _adopt(self, target: TracedAlgebra, stacks: tuple[np.ndarray, ...],
+               domain_algebra: StarAlgebra | None) -> None:
+        """Take ``stacks`` as the map's own gram: checked, then set read-only."""
         d = stacks[0].shape[0] if stacks and stacks[0].ndim == 4 else 0
         if d == 0 or len(stacks) != target.n_blocks or any(
                 g.shape != (d, d, n, n) for g, n in zip(stacks, target.block_sizes)):
@@ -84,7 +90,8 @@ class SesquilinearMap:
         """Phi(x, y) = sum_r T_r(x) G_r G_r* T_r(y)* from per-block stacks.
 
         ``coeffs[k]`` is the (R, d, n_k, n_k) stack of block k of A_{r,i} and
-        ``roots[k]`` the (R, n_k, n_k) stack of block k of G_r.
+        ``roots[k]`` the (R, n_k, n_k) stack of block k of G_r.  The map keeps
+        the C-contiguous gram stacks as built, checked like a given gram.
         """
         a_stacks = tuple(np.array(a, dtype=complex) for a in coeffs)
         g_stacks = tuple(np.array(g, dtype=complex) for g in roots)
@@ -97,9 +104,11 @@ class SesquilinearMap:
                                  "and one (R, n_k, n_k) root stack per target block, R >= 1")
         if not all(np.isfinite(s).all() for s in (*a_stacks, *g_stacks)):
             raise DomainError("generator factors must be finite")
-        gram = [_generator_gram(a, g @ g.conj().swapaxes(-1, -2))
-                for a, g in zip(a_stacks, g_stacks)]
-        phi = cls(target, gram, domain_algebra=domain_algebra)
+        phi = cls.__new__(cls)
+        with np.errstate(over="ignore", invalid="ignore"):     # _adopt refuses an overflow
+            gram = tuple(_generator_gram(a, g @ g.conj().swapaxes(-1, -2))
+                         for a, g in zip(a_stacks, g_stacks))
+        phi._adopt(target, gram, domain_algebra)
         for s in (*a_stacks, *g_stacks):
             s.setflags(write=False)
         phi.generator = (a_stacks, g_stacks)
@@ -164,43 +173,44 @@ def _generator_gram(a: np.ndarray, m: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _combine_rows(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per (K, ...) stack, the (T, ...) rows sum_s coeffs[t, s] stack[s] of
-    (T, K) coefficients.
+def _slot_sum(coeffs: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The (T, ..., n, m) rows sum_s coeffs[t, ..., s] slots[t, ..., s] of
+    (T, ..., K, 1, 1) coefficients and slots broadcastable to (T, ..., K, n, m),
+    over the rows too when their leading axis has length 1.
 
-    Each row is accumulated from zero over the slots in index order, skipping
-    its zero coefficients, so it does not depend on the other rows.
+    The products of ``STACK_COEFFS`` at a time are summed over the slot axis
+    left to right by ``np.add.accumulate``, in place, and added into a zeroed
+    C-contiguous output.  That is the sum a loop from zero over the slots
+    gives, skipping zero coefficients or not: they add zeros to rows never -0.
     """
-    out = [np.zeros((len(coeffs), *g.shape[1:]), dtype=complex) for g in stacks]
-    live = coeffs != 0
-    # per live slot: the rows it adds to and their coefficients.  A slot live
-    # in one row multiplies by the scalar coefficient: numpy may round a
-    # one-element complex product apart from a broadcast one.
-    slots = []
-    for s, n in enumerate(live.sum(axis=0).tolist()):
-        if n == 1:
-            r = int(np.flatnonzero(live[:, s])[0])
-            slots.append((s, r, coeffs[r, s]))
-        elif n == len(coeffs):
-            slots.append((s, slice(None), coeffs[:, s, None, None]))
-        elif n:
-            rows = np.flatnonzero(live[:, s])
-            slots.append((s, rows, coeffs[rows, s, None, None]))
-    for g, acc in zip(stacks, out):
-        for s, rows, c in slots:
-            acc[rows] += c * g[s]
+    out = np.zeros(coeffs.shape[:-3] + slots.shape[-2:], dtype=complex)
+    per_row = math.prod(coeffs.shape[1:-2]) * math.prod(slots.shape[-2:])
+    step = max(1, STACK_COEFFS // max(1, per_row))
+    for lo in range(0, len(out), step):
+        rows = slice(lo, lo + step)
+        terms = coeffs[rows] * (slots if len(slots) == 1 else slots[rows])
+        out[rows] += np.add.accumulate(terms, axis=-3, out=terms)[..., -1, :, :]
     return out
+
+
+def _combine_rows(coeffs: np.ndarray, stacks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Per (K, n, m) stack, the ``_slot_sum`` rows sum_s coeffs[t, s] stack[s] of
+    (T, K) coefficients, the stack broadcast over a leading row axis whatever T:
+    without that axis numpy rounds some products of 1x1 blocks apart."""
+    t, k = coeffs.shape
+    return [_slot_sum(coeffs.reshape(t, k, 1, 1), g[None]) for g in stacks]
 
 
 # -- operations -----------------------------------------------------------------
 
 def evaluate_stack(phi: SesquilinearMap, xs: np.ndarray,
                    ys: np.ndarray) -> list[np.ndarray]:
-    """Per-block (T, n_k, n_k) stacks of Phi(xs[t], ys[t]) for (T, d) inputs.
+    """Per-block (T, n_k, n_k) C-contiguous stacks of Phi(xs[t], ys[t]) for
+    (T, d) inputs.
 
     Each row is a ``_combine_rows`` row over the d*d gram slots, so it equals
-    a lone ``evaluate`` bit for bit.  Rows are taken in chunks of at most
-    ``STACK_COEFFS`` coefficients.
+    a lone ``evaluate`` bit for bit.  Rows go ``STACK_COEFFS`` slot products of
+    the largest block at a time; a single chunk is returned as it comes.
     """
     xs = np.asarray(xs, dtype=complex)
     ys = np.asarray(ys, dtype=complex)
@@ -210,15 +220,14 @@ def evaluate_stack(phi: SesquilinearMap, xs: np.ndarray,
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise DomainError("vectors need finite entries")
     flat = phi.flat_gram()
-    out = [np.zeros((len(xs), *g.shape[1:]), dtype=complex) for g in flat]
-    step = max(1, STACK_COEFFS // (d * d))
-    for lo in range(0, len(xs), step):
-        # the coefficient products as np.outer forms them, one row per pair
-        coeffs = (xs[lo:lo + step, :, None]
-                  * np.conj(ys[lo:lo + step])[:, None, :]).reshape(-1, d * d)
-        for acc, rows in zip(out, _combine_rows(coeffs, flat)):
-            acc[lo:lo + step] = rows
-    return out
+    step = max(1, STACK_COEFFS // (d * d * max(phi.target.block_sizes) ** 2))
+    # the coefficient products as np.outer forms them, one row per pair
+    chunks = [_combine_rows((xs[lo:lo + step, :, None]
+                             * np.conj(ys[lo:lo + step])[:, None, :]).reshape(-1, d * d), flat)
+              for lo in range(0, max(1, len(xs)), step)]
+    if len(chunks) == 1:
+        return chunks[0]
+    return [np.concatenate(rows) for rows in zip(*chunks)]
 
 
 def evaluate(phi: SesquilinearMap, x: np.ndarray, y: np.ndarray) -> AlgebraElement:
@@ -347,11 +356,8 @@ def _random_map_pairs(trials: Sequence[tuple]) -> dict:
     Each draw still takes its own generator, so the draws are those of
     ``random_map``.  Per (target, d, rank) shape, the gram stacks come from
     one ``_generator_gram`` call over a trial axis and the values from one
-    combine: the products of every trial's coefficients with its gram slots
-    at once, added in slot order to rows started at zero.  A zero
-    coefficient adds a zero to a row that is never -0, so every value is
-    the one ``evaluate_stack(random_map(...), [x, x, y], [y, x, y])`` gives,
-    bit for bit.
+    ``_slot_sum`` of every trial's coefficients with its own gram slots, so
+    each is ``evaluate_stack(random_map(...), [x, x, y], [y, x, y])`` bit for bit.
     """
     shapes: dict = {}
     for i, (target, d, rank, *_) in enumerate(trials):
@@ -361,18 +367,12 @@ def _random_map_pairs(trials: Sequence[tuple]) -> dict:
         x = np.array([trials[i][4] for i in ids], dtype=complex)
         y = np.array([trials[i][5] for i in ids], dtype=complex)
         # the coefficient products as evaluate_stack forms them
-        coeffs = (np.stack([x, x, y], axis=1)[..., :, None]
-                  * np.conj(np.stack([y, x, y], axis=1))[..., None, :])
-        coeffs = coeffs.reshape(len(ids), 3, d * d, 1, 1)
+        coeffs = (np.stack([x, x, y], axis=1)[..., :, None] * np.conj(
+            np.stack([y, x, y], axis=1))[..., None, :]).reshape(len(ids), 3, d * d, 1, 1)
         z = np.stack([_kraus_draw(d, target, rank, trials[i][3]) for i in ids], axis=1)
-        vals = []
-        for a, g, n in zip(*_kraus_factors(z, target, d), target.block_sizes):
-            gram = _generator_gram(a, g @ g.conj().swapaxes(-1, -2))
-            terms = coeffs * gram.reshape(len(ids), 1, d * d, n, n)
-            acc = np.zeros((len(ids), 3, n, n), dtype=complex)
-            for s in range(d * d):
-                acc += terms[:, :, s]
-            vals.append(acc)
+        vals = [_slot_sum(coeffs, _generator_gram(a, g @ g.conj().swapaxes(-1, -2))
+                          .reshape(len(ids), 1, d * d, n, n))
+                for a, g, n in zip(*_kraus_factors(z, target, d), target.block_sizes)]
         by_target.setdefault(target, []).append((ids, vals))
     return {target: ([i for ids, _ in groups for i in ids],
                      [np.concatenate(v) for v in zip(*(vals for _, vals in groups))])

@@ -3,8 +3,10 @@ import pytest
 
 from nclp.algebra import TracedAlgebra, schatten_norm
 from nclp.errors import ConditioningError, PreconditionError
+from nclp import gns
 from nclp.gns import gns_construct, null_space, verify_representation
-from nclp.sesquilinear import SesquilinearMap, evaluate, from_linear_map
+from nclp.sesquilinear import (SesquilinearMap, check_left_invariance, evaluate,
+                               from_linear_map)
 from nclp.star import cyclic_group_algebra, matrix_algebra
 from nclp.suites import random_positive_linear_map
 
@@ -138,6 +140,24 @@ class TestConstruction:
         rep = gns_construct(phi, phi.domain_algebra, alg)
         assert rep.quotient_dim == 4
         assert rep.residuals["reconstruction"] <= 1e-10
+
+    @pytest.mark.parametrize("as_map", [True, False], ids=["map", "omega"])
+    def test_invariance_is_measured_once(self, monkeypatch, as_map):
+        # a map source reports the residual its precondition measured
+        dom, target = matrix_algebra(2), TracedAlgebra([2, 1], [1.0, 0.5])
+        omega = random_positive_linear_map(dom, target, rank=2, rng=np.random.default_rng(5))
+        phi = from_linear_map(omega, dom, target)
+        expected = check_left_invariance(phi)
+        calls = []
+
+        def counted(psi):
+            calls.append(psi)
+            return check_left_invariance(psi)
+
+        monkeypatch.setattr(gns, "check_left_invariance", counted)
+        rep = gns_construct(phi if as_map else omega, dom, target)
+        assert len(calls) == 1
+        assert rep.residuals["invariance"] == expected
 
     def test_non_invariant_map_rejected(self, tr2):
         dom = matrix_algebra(2)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from nclp.algebra import AlgebraElement, TracedAlgebra, _stacked_schatten, schatten_norm, trace
 from nclp.errors import DomainError, PreconditionError, StructureError
+from nclp.gns import gns_construct
 from nclp import sesquilinear
 from nclp.inequalities import check_cs_lp
 from nclp.sampling import random_complex_matrix, rng_from
@@ -14,7 +15,7 @@ from nclp.sesquilinear import (SesquilinearMap, _block_gram_matrices, _combine_r
                                check_left_invariance, check_positivity, evaluate,
                                evaluate_stack, from_linear_map, random_map, scalar_gram)
 from nclp.star import cyclic_group_algebra, matrix_algebra
-from nclp.suites import random_positive_linear_map, target_pool
+from nclp.suites import random_operator_valued, random_positive_linear_map, target_pool
 
 from conftest import gram_of
 
@@ -323,6 +324,25 @@ class TestFromGenerator:
             with pytest.raises(StructureError):
                 SesquilinearMap.from_generator(weighted, c, r)
 
+    def test_overflowing_gram_is_refused(self, weighted, rng):
+        # finite factors near 1e160 whose gram overflows: refused, without a numpy warning
+        coeffs, roots = _generator_stacks(weighted, 2, 2, rng)
+        with pytest.raises(DomainError):
+            SesquilinearMap.from_generator(weighted, [1e160 * a for a in coeffs], roots)
+
+    def test_stacks_are_read_only_and_a_plain_gram(self, weighted, rng):
+        coeffs, roots = _generator_stacks(weighted, 2, 3, rng)
+        phi = SesquilinearMap.from_generator(weighted, coeffs, roots)
+        for s in (*phi.gram, *phi.generator[0], *phi.generator[1]):
+            assert not s.flags.writeable
+            with pytest.raises(ValueError):
+                s[(0,) * s.ndim] = 1.0
+        plain = SesquilinearMap(weighted, phi.gram)
+        xs, ys = rng.standard_normal((2, 9, 3)) + 1j * rng.standard_normal((2, 9, 3))
+        xs[rng.random((9, 3)) < 0.3] = 0.0
+        for a, b in zip(evaluate_stack(phi, xs, ys), evaluate_stack(plain, xs, ys)):
+            assert a.tobytes() == b.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(t=st.sampled_from(range(len(target_pool()))), rank=st.integers(1, 3),
            d=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
@@ -468,6 +488,106 @@ class TestEvaluateStack:
                 evaluate_stack(kraus_map, xs, ys)
 
 
+def _combine_rows_loop(coeffs, stacks):
+    """Reference slot sum: each row accumulated from zero over the slots in
+    index order, skipping its zero coefficients, one fancy-indexed add per
+    live slot (a slot live in one row multiplied by the scalar coefficient)."""
+    out = [np.zeros((len(coeffs), *g.shape[1:]), dtype=complex) for g in stacks]
+    live = coeffs != 0
+    slots = []
+    for s, n in enumerate(live.sum(axis=0).tolist()):
+        if n == 1:
+            r = int(np.flatnonzero(live[:, s])[0])
+            slots.append((s, r, coeffs[r, s]))
+        elif n == len(coeffs):
+            slots.append((s, slice(None), coeffs[:, s, None, None]))
+        elif n:
+            rows = np.flatnonzero(live[:, s])
+            slots.append((s, rows, coeffs[rows, s, None, None]))
+    for g, acc in zip(stacks, out):
+        for s, rows, c in slots:
+            acc[rows] += c * g[s]
+    return out
+
+
+def _signed_zeros(rng, a, frac):
+    """Set a fraction of the real and of the imaginary parts of ``a`` to -0.0."""
+    a.real[rng.random(a.shape) < frac] = -0.0
+    a.imag[rng.random(a.shape) < frac] = -0.0
+    return a
+
+
+@st.composite
+def slot_sums(draw):
+    """(T, K) coefficients with zero, -0.0 and one-live-slot rows, a list of
+    (K, n, m) stacks (gram blocks, 1x1 blocks, superop matrices or the
+    zero-rank GNS (K, 0, 0)), and a chunk bound (None: the default)."""
+    rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
+    t = draw(st.sampled_from([1, 2, 3, 5, 8, 13, 40]))
+    k = draw(st.sampled_from([1, 2, 3, 4, 9, 16, 27, 64, 81]))
+    n = draw(st.integers(1, 4))
+    trailing = draw(st.sampled_from([[(n, n)], [(n, n), (1, 1)], [(n * n, 1 + n % 3)],
+                                     [(0, 0)]]))
+    coeffs = _signed_zeros(rng, rng.standard_normal((t, k)) + 1j * rng.standard_normal((t, k)),
+                           draw(st.sampled_from([0.0, 0.2])))
+    coeffs[rng.random((t, k)) < draw(st.sampled_from([0.0, 0.3, 0.8, 1.0]))] = 0.0
+    if draw(st.booleans()):                              # -0.0 parts in zero coefficients
+        coeffs[coeffs == 0] = complex(-0.0, -0.0)
+    for r in np.flatnonzero(rng.random(t) < 0.3):        # rows with one live slot
+        keep = coeffs[r, rng.integers(k)]
+        coeffs[r] = 0.0
+        coeffs[r, rng.integers(k)] = keep
+    frac = draw(st.sampled_from([0.0, 0.3]))
+    stacks = [_signed_zeros(rng, rng.standard_normal((k, *sh))
+                            + 1j * rng.standard_normal((k, *sh)), frac) for sh in trailing]
+    return coeffs, stacks, draw(st.sampled_from([None, 1, 5, 81, 300, 4096]))
+
+
+class TestSlotSum:
+    """The vectorised slot sum is the per-slot loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=slot_sums())
+    def test_combine_rows_is_the_slot_loop_bit_for_bit(self, case):
+        coeffs, stacks, chunk = case
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk is not None:
+                mp.setattr(sesquilinear, "STACK_COEFFS", chunk)
+            got = _combine_rows(coeffs, stacks)
+        for g, want in zip(got, _combine_rows_loop(coeffs, stacks)):
+            assert g.shape == want.shape and g.flags.c_contiguous
+            assert g.tobytes() == want.tobytes()
+
+
+class TestLayout:
+    """The stacks the package hands to norms and certificates are C-ordered:
+    some of those results (the nr certificate's BLAS products) follow the
+    memory layout of their input."""
+
+    @pytest.mark.parametrize("coeffs", [None, 9], ids=["one-chunk", "chunked"])
+    def test_evaluate_stack_rows(self, weighted, monkeypatch, coeffs):
+        if coeffs is not None:
+            monkeypatch.setattr(sesquilinear, "STACK_COEFFS", coeffs)
+        phi = random_map(3, weighted, rank=2, seed=2)
+        rng = rng_from(2)
+        xs, ys = rng.standard_normal((2, 7, 3)) + 1j * rng.standard_normal((2, 7, 3))
+        for rows in evaluate_stack(phi, xs, ys):
+            assert rows.shape[0] == 7 and rows.flags.c_contiguous
+
+    def test_superop_matrix(self):
+        phi = random_operator_valued(TracedAlgebra([2, 1]), 2, 2, 2, 4)
+        assert phi.superop([1, 0.5j], [0.3, 1]).matrix.flags.c_contiguous
+
+    def test_pi_rows(self):
+        dom, target = matrix_algebra(2), TracedAlgebra([2])
+        omega = random_positive_linear_map(dom, target, rank=1, rng=rng_from(3))
+        rep = gns_construct(omega, dom, target)
+        rng = rng_from(3)
+        rows = rep.pi_rows(rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4)))
+        assert rows.shape == (5, rep.quotient_dim, rep.quotient_dim)
+        assert rows.flags.c_contiguous
+
+
 class TestRandomMapPairs:
     """The stacked trial kernel gives each trial the values of its own
     random map, bit for bit, whatever the other trials in the call."""
@@ -498,8 +618,7 @@ class TestRandomMapPairs:
                 assert tg == target
                 phi = random_map(d, tg, rank=rank, seed=seed)
                 lone = evaluate_stack(phi, [x, x, y], [y, x, y])
-                # evaluate_stack skips zero slots and multiplies a slot live
-                # in one row by a scalar; the kernel adds every slot's product
+                # both are one _slot_sum, over a trial axis here
                 for v, b in zip(vals, lone):
                     assert v[j].tobytes() == b.tobytes()
                 for r, (u, w) in enumerate(((x, y), (x, x), (y, y))):
