@@ -63,7 +63,11 @@ def null_space(phi: SesquilinearMap) -> np.ndarray:
     map.  Eigenvalues inside (1e-10, 1e-6) * lambda_max abort with a
     conditioning error because the null-space decision would be ambiguous.
     """
-    s = _hermitian_scalar_gram(phi)
+    return _null_space_of(phi, _hermitian_scalar_gram(phi))
+
+
+def _null_space_of(phi: SesquilinearMap, s: np.ndarray) -> np.ndarray:
+    """``null_space`` of ``phi`` from its hermitian scalar gram ``s``."""
     lam, q = np.linalg.eigh(s)
     lam_max = float(lam[-1]) if lam.size else 0.0
     if lam_max <= 0.0:
@@ -176,7 +180,7 @@ def gns_construct(source: Sequence[AlgebraElement] | SesquilinearMap,
     check_positivity(phi, trials=256, seed=seed).require()
 
     s = _hermitian_scalar_gram(phi)
-    kernel = null_space(phi)
+    kernel = _null_space_of(phi, s)
     d = domain.dim
     rank = d - kernel.shape[1]
 

@@ -223,7 +223,8 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
                       mu_grid: Sequence[float] | None = None) -> UncertaintyReport:
     """Uncertainty relation Delta_a(lam) * Delta_b(mu) >= gamma/2 on a grid.
 
-    Requires a left-invariant hermitian map over a unital *-algebra and
+    Requires a left-invariant positive hermitian map over a unital *-algebra
+    (a ``check_positivity`` violation raises ``PreconditionError``) and
     symmetric a, b.  The commutator k = i(ab - ba) is recomputed from the
     algebra and the defining identity
     Phi(a x, b* y) - Phi(b x, a* y) = Phi(i k x, y) is verified on all basis
@@ -243,6 +244,7 @@ def uncertainty_check(phi: SesquilinearMap, a: np.ndarray, b: np.ndarray,
     inv_resid = check_left_invariance(phi)
     if inv_resid > INVARIANCE_TOL:
         raise PreconditionError(f"map is not left-invariant: residual {inv_resid:.3e}")
+    check_positivity(phi).require()
 
     ab = alg.multiply(a, b)
     ba = alg.multiply(b, a)

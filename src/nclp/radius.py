@@ -13,9 +13,9 @@ Four layers:
   the best coarse angle.  For one peak the floor is the best coarse value,
   the tie test reads a row's top two values and the peak is an ``argmax``.
   Each value computed is the full grid's, bit for bit.  One kernel,
-  ``_nr_stack``, gives w of a stack of matrices in one grid and one Newton
-  stack: at most 3 ``eigvalsh`` calls and one ``eigh`` per Newton step,
-  the top eigenvector taken from the step at the winning angle.  A normal
+  ``_nr_stack``, gives w of one C-contiguous stack (the same bits in any
+  layout) in one grid and one Newton stack: at most 3 ``eigvalsh`` calls and
+  one ``eigh`` per Newton step, the top eigenvector from the winning step.  A normal
   matrix takes no grid: for it rho(M) <= w(M) <= || |M| + |M*| || / 2
   (Kittaneh) is an equality, settled by ``_nr_normal``,
 * ``triple_norm``: the L^2 radius norm |||F|||_2 = sup ||W F W||_1 over
@@ -227,27 +227,28 @@ def _nr_peaks(mats: np.ndarray, grid: int, count: int) -> tuple[np.ndarray, list
     return vals, _grid_peaks(vals, count)
 
 
-def _nr_top(mats: np.ndarray | Sequence[np.ndarray], thetas: np.ndarray | Sequence[float],
-            vals: Sequence[float], vecs: Sequence[np.ndarray] | None = None
-            ) -> tuple[list[float], Sequence[np.ndarray], list[float]]:
-    """Top eigenvector h of Re(e^{i theta} M) at each item's angle, and (value,
-    h, angle) per item: |<Mh, h>| is itself a lower bound, tight at the
-    optimum, so it replaces the item's value in ``vals`` if it beats it.
-    ``mats`` is a stack or a list of matrices; <Mh, h> is taken on each as
-    given.  ``vecs``, if given, holds the h, already solved at ``thetas``."""
+def _nr_top(mats: np.ndarray, thetas: Sequence[float], vals: Sequence[float],
+            vecs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top eigenvector h of Re(e^{i theta} M) at each row's angle of a C-contiguous
+    stack, and (values, h, angles): |<Mh, h>|, a lower bound tight at the optimum,
+    replaces a row's value in ``vals`` if it beats it (``vecs``, if given, holds
+    h).  Bit rule: <Mh, h> is two stacked matrix-vector products, each row's bits
+    conj(h) @ (M @ h)'s alone; |<Mh, h>| is ``np.hypot`` (as ``abs``, not
+    ``np.abs``), an angle ``-math.atan2`` (not ``np.arctan2``)."""
     if vecs is None:
-        rot = np.exp(1j * thetas)[:, None, None] * np.asarray(mats)
+        rot = np.exp(1j * np.asarray(thetas))[:, None, None] * mats
         vecs = np.linalg.eigh(hermitian_part_of(rot))[1][..., -1]
-    vals, thetas = list(vals), list(thetas)
-    for i, (mat, vec) in enumerate(zip(mats, vecs)):
-        quad = complex(np.conj(vec) @ (mat @ vec))
-        if abs(quad) > vals[i]:
-            vals[i], thetas[i] = abs(quad), -math.atan2(quad.imag, quad.real)
+    quad = (np.conj(vecs)[:, None, :] @ (mats @ vecs[..., None]))[:, 0, 0]
+    mod = np.hypot(quad.real, quad.imag)
+    up = (mod > vals).nonzero()[0]
+    vals, thetas = np.array(vals, dtype=float), np.array(thetas, dtype=float)
+    vals[up] = mod[up]
+    thetas[up] = [-math.atan2(q.imag, q.real) for q in quad[up].tolist()]
     return vals, vecs, thetas
 
 
 def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
-               best: Sequence[float]) -> tuple[list[float], list[float], list[np.ndarray]]:
+               best: Sequence[float]) -> tuple[list[float], list[float], np.ndarray]:
     """Maxima of f(theta) = lambda_max(Re(e^{i theta} M)) for a stack of rows
     (M, theta0), each on [theta0 - step, theta0 + step].
 
@@ -265,7 +266,7 @@ def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
     Python floats, the same IEEE operations row by row.  ``best`` is a value
     per row already held at theta0 (-inf for none): an angle replaces theta0
     only if f there is larger.  Returns per row the best angle, its value
-    and the top eigenvector v there, a column of the stacked ``eigh`` output.
+    and the top eigenvector v there, one (B, n) array of ``eigh`` columns.
     """
     theta = [float(t) for t in thetas]
     count = len(theta)
@@ -313,14 +314,14 @@ def _nr_newton(mats: np.ndarray, thetas: Sequence[float], step: float,
                 theta[i] = nxt
                 moved.append(i)
         live = moved
-    return best_t, best_f, [q[k, :, -1] for q, k in src]
+    return best_t, best_f, np.array([q[k, :, -1] for q, k in src])
 
 
-def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
-               rows: np.ndarray, out: np.ndarray, vecs: np.ndarray | None = None) -> np.ndarray:
-    """Settle the ``rows`` of a stack that the normal bracket closes: write
-    their w into ``out`` (and their h into ``vecs``, if given) and return
-    the other rows.
+def _nr_normal(stack: np.ndarray, rows: np.ndarray, out: np.ndarray,
+               vecs: np.ndarray | None = None) -> np.ndarray:
+    """Settle the ``rows`` of a C-contiguous stack that the normal bracket
+    closes: write their w into ``out`` (and their h into ``vecs``, if given)
+    and return the other rows.
 
     For normal M, rho(M) <= w(M) <= || |M| + |M*| || / 2 (Kittaneh, Studia
     Math. 158, 2003) is an equality.  Rows with ||M M* - M* M||_F <=
@@ -343,8 +344,7 @@ def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
     upper = _polar_mean(TracedAlgebra([sub.shape[-1]]), [sub])[0][:, -1]
     eig = np.linalg.eigvals(sub)
     top = eig[np.arange(len(sub)), np.argmax(np.abs(eig), axis=1)]
-    vals, hs, _ = _nr_top([mats[i] for i in rows[pick]], -np.angle(top), [0.0] * len(sub))
-    vals = np.array(vals)
+    vals, hs, _ = _nr_top(sub, -np.angle(top), np.zeros(len(sub)))
     closed = vals >= upper - 1e-12 * fro[pick]
     out[rows[pick][closed]] = vals[closed]
     if vecs is not None:
@@ -353,11 +353,10 @@ def _nr_normal(stack: np.ndarray, mats: np.ndarray | Sequence[np.ndarray],
     return rows[~pick]
 
 
-def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
-              vecs: np.ndarray | None = None) -> np.ndarray:
-    """w(M) of every matrix of a (B, n, n) stack or a list of n x n matrices;
-    zero matrices give 0.  With ``vecs``, a (B, n) array, each nonzero
-    matrix's unit vector h with |<Mh, h>| = w(M) is written into it.
+def _nr_stack(mats: np.ndarray, grid: int, vecs: np.ndarray | None = None) -> np.ndarray:
+    """w(M) of every matrix of a (B, n, n) stack; zero matrices give 0.
+    With ``vecs``, a (B, n) array, each nonzero matrix's unit vector h with
+    |<Mh, h>| = w(M) is written into it.
 
     Normal matrices are settled first on rho(M) <= w(M) <= || |M| + |M*| || / 2
     (``_nr_normal``), with no grid.  For the others, one pruned grid
@@ -367,12 +366,10 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
     its first peak, at its grid value, unless a refined angle beats it; the
     top eigenvector h there is the one of the Newton step that evaluated
     that angle, the same ``eigh`` input bit for bit, so no ``eigh`` is spent
-    on it, and ``_nr_top`` only forms <Mh, h>.  The grid and the refinement
-    give each matrix the same bits whatever its memory layout, but <Mh, h>
-    is a BLAS matrix-vector product whose last bits follow the layout, so it
-    is taken on each matrix as given: a list may mix layouts (an adjoint as
-    a transposed view), a row of a stack has the stack's.  Each value is the
-    one ``numerical_radius`` gives that matrix alone, bit for bit.
+    on it, and ``_nr_top`` only forms <Mh, h>.  Every step runs on the one
+    C-contiguous stack ``_unit_rows`` makes, so a matrix's value does not
+    depend on its memory layout, and each value is the one
+    ``numerical_radius`` gives that matrix alone, bit for bit.
 
     Scaling rule: w(cM) = |c| w(M), and the grid's margin and the Newton
     noise floor square entries, so a row whose largest |entry| lies outside
@@ -380,17 +377,15 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
     e its exponent, and its value is multiplied back by 2^e.  Both steps are
     ``ldexp``, which is exact; the other rows keep their bits.
     """
-    unit, exp = _unit_rows(mats)
+    stack, exp = _unit_rows(mats)
     if exp is not None:
-        return np.ldexp(_nr_stack(unit, grid, vecs), exp)
-    stack = np.asarray(mats)
+        return np.ldexp(_nr_stack(stack, grid, vecs), exp)
     out = np.zeros(len(stack))
-    rows = stack.any(axis=(1, 2)).nonzero()[0]
-    rows = _nr_normal(stack, mats, rows, out, vecs)
+    rows = _nr_normal(stack, stack.any(axis=(1, 2)).nonzero()[0], out, vecs)
     if not rows.size:
         return out
     if rows.size < len(stack):
-        stack, mats = stack[rows], [mats[i] for i in rows]
+        stack = stack[rows]
     vals, found = _nr_peaks(stack, grid, 3)
     step = TWO_PI / grid
     owner, angles, held = [], [], []
@@ -408,23 +403,21 @@ def _nr_stack(mats: np.ndarray | Sequence[np.ndarray], grid: int,
                 j = r
         win.append(j)
         at += len(p)
-    out[rows], hs, _ = _nr_top(mats, [thetas[j] for j in win], [tops[j] for j in win],
-                               [hs[j] for j in win])
+    out[rows], hs, _ = _nr_top(stack, [thetas[j] for j in win], [tops[j] for j in win], hs[win])
     if vecs is not None:
         vecs[rows] = hs
     return out
 
 
-def _unit_rows(mats: np.ndarray | Sequence[np.ndarray]
-               ) -> tuple[np.ndarray | Sequence[np.ndarray], np.ndarray | None]:
-    """The matrices of a (B, n, n) stack or a list, each whose largest
-    |entry| lies outside [2^-64, 2^64] (``_unit_exponents``) as 2^-e M in
-    its own layout, e its exponent, and the exponents; ``mats`` itself and
-    None when no matrix lies outside."""
-    exp = _unit_exponents(np.abs(mats).max(axis=(1, 2), initial=0.0))
+def _unit_rows(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A (B, n, n) stack as one C-contiguous complex stack, each M whose largest
+    |entry| lies outside [2^-64, 2^64] (``_unit_exponents``) as 2^-e M, and
+    the exponents e, None when no matrix lies outside."""
+    stack = np.ascontiguousarray(mats, dtype=complex)
+    exp = _unit_exponents(np.abs(stack).max(axis=(1, 2), initial=0.0))
     if exp is None:
-        return mats, None
-    return [_ldexp_complex(m, -e) if e else m for m, e in zip(mats, exp.tolist())], exp
+        return stack, None
+    return _ldexp_complex(stack, -exp[:, None, None]), exp
 
 
 def _require_finite(mats: Sequence[np.ndarray], what: str) -> None:
@@ -435,31 +428,33 @@ def _require_finite(mats: Sequence[np.ndarray], what: str) -> None:
 def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
     """w(T) = sup over unit vectors of |<Th, h>|.
 
-    Block-diagonal elements reduce to the maximum over blocks, each block a
-    stack of one for ``_nr_stack``.  Satisfies ||T||/2 <= w(T) <= ||T||
-    with equality w(T) = ||T|| for normal T.  A normal block is settled on
-    rho(T) <= w(T) <= || |T| + |T*| || / 2 without a grid (``_nr_normal``);
-    for the others, the three highest peaks of
-    lambda_max(Re(e^{i theta} T)) on ``grid`` angles are refined as one stack of safeguarded Newton steps
-    (``_nr_newton``), each within one grid step of its peak.  Of the grid,
-    only NR_COARSE coarse angles, the angles of the two coarse arcs around
-    the best of them, and the angles whose bound from the two coarse angles
-    around them (the outer polygon of the numerical range) reaches the 11th
-    highest value solved so far are eigensolved, about a tenth of a
-    generic grid of 1024; the peaks, and so w(T), are those of the full grid.
+    An element is one ``_nr_elements`` call, a matrix a stack of one for
+    ``_nr_stack``.  Satisfies ||T||/2 <= w(T) <= ||T||, an equality for normal T, which is
+    settled on rho(T) <= w(T) <= || |T| + |T*| || / 2 without a grid
+    (``_nr_normal``); for the others, the three highest peaks of
+    lambda_max(Re(e^{i theta} T)) on ``grid`` angles are refined as one
+    stack of safeguarded Newton steps (``_nr_newton``), each within one
+    grid step of its peak.  Of the grid, only NR_COARSE coarse angles, the
+    angles of the two coarse arcs around the best of them, and the angles
+    whose bound from the two coarse angles around them (the outer polygon of
+    the numerical range) reaches the 11th highest value solved so far are
+    eigensolved, about a tenth of a generic grid of 1024; the peaks, and so
+    w(T), are those of the full grid.
     Per block that is at most 3 ``eigvalsh`` calls and one ``eigh`` per
     Newton step (at most NR_NEWTON_STEPS); the maximizing vector comes from
     the Newton step at the winning angle, with no ``eigh`` of its own.
     Non-finite entries and a ``grid`` that is not an integer >= 1 raise
     ``DomainError``, an array that is not a square matrix ``StructureError``.
     """
-    mats = list(t.blocks) if isinstance(t, AlgebraElement) else [np.asarray(t, dtype=complex)]
-    if mats[0].ndim != 2 or mats[0].shape[0] != mats[0].shape[1]:
-        raise StructureError(f"numerical radius needs a square matrix, got shape {mats[0].shape}")
-    _require_finite(mats, "numerical radius")
     if isinstance(grid, bool) or not isinstance(grid, (int, np.integer)) or grid < 1:
         raise DomainError(f"numerical radius needs an integer grid >= 1, got {grid!r}")
-    return max(float(_nr_stack(m[None], grid)[0]) for m in mats)
+    if isinstance(t, AlgebraElement):
+        return float(_nr_elements([t], grid)[0])
+    mat = np.asarray(t, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise StructureError(f"numerical radius needs a square matrix, got shape {mat.shape}")
+    _require_finite([mat], "numerical radius")
+    return float(_nr_stack(mat[None], grid)[0])
 
 
 def _nr_elements(fs: Sequence[AlgebraElement], grid: int) -> np.ndarray:
@@ -469,8 +464,8 @@ def _nr_elements(fs: Sequence[AlgebraElement], grid: int) -> np.ndarray:
     if not fs:
         return np.zeros(0)
     _require_finite([b for f in fs for b in f.blocks], "numerical radius")
-    return np.max([_nr_stack(np.stack([f.blocks[k] for f in fs]), grid)
-                   for k in range(fs[0].algebra.n_blocks)], axis=0)
+    return np.maximum.reduce([_nr_stack(np.array([f.blocks[k] for f in fs]), grid)
+                              for k in range(fs[0].algebra.n_blocks)])
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +619,11 @@ def _block_knapsack(alg: TracedAlgebra, rates: np.ndarray) -> tuple[np.ndarray, 
     return (np.asarray(alg.weights) * rates * take).sum(axis=1), np.sqrt(take)
 
 
-def _rank1_witness(alg: TracedAlgebra, blocks: Sequence[np.ndarray | Sequence[np.ndarray]]
-                   ) -> tuple[np.ndarray, list[np.ndarray]]:
+def _rank1_witness(alg: TracedAlgebra,
+                   blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """The rank-one bound L of |||F|||_2 and the per-block (B, n_k, n_k)
-    stacks of a feasible W attaining it, for elements given per block as a
-    stack or a list of matrices (a list keeps each matrix's layout).
+    stacks of a feasible W attaining it, for elements given as one
+    C-contiguous (B, n_k, n_k) stack per block.
     W_k = t_k^{1/2} h_k h_k*, |<F_k h_k, h_k>| = w(F_k), has objective
     sum_k w_k t_k w(F_k) and ||W||_2^2 = sum_k w_k t_k, so L is the block
     knapsack on the rates w(F_k), each from one ``_nr_stack(..., 1024,
@@ -920,8 +915,8 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
     w(F) (see ``triple_norm``).  There PSD and zero elements get their
     knapsack pool (``_triple2_pool_of``), exact with no search, and every
     other element F gets L = w(F), its maximizer and its rank-one bound
-    from one ``_rank1_witness`` call on its blocks as given, and
-    ``upper_bound`` ||F||_2, or the value where rounding puts it above (a
+    from one ``_rank1_witness`` call on one C-contiguous stack per block,
+    and ``upper_bound`` ||F||_2, or the value where rounding puts it above (a
     1 x 1 block's |f| from ``hypot`` against LAPACK's); ``budget`` changes
     nothing there.  With a weight below 1 the whole search runs
     (``_triple_norm_search``).
@@ -948,8 +943,7 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
             out[i] = res
     rest = (~exact).nonzero()[0]
     if rest.size:
-        vals, wit = _rank1_witness(alg, [[fs[i].blocks[k] for i in rest]
-                                         for k in range(alg.n_blocks)])
+        vals, wit = _rank1_witness(alg, [b[rest] for b in blocks])
         for j, (i, value) in enumerate(zip(rest.tolist(), vals.tolist())):
             out[i] = _triple_result(alg, float(upper[i]), value, value, [x[j] for x in wit],
                                     False)
@@ -1164,7 +1158,7 @@ class _TargetNorm:
         """
         unit, exp = _unit_rows(mats)
         if self.key == "nr":
-            alg, blocks = TracedAlgebra([mats.shape[-1]]), [np.asarray(unit)]
+            alg, blocks = TracedAlgebra([unit.shape[-1]]), [unit]
 
             def score(bs: list[np.ndarray]) -> np.ndarray:
                 return np.max(_nr_grid(bs[0], self.NR_GRID, 1), axis=1)
@@ -1206,23 +1200,23 @@ class _TargetNorm:
         return vals
 
     def certify(self, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Values and certificates C of a (B, n, n) stack of matrices M.
+        """Values and certificates C of a (B, n, n) stack of matrices M,
+        taken as one C-contiguous stack (``_unit_rows``), whatever its layout.
 
         Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.  For
         either key, a row whose largest |entry| lies outside [2^-64, 2^64]
-        is certified as 2^-e M (``_unit_rows``): C is unchanged and the
-        value is multiplied back by 2^e.
+        is certified as 2^-e M: C is unchanged, the value multiplied by 2^e.
         """
         unit, exp = _unit_rows(mats)
         if self.key == "nr":
             # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
-            grid, found = _nr_peaks(np.asarray(unit), self.NR_GRID, 1)
+            grid, found = _nr_peaks(unit, self.NR_GRID, 1)
             top = np.array([p[0] for p in found])
             vals, vecs, thetas = _nr_top(unit, top * (TWO_PI / self.NR_GRID),
-                                         grid[np.arange(len(mats)), top].tolist())
-            certs = np.exp(1j * np.array(thetas))[:, None, None] * (
+                                         grid[np.arange(len(unit)), top])
+            certs = np.exp(1j * thetas)[:, None, None] * (
                 vecs[:, :, None] * vecs.conj()[:, None, :])
-            zero = ~mats.any(axis=(1, 2))
+            zero = ~unit.any(axis=(1, 2))
             certs[zero] = 0.0
             return np.where(zero, 0.0, vals if exp is None else np.ldexp(vals, exp)), certs
         alg = self.target_algebra

@@ -302,8 +302,8 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
 
     All samples are drawn first; then the w of each size's matrices M, their
     hermitian parts, adjoints and unitary conjugates come from one
-    ``_nr_stack`` call per size, each value the one ``numerical_radius``
-    gives alone."""
+    ``_nr_stack`` call on one C-contiguous stack per size, each value the one
+    ``numerical_radius`` gives alone."""
     _require_trials(trials, seed)
     shift = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     w_shift = numerical_radius(shift)
@@ -320,8 +320,8 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
         q = np.linalg.qr(np.stack([d[1] for d in draws]))[0]
         adj = m.conj().swapaxes(-1, -2)
         h = 0.5 * (m + adj)
-        # a list of rows keeps each adjoint a transposed view, as M.conj().T is
-        rows = [*m, *h, *adj, *(q @ m @ q.conj().swapaxes(-1, -2))]
+        # one C-contiguous stack: each value has the bits of its matrix alone
+        rows = np.concatenate([m, h, adj, q @ m @ q.conj().swapaxes(-1, -2)])
         wm, wh, wadj, wconj = _nr_stack(rows, 1024).reshape(4, -1)
         opn = np.linalg.svd(m, compute_uv=False)[:, 0]
         tol = 1e-9 * (1.0 + opn)

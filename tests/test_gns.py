@@ -159,6 +159,23 @@ class TestConstruction:
         assert len(calls) == 1
         assert rep.residuals["invariance"] == expected
 
+    def test_scalar_gram_is_built_once(self, monkeypatch, scal):
+        # the construction's null space is the one null_space gives, bit for
+        # bit, from the scalar gram it built itself
+        dom = matrix_algebra(2)
+        phi = from_linear_map(omega_a11(), dom, scal)
+        want = null_space(phi)
+        calls = []
+
+        def counted(psi, _f=gns.scalar_gram):
+            calls.append(psi)
+            return _f(psi)
+
+        monkeypatch.setattr(gns, "scalar_gram", counted)
+        rep = gns_construct(phi, dom, scal)
+        assert len(calls) == 1
+        assert want.shape[1] == 2 and rep.null_basis.tobytes() == want.tobytes()
+
     def test_non_invariant_map_rejected(self, tr2):
         dom = matrix_algebra(2)
         # gram with a non-invariant twist: Phi(x, y) = x_0 conj(y_0) * I only

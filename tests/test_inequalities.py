@@ -10,9 +10,9 @@ from nclp.inequalities import (RatioProfile, _delta_polynomial, check_cs_lp,
                                ratio_sampler, uncertainty_check)
 from nclp.kernels import KernelMap, OnePlusXTKernel
 from nclp.sesquilinear import (SesquilinearMap, check_positivity, evaluate_stack,
-                               random_map)
+                               from_linear_map, random_map)
 from nclp.star import matrix_algebra
-from nclp.verdict import report
+from nclp.verdict import VIOLATED, report
 
 from conftest import gram_of
 
@@ -201,6 +201,19 @@ class TestUncertainty:
         with pytest.raises(PreconditionError):
             uncertainty_check(kernel_phi, np.array([0, 1j, 0, 0]),
                               np.array([0, 1, 1, 0]), [0.0], [0.0])
+
+    @pytest.mark.parametrize("shift", [0.0, 10.0], ids=["sigma-x", "sigma-x+10e"])
+    def test_rejects_non_positive_map(self, shift):
+        # omega(X) = X_11 - 0.5 X_22 is not positive: the sweep would count
+        # 816 bound failures at a = sigma_x and none at sigma_x + 10 e, a
+        # silent pass
+        dom, target = matrix_algebra(2), TracedAlgebra([1])
+        phi = from_linear_map([target.diagonal([c]) for c in (1.0, 0.0, 0.0, -0.5)],
+                              dom, target)
+        assert check_positivity(phi).status == VIOLATED
+        a = np.array([shift, 1, 1, shift], dtype=complex)
+        with pytest.raises(PreconditionError, match="positivity"):
+            uncertainty_check(phi, a, np.array([0, -1j, 1j, 0]))
 
     def test_rejects_non_invariant_map(self, tr2):
         dom = matrix_algebra(2)

@@ -981,7 +981,7 @@ BRACKET_KINDS = ["zero", "hermitian", "symmetric", "psd", "normal", "unitary", "
 def _grid_only_nr(mats, grid=1024):
     """``_nr_stack`` with the normal bracket switched off: every row on the grid."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(radius, "_nr_normal", lambda stack, mats, rows, out, vecs=None: rows)
+        mp.setattr(radius, "_nr_normal", lambda stack, rows, out, vecs=None: rows)
         return radius._nr_stack(mats, grid)
 
 
@@ -995,7 +995,7 @@ class TestNormalBracket:
         got = radius._nr_stack(mats, 1024)
         fro = np.linalg.norm(mats, axis=(1, 2))
         w, rows = np.zeros(len(mats)), fro.nonzero()[0]
-        settled = np.setdiff1d(rows, radius._nr_normal(mats, mats, rows, w))
+        settled = np.setdiff1d(rows, radius._nr_normal(mats, rows, w))
         vals = w[settled]
         assert got[settled].tolist() == vals.tolist()
         upper = radius._polar_mean(TracedAlgebra([mats.shape[-1]]), [mats])[0][:, -1]
@@ -1028,11 +1028,72 @@ class TestNormalBracket:
         q = np.linalg.qr(random_complex_matrix(rng, 2, 2))[0]
         mats = np.stack([s * (q * [3.0, -1.0]) @ q.conj().T for s in (1e-6, 1.0, 1e6)])
         monkeypatch.setattr(np.linalg, "eigvals", lambda a, _f=np.linalg.eigvals: 1.0 / _f(a))
-        assert radius._nr_normal(mats, mats, np.arange(3), np.zeros(3)).tolist() == [0, 1, 2]
+        assert radius._nr_normal(mats, np.arange(3), np.zeros(3)).tolist() == [0, 1, 2]
         w = radius._nr_stack(mats, 1024)
         assert len(grid_angles) == 1
         assert w.tolist() == _grid_only_nr(mats).tolist()
         assert np.allclose(w, [3e-6, 3.0, 3e6], rtol=1e-14)
+
+
+@st.composite
+def layout_stacks(draw):
+    """Stacks of n x n generic, hermitian, normal and weighted-shift
+    matrices, n = 1..5, at unit scale or far from it (2^70)."""
+    n = draw(st.integers(1, 5))
+    rng = rng_from(draw(st.integers(0, 2 ** 32 - 1)))
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["generic", "hermitian", "normal", "shift"]),
+                              min_size=1, max_size=8)):
+        g = random_complex_matrix(rng, n, n)
+        q = np.linalg.qr(g)[0]
+        m = {"generic": g, "hermitian": g + g.conj().T, "normal": (q * np.diag(g)) @ q.conj().T,
+             "shift": np.diag(np.diag(g, k=1), k=1)}[kind]
+        mats.append(draw(st.sampled_from([1.0, 1e-3, 1e3, 2.0 ** 70])) * m)
+    return np.stack(mats)
+
+
+def _layouts(mats, picks):
+    """The values of ``mats`` as a C-ordered stack, an F-ordered copy, a
+    stack of per-matrix transposed views, a list of those views, and a list
+    mixing matrices of the three stacks (``picks``: 0, 1 or 2 per matrix)."""
+    c = np.ascontiguousarray(mats)
+    f = np.asfortranarray(mats)
+    t = np.ascontiguousarray(mats.swapaxes(-1, -2)).swapaxes(-1, -2)
+    return {"C": c, "F": f, "transposed": t, "views": list(t),
+            "mixed": [(c, f, t)[k][i] for i, k in enumerate(picks)]}
+
+
+class TestLayoutBits:
+    """The numerical-radius kernel takes its input as one C-contiguous
+    stack: the same values give the same bits whatever their memory layout,
+    values, maximizing vectors and certificates alike."""
+
+    @staticmethod
+    def _bits(x):
+        vecs = np.zeros((len(x), np.shape(x[0])[-1]), dtype=complex)
+        w = radius._nr_stack(x, 1024, vecs)
+        vals, certs = _TargetNorm("nr").certify(x)
+        alone = np.array([numerical_radius(m) for m in x])
+        return [w.tobytes(), vecs.tobytes(), alone.tobytes(), vals.tobytes(), certs.tobytes()]
+
+    @settings(max_examples=40, deadline=None)
+    @given(mats=layout_stacks(), data=st.data())
+    def test_same_values_same_bits(self, mats, data):
+        picks = data.draw(st.lists(st.integers(0, 2), min_size=len(mats), max_size=len(mats)))
+        layouts = _layouts(mats, picks)
+        want = self._bits(layouts.pop("C"))
+        assert want[0] == want[2]             # a stacked value is the one it has alone
+        for name, x in layouts.items():
+            assert self._bits(x) == want, name
+
+    def test_criterion9_pool_certifies_as_its_copies(self):
+        # the pool is a strided view of a transposed product: on these rows,
+        # <Mh, h> taken on the view as given differs from the C-ordered copy's
+        # in the last bits
+        pool = _criterion9_pool()[:12]
+        want = self._bits(np.ascontiguousarray(pool))
+        assert self._bits(pool) == want
+        assert self._bits(np.asfortranarray(pool)) == want
 
 
 @pytest.mark.parametrize("name, scale", [
@@ -2464,4 +2525,4 @@ class TestGoldenResults:
     def test_kernel_bits(self):
         # the numerical-radius kernel's values and nr certificates, bit for bit
         digest = hashlib.sha256(self._kernel_sweep()).hexdigest()
-        assert digest == "a4056bc5654391bd0fa327af5ffe48023f715ba484bcec7b9206cfd96df9d2ab"
+        assert digest == "0472ab7924bb4d22ca5139f70a78d92e420684db4a54b7e6a33fc36b1eb59e40"

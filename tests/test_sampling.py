@@ -116,13 +116,17 @@ class TestRefusals:
 
 def test_import_leaves_numpy_random_unloaded():
     # numpy.random is loaded by the first draw, not by the import: loading it
-    # raises a process's peak RSS by about a megabyte
+    # raises a process's peak RSS by about a megabyte.  numpy is the only
+    # declared dependency, so no module of scipy, mpmath or hypothesis may
+    # load either, installed or not
     src = str(pathlib.Path(nclp.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys\n"
             "import nclp, nclp.cli, nclp.suites\n"
-            "print('numpy.random' in sys.modules)\n")
+            "print('numpy.random' in sys.modules)\n"
+            "print(sorted({m.split('.')[0] for m in sys.modules}\n"
+            "             & {'scipy', 'mpmath', 'hypothesis'}))\n")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["False", "[]"]
