@@ -17,7 +17,11 @@ Four layers:
   layout) in one grid and one Newton stack: at most 3 ``eigvalsh`` calls and
   one ``eigh`` per Newton step, the top eigenvector from the winning step.  A normal
   matrix takes no grid: for it rho(M) <= w(M) <= || |M| + |M*| || / 2
-  (Kittaneh) is an equality, settled by ``_nr_normal``,
+  (Kittaneh) is an equality, settled by ``_nr_normal``.  A 2 x 2 matrix takes
+  neither: its numerical range is an ellipse, and ``_nr_2x2`` finds the
+  farthest point in closed form for every 2 x 2 stack of the layer
+  (``numerical_radius``, ``_nr_stack`` and the ``nr`` ranking and
+  certificates), where ``grid`` is not used,
 * ``triple_norm``: the L^2 radius norm |||F|||_2 = sup ||W F W||_1 over
   PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to
   a fractional knapsack over the spectrum.  When every block weight is
@@ -63,8 +67,7 @@ import numpy as np
 # schatten_norm is not called here but stays importable from this module:
 # the benchmark's recorder test reads nclp.radius.schatten_norm
 from .algebra import (AlgebraElement, TracedAlgebra, _ldexp_complex, _rank_projections,
-                      _stacked_schatten, _unit_exponents, hermitian_part_of, psd_tol,
-                      schatten_norm, structure_tol)
+                      _stacked_schatten, _unit_exponents, hermitian_part_of, schatten_norm)
 from .errors import DomainError, PreconditionError, StructureError
 from .sampling import random_hermitian, random_psd, rng_from, substreams, unitaries_from_gaussian
 from .sesquilinear import _combine_rows, _generator_gram
@@ -85,6 +88,7 @@ TWO_PI = 2.0 * math.pi
 NR_COARSE = 32            # coarse angles of the pruned theta grid
 NR_NEWTON_STEPS = 8       # cap on the eigensolves of a peak refinement; converged rows take 3-4
 NR_CHUNK = 1024           # most matrices one grid eigensolve takes
+NR_2X2_STEPS = 64         # cap on the 2 x 2 root's steps; rows take 1-8, flat maxima ~30
 
 
 def _tied(vals: np.ndarray, count: int) -> np.ndarray:
@@ -353,20 +357,92 @@ def _nr_normal(stack: np.ndarray, rows: np.ndarray, out: np.ndarray,
     return rows[~pick]
 
 
+def _nr_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """w(T) of each T of a C-contiguous (B, 2, 2) stack in closed form, and
+    a unit h with w(T) = |<Th, h>|, the value returned (``_nr_top``).
+
+    W(T) is the elliptical disc with foci mid +- mu, mid = tr T / 2,
+    mu^2 = delta^2 + t12 t21, delta = (t11 - t22) / 2, and semi-minor axis
+    b = (||T - mid I||_F^2 - 2 |mu|^2)^{1/2} / 2 (C.-K. Li, Proc. AMS 124,
+    1996), b^2 formed as a quotient of sums of squares, free of
+    cancellation.  In the frame rot = mu / |mu| the centre is x + iy and the
+    semi-axes a >= b, c = a^2 - b^2 = |mu|^2.  A farthest point
+    (a cos phi, b sin phi) from 0 lies in the quadrant of (x, y), where the
+    distance has one critical point, the root of k(phi) = b|y| cos phi -
+    a|x| sin phi - c sin phi cos phi on [0, pi/2] (its Lagrange multiplier is
+    the one root of a monotone function; D. Eberly, "Distance from a point
+    to an ellipse, an ellipsoid, or a hyperellipsoid", 2013), bracketed by
+    the bounds of that multiplier.  Newton steps on concave stretches,
+    bisection elsewhere; a row stops after a Newton step that changes k phi
+    by at most 1e-16 (|x + iy| + a)^2 (at a nearly flat maximum Newton is
+    linear), or after NR_2X2_STEPS steps.  h is the top eigenvector of
+    Re(e^{i theta} T), theta = -arg z at the farthest point z, in closed
+    form.  Every step is elementwise: each row has the bits it has alone.
+    """
+    t11, t12, t21, t22 = stack.reshape(-1, 4).T
+    mid, delta = 0.5 * (t11 + t22), 0.5 * (t11 - t22)
+    mu2 = delta * delta + t12 * t21
+    c = np.abs(mu2)
+    s12, s21 = np.abs(t12) ** 2, np.abs(t21) ** 2
+    num = 4.0 * np.abs(np.conj(delta) * t12 - delta * np.conj(t21)) ** 2 + (s12 - s21) ** 2
+    den = 2.0 * (np.abs(delta) ** 2 + c) + s12 + s21
+    b = 0.5 * np.sqrt(np.divide(num, den, out=np.zeros_like(c), where=den > 0.0))
+    a = np.sqrt(c + b * b)
+    rot = np.divide(np.sqrt(mu2), np.sqrt(c), out=np.ones_like(mu2), where=c > 0.0)
+    m = mid * np.conj(rot)
+    p, q = a * np.abs(m.real), b * np.abs(m.imag)
+    # the multiplier s lies in [max(p, q - c), |(p, q)|], and tan phi = q s / (p (s + c))
+    lo, hi = np.maximum(p, q - c), np.hypot(p, q)
+    lo, hi = np.arctan2(q * lo, p * (lo + c)), np.arctan2(q * hi, p * (hi + c))
+    phi = 0.5 * (lo + hi)
+    tol = 1e-16 * (np.abs(m) + a) ** 2
+    live = np.ones(len(phi), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # a flat k: bisect
+        for _ in range(NR_2X2_STEPS):
+            cs, sn = np.cos(phi), np.sin(phi)
+            k = q * cs - (p + c * cs) * sn
+            dk = c * (sn * sn - cs * cs) - q * sn - p * cs
+            lo, hi = np.where(k > 0.0, phi, lo), np.where(k < 0.0, phi, hi)
+            nxt = phi - k / dk
+            newton = (dk < 0.0) & (nxt > lo) & (nxt < hi)
+            nxt = np.where(newton, nxt, 0.5 * (lo + hi))
+            moved = np.where(newton, k * (nxt - phi) > tol, nxt != phi)
+            phi = np.where(live, nxt, phi)
+            live &= moved
+            if not live.any():
+                break
+    z = mid + rot * (np.copysign(a * np.cos(phi), m.real)
+                     + 1j * np.copysign(b * np.sin(phi), m.imag))
+    # Re(u T), u = conj(z) / |z| up to a positive factor, is
+    # [[d0 + d, o], [conj(o), d0 - d]]: top eigenvector (d + r, conj(o)) or (o, r - d)
+    u = np.where(z != 0.0, np.conj(z), 1.0)
+    d = 0.5 * ((u * t11).real - (u * t22).real)
+    o = 0.5 * (u * t12 + np.conj(u * t21))
+    r = np.hypot(d, np.abs(o))
+    up = d >= 0.0
+    h = np.stack([np.where(up, d + r, o), np.where(up, np.conj(o), r - d)], axis=1)
+    norm = np.sqrt((np.abs(h) ** 2).sum(axis=1))[:, None]
+    h = np.where(norm > 0.0, h / np.where(norm > 0.0, norm, 1.0), [1.0, 0.0])   # e_1 if scalar
+    zero = np.zeros(len(h))
+    return _nr_top(stack, zero, zero, h)[:2]
+
+
 def _nr_stack(mats: np.ndarray, grid: int, vecs: np.ndarray | None = None) -> np.ndarray:
     """w(M) of every matrix of a (B, n, n) stack; zero matrices give 0.
     With ``vecs``, a (B, n) array, each nonzero matrix's unit vector h with
     |<Mh, h>| = w(M) is written into it.
 
-    Normal matrices are settled first on rho(M) <= w(M) <= || |M| + |M*| || / 2
-    (``_nr_normal``), with no grid.  For the others, one pruned grid
-    (``_nr_peaks``, at most 3 ``eigvalsh`` calls) finds up to three peaks
-    per matrix, and one ``_nr_newton`` stack (one ``eigh`` per step) refines
-    every (matrix, peak) pair within one grid step.  A matrix's best angle is
-    its first peak, at its grid value, unless a refined angle beats it; the
-    top eigenvector h there is the one of the Newton step that evaluated
-    that angle, the same ``eigh`` input bit for bit, so no ``eigh`` is spent
-    on it, and ``_nr_top`` only forms <Mh, h>.  Every step runs on the one
+    A stack of 2 x 2 matrices is solved in closed form (``_nr_2x2``) and
+    ``grid`` is not used.  For other n, normal matrices are settled first on
+    rho(M) <= w(M) <= || |M| + |M*| || / 2 (``_nr_normal``), with no grid.
+    For the others, one pruned grid (``_nr_peaks``, at most 3 ``eigvalsh``
+    calls) finds up to three peaks per matrix, and one ``_nr_newton`` stack
+    (one ``eigh`` per step) refines every (matrix, peak) pair within one
+    grid step.  A matrix's best angle is its first peak, at its grid value,
+    unless a refined angle beats it; the top eigenvector h there is the one
+    of the Newton step that evaluated that angle, the same ``eigh`` input
+    bit for bit, so no ``eigh`` is spent on it, and ``_nr_top`` only forms
+    <Mh, h>.  Every step runs on the one
     C-contiguous stack ``_unit_rows`` makes, so a matrix's value does not
     depend on its memory layout, and each value is the one
     ``numerical_radius`` gives that matrix alone, bit for bit.
@@ -381,7 +457,13 @@ def _nr_stack(mats: np.ndarray, grid: int, vecs: np.ndarray | None = None) -> np
     if exp is not None:
         return np.ldexp(_nr_stack(stack, grid, vecs), exp)
     out = np.zeros(len(stack))
-    rows = _nr_normal(stack, stack.any(axis=(1, 2)).nonzero()[0], out, vecs)
+    rows = stack.any(axis=(1, 2)).nonzero()[0]
+    if stack.shape[-1] == 2:
+        out[rows], hs = _nr_2x2(stack[rows])
+        if vecs is not None:
+            vecs[rows] = hs
+        return out
+    rows = _nr_normal(stack, rows, out, vecs)
     if not rows.size:
         return out
     if rows.size < len(stack):
@@ -429,10 +511,12 @@ def numerical_radius(t: np.ndarray | AlgebraElement, grid: int = 1024) -> float:
     """w(T) = sup over unit vectors of |<Th, h>|.
 
     An element is one ``_nr_elements`` call, a matrix a stack of one for
-    ``_nr_stack``.  Satisfies ||T||/2 <= w(T) <= ||T||, an equality for normal T, which is
-    settled on rho(T) <= w(T) <= || |T| + |T*| || / 2 without a grid
-    (``_nr_normal``); for the others, the three highest peaks of
-    lambda_max(Re(e^{i theta} T)) on ``grid`` angles are refined as one
+    ``_nr_stack``.  A 2 x 2 block is exact in closed form (``_nr_2x2``: its
+    numerical range is an ellipse), and ``grid`` is validated but not used
+    for it.  Otherwise: satisfies ||T||/2 <= w(T) <= ||T||, an equality for
+    normal T, which is settled on rho(T) <= w(T) <= || |T| + |T*| || / 2
+    without a grid (``_nr_normal``); for the others, the three highest peaks
+    of lambda_max(Re(e^{i theta} T)) on ``grid`` angles are refined as one
     stack of safeguarded Newton steps (``_nr_newton``), each within one
     grid step of its peak.  Of the grid, only NR_COARSE coarse angles, the
     angles of the two coarse arcs around the best of them, and the angles
@@ -496,6 +580,9 @@ class TripleNormResult:
     upper_bound: float
     rank1_bound: float
     status: str                     # EXACT | HEURISTIC
+
+
+PSD_ROUND = 64 * np.finfo(float).eps    # rounding level of a computed F F* and its eigh
 
 
 def _spectral(q: np.ndarray, vals: np.ndarray) -> np.ndarray:
@@ -704,16 +791,22 @@ def _unit_norm2(alg: TracedAlgebra,
 
 def _psd_items(fh: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarray]:
     """The hermitian rows of a stack of unit-||.||_2 items, the per-block
-    stacked ``eigh`` of their hermitian parts and which of them are PSD: the
-    predicates of AlgebraElement.is_hermitian and is_psd."""
+    stacked ``eigh`` of their hermitian parts and which of them are PSD.
+
+    The exact knapsack reads the hermitian part alone, so both tests are at
+    rounding level, PSD_ROUND relative to the item's largest |entry| and
+    eigenvalue, not at the looser tolerances of AlgebraElement.is_hermitian
+    and is_psd: a skew part or a negative eigenvalue above rounding, such as
+    1e-12 i against 1, would be dropped from a value labelled exact.  Such
+    items take the search, which the rank-one bound L keeps above it."""
     maxabs = _itemwise_max([np.abs(b) for b in fh])
     skew = _itemwise_max([np.abs(b - b.conj().swapaxes(-1, -2)) for b in fh])
-    herm = (skew <= structure_tol(maxabs)).nonzero()[0]
+    herm = (skew <= PSD_ROUND * maxabs).nonzero()[0]
     if not herm.size:
         return herm, [], np.zeros(0, dtype=bool)
     dec_h = [np.linalg.eigh(hermitian_part_of(b[herm])) for b in fh]
     opn = _itemwise_max([np.abs(lam) for lam, _ in dec_h])
-    psd = np.all([lam[:, 0] >= -psd_tol(opn) for lam, _ in dec_h], axis=0)
+    psd = np.all([lam[:, 0] >= -PSD_ROUND * opn for lam, _ in dec_h], axis=0)
     return herm, dec_h, psd
 
 
@@ -1078,11 +1171,13 @@ class _TargetNorm:
     """Norm evaluation of stacks, plus linear certificates touching the value.
 
     ``batch_values`` scores whole candidate pools at once: ``nr`` on the
-    pruned stacked theta grid (``_nr_grid``), ``triple2`` through the stacked
-    pool kernel ``_triple2_pool``.  A ranking runs the scorer only on
-    the items whose upper bound from the polar mean (``_polar_mean``) can
-    reach their pool's ``top`` best: Kittaneh's || |F| + |F*| || / 2 for
-    ``nr``, the knapsack value K((|F| + |F*|) / 2) for ``triple2``.
+    pruned stacked theta grid (``_nr_grid``), or in closed form for 2 x 2
+    values (``_nr_2x2``), ``triple2`` through the stacked pool kernel
+    ``_triple2_pool``.  A ranking runs the grid or the pool only on the
+    items whose upper bound from the polar mean (``_polar_mean``) can reach
+    their pool's ``top`` best: Kittaneh's || |F| + |F*| || / 2 for ``nr``,
+    the knapsack value K((|F| + |F*|) / 2) for ``triple2``; the closed form
+    scores every item, since it costs less than the bound.
     ``certify`` adds each item's certificate, for the refinement chains of
     ``_superop_stack``, which climb together as one stack.
     Each item's result is the one a stack of one gives, bit for bit, so
@@ -1138,8 +1233,9 @@ class _TargetNorm:
         are those of the group's unpruned stack, bit for bit.
 
         The ``nr`` search scores the dense matrices on the pruned theta
-        grid (``_nr_grid``), the ``triple2`` one the target blocks with
-        ``_triple2_pool``.  For either key, a row whose largest |entry|
+        grid (``_nr_grid``), or every item of a 2 x 2 stack in closed form
+        (``_nr_2x2``) with no pruning, the ``triple2`` one the target blocks
+        with ``_triple2_pool``.  For either key, a row whose largest |entry|
         lies outside [2^-64, 2^64] is scored and bounded as 2^-e M
         (``_unit_rows``), and both are multiplied back by 2^e, exactly; the
         other rows keep their bits.
@@ -1157,6 +1253,9 @@ class _TargetNorm:
         most rank any number of groups.
         """
         unit, exp = _unit_rows(mats)
+        if self.key == "nr" and unit.shape[-1] == 2:
+            vals = _nr_2x2(unit)[0]
+            return vals if exp is None else np.ldexp(vals, exp)
         if self.key == "nr":
             alg, blocks = TracedAlgebra([unit.shape[-1]]), [unit]
 
@@ -1204,16 +1303,23 @@ class _TargetNorm:
         taken as one C-contiguous stack (``_unit_rows``), whatever its layout.
 
         Re tr(C M) = value and Re tr(C M') <= norm(M') for every M'.  For
-        either key, a row whose largest |entry| lies outside [2^-64, 2^64]
-        is certified as 2^-e M: C is unchanged, the value multiplied by 2^e.
+        ``nr``, C = e^{i theta} h h* with h at the top angle of the 256-angle
+        grid, or for 2 x 2 M at the maximizer of ``_nr_2x2``.  For either
+        key, a row whose largest |entry| lies outside [2^-64, 2^64] is
+        certified as 2^-e M: C is unchanged, the value multiplied by 2^e.
         """
         unit, exp = _unit_rows(mats)
         if self.key == "nr":
-            # C = e^{i theta} h h* at the top grid angle; a zero M gives C = 0
-            grid, found = _nr_peaks(unit, self.NR_GRID, 1)
-            top = np.array([p[0] for p in found])
-            vals, vecs, thetas = _nr_top(unit, top * (TWO_PI / self.NR_GRID),
-                                         grid[np.arange(len(unit)), top])
+            # C = e^{i theta} h h* at the top grid angle, or at the maximizer of
+            # a 2 x 2 M (theta = -arg <Mh, h>); a zero M gives C = 0
+            if unit.shape[-1] == 2:
+                zero = np.zeros(len(unit))
+                vals, vecs, thetas = _nr_top(unit, zero, zero, _nr_2x2(unit)[1])
+            else:
+                grid, found = _nr_peaks(unit, self.NR_GRID, 1)
+                top = np.array([p[0] for p in found])
+                vals, vecs, thetas = _nr_top(unit, top * (TWO_PI / self.NR_GRID),
+                                             grid[np.arange(len(unit)), top])
             certs = np.exp(1j * thetas)[:, None, None] * (
                 vecs[:, :, None] * vecs.conj()[:, None, :])
             zero = ~unit.any(axis=(1, 2))
@@ -1316,9 +1422,10 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
     value by more than 1e-13 of it, a relative margin, so the chains of c L
     are those of L; an operator's chains stop after its ``budget.iters`` steps.
     For the ``nr`` search, which ``triple2`` runs where it is ``nr``
-    (``_TargetNorm.key``), one ``_nr_stack`` call on the 1024-angle grid
-    scores every operator's best T, so the two give the same result there,
-    bit for bit.  ``triple2`` on a target of several blocks first refuses
+    (``_TargetNorm.key``), one ``_nr_stack`` call on the 1024-angle grid (in
+    closed form for 2 x 2 values) scores every operator's best T, so the two
+    give the same result there, bit for bit.  ``triple2`` on a target of
+    several blocks first refuses
     an operator whose values leave the blocks (checked on its columns).
     """
     tn = _TargetNorm(target_norm, ops[0].target_algebra)

@@ -106,14 +106,16 @@ class TestSuiteWork:
         calls = counted(monkeypatch, radius, "_nr_grid")
         r = suites.numerical_radius_suite(trials, seed=5)
         assert r["status"] == "holds"
-        # sizes 2..5: one stacked grid each, plus one for the shift block
-        assert calls["n"] <= 4 + 1, calls
+        # sizes 3..5: one stacked grid each; 2 x 2 rows and the shift block
+        # take the closed form
+        assert calls["n"] <= 3, calls
 
-    def test_numerical_radius_grids_only_the_shift_whole(self, monkeypatch):
-        # normal rows (the hermitian parts, 1x1 blocks) close on Kittaneh's
-        # bracket before any grid; of the rows left, only the shift ties with
-        # its mirror angle and fills its grid.  Without the bracket the 48
-        # hermitian rows tie too and the suite solves 64,473 angles
+    def test_numerical_radius_grids_no_row_whole(self, monkeypatch):
+        # normal rows (the hermitian parts) close on Kittaneh's bracket
+        # before any grid, and 2 x 2 rows, the shift among them, take the
+        # closed form; no row left ties, so none fills its grid (10,443
+        # angles).  Without the bracket the hermitian rows tie and the suite
+        # solves 46,471
         angles, tied = [], []
 
         def grid(mats, count, keep, _f=radius._nr_grid):
@@ -130,8 +132,8 @@ class TestSuiteWork:
         r = suites.numerical_radius_suite(50, seed=5)
         assert r["status"] == "holds"
         assert sum(angles) <= 16_000, angles
-        # the first grid is the shift's, alone
-        assert tied == [1, 0, 0, 0, 0], tied
+        # one grid per size 3, 4, 5
+        assert tied == [0, 0, 0], tied
 
     @pytest.mark.parametrize("samples", [3, 9])
     def test_triple_norm_climbs_once_per_algebra(self, monkeypatch, samples):
