@@ -306,8 +306,9 @@ def bound_checks(km: KernelMap, trials: int = 50, seed: int = 0) -> KernelBoundR
     (the radius-norm value is a certified lower bound, so a pass is honest),
     plus left-invariance and positivity of the induced sesquilinear map.
     All samples are drawn first; both norms of every Phi(X,Y)(S) then come
-    from one stacked call each (``_nr_elements``, ``_triple_norm_stack``),
-    each value the one a call per element gives.  A kernel value that
+    from one stacked call each (``_nr_elements`` on ``numerical_radius``'s
+    1024-angle grid, ``_triple_norm_stack``), each value the one a call per
+    element gives.  A kernel value that
     overflows the float range raises ``ConditioningError``.
     """
     alg = km.algebra
@@ -325,7 +326,7 @@ def bound_checks(km: KernelMap, trials: int = 50, seed: int = 0) -> KernelBoundR
         diags = [km.phi_operator(x_el, x_el, spsd) for x_el, _, _, spsd in draws]
     if not all(np.isfinite(b).all() for v in vals + diags for b in v.blocks):
         raise ConditioningError("a kernel value T g(W) T* overflows the float range")
-    nr_vals = _nr_elements(vals, 256).tolist()
+    nr_vals = _nr_elements(vals, 1024).tolist()
     tr_vals = [r.value for r in _triple_norm_stack(alg, vals, SearchBudget(starts=0, iters=0))]
     nr_fail = tr_fail = 0
     max_nr = max_tr = 0.0

@@ -23,12 +23,12 @@ Four layers:
   (``numerical_radius``, ``_nr_stack`` and the ``nr`` ranking and
   certificates), where ``grid`` is not used,
 * ``triple_norm``: the L^2 radius norm |||F|||_2 = sup ||W F W||_1 over
-  PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  PSD inputs reduce exactly to
-  a fractional knapsack over the spectrum.  When every block weight is
-  >= 1, |||F|||_2 = w(F) (see ``triple_norm``), and the value is
-  ``numerical_radius``'s bit for bit.  For other weights the value is
-  certified from below by feasible maximizers (the knapsack maximizer of
-  |F|, the witness of the rank-one bound L (``_rank1_witness``), the
+  PSD W with ||W||_2 <= 1 and ||W||_inf <= 1.  When every block weight is
+  >= 1, |||F|||_2 = w(F) for every F (see ``triple_norm``), and the value
+  is ``numerical_radius``'s bit for bit.  For other weights PSD inputs
+  reduce exactly to a fractional knapsack over the spectrum, and the value
+  of the others is certified from below by feasible maximizers (the
+  knapsack maximizer of |F|, the witness of the rank-one bound L (``_rank1_witness``), the
   spectral projections of |F|, projected ascent from each), built and
   scored for a whole stack by ``_triple2_pool``, and from above by
   ||F||_2; the polar mean (``_polar_mean``) bounds it for pool rankings,
@@ -357,9 +357,10 @@ def _nr_normal(stack: np.ndarray, rows: np.ndarray, out: np.ndarray,
     return rows[~pick]
 
 
-def _nr_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """w(T) of each T of a C-contiguous (B, 2, 2) stack in closed form, and
-    a unit h with w(T) = |<Th, h>|, the value returned (``_nr_top``).
+def _nr_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """w(T) of each T of a C-contiguous (B, 2, 2) stack in closed form, a
+    unit h with w(T) = |<Th, h>|, the value returned, and the angle
+    theta = -arg <Th, h> (``_nr_top``'s values, h and angles).
 
     W(T) is the elliptical disc with foci mid +- mu, mid = tr T / 2,
     mu^2 = delta^2 + t12 t21, delta = (t11 - t22) / 2, and semi-minor axis
@@ -424,7 +425,7 @@ def _nr_2x2(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     norm = np.sqrt((np.abs(h) ** 2).sum(axis=1))[:, None]
     h = np.where(norm > 0.0, h / np.where(norm > 0.0, norm, 1.0), [1.0, 0.0])   # e_1 if scalar
     zero = np.zeros(len(h))
-    return _nr_top(stack, zero, zero, h)[:2]
+    return _nr_top(stack, zero, zero, h)
 
 
 def _nr_stack(mats: np.ndarray, grid: int, vecs: np.ndarray | None = None) -> np.ndarray:
@@ -459,7 +460,7 @@ def _nr_stack(mats: np.ndarray, grid: int, vecs: np.ndarray | None = None) -> np
     out = np.zeros(len(stack))
     rows = stack.any(axis=(1, 2)).nonzero()[0]
     if stack.shape[-1] == 2:
-        out[rows], hs = _nr_2x2(stack[rows])
+        out[rows], hs, _ = _nr_2x2(stack[rows])
         if vecs is not None:
             vecs[rows] = hs
         return out
@@ -798,7 +799,9 @@ def _psd_items(fh: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarray]:
     eigenvalue, not at the looser tolerances of AlgebraElement.is_hermitian
     and is_psd: a skew part or a negative eigenvalue above rounding, such as
     1e-12 i against 1, would be dropped from a value labelled exact.  Such
-    items take the search, which the rank-one bound L keeps above it."""
+    items take the search, which the rank-one bound L keeps above it.  At
+    block weights >= 1, where every value is w(F), only the PSD flag is
+    read: it labels w(F) = lambda_max(F) exact."""
     maxabs = _itemwise_max([np.abs(b) for b in fh])
     skew = _itemwise_max([np.abs(b - b.conj().swapaxes(-1, -2)) for b in fh])
     herm = (skew <= PSD_ROUND * maxabs).nonzero()[0]
@@ -813,25 +816,21 @@ def _psd_items(fh: Sequence[np.ndarray]) -> tuple[np.ndarray, list, np.ndarray]:
 def _triple2_pool(alg: TracedAlgebra, blocks: Sequence[np.ndarray]) -> _TriplePool:
     """Candidate pool and pool-only |||.|||_2 for a stack of elements.
 
-    ``blocks`` are per-block (B, n_k, n_k) arrays.  A PSD item is exact: its
-    one candidate is the knapsack maximizer of F (slot 0), and its rank-one
-    bound L the block knapsack of lambda_max(F_k) from the ``eigh`` the PSD
-    test takes (``_block_knapsack``).  The other items have 2 + total_dim
-    slots, built in a few stacked linalg calls: the knapsack maximizer of
-    |F| (slot 0, shared with the PSD items' knapsack in one stack), the
-    rank-one witness of L (slot 1, ``_rank1_witness``), then the spectral
-    projections of |F| by decreasing level
-    (``_level_projections``); a stack of PSD items builds none of these.
+    ``blocks`` are per-block (B, n_k, n_k) arrays.  Only an algebra with a
+    block weight below 1 needs a pool: at weights >= 1 |||.|||_2 is w
+    (``_triple2_is_nr``).  A PSD item is exact: its one candidate is the
+    knapsack maximizer of F (slot 0), and its rank-one bound L the block
+    knapsack of lambda_max(F_k) from the ``eigh`` the PSD test takes
+    (``_block_knapsack``).  The other items have 2 + total_dim slots, built
+    in a few stacked linalg calls: the knapsack maximizer of |F| (slot 0,
+    shared with the PSD items' knapsack in one stack), the rank-one witness
+    of L (slot 1, ``_rank1_witness``), then the spectral projections of |F|
+    by decreasing level (``_level_projections``); a stack of PSD items
+    builds none of these.
     Each item's result equals the one-element computation bit for bit,
     whatever the stack's size or order.
     """
     upper, fh = _unit_norm2(alg, blocks)
-    return _triple2_pool_of(alg, upper, fh, _psd_items(fh))
-
-
-def _triple2_pool_of(alg: TracedAlgebra, upper: np.ndarray, fh: list[np.ndarray],
-                     psd_items: tuple[np.ndarray, list, np.ndarray]) -> _TriplePool:
-    """``_triple2_pool`` from the items' ``_unit_norm2`` and ``_psd_items``."""
     sizes = alg.block_sizes
     nblk = len(sizes)
     items = len(upper)
@@ -846,7 +845,7 @@ def _triple2_pool_of(alg: TracedAlgebra, upper: np.ndarray, fh: list[np.ndarray]
             c[at, slot] = w
         valid[at, slot] = True
 
-    herm, dec_h, psd = psd_items
+    herm, dec_h, psd = _psd_items(fh)
     exact = np.zeros(items, dtype=bool)
     psd_rows = herm[psd]
     exact[psd_rows] = True
@@ -974,14 +973,15 @@ def triple_norm(f: AlgebraElement, budget: SearchBudget | None = None) -> Triple
     W_k = t_k^{1/2} h h*, |<F_k h, h>| = w(F_k), attains that for t_k <= 1,
     so L <= |||F|||_2 <= w(F), L (``rank1_bound``) the fractional knapsack
     over the blocks with rate w(F_k) and capacity w_k (``_rank1_witness``).
-    When every block weight w_k is >= 1, L = w(F) = |||F|||_2, the value is
-    ``numerical_radius(F)`` bit for bit, with the maximizer w_k^{-1/2} h h*.
-    For other weights the value is the best of the pool (the knapsack
-    maximizer of |F|, the witness of L, the spectral projections of |F|)
-    and of projected ascent from each of them and from random points.  F
-    goes through the stacked kernel ``_triple_norm_stack`` as a stack of
-    one, so the value does not depend on whether F is evaluated alone or
-    inside a larger stack.  Non-finite entries raise ``DomainError``.
+    When every block weight w_k is >= 1, L = w(F) = |||F|||_2 for every F,
+    PSD included, the value is ``numerical_radius(F)`` bit for bit, with the
+    maximizer w_k^{-1/2} h h*.  For other weights a PSD value is the
+    knapsack over its spectrum, and any other value the best of the pool
+    (the knapsack maximizer of |F|, the witness of L, the spectral
+    projections of |F|) and of projected ascent from each of them and from
+    random points.  F goes through the stacked kernel ``_triple_norm_stack``
+    as a stack of one, so the value does not depend on whether F is
+    evaluated alone or inside a larger stack.  Non-finite entries raise ``DomainError``.
     """
     return _triple_norm_stack(f.algebra, [f], budget)[0]
 
@@ -1005,13 +1005,14 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
     the one a list of one gives, bit for bit.
 
     When every block weight w_k is >= 1 (``_triple2_is_nr``), |||F|||_2 =
-    w(F) (see ``triple_norm``).  There PSD and zero elements get their
-    knapsack pool (``_triple2_pool_of``), exact with no search, and every
-    other element F gets L = w(F), its maximizer and its rank-one bound
-    from one ``_rank1_witness`` call on one C-contiguous stack per block,
-    and ``upper_bound`` ||F||_2, or the value where rounding puts it above (a
-    1 x 1 block's |f| from ``hypot`` against LAPACK's); ``budget`` changes
-    nothing there.  With a weight below 1 the whole search runs
+    w(F) (see ``triple_norm``) for every F, PSD and zero included: one
+    ``_rank1_witness`` call on one C-contiguous stack per block gives each
+    element's value L = w(F), its rank-one bound and its maximizer,
+    ``_unit_norm2`` gives ``upper_bound`` ||F||_2, or the value where
+    rounding puts it above (a 1 x 1 block's |f| from ``hypot`` against
+    LAPACK's), and ``_psd_items`` the status: exact for PSD F, where w(F) is
+    lambda_max(F); ``budget`` changes nothing there.  With a weight below 1
+    the pool (``_triple2_pool``) and the whole search run
     (``_triple_norm_search``).
     """
     for f in fs:
@@ -1023,24 +1024,12 @@ def _triple_norm_stack(alg: TracedAlgebra, fs: Sequence[AlgebraElement],
     if not _triple2_is_nr(alg):
         return _triple_norm_search(alg, _triple2_pool(alg, blocks), budget)
     upper, fh = _unit_norm2(alg, blocks)
-    herm, dec_h, psd = _psd_items(fh)
-    out: list = [None] * len(fs)
+    herm, _, psd = _psd_items(fh)
     exact = np.zeros(len(fs), dtype=bool)
-    at = herm[psd]
-    exact[at] = True
-    if at.size:
-        only = (np.arange(at.size), [(lam[psd], q[psd]) for lam, q in dec_h],
-                np.ones(at.size, dtype=bool))
-        pool = _triple2_pool_of(alg, upper[at], [b[at] for b in fh], only)
-        for i, res in zip(at.tolist(), _triple_norm_search(alg, pool, budget)):
-            out[i] = res
-    rest = (~exact).nonzero()[0]
-    if rest.size:
-        vals, wit = _rank1_witness(alg, [b[rest] for b in blocks])
-        for j, (i, value) in enumerate(zip(rest.tolist(), vals.tolist())):
-            out[i] = _triple_result(alg, float(upper[i]), value, value, [x[j] for x in wit],
-                                    False)
-    return out
+    exact[herm[psd]] = True
+    vals, wit = _rank1_witness(alg, blocks)
+    return [_triple_result(alg, u, v, v, [x[i] for x in wit], bool(e))
+            for i, (u, v, e) in enumerate(zip(upper.tolist(), vals.tolist(), exact))]
 
 
 def _triple_norm_search(alg: TracedAlgebra, pool: _TriplePool,
@@ -1313,8 +1302,7 @@ class _TargetNorm:
             # C = e^{i theta} h h* at the top grid angle, or at the maximizer of
             # a 2 x 2 M (theta = -arg <Mh, h>); a zero M gives C = 0
             if unit.shape[-1] == 2:
-                zero = np.zeros(len(unit))
-                vals, vecs, thetas = _nr_top(unit, zero, zero, _nr_2x2(unit)[1])
+                vals, vecs, thetas = _nr_2x2(unit)
             else:
                 grid, found = _nr_peaks(unit, self.NR_GRID, 1)
                 top = np.array([p[0] for p in found])
@@ -1357,8 +1345,7 @@ def _unitary_candidates(source: TracedAlgebra, budget: SearchBudget) -> np.ndarr
     items are built as coordinate rows at once, then per block one stacked
     ``hermitian_part_of``, QR and SVD; an h_i of norm above 1 is divided by
     it.  The pool depends on the block sizes, starts and seed alone, and it
-    is read-only, so ``_check_cs_stack`` hands one draw to every instance of
-    a call that shares a budget."""
+    is read-only; each operator ``_superop_stack`` searches draws its own."""
     sizes = source.block_sizes
     spans = np.cumsum([0, *(n * n for n in sizes)]).tolist()
     width = spans[-1]
@@ -1405,20 +1392,17 @@ def superop_norm(op: SuperOperator, target_norm: str = "nr",
 
 
 def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
-                   budgets: Sequence[SearchBudget],
-                   pools: Sequence[np.ndarray | None] | None = None
-                   ) -> list[SuperOperatorNormResult]:
+                   budgets: Sequence[SearchBudget]) -> list[SuperOperatorNormResult]:
     """``superop_norm`` of every operator of a list of one shape (source,
     target dimension and target algebra), each at its own budget, each result
     the one a list of one gives, bit for bit.
 
-    Each nonzero operator searches its own pool: ``pools[i]``, or its
-    ``_unitary_candidates`` draw.  One ``batch_values`` call ranks every pool
-    (a group each).  The chains of every operator then climb as one stack:
-    per step, one stacked matrix-vector product gives ``adjoint_at`` of
-    every live chain and one more their next values, each the bits of a
-    product per chain, then one stacked SVD per source block and one
-    ``certify`` call.  A chain stops once a step does not raise its
+    Each nonzero operator searches its own ``_unitary_candidates`` draw.
+    One ``batch_values`` call ranks every pool (a group each).  The chains
+    of every operator then climb as one stack: per step, one stacked
+    matrix-vector product gives ``adjoint_at`` of every live chain and one
+    more their next values, each the bits of a product per chain, then one
+    stacked SVD per source block and one ``certify`` call.  A chain stops once a step does not raise its
     value by more than 1e-13 of it, a relative margin, so the chains of c L
     are those of L; an operator's chains stop after its ``budget.iters`` steps.
     For the ``nr`` search, which ``triple2`` runs where it is ``nr``
@@ -1436,8 +1420,7 @@ def _superop_stack(ops: Sequence[SuperOperator], target_norm: str,
            for op in ops]
     if not search:
         return out
-    pool = [pools[i] if pools is not None else _unitary_candidates(ops[i].source, budgets[i])
-            for i in search]
+    pool = [_unitary_candidates(ops[i].source, budgets[i]) for i in search]
     n = ops[0].target_dim
     vals = tn.batch_values(np.concatenate([(ops[i].matrix @ c.T).T.reshape(len(c), n, n)
                                            for i, c in zip(search, pool)]),
@@ -1630,10 +1613,11 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
     last searched left-hand side: the key is (x, y, budget), the scaled x
     and y as complex raveled bytes, and the value maps each search run
     (``_TargetNorm.key``) to its ``SuperOperatorNormResult`` and right-hand
-    sides (v_x, v_y).  A new key replaces the entry.  Only the instances that miss are searched: those
-    that share a budget share one pool draw, and each search takes one
-    ``_superop_stack`` call and one ``batch_values`` stack of right-hand
-    sides.  Maps of another shape than the first raise ``StructureError``.
+    sides (v_x, v_y).  A new key replaces the entry.  Only the instances
+    that miss are searched, each from its own pool draw, and each search
+    takes one ``_superop_stack`` call and one ``batch_values`` stack of
+    right-hand sides.  Maps of another shape than the first raise
+    ``StructureError``.
     """
     head = phis[0]
     if any((p.source, p.target_dim, p.target_algebra)
@@ -1653,10 +1637,6 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
     need = [i for i, f in enumerate(found) if not f.keys() >= runs.keys()]
     if need:
         ops = [phis[i].superop(xs[i], ys[i]) for i in need]
-        shared = {(budgets[i].starts, budgets[i].seed): budgets[i]
-                  for i, op in zip(need, ops) if not op.is_zero}
-        drawn = {k: _unitary_candidates(head.source, b) for k, b in shared.items()}
-        pools = [drawn.get((budgets[i].starts, budgets[i].seed)) for i in need]
         ident = head.source.identity().coords()
         at_identity = np.stack([phis[i].superop(v, v).apply_coords(ident)
                                 for i in need for v in (xs[i], ys[i])])
@@ -1665,8 +1645,7 @@ def _check_cs_stack(phis: Sequence[OperatorValuedMap], xs: Sequence[np.ndarray],
         miss = [j for j, i in enumerate(need) if key not in found[i]]
         if not miss:
             continue
-        results = _superop_stack([ops[j] for j in miss], key, [budgets[need[j]] for j in miss],
-                                 [pools[j] for j in miss])
+        results = _superop_stack([ops[j] for j in miss], key, [budgets[need[j]] for j in miss])
         sides = tn.batch_values(np.concatenate(at_identity[miss])).reshape(-1, 2).tolist()
         for j, res, side in zip(miss, results, sides):
             found[need[j]][key] = (res, side)

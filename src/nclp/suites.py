@@ -30,7 +30,7 @@ from .errors import DomainError
 from .gns import GnsRepresentation, VerificationReport, gns_construct, verify_representation
 from .inequalities import _cs_lp_trials, _re_im_trials, default_cs_constant, uncertainty_check
 from .kernels import KernelMap, OnePlusXTKernel, bound_checks
-from .radius import (OperatorValuedMap, SearchBudget, _check_cs_stack, _nr_elements, _nr_stack,
+from .radius import (OperatorValuedMap, SearchBudget, _check_cs_stack, _nr_stack,
                      _triple_norm_stack, numerical_radius)
 from .sampling import (random_complex_matrix, random_element, random_psd,
                        random_psd_with_spectrum, random_unit_vector, rng_from,
@@ -339,17 +339,16 @@ def numerical_radius_suite(trials: int, seed: int = 0) -> dict:
 
 
 def triple_norm_suite(samples: int, seed: int = 0) -> dict:
-    """Exact anchors, the w(F) <= value <= ||F||_2 sandwich, and the
+    """Exact anchors, the L <= value <= ||F||_2 sandwich, and the
     constant-1 Cauchy-Schwarz in the radius norm on random positive maps.
 
     All samples are drawn first, and the Cauchy-Schwarz values of all the
     maps come from one ``_random_map_pairs`` call.  Per algebra, the
     sandwich elements, the left-hand sides and the PSD right-hand sides go
-    through one ``_triple_norm_stack`` call, and the sandwich's w(F) through
-    one ``_nr_elements`` call; each value is the one a call per element
-    gives.  The algebras have unit weights, so
-    |||F|||_2 = w(F) there, and the sandwich's lower side compares w on the
-    1024-angle grid with w on a 512-angle one."""
+    through one ``_triple_norm_stack`` call; each value is the one a call
+    per element gives.  The sandwich's lower side is the rank-one bound L
+    (``rank1_bound``), which holds at every weight; the algebras have unit
+    weights, so L = w(F) = |||F|||_2 there."""
     _require_trials(samples, seed)
     budget = SearchBudget(starts=4, iters=25, seed=seed)
     tr2 = TracedAlgebra([2])
@@ -378,14 +377,14 @@ def triple_norm_suite(samples: int, seed: int = 0) -> dict:
         f_j, cs_j = fs[j::len(algebras)], cs[j::len(algebras)]
         n_f, n_cs = len(f_j), len(cs_j)
         full = _triple_norm_stack(alg, f_j + [c[r] for r in range(3) for c in cs_j], budget)
-        for f, res, wf in zip(f_j, full, _nr_elements(f_j, 512).tolist()):
+        for f, res in zip(f_j, full):
             up = schatten_norm(f, 2.0)
-            worst_low = min(worst_low, res.value - wf)
+            worst_low = min(worst_low, res.value - res.rank1_bound)
             worst_high = max(worst_high, res.value - up)
-            if not (wf - 1e-6 <= res.value <= up + 1e-9):
+            if not (res.rank1_bound - 1e-6 <= res.value <= up + 1e-9):
                 sandwich_failures += 1
         lhs_res, rx, ry = (full[n_f + r * n_cs:n_f + (r + 1) * n_cs] for r in range(3))
-        for lhs, x_res, y_res in zip(lhs_res, rx, ry):            # rhs PSD: exact knapsack
+        for lhs, x_res, y_res in zip(lhs_res, rx, ry):            # rhs PSD: exact
             rhs = math.sqrt(max(x_res.value, 0.0)) * math.sqrt(max(y_res.value, 0.0))
             worst_cs = max(worst_cs, lhs.value - rhs)
             if lhs.value > rhs + 1e-6:

@@ -457,7 +457,7 @@ class TestOperatorValuedCs:
         rhs = math.sqrt(at_identity[0]) * math.sqrt(at_identity[1])
         calls = []
 
-        def fake_search(ops, target_norm, budgets, pools=None):
+        def fake_search(ops, target_norm, budgets):
             # the lhs Phi(x, y) comes first; any further search meets the value at T = I
             calls.append(ops)
             value = 1.04 * rhs if len(calls) == 1 else at_identity[len(calls) - 2]
@@ -625,12 +625,13 @@ class TestStackedPool:
         # re-projected candidate's above it, and the rank-one bound is L
         for f in _mixed_pool(alg, seed=42, size=8):
             res = triple_norm(f, SearchBudget(starts=0, iters=0))
-            pool = _triple2_pool(alg, [b[None] for b in f.blocks])
-            if min(alg.weights) >= 1.0 and not pool.exact[0]:
-                # unit weights: w(F), its own rank-one bound, at a rank-one W
+            if min(alg.weights) >= 1.0:
+                # unit weights, PSD F included: w(F), its own rank-one bound,
+                # at a rank-one W (W = 0 for F = 0)
                 assert res.value == res.rank1_bound == numerical_radius(f)
-                assert np.linalg.matrix_rank(res.maximizer.dense()) == 1
+                assert np.linalg.matrix_rank(res.maximizer.dense()) == int(res.value != 0.0)
                 continue
+            pool = _triple2_pool(alg, [b[None] for b in f.blocks])
             assert res.value >= float(pool.values[0])
             if pool.exact[0] or res.value == float(pool.values[0]):
                 for got, want in zip(res.maximizer.blocks, pool.maximizer):
@@ -1068,10 +1069,11 @@ class TestClosedForm2x2:
     @given(mats=nr_stacks(min_n=2, max_n=2, kinds=NR_KINDS + ["shift", "unitary"]))
     def test_value_is_attained_by_its_unit_vector(self, mats):
         stack, _ = radius._unit_rows(mats)
-        vals, hs = radius._nr_2x2(stack)
-        for m, w, h in zip(stack, vals.tolist(), hs):
+        vals, hs, thetas = radius._nr_2x2(stack)
+        for m, w, h, t in zip(stack, vals.tolist(), hs, thetas.tolist()):
             assert abs(np.linalg.norm(h) - 1.0) <= 4 * np.finfo(float).eps
-            assert w == abs(np.conj(h) @ (m @ h))
+            q = np.conj(h) @ (m @ h)
+            assert w == abs(q) and t == -math.atan2(q.imag, q.real)
         # certificates C = e^{i theta} h h*: Re tr(C M) is the value, and
         # Re tr(C M') <= w(M') for any M'
         got, certs = _TargetNorm("nr").certify(mats)
@@ -1490,12 +1492,17 @@ class TestRadiusIdentity:
     w(F_k) with capacities w_k."""
 
     @settings(max_examples=40, deadline=None)
-    @given(f=weighted_elements(), seed=st.integers(0, 9))
-    def test_weights_at_least_one_give_the_numerical_radius(self, f, seed):
+    @given(f=weighted_elements(), seed=st.integers(0, 9),
+           kind=st.sampled_from(["plain", "psd", "hermitian"]))
+    def test_weights_at_least_one_give_the_numerical_radius(self, f, seed, kind):
+        # PSD and hermitian F take the one path too: w(F), exact when PSD
+        f = {"plain": f, "psd": f @ f.adjoint(), "hermitian": f + f.adjoint()}[kind]
         w = numerical_radius(f)
         for budget in (SearchBudget(starts=0, iters=0), SearchBudget(starts=2, iters=5, seed=seed)):
             res = triple_norm(f, budget)
             assert res.value == res.rank1_bound == w
+            if kind == "psd":
+                assert res.status == "exact"
             assert res.upper_bound == pytest.approx(schatten_norm(f, 2.0), rel=1e-14)
             m = res.maximizer
             # feasible: W >= 0, ||W||_inf <= 1, ||W||_2 <= 1, and it attains w
@@ -1505,6 +1512,26 @@ class TestRadiusIdentity:
                 assert lam.min() >= -1e-12 and lam.max() <= 1.0 + 1e-12
             assert schatten_norm(m, 2.0) <= 1.0 + 1e-12
             assert schatten_norm(m @ f @ m, 1.0) == pytest.approx(w, rel=1e-12)
+
+    def test_weights_at_least_one_take_no_pool_and_no_search(self, monkeypatch):
+        calls = {"_triple2_pool": 0, "_triple_norm_search": 0}
+
+        def counting(name, _f):
+            def wrapped(*args):
+                calls[name] += 1
+                return _f(*args)
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(radius, name, counting(name, getattr(radius, name)))
+        for alg in (TracedAlgebra([2]), TracedAlgebra([3]), TracedAlgebra([2, 1], [1.0, 2.0])):
+            f = random_element(alg, rng_from(8))
+            fs = [f, f + f.adjoint(), f @ f.adjoint(), alg.zero(), alg.identity()]
+            radius._triple_norm_stack(alg, fs, SearchBudget(starts=2, iters=5))
+        assert calls == {"_triple2_pool": 0, "_triple_norm_search": 0}
+        weighted = random_element(TracedAlgebra([2, 1], [1.0, 0.5]), rng_from(8))
+        triple_norm(weighted @ weighted.adjoint())
+        assert calls == {"_triple2_pool": 1, "_triple_norm_search": 1}, "the counter sees them"
 
     @settings(max_examples=150, deadline=None)
     @given(re=st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3)),
@@ -1635,9 +1662,9 @@ class TestTriple2IsNr:
     def test_check_searches_once_for_both_norms(self, target, monkeypatch):
         calls = []
 
-        def counted(ops, norm, budgets, pools, _f=radius._superop_stack):
+        def counted(ops, norm, budgets, _f=radius._superop_stack):
             calls.append(norm)
-            return _f(ops, norm, budgets, pools)
+            return _f(ops, norm, budgets)
 
         monkeypatch.setattr(radius, "_superop_stack", counted)
         phis = [_block_diagonal_map(TracedAlgebra([2]), target, seed) for seed in range(3)]
@@ -1781,8 +1808,8 @@ class TestStackedSearch:
 
 
 class TestCandidateDraws:
-    """A candidate pool is drawn per call, once for the instances of a
-    stacked check that share a budget, and kept nowhere after it."""
+    """A candidate pool is drawn per searched operator, and kept nowhere
+    after it."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
@@ -1806,23 +1833,16 @@ class TestCandidateDraws:
         with pytest.raises(ValueError):
             drawn[0, 0] = 0.0
 
-    def test_instances_sharing_a_budget_share_one_draw(self, draws, monkeypatch):
-        pools = []
-
-        def searched(ops, norm, budgets, given, _f=radius._superop_stack):
-            pools.extend(given)
-            return _f(ops, norm, budgets, given)
-
-        monkeypatch.setattr(radius, "_superop_stack", searched)
+    def test_each_instance_draws_its_own_pool(self, draws):
         phis = [suites.random_operator_valued(TracedAlgebra([2]), 2, 2, 1, seed)
                 for seed in range(4)]
         x, y = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
         shared, other = SearchBudget(starts=8, iters=3, seed=1), SearchBudget(starts=8, seed=2)
         budgets = [shared, other, dataclasses.replace(shared, iters=5), shared]
         reps = radius._check_cs_stack(phis, [x] * 4, [y] * 4, budgets, ("nr",))
-        # iters does not enter the pool: instances 0, 2 and 3 share one draw
-        assert len(draws) == 2
-        assert [id(p) for p in pools] == [id(draws[0]), id(draws[1]), id(draws[0]), id(draws[0])]
+        # iters does not enter the pool: instances 0, 2 and 3 draw the same one
+        assert len(draws) == 4 and len({id(p) for p in draws}) == 4
+        assert draws[0].tobytes() == draws[2].tobytes() == draws[3].tobytes()
         assert not draws[0].flags.writeable
         for seed, (b, rep) in enumerate(zip(budgets, reps["nr"])):
             fresh = suites.random_operator_valued(TracedAlgebra([2]), 2, 2, 1, seed)
@@ -1993,9 +2013,9 @@ class TestLhsMemo:
         """The operator counts of each ``_superop_stack`` call."""
         calls = []
 
-        def counted(ops, norm, budgets, pools, _f=radius._superop_stack):
+        def counted(ops, norm, budgets, _f=radius._superop_stack):
             calls.append(len(ops))
-            return _f(ops, norm, budgets, pools)
+            return _f(ops, norm, budgets)
 
         monkeypatch.setattr(radius, "_superop_stack", counted)
         return calls
@@ -2162,6 +2182,8 @@ class TestPsdPool:
             assert got == [alone[i] for i in order]
 
     def test_exact_rows_never_reach_the_rank_one_search(self, monkeypatch):
+        # at a weight below 1 a PSD row takes the knapsack alone (at weights
+        # >= 1 every row is w(F), from the rank-one witness)
         calls = []
 
         def counted(alg, blocks, _f=radius._rank1_witness):
@@ -2169,17 +2191,14 @@ class TestPsdPool:
             return _f(alg, blocks)
 
         monkeypatch.setattr(radius, "_rank1_witness", counted)
-        f = random_element(TracedAlgebra([3]), rng_from(4))
-        assert triple_norm(f @ f.adjoint()).status == "exact"
         weighted = random_element(POOL_ALGEBRAS[2], rng_from(4))
         assert triple_norm(weighted @ weighted.adjoint()).status == "exact"
         assert calls == []
-        triple_norm(f)
         triple_norm(weighted)
-        assert calls == [1, 1], "the counter sees the non-PSD search"
+        assert calls == [1], "the counter sees the non-PSD search"
         # the exact right-hand side of the operator-valued check, alone
         calls.clear()
-        monkeypatch.setattr(radius, "_superop_stack", lambda ops, norm, budgets, pools: [
+        monkeypatch.setattr(radius, "_superop_stack", lambda ops, norm, budgets: [
             SuperOperatorNormResult(0.0, op.source.identity(), "heuristic") for op in ops])
         phi = suites.random_operator_valued(POOL_ALGEBRAS[2], 3, 2, 2, seed=9)
         x, y = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
@@ -2533,8 +2552,12 @@ class TestGoldenResults:
     from every candidate.  The M_2 and weighted triple-norm rows, the
     triple2 superoperator, operator-valued and triple-norm suite literals,
     the check-all digests and the kernel bits were captured again when the
-    numerical radius of 2 x 2 blocks became closed form.  Other numpy or
-    BLAS builds may move the last bits, so the class runs only on that build.
+    numerical radius of 2 x 2 blocks became closed form.  The unit-weight
+    PSD triple-norm rows, the triple-norm suite literal and the check-all
+    digests were captured again when PSD elements at block weights >= 1
+    took w(F) from the rank-one witness, as every other element there
+    does.  Other numpy or BLAS builds may move the last bits, so the class
+    runs only on that build.
     """
 
     TRIPLE = [
@@ -2542,20 +2565,20 @@ class TestGoldenResults:
          1.6799839850620826, 1.6799839850620826, "heuristic"),
         (3.3361160022731107, 3.3361160022731107, "heuristic",
          3.3361160022731107, 3.3361160022731107, "heuristic"),
-        (2.948326805852975, 2.948326805852975, "exact",
-         2.948326805852975, 2.948326805852975, "exact"),
+        (2.9483268058529757, 2.9483268058529757, "exact",
+         2.9483268058529757, 2.9483268058529757, "exact"),
         (2.3559664188754295, 2.3559664188754295, "heuristic",
          2.3559664188754295, 2.3559664188754295, "heuristic"),
         (1.5717796371636985, 1.5717796371636985, "heuristic",
          1.5717796371636985, 1.5717796371636985, "heuristic"),
-        (6.213100799272543, 6.213100799272543, "exact",
-         6.213100799272543, 6.213100799272543, "exact"),
+        (6.213100799272549, 6.213100799272549, "exact",
+         6.213100799272549, 6.213100799272549, "exact"),
         (2.726433126890012, 2.726433126890012, "heuristic",
          2.726433126890012, 2.726433126890012, "heuristic"),
         (3.4639382078621743, 3.4639382078621743, "heuristic",
          3.4639382078621743, 3.4639382078621743, "heuristic"),
-        (10.8058137824752, 10.8058137824752, "exact",
-         10.8058137824752, 10.8058137824752, "exact"),
+        (10.805813782475209, 10.805813782475209, "exact",
+         10.805813782475209, 10.805813782475209, "exact"),
         (2.6388420660912137, 2.6388420660912137, "heuristic",
          2.6388420660912137, 2.6388420660912137, "heuristic"),
         (4.440900686965175, 4.440900686965175, "heuristic",
@@ -2624,13 +2647,13 @@ class TestGoldenResults:
 
     @pytest.mark.parametrize("argv, digest", [
         (["check-all", "--seed", "0"],
-         "f9550c50538e8ec0b8d736d189bb9bb5fd7893bac4ee3902bdf0dc4282c2fe67"),
+         "68ff90afa3f5d07ce7ff85f9077dc1894805b95f5549d644c3278f87f71826bf"),
         (["kernel-demo", "--seed", "0"],
          "f25224b1d7905408d010d774e91c8c4374b53a120a76dc39aad04ed8a62fc737"),
         (["check-all", "--seed", "3"],
-         "950cf19821dcb69183bebd31e9fba9f5242079554bf2c8f0eb81dd6ea56aa36d"),
+         "2da2ac12d6b3ddee22feac240a128d08f8828f719050a3811f1decf8e0e91aaa"),
         (["check-all", "--seed", "7"],
-         "1196b111da210773b60fe6e184c83a3ee1e5659cd9be070b2e41aaa3f797e075"),
+         "abb643e8a68a40ef976134d574dffcb12ef8ff855fa47e213e9c4eb7033e9950"),
     ], ids=["check-all", "kernel-demo", "check-all-seed3", "check-all-seed7"])
     def test_report_bytes(self, capsys, argv, digest):
         # sha256 of the rendered report with wall_time_s zeroed
@@ -2643,7 +2666,7 @@ class TestGoldenResults:
             "name": "triple_norm", "anchor_diag10": 1.0, "anchor_identity": 1.0,
             "anchor_statuses": ["exact", "exact"], "samples": 5, "sandwich_failures": 0,
             "worst_low": 0.0, "worst_high": -0.3862300031540016,
-            "cs_failures": 0, "worst_cs_excess": 4.263256414560601e-14,
+            "cs_failures": 0, "worst_cs_excess": 2.1316282072803006e-14,
             "status": "holds"}
 
     @staticmethod
